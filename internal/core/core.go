@@ -27,34 +27,19 @@ import (
 	"ndirect/internal/tensor"
 )
 
-// Epilogue selects the fused post-processing applied when the last
-// input-channel tile is stored (the library-level equivalent of the
-// operator fusion discussion in §8.3).
-type Epilogue int
-
-const (
-	// EpilogueNone stores the raw convolution result.
-	EpilogueNone Epilogue = iota
-	// EpilogueBias adds a per-output-channel bias.
-	EpilogueBias
-	// EpilogueReLU applies max(x, 0).
-	EpilogueReLU
-	// EpilogueBiasReLU adds bias then applies ReLU.
-	EpilogueBiasReLU
-)
-
-// EpilogueParams is the generalised fused epilogue: per-channel bias,
-// per-channel affine (the inference form of batch normalisation,
-// y = x·Scale[k] + Shift[k]) and ReLU, applied in exactly that order
-// while the accumulator tile is still in registers — the operator
-// fusion of §8.3 extended to the Conv→BN→ReLU chains real networks
-// serve. The order and the per-element float32 expressions match the
-// separate addBias → applyBN → applyReLU passes, so fused output is
-// bit-identical to the unfused path. Each non-nil slice must have
-// length K; Scale and Shift must be both nil or both set. The slices
-// are captured by the plan, not copied — callers must not mutate them
-// while the plan is alive (the plan-cache key hashes their contents,
-// so mutation would also corrupt cache identity).
+// EpilogueParams is the fused epilogue applied when the last
+// input-channel tile is stored: per-channel bias, per-channel affine
+// (the inference form of batch normalisation, y = x·Scale[k] +
+// Shift[k]) and ReLU, applied in exactly that order while the
+// accumulator tile is still in registers — the operator fusion of §8.3
+// extended to the Conv→BN→ReLU chains real networks serve. The order
+// and the per-element float32 expressions match the separate addBias →
+// applyBN → applyReLU passes, so fused output is bit-identical to the
+// unfused path. Each non-nil slice must have length K; Scale and Shift
+// must be both nil or both set. The slices are captured by the plan,
+// not copied — callers must not mutate them while the plan is alive
+// (the plan-cache key hashes their contents, so mutation would also
+// corrupt cache identity).
 type EpilogueParams struct {
 	Bias  []float32
 	Scale []float32
@@ -63,9 +48,8 @@ type EpilogueParams struct {
 }
 
 // epilogue is the plan-normalised epilogue the store/fallback paths
-// consult: the enum forms and EpilogueParams both lower to it at plan
-// construction, so the hot store loop tests plain fields instead of
-// re-dispatching on option shape.
+// consult: EpilogueParams lowers to it at plan construction, so the hot
+// store loop tests plain fields and a nil pointer costs one flag.
 type epilogue struct {
 	bias  []float32 // nil = no bias
 	scale []float32 // nil = no affine; shift is paired
@@ -74,22 +58,14 @@ type epilogue struct {
 	none  bool // fast path: store raw accumulators
 }
 
-// normalizeEpilogue lowers the options' epilogue selection.
-func normalizeEpilogue(opt Options) epilogue {
-	if fe := opt.FusedEpilogue; fe != nil {
-		ep := epilogue{bias: fe.Bias, scale: fe.Scale, shift: fe.Shift, relu: fe.ReLU}
-		ep.none = fe.Bias == nil && fe.Scale == nil && !fe.ReLU
-		return ep
+// normalizeEpilogue lowers an epilogue selection (nil = none).
+func normalizeEpilogue(fe *EpilogueParams) epilogue {
+	if fe == nil {
+		return epilogue{none: true}
 	}
-	switch opt.Epilogue {
-	case EpilogueBias:
-		return epilogue{bias: opt.Bias}
-	case EpilogueReLU:
-		return epilogue{relu: true}
-	case EpilogueBiasReLU:
-		return epilogue{bias: opt.Bias, relu: true}
-	}
-	return epilogue{none: true}
+	ep := epilogue{bias: fe.Bias, scale: fe.Scale, shift: fe.Shift, relu: fe.ReLU}
+	ep.none = fe.Bias == nil && fe.Scale == nil && !fe.ReLU
+	return ep
 }
 
 // Options configure plan construction. The zero value asks for the
@@ -112,15 +88,9 @@ type Options struct {
 	// ForceTc/ForceTk/ForceTh override the cache-tile solver
 	// (auto-tuning hooks; 0 keeps the analytical value).
 	ForceTc, ForceTk, ForceTh int
-	// Epilogue selects fused bias/ReLU handling; Bias supplies the
-	// per-channel bias for the bias epilogues (length K).
-	Epilogue Epilogue
-	Bias     []float32
-	// FusedEpilogue, when non-nil, selects the generalised fused
-	// epilogue (bias + per-channel affine + ReLU, see EpilogueParams)
-	// instead of the enum above; setting both is an error. Off (nil) by
-	// default — the zero-options path stores raw accumulators exactly
-	// as before.
+	// FusedEpilogue, when non-nil, selects the fused epilogue (bias +
+	// per-channel affine + ReLU, see EpilogueParams). Nil stores raw
+	// accumulators.
 	FusedEpilogue *EpilogueParams
 	// DepthwiseEpilogue is the depthwise-stage epilogue of a separable
 	// plan (length C; typically the folded depthwise BN + ReLU), applied
@@ -137,13 +107,6 @@ type Options struct {
 	// ForceGenericKernel disables the specialised micro-kernels —
 	// the kernel-specialisation ablation of DESIGN.md §4.
 	ForceGenericKernel bool
-	// UnrolledKernels selects the fully S-unrolled Algorithm 3 body
-	// for 3×3 stride-1 layers. That form needs the full 32-vector-
-	// register file the paper's NEON target has; under Go on hosts
-	// with 16 SIMD registers it spills and loses to the looped form
-	// (measured in BenchmarkMicroKernelBodies), so the default is the
-	// looped kernel and the faithful transcription is opt-in.
-	UnrolledKernels bool
 	// CheckNumerics makes every checked execution scan the output for
 	// NaN/Inf after the optimised path finishes. On a non-finite value
 	// the result is recomputed on the reference path and re-scanned; if
@@ -183,11 +146,8 @@ type Options struct {
 type kernelKind int
 
 const (
-	kindGeneric     kernelKind = iota // any (V_w, V_k), slice accumulators
-	kind12x8                          // V_k=8 fixed-register file, looped S
-	kind12x8S3                        // 3×3 stride-1, S fully unrolled (Alg. 3)
-	kind12x8S1                        // 1×1 stride-1 pointwise
-	kindSpecialized                   // registry variant, (R,S,str) constant-folded
+	kindGeneric kernelKind = iota // any (V_w, V_k), slice accumulators
+	kind12x8                      // V_k=8 fixed-register file; body per Plan.family
 )
 
 // genericPlatform is the tile-model profile used when no platform is
@@ -220,8 +180,8 @@ type Plan struct {
 	platform hw.Platform
 	threads  int
 	kind     kernelKind
-	variant  *kernelVariant // set iff kind == kindSpecialized
-	ep       epilogue       // normalised fused epilogue
+	family   *kernelFamily // (R,S,Str) body bound at plan time; nil = looped kernel12x8 (dispatch.go)
+	ep       epilogue      // normalised fused epilogue
 
 	// The static thread grid (§6) is a pure function of the plan, so
 	// the per-dimension worker ranges are solved once here instead of
@@ -302,34 +262,10 @@ func validateOptions(s conv.Shape, opt Options) error {
 	if opt.FallbackBudget < 0 {
 		return fmt.Errorf("%w: FallbackBudget=%v is negative", ErrBadOptions, opt.FallbackBudget)
 	}
-	switch opt.Epilogue {
-	case EpilogueNone, EpilogueReLU:
-	case EpilogueBias, EpilogueBiasReLU:
-		if len(opt.Bias) != s.K {
-			return fmt.Errorf("%w: bias length %d does not match K=%d", ErrBadOptions, len(opt.Bias), s.K)
-		}
-	default:
-		return fmt.Errorf("%w: unknown epilogue %d", ErrBadOptions, opt.Epilogue)
-	}
 	if opt.DepthwiseEpilogue != nil {
 		return fmt.Errorf("%w: DepthwiseEpilogue only applies to separable plans", ErrBadOptions)
 	}
-	if fe := opt.FusedEpilogue; fe != nil {
-		if opt.Epilogue != EpilogueNone {
-			return fmt.Errorf("%w: FusedEpilogue and Epilogue=%d are mutually exclusive", ErrBadOptions, opt.Epilogue)
-		}
-		if fe.Bias != nil && len(fe.Bias) != s.K {
-			return fmt.Errorf("%w: FusedEpilogue.Bias length %d does not match K=%d", ErrBadOptions, len(fe.Bias), s.K)
-		}
-		if (fe.Scale == nil) != (fe.Shift == nil) {
-			return fmt.Errorf("%w: FusedEpilogue.Scale and Shift must be set together", ErrBadOptions)
-		}
-		if fe.Scale != nil && (len(fe.Scale) != s.K || len(fe.Shift) != s.K) {
-			return fmt.Errorf("%w: FusedEpilogue.Scale/Shift lengths %d/%d do not match K=%d",
-				ErrBadOptions, len(fe.Scale), len(fe.Shift), s.K)
-		}
-	}
-	return nil
+	return validateChannelEpilogue(opt.FusedEpilogue, s.K, "fused")
 }
 
 // TryNewPlan derives an execution plan for the shape: register tile
@@ -380,29 +316,16 @@ func TryNewPlan(s conv.Shape, opt Options) (*Plan, error) {
 
 	p.TM = model.SolveThreadMapping(s, p.platform.Alpha, p.threads, p.RT.Vk)
 
-	// Micro-kernel dispatch: exact shapes registered with the dispatch
-	// registry run their constant-folded variant; the hand-unrolled
-	// bodies cover the analytical-optimum 12×8 register file on the
-	// common layer families; everything else takes the V_k=8 looped
-	// kernel or the fully generic one. UnrolledKernels outranks the
-	// registry so the Algorithm 3 transcription stays benchmarkable
-	// (every branch below is bit-identical on the same operands).
-	switch {
-	case opt.ForceGenericKernel || p.RT.Vk != 8 || p.RT.Vw > maxVw:
+	// Micro-kernel selection: a tile the V_k=8 register file holds binds
+	// the constant-folded body for its (R, S, stride) when one exists and
+	// otherwise runs the looped kernel12x8; every other tile is generic.
+	if opt.ForceGenericKernel || p.RT.Vk != 8 || p.RT.Vw > maxVw {
 		p.kind = kindGeneric
-	case s.S == 3 && s.Str == 1 && opt.UnrolledKernels:
-		p.kind = kind12x8S3
-	default:
-		if v := lookupKernelVariant(s); v != nil {
-			p.kind = kindSpecialized
-			p.variant = v
-		} else if s.R == 1 && s.S == 1 && s.Str == 1 {
-			p.kind = kind12x8S1
-		} else {
-			p.kind = kind12x8
-		}
+	} else {
+		p.kind = kind12x8
+		p.family = bindStandardFamily(s)
 	}
-	p.ep = normalizeEpilogue(opt)
+	p.ep = normalizeEpilogue(opt.FusedEpilogue)
 
 	qTiles := (s.Q() + p.RT.Vw - 1) / p.RT.Vw
 	kBlocks := (s.K + p.RT.Vk - 1) / p.RT.Vk

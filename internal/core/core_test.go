@@ -148,7 +148,7 @@ func TestEpilogueBias(t *testing.T) {
 		bias[i] = float32(i) * 0.25
 	}
 	want := conv.Reference(s, in, f)
-	got := Conv2D(s, in, f, Options{Epilogue: EpilogueBias, Bias: bias})
+	got := Conv2D(s, in, f, Options{FusedEpilogue: &EpilogueParams{Bias: bias}})
 	p, q := s.P(), s.Q()
 	for k := 0; k < s.K; k++ {
 		for i := 0; i < p*q; i++ {
@@ -167,7 +167,7 @@ func TestEpilogueReLU(t *testing.T) {
 	in.FillRandom(3)
 	f := s.NewFilter()
 	f.FillRandom(4)
-	got := Conv2D(s, in, f, Options{Epilogue: EpilogueReLU})
+	got := Conv2D(s, in, f, Options{FusedEpilogue: &EpilogueParams{ReLU: true}})
 	want := conv.Reference(s, in, f)
 	anyClamped := false
 	for i := range got.Data {
@@ -193,7 +193,7 @@ func TestEpilogueBiasLengthValidation(t *testing.T) {
 		}
 	}()
 	NewPlan(conv.Shape{N: 1, C: 1, H: 4, W: 4, K: 4, R: 1, S: 1, Str: 1, Pad: 0},
-		Options{Epilogue: EpilogueBias, Bias: make([]float32, 3)})
+		Options{FusedEpilogue: &EpilogueParams{Bias: make([]float32, 3)}})
 }
 
 func TestExecuteAddAccumulates(t *testing.T) {
@@ -339,8 +339,9 @@ func TestTable4LayersCorrectSmallBatch(t *testing.T) {
 }
 
 func TestSpecialisedKernelsBitIdenticalToGeneric(t *testing.T) {
-	// The hand-unrolled 3x3/1x1 kernels must produce bit-identical
-	// results to the generic kernel (same operation order per output).
+	// The constant-folded 3x3/1x1 family bodies must produce
+	// bit-identical results to the generic kernel (same operation order
+	// per output).
 	for _, s := range []conv.Shape{
 		{N: 1, C: 16, H: 14, W: 14, K: 16, R: 3, S: 3, Str: 1, Pad: 1},
 		{N: 1, C: 16, H: 14, W: 14, K: 16, R: 1, S: 1, Str: 1, Pad: 0},
@@ -351,42 +352,40 @@ func TestSpecialisedKernelsBitIdenticalToGeneric(t *testing.T) {
 		f := s.NewFilter()
 		f.FillRandom(2)
 		spec := Conv2D(s, in, f, Options{Threads: 1})
-		unrolled := Conv2D(s, in, f, Options{Threads: 1, UnrolledKernels: true})
 		gen := Conv2D(s, in, f, Options{Threads: 1, ForceGenericKernel: true})
 		if d := tensor.MaxAbsDiff(spec, gen); d != 0 {
 			t.Fatalf("%v: specialised kernel differs from generic by %g", s, d)
-		}
-		if d := tensor.MaxAbsDiff(spec, unrolled); d != 0 {
-			t.Fatalf("%v: unrolled kernel differs by %g", s, d)
 		}
 	}
 }
 
 func TestKernelDispatchSelection(t *testing.T) {
-	mk := func(s conv.Shape, opt Options) kernelKind {
-		return NewPlan(s, opt).kind
-	}
-	s3 := conv.Shape{N: 1, C: 4, H: 8, W: 8, K: 8, R: 3, S: 3, Str: 1, Pad: 1}
-	if mk(s3, Options{}) != kind12x8 {
-		t.Fatal("3x3 stride-1 must default to the looped 12x8 kernel")
-	}
-	if mk(s3, Options{UnrolledKernels: true}) != kind12x8S3 {
-		t.Fatal("UnrolledKernels must select the Algorithm 3 body")
-	}
-	s1 := conv.Shape{N: 1, C: 4, H: 8, W: 8, K: 8, R: 1, S: 1, Str: 1, Pad: 0}
-	if mk(s1, Options{}) != kind12x8S1 {
-		t.Fatal("1x1 stride-1 must select the pointwise kernel")
-	}
-	sStr2 := conv.Shape{N: 1, C: 4, H: 8, W: 8, K: 8, R: 3, S: 3, Str: 2, Pad: 1}
-	if mk(sStr2, Options{}) != kind12x8 {
-		t.Fatal("3x3 stride-2 must select the looped 12x8 kernel")
-	}
-	s7 := conv.Shape{N: 1, C: 3, H: 16, W: 16, K: 8, R: 7, S: 7, Str: 2, Pad: 3}
-	if mk(s7, Options{}) != kindGeneric {
-		t.Fatal("7x7 (non-12x8 tile) must select the generic kernel")
-	}
-	if mk(s3, Options{ForceGenericKernel: true}) != kindGeneric {
-		t.Fatal("ForceGenericKernel must win")
+	// A plan's kind and family follow from its register tile and its
+	// (R, S, stride) alone.
+	for _, tc := range []struct {
+		s      conv.Shape
+		opt    Options
+		kind   kernelKind
+		family string // "" = none bound
+	}{
+		{conv.Shape{N: 1, C: 4, H: 8, W: 8, K: 8, R: 3, S: 3, Str: 1, Pad: 1}, Options{}, kind12x8, "12x8.r3s3.s1"},
+		{conv.Shape{N: 1, C: 4, H: 8, W: 8, K: 8, R: 3, S: 3, Str: 2, Pad: 1}, Options{}, kind12x8, "12x8.r3s3.s2"},
+		{conv.Shape{N: 1, C: 4, H: 8, W: 8, K: 8, R: 1, S: 1, Str: 1, Pad: 0}, Options{}, kind12x8, "12x8.r1s1.s1"},
+		{conv.Shape{N: 1, C: 4, H: 8, W: 8, K: 8, R: 1, S: 1, Str: 2, Pad: 0}, Options{}, kind12x8, "12x8.r1s1.s2"},
+		// A forced tile the V_k=8 file holds still binds by loop constants.
+		{conv.Shape{N: 1, C: 4, H: 8, W: 8, K: 8, R: 3, S: 3, Str: 1, Pad: 1}, Options{ForceVw: 8, ForceVk: 8}, kind12x8, "12x8.r3s3.s1"},
+		{conv.Shape{N: 1, C: 4, H: 8, W: 8, K: 8, R: 3, S: 3, Str: 1, Pad: 1}, Options{ForceVw: 8, ForceVk: 4}, kindGeneric, ""},
+		{conv.Shape{N: 1, C: 3, H: 16, W: 16, K: 8, R: 7, S: 7, Str: 2, Pad: 3}, Options{}, kindGeneric, ""},
+		{conv.Shape{N: 1, C: 4, H: 8, W: 8, K: 8, R: 3, S: 3, Str: 1, Pad: 1}, Options{ForceGenericKernel: true}, kindGeneric, ""},
+	} {
+		p := NewPlan(tc.s, tc.opt)
+		family := ""
+		if p.family != nil {
+			family = p.family.name
+		}
+		if p.kind != tc.kind || family != tc.family {
+			t.Fatalf("%v %+v: kind %d family %q, want kind %d family %q", tc.s, tc.opt, p.kind, family, tc.kind, tc.family)
+		}
 	}
 }
 

@@ -175,36 +175,6 @@ func TryPointwiseConv2DShapeCtx(ctx context.Context, s conv.Shape, in, filter *t
 	return TryConv2DCtx(ctx, s, in, filter, opt)
 }
 
-// TryPointwiseConv2D is the bare-dimension form of
-// TryPointwiseConv2DShape.
-//
-// Deprecated: the five positional ints are an argument-transposition
-// hazard with no validation story; use TryPointwiseConv2DShape with
-// PointwiseShape(n, c, h, w, k), which validates the geometry before
-// planning.
-func TryPointwiseConv2D(n, c, h, w, k int, in, filter *tensor.Tensor, opt Options) (*tensor.Tensor, error) {
-	return TryPointwiseConv2DShape(PointwiseShape(n, c, h, w, k), in, filter, opt)
-}
-
-// TryPointwiseConv2DCtx is the bare-dimension form of
-// TryPointwiseConv2DShapeCtx.
-//
-// Deprecated: use TryPointwiseConv2DShapeCtx with PointwiseShape.
-func TryPointwiseConv2DCtx(ctx context.Context, n, c, h, w, k int, in, filter *tensor.Tensor, opt Options) (*tensor.Tensor, error) {
-	return TryPointwiseConv2DShapeCtx(ctx, PointwiseShape(n, c, h, w, k), in, filter, opt)
-}
-
-// PointwiseConv2D is the panicking wrapper over TryPointwiseConv2D.
-//
-// Deprecated: use TryPointwiseConv2DShape and handle the error.
-func PointwiseConv2D(n, c, h, w, k int, in, filter *tensor.Tensor, opt Options) *tensor.Tensor {
-	out, err := TryPointwiseConv2D(n, c, h, w, k, in, filter, opt)
-	if err != nil {
-		panic(err)
-	}
-	return out
-}
-
 // Shape3D describes a 3-D convolution: input [N,C,D,H,W], filter
 // [K,C,T,R,S], output [N,K,Dout,P,Q].
 type Shape3D struct {

@@ -86,7 +86,10 @@ func TestPointwiseMatchesConv1x1(t *testing.T) {
 	f := s.NewFilter()
 	f.FillRandom(4)
 	want := conv.Reference(s, in, f)
-	got := PointwiseConv2D(1, 8, 10, 10, 16, in, f, Options{})
+	got, err := TryPointwiseConv2DShape(PointwiseShape(1, 8, 10, 10, 16), in, f, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if d := tensor.RelDiff(want, got); d > tol {
 		t.Fatalf("pointwise rel diff %g", d)
 	}

@@ -1,26 +1,21 @@
 package core
 
-// Shape-specialized kernel dispatch (DESIGN.md §11). The xnor_nn idea
-// the roadmap names — compile an exec_template<OC,IC,IH,…> per hot
-// AlexNet shape, fall back to exec_simple — reproduced in Go: a
-// process-wide registry maps an exact convolution shape (batch
-// normalised out) to a micro-kernel variant whose R, S and stride are
-// compile-time constants, so the hot loop runs without the per-row
-// bounds and stride arithmetic the shape-agnostic kernel12x8 carries.
-//
-// The registry is consulted once, at plan construction; execution
-// never takes a lock or a map lookup. A shape that is not registered
-// (or is registered but off by one in any dimension — H±1, K±1) takes
-// the existing kind switch exactly as before, so dispatch is a pure
-// plan-time specialisation with kernel12x8/kernelGeneric as the
-// fallback. Variants share fmaRow12x8's accumulator discipline (cv
-// ascending, r ascending, s ascending, descending pair walk), so a
-// specialized plan's output is bit-identical to the looped kernel's.
-//
-// All Table 4 layer shapes whose solved register tile is the 12×8
-// optimum are registered at init; serving layers register their model
-// shapes at startup (serve.Registry wires manifest-covered shapes
-// through RegisterShapeKernel before traffic arrives).
+// Kernel-family dispatch (DESIGN.md §11). The paper's micro-kernel is
+// specialised by kernel width and stride only (Algorithm 3, Eq. 3–4),
+// so the constant-folded bodies are keyed the same way: one static
+// table of (R, S, stride) families, four for the standard 12×8 register
+// file (kernel_variants.go) and two for depthwise (dwkernel.go). A plan
+// binds its family once, at construction, from its own loop constants —
+// no registration, no per-shape table — and this file is the only place
+// that decides which body an execution runs: the family's, unless the
+// integrity sentinel has quarantined it (DESIGN.md §12), in which case
+// the bit-identical looped fallback (kernel12x8, depthwisePlaneRange)
+// runs instead. The quarantine flag is read once per execution, so
+// quarantine and restore reach every live plan — cached, memoised or
+// held by a caller — without re-planning. Family bodies share
+// fmaRow12x8's accumulator discipline (cv ascending, r ascending, s
+// ascending, descending pair walk), so either choice stores the same
+// bits.
 
 import (
 	"fmt"
@@ -29,7 +24,6 @@ import (
 
 	"ndirect/internal/conv"
 	"ndirect/internal/faultinject"
-	"ndirect/internal/model"
 	"ndirect/internal/tensor"
 )
 
@@ -38,391 +32,254 @@ import (
 // only the runtime-variable tile extents cross the call.
 type specializedKernel func(acc *accFile8, buf, tf []float32, tc, vwEff, wIn int)
 
-// kernelVariant pairs a constant-folded kernel body with the (R, S,
-// stride) family it implements.
-type kernelVariant struct {
+// kernelFamily is one constant-folded body and the (R, S, stride) it is
+// written for. Exactly one of kern (standard 12×8) and dwKern
+// (depthwise) is set.
+type kernelFamily struct {
 	name      string
 	r, s, str int
 	kern      specializedKernel
+	dwKern    depthwiseKernel
+
+	// quarantined is set while the family's probe output diverges from
+	// the reference oracle; every plan bound to the family then runs the
+	// looped fallback.
+	quarantined atomic.Bool
+
+	probe *familyProbe // built by the first VerifyKernelFamily; guarded by probeMu
 }
 
-// kernelFamilies lists the constant-folded bodies available for exact-
-// shape registration. Families exist only for layer geometries whose
-// Equation 3–4 solution is the V_w=12, V_k=8 register file (the 7×7
-// stride-2 stem solves to 20×4 and stays on the generic kernel).
-var kernelFamilies = []*kernelVariant{
+// kernelFamilies is the whole dispatch table, in the order the
+// integrity sentinel probes it. Standard families exist only for
+// geometries whose Equation 3–4 solution is the V_w=12, V_k=8 register
+// file (the 7×7 stride-2 stem solves to 20×4 and stays on the generic
+// kernel).
+var kernelFamilies = []*kernelFamily{
 	{name: "12x8.r3s3.s1", r: 3, s: 3, str: 1, kern: kernel12x8R3S3s1},
 	{name: "12x8.r3s3.s2", r: 3, s: 3, str: 2, kern: kernel12x8R3S3s2},
 	{name: "12x8.r1s1.s1", r: 1, s: 1, str: 1, kern: kernel12x8R1S1s1},
 	{name: "12x8.r1s1.s2", r: 1, s: 1, str: 2, kern: kernel12x8R1S1s2},
+	{name: "dw.r3s3.s1", r: 3, s: 3, str: 1, dwKern: dwKernel3x3s1},
+	{name: "dw.r3s3.s2", r: 3, s: 3, str: 2, dwKern: dwKernel3x3s2},
 }
 
-// dwKernelVariant pairs a constant-folded depthwise kernel body
-// (dwkernel.go) with the (R, S, stride) family it implements.
-type dwKernelVariant struct {
-	name      string
-	r, s, str int
-	kern      depthwiseKernel
-}
+// dispatchHits/dispatchMisses count standard plan constructions that
+// were eligible for the V_k=8 kernels and did / did not find a family.
+var dispatchHits, dispatchMisses atomic.Uint64
 
-// dwKernelFamilies lists the register-tiled depthwise variants. Unlike
-// the standard families there is no per-shape registration table — the
-// constant folding depends only on (R, S, stride), so any matching
-// depthwise plan selects the variant directly — but the families share
-// the quarantine flags, the dispatch generation, KernelFamilyNames,
-// and VerifyKernelFamily with the standard registry, so the integrity
-// sentinel covers them with no serve-layer changes.
-var dwKernelFamilies = []*dwKernelVariant{
-	{name: "dw.r3s3.s1", r: 3, s: 3, str: 1, kern: dwKernel3x3s1},
-	{name: "dw.r3s3.s2", r: 3, s: 3, str: 2, kern: dwKernel3x3s2},
-}
-
-var (
-	dispatchMu    sync.RWMutex
-	dispatchTable = map[conv.Shape]*kernelVariant{}
-
-	// dispatchGen is bumped on every registration and folded into the
-	// plan-cache key, so a plan cached before a shape was registered
-	// can never mask the specialized variant afterwards.
-	dispatchGen atomic.Uint64
-
-	dispatchHits, dispatchMisses atomic.Uint64
-
-	// Integrity quarantine (DESIGN.md §12): a family whose probe output
-	// diverged from the reference oracle is pulled from the table —
-	// every shape it covered reverts to the bit-identical fallback
-	// kernels — and its shapes are remembered here so a passing
-	// re-probe restores coverage. Both maps are guarded by dispatchMu.
-	quarFamilies = map[string]bool{}
-	quarShapes   = map[string][]conv.Shape{}
-)
-
-// dispatchShapeKey normalises the registry key: the micro-kernel is
-// batch-independent, so any batch of a registered layer matches.
-func dispatchShapeKey(s conv.Shape) conv.Shape {
-	s.N = 0
-	return s
-}
-
-func familyFor(s conv.Shape) *kernelVariant {
-	for _, v := range kernelFamilies {
-		if v.r == s.R && v.s == s.S && v.str == s.Str {
-			return v
+// familyFor returns the family for a shape's loop constants, nil when
+// none is written for them.
+func familyFor(s conv.Shape, depthwise bool) *kernelFamily {
+	for _, f := range kernelFamilies {
+		if (f.dwKern != nil) == depthwise && f.r == s.R && f.s == s.S && f.str == s.Str {
+			return f
 		}
 	}
 	return nil
 }
 
-// RegisterShapeKernel installs the constant-folded micro-kernel for
-// the exact shape s (any batch). It returns true when a variant now
-// covers the shape: the shape is valid, a kernel family exists for its
-// (R, S, stride), and the analytically solved register tile is the
-// 12×8 file the variants are written for. Plans constructed after a
-// successful registration select the variant; existing plans are
-// unaffected (plans are immutable), and plan caches re-key via the
-// dispatch generation. Safe for concurrent use; re-registering a
-// covered shape is a no-op that still returns true.
-func RegisterShapeKernel(s conv.Shape) bool {
-	if s.Validate() != nil {
-		return false
-	}
-	v := familyFor(s)
-	if v == nil {
-		return false
-	}
-	if rt := model.SolveRegisterTile(s.S, s.Str); rt.Vk != 8 || rt.Vw > maxVw {
-		return false
-	}
-	key := dispatchShapeKey(s)
-	dispatchMu.Lock()
-	defer dispatchMu.Unlock()
-	if quarFamilies[v.name] {
-		// The family is under integrity quarantine: refuse coverage now
-		// (the shape serves on the bit-identical fallback kernels) but
-		// remember the shape so a passing re-probe restores it.
-		if !containsShape(quarShapes[v.name], key) {
-			quarShapes[v.name] = append(quarShapes[v.name], key)
-		}
-		return false
-	}
-	if dispatchTable[key] == nil {
-		dispatchTable[key] = v
-		dispatchGen.Add(1)
-	}
-	return true
-}
-
-func containsShape(list []conv.Shape, s conv.Shape) bool {
-	for _, x := range list {
-		if x == s {
-			return true
+func familyByName(name string) *kernelFamily {
+	for _, f := range kernelFamilies {
+		if f.name == name {
+			return f
 		}
 	}
-	return false
+	return nil
 }
 
-// lookupKernelVariant resolves the registered variant for s (nil when
-// unregistered), counting the outcome. Called from TryNewPlan only for
-// plans already eligible for the V_k=8 kernels, so the hit/miss ratio
-// measures registry coverage of the eligible traffic.
-func lookupKernelVariant(s conv.Shape) *kernelVariant {
-	key := dispatchShapeKey(s)
-	dispatchMu.RLock()
-	v := dispatchTable[key]
-	dispatchMu.RUnlock()
-	if v != nil {
+// bindStandardFamily is TryNewPlan's lookup for a plan already on the
+// V_k=8 register file, counting the outcome so the hit ratio measures
+// family coverage of the eligible traffic.
+func bindStandardFamily(s conv.Shape) *kernelFamily {
+	f := familyFor(s, false)
+	if f != nil {
 		dispatchHits.Add(1)
 	} else {
 		dispatchMisses.Add(1)
 	}
-	return v
+	return f
+}
+
+// live reports whether a plan bound to f (nil = no family) runs f's
+// body right now: the one read of the quarantine flag.
+func (f *kernelFamily) live() bool { return f != nil && !f.quarantined.Load() }
+
+// body resolves the V_k=8 micro-kernel for one execution: the bound
+// family's, or nil — the looped kernel12x8 — when the plan has no
+// family or the family is quarantined.
+func (p *Plan) body() specializedKernel {
+	if p.family.live() {
+		return p.family.kern
+	}
+	return nil
+}
+
+// dwBody is body's depthwise twin; the fallback is the
+// depthwisePlaneRange oracle loop.
+func dwBody(f *kernelFamily) depthwiseKernel {
+	if f.live() {
+		return f.dwKern
+	}
+	return depthwisePlaneRange
+}
+
+// dwKernelName names what dwBody would run.
+func dwKernelName(f *kernelFamily) string {
+	if f.live() {
+		return f.name
+	}
+	return "dw.generic"
+}
+
+// KernelName reports which main micro-kernel the plan's next execution
+// runs: its family's name, "12x8" for the looped V_k=8 kernel (no
+// family, or family quarantined), or "generic".
+func (p *Plan) KernelName() string {
+	switch {
+	case p.kind == kindGeneric:
+		return "generic"
+	case p.family.live():
+		return p.family.name
+	}
+	return "12x8"
 }
 
 // DispatchStats is a point-in-time snapshot of the kernel dispatch
-// registry's counters.
+// counters.
 type DispatchStats struct {
-	Registered  int    // exact shapes with a specialized variant
 	Quarantined int    // kernel families under integrity quarantine
-	Hits        uint64 // plan constructions that selected a variant
-	Misses      uint64 // eligible constructions that fell back
-	Generation  uint64 // bumped per registration (plan-cache key input)
+	Hits        uint64 // eligible plan constructions that bound a family
+	Misses      uint64 // eligible constructions with no family
 }
 
-// KernelDispatchStats snapshots the dispatch registry.
+// KernelDispatchStats snapshots the dispatch counters.
 func KernelDispatchStats() DispatchStats {
-	dispatchMu.RLock()
-	n, q := len(dispatchTable), len(quarFamilies)
-	dispatchMu.RUnlock()
-	return DispatchStats{
-		Registered:  n,
-		Quarantined: q,
-		Hits:        dispatchHits.Load(),
-		Misses:      dispatchMisses.Load(),
-		Generation:  dispatchGen.Load(),
+	st := DispatchStats{Hits: dispatchHits.Load(), Misses: dispatchMisses.Load()}
+	for _, f := range kernelFamilies {
+		if f.quarantined.Load() {
+			st.Quarantined++
+		}
 	}
+	return st
 }
 
-// KernelDispatchGeneration returns the current dispatch-registry
-// generation without taking the registry lock — the cheap memo
-// invalidation check for callers holding a DepthwisePlan or
-// SeparablePlan outside the core plan cache.
-func KernelDispatchGeneration() uint64 { return dispatchGen.Load() }
-
-// KernelFamilyNames returns the names of the constant-folded kernel
-// families available for dispatch — the standard exact-shape families
-// followed by the depthwise families — in a fixed order: the probe
-// target list the integrity sentinel walks.
+// KernelFamilyNames returns the family names — standard then depthwise
+// — in a fixed order: the probe target list the integrity sentinel
+// walks.
 func KernelFamilyNames() []string {
-	names := make([]string, 0, len(kernelFamilies)+len(dwKernelFamilies))
-	for _, v := range kernelFamilies {
-		names = append(names, v.name)
-	}
-	for _, v := range dwKernelFamilies {
-		names = append(names, v.name)
+	names := make([]string, len(kernelFamilies))
+	for i, f := range kernelFamilies {
+		names[i] = f.name
 	}
 	return names
-}
-
-func familyByName(name string) *kernelVariant {
-	for _, v := range kernelFamilies {
-		if v.name == name {
-			return v
-		}
-	}
-	return nil
-}
-
-func dwFamilyByName(name string) *dwKernelVariant {
-	for _, v := range dwKernelFamilies {
-		if v.name == name {
-			return v
-		}
-	}
-	return nil
-}
-
-// dwVariantFor resolves the depthwise kernel variant for a shape at
-// plan construction, honouring integrity quarantine. Nil means the
-// plan runs the generic depthwisePlaneRange oracle body.
-func dwVariantFor(s conv.Shape) *dwKernelVariant {
-	for _, v := range dwKernelFamilies {
-		if v.r == s.R && v.s == s.S && v.str == s.Str {
-			dispatchMu.RLock()
-			q := quarFamilies[v.name]
-			dispatchMu.RUnlock()
-			if q {
-				return nil
-			}
-			return v
-		}
-	}
-	return nil
 }
 
 // KernelFamilyQuarantined reports whether the named family is under
 // integrity quarantine.
 func KernelFamilyQuarantined(name string) bool {
-	dispatchMu.RLock()
-	defer dispatchMu.RUnlock()
-	return quarFamilies[name]
+	f := familyByName(name)
+	return f != nil && f.quarantined.Load()
 }
 
-// QuarantineKernelFamily pulls the named family out of service: every
-// dispatch-table entry it covers is removed (and remembered for
-// restore), re-registration is barred, and the dispatch generation is
-// bumped so plan caches re-key — cached specialized plans stop being
-// served and new plans select the bit-identical fallback kernels.
-// Idempotent; returns false only for an unknown family name.
+// QuarantineKernelFamily pulls the named family out of service: from
+// the next execution on, every plan bound to it — whenever it was
+// built — runs the bit-identical looped fallback. Idempotent; returns
+// false only for an unknown family name.
 func QuarantineKernelFamily(name string) bool {
-	v := familyByName(name)
-	if v == nil {
-		if dwFamilyByName(name) == nil {
-			return false
-		}
-		// Depthwise family: no shape table to drain — the quarantine
-		// flag alone reroutes new depthwise plans onto the generic
-		// oracle body, and the generation bump re-keys plan memos.
-		dispatchMu.Lock()
-		defer dispatchMu.Unlock()
-		if quarFamilies[name] {
-			return true
-		}
-		quarFamilies[name] = true
-		dispatchGen.Add(1)
-		return true
+	f := familyByName(name)
+	if f != nil {
+		f.quarantined.Store(true)
 	}
-	dispatchMu.Lock()
-	defer dispatchMu.Unlock()
-	if quarFamilies[name] {
-		return true
-	}
-	quarFamilies[name] = true
-	for key, kv := range dispatchTable {
-		if kv == v {
-			if !containsShape(quarShapes[name], key) {
-				quarShapes[name] = append(quarShapes[name], key)
-			}
-			delete(dispatchTable, key)
-		}
-	}
-	dispatchGen.Add(1)
-	return true
+	return f != nil
 }
 
-// RestoreKernelFamily lifts the named family's quarantine and
-// re-registers every shape it covered when pulled (plus any that
-// tried to register while it was out), bumping the dispatch
-// generation so plan caches pick the variant back up. Idempotent;
+// RestoreKernelFamily lifts the named family's quarantine; plans bound
+// to it run its body again from their next execution. Idempotent;
 // returns false only for an unknown family name.
 func RestoreKernelFamily(name string) bool {
-	v := familyByName(name)
-	if v == nil {
-		if dwFamilyByName(name) == nil {
-			return false
-		}
-		dispatchMu.Lock()
-		defer dispatchMu.Unlock()
-		if !quarFamilies[name] {
-			return true
-		}
-		delete(quarFamilies, name)
-		dispatchGen.Add(1)
-		return true
+	f := familyByName(name)
+	if f != nil {
+		f.quarantined.Store(false)
 	}
-	dispatchMu.Lock()
-	defer dispatchMu.Unlock()
-	if !quarFamilies[name] {
-		return true
-	}
-	delete(quarFamilies, name)
-	for _, key := range quarShapes[name] {
-		if dispatchTable[key] == nil {
-			dispatchTable[key] = v
-		}
-	}
-	delete(quarShapes, name)
-	dispatchGen.Add(1)
-	return true
+	return f != nil
 }
 
-// verifyShapeFor is the golden probe geometry for a family: small
-// enough that a probe costs microseconds, with ragged C and K edges
-// (neither divides the tile sizes) so the variant's edge handling is
-// exercised, padded so the boundary row/column paths run too.
-func verifyShapeFor(v *kernelVariant) conv.Shape {
-	return conv.Shape{N: 1, C: 5, H: 11, W: 11, K: 13, R: v.r, S: v.s, Str: v.str, Pad: 1}
+// probeCopy returns a private copy of the family whose quarantine flag
+// is never set: a probe plan bound to it drives the family's own body
+// whatever the live flag says, which is what makes the probe usable as
+// the restore check.
+func (f *kernelFamily) probeCopy() *kernelFamily {
+	return &kernelFamily{name: f.name, r: f.r, s: f.s, str: f.str, kern: f.kern, dwKern: f.dwKern}
 }
 
-// kernelProbe caches one family's golden-probe state — the plan
-// (forced through the family's variant), the integer operands and the
-// reference oracle, computed once — so a steady-state sentinel probe
-// costs one plan execution plus a compare, with zero heap allocations
-// after the first probe per family: a background sentinel must not
-// pollute the serving process's allocation profile. mu serialises
-// probes of the same family (the output buffer is shared state).
-type kernelProbe struct {
-	mu              sync.Mutex
-	plan            *Plan
-	in, filter, out *tensor.Tensor
-	want            *tensor.Tensor
+// familyProbe is one family's golden-probe state — a plan bound to a
+// probeCopy of the family, integer-valued operands and the oracle
+// output, built on the first probe — so a steady-state sentinel probe
+// costs one plan execution plus a compare, with zero heap allocations:
+// a background sentinel must not pollute the serving process's
+// allocation profile.
+type familyProbe struct {
+	shape     conv.Shape
+	exec      func() error // one execution of the probe plan into out
+	out, want *tensor.Tensor
 }
 
-var (
-	kernelProbesMu sync.Mutex
-	kernelProbes   = map[string]*kernelProbe{}
-)
+// probeMu guards every family's probe field and serialises probe runs
+// (a probe's output buffer is shared state; probes are microseconds and
+// the sentinel runs one per tick).
+var probeMu sync.Mutex
 
-// VerifyKernelFamily runs the named family's constant-folded kernel
-// over a golden integer-valued probe shape and compares the output
-// bit-for-bit against the conv.Reference oracle (exact on integers).
-// A divergence returns an error wrapping ErrIntegrity; the caller
-// (the serve-layer integrity sentinel) then quarantines the family.
-// The probe runs the variant directly — quarantine state and table
-// coverage are irrelevant — so it also serves as the restore probe.
-// A nil error on an unknown-name or unprobeable family is never
-// returned: unknown names fail typed with ErrBadOptions, and a family
-// whose solved register tile is not the 12×8 file the variants are
-// written for reports nothing to verify with a nil error.
+// newStandardProbe builds the golden probe for a 12×8 family: small
+// enough to cost microseconds, with ragged C and K edges (neither
+// divides the tile sizes) so the body's edge handling is exercised,
+// padded so the boundary row/column paths run too. Integer-valued
+// operands make conv.Reference exact.
+func newStandardProbe(f *kernelFamily) (*familyProbe, error) {
+	s := conv.Shape{N: 1, C: 5, H: 11, W: 11, K: 13, R: f.r, S: f.s, Str: f.str, Pad: 1}
+	p, err := TryNewPlan(s, Options{Threads: 1})
+	if err != nil {
+		return nil, err
+	}
+	if p.family != f {
+		return nil, fmt.Errorf("%w: kernel family %s does not bind its own probe shape %v", ErrBadOptions, f.name, s)
+	}
+	p.family = f.probeCopy()
+	in, filter := s.NewInput(), s.NewFilter()
+	fillProbe(in.Data, 0xA11CE)
+	fillProbe(filter.Data, 0xB0B)
+	kp := &familyProbe{shape: s, out: s.NewOutput(), want: conv.Reference(s, in, filter)}
+	kp.exec = func() error { return p.TryExecute(in, filter, kp.out) }
+	return kp, nil
+}
+
+// VerifyKernelFamily runs the named family's constant-folded body over
+// a golden integer-valued probe shape and compares the output
+// bit-for-bit against the oracle (conv.Reference, or the
+// depthwisePlaneRange loop for a depthwise family). A divergence
+// returns an error wrapping ErrIntegrity; the caller (the serve-layer
+// integrity sentinel) then quarantines the family. The probe drives the
+// family's own body whether or not it is quarantined, so it also serves
+// as the restore probe. An unknown name fails typed with ErrBadOptions.
 func VerifyKernelFamily(name string) error {
-	v := familyByName(name)
-	if v == nil {
-		if dv := dwFamilyByName(name); dv != nil {
-			return verifyDepthwiseFamily(dv)
-		}
+	f := familyByName(name)
+	if f == nil {
 		return fmt.Errorf("%w: unknown kernel family %q", ErrBadOptions, name)
 	}
-	s := verifyShapeFor(v)
-	if rt := model.SolveRegisterTile(s.S, s.Str); rt.Vk != 8 || rt.Vw > maxVw {
-		return nil // not probeable on this build's register file
-	}
-	kernelProbesMu.Lock()
-	kp := kernelProbes[name]
-	kernelProbesMu.Unlock()
+	probeMu.Lock()
+	defer probeMu.Unlock()
+	kp := f.probe
 	if kp == nil {
-		p, err := TryNewPlan(s, Options{Threads: 1})
-		if err != nil {
+		build := newStandardProbe
+		if f.dwKern != nil {
+			build = newDepthwiseProbe
+		}
+		var err error
+		if kp, err = build(f); err != nil {
 			return err
 		}
-		// Force the probe through the family's kernel regardless of
-		// what the registry resolved: the point is to test the variant
-		// body, including while it is quarantined (the restore probe).
-		p.kind = kindSpecialized
-		p.variant = v
-		kp = &kernelProbe{plan: p, in: s.NewInput(), filter: s.NewFilter(), out: s.NewOutput()}
-		fillProbe(kp.in.Data, 0xA11CE)
-		fillProbe(kp.filter.Data, 0xB0B)
-		kp.want = conv.Reference(s, kp.in, kp.filter)
-		kernelProbesMu.Lock()
-		if prev := kernelProbes[name]; prev != nil {
-			kp = prev // lost a construction race; keep the canonical state
-		} else {
-			kernelProbes[name] = kp
-		}
-		kernelProbesMu.Unlock()
+		f.probe = kp
 	}
-	kp.mu.Lock()
-	defer kp.mu.Unlock()
-	if err := kp.plan.TryExecute(kp.in, kp.filter, kp.out); err != nil {
+	if err := kp.exec(); err != nil {
 		return err
 	}
 	if _, ok := faultinject.Take(faultinject.KernelMiscompute); ok && len(kp.out.Data) > 0 {
@@ -432,41 +289,9 @@ func VerifyKernelFamily(name string) error {
 	}
 	for i := range kp.out.Data {
 		if kp.out.Data[i] != kp.want.Data[i] {
-			return fmt.Errorf("%w: kernel family %s diverges from reference at element %d on probe %v: got %g, want %g",
-				ErrIntegrity, name, i, s, kp.out.Data[i], kp.want.Data[i])
+			return fmt.Errorf("%w: kernel family %s diverges from its oracle at element %d on probe %v: got %g, want %g",
+				ErrIntegrity, name, i, kp.shape, kp.out.Data[i], kp.want.Data[i])
 		}
 	}
 	return nil
-}
-
-// KernelName reports which main micro-kernel the plan dispatches to —
-// a registered variant's name, or the fallback family. Introspection
-// for tests and operators; execution never consults it.
-func (p *Plan) KernelName() string {
-	switch p.kind {
-	case kindGeneric:
-		return "generic"
-	case kind12x8S3:
-		return "12x8.s3.unrolled"
-	case kind12x8S1:
-		return "12x8.s1"
-	case kindSpecialized:
-		return p.variant.name
-	}
-	return "12x8"
-}
-
-func init() {
-	// The evaluation table's layer shapes are the known-hot set; every
-	// row with a matching family is specialized from process start.
-	// Depthwise rows are skipped: the depthwise families dispatch on
-	// (R, S, Str) at plan construction, not through the per-shape table.
-	for _, l := range conv.Table4 {
-		RegisterShapeKernel(l.Shape)
-	}
-	for _, l := range conv.MobileNetRows {
-		if !l.Depthwise {
-			RegisterShapeKernel(l.Shape)
-		}
-	}
 }

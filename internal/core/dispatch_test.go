@@ -9,37 +9,30 @@ import (
 	"ndirect/internal/tensor"
 )
 
-// dispatchCases covers every kernel family in the registry with a
-// ragged-edged shape (partial register tiles, ragged K blocks, partial
-// channel tiles), so the constant-folded bodies are exercised on their
-// hardest geometry, not just the clean model-table rows.
+// dispatchCases pairs every standard kernel family with an arbitrary
+// shape of its (R, S, stride) — in no model table, batch > 1, ragged
+// everywhere (partial register tiles, ragged K blocks, partial channel
+// tiles) — so the constant-folded bodies are exercised on their hardest
+// geometry and the binding is shown to depend on the loop constants
+// alone.
 var dispatchCases = []struct {
-	variant string
-	shape   conv.Shape
+	family string
+	shape  conv.Shape
 }{
-	{"12x8.r3s3.s1", conv.Shape{N: 1, C: 5, H: 10, W: 10, K: 13, R: 3, S: 3, Str: 1, Pad: 1}},
-	{"12x8.r3s3.s2", conv.Shape{N: 1, C: 4, H: 11, W: 11, K: 9, R: 3, S: 3, Str: 2, Pad: 1}},
-	{"12x8.r1s1.s1", conv.Shape{N: 1, C: 6, H: 9, W: 9, K: 10, R: 1, S: 1, Str: 1, Pad: 0}},
-	{"12x8.r1s1.s2", conv.Shape{N: 1, C: 6, H: 10, W: 10, K: 10, R: 1, S: 1, Str: 2, Pad: 0}},
+	{"12x8.r3s3.s1", conv.Shape{N: 2, C: 5, H: 10, W: 10, K: 13, R: 3, S: 3, Str: 1, Pad: 1}},
+	{"12x8.r3s3.s2", conv.Shape{N: 3, C: 4, H: 11, W: 11, K: 9, R: 3, S: 3, Str: 2, Pad: 1}},
+	{"12x8.r1s1.s1", conv.Shape{N: 2, C: 6, H: 9, W: 9, K: 10, R: 1, S: 1, Str: 1, Pad: 0}},
+	{"12x8.r1s1.s2", conv.Shape{N: 2, C: 6, H: 10, W: 10, K: 10, R: 1, S: 1, Str: 2, Pad: 0}},
 }
 
-func registerDispatchCases(t *testing.T) {
-	t.Helper()
-	for _, tc := range dispatchCases {
-		if !RegisterShapeKernel(tc.shape) {
-			t.Fatalf("RegisterShapeKernel(%v) = false, want true", tc.shape)
-		}
-	}
-}
-
-// TestDispatchBitExactVsGeneric: a registered shape's specialized plan
-// must produce bit-identical output to the forced-generic kernel on
-// the same operands — the registry is a pure execution-strategy
-// change. Exercised on both packing strategies: SequentialPack always
-// routes through mainKernel, the overlapped default routes kb>0
-// blocks through it.
+// TestDispatchBitExactVsGeneric: a plan binds its family from (R, S,
+// stride) with no registration, and the family body, the forced-generic
+// kernel and the quarantined looped fallback all store the same bits on
+// the same operands — selection is a pure execution-strategy change.
+// Exercised on both packing strategies: SequentialPack always routes
+// through mainKernel, the overlapped default routes kb>0 blocks through
+// it.
 func TestDispatchBitExactVsGeneric(t *testing.T) {
-	registerDispatchCases(t)
 	for _, tc := range dispatchCases {
 		for _, seq := range []bool{false, true} {
 			s := tc.shape
@@ -47,8 +40,8 @@ func TestDispatchBitExactVsGeneric(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := plan.KernelName(); got != tc.variant {
-				t.Fatalf("shape %v: KernelName = %q, want %q", s, got, tc.variant)
+			if got := plan.KernelName(); got != tc.family {
+				t.Fatalf("shape %v: KernelName = %q, want %q", s, got, tc.family)
 			}
 			in := s.NewInput()
 			in.FillRandom(int64(s.C + 7*s.K))
@@ -70,9 +63,25 @@ func TestDispatchBitExactVsGeneric(t *testing.T) {
 				t.Fatal(err)
 			}
 			if d := tensor.MaxAbsDiff(want, got); d != 0 {
-				t.Fatalf("shape %v seq=%v: specialized kernel differs from generic by %g, want bit-identical",
+				t.Fatalf("shape %v seq=%v: family body differs from generic by %g, want bit-identical",
 					s, seq, d)
 			}
+			// The same plan, family quarantined, runs the looped fallback.
+			func() {
+				QuarantineKernelFamily(tc.family)
+				defer RestoreKernelFamily(tc.family)
+				if name := plan.KernelName(); name != "12x8" {
+					t.Fatalf("shape %v: quarantined KernelName = %q, want 12x8", s, name)
+				}
+				fb := s.NewOutput()
+				if err := plan.TryExecute(in, f, fb); err != nil {
+					t.Fatal(err)
+				}
+				if d := tensor.MaxAbsDiff(fb, got); d != 0 {
+					t.Fatalf("shape %v seq=%v: quarantined fallback differs from the family body by %g, want bit-identical",
+						s, seq, d)
+				}
+			}()
 			// And correct against the float64 reference.
 			ref := conv.Reference(s, in, f)
 			if d := tensor.RelDiff(ref, got); d > tol {
@@ -82,20 +91,24 @@ func TestDispatchBitExactVsGeneric(t *testing.T) {
 	}
 }
 
-// TestDispatchOffByOneFallsBack: shapes one off in any dimension from
-// a registered shape must miss the registry and fall back to the
-// shape-agnostic kernels — and still compute correctly.
+// TestDispatchOffByOneFallsBack: the binding key is (R, S, stride), so
+// a shape one off in any other dimension keeps its family, while one
+// off in a loop constant has no body written for it and falls back to
+// the shape-agnostic kernels — and still computes correctly.
 func TestDispatchOffByOneFallsBack(t *testing.T) {
-	registerDispatchCases(t)
 	for _, tc := range dispatchCases {
-		for _, perturb := range []func(conv.Shape) conv.Shape{
-			func(s conv.Shape) conv.Shape { s.H++; return s },
-			func(s conv.Shape) conv.Shape { s.W++; return s },
-			func(s conv.Shape) conv.Shape { s.K++; return s },
-			func(s conv.Shape) conv.Shape { s.K--; return s },
-			func(s conv.Shape) conv.Shape { s.C++; return s },
+		for _, perturb := range []struct {
+			keeps bool
+			f     func(conv.Shape) conv.Shape
+		}{
+			{true, func(s conv.Shape) conv.Shape { s.H++; return s }},
+			{true, func(s conv.Shape) conv.Shape { s.W++; return s }},
+			{true, func(s conv.Shape) conv.Shape { s.K++; return s }},
+			{true, func(s conv.Shape) conv.Shape { s.C++; return s }},
+			{false, func(s conv.Shape) conv.Shape { s.R++; s.Pad = 1; return s }},
+			{false, func(s conv.Shape) conv.Shape { s.Str = 3; return s }},
 		} {
-			s := perturb(tc.shape)
+			s := perturb.f(tc.shape)
 			if s.Validate() != nil {
 				continue
 			}
@@ -103,73 +116,106 @@ func TestDispatchOffByOneFallsBack(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := plan.KernelName(); got == tc.variant {
-				t.Fatalf("off-by-one shape %v selected the specialized kernel %q", s, got)
+			if got := plan.KernelName(); (got == tc.family) != perturb.keeps {
+				t.Fatalf("shape %v (from %v): KernelName = %q, family kept must be %v",
+					s, tc.shape, got, perturb.keeps)
 			}
 			checkAgainstReference(t, s, Options{Threads: 2})
 		}
 	}
 }
 
-// TestDispatchBatchIndependent: registration at N=1 covers every batch
-// of the same layer (the micro-kernel is batch-independent).
+// TestDispatchBatchIndependent: the binding ignores the batch (the
+// micro-kernel is batch-independent).
 func TestDispatchBatchIndependent(t *testing.T) {
-	registerDispatchCases(t)
-	s := dispatchCases[0].shape.WithBatch(3)
-	plan, err := TryNewPlan(s, Options{Threads: 2})
+	for _, n := range []int{1, 5} {
+		s := dispatchCases[0].shape.WithBatch(n)
+		plan, err := TryNewPlan(s, Options{Threads: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := plan.KernelName(); got != dispatchCases[0].family {
+			t.Fatalf("batch-%d KernelName = %q, want %q", n, got, dispatchCases[0].family)
+		}
+		checkAgainstReference(t, s, Options{Threads: 2})
+	}
+}
+
+// TestDispatchPrecedence: ForceGenericKernel outranks the family
+// binding, and the quarantine flag outranks the family on a plan that
+// already exists — with restore handing the same plan its body back.
+func TestDispatchPrecedence(t *testing.T) {
+	s := dispatchCases[0].shape
+	family := dispatchCases[0].family
+	plan, err := TryNewPlan(s, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := plan.KernelName(); got != dispatchCases[0].variant {
-		t.Fatalf("batch-3 KernelName = %q, want %q", got, dispatchCases[0].variant)
+	forced, err := TryNewPlan(s, Options{ForceGenericKernel: true})
+	if err != nil {
+		t.Fatal(err)
 	}
-	checkAgainstReference(t, s, Options{Threads: 2})
+	names := func() [2]string { return [2]string{plan.KernelName(), forced.KernelName()} }
+	if got, want := names(), [2]string{family, "generic"}; got != want {
+		t.Fatalf("KernelNames = %v, want %v", got, want)
+	}
+	QuarantineKernelFamily(family)
+	defer RestoreKernelFamily(family)
+	if got, want := names(), [2]string{"12x8", "generic"}; got != want {
+		t.Fatalf("quarantined KernelNames = %v, want %v", got, want)
+	}
+	during, err := TryNewPlan(s, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := during.KernelName(); got != "12x8" {
+		t.Fatalf("plan built under quarantine: KernelName = %q, want 12x8", got)
+	}
+	RestoreKernelFamily(family)
+	if got, want := names(), [2]string{family, "generic"}; got != want {
+		t.Fatalf("restored KernelNames = %v, want %v", got, want)
+	}
+	if got := during.KernelName(); got != family {
+		t.Fatalf("plan built under quarantine, after restore: KernelName = %q, want %q", got, family)
+	}
 }
 
-// TestDispatchPrecedence: explicit option forcing outranks the
-// registry — ForceGenericKernel wins over a registered shape, and
-// UnrolledKernels keeps the Algorithm 3 transcription selectable for
-// its ablation benchmark.
-func TestDispatchPrecedence(t *testing.T) {
-	registerDispatchCases(t)
-	s := dispatchCases[0].shape // R3 S3 str1: eligible for every path
+// TestDispatchRejectsUncoveredShapes: a 12×8 geometry with no family
+// (2×2) runs the looped kernel and counts as a dispatch miss; non-12×8
+// register tiles (5×5, 7×7 stride 2) are generic and count as neither;
+// an invalid shape never plans.
+func TestDispatchRejectsUncoveredShapes(t *testing.T) {
+	pre := KernelDispatchStats()
 	for _, tc := range []struct {
-		opt  Options
-		want string
+		shape conv.Shape
+		want  string
 	}{
-		{Options{}, "12x8.r3s3.s1"},
-		{Options{ForceGenericKernel: true}, "generic"},
-		{Options{UnrolledKernels: true}, "12x8.s3.unrolled"},
+		{conv.Shape{N: 1, C: 4, H: 12, W: 12, K: 8, R: 2, S: 2, Str: 1, Pad: 0}, "12x8"},
+		{conv.Shape{N: 1, C: 4, H: 12, W: 12, K: 8, R: 5, S: 5, Str: 1, Pad: 2}, "generic"},
+		{conv.Shape{N: 1, C: 3, H: 32, W: 32, K: 16, R: 7, S: 7, Str: 2, Pad: 3}, "generic"},
 	} {
-		plan, err := TryNewPlan(s, tc.opt)
+		plan, err := TryNewPlan(tc.shape, Options{Threads: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got := plan.KernelName(); got != tc.want {
-			t.Fatalf("opts %+v: KernelName = %q, want %q", tc.opt, got, tc.want)
+			t.Fatalf("shape %v: KernelName = %q, want %q", tc.shape, got, tc.want)
 		}
+	}
+	if _, err := TryNewPlan(conv.Shape{N: 1, C: 0, H: 8, W: 8, K: 8, R: 3, S: 3, Str: 1, Pad: 1}, Options{}); err == nil {
+		t.Fatal("invalid shape planned")
+	}
+	post := KernelDispatchStats()
+	if post.Misses-pre.Misses != 1 || post.Hits != pre.Hits {
+		t.Fatalf("dispatch counters moved by %d hits / %d misses, want 0 / 1",
+			post.Hits-pre.Hits, post.Misses-pre.Misses)
 	}
 }
 
-// TestDispatchRejectsUncoveredShapes: shapes without a kernel family
-// (5×5), with a non-12×8 register tile (7×7 stride 2), or invalid are
-// not registerable.
-func TestDispatchRejectsUncoveredShapes(t *testing.T) {
-	for _, s := range []conv.Shape{
-		{N: 1, C: 4, H: 12, W: 12, K: 8, R: 5, S: 5, Str: 1, Pad: 2},  // no family
-		{N: 1, C: 3, H: 32, W: 32, K: 16, R: 7, S: 7, Str: 2, Pad: 3}, // solves to 20×4
-		{N: 1, C: 0, H: 8, W: 8, K: 8, R: 3, S: 3, Str: 1, Pad: 1},    // invalid
-	} {
-		if RegisterShapeKernel(s) {
-			t.Fatalf("RegisterShapeKernel(%v) = true, want false", s)
-		}
-	}
-}
-
-// TestDispatchModelTableCoverage: the init-time registration covers
-// the evaluation table — every Table 4 row with a matching family
-// plans onto its specialized variant with no explicit registration.
+// TestDispatchModelTableCoverage: every Table 4 row with a matching
+// family plans onto it — each one a dispatch hit, none a miss.
 func TestDispatchModelTableCoverage(t *testing.T) {
+	pre := KernelDispatchStats()
 	covered := 0
 	for _, l := range conv.Table4 {
 		want := ""
@@ -197,17 +243,20 @@ func TestDispatchModelTableCoverage(t *testing.T) {
 	if covered == 0 {
 		t.Fatal("no Table 4 layer matched a kernel family")
 	}
-	if st := KernelDispatchStats(); st.Registered < covered {
-		t.Fatalf("dispatch registry holds %d shapes, want >= %d distinct Table 4 rows", st.Registered, covered)
+	post := KernelDispatchStats()
+	if hits, misses := post.Hits-pre.Hits, post.Misses-pre.Misses; hits != uint64(covered) || misses != 0 {
+		t.Fatalf("dispatch counters moved by %d hits / %d misses over %d covered rows", hits, misses, covered)
 	}
 }
 
-// TestDispatchConcurrentSharedPlan: one specialized plan executed from
-// many goroutines over the shared worker pool (the -race target for
-// the variant call path); every result must be bit-identical.
+// TestDispatchConcurrentSharedPlan: one plan executed from many
+// goroutines over the shared worker pool, each flipping the family's
+// quarantine flag between its executions (the -race target for the
+// per-execution body resolution); whichever body an execution resolves,
+// every result must be bit-identical.
 func TestDispatchConcurrentSharedPlan(t *testing.T) {
-	registerDispatchCases(t)
 	s := dispatchCases[0].shape
+	family := dispatchCases[0].family
 	plan, err := TryNewPlan(s, Options{Threads: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -220,14 +269,21 @@ func TestDispatchConcurrentSharedPlan(t *testing.T) {
 	if err := plan.TryExecute(in, f, want); err != nil {
 		t.Fatal(err)
 	}
+	defer RestoreKernelFamily(family)
 	var wg sync.WaitGroup
-	errCh := make(chan error, 8)
+	errCh := make(chan error, 4) // one slot per executor goroutine
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
-		go func() {
+		go func(g int) {
 			defer wg.Done()
 			out := s.NewOutput()
 			for i := 0; i < 4; i++ {
+				// Flip the flag under the other goroutines' executions.
+				if (g+i)%2 == 0 {
+					QuarantineKernelFamily(family)
+				} else {
+					RestoreKernelFamily(family)
+				}
 				if err := plan.TryExecute(in, f, out); err != nil {
 					errCh <- err
 					return
@@ -237,44 +293,12 @@ func TestDispatchConcurrentSharedPlan(t *testing.T) {
 					return
 				}
 			}
-		}()
+		}(g)
 	}
 	wg.Wait()
 	select {
 	case err := <-errCh:
 		t.Fatal(err)
 	default:
-	}
-}
-
-// TestDispatchRegistrationRekeysPlanCache: a plan cached before a
-// shape was registered must not mask the specialized variant — the
-// registry generation is part of the cache key, so the next Get after
-// a registration re-plans.
-func TestDispatchRegistrationRekeysPlanCache(t *testing.T) {
-	s := conv.Shape{N: 1, C: 4, H: 13, W: 13, K: 9, R: 3, S: 3, Str: 1, Pad: 1}
-	cache := NewPlanCache(8)
-	before, err := cache.Get(s, Options{Threads: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if name := before.KernelName(); name != "12x8" {
-		t.Skipf("shape unexpectedly already registered (kernel %q)", name)
-	}
-	if !RegisterShapeKernel(s) {
-		t.Fatalf("RegisterShapeKernel(%v) = false", s)
-	}
-	after, err := cache.Get(s, Options{Threads: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if after == before {
-		t.Fatal("plan cache returned the pre-registration plan after RegisterShapeKernel")
-	}
-	if got := after.KernelName(); got != "12x8.r3s3.s1" {
-		t.Fatalf("post-registration KernelName = %q, want 12x8.r3s3.s1", got)
-	}
-	if cache.Len() != 2 {
-		t.Fatalf("cache holds %d plans, want 2 (one per dispatch generation)", cache.Len())
 	}
 }

@@ -15,20 +15,18 @@ import (
 // the nine 3×3 filter taps hoisted into scalars — the FAI-style
 // allocation of "Towards Effective Depthwise Convolutions on ARMv8".
 //
-// Two specialised variants are registered in the kernel dispatch
-// registry alongside the standard families (dispatch.go):
+// Two specialised variants sit in the kernel-family table alongside the
+// standard families (dispatch.go):
 //
 //	dw.r3s3.s1 — 3×3 stride 1: unguarded 4-wide vector loads over the
 //	             interior, guarded scalar edges.
 //	dw.r3s3.s2 — 3×3 stride 2: 4-wide gathered lanes (the Vec4 model
 //	             of an LD2 de-interleaving load), guarded edges.
 //
-// Unlike the standard families the depthwise variants are selected by
-// (R, S, stride) alone — the constant folding does not depend on the
-// exact H×W — so there is no per-shape registration table; the
-// families still share the quarantine surface, the dispatch
-// generation, and VerifyKernelFamily golden probes, with
-// depthwisePlane (the pre-plan scalar loop) as the bit-exact oracle.
+// Like the standard families they are bound by (R, S, stride) at plan
+// construction and share the quarantine flag and VerifyKernelFamily
+// golden probes, with depthwisePlane (the pre-plan scalar loop) as the
+// bit-exact oracle and quarantine fallback.
 //
 // Bit-exactness contract: every variant visits a given output
 // element's taps in exactly depthwisePlane's order — r ascending, s

@@ -16,10 +16,10 @@ import (
 
 // DepthwisePlan is the reusable execution state for a depthwise
 // convolution (DESIGN.md §13): the depthwise twin of Plan. It fixes
-// the shape, kernel variant (dispatch registry, quarantine-aware),
-// fused epilogue and row-tile decomposition at construction, and pools
-// per-run state so a warm plan executes with zero heap allocations —
-// the same steady-state contract the standard packed path holds.
+// the shape, kernel family (dispatch.go), fused epilogue and row-tile
+// decomposition at construction, and pools per-run state so a warm plan
+// executes with zero heap allocations — the same steady-state contract
+// the standard packed path holds.
 //
 // The iteration space is the N·C independent (n, c) planes, each cut
 // into row tiles of rowTile output rows; grid cells are distributed
@@ -31,9 +31,8 @@ type DepthwisePlan struct {
 
 	opts    Options
 	threads int
-	variant *dwKernelVariant // nil: generic depthwisePlaneRange body
-	ep      epilogue         // per-channel (length C) fused epilogue
-	gen     uint64           // dispatchGen at construction (memo invalidation)
+	family  *kernelFamily // nil: generic depthwisePlaneRange body
+	ep      epilogue      // per-channel (length C) fused epilogue
 
 	rowTile int // output rows per grid cell
 	tiles   int // row tiles per plane
@@ -64,6 +63,7 @@ type dwTask struct {
 type dwRun struct {
 	p               *DepthwisePlan
 	in, filter, out []float32
+	kern            depthwiseKernel // this execution's body (dwBody)
 
 	fs    parallel.FaultSink
 	g     parallel.Group
@@ -75,8 +75,8 @@ type dwRun struct {
 
 // TryNewDepthwisePlan validates the geometry and options and builds a
 // reusable depthwise plan. The Shape's K is ignored (output channels
-// equal input channels); Options.FusedEpilogue / Epilogue+Bias apply
-// per output channel, so their slices must have length C, not K.
+// equal input channels); Options.FusedEpilogue applies per output
+// channel, so its slices must have length C, not K.
 // Options.ForceTh overrides the row-tile height (the `ndtune`
 // depthwise tuning knob); Options.ForceGenericKernel pins the plan to
 // the oracle body.
@@ -96,25 +96,17 @@ func TryNewDepthwisePlan(s conv.Shape, opt Options) (*DepthwisePlan, error) {
 	if opt.DepthwiseEpilogue != nil {
 		return nil, fmt.Errorf("%w: DepthwiseEpilogue is a separable-plan option; a depthwise plan's epilogue is FusedEpilogue", ErrBadOptions)
 	}
-	if opt.FusedEpilogue != nil && (opt.Epilogue != EpilogueNone || opt.Bias != nil) {
-		return nil, fmt.Errorf("%w: FusedEpilogue and Epilogue/Bias are mutually exclusive", ErrBadOptions)
-	}
 	if err := validateChannelEpilogue(opt.FusedEpilogue, s.C, "depthwise"); err != nil {
 		return nil, err
 	}
-	if opt.Epilogue == EpilogueBias || opt.Epilogue == EpilogueBiasReLU {
-		if len(opt.Bias) != s.C {
-			return nil, fmt.Errorf("%w: depthwise bias length %d, want C=%d", ErrBadOptions, len(opt.Bias), s.C)
-		}
-	}
 
-	p := &DepthwisePlan{Shape: s, opts: opt, ep: normalizeEpilogue(opt), gen: dispatchGen.Load()}
+	p := &DepthwisePlan{Shape: s, opts: opt, ep: normalizeEpilogue(opt.FusedEpilogue)}
 	p.threads = opt.Threads
 	if p.threads == 0 {
 		p.threads = parallel.DefaultThreads()
 	}
 	if !opt.ForceGenericKernel {
-		p.variant = dwVariantFor(s)
+		p.family = familyFor(s, true)
 	}
 
 	pp := s.P()
@@ -161,18 +153,10 @@ func validateChannelEpilogue(fe *EpilogueParams, ch int, stage string) error {
 	return nil
 }
 
-// KernelName reports which depthwise kernel the plan dispatches to.
-func (p *DepthwisePlan) KernelName() string {
-	if p.variant != nil {
-		return p.variant.name
-	}
-	return "dw.generic"
-}
-
-// Generation returns the kernel-dispatch generation the plan was
-// built under; a plan memo compares it against
-// KernelDispatchGeneration to invalidate on quarantine/restore.
-func (p *DepthwisePlan) Generation() uint64 { return p.gen }
+// KernelName reports which depthwise kernel the plan's next execution
+// runs: its family's name, or "dw.generic" (no family, or family
+// quarantined).
+func (p *DepthwisePlan) KernelName() string { return dwKernelName(p.family) }
 
 // OutputBytes returns the byte size of the plan's output tensor (the
 // serve-layer admission ladder's per-request footprint input).
@@ -192,13 +176,8 @@ func (p *DepthwisePlan) PackedBytes() int64 {
 	return 4 * int64(s.C) * int64(s.R) * int64(s.S)
 }
 
-// kernel returns the dispatch target.
-func (p *DepthwisePlan) kernel() depthwiseKernel {
-	if p.variant != nil {
-		return p.variant.kern
-	}
-	return depthwisePlaneRange
-}
+// kernel resolves the body for one execution.
+func (p *DepthwisePlan) kernel() depthwiseKernel { return dwBody(p.family) }
 
 // cell computes one grid cell: the row tile [h0, h1) of plane
 // cell/tiles, kernel accumulation then the per-channel epilogue sweep
@@ -255,7 +234,6 @@ func applyChannelEpilogue(dst []float32, ep *epilogue, c int) {
 // contiguously (parallel.Split's policy), closures prebuilt.
 func (p *DepthwisePlan) newRun() *dwRun {
 	r := &dwRun{p: p}
-	kern := p.kernel()
 	chunk := (p.cells + p.workers - 1) / p.workers
 	for w := 0; w < p.workers; w++ {
 		lo := w * chunk
@@ -271,7 +249,7 @@ func (p *DepthwisePlan) newRun() *dwRun {
 				if t.r.fs.Stopped() {
 					return
 				}
-				p.cell(t.r.in, t.r.filter, t.r.out, cell, kern)
+				p.cell(t.r.in, t.r.filter, t.r.out, cell, t.r.kern)
 			}
 		}
 		t.fn = func() { r.fs.Record(parallel.Protect(t.body)) }
@@ -317,6 +295,7 @@ func (p *DepthwisePlan) run(ctx context.Context, in, filter, out []float32) erro
 		return nil
 	}
 	r.in, r.filter, r.out = in, filter, out
+	r.kern = p.kernel()
 	r.fs.Reset()
 	p.runMu.Lock()
 	p.runSeq++
@@ -630,83 +609,27 @@ func (pf *PackedDepthwiseFilter) validateFor(p *DepthwisePlan) error {
 	return nil
 }
 
-// dwKernelProbe caches one depthwise family's golden-probe state so
-// steady-state sentinel probes are allocation-free (the kernelProbe
-// discipline).
-type dwKernelProbe struct {
-	mu              sync.Mutex
-	plan            *DepthwisePlan
-	in, filter, out *tensor.Tensor
-	want            *tensor.Tensor
-}
-
-var (
-	dwKernelProbesMu sync.Mutex
-	dwKernelProbes   = map[string]*dwKernelProbe{}
-)
-
-// dwVerifyShapeFor is the depthwise golden probe geometry: small,
-// padded, with a ragged Q tail (11 = 2·4+3 at stride 1) so the
-// vector interior, the guarded halo and the scalar tail all run.
-func dwVerifyShapeFor(v *dwKernelVariant) conv.Shape {
-	return conv.Shape{N: 1, C: 5, H: 11, W: 11, K: 5, R: v.r, S: v.s, Str: v.str, Pad: 1}
-}
-
-// verifyDepthwiseFamily runs the named depthwise family over a golden
-// integer-valued probe and compares bit-for-bit against the
-// depthwisePlaneRange oracle (the pre-plan scalar loop). Divergence
-// wraps ErrIntegrity; the serve sentinel then quarantines the family
-// via the shared QuarantineKernelFamily surface.
-func verifyDepthwiseFamily(v *dwKernelVariant) error {
-	s := dwVerifyShapeFor(v)
-	dwKernelProbesMu.Lock()
-	kp := dwKernelProbes[v.name]
-	dwKernelProbesMu.Unlock()
-	if kp == nil {
-		p, err := TryNewDepthwisePlan(s, Options{Threads: 1})
-		if err != nil {
-			return err
-		}
-		// Force the probe through the family's kernel regardless of
-		// quarantine state (the restore probe).
-		p.variant = v
-		kp = &dwKernelProbe{
-			plan:   p,
-			in:     tensor.New(s.N, s.C, s.H, s.W),
-			filter: tensor.New(s.C, s.R, s.S),
-			out:    tensor.New(s.N, s.C, s.P(), s.Q()),
-		}
-		fillProbe(kp.in.Data, 0xD3A11CE)
-		fillProbe(kp.filter.Data, 0xD3B0B)
-		kp.want = tensor.New(s.N, s.C, s.P(), s.Q())
-		for plane := 0; plane < s.N*s.C; plane++ {
-			c := plane % s.C
-			depthwisePlaneRange(s,
-				kp.in.Data[plane*s.H*s.W:(plane+1)*s.H*s.W],
-				kp.filter.Data[c*s.R*s.S:(c+1)*s.R*s.S],
-				kp.want.Data[plane*s.P()*s.Q():(plane+1)*s.P()*s.Q()], 0, s.P())
-		}
-		dwKernelProbesMu.Lock()
-		if prev := dwKernelProbes[v.name]; prev != nil {
-			kp = prev
-		} else {
-			dwKernelProbes[v.name] = kp
-		}
-		dwKernelProbesMu.Unlock()
+// newDepthwiseProbe builds the golden probe for a depthwise family
+// (VerifyKernelFamily): small, padded, with a ragged Q tail (11 = 2·4+3
+// at stride 1) so the vector interior, the guarded halo and the scalar
+// tail all run, compared against the depthwisePlaneRange oracle (the
+// pre-plan scalar loop).
+func newDepthwiseProbe(f *kernelFamily) (*familyProbe, error) {
+	s := conv.Shape{N: 1, C: 5, H: 11, W: 11, K: 5, R: f.r, S: f.s, Str: f.str, Pad: 1}
+	p, err := TryNewDepthwisePlan(s, Options{Threads: 1})
+	if err != nil {
+		return nil, err
 	}
-	kp.mu.Lock()
-	defer kp.mu.Unlock()
-	if err := kp.plan.TryExecute(kp.in, kp.filter, kp.out); err != nil {
-		return err
+	p.family = f.probeCopy()
+	in, filter := tensor.New(s.N, s.C, s.H, s.W), tensor.New(s.C, s.R, s.S)
+	fillProbe(in.Data, 0xD3A11CE)
+	fillProbe(filter.Data, 0xD3B0B)
+	kp := &familyProbe{
+		shape: s,
+		out:   tensor.New(s.N, s.C, s.P(), s.Q()),
+		want:  tensor.New(s.N, s.C, s.P(), s.Q()),
 	}
-	if _, ok := faultinject.Take(faultinject.KernelMiscompute); ok && len(kp.out.Data) > 0 {
-		kp.out.Data[0]++
-	}
-	for i := range kp.out.Data {
-		if kp.out.Data[i] != kp.want.Data[i] {
-			return fmt.Errorf("%w: depthwise kernel family %s diverges from oracle at element %d on probe %v: got %g, want %g",
-				ErrIntegrity, v.name, i, s, kp.out.Data[i], kp.want.Data[i])
-		}
-	}
-	return nil
+	p.fallbackOracle(in.Data, filter.Data, kp.want.Data)
+	kp.exec = func() error { return p.TryExecute(in, filter, kp.out) }
+	return kp, nil
 }

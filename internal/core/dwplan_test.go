@@ -129,9 +129,8 @@ func TestDepthwisePlanFusedEpilogue(t *testing.T) {
 		{"bias-relu", Options{FusedEpilogue: &EpilogueParams{Bias: bias, ReLU: true}}},
 		{"affine-relu", Options{FusedEpilogue: &EpilogueParams{Scale: scale, Shift: shift, ReLU: true}}},
 		{"full", Options{FusedEpilogue: &EpilogueParams{Bias: bias, Scale: scale, Shift: shift, ReLU: true}}},
-		{"enum-bias", Options{Epilogue: EpilogueBias, Bias: bias}},
-		{"enum-bias-relu", Options{Epilogue: EpilogueBiasReLU, Bias: bias}},
-		{"enum-relu", Options{Epilogue: EpilogueReLU}},
+		// Named for the removed Epilogue enum, whose ReLU-only form this was.
+		{"enum-relu", Options{FusedEpilogue: &EpilogueParams{ReLU: true}}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -144,7 +143,7 @@ func TestDepthwisePlanFusedEpilogue(t *testing.T) {
 			if err := p.TryExecute(in, filter, out); err != nil {
 				t.Fatal(err)
 			}
-			ep := normalizeEpilogue(tc.opt)
+			ep := normalizeEpilogue(tc.opt.FusedEpilogue)
 			want := dwOracle(s, in, filter, &ep)
 			if d := tensor.MaxAbsDiff(out, want); d != 0 {
 				t.Fatalf("epilogue %s diverges by %g", tc.name, d)
@@ -161,8 +160,7 @@ func TestDepthwisePlanOptionValidation(t *testing.T) {
 		{ForceTh: -2},
 		{FusedEpilogue: &EpilogueParams{Bias: make([]float32, s.C+1)}},
 		{FusedEpilogue: &EpilogueParams{Scale: make([]float32, s.C)}}, // Shift missing
-		{FusedEpilogue: &EpilogueParams{Bias: make([]float32, s.C)}, Epilogue: EpilogueReLU},
-		{Epilogue: EpilogueBias, Bias: make([]float32, s.C-1)},
+		{FusedEpilogue: &EpilogueParams{Bias: make([]float32, s.C-1)}},
 		{DepthwiseEpilogue: &EpilogueParams{ReLU: true}},
 	}
 	for i, opt := range bad {
@@ -351,8 +349,8 @@ func TestDepthwisePlanFaultRecovery(t *testing.T) {
 
 // TestDepthwiseKernelFamilySentinel proves the depthwise families are
 // first-class citizens of the sentinel surface: named, verifiable,
-// quarantinable (which drops new plans to the generic body), and
-// restorable.
+// quarantinable (which drops every plan, this one built beforehand, to
+// the generic body with identical output), and restorable.
 func TestDepthwiseKernelFamilySentinel(t *testing.T) {
 	names := KernelFamilyNames()
 	found := 0
@@ -370,21 +368,33 @@ func TestDepthwiseKernelFamilySentinel(t *testing.T) {
 		}
 	}
 
-	s := conv.Shape{N: 1, C: 4, H: 9, W: 9, K: 4, R: 3, S: 3, Str: 1, Pad: 1}
-	gen0 := KernelDispatchGeneration()
+	// A plan built before the quarantine, executed through it.
+	s := conv.Shape{N: 2, C: 5, H: 9, W: 9, K: 5, R: 3, S: 3, Str: 1, Pad: 1}
+	p, err := TryNewDepthwisePlan(s, Options{Threads: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, filter := tensor.New(s.N, s.C, s.H, s.W), tensor.New(s.C, s.R, s.S)
+	in.FillRandom(61)
+	filter.FillRandom(62)
+	run := func(wantKernel string) *tensor.Tensor {
+		t.Helper()
+		if got := p.KernelName(); got != wantKernel {
+			t.Fatalf("KernelName = %q, want %q", got, wantKernel)
+		}
+		out := tensor.New(s.N, s.C, s.P(), s.Q())
+		if err := p.TryExecute(in, filter, out); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	want := run("dw.r3s3.s1")
 	if !QuarantineKernelFamily("dw.r3s3.s1") {
 		t.Fatal("QuarantineKernelFamily did not recognize the depthwise family")
 	}
 	defer RestoreKernelFamily("dw.r3s3.s1")
-	if KernelDispatchGeneration() == gen0 {
-		t.Fatal("quarantine did not bump the dispatch generation")
-	}
-	p, err := TryNewDepthwisePlan(s, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.KernelName() != "dw.generic" {
-		t.Fatalf("quarantined family still dispatched: %s", p.KernelName())
+	if d := tensor.MaxAbsDiff(run("dw.generic"), want); d != 0 {
+		t.Fatalf("quarantined fallback diverges from the family body by %g", d)
 	}
 	// The probe still runs the family directly, so a clean probe can
 	// drive restore.
@@ -394,12 +404,8 @@ func TestDepthwiseKernelFamilySentinel(t *testing.T) {
 	if !RestoreKernelFamily("dw.r3s3.s1") {
 		t.Fatal("RestoreKernelFamily did not recognize the depthwise family")
 	}
-	p2, err := TryNewDepthwisePlan(s, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p2.KernelName() != "dw.r3s3.s1" {
-		t.Fatalf("restored family not dispatched: %s", p2.KernelName())
+	if d := tensor.MaxAbsDiff(run("dw.r3s3.s1"), want); d != 0 {
+		t.Fatalf("restored family body diverges by %g", d)
 	}
 }
 

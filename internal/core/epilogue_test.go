@@ -86,6 +86,7 @@ func TestFusedEpilogueBitIdenticalNCHW(t *testing.T) {
 			{"bias", true, false, false},
 			{"affine", false, true, false},
 			{"relu", false, false, true},
+			{"bias+relu", true, false, true},
 			{"bias+affine+relu", true, true, true},
 		} {
 			ep := testEpilogue(s.K, tc.bias, tc.affine, tc.relu)
@@ -121,23 +122,6 @@ func TestFusedEpilogueBitIdenticalNHWC(t *testing.T) {
 					s, i, got.Data[i], want[i])
 			}
 		}
-	}
-}
-
-// TestFusedEpilogueMatchesEnumForms: the generalised EpilogueParams
-// lowering must coincide bit-for-bit with the pre-existing enum
-// epilogues it subsumes.
-func TestFusedEpilogueMatchesEnumForms(t *testing.T) {
-	s := conv.Shape{N: 1, C: 5, H: 7, W: 7, K: 13, R: 3, S: 3, Str: 1, Pad: 1}
-	in := s.NewInput()
-	in.FillRandom(3)
-	f := s.NewFilter()
-	f.FillRandom(4)
-	bias := testEpilogue(s.K, true, false, false).Bias
-	enum := Conv2D(s, in, f, Options{Epilogue: EpilogueBiasReLU, Bias: bias})
-	fused := Conv2D(s, in, f, Options{FusedEpilogue: &EpilogueParams{Bias: bias, ReLU: true}})
-	if d := tensor.MaxAbsDiff(enum, fused); d != 0 {
-		t.Fatalf("FusedEpilogue{Bias,ReLU} differs from EpilogueBiasReLU by %g", d)
 	}
 }
 
@@ -228,15 +212,15 @@ func TestFusedEpilogueDegradationLadder(t *testing.T) {
 	}
 }
 
-// TestFusedEpilogueValidation: the option-surface errors — mixing the
-// enum and generalised forms, half-set affine pairs, and length
-// mismatches — must all reject with ErrBadOptions at plan build.
+// TestFusedEpilogueValidation: the option-surface errors — half-set
+// affine pairs and length mismatches — must all reject with
+// ErrBadOptions at plan build.
 func TestFusedEpilogueValidation(t *testing.T) {
 	s := conv.Shape{N: 1, C: 4, H: 8, W: 8, K: 8, R: 3, S: 3, Str: 1, Pad: 1}
 	bad := []Options{
-		{FusedEpilogue: &EpilogueParams{ReLU: true}, Epilogue: EpilogueReLU},
-		{FusedEpilogue: &EpilogueParams{Bias: make([]float32, s.K)}, Epilogue: EpilogueBias, Bias: make([]float32, s.K)},
 		{FusedEpilogue: &EpilogueParams{Bias: make([]float32, s.K-1)}},
+		{FusedEpilogue: &EpilogueParams{Bias: make([]float32, s.K+1), ReLU: true}},
+		{FusedEpilogue: &EpilogueParams{Shift: make([]float32, s.K)}},                                // Scale missing
 		{FusedEpilogue: &EpilogueParams{Scale: make([]float32, s.K)}},                                // Shift missing
 		{FusedEpilogue: &EpilogueParams{Scale: make([]float32, s.K), Shift: make([]float32, s.K+1)}}, // length mismatch
 	}

@@ -415,8 +415,8 @@ type workerScratch struct {
 	tfFull  []float32
 	bufFull []float32
 	// acc lives in the scratch (not on the worker's stack) so passing
-	// &acc through a registered variant's indirect kernel call cannot
-	// make it escape — the steady-state path stays allocation-free.
+	// &acc through a family body's indirect kernel call cannot make it
+	// escape — the steady-state path stays allocation-free.
 	acc   accFile8
 	accG  []simd.Vec4
 	stats *Stats // always non-nil; only accumulated when timed
@@ -477,6 +477,7 @@ type planRun struct {
 	in, filter, pre  []float32
 	out              []float32
 	nchw, accumulate bool
+	kern             specializedKernel // this execution's V_k=8 body (Plan.body); nil = looped kernel12x8
 
 	// Batched execution (TryExecuteBatch*): per-image operand slices,
 	// one entry per image of the plan's batch dimension. When non-nil
@@ -531,7 +532,7 @@ func (p *Plan) newRun() *planRun {
 							t.ws.bufFull[len(t.ws.buf)] = 1
 						}
 						p.worker(r.in, r.filter, r.pre, r.out, r.imgIn, r.imgOut, r.nchw, r.accumulate,
-							t.kLo, t.kHi, t.nr, t.hr, t.wr, t.ws, &r.fs)
+							t.kLo, t.kHi, t.nr, t.hr, t.wr, t.ws, &r.fs, r.kern)
 					}
 					t.fn = func() { r.fs.Record(parallel.Protect(t.body)) }
 					r.tasks = append(r.tasks, t)
@@ -644,6 +645,7 @@ func (p *Plan) run(ctx context.Context, in, filter, pre, out []float32, imgIn, i
 	r.in, r.filter, r.pre, r.out = in, filter, pre, out
 	r.imgIn, r.imgOut = imgIn, imgOut
 	r.nchw, r.accumulate = nchw, accumulate
+	r.kern = p.body()
 	r.fs.Reset()
 	r.seq = p.runSeq.Add(1)
 	if p.opts.CollectStats {
@@ -715,7 +717,7 @@ func (p *Plan) run(ctx context.Context, in, filter, pre, out []float32, imgIn, i
 // gather or scatter copies). Only the L1 loop changes; tile order,
 // accumulation order and hence bit patterns are untouched.
 func (p *Plan) worker(in, filter, pre, out []float32, imgIn, imgOut [][]float32, nchw, accumulate bool,
-	kLo, kHi int, nr, hr, wr parallel.Range, ws *workerScratch, fs *parallel.FaultSink) {
+	kLo, kHi int, nr, hr, wr parallel.Range, ws *workerScratch, fs *parallel.FaultSink, kern specializedKernel) {
 	s := p.Shape
 	vw, vk := p.RT.Vw, p.RT.Vk
 	tc, tk, th := p.CT.Tc, p.CT.Tk, p.CT.Th
@@ -789,7 +791,7 @@ func (p *Plan) worker(in, filter, pre, out []float32, imgIn, imgOut [][]float32,
 											}
 											addTime(ws, &ws.stats.PackSec, t0)
 											t0 = now(ws)
-											p.mainKernel(acc, ws.buf, tfBlock, tcEff, vwEff, wIn)
+											p.mainKernel(kern, acc, ws.buf, tfBlock, tcEff, vwEff, wIn)
 											addTime(ws, &ws.stats.KernelSec, t0)
 										} else {
 											t0 = now(ws)
@@ -799,7 +801,7 @@ func (p *Plan) worker(in, filter, pre, out []float32, imgIn, imgOut [][]float32,
 										}
 									} else {
 										t0 = now(ws)
-										p.mainKernel(acc, ws.buf, tfBlock, tcEff, vwEff, wIn)
+										p.mainKernel(kern, acc, ws.buf, tfBlock, tcEff, vwEff, wIn)
 										addTime(ws, &ws.stats.KernelSec, t0)
 									}
 									t0 = now(ws)
@@ -832,19 +834,15 @@ func (p *Plan) worker(in, filter, pre, out []float32, imgIn, imgOut [][]float32,
 	}
 }
 
-// mainKernel dispatches the selected V_k=8 micro-kernel variant.
-func (p *Plan) mainKernel(acc *accFile8, buf, tf []float32, tcEff, vwEff, wIn int) {
-	s := p.Shape
-	switch p.kind {
-	case kindSpecialized:
-		p.variant.kern(acc, buf, tf, tcEff, vwEff, wIn)
-	case kind12x8S3:
-		kernel12x8S3(acc, buf, tf, tcEff, s.R, vwEff, wIn)
-	case kind12x8S1:
-		kernel12x8S1(acc, buf, tf, tcEff, vwEff, wIn)
-	default:
-		kernel12x8(acc, buf, tf, tcEff, s.R, s.S, s.Str, vwEff, wIn)
+// mainKernel runs the V_k=8 micro-kernel the execution resolved: the
+// family body, or the looped kernel12x8 when kern is nil.
+func (p *Plan) mainKernel(kern specializedKernel, acc *accFile8, buf, tf []float32, tcEff, vwEff, wIn int) {
+	if kern != nil {
+		kern(acc, buf, tf, tcEff, vwEff, wIn)
+		return
 	}
+	s := p.Shape
+	kernel12x8(acc, buf, tf, tcEff, s.R, s.S, s.Str, vwEff, wIn)
 }
 
 // store writes the V_k=8 accumulator file into the output tensor,

@@ -113,7 +113,7 @@ func TestWorkerPanicFallbackAppliesEpilogue(t *testing.T) {
 	}
 
 	faultinject.Arm(faultinject.WorkerPanic, -1)
-	got, err := TryConv2D(s, in, filter, Options{Threads: 4, Epilogue: EpilogueBiasReLU, Bias: bias})
+	got, err := TryConv2D(s, in, filter, Options{Threads: 4, FusedEpilogue: &EpilogueParams{Bias: bias, ReLU: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,8 +283,8 @@ func TestTryErrorsClassify(t *testing.T) {
 	if _, err := TryNewPlan(s, Options{ForceVw: 3}); !errors.Is(err, ErrBadOptions) {
 		t.Fatalf("misaligned ForceVw: err = %v, want ErrBadOptions", err)
 	}
-	if _, err := TryNewPlan(s, Options{Epilogue: EpilogueBias}); !errors.Is(err, ErrBadOptions) {
-		t.Fatalf("bias epilogue without bias: err = %v, want ErrBadOptions", err)
+	if _, err := TryNewPlan(s, Options{FusedEpilogue: &EpilogueParams{Bias: make([]float32, s.K+1)}}); !errors.Is(err, ErrBadOptions) {
+		t.Fatalf("mis-sized epilogue bias: err = %v, want ErrBadOptions", err)
 	}
 	if _, err := TryNewPlan(s, Options{Threads: maxThreads + 1}); !errors.Is(err, ErrBadOptions) {
 		t.Fatalf("excessive threads: err = %v, want ErrBadOptions", err)

@@ -44,6 +44,24 @@ func FuzzConv2DAgainstReference(f *testing.F) {
 	})
 }
 
+// fuzzEpilogue maps a fuzzed selector onto EpilogueParams: bit 0 asks
+// for a bias of biasLen elements, bit 1 for ReLU — so 0–3 are none /
+// bias / ReLU / bias+ReLU — and 4–5 add a Scale with no Shift, which no
+// plan may accept.
+func fuzzEpilogue(sel, biasLen int) *EpilogueParams {
+	if sel == 0 {
+		return nil
+	}
+	ep := &EpilogueParams{ReLU: sel&2 != 0}
+	if sel&1 != 0 {
+		ep.Bias = make([]float32, biasLen)
+	}
+	if sel >= 4 {
+		ep.Scale = make([]float32, biasLen)
+	}
+	return ep
+}
+
 // Fuzz target for the checked API's never-panic property: whatever
 // shape, operand tensors and options are thrown at TryConv2D, it must
 // return (result, nil) or (nil, error) — never panic. With sane=true
@@ -74,7 +92,6 @@ func FuzzTryConv2D(f *testing.F) {
 		var s conv.Shape
 		var in, fl *tensor.Tensor
 		opt := Options{Threads: int(threads)}
-		epi := Epilogue(int(epiRaw) % 6) // two values past the defined range
 		if sane {
 			rs := []int{1, 3, 5}[mod(r, 3)]
 			s = conv.Shape{
@@ -90,11 +107,9 @@ func FuzzTryConv2D(f *testing.F) {
 			in.FillRandom(seed)
 			fl = s.NewFilter()
 			fl.FillRandom(seed + 1)
-			opt.Epilogue = Epilogue(int(epiRaw) % 4)
-			if opt.Epilogue == EpilogueBias || opt.Epilogue == EpilogueBiasReLU {
-				opt.Bias = make([]float32, s.K)
-				for i := range opt.Bias {
-					opt.Bias[i] = float32(i%5) - 2
+			if opt.FusedEpilogue = fuzzEpilogue(int(epiRaw)%4, s.K); opt.FusedEpilogue != nil {
+				for i := range opt.FusedEpilogue.Bias {
+					opt.FusedEpilogue.Bias[i] = float32(i%5) - 2
 				}
 			}
 		} else {
@@ -103,10 +118,10 @@ func FuzzTryConv2D(f *testing.F) {
 			// buffer lengths behind arbitrary Dims.
 			in = &tensor.Tensor{Dims: []int{n, c, h, w}, Data: make([]float32, mod(n, 64))}
 			fl = &tensor.Tensor{Dims: []int{k, c, r, ss}, Data: make([]float32, mod(k, 64))}
-			opt.Epilogue = epi
+			// Two selectors past the valid range, bias length unrelated to K.
+			opt.FusedEpilogue = fuzzEpilogue(int(epiRaw)%6, int(biasRaw)%32)
 			opt.ForceVw = int(forceVw)
 			opt.ForceVk = int(forceVk)
-			opt.Bias = make([]float32, int(biasRaw)%32)
 		}
 		out, err := TryConv2D(s, in, fl, opt)
 		if err != nil {
@@ -133,19 +148,13 @@ func FuzzTryConv2D(f *testing.F) {
 		}
 		pq := s.P() * s.Q()
 		var maxDiff float64
+		ep := opt.FusedEpilogue
 		for i, v := range want.Data {
-			switch opt.Epilogue {
-			case EpilogueBias:
-				v += opt.Bias[(i/pq)%s.K]
-			case EpilogueReLU:
-				if v < 0 {
-					v = 0
-				}
-			case EpilogueBiasReLU:
-				v += opt.Bias[(i/pq)%s.K]
-				if v < 0 {
-					v = 0
-				}
+			if ep != nil && ep.Bias != nil {
+				v += ep.Bias[(i/pq)%s.K]
+			}
+			if ep != nil && ep.ReLU && v < 0 {
+				v = 0
 			}
 			if d := math.Abs(float64(v) - float64(out.Data[i])); d > maxDiff {
 				maxDiff = d
@@ -176,10 +185,7 @@ func FuzzTryNewPlan(f *testing.F) {
 			Threads: threads,
 			ForceVw: forceVw, ForceVk: forceVk,
 			ForceTc: forceTc, ForceTk: forceTk, ForceTh: forceTh,
-			Epilogue: Epilogue(int(epiRaw) % 6),
-		}
-		if opt.Epilogue == EpilogueBias || opt.Epilogue == EpilogueBiasReLU {
-			opt.Bias = make([]float32, int(epiRaw)%16)
+			FusedEpilogue: fuzzEpilogue(int(epiRaw)%6, int(epiRaw)%16),
 		}
 		plan, err := TryNewPlan(s, opt)
 		if (plan == nil) == (err == nil) {

@@ -163,10 +163,11 @@ func TestScratchOverrunTripsCanary(t *testing.T) {
 }
 
 // Every built-in kernel family must pass its golden probe; an armed
-// kernel-miscompute must flip the probe to ErrIntegrity; quarantining
-// a family must drop its dispatch coverage (with a generation bump so
-// plan caches re-key) and bar re-registration; restoring must bring
-// the shapes back.
+// kernel-miscompute must flip the probe to ErrIntegrity; a quarantined
+// family's body must never run — on a plan built before the quarantine,
+// on one built during it, standalone or out of a plan cache, with no
+// re-planning — while the output stays bit-exact; restoring must hand
+// the same plans their body back.
 func TestKernelFamilyQuarantineCycle(t *testing.T) {
 	defer faultinject.Reset()
 	for _, name := range KernelFamilyNames() {
@@ -183,6 +184,45 @@ func TestKernelFamilyQuarantineCycle(t *testing.T) {
 	if err := VerifyKernelFamily(fam); !errors.Is(err, ErrIntegrity) {
 		t.Fatalf("miscompute probe = %v, want ErrIntegrity", err)
 	}
+	faultinject.Reset()
+
+	// Count the family body's invocations from live plans. (The probe
+	// bound its own copy of the body above, so it is not counted.)
+	f := familyByName(fam)
+	body := f.kern
+	var bodyRuns int
+	f.kern = func(acc *accFile8, buf, tf []float32, tc, vwEff, wIn int) {
+		bodyRuns++
+		body(acc, buf, tf, tc, vwEff, wIn)
+	}
+	defer func() { f.kern = body }()
+
+	s := integrityShape() // 3x3 stride-1: the family under test
+	in, filter := intOperands(s)
+	want := conv.Reference(s, in, filter)
+	cache := NewPlanCache(4)
+	opt := Options{Threads: 1, SequentialPack: true} // every k-block goes through mainKernel
+	before := NewPlan(s, opt)
+	cached, err := cache.Get(s, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// exec runs the plan bit-exact and reports whether the family body ran.
+	exec := func(p *Plan) bool {
+		t.Helper()
+		bodyRuns = 0
+		out := s.NewOutput()
+		if err := p.TryExecute(in, filter, out); err != nil {
+			t.Fatal(err)
+		}
+		if d := tensor.MaxAbsDiff(out, want); d != 0 {
+			t.Fatalf("kernel %s: output differs from reference by %g, want bit-exact", p.KernelName(), d)
+		}
+		return bodyRuns > 0
+	}
+	if !exec(before) || !exec(cached) {
+		t.Fatal("family body did not run before the quarantine")
+	}
 
 	preStats := KernelDispatchStats()
 	if !QuarantineKernelFamily(fam) {
@@ -192,57 +232,46 @@ func TestKernelFamilyQuarantineCycle(t *testing.T) {
 	if !KernelFamilyQuarantined(fam) {
 		t.Fatal("family must report quarantined")
 	}
-	qStats := KernelDispatchStats()
-	if qStats.Quarantined != preStats.Quarantined+1 {
-		t.Fatalf("Quarantined %d -> %d, want +1", preStats.Quarantined, qStats.Quarantined)
+	if q := KernelDispatchStats().Quarantined; q != preStats.Quarantined+1 {
+		t.Fatalf("Quarantined %d -> %d, want +1", preStats.Quarantined, q)
 	}
-	if qStats.Generation == preStats.Generation {
-		t.Fatal("quarantine must bump the dispatch generation")
-	}
-	if qStats.Registered >= preStats.Registered {
-		t.Fatalf("quarantine must drop the family's shapes: registered %d -> %d",
-			preStats.Registered, qStats.Registered)
-	}
-
-	// A quarantined family's shape plans on the fallback kernel, still
-	// bit-exact.
-	s := integrityShape() // 3x3 stride-1: the quarantined family
-	if RegisterShapeKernel(s) {
-		t.Fatal("RegisterShapeKernel must refuse a quarantined family")
-	}
-	p := NewPlan(s, Options{Threads: 1})
-	if p.KernelName() == fam {
-		t.Fatalf("plan for a quarantined family still dispatches %s", p.KernelName())
-	}
-	in, filter := intOperands(s)
-	out := s.NewOutput()
-	if err := p.TryExecute(in, filter, out); err != nil {
+	during := NewPlan(s, opt)
+	recached, err := cache.Get(s, opt)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if d := tensor.MaxAbsDiff(out, conv.Reference(s, in, filter)); d != 0 {
-		t.Fatalf("fallback path differs by %g, want bit-exact", d)
+	if recached != cached {
+		t.Fatal("quarantine must not re-key the plan cache")
+	}
+	for _, p := range []*Plan{before, cached, during} {
+		if name := p.KernelName(); name != "12x8" {
+			t.Fatalf("quarantined family: KernelName = %q, want 12x8", name)
+		}
+		if exec(p) {
+			t.Fatal("quarantined family body was executed")
+		}
+	}
+	// The probe still drives the family's own body: the restore check.
+	if err := VerifyKernelFamily(fam); err != nil {
+		t.Fatalf("probe under quarantine: %v", err)
 	}
 
 	if !RestoreKernelFamily(fam) {
 		t.Fatal("RestoreKernelFamily must accept a known family")
 	}
-	rStats := KernelDispatchStats()
-	if rStats.Quarantined != preStats.Quarantined {
-		t.Fatalf("restore must clear the quarantine count: %d, want %d", rStats.Quarantined, preStats.Quarantined)
+	if q := KernelDispatchStats().Quarantined; q != preStats.Quarantined {
+		t.Fatalf("restore must clear the quarantine count: %d, want %d", q, preStats.Quarantined)
 	}
-	if rStats.Registered < preStats.Registered {
-		t.Fatalf("restore must re-register the remembered shapes: %d < %d", rStats.Registered, preStats.Registered)
+	for _, p := range []*Plan{before, cached, during} {
+		if name := p.KernelName(); name != fam {
+			t.Fatalf("restored family: KernelName = %q, want %s", name, fam)
+		}
+		if !exec(p) {
+			t.Fatal("restored family body did not run")
+		}
 	}
-	if rStats.Generation == qStats.Generation {
-		t.Fatal("restore must bump the dispatch generation")
-	}
-	// The shape recorded while quarantined is covered again.
-	p2 := NewPlan(s, Options{Threads: 1})
-	if p2.KernelName() != fam {
-		t.Fatalf("restored family not selected: plan dispatches %s", p2.KernelName())
-	}
-	if err := VerifyKernelFamily(fam); err != nil {
-		t.Fatalf("restore probe: %v", err)
+	if st := cache.Stats(); st.Misses != 1 {
+		t.Fatalf("plan cache missed %d times over the cycle, want 1 (the cold build)", st.Misses)
 	}
 }
 

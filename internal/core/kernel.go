@@ -113,85 +113,6 @@ func packCompute12x8(acc *accFile8, in, buf, tf []float32, g packGeometry,
 	}
 }
 
-// kernel12x8S3 is the fully specialised main micro-kernel for the
-// paper's working example — 3×3 kernel, stride 1, V_w=12, V_k=8 —
-// with the S loop unrolled exactly as Algorithm 3 lines 5–14: all
-// six filter vectors of a (cv, r) pair are hoisted into registers
-// and each packed input element feeds six FMAs before the next load.
-// This is the Go counterpart of the paper's hand-written NEON body.
-func kernel12x8S3(acc *accFile8, buf, tf []float32, tc, r, vwEff, wIn int) {
-	if vwEff <= 0 || vwEff > maxVw {
-		return
-	}
-	a := acc[:2*vwEff]
-	for cv := 0; cv < tc; cv++ {
-		for rr := 0; rr < r; rr++ {
-			row := buf[(cv*r+rr)*wIn : (cv*r+rr)*wIn+wIn]
-			fb := (cv*r + rr) * 24
-			fs := tf[fb : fb+24]
-			f0 := simd.Load(fs)
-			f1 := simd.Load(fs[4:])
-			f2 := simd.Load(fs[8:])
-			f3 := simd.Load(fs[12:])
-			f4 := simd.Load(fs[16:])
-			f5 := simd.Load(fs[20:])
-			// The stride-1 input window shrinks one element per column,
-			// so a single length test replaces three per-load checks,
-			// and the i < len(a) condition discharges the a[i] accesses.
-			// Per -d=ssa/check_bce this leaves exactly one residual
-			// check per column (the a[i-1] lower bound, which prove
-			// cannot derive from a step-2 induction) — down from five —
-			// while keeping the forward walk the ascending input window
-			// requires.
-			rw := row
-			for i := 1; i < len(a); i += 2 {
-				if len(rw) < 3 {
-					break
-				}
-				x0 := rw[0]
-				x1 := rw[1]
-				x2 := rw[2]
-				a0 := a[i-1]
-				a1 := a[i]
-				a0 = a0.FMAScalar(f0, x0)
-				a1 = a1.FMAScalar(f1, x0)
-				a0 = a0.FMAScalar(f2, x1)
-				a1 = a1.FMAScalar(f3, x1)
-				a0 = a0.FMAScalar(f4, x2)
-				a1 = a1.FMAScalar(f5, x2)
-				a[i-1] = a0
-				a[i] = a1
-				rw = rw[1:]
-			}
-		}
-	}
-}
-
-// kernel12x8S1 is the specialised pointwise (1×1, stride 1) kernel:
-// one packed row per channel, two FMAs per output element.
-func kernel12x8S1(acc *accFile8, buf, tf []float32, tc, vwEff, wIn int) {
-	if vwEff <= 0 || vwEff > maxVw {
-		return
-	}
-	a := acc[:2*vwEff]
-	for cv := 0; cv < tc; cv++ {
-		row := buf[cv*wIn : cv*wIn+wIn]
-		fs := tf[cv*8 : cv*8+8]
-		f0 := simd.Load(fs)
-		f1 := simd.Load(fs[4:])
-		rw := row
-		for i := 1; i < len(a); i += 2 {
-			if len(rw) < 1 {
-				break
-			}
-			v := rw[0]
-			a[i-1] = a[i-1].FMAScalar(f0, v)
-			a[i] = a[i].FMAScalar(f1, v)
-			rw = rw[1:]
-		}
-	}
-}
-
 // kernelGeneric is the fallback main micro-kernel for arbitrary
 // (V_w, V_k) register tiles (V_k a multiple of 4). acc holds
 // vwEff × vk/4 accumulators, column-major per output column:

@@ -2,8 +2,8 @@ package core
 
 import "ndirect/internal/simd"
 
-// Constant-folded main micro-kernel variants for the dispatch registry
-// (dispatch.go). Each body is kernel12x8 with one (R, S, stride)
+// Constant-folded main micro-kernel bodies, one per (R, S, stride)
+// family of the dispatch table (dispatch.go). Each body is kernel12x8 with one (R, S, stride)
 // family's constants substituted: the row/filter offsets become
 // compile-time products, the stride-indexed input walk becomes a
 // constant-step induction the prove pass can reason about, and the S
@@ -15,10 +15,11 @@ import "ndirect/internal/simd"
 //
 // The bodies deliberately stay in the *looped-S* register discipline
 // (two filter vectors live at a time) rather than the fully S-unrolled
-// Algorithm 3 form of kernel12x8S3: the unrolled form needs the full
-// 32-vector register file and spills on 16-register SIMD hosts
-// (Options.UnrolledKernels documents the measurement), while these
-// variants win on constant folding alone without growing the live set.
+// Algorithm 3 form: that transcription needs the full 32-vector
+// register file and spills on 16-register SIMD hosts (it is kept in
+// kernel_bench_test.go, 1.8× slower in BenchmarkMicroKernelBodies),
+// while these bodies win on constant folding alone without growing the
+// live set.
 
 // kernel12x8R3S3s1 is kernel12x8 specialised to R=3, S=3, stride 1 —
 // the dominant ResNet/VGG body family (Table 4 IDs 3, 10, 16, 21,

@@ -28,10 +28,12 @@ import (
 // cold key may both solve it — the loser's identical plan is dropped).
 //
 // The key captures every Options field that influences planning or
-// execution, including the bias contents byte-for-byte (two layers
-// with equal geometry but different bias vectors must not share a
-// fused-epilogue plan). The PlanCache field itself and a nil vs
-// explicit generic Platform are normalised out.
+// execution, including the fused-epilogue contents byte-for-byte (two
+// layers with equal geometry but different bias vectors must not share
+// a fused-epilogue plan). The PlanCache field itself and a nil vs
+// explicit generic Platform are normalised out. Kernel-family
+// quarantine is not in the key: a plan resolves its body per execution
+// (dispatch.go), so cached plans follow quarantine and restore as-is.
 type PlanCache struct {
 	mu    sync.Mutex
 	cap   int
@@ -56,9 +58,9 @@ type planEntry struct {
 	plan *Plan
 }
 
-// planKey is the comparable identity of a plan. The bias and fused-
-// epilogue strings hold the raw little-endian float bits of the
-// corresponding Options slices so equality is exact (no hashing, no
+// planKey is the comparable identity of a plan. The fused-epilogue
+// strings hold the raw little-endian float bits of the corresponding
+// EpilogueParams slices so equality is exact (no hashing, no
 // collisions); fusedSet distinguishes an all-nil EpilogueParams from
 // no FusedEpilogue at all.
 type planKey struct {
@@ -71,8 +73,6 @@ type planKey struct {
 	forceTc    int
 	forceTk    int
 	forceTh    int
-	epilogue   Epilogue
-	bias       string
 	fusedSet   bool
 	fusedBias  string
 	fusedScale string
@@ -80,10 +80,8 @@ type planKey struct {
 	fusedReLU  bool
 	collect    bool
 	generic    bool
-	unrolled   bool
 	numerics   bool
 	budget     time.Duration
-	dgen       uint64 // dispatch-registry generation at key time
 }
 
 // floatsKey serialises a float slice to its exact bit pattern for use
@@ -114,14 +112,10 @@ func planKeyFor(s conv.Shape, opt Options) planKey {
 		forceTc:  opt.ForceTc,
 		forceTk:  opt.ForceTk,
 		forceTh:  opt.ForceTh,
-		epilogue: opt.Epilogue,
-		bias:     floatsKey(opt.Bias),
 		collect:  opt.CollectStats,
 		generic:  opt.ForceGenericKernel,
-		unrolled: opt.UnrolledKernels,
 		numerics: opt.CheckNumerics,
 		budget:   opt.FallbackBudget,
-		dgen:     dispatchGen.Load(),
 	}
 	if fe := opt.FusedEpilogue; fe != nil {
 		key.fusedSet = true

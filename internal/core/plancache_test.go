@@ -119,7 +119,7 @@ func TestExecutePackedEpilogue(t *testing.T) {
 	for i := range bias {
 		bias[i] = float32(i)*0.25 - 1
 	}
-	opt := Options{Epilogue: EpilogueBiasReLU, Bias: bias}
+	opt := Options{FusedEpilogue: &EpilogueParams{Bias: bias, ReLU: true}}
 
 	want := Conv2D(s, in, f, opt)
 	p := NewPlan(s, opt)
@@ -253,11 +253,11 @@ func TestPlanCacheKeyDistinguishesBias(t *testing.T) {
 	b1 := make([]float32, s.K)
 	b2 := make([]float32, s.K)
 	b2[3] = 1
-	p1, err := c.Get(s, Options{Epilogue: EpilogueBias, Bias: b1})
+	p1, err := c.Get(s, Options{FusedEpilogue: &EpilogueParams{Bias: b1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := c.Get(s, Options{Epilogue: EpilogueBias, Bias: b2})
+	p2, err := c.Get(s, Options{FusedEpilogue: &EpilogueParams{Bias: b2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,8 +267,8 @@ func TestPlanCacheKeyDistinguishesBias(t *testing.T) {
 }
 
 // TestPlanCacheKeyDistinguishesEpilogue: option sets differing only in
-// their epilogue configuration — enum vs none, fused vs none, fused
-// params differing in one vector element or the ReLU flag — must never
+// their epilogue configuration — fused vs none, fused params differing
+// in one vector element or the ReLU flag — must never
 // share a cached plan: the epilogue is baked into the plan's store
 // path, so a collision would silently apply the wrong activation.
 func TestPlanCacheKeyDistinguishesEpilogue(t *testing.T) {
@@ -283,7 +283,7 @@ func TestPlanCacheKeyDistinguishesEpilogue(t *testing.T) {
 	shift := make([]float32, s.K)
 	opts := []Options{
 		{},
-		{Epilogue: EpilogueReLU},
+		{FusedEpilogue: &EpilogueParams{ReLU: true}},
 		{FusedEpilogue: &EpilogueParams{Scale: scale1, Shift: shift}},
 		{FusedEpilogue: &EpilogueParams{Scale: scale2, Shift: shift}},
 		{FusedEpilogue: &EpilogueParams{Scale: scale1, Shift: shift, ReLU: true}},

@@ -29,10 +29,10 @@ import (
 // plan's per-element float32 operation sequence exactly — the same
 // channel-tile partition (the pointwise plan's CT.Tc), the same
 // register accumulation within a tile (sepKernel12x8S1 mirrors
-// kernel12x8S1's FMA chain), the same spill-and-add between tiles and
-// the same store-side epilogue (Plan.store/storeLane, called
+// kernel12x8R1S1s1's FMA chain), the same spill-and-add between tiles
+// and the same store-side epilogue (Plan.store/storeLane, called
 // directly) — so TrySeparableConv2D is bit-identical to
-// TryDepthwiseConv2D + TryPointwiseConv2D with matching options.
+// TryDepthwiseConv2D + TryPointwiseConv2DShape with matching options.
 
 // SeparableShape describes a depthwise-separable block: the depthwise
 // stage's geometry (C input/intermediate channels, R×S filter, stride,
@@ -89,12 +89,11 @@ type SeparablePlan struct {
 	dw conv.Shape // depthwise stage (K normalised to C)
 	pw conv.Shape // pointwise stage
 
-	opts      Options
-	threads   int
-	dwVariant *dwKernelVariant // nil: generic depthwise body
-	dwEp      epilogue         // depthwise-stage epilogue (length C)
-	pwPlan    *Plan            // full-shape pointwise plan: Tc partition, packed layout, store epilogue
-	gen       uint64
+	opts     Options
+	threads  int
+	dwFamily *kernelFamily // nil: generic depthwise body
+	dwEp     epilogue      // depthwise-stage epilogue (length C)
+	pwPlan   *Plan         // full-shape pointwise plan: Tc partition, packed layout, store epilogue
 
 	rowTile int // depthwise output rows per grid cell
 	tiles   int // row tiles per image
@@ -115,8 +114,8 @@ const sepMidBudget = 256 << 10 // bytes
 // TryNewSeparablePlan validates the shape and options and builds the
 // fused plan. Epilogue routing: Options.DepthwiseEpilogue (length C)
 // applies to the depthwise stage before the pointwise kernel consumes
-// it; Options.FusedEpilogue or Epilogue+Bias (length K) applies at the
-// pointwise store, exactly as it would on a standalone pointwise plan.
+// it; Options.FusedEpilogue (length K) applies at the pointwise store,
+// exactly as it would on a standalone pointwise plan.
 // Options.ForceTh overrides the depthwise row-tile height — the
 // `ndtune -depthwise` tuning knob.
 func TryNewSeparablePlan(shape SeparableShape, opt Options) (*SeparablePlan, error) {
@@ -131,7 +130,6 @@ func TryNewSeparablePlan(shape SeparableShape, opt Options) (*SeparablePlan, err
 		dw:    shape.DWShape(),
 		pw:    shape.PWShape(),
 		opts:  opt,
-		gen:   dispatchGen.Load(),
 	}
 	pwOpt := opt
 	pwOpt.DepthwiseEpilogue = nil // consumed by the depthwise stage above
@@ -144,9 +142,9 @@ func TryNewSeparablePlan(shape SeparableShape, opt Options) (*SeparablePlan, err
 			ErrBadOptions, pwPlan.RT.Vw, pwPlan.RT.Vk)
 	}
 	p.pwPlan = pwPlan
-	p.dwEp = normalizeEpilogue(Options{FusedEpilogue: opt.DepthwiseEpilogue})
+	p.dwEp = normalizeEpilogue(opt.DepthwiseEpilogue)
 	if !opt.ForceGenericKernel {
-		p.dwVariant = dwVariantFor(p.dw)
+		p.dwFamily = familyFor(p.dw, true)
 	}
 	p.threads = opt.Threads
 	if p.threads == 0 {
@@ -182,18 +180,10 @@ func TryNewSeparablePlan(shape SeparableShape, opt Options) (*SeparablePlan, err
 	return p, nil
 }
 
-// KernelNames reports the dispatch targets of both stages.
+// KernelNames reports what each stage's next execution runs.
 func (p *SeparablePlan) KernelNames() (dw, pw string) {
-	dw = "dw.generic"
-	if p.dwVariant != nil {
-		dw = p.dwVariant.name
-	}
-	return dw, p.pwPlan.KernelName()
+	return dwKernelName(p.dwFamily), p.pwPlan.KernelName()
 }
-
-// Generation returns the kernel-dispatch generation the plan was
-// built under (memo invalidation, like DepthwisePlan.Generation).
-func (p *SeparablePlan) Generation() uint64 { return p.gen }
 
 // PointwisePlan returns the full-shape pointwise plan the fused path
 // shares its channel-tile partition and packed-filter layout with. A
@@ -390,12 +380,9 @@ func (r *sepRun) scratchTripped() int {
 	return -1
 }
 
-func (p *SeparablePlan) dwKernel() depthwiseKernel {
-	if p.dwVariant != nil {
-		return p.dwVariant.kern
-	}
-	return depthwisePlaneRange
-}
+// dwKernel resolves the depthwise-stage body; cell calls it per grid
+// cell, so a quarantine lands mid-execution too.
+func (p *SeparablePlan) dwKernel() depthwiseKernel { return dwBody(p.dwFamily) }
 
 // cell computes one grid cell: depthwise rows [h0, h1) of image n for
 // all C channels into the worker's intermediate, the depthwise-stage
@@ -453,7 +440,7 @@ func (p *SeparablePlan) pwStage(pre, out []float32, n, h0, h1 int, ws *sepScratc
 	}
 }
 
-// sepKernel12x8S1 is kernel12x8S1 reading the intermediate in place:
+// sepKernel12x8S1 is kernel12x8R1S1s1 reading the intermediate in place:
 // channel cv's row lives at mid[cv*chStride:] instead of a packed
 // [tc][wIn] buffer. The FMA chain per output element is identical —
 // cv ascending, one f0/f1 FMAScalar pair per element — so the
@@ -724,7 +711,7 @@ func (p *SeparablePlan) deadlineFallback(ctx context.Context, in, dwFilter, pwFi
 
 // TrySeparableConv2D computes a full depthwise-separable block — the
 // fused equivalent of TryDepthwiseConv2D (+ DepthwiseEpilogue) then
-// TryPointwiseConv2D (+ FusedEpilogue) — allocating only the final
+// TryPointwiseConv2DShape (+ FusedEpilogue) — allocating only the final
 // [N,K,P,Q] output. For repeated execution construct a SeparablePlan
 // once and reuse it (with packed filters for the zero-alloc path).
 func TrySeparableConv2D(shape SeparableShape, in, dwFilter, pwFilter *tensor.Tensor, opt Options) (*tensor.Tensor, error) {

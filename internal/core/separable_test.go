@@ -46,7 +46,6 @@ func sepUnfused(t *testing.T, sh SeparableShape, in, dwF, pwF *tensor.Tensor, op
 	dwOpt := opt
 	dwOpt.FusedEpilogue = opt.DepthwiseEpilogue
 	dwOpt.DepthwiseEpilogue = nil
-	dwOpt.Epilogue, dwOpt.Bias = EpilogueNone, nil
 	dp, err := TryNewDepthwisePlan(sh.DWShape(), dwOpt)
 	if err != nil {
 		t.Fatalf("unfused depthwise plan: %v", err)
@@ -110,7 +109,8 @@ func TestSeparableEpilogues(t *testing.T) {
 		{"dw-only", Options{DepthwiseEpilogue: dwEp}},
 		{"pw-only", Options{FusedEpilogue: pwEp}},
 		{"both", Options{DepthwiseEpilogue: dwEp, FusedEpilogue: pwEp}},
-		{"pw-enum", Options{DepthwiseEpilogue: dwEp, Epilogue: EpilogueBiasReLU, Bias: pwEp.Bias}},
+		// Named for the removed Epilogue enum, whose bias+ReLU form this was.
+		{"pw-enum", Options{DepthwiseEpilogue: dwEp, FusedEpilogue: &EpilogueParams{Bias: pwEp.Bias, ReLU: true}}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -225,18 +225,18 @@ func TestPointwiseShapeValidation(t *testing.T) {
 	if _, err := TryPointwiseConv2DShape(conv.Shape{N: 1, C: 0, H: 8, W: 8, K: 8, R: 1, S: 1, Str: 1, Pad: 0}, in, f, Options{}); !errors.Is(err, conv.ErrBadShape) {
 		t.Fatalf("C=0 = %v, want ErrBadShape", err)
 	}
-	// The deprecated bare-int wrapper now routes through validation and
-	// stays value-compatible.
+	// PointwiseShape builds the geometry the entry point accepts, and
+	// the result is the standard path's.
 	a, err := TryPointwiseConv2DShape(PointwiseShape(1, 4, 8, 8, 8), in, f, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := TryPointwiseConv2D(1, 4, 8, 8, 8, in, f, Options{})
+	b, err := TryConv2D(sh.PWShape(), in, f, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d := tensor.MaxAbsDiff(a, b); d != 0 {
-		t.Fatalf("wrapper diverges by %g", d)
+		t.Fatalf("pointwise entry point diverges from TryConv2D by %g", d)
 	}
 }
 

@@ -91,3 +91,80 @@ func TestForwardRecoversFromScratchOverrun(t *testing.T) {
 		t.Fatalf("overrun forward differs by %g, want bit-exact", d)
 	}
 }
+
+// Quarantining a kernel family must reach plans a warm Reuse engine
+// already holds — the ConvUnit plan memo, the plan cache behind it, the
+// DepthwiseSeparable memo — on the very next forward, bit-identically,
+// and restoring must hand the same plans their family body back: no
+// re-planning and no plan-cache miss anywhere in the cycle. (The memos
+// used to compare a dispatch generation that ConvUnit.planFor forgot,
+// so a warm unit kept running the quarantined body.)
+func TestQuarantineReachesWarmPlans(t *testing.T) {
+	b := builderForTest()
+	unit := b.convUnit("c3", 5, 13, 10, 3, 1, 1, true, true) // 3×3 stride 1, ragged C/K, BN+ReLU
+	blk := b.dsc("blk", 8, 16, 16, 1)                        // dw 3×3 stride 1 → pw 1×1
+	eng := &Engine{Algo: AlgoNDirect, Threads: 2, Reuse: true}
+	ux := tensor.New(2, 5, 10, 10)
+	ux.FillRandom(71)
+	bx := tensor.New(2, 8, 16, 16)
+	bx.FillRandom(72)
+
+	// forward runs both units and reports the kernels their memoised
+	// plans resolve to.
+	type kernels struct{ conv, dw string }
+	forward := func() (*tensor.Tensor, *tensor.Tensor, kernels) {
+		t.Helper()
+		uo, err := unit.tryForward(eng, ux)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bo, err := blk.tryForward(eng, bx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		um, bm := unit.planMemos[2].Load(), blk.sepMemos[2].Load()
+		if um == nil || bm == nil {
+			t.Fatal("forward did not memoise its plans")
+		}
+		dw, _ := bm.plan.KernelNames()
+		return uo, bo, kernels{um.plan.KernelName(), dw}
+	}
+
+	wantU, wantB, got := forward() // warm
+	if want := (kernels{"12x8.r3s3.s1", "dw.r3s3.s1"}); got != want {
+		t.Fatalf("warm forward ran %+v, want %+v", got, want)
+	}
+	convPlan, sepPlan := unit.planMemos[2].Load().plan, blk.sepMemos[2].Load().plan
+	misses := eng.plans().Stats().Misses
+
+	check := func(stage string, want kernels) {
+		t.Helper()
+		uo, bo, got := forward()
+		if got != want {
+			t.Fatalf("%s: forward ran %+v, want %+v", stage, got, want)
+		}
+		if d := tensor.MaxAbsDiff(uo, wantU); d != 0 {
+			t.Fatalf("%s: ConvUnit output differs by %g, want bit-identical", stage, d)
+		}
+		if d := tensor.MaxAbsDiff(bo, wantB); d != 0 {
+			t.Fatalf("%s: DepthwiseSeparable output differs by %g, want bit-identical", stage, d)
+		}
+		if unit.planMemos[2].Load().plan != convPlan || blk.sepMemos[2].Load().plan != sepPlan {
+			t.Fatalf("%s: a unit re-planned", stage)
+		}
+		if m := eng.plans().Stats().Misses; m != misses {
+			t.Fatalf("%s: plan cache missed %d more times", stage, m-misses)
+		}
+	}
+
+	for _, fam := range []string{"12x8.r3s3.s1", "dw.r3s3.s1"} {
+		if !core.QuarantineKernelFamily(fam) {
+			t.Fatalf("QuarantineKernelFamily(%s) = false", fam)
+		}
+		defer core.RestoreKernelFamily(fam)
+	}
+	check("quarantined", kernels{"12x8", "dw.generic"})
+	core.RestoreKernelFamily("12x8.r3s3.s1")
+	core.RestoreKernelFamily("dw.r3s3.s1")
+	check("restored", kernels{"12x8.r3s3.s1", "dw.r3s3.s1"})
+}

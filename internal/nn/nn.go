@@ -1005,8 +1005,7 @@ func (c *ConvUnit) planFor(s conv.Shape, opt core.Options) (*core.Plan, error) {
 	// a post-invalidation load — the ordering that makes eviction /
 	// unregister safe against concurrent forwards.
 	gen := c.reuseGen.Load()
-	memoable := opt.FusedEpilogue != nil && opt.FusedEpilogue == c.ep &&
-		opt.Epilogue == core.EpilogueNone && opt.Bias == nil
+	memoable := opt.FusedEpilogue != nil && opt.FusedEpilogue == c.ep
 	slot := &c.planMemos[s.N&3]
 	if memoable {
 		if m := slot.Load(); m != nil && m.gen == gen && m.s == s && m.threads == opt.Threads && m.fe == opt.FusedEpilogue {
@@ -1032,11 +1031,8 @@ func (c *ConvUnit) tryConvFused(eng *Engine, s conv.Shape, x *tensor.Tensor, w *
 	// epilogue into a fresh tensor — the recovery every arm shares,
 	// because it never leaves a partially-transformed output behind.
 	fusedFallback := func() (*tensor.Tensor, error) {
-		ep := core.EpilogueBias
-		if c.ReLU {
-			ep = core.EpilogueBiasReLU
-		}
-		return c.tryNDirect(eng, s, x, w, core.Options{Threads: eng.Threads, Epilogue: ep, Bias: b})
+		return c.tryNDirect(eng, s, x, w, core.Options{Threads: eng.Threads,
+			FusedEpilogue: &core.EpilogueParams{Bias: b, ReLU: c.ReLU}})
 	}
 	if eng.ForceReference {
 		// Quarantine: the fused fallback routes through tryNDirect, which

@@ -57,7 +57,6 @@ type sepMemoEntry struct {
 	dwEp    *core.EpilogueParams
 	pwEp    *core.EpilogueParams
 	gen     uint64 // unit reuse generation at build
-	kernGen uint64 // kernel-dispatch generation at build
 	plan    *core.SeparablePlan
 }
 
@@ -93,19 +92,16 @@ func (d *DepthwiseSeparable) dwEpilogue() *core.EpilogueParams {
 
 // sepPlanFor resolves the block's fused plan through the per-unit memo
 // (slotted by batch like ConvUnit.planMemos). A memo entry is stale
-// when the unit's reuse generation moved (eviction/unregister) or the
-// kernel-dispatch generation moved (a depthwise or pointwise family
-// was quarantined or restored) — either way the plan is rebuilt so it
-// re-dispatches against the current registry.
+// when the unit's reuse generation moved (eviction/unregister). Kernel
+// quarantine needs no invalidation: the plan resolves its bodies per
+// execution.
 func (d *DepthwiseSeparable) sepPlanFor(eng *Engine, ss core.SeparableShape) (*core.SeparablePlan, error) {
 	gen := d.sepGen.Load()
-	kernGen := core.KernelDispatchGeneration()
 	dwEp := d.dwEpilogue()
 	pwEp := d.PW.fusedEpilogue()
 	rowTile := eng.dwRowTile(ss.DWShape())
 	slot := &d.sepMemos[ss.N&3]
-	if m := slot.Load(); m != nil && m.gen == gen && m.kernGen == kernGen &&
-		m.shape == ss && m.threads == eng.Threads && m.rowTile == rowTile &&
+	if m := slot.Load(); m != nil && m.gen == gen && m.shape == ss && m.threads == eng.Threads && m.rowTile == rowTile &&
 		m.dwEp == dwEp && m.pwEp == pwEp {
 		return m.plan, nil
 	}
@@ -121,7 +117,7 @@ func (d *DepthwiseSeparable) sepPlanFor(eng *Engine, ss core.SeparableShape) (*c
 	}
 	slot.Store(&sepMemoEntry{
 		shape: ss, threads: eng.Threads, rowTile: rowTile,
-		dwEp: dwEp, pwEp: pwEp, gen: gen, kernGen: kernGen, plan: plan,
+		dwEp: dwEp, pwEp: pwEp, gen: gen, plan: plan,
 	})
 	return plan, nil
 }
@@ -299,7 +295,6 @@ type dwMemoEntry struct {
 	rowTile int
 	ep      *core.EpilogueParams
 	gen     uint64
-	kernGen uint64
 	plan    *core.DepthwisePlan
 }
 
@@ -322,12 +317,10 @@ func (d *DepthwiseConv) epilogue() *core.EpilogueParams {
 
 func (d *DepthwiseConv) planFor(eng *Engine, s conv.Shape) (*core.DepthwisePlan, error) {
 	gen := d.reuseGen.Load()
-	kernGen := core.KernelDispatchGeneration()
 	ep := d.epilogue()
 	rowTile := eng.dwRowTile(s)
 	slot := &d.planMemos[s.N&3]
-	if m := slot.Load(); m != nil && m.gen == gen && m.kernGen == kernGen &&
-		m.s == s && m.threads == eng.Threads && m.rowTile == rowTile && m.ep == ep {
+	if m := slot.Load(); m != nil && m.gen == gen && m.s == s && m.threads == eng.Threads && m.rowTile == rowTile && m.ep == ep {
 		return m.plan, nil
 	}
 	plan, err := core.TryNewDepthwisePlan(s, core.Options{
@@ -336,7 +329,7 @@ func (d *DepthwiseConv) planFor(eng *Engine, s conv.Shape) (*core.DepthwisePlan,
 	if err != nil {
 		return nil, err
 	}
-	slot.Store(&dwMemoEntry{s: s, threads: eng.Threads, rowTile: rowTile, ep: ep, gen: gen, kernGen: kernGen, plan: plan})
+	slot.Store(&dwMemoEntry{s: s, threads: eng.Threads, rowTile: rowTile, ep: ep, gen: gen, plan: plan})
 	return plan, nil
 }
 

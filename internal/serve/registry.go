@@ -244,11 +244,6 @@ func (r *Registry) Register(tenant, model string, net *nn.Network) error {
 		// charges a first request would make. A warm failure degrades
 		// to cold-start planning, never blocks registration.
 		e.eng.LoadManifest(m)
-		for _, u := range net.ConvUnits() {
-			if m.Covers(u.Shape) {
-				core.RegisterShapeKernel(u.Shape)
-			}
-		}
 		if _, err := net.WarmPlans(e.eng, m.Covers); err != nil {
 			core.Logf("serve: warm-start %s/%s failed (serving cold): %v", tenant, model, err)
 		}

@@ -209,23 +209,18 @@ func New(cfg Config) *Runtime {
 			core.Logf("serve: manifest: %d entries rejected (invalid shape or schedule); covered shapes reduced", len(rejected))
 		}
 		rt.engine.LoadManifest(rt.manifest)
-		// Warm-start: register each covered shape with the kernel-
-		// dispatch registry and pre-solve its batch-1 plan into the
-		// runtime cache, so the first request on a tuned shape is a
-		// cache hit on a specialized plan. Failures are logged and
-		// skipped — a bad entry degrades to cold planning, never
-		// blocks startup.
+		// Warm-start: pre-solve each covered shape's batch-1 plan into
+		// the runtime cache, so the first request on a tuned shape is a
+		// cache hit. Failures are logged and skipped — a bad entry
+		// degrades to cold planning, never blocks startup.
 		for _, e := range rt.manifest.Entries {
 			if e.Depthwise {
 				// Depthwise entries carry a separable row tile, not a
 				// standard schedule: they reach execution through
 				// Engine.LoadManifest above (nn plans separable blocks
-				// with the tuned ForceTh), and the depthwise kernel
-				// families are registered statically — nothing to
-				// pre-plan here.
+				// with the tuned ForceTh) — nothing to pre-plan here.
 				continue
 			}
-			core.RegisterShapeKernel(e.Shape)
 			if _, err := rt.plans.Get(e.Shape.WithBatch(1), rt.opts); err != nil {
 				core.Logf("serve: manifest: pre-planning %v failed: %v", e.Shape, err)
 			}

@@ -154,18 +154,7 @@ func NewServer(cfg ServeConfig) *Server { return serve.New(cfg) }
 // transform (Algorithm 2 line 5) with bit-identical results.
 type PackedFilter = core.PackedFilter
 
-// Epilogue selects the fused post-processing of the output pass.
-type Epilogue = core.Epilogue
-
-// Fused epilogue kinds.
-const (
-	EpilogueNone     = core.EpilogueNone
-	EpilogueBias     = core.EpilogueBias
-	EpilogueReLU     = core.EpilogueReLU
-	EpilogueBiasReLU = core.EpilogueBiasReLU
-)
-
-// EpilogueParams is the generalised fused epilogue (per-channel bias,
+// EpilogueParams is the fused epilogue (per-channel bias,
 // per-channel affine — the inference form of batch normalisation —
 // and ReLU) applied inside the output store while the accumulator tile
 // is still in registers. Select it via Options.FusedEpilogue; output
@@ -283,31 +272,6 @@ func TryDepthwiseConv2DCtx(ctx context.Context, s Shape, in, filter *Tensor, opt
 // convolution over an N×C×H×W input producing K output channels — the
 // explicit-shape form the pointwise entry points consume.
 func PointwiseShape(n, c, h, w, k int) Shape { return core.PointwiseShape(n, c, h, w, k) }
-
-// PointwiseConv2D computes the 1×1 convolution of a depthwise-
-// separable block through the standard nDirect path.
-//
-// Deprecated: the bare-int parameter list invites argument-order
-// bugs the compiler cannot catch. Use TryPointwiseConv2DShape with
-// PointwiseShape (or an explicit Shape literal) instead.
-func PointwiseConv2D(n, c, h, w, k int, in, filter *Tensor, opt Options) *Tensor {
-	return core.PointwiseConv2D(n, c, h, w, k, in, filter, opt)
-}
-
-// TryPointwiseConv2D is the checked form of PointwiseConv2D.
-//
-// Deprecated: use TryPointwiseConv2DShape (see PointwiseConv2D).
-func TryPointwiseConv2D(n, c, h, w, k int, in, filter *Tensor, opt Options) (*Tensor, error) {
-	return core.TryPointwiseConv2D(n, c, h, w, k, in, filter, opt)
-}
-
-// TryPointwiseConv2DCtx is TryPointwiseConv2D bounded by ctx (see
-// TryConv2DCtx).
-//
-// Deprecated: use TryPointwiseConv2DShapeCtx (see PointwiseConv2D).
-func TryPointwiseConv2DCtx(ctx context.Context, n, c, h, w, k int, in, filter *Tensor, opt Options) (*Tensor, error) {
-	return core.TryPointwiseConv2DCtx(ctx, n, c, h, w, k, in, filter, opt)
-}
 
 // TryPointwiseConv2DShape computes a 1×1 convolution for an explicit
 // pointwise shape (R = S = 1, stride 1, pad 0 — anything else fails
