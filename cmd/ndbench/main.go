@@ -26,6 +26,7 @@ import (
 
 	"ndirect/internal/bench"
 	"ndirect/internal/conv"
+	"ndirect/internal/core"
 	"ndirect/internal/hw"
 	"ndirect/internal/parallel"
 )
@@ -60,6 +61,9 @@ func main() {
 		}
 		defer f.Close()
 		out = f
+	}
+	if !*csvMode {
+		fmt.Fprintf(out, "# ndbench: platform=%s threads=%d kernel_isa=%s\n", *platform, *threads, core.KernelISA())
 	}
 	cfg := bench.Config{
 		Platform:   p,

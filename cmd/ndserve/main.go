@@ -299,7 +299,8 @@ func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
 // operator why: how much capacity is under integrity quarantine and
 // what the defense layers have caught so far.
 type healthResponse struct {
-	Status             string `json:"status"` // "ok" or "degraded"
+	Status             string `json:"status"`     // "ok" or "degraded"
+	KernelISA          string `json:"kernel_isa"` // what the kernel families are bound to: "avx2" or "go"
 	KernelsQuarantined int    `json:"kernels_quarantined"`
 	ModelsQuarantined  int    `json:"models_quarantined"`
 	SentinelProbes     uint64 `json:"sentinel_probes"`
@@ -311,6 +312,7 @@ func (s *server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	st := s.reg.Stats()
 	h := healthResponse{
 		Status:             "ok",
+		KernelISA:          core.KernelISA(),
 		KernelsQuarantined: core.KernelDispatchStats().Quarantined,
 		ModelsQuarantined:  st.QuarantinedNow,
 		SentinelProbes:     st.Runtime.SentinelProbes,
@@ -409,6 +411,7 @@ func main() {
 		return
 	}
 
+	fmt.Printf("ndserve: kernel families %v bound to ISA %q\n", core.KernelFamilyNames(), core.KernelISA())
 	fmt.Printf("ndserve: listening on %s (%d in-flight, queue %d, weight budget %d KiB, batch window %v)\n",
 		*addr, *inFlight, *queue, *weightKB, *batchWindow)
 	srv := &http.Server{Addr: *addr, Handler: s.mux(), ReadHeaderTimeout: 5 * time.Second}
@@ -719,8 +722,9 @@ func runSelftest(s *server) error {
 			time.Sleep(5 * time.Millisecond)
 		}
 	}
-	if code, h, err := getHealth(); err != nil || code != http.StatusOK || h.Status != "ok" {
-		return fmt.Errorf("healthz before the drill: %d %q err=%v, want 200 ok", code, h.Status, err)
+	if code, h, err := getHealth(); err != nil || code != http.StatusOK || h.Status != "ok" || h.KernelISA != core.KernelISA() {
+		return fmt.Errorf("healthz before the drill: %d %q kernel_isa=%q err=%v, want 200 ok kernel_isa=%q",
+			code, h.Status, h.KernelISA, err, core.KernelISA())
 	}
 	faultinject.ArmN(faultinject.KernelMiscompute, -1, -1)
 	if err := waitHealth(http.StatusServiceUnavailable, "degraded"); err != nil {

@@ -180,8 +180,9 @@ type Plan struct {
 	platform hw.Platform
 	threads  int
 	kind     kernelKind
-	family   *kernelFamily // (R,S,Str) body bound at plan time; nil = looped kernel12x8 (dispatch.go)
-	ep       epilogue      // normalised fused epilogue
+	family   *kernelFamily     // (R,S,Str) body bound at plan time; nil = looped kernel12x8 (dispatch.go)
+	looped   specializedKernel // kernel12x8 bound to the plan's (S, Str): the no-family / quarantine body
+	ep       epilogue          // normalised fused epilogue
 
 	// The static thread grid (§6) is a pure function of the plan, so
 	// the per-dimension worker ranges are solved once here instead of
@@ -289,15 +290,23 @@ func TryNewPlan(s conv.Shape, opt Options) (*Plan, error) {
 		p.threads = parallel.DefaultThreads()
 	}
 
+	// Register tile: Equations 3–4, except that a shape with a kernel
+	// family is planned on the family's 12×8 register file (only the 7×7
+	// stride-2 stem solves to anything else — 20×4, which no body but
+	// the generic kernel runs); the ablation overrides outrank both.
 	p.RT = model.SolveRegisterTile(s.S, s.Str)
-	if opt.ForceVw != 0 || opt.ForceVk != 0 {
-		vw, vk := opt.ForceVw, opt.ForceVk
-		if vw == 0 {
-			vw = p.RT.Vw
-		}
-		if vk == 0 {
-			vk = p.RT.Vk
-		}
+	vw, vk := p.RT.Vw, p.RT.Vk
+	family := familyFor(s, false)
+	if family != nil {
+		vw, vk = maxVw, 8
+	}
+	if opt.ForceVw != 0 {
+		vw = opt.ForceVw
+	}
+	if opt.ForceVk != 0 {
+		vk = opt.ForceVk
+	}
+	if vw != p.RT.Vw || vk != p.RT.Vk {
 		p.RT = model.RegTile{Vw: vw, Vk: vk,
 			Registers: model.RegistersUsed(vw, vk, s.S),
 			FAI:       model.FAI(vw, vk, s.S, s.Str)}
@@ -317,13 +326,18 @@ func TryNewPlan(s conv.Shape, opt Options) (*Plan, error) {
 	p.TM = model.SolveThreadMapping(s, p.platform.Alpha, p.threads, p.RT.Vk)
 
 	// Micro-kernel selection: a tile the V_k=8 register file holds binds
-	// the constant-folded body for its (R, S, stride) when one exists and
+	// the family body for its (R, S, stride) when one exists and
 	// otherwise runs the looped kernel12x8; every other tile is generic.
 	if opt.ForceGenericKernel || p.RT.Vk != 8 || p.RT.Vw > maxVw {
 		p.kind = kindGeneric
 	} else {
 		p.kind = kind12x8
-		p.family = bindStandardFamily(s)
+		p.family = family
+		countStandardBinding(family)
+	}
+	kw, str := s.S, s.Str
+	p.looped = func(acc *accFile8, buf, tf []float32, rows, vwEff, pitch int) {
+		kernel12x8(acc, buf, tf, rows, kw, str, vwEff, pitch)
 	}
 	p.ep = normalizeEpilogue(opt.FusedEpilogue)
 

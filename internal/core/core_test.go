@@ -375,7 +375,11 @@ func TestKernelDispatchSelection(t *testing.T) {
 		// A forced tile the V_k=8 file holds still binds by loop constants.
 		{conv.Shape{N: 1, C: 4, H: 8, W: 8, K: 8, R: 3, S: 3, Str: 1, Pad: 1}, Options{ForceVw: 8, ForceVk: 8}, kind12x8, "12x8.r3s3.s1"},
 		{conv.Shape{N: 1, C: 4, H: 8, W: 8, K: 8, R: 3, S: 3, Str: 1, Pad: 1}, Options{ForceVw: 8, ForceVk: 4}, kindGeneric, ""},
-		{conv.Shape{N: 1, C: 3, H: 16, W: 16, K: 8, R: 7, S: 7, Str: 2, Pad: 3}, Options{}, kindGeneric, ""},
+		// The stem has a family, so it is planned on the family's 12×8 tile,
+		// not the model's 20×4; a 7×7 without one keeps the model's tile.
+		{conv.Shape{N: 1, C: 3, H: 16, W: 16, K: 8, R: 7, S: 7, Str: 2, Pad: 3}, Options{}, kind12x8, "12x8.r7s7.s2"},
+		{conv.Shape{N: 1, C: 3, H: 16, W: 16, K: 8, R: 7, S: 7, Str: 2, Pad: 3}, Options{ForceGenericKernel: true}, kindGeneric, ""},
+		{conv.Shape{N: 1, C: 3, H: 16, W: 16, K: 8, R: 7, S: 7, Str: 1, Pad: 3}, Options{}, kindGeneric, ""},
 		{conv.Shape{N: 1, C: 4, H: 8, W: 8, K: 8, R: 3, S: 3, Str: 1, Pad: 1}, Options{ForceGenericKernel: true}, kindGeneric, ""},
 	} {
 		p := NewPlan(tc.s, tc.opt)

@@ -2,20 +2,22 @@ package core
 
 // Kernel-family dispatch (DESIGN.md §11). The paper's micro-kernel is
 // specialised by kernel width and stride only (Algorithm 3, Eq. 3–4),
-// so the constant-folded bodies are keyed the same way: one static
-// table of (R, S, stride) families, four for the standard 12×8 register
-// file (kernel_variants.go) and two for depthwise (dwkernel.go). A plan
-// binds its family once, at construction, from its own loop constants —
-// no registration, no per-shape table — and this file is the only place
+// so the bodies are keyed the same way: one static table of (R, S,
+// stride) families, five for the standard 12×8 register file and two
+// for depthwise (dwkernel.go). A standard family's body is the AVX2
+// vector body (kernel_amd64.s) where the host has one and the family's
+// constant-folded Go body (kernel_variants.go) everywhere else; the
+// choice is made once, at init, from what the CPU reports. A plan binds
+// its family once, at construction, from its own loop constants — no
+// registration, no per-shape table — and this file is the only place
 // that decides which body an execution runs: the family's, unless the
 // integrity sentinel has quarantined it (DESIGN.md §12), in which case
 // the bit-identical looped fallback (kernel12x8, depthwisePlaneRange)
 // runs instead. The quarantine flag is read once per execution, so
 // quarantine and restore reach every live plan — cached, memoised or
-// held by a caller — without re-planning. Family bodies share
-// fmaRow12x8's accumulator discipline (cv ascending, r ascending, s
-// ascending, descending pair walk), so either choice stores the same
-// bits.
+// held by a caller — without re-planning. Every body keeps kernel12x8's
+// per-accumulator operation sequence (row ascending, s ascending, one
+// multiply and one add per tap), so either choice stores the same bits.
 
 import (
 	"fmt"
@@ -27,14 +29,15 @@ import (
 	"ndirect/internal/tensor"
 )
 
-// specializedKernel is the calling convention of a constant-folded
-// main micro-kernel: R, S and stride are baked into the function, so
-// only the runtime-variable tile extents cross the call.
-type specializedKernel func(acc *accFile8, buf, tf []float32, tc, vwEff, wIn int)
+// specializedKernel is the calling convention of a V_k=8 main
+// micro-kernel body with S and stride bound into the function, so only
+// the runtime-variable extents cross the call: rows = tc·R (cv, r)
+// coordinates, row i read at buf[i*pitch:] against the S filter vectors
+// at tf[i*S*8:] (kernel12x8's operand layout).
+type specializedKernel func(acc *accFile8, buf, tf []float32, rows, vwEff, pitch int)
 
-// kernelFamily is one constant-folded body and the (R, S, stride) it is
-// written for. Exactly one of kern (standard 12×8) and dwKern
-// (depthwise) is set.
+// kernelFamily is one body and the (R, S, stride) it serves. Exactly one
+// of kern (standard 12×8) and dwKern (depthwise) is set.
 type kernelFamily struct {
 	name      string
 	r, s, str int
@@ -50,17 +53,48 @@ type kernelFamily struct {
 }
 
 // kernelFamilies is the whole dispatch table, in the order the
-// integrity sentinel probes it. Standard families exist only for
-// geometries whose Equation 3–4 solution is the V_w=12, V_k=8 register
-// file (the 7×7 stride-2 stem solves to 20×4 and stays on the generic
-// kernel).
+// integrity sentinel probes it, written with the portable Go bodies. A
+// shape with a standard family is planned on the family's V_w=12, V_k=8
+// register file whatever Equations 3–4 solve to (TryNewPlan): the 7×7
+// stride-2 stem solves to 20×4, a tile only the generic kernel runs.
 var kernelFamilies = []*kernelFamily{
-	{name: "12x8.r3s3.s1", r: 3, s: 3, str: 1, kern: kernel12x8R3S3s1},
-	{name: "12x8.r3s3.s2", r: 3, s: 3, str: 2, kern: kernel12x8R3S3s2},
-	{name: "12x8.r1s1.s1", r: 1, s: 1, str: 1, kern: kernel12x8R1S1s1},
-	{name: "12x8.r1s1.s2", r: 1, s: 1, str: 2, kern: kernel12x8R1S1s2},
+	{name: "12x8.r3s3.s1", r: 3, s: 3, str: 1, kern: kernel12x8S3s1},
+	{name: "12x8.r3s3.s2", r: 3, s: 3, str: 2, kern: kernel12x8S3s2},
+	{name: "12x8.r1s1.s1", r: 1, s: 1, str: 1, kern: kernel12x8S1s1},
+	{name: "12x8.r1s1.s2", r: 1, s: 1, str: 2, kern: kernel12x8S1s2},
+	{name: "12x8.r7s7.s2", r: 7, s: 7, str: 2, kern: kernel12x8S7s2},
 	{name: "dw.r3s3.s1", r: 3, s: 3, str: 1, dwKern: dwKernel3x3s1},
 	{name: "dw.r3s3.s2", r: 3, s: 3, str: 2, dwKern: dwKernel3x3s2},
+}
+
+// On a host with the vector body every standard family runs it, bound
+// to the family's (S, stride).
+func init() {
+	if !hasVectorBody {
+		return
+	}
+	for _, f := range kernelFamilies {
+		if f.kern != nil {
+			f.kern = vectorKernel(f.s, f.str)
+		}
+	}
+}
+
+// vectorKernel binds the vector body to one (S, stride).
+func vectorKernel(s, str int) specializedKernel {
+	return func(acc *accFile8, buf, tf []float32, rows, vwEff, pitch int) {
+		vector12x8(acc, buf, tf, rows, s, str, vwEff, pitch)
+	}
+}
+
+// KernelISA names the instruction set the standard kernel families are
+// bound to in this process: "avx2" for the vector body, "go" for the
+// portable bodies. Family names do not change with it.
+func KernelISA() string {
+	if hasVectorBody {
+		return "avx2"
+	}
+	return "go"
 }
 
 // dispatchHits/dispatchMisses count standard plan constructions that
@@ -87,17 +121,15 @@ func familyByName(name string) *kernelFamily {
 	return nil
 }
 
-// bindStandardFamily is TryNewPlan's lookup for a plan already on the
-// V_k=8 register file, counting the outcome so the hit ratio measures
-// family coverage of the eligible traffic.
-func bindStandardFamily(s conv.Shape) *kernelFamily {
-	f := familyFor(s, false)
+// countStandardBinding records the outcome of TryNewPlan's family lookup
+// for a plan already on the V_k=8 register file, so the hit ratio
+// measures family coverage of the eligible traffic.
+func countStandardBinding(f *kernelFamily) {
 	if f != nil {
 		dispatchHits.Add(1)
 	} else {
 		dispatchMisses.Add(1)
 	}
-	return f
 }
 
 // live reports whether a plan bound to f (nil = no family) runs f's
@@ -105,13 +137,15 @@ func bindStandardFamily(s conv.Shape) *kernelFamily {
 func (f *kernelFamily) live() bool { return f != nil && !f.quarantined.Load() }
 
 // body resolves the V_k=8 micro-kernel for one execution: the bound
-// family's, or nil — the looped kernel12x8 — when the plan has no
-// family or the family is quarantined.
+// family's, or the looped kernel12x8 when the plan has no family or the
+// family is quarantined. Every V_k=8 consumer — the k-block loop, the
+// pack-fused first block, the separable pointwise stage — runs what
+// this returned and nothing else.
 func (p *Plan) body() specializedKernel {
 	if p.family.live() {
 		return p.family.kern
 	}
-	return nil
+	return p.looped
 }
 
 // dwBody is body's depthwise twin; the fallback is the

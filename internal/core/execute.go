@@ -477,7 +477,7 @@ type planRun struct {
 	in, filter, pre  []float32
 	out              []float32
 	nchw, accumulate bool
-	kern             specializedKernel // this execution's V_k=8 body (Plan.body); nil = looped kernel12x8
+	kern             specializedKernel // this execution's V_k=8 body (Plan.body)
 
 	// Batched execution (TryExecuteBatch*): per-image operand slices,
 	// one entry per image of the plan's batch dimension. When non-nil
@@ -781,29 +781,22 @@ func (p *Plan) worker(in, filter, pre, out []float32, imgIn, imgOut [][]float32,
 								}
 								if use12x8 {
 									*acc = accFile8{}
-									if kb == 0 {
-										if p.opts.SequentialPack {
-											t0 = now(ws)
-											if nchw {
-												packNCHW(inD, ws.buf, g, nEff, s.C, s.H, s.W, ct, tcEff, s.R)
-											} else {
-												packNHWC(inD, ws.buf, g, nEff, s.C, s.H, s.W, ct, tcEff, s.R)
-											}
-											addTime(ws, &ws.stats.PackSec, t0)
-											t0 = now(ws)
-											p.mainKernel(kern, acc, ws.buf, tfBlock, tcEff, vwEff, wIn)
-											addTime(ws, &ws.stats.KernelSec, t0)
-										} else {
-											t0 = now(ws)
-											packCompute12x8(acc, inD, ws.buf, tfBlock, g,
-												nEff, s.C, s.H, s.W, ct, tcEff, s.R, s.S, s.Str, vwEff, nchw)
-											addTime(ws, &ws.stats.KernelSec, t0)
-										}
-									} else {
+									if kb == 0 && p.opts.SequentialPack {
 										t0 = now(ws)
-										p.mainKernel(kern, acc, ws.buf, tfBlock, tcEff, vwEff, wIn)
-										addTime(ws, &ws.stats.KernelSec, t0)
+										if nchw {
+											packNCHW(inD, ws.buf, g, nEff, s.C, s.H, s.W, ct, tcEff, s.R)
+										} else {
+											packNHWC(inD, ws.buf, g, nEff, s.C, s.H, s.W, ct, tcEff, s.R)
+										}
+										addTime(ws, &ws.stats.PackSec, t0)
 									}
+									t0 = now(ws)
+									if kb == 0 && !p.opts.SequentialPack {
+										p.packCompute(kern, acc, inD, ws.buf, tfBlock, g, nEff, ct, tcEff, vwEff, nchw)
+									} else {
+										kern(acc, ws.buf, tfBlock, tcEff*s.R, vwEff, wIn)
+									}
+									addTime(ws, &ws.stats.KernelSec, t0)
 									t0 = now(ws)
 									p.store(acc[:], outD, nchw, nEff, kt+kb*vk, kHi, oh, qt0, vwEff, firstC, lastC)
 									addTime(ws, &ws.stats.StoreSec, t0)
@@ -832,17 +825,6 @@ func (p *Plan) worker(in, filter, pre, out []float32, imgIn, imgOut [][]float32,
 			}
 		}
 	}
-}
-
-// mainKernel runs the V_k=8 micro-kernel the execution resolved: the
-// family body, or the looped kernel12x8 when kern is nil.
-func (p *Plan) mainKernel(kern specializedKernel, acc *accFile8, buf, tf []float32, tcEff, vwEff, wIn int) {
-	if kern != nil {
-		kern(acc, buf, tf, tcEff, vwEff, wIn)
-		return
-	}
-	s := p.Shape
-	kernel12x8(acc, buf, tf, tcEff, s.R, s.S, s.Str, vwEff, wIn)
 }
 
 // store writes the V_k=8 accumulator file into the output tensor,

@@ -188,14 +188,7 @@ func TestKernelFamilyQuarantineCycle(t *testing.T) {
 
 	// Count the family body's invocations from live plans. (The probe
 	// bound its own copy of the body above, so it is not counted.)
-	f := familyByName(fam)
-	body := f.kern
-	var bodyRuns int
-	f.kern = func(acc *accFile8, buf, tf []float32, tc, vwEff, wIn int) {
-		bodyRuns++
-		body(acc, buf, tf, tc, vwEff, wIn)
-	}
-	defer func() { f.kern = body }()
+	meter := meterFamily(t, fam)
 
 	s := integrityShape() // 3x3 stride-1: the family under test
 	in, filter := intOperands(s)
@@ -210,7 +203,7 @@ func TestKernelFamilyQuarantineCycle(t *testing.T) {
 	// exec runs the plan bit-exact and reports whether the family body ran.
 	exec := func(p *Plan) bool {
 		t.Helper()
-		bodyRuns = 0
+		*meter = bodyMeter{}
 		out := s.NewOutput()
 		if err := p.TryExecute(in, filter, out); err != nil {
 			t.Fatal(err)
@@ -218,7 +211,7 @@ func TestKernelFamilyQuarantineCycle(t *testing.T) {
 		if d := tensor.MaxAbsDiff(out, want); d != 0 {
 			t.Fatalf("kernel %s: output differs from reference by %g, want bit-exact", p.KernelName(), d)
 		}
-		return bodyRuns > 0
+		return meter.calls > 0
 	}
 	if !exec(before) || !exec(cached) {
 		t.Fatal("family body did not run before the quarantine")
@@ -272,6 +265,147 @@ func TestKernelFamilyQuarantineCycle(t *testing.T) {
 	}
 	if st := cache.Stats(); st.Misses != 1 {
 		t.Fatalf("plan cache missed %d times over the cycle, want 1 (the cold build)", st.Misses)
+	}
+}
+
+// bodyMeter is a counting double for one family's body: calls and the
+// (cv, r) rows they covered.
+type bodyMeter struct{ calls, rows int }
+
+// meterFamily swaps the named family's body for a double that counts
+// into the returned meter and then runs the real body; the swap is
+// undone when the test ends. Metered plans must run single-threaded.
+func meterFamily(t *testing.T, name string) *bodyMeter {
+	t.Helper()
+	f := familyByName(name)
+	body, m := f.kern, &bodyMeter{}
+	f.kern = func(acc *accFile8, buf, tf []float32, rows, vwEff, pitch int) {
+		m.calls++
+		m.rows += rows
+		body(acc, buf, tf, rows, vwEff, pitch)
+	}
+	t.Cleanup(func() { f.kern = body })
+	return m
+}
+
+// A quarantined body never runs on any plan, end to end: every consumer
+// of the V_k=8 body — the k-block loop, the pack-fused first block
+// (which used to run the looped kernel whatever the plan had bound), a
+// batched execution's scatter grid and the separable pointwise stage —
+// runs the family body for every (tile, k-block) while the family is
+// live and for none while it is quarantined, storing the same bits
+// either way. The shapes are unpadded, so no row is out of image and the
+// body sees all C·R rows of every (tile, k-block).
+func TestQuarantinedBodyNeverRunsOnAnyConsumer(t *testing.T) {
+	s := conv.Shape{N: 1, C: 8, H: 12, W: 12, K: 16, R: 3, S: 3, Str: 1, Pad: 0}
+	in, filter := intOperands(s)
+	want := conv.Reference(s, in, filter)
+	tiles := func(n, p, q int) int { return n * p * ((q + maxVw - 1) / maxVw) }
+	const kvBlocks = 2 // K=16
+
+	type consumer struct {
+		name   string
+		family string
+		exec   func() // one bit-exact execution
+		tiles  int    // register tiles per execution
+		rows   int    // C·R
+		calls  int    // body calls per (tile, k-block); 0 = not pinned
+	}
+	var consumers []consumer
+
+	for _, seq := range []bool{false, true} {
+		p := NewPlan(s, Options{Threads: 1, SequentialPack: seq})
+		c := consumer{name: "Plan", family: "12x8.r3s3.s1", tiles: tiles(1, s.P(), s.Q()), rows: s.C * s.R}
+		if seq {
+			// Whole-tile calls; the fused first block instead runs a few
+			// channels per call, so only its rows are pinned.
+			c.name, c.calls = "Plan/SequentialPack", 1
+		}
+		c.exec = func() {
+			out := s.NewOutput()
+			if err := p.TryExecute(in, filter, out); err != nil {
+				t.Fatal(err)
+			}
+			if d := tensor.MaxAbsDiff(out, want); d != 0 {
+				t.Fatalf("%s on %s: output differs from reference by %g", c.name, p.KernelName(), d)
+			}
+		}
+		consumers = append(consumers, c)
+	}
+
+	bs := s.WithBatch(3)
+	bp := NewPlan(bs, Options{Threads: 1})
+	in2 := tensor.New(2, s.C, s.H, s.W)
+	copy(in2.Data, in.Data)
+	copy(in2.Data[len(in.Data):], in.Data)
+	consumers = append(consumers, consumer{
+		name: "Plan/batched", family: "12x8.r3s3.s1", tiles: tiles(3, s.P(), s.Q()), rows: s.C * s.R,
+		exec: func() {
+			outs := []*tensor.Tensor{s.NewOutput(), tensor.New(2, s.K, s.P(), s.Q())}
+			if err := bp.TryExecuteBatch([]*tensor.Tensor{in, in2}, filter, outs); err != nil {
+				t.Fatal(err)
+			}
+			for i, o := range [][]float32{outs[0].Data, outs[1].Data[:len(want.Data)], outs[1].Data[len(want.Data):]} {
+				for j := range o {
+					if o[j] != want.Data[j] {
+						t.Fatalf("batched image %d on %s: element %d = %g, want %g", i, bp.KernelName(), j, o[j], want.Data[j])
+					}
+				}
+			}
+		},
+	})
+
+	ss := SeparableShape{N: 1, C: 8, H: 12, W: 12, K: 16, R: 3, S: 3, Str: 1, Pad: 1}
+	sp, err := TryNewSeparablePlan(ss, Options{Threads: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sepIn := tensor.New(ss.N, ss.C, ss.H, ss.W)
+	dwf, pwf := tensor.New(ss.C, ss.R, ss.S), tensor.New(ss.K, ss.C, 1, 1)
+	fillProbe(sepIn.Data, 3)
+	fillProbe(dwf.Data, 4)
+	fillProbe(pwf.Data, 5)
+	mid, err := TryDepthwiseConv2D(ss.DWShape(), sepIn, dwf, Options{Threads: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sepWant := conv.Reference(ss.PWShape(), mid, pwf)
+	consumers = append(consumers, consumer{
+		name: "SeparablePlan", family: "12x8.r1s1.s1", tiles: tiles(1, ss.P(), ss.Q()), rows: ss.C, calls: 1,
+		exec: func() {
+			out := tensor.New(ss.N, ss.K, ss.P(), ss.Q())
+			if err := sp.TryExecute(sepIn, dwf, pwf, out); err != nil {
+				t.Fatal(err)
+			}
+			if d := tensor.MaxAbsDiff(out, sepWant); d != 0 {
+				_, pw := sp.KernelNames()
+				t.Fatalf("SeparablePlan on %s: output differs from reference by %g", pw, d)
+			}
+		},
+	})
+
+	for _, c := range consumers {
+		m := meterFamily(t, c.family)
+		run := func() bodyMeter {
+			*m = bodyMeter{}
+			c.exec()
+			return *m
+		}
+		wantRows := c.tiles * kvBlocks * c.rows
+		live := run()
+		if live.rows != wantRows || (c.calls != 0 && live.calls != c.tiles*kvBlocks*c.calls) {
+			t.Fatalf("%s, family live: body ran %d rows in %d calls, want %d rows over %d (tile, k-block) pairs",
+				c.name, live.rows, live.calls, wantRows, c.tiles*kvBlocks)
+		}
+		QuarantineKernelFamily(c.family)
+		quarantined := run()
+		RestoreKernelFamily(c.family)
+		if quarantined != (bodyMeter{}) {
+			t.Fatalf("%s, family quarantined: body ran %d rows in %d calls, want none", c.name, quarantined.rows, quarantined.calls)
+		}
+		if restored := run(); restored != live {
+			t.Fatalf("%s, family restored: body ran %+v, want %+v", c.name, restored, live)
+		}
 	}
 }
 

@@ -26,23 +26,14 @@ const maxVw = 12
 // column ow.
 type accFile8 = [2 * maxVw]simd.Vec4
 
-// kernel12x8 is the specialised main micro-kernel for the analytical
-// optimum V_w=12, V_k=8 (any R, S, stride). tf must point at the
-// transformed filter block for this kb (layout [tc][R][S][8]); buf is
-// the packed input [tc][R][wIn].
-func kernel12x8(acc *accFile8, buf, tf []float32, tc, r, s, str, vwEff, wIn int) {
-	for cv := 0; cv < tc; cv++ {
-		for rr := 0; rr < r; rr++ {
-			row := buf[(cv*r+rr)*wIn : (cv*r+rr)*wIn+wIn]
-			fmaRow12x8(acc, row, tf[(cv*r+rr)*s*8:], s, str, vwEff)
-		}
-	}
-}
-
-// fmaRow12x8 applies one packed input row against the S filter
-// vector pairs of a (cv, r) coordinate — the shared inner body of the
-// main micro-kernel and the fused pack+compute micro-kernel (both
-// paths must compile identically and produce bit-identical results).
+// kernel12x8 is the looped main micro-kernel for the V_k=8 register
+// file (any S, stride): the portable fallback every other body must
+// match bit for bit. rows = tc·R (cv, r) coordinates are walked in
+// order; row i of the input starts at buf[i*pitch] (the packed buffer's
+// [tc][R][wIn] rows, or the separable intermediate's channel planes) and
+// its S filter vectors at tf[i*s*8] (the transformed [tc][R][S][8]
+// block).
+//
 // The accumulator loop runs descending — i from len(a)-1 while i > 0,
 // accessing a[i-1] and a[i] — because the i > 0 condition is exactly
 // the lower-bound fact the prove pass needs to drop both per-FMA
@@ -50,65 +41,66 @@ func kernel12x8(acc *accFile8, buf, tf []float32, tc, r, s, str, vwEff, wIn int)
 // (verified with -d=ssa/check_bce; an ascending loop leaves the
 // a[i-1]/a[i+1] partner access checked, since prove does not carry a
 // start-value minimum through a step-2 induction). Pair order does
-// not affect results: each accumulator pair is touched once per call.
+// not affect results: each accumulator pair is touched once per tap.
 // Only the stride-indexed input load keeps its check, since the step
 // is a runtime value the pass cannot bound.
-func fmaRow12x8(acc *accFile8, row, fTap []float32, s, str, vwEff int) {
+func kernel12x8(acc *accFile8, buf, tf []float32, rows, s, str, vwEff, pitch int) {
 	if vwEff <= 0 || vwEff > maxVw {
 		return
 	}
 	a := acc[:2*vwEff]
-	for ss := 0; ss < s; ss++ {
-		fs := fTap[ss*8 : ss*8+8]
-		f0 := simd.Load(fs)
-		f1 := simd.Load(fs[4:])
-		r := row[ss:]
-		x := (vwEff - 1) * str
-		for i := len(a) - 1; i > 0; i -= 2 {
-			v := r[x]
-			a[i-1] = a[i-1].FMAScalar(f0, v)
-			a[i] = a[i].FMAScalar(f1, v)
-			x -= str
+	for row := 0; row < rows; row++ {
+		in := buf[row*pitch:]
+		fTap := tf[row*s*8:]
+		for ss := 0; ss < s; ss++ {
+			fs := fTap[ss*8 : ss*8+8]
+			f0 := simd.Load(fs)
+			f1 := simd.Load(fs[4:])
+			r := in[ss:]
+			x := (vwEff - 1) * str
+			for i := len(a) - 1; i > 0; i -= 2 {
+				v := r[x]
+				a[i-1] = a[i-1].FMAScalar(f0, v)
+				a[i] = a[i].FMAScalar(f1, v)
+				x -= str
+			}
 		}
 	}
 }
 
-// packCompute12x8 fuses the packing micro-kernel with the first
-// V_k-block computation (§5.3): each packed row is stored to the
-// linear buffer and immediately consumed by the FMA stream, hiding
-// the packing stores behind the compute — the Go analogue of placing
-// st instructions between FMAs for the out-of-order core to overlap.
-// rows outside the image clear the buffer row and skip the FMAs
-// (zero contributions).
-func packCompute12x8(acc *accFile8, in, buf, tf []float32, g packGeometry,
-	n, c, h, w, ct, tc, r, s, str, vwEff int, nchw bool) {
-	for cv := 0; cv < tc; cv++ {
-		for rr := 0; rr < r; rr++ {
-			dst := buf[(cv*r+rr)*g.wIn : (cv*r+rr)*g.wIn+g.wIn]
-			ih := g.ihBase + rr
-			if ih < 0 || ih >= h {
-				clear(dst)
-				continue
-			}
-			if nchw {
-				src := in[((n*c+ct+cv)*h+ih)*w : ((n*c+ct+cv)*h+ih+1)*w]
-				packRow(dst, src, g.iwBase, w)
-			} else {
-				rowBase := ((n*h + ih) * w) * c
-				cc := ct + cv
-				// Ranging over dst pins its length, so the stores below
-				// compile without bounds checks; only the gather from the
-				// strided NHWC input keeps its (unprovable) check.
-				for x := range dst {
-					iw := g.iwBase + x
-					if iw < 0 || iw >= w {
-						dst[x] = 0
-					} else {
-						dst[x] = in[rowBase+iw*c+cc]
-					}
-				}
-			}
-			fmaRow12x8(acc, dst, tf[(cv*r+rr)*s*8:], s, str, vwEff)
+// fusedPackRows is how many packed rows the fused first block hands the
+// body per call: enough to amortise the call and the accumulator
+// load/store of a vector body, few enough that the rows are consumed
+// while the stores that wrote them are still in flight.
+const fusedPackRows = 16
+
+// packCompute fuses the packing micro-kernel with the first V_k-block
+// computation (§5.3): the channel tile is packed a few channels at a
+// time and each group is consumed by the execution's body as soon as it
+// is stored, hiding the packing stores behind the compute — the analogue
+// of placing st instructions between FMAs for the out-of-order core to
+// overlap. Rows outside the image are cleared in the buffer (later
+// V_k blocks read them) but never reach the body: a tile that has any
+// runs the body once per channel, over that channel's in-image rows.
+func (p *Plan) packCompute(kern specializedKernel, acc *accFile8, in, buf, tf []float32, g packGeometry,
+	n, ct, tc, vwEff int, nchw bool) {
+	s := p.Shape
+	r := s.R
+	rLo := min(max(-g.ihBase, 0), r) // in-image rows of every channel: [rLo, rHi)
+	rHi := max(min(s.H-g.ihBase, r), rLo)
+	group := 1
+	if rHi-rLo == r {
+		group = max(fusedPackRows/r, 1)
+	}
+	pack := packNHWC
+	if nchw {
+		pack = packNCHW
+	}
+	for cv := 0; cv < tc; cv += group {
+		nc := min(group, tc-cv)
+		pack(in, buf[cv*r*g.wIn:], g, n, s.C, s.H, s.W, ct+cv, nc, r)
+		if rHi > rLo {
+			kern(acc, buf[(cv*r+rLo)*g.wIn:], tf[(cv*r+rLo)*s.S*8:], (nc-1)*r+rHi-rLo, vwEff, g.wIn)
 		}
 	}
 }

@@ -1,0 +1,178 @@
+#include "textflag.h"
+
+// The AVX2 vector body of the V_k=8 main micro-kernel (Algorithm 3).
+//
+// The accumulator file is the Go bodies' accFile8 unchanged: output
+// column ow is acc[2ow], acc[2ow+1] — eight contiguous float32 lanes,
+// one YMM register. Per filter tap the body loads one 8-lane filter
+// vector from the [rows][S][8] block, broadcasts each input scalar of
+// the tap's window and issues VMULPS then VADDPS: two roundings per
+// lane, exactly the MULSS+ADDSS pair gc emits for Vec4.FMAScalar, so the
+// stored bits equal the Go bodies'. A fused multiply-add instruction
+// would round once and break that contract, so none is used.
+//
+// Register map:
+//	Y0–Y11  accumulators, column ow in Y<ow>
+//	Y12     filter vector of the current tap
+//	Y13     broadcast input scalar, then its product
+//	DI      acc            SI  current row base     DX  filter cursor
+//	CX      rows left      R8  S                    R9  taps left in the row
+//	R10     row pitch (B)  R11/R12/R13  1×/3×/5× column stride (B)
+//	AX      tap window: column 0 of this tap        BX  AX + 6 column strides
+//
+// Column ow of a tap is read at AX + ow·stride: columns 0–5 off AX and
+// 6–11 off BX, each with index 0, 1×, 2×, 3×, 4×, 5× stride.
+
+#define COL0  VBROADCASTSS (AX), Y13;        VMULPS Y12, Y13, Y13; VADDPS Y13, Y0, Y0
+#define COL1  VBROADCASTSS (AX)(R11*1), Y13; VMULPS Y12, Y13, Y13; VADDPS Y13, Y1, Y1
+#define COL2  VBROADCASTSS (AX)(R11*2), Y13; VMULPS Y12, Y13, Y13; VADDPS Y13, Y2, Y2
+#define COL3  VBROADCASTSS (AX)(R12*1), Y13; VMULPS Y12, Y13, Y13; VADDPS Y13, Y3, Y3
+#define COL4  VBROADCASTSS (AX)(R11*4), Y13; VMULPS Y12, Y13, Y13; VADDPS Y13, Y4, Y4
+#define COL5  VBROADCASTSS (AX)(R13*1), Y13; VMULPS Y12, Y13, Y13; VADDPS Y13, Y5, Y5
+#define COL6  VBROADCASTSS (BX), Y13;        VMULPS Y12, Y13, Y13; VADDPS Y13, Y6, Y6
+#define COL7  VBROADCASTSS (BX)(R11*1), Y13; VMULPS Y12, Y13, Y13; VADDPS Y13, Y7, Y7
+#define COL8  VBROADCASTSS (BX)(R11*2), Y13; VMULPS Y12, Y13, Y13; VADDPS Y13, Y8, Y8
+#define COL9  VBROADCASTSS (BX)(R12*1), Y13; VMULPS Y12, Y13, Y13; VADDPS Y13, Y9, Y9
+#define COL10 VBROADCASTSS (BX)(R11*4), Y13; VMULPS Y12, Y13, Y13; VADDPS Y13, Y10, Y10
+#define COL11 VBROADCASTSS (BX)(R13*1), Y13; VMULPS Y12, Y13, Y13; VADDPS Y13, Y11, Y11
+
+#define COLS1  COL0
+#define COLS2  COLS1; COL1
+#define COLS3  COLS2; COL2
+#define COLS4  COLS3; COL3
+#define COLS5  COLS4; COL4
+#define COLS6  COLS5; COL5
+#define COLS7  COLS6; COL6
+#define COLS8  COLS7; COL7
+#define COLS9  COLS8; COL8
+#define COLS10 COLS9; COL9
+#define COLS11 COLS10; COL10
+#define COLS12 COLS11; COL11
+
+// NEST is the rows × S loop nest over one fixed column count; it never
+// touches a column at or past that count. The filter cursor runs
+// straight through the block: taps are contiguous across rows.
+#define NEST(row, tap, COLS) \
+row: \
+	MOVQ SI, AX; \
+	MOVQ R8, R9; \
+tap: \
+	VMOVUPS (DX), Y12; \
+	LEAQ (AX)(R12*2), BX; \
+	COLS; \
+	ADDQ $32, DX; \
+	ADDQ $4, AX; \
+	DECQ R9; \
+	JNZ tap; \
+	ADDQ R10, SI; \
+	DECQ CX; \
+	JNZ row; \
+	JMP store
+
+// func kernel12x8AVX2(acc *accFile8, buf, tf *float32, rows, s, str, pitch, vwEff int)
+//
+// The caller guarantees rows, s ≥ 1, 1 ≤ vwEff ≤ 12 and that the last
+// element each operand is read at — buf[(rows-1)·pitch+(vwEff-1)·str+s-1],
+// tf[rows·s·8-1] — is in bounds.
+TEXT ·kernel12x8AVX2(SB), NOSPLIT, $0-64
+	MOVQ acc+0(FP), DI
+	MOVQ buf+8(FP), SI
+	MOVQ tf+16(FP), DX
+	MOVQ rows+24(FP), CX
+	MOVQ s+32(FP), R8
+	MOVQ str+40(FP), R11
+	MOVQ pitch+48(FP), R10
+	MOVQ vwEff+56(FP), BX
+	SHLQ $2, R10
+	SHLQ $2, R11
+	LEAQ (R11)(R11*2), R12
+	LEAQ (R11)(R11*4), R13
+
+	// Columns past vwEff are loaded and stored back untouched.
+	VMOVUPS 0(DI), Y0
+	VMOVUPS 32(DI), Y1
+	VMOVUPS 64(DI), Y2
+	VMOVUPS 96(DI), Y3
+	VMOVUPS 128(DI), Y4
+	VMOVUPS 160(DI), Y5
+	VMOVUPS 192(DI), Y6
+	VMOVUPS 224(DI), Y7
+	VMOVUPS 256(DI), Y8
+	VMOVUPS 288(DI), Y9
+	VMOVUPS 320(DI), Y10
+	VMOVUPS 352(DI), Y11
+
+	CMPQ BX, $12
+	JEQ  w12
+	CMPQ BX, $11
+	JEQ  w11
+	CMPQ BX, $10
+	JEQ  w10
+	CMPQ BX, $9
+	JEQ  w9
+	CMPQ BX, $8
+	JEQ  w8
+	CMPQ BX, $7
+	JEQ  w7
+	CMPQ BX, $6
+	JEQ  w6
+	CMPQ BX, $5
+	JEQ  w5
+	CMPQ BX, $4
+	JEQ  w4
+	CMPQ BX, $3
+	JEQ  w3
+	CMPQ BX, $2
+	JEQ  w2
+	CMPQ BX, $1
+	JEQ  w1
+	JMP  done
+
+	NEST(w12, t12, COLS12)
+	NEST(w11, t11, COLS11)
+	NEST(w10, t10, COLS10)
+	NEST(w9, t9, COLS9)
+	NEST(w8, t8, COLS8)
+	NEST(w7, t7, COLS7)
+	NEST(w6, t6, COLS6)
+	NEST(w5, t5, COLS5)
+	NEST(w4, t4, COLS4)
+	NEST(w3, t3, COLS3)
+	NEST(w2, t2, COLS2)
+	NEST(w1, t1, COLS1)
+
+store:
+	VMOVUPS Y0, 0(DI)
+	VMOVUPS Y1, 32(DI)
+	VMOVUPS Y2, 64(DI)
+	VMOVUPS Y3, 96(DI)
+	VMOVUPS Y4, 128(DI)
+	VMOVUPS Y5, 160(DI)
+	VMOVUPS Y6, 192(DI)
+	VMOVUPS Y7, 224(DI)
+	VMOVUPS Y8, 256(DI)
+	VMOVUPS Y9, 288(DI)
+	VMOVUPS Y10, 320(DI)
+	VMOVUPS Y11, 352(DI)
+done:
+	VZEROUPPER
+	RET
+
+// func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
+TEXT ·cpuid(SB), NOSPLIT, $0-24
+	MOVL eaxArg+0(FP), AX
+	MOVL ecxArg+4(FP), CX
+	CPUID
+	MOVL AX, eax+8(FP)
+	MOVL BX, ebx+12(FP)
+	MOVL CX, ecx+16(FP)
+	MOVL DX, edx+20(FP)
+	RET
+
+// func xgetbv() (eax, edx uint32)
+TEXT ·xgetbv(SB), NOSPLIT, $0-8
+	XORL CX, CX
+	XGETBV
+	MOVL AX, eax+0(FP)
+	MOVL DX, edx+4(FP)
+	RET

@@ -86,7 +86,7 @@ func TestUnrolledS3BitIdenticalToLooped(t *testing.T) {
 	buf, tf, wIn := microKernelOperands()
 	for _, vwEff := range []int{12, 7, 1} {
 		var looped, unrolled accFile8
-		kernel12x8(&looped, buf, tf, 32, 3, 3, 1, vwEff, wIn)
+		kernel12x8(&looped, buf, tf, 32*3, 3, 1, vwEff, wIn)
 		kernel12x8S3(&unrolled, buf, tf, 32, 3, vwEff, wIn)
 		if looped != unrolled {
 			t.Fatalf("vwEff=%d: kernel12x8S3 differs from kernel12x8", vwEff)
@@ -101,22 +101,27 @@ func BenchmarkMicroKernelBodies(b *testing.B) {
 	buf, tf, wIn := microKernelOperands()
 	flops := float64(2 * tc * r * s * vw * vk)
 
-	b.Run("looped12x8", func(b *testing.B) {
-		var acc accFile8
-		for i := 0; i < b.N; i++ {
-			kernel12x8(&acc, buf, tf, tc, r, s, str, vw, wIn)
-		}
-		b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
-		sinkV = acc[0]
-	})
-	b.Run("unrolledS3", func(b *testing.B) {
-		var acc accFile8
-		for i := 0; i < b.N; i++ {
-			kernel12x8S3(&acc, buf, tf, tc, r, vw, wIn)
-		}
-		b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
-		sinkV = acc[0]
-	})
+	for _, body := range []struct {
+		name string
+		run  func(acc *accFile8)
+	}{
+		{"looped12x8", func(acc *accFile8) { kernel12x8(acc, buf, tf, tc*r, s, str, vw, wIn) }},
+		{"foldedS3s1", func(acc *accFile8) { kernel12x8S3s1(acc, buf, tf, tc*r, vw, wIn) }},
+		{"vector", func(acc *accFile8) { vector12x8(acc, buf, tf, tc*r, s, str, vw, wIn) }},
+		{"unrolledS3", func(acc *accFile8) { kernel12x8S3(acc, buf, tf, tc, r, vw, wIn) }},
+	} {
+		b.Run(body.name, func(b *testing.B) {
+			if body.name == "vector" && !hasVectorBody {
+				b.Skip("no vector body on this host")
+			}
+			var acc accFile8
+			for i := 0; i < b.N; i++ {
+				body.run(&acc)
+			}
+			b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
+			sinkV = acc[0]
+		})
+	}
 	b.Run("generic", func(b *testing.B) {
 		acc := make([]simd.Vec4, vw*vk/4)
 		for i := 0; i < b.N; i++ {

@@ -1,0 +1,206 @@
+package core
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// bodyImpl is one implementation of the V_k=8 main micro-kernel body in
+// kernel12x8's calling convention, written for one (s, str) — or, with
+// s == 0, for any.
+type bodyImpl struct {
+	name   string
+	s, str int
+	run    func(acc *accFile8, buf, tf []float32, rows, s, str, vwEff, pitch int)
+}
+
+func (b bodyImpl) covers(s, str int) bool { return b.s == 0 || (b.s == s && b.str == str) }
+
+// goBody adapts a constant-folded Go family body (kernel_variants.go).
+// They are called here by name, not through the dispatch table: on an
+// AVX2 host the table shadows them with the vector body and this battery
+// is the only thing that runs them.
+func goBody(name string, s, str int, kern specializedKernel) bodyImpl {
+	return bodyImpl{name, s, str, func(acc *accFile8, buf, tf []float32, rows, _, _, vwEff, pitch int) {
+		kern(acc, buf, tf, rows, vwEff, pitch)
+	}}
+}
+
+// bodyImpls is every implementation of the body besides the looped
+// kernel12x8 they are all compared against.
+func bodyImpls() []bodyImpl {
+	impls := []bodyImpl{
+		goBody("go.s3.s1", 3, 1, kernel12x8S3s1),
+		goBody("go.s3.s2", 3, 2, kernel12x8S3s2),
+		goBody("go.s1.s1", 1, 1, kernel12x8S1s1),
+		goBody("go.s1.s2", 1, 2, kernel12x8S1s2),
+		goBody("go.s7.s2", 7, 2, kernel12x8S7s2),
+	}
+	if hasVectorBody {
+		impls = append(impls, bodyImpl{name: "vector", run: vector12x8})
+	}
+	return impls
+}
+
+// bodyOperands builds the smallest operands one body call may touch —
+// buf ends at the last element of the last row's window, so an
+// implementation that reads a column at or past vwEff in the last row
+// trips the slice bound (Go bodies) or the wrapper's extent check.
+func bodyOperands(rng *rand.Rand, rows, s, str, vwEff, pitch int, special bool) (acc accFile8, buf, tf []float32) {
+	buf = make([]float32, (rows-1)*pitch+(vwEff-1)*str+s)
+	tf = make([]float32, rows*s*8)
+	val := func() float32 { return rng.Float32()*4 - 2 }
+	if special {
+		// Denormals, signed zeros and infinities among ordinary values:
+		// the vector body must round, flush and propagate exactly like
+		// the scalar MULSS+ADDSS pair (Inf·0 and Inf−Inf make NaNs).
+		specials := []float32{
+			math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32, 1e-40, -3e-39,
+			0, float32(math.Copysign(0, -1)), float32(math.Inf(1)), float32(math.Inf(-1)),
+			math.MaxFloat32, 1e-20, -1e-20,
+		}
+		val = func() float32 {
+			if rng.Intn(3) == 0 {
+				return specials[rng.Intn(len(specials))]
+			}
+			return rng.Float32()*4 - 2
+		}
+	}
+	for i := range buf {
+		buf[i] = val()
+	}
+	for i := range tf {
+		tf[i] = val()
+	}
+	for i := range acc {
+		for l := range acc[i] {
+			acc[i][l] = val() // non-zero initial accumulators
+		}
+	}
+	return acc, buf, tf
+}
+
+// sameAccBits compares two accumulator files bit for bit, treating every
+// NaN as equal to every other (which operand's payload survives an
+// all-NaN add is the one thing the ISA leaves to operand order).
+func sameAccBits(a, b *accFile8) (int, bool) {
+	for i := range a {
+		for l := range a[i] {
+			x, y := a[i][l], b[i][l]
+			if math.Float32bits(x) != math.Float32bits(y) && !(x != x && y != y) {
+				return i*4 + l, false
+			}
+		}
+	}
+	return 0, true
+}
+
+// checkBodies runs every implementation written for (s, str) on the same
+// operands and requires the looped kernel's accumulator bits — including
+// the untouched columns past vwEff — and untouched operands.
+func checkBodies(t testing.TB, rng *rand.Rand, rows, s, str, vwEff, pitch int, special bool) {
+	t.Helper()
+	acc0, buf, tf := bodyOperands(rng, rows, s, str, vwEff, pitch, special)
+	want := acc0
+	kernel12x8(&want, buf, tf, rows, s, str, vwEff, pitch)
+	for _, impl := range bodyImpls() {
+		if !impl.covers(s, str) {
+			continue
+		}
+		got := acc0
+		impl.run(&got, buf, tf, rows, s, str, vwEff, pitch)
+		if lane, ok := sameAccBits(&got, &want); !ok {
+			t.Fatalf("%s: rows=%d S=%d str=%d vwEff=%d pitch=%d special=%v: lane %d = %x, looped kernel12x8 stores %x",
+				impl.name, rows, s, str, vwEff, pitch, special, lane,
+				math.Float32bits(got[lane/4][lane%4]), math.Float32bits(want[lane/4][lane%4]))
+		}
+	}
+}
+
+// TestBodyEquivalence is the one battery every implementation of the
+// body answers to: vector, each constant-folded Go family body and the
+// looped kernel12x8 store the same accumulator bits for every S, stride,
+// tile width, ragged row count and row pitch, from non-zero accumulators,
+// on ordinary and on denormal / signed-zero / infinite operands.
+func TestBodyEquivalence(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	for _, s := range []int{1, 3, 7} {
+		for _, str := range []int{1, 2} {
+			wIn := (maxVw-1)*str + s
+			for vwEff := 1; vwEff <= maxVw; vwEff++ {
+				// rows = tc·R for ragged channel tiles: a single row, R=3 and
+				// R=7 multiples, a prime; pitch = the packed buffer's wIn and
+				// a separable-style channel plane.
+				for _, rows := range []int{1, 3, 5, 21} {
+					for _, pitch := range []int{wIn, wIn + 37} {
+						for _, special := range []bool{false, true} {
+							checkBodies(t, rng, rows, s, str, vwEff, pitch, special)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestBodyRejectsBadExtents: a body handed a tile width outside 1..12
+// (or no rows) leaves the accumulators alone instead of touching memory.
+func TestBodyRejectsBadExtents(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	acc0, buf, tf := bodyOperands(rng, 3, 3, 1, 12, 14, false)
+	for _, impl := range bodyImpls() {
+		if !impl.covers(3, 1) {
+			continue
+		}
+		for _, bad := range []struct{ rows, vwEff int }{{3, 0}, {3, -1}, {3, 13}, {0, 12}} {
+			got := acc0
+			impl.run(&got, buf, tf, bad.rows, 3, 1, bad.vwEff, 14)
+			if got != acc0 {
+				t.Fatalf("%s: rows=%d vwEff=%d modified the accumulators", impl.name, bad.rows, bad.vwEff)
+			}
+		}
+	}
+}
+
+// TestVectorBodyProvesExtents: the Go wrapper, not the assembly, is what
+// stands between a short operand and an out-of-bounds read — it must
+// panic before the body runs.
+func TestVectorBodyProvesExtents(t *testing.T) {
+	if !hasVectorBody {
+		t.Skip("no vector body on this host")
+	}
+	rng := rand.New(rand.NewSource(2))
+	_, buf, tf := bodyOperands(rng, 4, 3, 2, 12, 25, false)
+	for name, call := range map[string]func(acc *accFile8){
+		"short buf": func(acc *accFile8) { vector12x8(acc, buf[:len(buf)-1], tf, 4, 3, 2, 12, 25) },
+		"short tf":  func(acc *accFile8) { vector12x8(acc, buf, tf[:len(tf)-1], 4, 3, 2, 12, 25) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s: vector12x8 did not panic", name)
+				}
+			}()
+			var acc accFile8
+			call(&acc)
+		}()
+	}
+}
+
+// FuzzVectorBody drives the same comparison from fuzzed extents and
+// operand seeds. (On a host without the vector body it still checks the
+// Go family bodies against the looped kernel.)
+func FuzzVectorBody(f *testing.F) {
+	f.Add(uint8(2), uint8(0), uint8(11), uint8(8), uint8(0), false, int64(1)) // 3×3 s1, full tile
+	f.Add(uint8(6), uint8(1), uint8(6), uint8(20), uint8(3), true, int64(2))  // 7×7 s2 stem, ragged tile
+	f.Add(uint8(0), uint8(0), uint8(0), uint8(0), uint8(200), true, int64(3)) // 1×1, one column, plane pitch
+	f.Fuzz(func(t *testing.T, sRaw, strRaw, vwRaw, rowsRaw, extraPitch uint8, special bool, seed int64) {
+		s := int(sRaw)%7 + 1
+		str := int(strRaw)%3 + 1
+		vwEff := int(vwRaw)%maxVw + 1
+		rows := int(rowsRaw)%48 + 1
+		pitch := (maxVw-1)*str + s + int(extraPitch)
+		checkBodies(t, rand.New(rand.NewSource(seed)), rows, s, str, vwEff, pitch, special)
+	})
+}

@@ -1,0 +1,13 @@
+//go:build !amd64
+
+package core
+
+// No vector body on this architecture: the kernel families keep their
+// portable Go bodies (kernel_variants.go).
+const hasVectorBody = false
+
+// vector12x8 is never bound when hasVectorBody is false; it exists so
+// the binder in dispatch.go compiles everywhere.
+func vector12x8(acc *accFile8, buf, tf []float32, rows, s, str, vwEff, pitch int) {
+	kernel12x8(acc, buf, tf, rows, s, str, vwEff, pitch)
+}

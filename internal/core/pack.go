@@ -10,7 +10,7 @@ package core
 //
 // With overlapped packing (the §5.3 optimisation), the first L7
 // iteration interleaves the buffer stores with the FMA stream of the
-// first V_k block (see packComputeNCHW in kernel.go); SequentialPack
+// first V_k block (Plan.packCompute in kernel.go); SequentialPack
 // mode calls these routines stand-alone first, which is the behaviour
 // Figure 5 ablates.
 

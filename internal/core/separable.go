@@ -10,7 +10,6 @@ import (
 	"ndirect/internal/conv"
 	"ndirect/internal/faultinject"
 	"ndirect/internal/parallel"
-	"ndirect/internal/simd"
 	"ndirect/internal/tensor"
 )
 
@@ -28,8 +27,8 @@ import (
 // Bit-exactness: the fused pointwise stage reproduces the standard
 // plan's per-element float32 operation sequence exactly — the same
 // channel-tile partition (the pointwise plan's CT.Tc), the same
-// register accumulation within a tile (sepKernel12x8S1 mirrors
-// kernel12x8R1S1s1's FMA chain), the same spill-and-add between tiles
+// register accumulation within a tile (the pointwise plan's own body,
+// reading the intermediate in place), the same spill-and-add between tiles
 // and the same store-side epilogue (Plan.store/storeLane, called
 // directly) — so TrySeparableConv2D is bit-identical to
 // TryDepthwiseConv2D + TryPointwiseConv2DShape with matching options.
@@ -408,12 +407,15 @@ func (p *SeparablePlan) cell(in, dwf, pre, out []float32, cell int, ws *sepScrat
 	p.pwStage(pre, out, n, h0, h1, ws)
 }
 
-// pwStage runs the fused pointwise micro-kernel over the row tile just
-// produced in ws.mid. Loop order ct → kb → oh → qt with the pointwise
-// plan's own Tc: per output element the channel-tile sequence, the
-// in-tile FMA chain, the between-tile spill-and-add and the final
-// epilogue are exactly the standard plan's — the bit-identity
-// contract. pre is the [⌈K/8⌉][C][8] packed pointwise filter.
+// pwStage runs the pointwise plan's micro-kernel body (Plan.body,
+// resolved per cell like the depthwise stage's) over the row tile just
+// produced in ws.mid, in place: channel cv's row is ws.mid[cv*chStride:],
+// so the body's row pitch is one channel plane instead of a packed
+// buffer's wIn. Loop order ct → kb → oh → qt with the pointwise plan's
+// own Tc: per output element the channel-tile sequence, the in-tile FMA
+// chain, the between-tile spill-and-add and the final epilogue are
+// exactly the standard plan's — the bit-identity contract. pre is the
+// [⌈K/8⌉][C][8] packed pointwise filter.
 func (p *SeparablePlan) pwStage(pre, out []float32, n, h0, h1 int, ws *sepScratch) {
 	pw := p.pwPlan
 	C, K, q := p.pw.C, p.pw.K, p.pw.Q()
@@ -421,6 +423,7 @@ func (p *SeparablePlan) pwStage(pre, out []float32, n, h0, h1 int, ws *sepScratc
 	kvBlocks := (K + 7) / 8
 	chStride := p.rowTile * q
 	acc := &ws.acc
+	kern := pw.body()
 	for ct := 0; ct < C; ct += tc {
 		tcEff := min(tc, C-ct)
 		firstC := ct == 0
@@ -432,38 +435,10 @@ func (p *SeparablePlan) pwStage(pre, out []float32, n, h0, h1 int, ws *sepScratc
 				for qt0 := 0; qt0 < q; qt0 += maxVw {
 					vwEff := min(maxVw, q-qt0)
 					*acc = accFile8{}
-					sepKernel12x8S1(acc, ws.mid[rowBase+qt0:], tfBlock, tcEff, vwEff, chStride)
+					kern(acc, ws.mid[rowBase+qt0:], tfBlock, tcEff, vwEff, chStride)
 					pw.store(acc[:], out, true, n, kb*8, K, oh, qt0, vwEff, firstC, lastC)
 				}
 			}
-		}
-	}
-}
-
-// sepKernel12x8S1 is kernel12x8R1S1s1 reading the intermediate in place:
-// channel cv's row lives at mid[cv*chStride:] instead of a packed
-// [tc][wIn] buffer. The FMA chain per output element is identical —
-// cv ascending, one f0/f1 FMAScalar pair per element — so the
-// accumulator bits match the packed kernel exactly.
-func sepKernel12x8S1(acc *accFile8, mid, tf []float32, tc, vwEff, chStride int) {
-	if vwEff <= 0 || vwEff > maxVw {
-		return
-	}
-	a := acc[:2*vwEff]
-	for cv := 0; cv < tc; cv++ {
-		row := mid[cv*chStride:]
-		fs := tf[cv*8 : cv*8+8]
-		f0 := simd.Load(fs)
-		f1 := simd.Load(fs[4:])
-		rw := row
-		for i := 1; i < len(a); i += 2 {
-			if len(rw) < 1 {
-				break
-			}
-			v := rw[0]
-			a[i-1] = a[i-1].FMAScalar(f0, v)
-			a[i] = a[i].FMAScalar(f1, v)
-			rw = rw[1:]
 		}
 	}
 }

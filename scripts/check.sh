@@ -12,11 +12,24 @@ go build ./...
 echo "==> go vet ./..."
 go vet ./...
 
+# The vector micro-kernel body is amd64 assembly; every other
+# architecture compiles the stub (internal/core/kernel_other.go) and
+# keeps the portable Go bodies. Prove both a 64-bit and a 32-bit one
+# build and vet clean.
+for arch in arm64 386; do
+    echo "==> GOARCH=$arch go build ./... && go vet ./..."
+    GOARCH=$arch go build ./...
+    GOARCH=$arch go vet ./...
+done
+
 echo "==> go test -race ./..."
 go test -race ./...
 
 echo "==> fuzz smoke: FuzzTryConv2D (10s)"
 go test -run='^$' -fuzz=FuzzTryConv2D -fuzztime=10s ./internal/core
+
+echo "==> fuzz smoke: FuzzVectorBody (10s, every micro-kernel body vs the looped kernel)"
+go test -run='^$' -fuzz=FuzzVectorBody -fuzztime=10s ./internal/core
 
 echo "==> ndserve selftest (multi-tenant HTTP lifecycle + batching burst)"
 go run ./cmd/ndserve -selftest
