@@ -125,6 +125,9 @@ func (p *Plan) execBatch(ctx context.Context, ins []*tensor.Tensor, filter *tens
 	if err := p.validateBatch(ins, filter, outs, nchw); err != nil {
 		return err
 	}
+	if err := p.checkResidual(false); err != nil {
+		return err
+	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -183,7 +186,7 @@ func (p *Plan) execBatch(ctx context.Context, ins []*tensor.Tensor, filter *tens
 			}
 		}
 	}
-	err := p.run(ctx, nil, filter.Data, pre, nil, imgIn, imgOut, nchw, false)
+	err := p.run(ctx, nil, filter.Data, pre, nil, nil, imgIn, imgOut, nchw, false)
 	if err == nil && injecting {
 		if idx, ok := faultinject.Take(faultinject.NaNPoison); ok {
 			img := imgOut[idx%len(imgOut)]
@@ -219,7 +222,7 @@ func (p *Plan) execBatch(ctx context.Context, ins []*tensor.Tensor, filter *tens
 	for i := range ins {
 		si := s.WithBatch(ins[i].Dims[0])
 		ref := conv.Reference(si, p.refInput(ins[i], nchw), filter)
-		p.applyFallback(ref, outs[i].Data, nchw, false, nil)
+		p.applyFallback(ref, outs[i].Data, nil, nchw, false, nil)
 	}
 	if p.opts.CheckNumerics {
 		for i := range outs {
@@ -251,7 +254,7 @@ func (p *Plan) batchDeadlineFallback(ctx context.Context, ins []*tensor.Tensor, 
 			return origErr
 		}
 		fresh := make([]float32, len(outs[i].Data))
-		p.applyFallback(ref, fresh, nchw, false, nil)
+		p.applyFallback(ref, fresh, nil, nchw, false, nil)
 		outs[i].Data = fresh
 	}
 	if p.opts.CheckNumerics {

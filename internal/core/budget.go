@@ -74,6 +74,9 @@ func (p *Plan) TryExecuteReferenceCtx(ctx context.Context, in, filter *tensor.Te
 	if err := conv.ValidateOutput(p.Shape, out); err != nil {
 		return err
 	}
+	if err := p.checkResidual(false); err != nil {
+		return err
+	}
 	if ctx == nil {
 		ctx = context.Background()
 	}

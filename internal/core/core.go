@@ -30,32 +30,41 @@ import (
 // EpilogueParams is the fused epilogue applied when the last
 // input-channel tile is stored: per-channel bias, per-channel affine
 // (the inference form of batch normalisation, y = x·Scale[k] +
-// Shift[k]) and ReLU, applied in exactly that order while the
-// accumulator tile is still in registers — the operator fusion of §8.3
-// extended to the Conv→BN→ReLU chains real networks serve. The order
-// and the per-element float32 expressions match the separate addBias →
-// applyBN → applyReLU passes, so fused output is bit-identical to the
-// unfused path. Each non-nil slice must have length K; Scale and Shift
-// must be both nil or both set. The slices are captured by the plan,
-// not copied — callers must not mutate them while the plan is alive
-// (the plan-cache key hashes their contents, so mutation would also
-// corrupt cache identity).
+// Shift[k]), a residual operand added element for element, and ReLU,
+// applied in exactly that order while the accumulator tile is still in
+// registers — the operator fusion of §8.3 extended to the
+// Conv→BN→(+identity)→ReLU chains real networks serve. The order and
+// the per-element float32 expressions match the separate addBias →
+// applyBN → residual add → applyReLU passes, so fused output is
+// bit-identical to the unfused path. Each non-nil slice must have
+// length K; Scale and Shift must be both nil or both set. The slices
+// are captured by the plan, not copied — callers must not mutate them
+// while the plan is alive (the plan-cache key hashes their contents, so
+// mutation would also corrupt cache identity).
+//
+// Residual says the store reads a second operand of the output's shape
+// and layout. The operand is per execution, so a plan built with it
+// executes only through Plan.TryExecuteResidualCtx, and that entry point
+// accepts no other plan; either mismatch is an ErrBadOptions. Only
+// standard plans take it (depthwise and separable plans reject it).
 type EpilogueParams struct {
-	Bias  []float32
-	Scale []float32
-	Shift []float32
-	ReLU  bool
+	Bias     []float32
+	Scale    []float32
+	Shift    []float32
+	Residual bool
+	ReLU     bool
 }
 
 // epilogue is the plan-normalised epilogue the store/fallback paths
 // consult: EpilogueParams lowers to it at plan construction, so the hot
 // store loop tests plain fields and a nil pointer costs one flag.
 type epilogue struct {
-	bias  []float32 // nil = no bias
-	scale []float32 // nil = no affine; shift is paired
-	shift []float32
-	relu  bool
-	none  bool // fast path: store raw accumulators
+	bias     []float32 // nil = no bias
+	scale    []float32 // nil = no affine; shift is paired
+	shift    []float32
+	residual bool // the execution carries a residual operand
+	relu     bool
+	none     bool // fast path: store raw accumulators
 }
 
 // normalizeEpilogue lowers an epilogue selection (nil = none).
@@ -63,8 +72,8 @@ func normalizeEpilogue(fe *EpilogueParams) epilogue {
 	if fe == nil {
 		return epilogue{none: true}
 	}
-	ep := epilogue{bias: fe.Bias, scale: fe.Scale, shift: fe.Shift, relu: fe.ReLU}
-	ep.none = fe.Bias == nil && fe.Scale == nil && !fe.ReLU
+	ep := epilogue{bias: fe.Bias, scale: fe.Scale, shift: fe.Shift, residual: fe.Residual, relu: fe.ReLU}
+	ep.none = fe.Bias == nil && fe.Scale == nil && !fe.Residual && !fe.ReLU
 	return ep
 }
 
@@ -89,8 +98,8 @@ type Options struct {
 	// (auto-tuning hooks; 0 keeps the analytical value).
 	ForceTc, ForceTk, ForceTh int
 	// FusedEpilogue, when non-nil, selects the fused epilogue (bias +
-	// per-channel affine + ReLU, see EpilogueParams). Nil stores raw
-	// accumulators.
+	// per-channel affine + residual add + ReLU, see EpilogueParams). Nil
+	// stores raw accumulators.
 	FusedEpilogue *EpilogueParams
 	// DepthwiseEpilogue is the depthwise-stage epilogue of a separable
 	// plan (length C; typically the folded depthwise BN + ReLU), applied
@@ -266,7 +275,7 @@ func validateOptions(s conv.Shape, opt Options) error {
 	if opt.DepthwiseEpilogue != nil {
 		return fmt.Errorf("%w: DepthwiseEpilogue only applies to separable plans", ErrBadOptions)
 	}
-	return validateChannelEpilogue(opt.FusedEpilogue, s.K, "fused")
+	return validateChannelEpilogue(opt.FusedEpilogue, s.K, "fused", true)
 }
 
 // TryNewPlan derives an execution plan for the shape: register tile

@@ -6,18 +6,21 @@ package core
 // stride) families, five for the standard 12×8 register file and two
 // for depthwise (dwkernel.go). A standard family's body is the AVX2
 // vector body (kernel_amd64.s) where the host has one and the family's
-// constant-folded Go body (kernel_variants.go) everywhere else; the
-// choice is made once, at init, from what the CPU reports. A plan binds
-// its family once, at construction, from its own loop constants — no
-// registration, no per-shape table — and this file is the only place
-// that decides which body an execution runs: the family's, unless the
+// constant-folded Go body (kernel_variants.go) everywhere else, and its
+// tile store is the AVX2 store epilogue (store_amd64.s) or the portable
+// Go store (store.go); the choice is made once, at init, from what the
+// CPU reports. A plan binds its family once, at construction, from its
+// own loop constants — no registration, no per-shape table — and this
+// file is the only place that decides which body an execution runs: the
+// family's, unless the
 // integrity sentinel has quarantined it (DESIGN.md §12), in which case
 // the bit-identical looped fallback (kernel12x8, depthwisePlaneRange)
-// runs instead. The quarantine flag is read once per execution, so
-// quarantine and restore reach every live plan — cached, memoised or
-// held by a caller — without re-planning. Every body keeps kernel12x8's
-// per-accumulator operation sequence (row ascending, s ascending, one
-// multiply and one add per tap), so either choice stores the same bits.
+// runs instead, with the Go store. The quarantine flag is read once per
+// execution, so quarantine and restore reach every live plan — cached,
+// memoised or held by a caller — without re-planning. Every body keeps
+// kernel12x8's per-accumulator operation sequence (row ascending, s
+// ascending, one multiply and one add per tap) and every store
+// storeTile's per-element one, so either choice stores the same bits.
 
 import (
 	"fmt"
@@ -36,12 +39,24 @@ import (
 // at tf[i*S*8:] (kernel12x8's operand layout).
 type specializedKernel func(acc *accFile8, buf, tf []float32, rows, vwEff, pitch int)
 
+// tileStore is the calling convention of a V_k=8 tile store: the
+// accumulator file goes to dst, which starts at the tile's first element
+// (channel kBase, column qt0) — channel k's row at dst[(k-kBase)*stride:]
+// when nchw, column ow's eight channels at dst[ow*stride:] otherwise.
+// accumulate adds what dst holds first (a later channel tile); ep, nil
+// off the last channel tile, is the fused epilogue, whose residual
+// operand res is laid out like dst. A tileStore takes full K-blocks only:
+// channels kBase..kBase+7 all exist.
+type tileStore func(acc *accFile8, dst, res []float32, ep *epilogue, kBase, stride, vwEff int, nchw, accumulate bool)
+
 // kernelFamily is one body and the (R, S, stride) it serves. Exactly one
-// of kern (standard 12×8) and dwKern (depthwise) is set.
+// of kern (standard 12×8) and dwKern (depthwise) is set; store, nil for
+// the portable Go store, rides with kern.
 type kernelFamily struct {
 	name      string
 	r, s, str int
 	kern      specializedKernel
+	store     tileStore
 	dwKern    depthwiseKernel
 
 	// quarantined is set while the family's probe output diverges from
@@ -68,7 +83,8 @@ var kernelFamilies = []*kernelFamily{
 }
 
 // On a host with the vector body every standard family runs it, bound
-// to the family's (S, stride).
+// to the family's (S, stride), and stores its tiles with the vector
+// store.
 func init() {
 	if !hasVectorBody {
 		return
@@ -76,6 +92,7 @@ func init() {
 	for _, f := range kernelFamilies {
 		if f.kern != nil {
 			f.kern = vectorKernel(f.s, f.str)
+			f.store = vectorStore
 		}
 	}
 }
@@ -136,16 +153,17 @@ func countStandardBinding(f *kernelFamily) {
 // body right now: the one read of the quarantine flag.
 func (f *kernelFamily) live() bool { return f != nil && !f.quarantined.Load() }
 
-// body resolves the V_k=8 micro-kernel for one execution: the bound
-// family's, or the looped kernel12x8 when the plan has no family or the
-// family is quarantined. Every V_k=8 consumer — the k-block loop, the
-// pack-fused first block, the separable pointwise stage — runs what
-// this returned and nothing else.
-func (p *Plan) body() specializedKernel {
+// body resolves the V_k=8 micro-kernel and tile store for one
+// execution: the bound family's, or the looped kernel12x8 and the Go
+// store (nil) when the plan has no family or the family is quarantined.
+// Every V_k=8 consumer — the k-block loop, the pack-fused first block,
+// the separable pointwise stage — runs what this returned and nothing
+// else.
+func (p *Plan) body() (specializedKernel, tileStore) {
 	if p.family.live() {
-		return p.family.kern
+		return p.family.kern, p.family.store
 	}
-	return p.looped
+	return p.looped, nil
 }
 
 // dwBody is body's depthwise twin; the fallback is the
@@ -243,7 +261,7 @@ func RestoreKernelFamily(name string) bool {
 // whatever the live flag says, which is what makes the probe usable as
 // the restore check.
 func (f *kernelFamily) probeCopy() *kernelFamily {
-	return &kernelFamily{name: f.name, r: f.r, s: f.s, str: f.str, kern: f.kern, dwKern: f.dwKern}
+	return &kernelFamily{name: f.name, r: f.r, s: f.s, str: f.str, kern: f.kern, store: f.store, dwKern: f.dwKern}
 }
 
 // familyProbe is one family's golden-probe state — a plan bound to a
@@ -286,7 +304,7 @@ func newStandardProbe(f *kernelFamily) (*familyProbe, error) {
 	return kp, nil
 }
 
-// VerifyKernelFamily runs the named family's constant-folded body over
+// VerifyKernelFamily runs the named family's body and tile store over
 // a golden integer-valued probe shape and compares the output
 // bit-for-bit against the oracle (conv.Reference, or the
 // depthwisePlaneRange loop for a depthwise family). A divergence

@@ -96,7 +96,7 @@ func TryNewDepthwisePlan(s conv.Shape, opt Options) (*DepthwisePlan, error) {
 	if opt.DepthwiseEpilogue != nil {
 		return nil, fmt.Errorf("%w: DepthwiseEpilogue is a separable-plan option; a depthwise plan's epilogue is FusedEpilogue", ErrBadOptions)
 	}
-	if err := validateChannelEpilogue(opt.FusedEpilogue, s.C, "depthwise"); err != nil {
+	if err := validateChannelEpilogue(opt.FusedEpilogue, s.C, "depthwise", false); err != nil {
 		return nil, err
 	}
 
@@ -136,10 +136,15 @@ func TryNewDepthwisePlan(s conv.Shape, opt Options) (*DepthwisePlan, error) {
 }
 
 // validateChannelEpilogue checks an EpilogueParams' slice lengths
-// against the channel count of the stage it fuses into.
-func validateChannelEpilogue(fe *EpilogueParams, ch int, stage string) error {
+// against the channel count of the stage it fuses into, and that a
+// residual operand is asked only of a stage whose executions can carry
+// one (residualOK).
+func validateChannelEpilogue(fe *EpilogueParams, ch int, stage string, residualOK bool) error {
 	if fe == nil {
 		return nil
+	}
+	if fe.Residual && !residualOK {
+		return fmt.Errorf("%w: %s epilogue cannot take a residual operand", ErrBadOptions, stage)
 	}
 	if fe.Bias != nil && len(fe.Bias) != ch {
 		return fmt.Errorf("%w: %s epilogue bias length %d, want %d", ErrBadOptions, stage, len(fe.Bias), ch)

@@ -48,7 +48,7 @@ func (p *Plan) TryExecuteCtx(ctx context.Context, in, filter, out *tensor.Tensor
 	if err := conv.ValidateOutput(p.Shape, out); err != nil {
 		return err
 	}
-	return p.execChecked(ctx, in, filter, nil, out, true, false)
+	return p.execChecked(ctx, in, filter, nil, nil, out, true, false)
 }
 
 // TryExecutePacked runs the plan with a pre-transformed filter (see
@@ -75,7 +75,7 @@ func (p *Plan) TryExecutePackedCtx(ctx context.Context, in *tensor.Tensor, pf *P
 	if err := conv.ValidateOutput(p.Shape, out); err != nil {
 		return err
 	}
-	return p.execChecked(ctx, in, pf.src, pf, out, true, false)
+	return p.execChecked(ctx, in, pf.src, pf, nil, out, true, false)
 }
 
 // TryExecutePackedNHWC is the NHWC-activation form of TryExecutePacked
@@ -97,7 +97,44 @@ func (p *Plan) TryExecutePackedNHWCCtx(ctx context.Context, in *tensor.Tensor, p
 	if err := conv.ValidateTensor("output", out, s.N, s.P(), s.Q(), s.K); err != nil {
 		return err
 	}
-	return p.execChecked(ctx, in, pf.src, pf, out, false, false)
+	return p.execChecked(ctx, in, pf.src, pf, nil, out, false, false)
+}
+
+// TryExecuteResidualCtx runs a plan built with EpilogueParams.Residual
+// on NCHW operands: residual, shaped like out and distinct from it, is
+// added to each output element after the affine step and before ReLU,
+// in the store — conv→BN→(+identity)→ReLU as one pass, bit-identical to
+// the convolution followed by the separate sweeps. With a packed filter
+// pf the weights come from it and filter is ignored (it may be nil);
+// with pf nil the plan transforms filter on the fly. Deadline and fault
+// semantics follow TryExecuteCtx, the reference fallback replaying the
+// residual step. It is the only entry point such a plan executes
+// through, and it takes no other plan: either mismatch returns an error
+// wrapping ErrBadOptions.
+func (p *Plan) TryExecuteResidualCtx(ctx context.Context, in, filter *tensor.Tensor, pf *PackedFilter, residual, out *tensor.Tensor) error {
+	if pf != nil {
+		if err := pf.validateFor(p); err != nil {
+			return err
+		}
+		filter = pf.src
+	}
+	if err := conv.ValidateOperands(p.Shape, in, filter); err != nil {
+		return err
+	}
+	if err := conv.ValidateOutput(p.Shape, out); err != nil {
+		return err
+	}
+	if residual == nil {
+		return fmt.Errorf("%w: TryExecuteResidualCtx needs a residual operand", ErrBadOptions)
+	}
+	s := p.Shape
+	if err := conv.ValidateTensor("residual", residual, s.N, s.K, s.P(), s.Q()); err != nil {
+		return err
+	}
+	if &residual.Data[0] == &out.Data[0] {
+		return fmt.Errorf("%w: the residual operand must not alias the output", ErrBadOptions)
+	}
+	return p.execChecked(ctx, in, filter, pf, residual, out, true, false)
 }
 
 // Execute is the panicking wrapper over TryExecute.
@@ -127,7 +164,7 @@ func (p *Plan) TryExecuteNHWCCtx(ctx context.Context, in, filter, out *tensor.Te
 	if err := conv.ValidateTensor("output", out, s.N, s.P(), s.Q(), s.K); err != nil {
 		return err
 	}
-	return p.execChecked(ctx, in, filter, nil, out, false, false)
+	return p.execChecked(ctx, in, filter, nil, nil, out, false, false)
 }
 
 // ExecuteNHWC is the panicking wrapper over TryExecuteNHWC.
@@ -153,7 +190,7 @@ func (p *Plan) TryExecuteAddCtx(ctx context.Context, in, filter, out *tensor.Ten
 	if err := conv.ValidateOutput(p.Shape, out); err != nil {
 		return err
 	}
-	return p.execChecked(ctx, in, filter, nil, out, true, true)
+	return p.execChecked(ctx, in, filter, nil, nil, out, true, true)
 }
 
 // ExecuteAdd is the panicking wrapper over TryExecuteAdd.
@@ -190,8 +227,17 @@ func scanNonFinite(data []float32) (int, bool) {
 // time, and otherwise the conv.ErrDeadline-wrapped error is returned.
 // When pf is non-nil the workers read the pre-transformed weights
 // instead of running the per-tile filter transform; filter is then
-// pf's source KCRS tensor, which the reference fallback consumes.
-func (p *Plan) execChecked(ctx context.Context, in, filter *tensor.Tensor, pf *PackedFilter, out *tensor.Tensor, nchw, accumulate bool) error {
+// pf's source KCRS tensor, which the reference fallback consumes. res
+// is the residual operand: present exactly when the plan's epilogue has
+// the residual step.
+func (p *Plan) execChecked(ctx context.Context, in, filter *tensor.Tensor, pf *PackedFilter, res, out *tensor.Tensor, nchw, accumulate bool) error {
+	var resData []float32
+	if res != nil {
+		resData = res.Data
+	}
+	if err := p.checkResidual(res != nil); err != nil {
+		return err
+	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -207,7 +253,7 @@ func (p *Plan) execChecked(ctx context.Context, in, filter *tensor.Tensor, pf *P
 		if accumulate {
 			prev = append([]float32(nil), out.Data...)
 		}
-		return p.deadlineFallback(ctx, in, filter, out, nchw, accumulate, prev, deadlineErr(ctx))
+		return p.deadlineFallback(ctx, in, filter, resData, out, nchw, accumulate, prev, deadlineErr(ctx))
 	}
 	injecting := faultinject.Enabled()
 	var prev []float32
@@ -258,7 +304,7 @@ func (p *Plan) execChecked(ctx context.Context, in, filter *tensor.Tensor, pf *P
 			}
 		}
 	}
-	err := p.run(ctx, in.Data, filter.Data, pre, out.Data, nil, nil, nchw, accumulate)
+	err := p.run(ctx, in.Data, filter.Data, pre, resData, out.Data, nil, nil, nchw, accumulate)
 	if err == nil && injecting {
 		if idx, ok := faultinject.Take(faultinject.NaNPoison); ok && len(out.Data) > 0 {
 			if idx < 0 || idx >= len(out.Data) {
@@ -292,16 +338,28 @@ func (p *Plan) execChecked(ctx context.Context, in, filter *tensor.Tensor, pf *P
 		if p.opts.FallbackBudget <= 0 {
 			return err
 		}
-		return p.deadlineFallback(ctx, in, filter, out, nchw, accumulate, prev, err)
+		return p.deadlineFallback(ctx, in, filter, resData, out, nchw, accumulate, prev, err)
 	}
 	Logf("core: optimised path faulted on %v; recomputing on reference path: %v", p.Shape, err)
-	p.fallbackReference(in, filter, out, nchw, accumulate, prev)
+	p.fallbackReference(in, filter, resData, out, nchw, accumulate, prev)
 	if p.opts.CheckNumerics {
 		// The reference path cannot repair non-finite inputs or genuine
 		// overflow: surface them instead of returning a poisoned tensor.
 		if i, bad := scanNonFinite(out.Data); bad {
 			return fmt.Errorf("%w: non-finite output at element %d after reference fallback", ErrExecFault, i)
 		}
+	}
+	return nil
+}
+
+// checkResidual matches an execution against the plan's residual step:
+// the operand comes with exactly the executions of a plan built for it.
+func (p *Plan) checkResidual(have bool) error {
+	switch {
+	case p.ep.residual && !have:
+		return fmt.Errorf("%w: plan has a residual epilogue: execute it through TryExecuteResidualCtx", ErrBadOptions)
+	case have && !p.ep.residual:
+		return fmt.Errorf("%w: residual operand given to a plan built without EpilogueParams.Residual", ErrBadOptions)
 	}
 	return nil
 }
@@ -313,12 +371,12 @@ func (p *Plan) execChecked(ctx context.Context, in, filter *tensor.Tensor, pf *P
 // recompute publishes through a fresh backing array (see
 // fallbackReferenceCtx): the abandoned grid may still write the old
 // one.
-func (p *Plan) deadlineFallback(ctx context.Context, in, filter, out *tensor.Tensor, nchw, accumulate bool, prev []float32, origErr error) error {
+func (p *Plan) deadlineFallback(ctx context.Context, in, filter *tensor.Tensor, res []float32, out *tensor.Tensor, nchw, accumulate bool, prev []float32, origErr error) error {
 	fctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), p.opts.FallbackBudget)
 	defer cancel()
 	Logf("core: optimised path abandoned on %v; recomputing on reference path within %v: %v",
 		p.Shape, p.opts.FallbackBudget, origErr)
-	if ferr := p.fallbackReferenceCtx(fctx, in, filter, out, nchw, accumulate, prev); ferr != nil {
+	if ferr := p.fallbackReferenceCtx(fctx, in, filter, res, out, nchw, accumulate, prev); ferr != nil {
 		return origErr
 	}
 	if p.opts.CheckNumerics {
@@ -336,9 +394,9 @@ func (p *Plan) deadlineFallback(ctx context.Context, in, filter, out *tensor.Ten
 // optimised run would have stored. It writes out.Data in place, which
 // is safe only because the fault path joins every worker before the
 // fallback runs.
-func (p *Plan) fallbackReference(in, filter, out *tensor.Tensor, nchw, accumulate bool, prev []float32) {
+func (p *Plan) fallbackReference(in, filter *tensor.Tensor, res []float32, out *tensor.Tensor, nchw, accumulate bool, prev []float32) {
 	ref := conv.Reference(p.Shape, p.refInput(in, nchw), filter)
-	p.applyFallback(ref, out.Data, nchw, accumulate, prev)
+	p.applyFallback(ref, out.Data, res, nchw, accumulate, prev)
 }
 
 // fallbackReferenceCtx is fallbackReference bounded by ctx: the
@@ -349,13 +407,13 @@ func (p *Plan) fallbackReference(in, filter, out *tensor.Tensor, nchw, accumulat
 // still store tiles into the array it captured — so the result is
 // computed into a fresh allocation swapped into out.Data, leaving the
 // old array to the stragglers and never reading it again.
-func (p *Plan) fallbackReferenceCtx(ctx context.Context, in, filter, out *tensor.Tensor, nchw, accumulate bool, prev []float32) error {
+func (p *Plan) fallbackReferenceCtx(ctx context.Context, in, filter *tensor.Tensor, res []float32, out *tensor.Tensor, nchw, accumulate bool, prev []float32) error {
 	ref, err := conv.ReferenceCtx(ctx, p.Shape, p.refInput(in, nchw), filter)
 	if err != nil {
 		return err
 	}
 	fresh := make([]float32, len(out.Data))
-	p.applyFallback(ref, fresh, nchw, accumulate, prev)
+	p.applyFallback(ref, fresh, res, nchw, accumulate, prev)
 	out.Data = fresh
 	return nil
 }
@@ -370,8 +428,8 @@ func (p *Plan) refInput(in *tensor.Tensor, nchw bool) *tensor.Tensor {
 
 // applyFallback stores the oracle's NKPQ result into dst, replaying
 // accumulation and the plan's fused epilogue (same per-element order
-// as storeLane: bias, affine, ReLU).
-func (p *Plan) applyFallback(ref *tensor.Tensor, dst []float32, nchw, accumulate bool, prev []float32) {
+// as storeLane: bias, affine, residual, ReLU; res is laid out like dst).
+func (p *Plan) applyFallback(ref *tensor.Tensor, dst, res []float32, nchw, accumulate bool, prev []float32) {
 	s := p.Shape
 	if !nchw {
 		ref = tensor.NCHWToNHWC(ref) // NKPQ -> NPQK, the NHWC output layout
@@ -394,6 +452,9 @@ func (p *Plan) applyFallback(ref *tensor.Tensor, dst []float32, nchw, accumulate
 			}
 			if p.ep.scale != nil {
 				v = v*p.ep.scale[k] + p.ep.shift[k]
+			}
+			if p.ep.residual {
+				v += res[i]
 			}
 			if p.ep.relu && v < 0 {
 				v = 0
@@ -475,9 +536,10 @@ type runTask struct {
 type planRun struct {
 	p                *Plan
 	in, filter, pre  []float32
-	out              []float32
+	out, res         []float32 // res: the residual operand, laid out like out; nil for none
 	nchw, accumulate bool
-	kern             specializedKernel // this execution's V_k=8 body (Plan.body)
+	kern             specializedKernel // this execution's V_k=8 body and
+	vst              tileStore         // tile store (Plan.body)
 
 	// Batched execution (TryExecuteBatch*): per-image operand slices,
 	// one entry per image of the plan's batch dimension. When non-nil
@@ -531,8 +593,8 @@ func (p *Plan) newRun() *planRun {
 							// must catch it and quarantine this run state.
 							t.ws.bufFull[len(t.ws.buf)] = 1
 						}
-						p.worker(r.in, r.filter, r.pre, r.out, r.imgIn, r.imgOut, r.nchw, r.accumulate,
-							t.kLo, t.kHi, t.nr, t.hr, t.wr, t.ws, &r.fs, r.kern)
+						p.worker(r.in, r.filter, r.pre, r.out, r.res, r.imgIn, r.imgOut, r.nchw, r.accumulate,
+							t.kLo, t.kHi, t.nr, t.hr, t.wr, t.ws, &r.fs, r.kern, r.vst)
 					}
 					t.fn = func() { r.fs.Record(parallel.Protect(t.body)) }
 					r.tasks = append(r.tasks, t)
@@ -585,7 +647,7 @@ func (p *Plan) releaseRun(r *planRun) {
 		}
 		p.statsMu.Unlock()
 	}
-	r.in, r.filter, r.pre, r.out = nil, nil, nil, nil
+	r.in, r.filter, r.pre, r.out, r.res = nil, nil, nil, nil, nil
 	r.imgIn, r.imgOut = nil, nil
 	if r.scratchTripped() >= 0 {
 		// A guard word past a worker's scratch was overwritten: the run
@@ -636,16 +698,16 @@ func (r *planRun) scratchTripped() int {
 // holds the whole-filter pre-transformed weights
 // ([⌈K/Vk⌉][C][R][S][Vk]); workers then skip the per-tile transform
 // entirely.
-func (p *Plan) run(ctx context.Context, in, filter, pre, out []float32, imgIn, imgOut [][]float32, nchw, accumulate bool) error {
+func (p *Plan) run(ctx context.Context, in, filter, pre, res, out []float32, imgIn, imgOut [][]float32, nchw, accumulate bool) error {
 	r := p.getRun()
 	if len(r.tasks) == 0 {
 		p.releaseRun(r)
 		return nil
 	}
-	r.in, r.filter, r.pre, r.out = in, filter, pre, out
+	r.in, r.filter, r.pre, r.out, r.res = in, filter, pre, out, res
 	r.imgIn, r.imgOut = imgIn, imgOut
 	r.nchw, r.accumulate = nchw, accumulate
-	r.kern = p.body()
+	r.kern, r.vst = p.body()
 	r.fs.Reset()
 	r.seq = p.runSeq.Add(1)
 	if p.opts.CollectStats {
@@ -716,8 +778,8 @@ func (p *Plan) run(ctx context.Context, in, filter, pre, out []float32, imgIn, i
 // caller's input and writes each caller's output buffer directly (no
 // gather or scatter copies). Only the L1 loop changes; tile order,
 // accumulation order and hence bit patterns are untouched.
-func (p *Plan) worker(in, filter, pre, out []float32, imgIn, imgOut [][]float32, nchw, accumulate bool,
-	kLo, kHi int, nr, hr, wr parallel.Range, ws *workerScratch, fs *parallel.FaultSink, kern specializedKernel) {
+func (p *Plan) worker(in, filter, pre, out, res []float32, imgIn, imgOut [][]float32, nchw, accumulate bool,
+	kLo, kHi int, nr, hr, wr parallel.Range, ws *workerScratch, fs *parallel.FaultSink, kern specializedKernel, vst tileStore) {
 	s := p.Shape
 	vw, vk := p.RT.Vw, p.RT.Vk
 	tc, tk, th := p.CT.Tc, p.CT.Tk, p.CT.Th
@@ -798,7 +860,7 @@ func (p *Plan) worker(in, filter, pre, out []float32, imgIn, imgOut [][]float32,
 									}
 									addTime(ws, &ws.stats.KernelSec, t0)
 									t0 = now(ws)
-									p.store(acc[:], outD, nchw, nEff, kt+kb*vk, kHi, oh, qt0, vwEff, firstC, lastC)
+									p.store(vst, acc, outD, res, nchw, nEff, kt+kb*vk, kHi, oh, qt0, vwEff, firstC, lastC)
 									addTime(ws, &ws.stats.StoreSec, t0)
 								} else {
 									clear(ws.accG)
@@ -815,7 +877,7 @@ func (p *Plan) worker(in, filter, pre, out []float32, imgIn, imgOut [][]float32,
 									kernelGeneric(ws.accG, ws.buf, tfBlock, tcEff, s.R, s.S, s.Str, vwEff, wIn, vk)
 									addTime(ws, &ws.stats.KernelSec, t0)
 									t0 = now(ws)
-									p.storeGeneric(ws.accG, outD, nchw, nEff, kt+kb*vk, kHi, oh, qt0, vwEff, firstC, lastC)
+									p.storeGeneric(ws.accG, outD, res, nchw, nEff, kt+kb*vk, kHi, oh, qt0, vwEff, firstC, lastC)
 									addTime(ws, &ws.stats.StoreSec, t0)
 								}
 							}
@@ -824,97 +886,6 @@ func (p *Plan) worker(in, filter, pre, out []float32, imgIn, imgOut [][]float32,
 				}
 			}
 		}
-	}
-}
-
-// store writes the V_k=8 accumulator file into the output tensor,
-// handling first-tile assignment vs accumulation, ragged K edges and
-// the fused epilogue on the final channel tile.
-func (p *Plan) store(acc []simd.Vec4, out []float32, nchw bool,
-	n, kBase, kHi, oh, qt0, vwEff int, firstC, lastC bool) {
-	s := p.Shape
-	pp, q := s.P(), s.Q()
-	kEnd := kBase + 8
-	if kEnd > kHi {
-		kEnd = kHi
-	}
-	for k := kBase; k < kEnd; k++ {
-		j, lane := (k-kBase)/simd.Width, (k-kBase)%simd.Width
-		var row []float32
-		var stride int
-		if nchw {
-			row = out[((n*s.K+k)*pp+oh)*q+qt0:]
-			stride = 1
-		} else {
-			row = out[((n*pp+oh)*q+qt0)*s.K+k:]
-			stride = s.K
-		}
-		p.storeLane(row, stride, acc, 2, j, lane, vwEff, k, firstC, lastC)
-	}
-}
-
-// storeGeneric is the arbitrary-V_k variant of store.
-func (p *Plan) storeGeneric(acc []simd.Vec4, out []float32, nchw bool,
-	n, kBase, kHi, oh, qt0, vwEff int, firstC, lastC bool) {
-	s := p.Shape
-	pp, q := s.P(), s.Q()
-	jn := p.RT.Vk / simd.Width
-	kEnd := kBase + p.RT.Vk
-	if kEnd > kHi {
-		kEnd = kHi
-	}
-	for k := kBase; k < kEnd; k++ {
-		j, lane := (k-kBase)/simd.Width, (k-kBase)%simd.Width
-		var row []float32
-		var stride int
-		if nchw {
-			row = out[((n*s.K+k)*pp+oh)*q+qt0:]
-			stride = 1
-		} else {
-			row = out[((n*pp+oh)*q+qt0)*s.K+k:]
-			stride = s.K
-		}
-		p.storeLane(row, stride, acc, jn, j, lane, vwEff, k, firstC, lastC)
-	}
-}
-
-// storeLane writes one output channel's row of the register tile.
-// acc is indexed acc[ow*jn + j][lane]. On the final channel tile the
-// plan's fused epilogue is applied per element in the fixed order
-// bias → affine → ReLU, the exact per-element float32 expressions of
-// the separate addBias/applyBN/applyReLU passes (each step gated on
-// its own flag, never a degenerate scale-by-one or add-zero, so
-// untouched values — including negative zeros — pass through
-// bit-identically).
-func (p *Plan) storeLane(row []float32, stride int, acc []simd.Vec4, jn, j, lane, vwEff, k int, firstC, lastC bool) {
-	var bias, scale, shift float32
-	hasBias, hasAffine, relu := false, false, false
-	if lastC && !p.ep.none {
-		if p.ep.bias != nil {
-			bias, hasBias = p.ep.bias[k], true
-		}
-		if p.ep.scale != nil {
-			scale, shift, hasAffine = p.ep.scale[k], p.ep.shift[k], true
-		}
-		relu = p.ep.relu
-	}
-	x := 0
-	for ow := 0; ow < vwEff; ow++ {
-		v := acc[ow*jn+j][lane]
-		if !firstC {
-			v += row[x]
-		}
-		if hasBias {
-			v += bias
-		}
-		if hasAffine {
-			v = v*scale + shift
-		}
-		if relu && v < 0 {
-			v = 0
-		}
-		row[x] = v
-		x += stride
 	}
 }
 

@@ -268,23 +268,30 @@ func TestKernelFamilyQuarantineCycle(t *testing.T) {
 	}
 }
 
-// bodyMeter is a counting double for one family's body: calls and the
-// (cv, r) rows they covered.
-type bodyMeter struct{ calls, rows int }
+// bodyMeter is a counting double for one family's body and tile store:
+// body calls, the (cv, r) rows they covered, and vector-store calls.
+type bodyMeter struct{ calls, rows, stores int }
 
-// meterFamily swaps the named family's body for a double that counts
-// into the returned meter and then runs the real body; the swap is
-// undone when the test ends. Metered plans must run single-threaded.
+// meterFamily swaps the named family's body (and vector store, where the
+// host binds one) for doubles that count into the returned meter and
+// then run the real routine; the swap is undone when the test ends.
+// Metered plans must run single-threaded.
 func meterFamily(t *testing.T, name string) *bodyMeter {
 	t.Helper()
 	f := familyByName(name)
-	body, m := f.kern, &bodyMeter{}
+	body, store, m := f.kern, f.store, &bodyMeter{}
 	f.kern = func(acc *accFile8, buf, tf []float32, rows, vwEff, pitch int) {
 		m.calls++
 		m.rows += rows
 		body(acc, buf, tf, rows, vwEff, pitch)
 	}
-	t.Cleanup(func() { f.kern = body })
+	if store != nil {
+		f.store = func(acc *accFile8, dst, res []float32, ep *epilogue, kBase, stride, vwEff int, nchw, accumulate bool) {
+			m.stores++
+			store(acc, dst, res, ep, kBase, stride, vwEff, nchw, accumulate)
+		}
+	}
+	t.Cleanup(func() { f.kern, f.store = body, store })
 	return m
 }
 
@@ -294,7 +301,8 @@ func meterFamily(t *testing.T, name string) *bodyMeter {
 // batched execution's scatter grid and the separable pointwise stage —
 // runs the family body for every (tile, k-block) while the family is
 // live and for none while it is quarantined, storing the same bits
-// either way. The shapes are unpadded, so no row is out of image and the
+// either way. The vector store rides with the body: one call per (tile,
+// k-block) while live (K=16: both blocks are full), none quarantined. The shapes are unpadded, so no row is out of image and the
 // body sees all C·R rows of every (tile, k-block).
 func TestQuarantinedBodyNeverRunsOnAnyConsumer(t *testing.T) {
 	s := conv.Shape{N: 1, C: 8, H: 12, W: 12, K: 16, R: 3, S: 3, Str: 1, Pad: 0}
@@ -397,11 +405,15 @@ func TestQuarantinedBodyNeverRunsOnAnyConsumer(t *testing.T) {
 			t.Fatalf("%s, family live: body ran %d rows in %d calls, want %d rows over %d (tile, k-block) pairs",
 				c.name, live.rows, live.calls, wantRows, c.tiles*kvBlocks)
 		}
+		if hasVectorBody && live.stores != c.tiles*kvBlocks {
+			t.Fatalf("%s, family live: %d vector stores, want one per (tile, k-block) = %d", c.name, live.stores, c.tiles*kvBlocks)
+		}
 		QuarantineKernelFamily(c.family)
 		quarantined := run()
 		RestoreKernelFamily(c.family)
 		if quarantined != (bodyMeter{}) {
-			t.Fatalf("%s, family quarantined: body ran %d rows in %d calls, want none", c.name, quarantined.rows, quarantined.calls)
+			t.Fatalf("%s, family quarantined: body ran %d rows in %d calls with %d vector stores, want none",
+				c.name, quarantined.rows, quarantined.calls, quarantined.stores)
 		}
 		if restored := run(); restored != live {
 			t.Fatalf("%s, family restored: body ran %+v, want %+v", c.name, restored, live)

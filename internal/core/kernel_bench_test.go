@@ -133,3 +133,54 @@ func BenchmarkMicroKernelBodies(b *testing.B) {
 }
 
 var sinkV simd.Vec4
+
+// Direct tile-store A/B: one full 12×8 tile per iteration, the Go store
+// against the vector store, both layouts, raw (a first channel tile) and
+// with the whole epilogue on a later one (accumulate, bias, affine,
+// residual, ReLU). The output is a 56×56 plane with 64 channels.
+func BenchmarkStoreTile(b *testing.B) {
+	const pq, k = 56 * 56, 64
+	out, res := make([]float32, k*pq), make([]float32, k*pq)
+	full := &epilogue{bias: make([]float32, k), scale: make([]float32, k), shift: make([]float32, k), residual: true, relu: true}
+	for i := range res {
+		res[i] = float32(i%11) - 5
+	}
+	for i := 0; i < k; i++ {
+		full.bias[i], full.scale[i], full.shift[i] = float32(i%3), 1+float32(i%5)/8, -float32(i%7)
+	}
+	var acc accFile8
+	for i := range acc {
+		acc[i] = simd.Vec4{float32(i), -1, 0.5, 2}
+	}
+	for _, layout := range []struct {
+		name   string
+		nchw   bool
+		stride int
+	}{{"NCHW", true, pq}, {"NHWC", false, k}} {
+		for _, form := range []struct {
+			name       string
+			ep         *epilogue
+			accumulate bool
+		}{{"raw", nil, false}, {"epilogue", full, true}} {
+			for _, store := range []struct {
+				name string
+				run  tileStore
+			}{
+				{"go", func(acc *accFile8, dst, res []float32, ep *epilogue, kBase, stride, vwEff int, nchw, accumulate bool) {
+					storeTile(acc[:], 2, dst, res, ep, kBase, kBase+8, stride, vwEff, nchw, accumulate)
+				}},
+				{"vector", vectorStore},
+			} {
+				b.Run(layout.name+"/"+form.name+"/"+store.name, func(b *testing.B) {
+					if store.name == "vector" && !hasVectorBody {
+						b.Skip("no vector store on this host")
+					}
+					for i := 0; i < b.N; i++ {
+						store.run(&acc, out, res, form.ep, 8, layout.stride, maxVw, layout.nchw, form.accumulate)
+					}
+					sinkV[0] = out[0]
+				})
+			}
+		}
+	}
+}

@@ -43,6 +43,28 @@ func bodyImpls() []bodyImpl {
 	return impls
 }
 
+// operandValues draws test operands: ordinary values in [-2, 2), or,
+// with special, a third of them denormals, signed zeros, infinities and
+// the largest finite value (plus any more given) — a vector routine must
+// round, flush and propagate exactly like the scalar MULSS+ADDSS pair
+// (Inf·0 and Inf−Inf make NaNs).
+func operandValues(rng *rand.Rand, special bool, more ...float32) func() float32 {
+	if !special {
+		return func() float32 { return rng.Float32()*4 - 2 }
+	}
+	specials := append([]float32{
+		math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32, 1e-40, -3e-39,
+		0, float32(math.Copysign(0, -1)), float32(math.Inf(1)), float32(math.Inf(-1)),
+		math.MaxFloat32, 1e-20, -1e-20,
+	}, more...)
+	return func() float32 {
+		if rng.Intn(3) == 0 {
+			return specials[rng.Intn(len(specials))]
+		}
+		return rng.Float32()*4 - 2
+	}
+}
+
 // bodyOperands builds the smallest operands one body call may touch —
 // buf ends at the last element of the last row's window, so an
 // implementation that reads a column at or past vwEff in the last row
@@ -50,23 +72,7 @@ func bodyImpls() []bodyImpl {
 func bodyOperands(rng *rand.Rand, rows, s, str, vwEff, pitch int, special bool) (acc accFile8, buf, tf []float32) {
 	buf = make([]float32, (rows-1)*pitch+(vwEff-1)*str+s)
 	tf = make([]float32, rows*s*8)
-	val := func() float32 { return rng.Float32()*4 - 2 }
-	if special {
-		// Denormals, signed zeros and infinities among ordinary values:
-		// the vector body must round, flush and propagate exactly like
-		// the scalar MULSS+ADDSS pair (Inf·0 and Inf−Inf make NaNs).
-		specials := []float32{
-			math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32, 1e-40, -3e-39,
-			0, float32(math.Copysign(0, -1)), float32(math.Inf(1)), float32(math.Inf(-1)),
-			math.MaxFloat32, 1e-20, -1e-20,
-		}
-		val = func() float32 {
-			if rng.Intn(3) == 0 {
-				return specials[rng.Intn(len(specials))]
-			}
-			return rng.Float32()*4 - 2
-		}
-	}
+	val := operandValues(rng, special)
 	for i := range buf {
 		buf[i] = val()
 	}

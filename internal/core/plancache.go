@@ -77,6 +77,7 @@ type planKey struct {
 	fusedBias  string
 	fusedScale string
 	fusedShift string
+	fusedRes   bool
 	fusedReLU  bool
 	collect    bool
 	generic    bool
@@ -122,6 +123,7 @@ func planKeyFor(s conv.Shape, opt Options) planKey {
 		key.fusedBias = floatsKey(fe.Bias)
 		key.fusedScale = floatsKey(fe.Scale)
 		key.fusedShift = floatsKey(fe.Shift)
+		key.fusedRes = fe.Residual
 		key.fusedReLU = fe.ReLU
 	}
 	return key

@@ -268,7 +268,7 @@ func TestPlanCacheKeyDistinguishesBias(t *testing.T) {
 
 // TestPlanCacheKeyDistinguishesEpilogue: option sets differing only in
 // their epilogue configuration — fused vs none, fused params differing
-// in one vector element or the ReLU flag — must never
+// in one vector element, the ReLU flag or the residual step — must never
 // share a cached plan: the epilogue is baked into the plan's store
 // path, so a collision would silently apply the wrong activation.
 func TestPlanCacheKeyDistinguishesEpilogue(t *testing.T) {
@@ -288,6 +288,8 @@ func TestPlanCacheKeyDistinguishesEpilogue(t *testing.T) {
 		{FusedEpilogue: &EpilogueParams{Scale: scale2, Shift: shift}},
 		{FusedEpilogue: &EpilogueParams{Scale: scale1, Shift: shift, ReLU: true}},
 		{FusedEpilogue: &EpilogueParams{}}, // all-nil params ≠ no FusedEpilogue
+		{FusedEpilogue: &EpilogueParams{Residual: true}},
+		{FusedEpilogue: &EpilogueParams{Scale: scale1, Shift: shift, Residual: true, ReLU: true}}, // a block's tail vs its plain twin above
 	}
 	plans := map[*Plan]int{}
 	for i, opt := range opts {

@@ -29,9 +29,9 @@ import (
 // channel-tile partition (the pointwise plan's CT.Tc), the same
 // register accumulation within a tile (the pointwise plan's own body,
 // reading the intermediate in place), the same spill-and-add between tiles
-// and the same store-side epilogue (Plan.store/storeLane, called
-// directly) — so TrySeparableConv2D is bit-identical to
-// TryDepthwiseConv2D + TryPointwiseConv2DShape with matching options.
+// and the same store-side epilogue (Plan.store, called directly) — so
+// TrySeparableConv2D is bit-identical to TryDepthwiseConv2D +
+// TryPointwiseConv2DShape with matching options.
 
 // SeparableShape describes a depthwise-separable block: the depthwise
 // stage's geometry (C input/intermediate channels, R×S filter, stride,
@@ -121,7 +121,10 @@ func TryNewSeparablePlan(shape SeparableShape, opt Options) (*SeparablePlan, err
 	if err := shape.Validate(); err != nil {
 		return nil, err
 	}
-	if err := validateChannelEpilogue(opt.DepthwiseEpilogue, shape.C, "depthwise-stage"); err != nil {
+	if err := validateChannelEpilogue(opt.DepthwiseEpilogue, shape.C, "depthwise-stage", false); err != nil {
+		return nil, err
+	}
+	if err := validateChannelEpilogue(opt.FusedEpilogue, shape.K, "pointwise-stage", false); err != nil {
 		return nil, err
 	}
 	p := &SeparablePlan{
@@ -407,9 +410,10 @@ func (p *SeparablePlan) cell(in, dwf, pre, out []float32, cell int, ws *sepScrat
 	p.pwStage(pre, out, n, h0, h1, ws)
 }
 
-// pwStage runs the pointwise plan's micro-kernel body (Plan.body,
-// resolved per cell like the depthwise stage's) over the row tile just
-// produced in ws.mid, in place: channel cv's row is ws.mid[cv*chStride:],
+// pwStage runs the pointwise plan's micro-kernel body and tile store
+// (Plan.body, resolved per cell like the depthwise stage's) over the row
+// tile just produced in ws.mid, in place: channel cv's row is
+// ws.mid[cv*chStride:],
 // so the body's row pitch is one channel plane instead of a packed
 // buffer's wIn. Loop order ct → kb → oh → qt with the pointwise plan's
 // own Tc: per output element the channel-tile sequence, the in-tile FMA
@@ -423,7 +427,7 @@ func (p *SeparablePlan) pwStage(pre, out []float32, n, h0, h1 int, ws *sepScratc
 	kvBlocks := (K + 7) / 8
 	chStride := p.rowTile * q
 	acc := &ws.acc
-	kern := pw.body()
+	kern, vst := pw.body()
 	for ct := 0; ct < C; ct += tc {
 		tcEff := min(tc, C-ct)
 		firstC := ct == 0
@@ -436,7 +440,7 @@ func (p *SeparablePlan) pwStage(pre, out []float32, n, h0, h1 int, ws *sepScratc
 					vwEff := min(maxVw, q-qt0)
 					*acc = accFile8{}
 					kern(acc, ws.mid[rowBase+qt0:], tfBlock, tcEff, vwEff, chStride)
-					pw.store(acc[:], out, true, n, kb*8, K, oh, qt0, vwEff, firstC, lastC)
+					pw.store(vst, acc, out, nil, true, n, kb*8, K, oh, qt0, vwEff, firstC, lastC)
 				}
 			}
 		}

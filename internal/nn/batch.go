@@ -50,7 +50,7 @@ func (n *Network) TryForwardBatch(eng *Engine, xs []*tensor.Tensor) ([]*tensor.T
 	// the first layer has consumed it (TryForward treats it as the
 	// caller's input and never releases it itself).
 	per := c * h * w
-	stacked := eng.newTensor(total, c, h, w)
+	stacked := eng.newOutput(total, c, h, w) // filled whole by the copies below
 	off := 0
 	for _, x := range xs {
 		copy(stacked.Data[off*per:(off+x.Dims[0])*per], x.Data)

@@ -86,13 +86,11 @@ func (bk *Bottleneck) tryForward(eng *Engine, x *tensor.Tensor) (*tensor.Tensor,
 		return nil, err
 	}
 	eng.release(y1)
-	y3, err := bk.Conv3.tryForward(eng, y2) // no ReLU inside: applied after the add
+	y3, err := residualTail(eng, bk.Conv3, y2, identity)
 	if err != nil {
 		return nil, err
 	}
 	eng.release(y2)
-	addInPlace(y3, identity, eng.Threads)
-	applyReLU(y3, eng.Threads)
 	if identity != x {
 		eng.release(identity) // the projection output dies with the add
 	}
@@ -138,28 +136,35 @@ func (bb *BasicBlock) tryForward(eng *Engine, x *tensor.Tensor) (*tensor.Tensor,
 	if err != nil {
 		return nil, err
 	}
-	y2, err := bb.Conv2.tryForward(eng, y1)
+	y2, err := residualTail(eng, bb.Conv2, y1, identity)
 	if err != nil {
 		return nil, err
 	}
 	eng.release(y1)
-	addInPlace(y2, identity, eng.Threads)
-	applyReLU(y2, eng.Threads)
 	if identity != x {
 		eng.release(identity)
 	}
 	return y2, nil
 }
 
-func addInPlace(dst, src *tensor.Tensor, threads int) {
-	if dst.Len() != src.Len() {
-		panic(fmt.Sprintf("nn: residual shape mismatch %v vs %v", dst.Dims, src.Dims))
+// residualTail closes a residual block: relu(last(x) + identity), where
+// last is the block's final conv unit (no ReLU of its own: it comes
+// after the add). On a Reuse engine with the nDirect backend the add and
+// the ReLU run in last's store, one pass over the output; every other
+// engine runs the unit and then the addReLU sweep — the same bits.
+func residualTail(eng *Engine, last *ConvUnit, x, identity *tensor.Tensor) (*tensor.Tensor, error) {
+	if eng.Reuse && eng.Algo == AlgoNDirect && !eng.ForceReference && !eng.Fuse && !last.ReLU {
+		return last.tryForwardResidual(eng, x, identity)
 	}
-	d, s := dst.Data, src.Data
-	for i := range d {
-		d[i] += s[i]
+	y, err := last.tryForward(eng, x)
+	if err != nil {
+		return nil, err
 	}
-	_ = threads
+	// A fault leaves y half-added: it is dropped, never pooled.
+	if err := addReLU(y, identity, eng.Threads); err != nil {
+		return nil, err
+	}
+	return y, nil
 }
 
 // resNet builds a bottleneck ResNet with the given stage depths
@@ -328,8 +333,12 @@ func (d *DepthwiseSeparable) tryForward(eng *Engine, x *tensor.Tensor) (*tensor.
 	if err != nil {
 		return nil, err
 	}
-	applyBN(y, d.DWBN, eng.Threads)
-	applyReLU(y, eng.Threads)
+	if err := applyBN(y, d.DWBN, eng.Threads); err != nil {
+		return nil, err
+	}
+	if err := applyReLU(y, eng.Threads); err != nil {
+		return nil, err
+	}
 	out, err := d.PW.tryForward(eng, y)
 	if err != nil {
 		return nil, err

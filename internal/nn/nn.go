@@ -94,7 +94,13 @@ type Engine struct {
 	// are drawn from a per-size buffer pool instead of fresh
 	// allocations. Off by default: the measured-mode experiments
 	// deliberately time the overlapped transform (Fig. 5) and are
-	// unchanged. Results are bit-for-bit identical either way.
+	// unchanged. With the nDirect backend the layer tails take the same
+	// route: a residual block's add+ReLU runs in its last convolution's
+	// store and a fully connected layer runs as the 1×1 convolution it is,
+	// through the same plan and packed-weight machinery. Convolution
+	// results are bit-for-bit identical either way; an FC layer sums its
+	// inputs in the convolution's tile order instead of the GEMM's, so a
+	// long one may round differently in the last bits.
 	Reuse bool
 	// Plans optionally supplies the plan cache (shared across engines,
 	// or capacity-tuned). Setting it enables plan caching even without
@@ -178,26 +184,42 @@ func (eng *Engine) plans() *core.PlanCache {
 	return eng.planCache
 }
 
-// newTensor returns a zeroed tensor of the given dims, drawing the
-// backing buffer from the engine's per-size pool when Reuse is on.
-// Pooled buffers are cleared before reuse so a pooled tensor is
-// indistinguishable from a fresh tensor.New — layer outputs stay
-// bit-for-bit identical to the unpooled path.
-func (eng *Engine) newTensor(dims ...int) *tensor.Tensor {
-	if !eng.Reuse {
-		return tensor.New(dims...)
-	}
-	n := 1
-	for _, d := range dims {
-		n *= d
-	}
-	if p, ok := eng.pools.Load(n); ok {
-		if buf, _ := p.(*sync.Pool).Get().([]float32); buf != nil {
-			clear(buf)
-			return tensor.FromSlice(buf, dims...)
+// draw returns a tensor of the given dims: a buffer from the engine's
+// per-size pool when Reuse is on and one is parked (pooled: it still
+// holds a dead tensor's values), a fresh zeroed one otherwise.
+func (eng *Engine) draw(dims ...int) (t *tensor.Tensor, pooled bool) {
+	if eng.Reuse {
+		n := 1
+		for _, d := range dims {
+			n *= d
+		}
+		if p, ok := eng.pools.Load(n); ok {
+			if buf, _ := p.(*sync.Pool).Get().([]float32); buf != nil {
+				return tensor.FromSlice(buf, dims...), true
+			}
 		}
 	}
-	return tensor.New(dims...)
+	return tensor.New(dims...), false
+}
+
+// newTensor returns a zeroed tensor: a pooled buffer is cleared before
+// reuse, so the tensor is indistinguishable from a fresh tensor.New —
+// for a consumer that accumulates into it or may leave elements
+// unwritten.
+func (eng *Engine) newTensor(dims ...int) *tensor.Tensor {
+	t, pooled := eng.draw(dims...)
+	if pooled {
+		clear(t.Data)
+	}
+	return t
+}
+
+// newOutput is newTensor without the clear, for a producer that writes
+// every element of its output on every path, fault and fallback
+// recomputes included (a plan execution, pooling, FC, softmax).
+func (eng *Engine) newOutput(dims ...int) *tensor.Tensor {
+	t, _ := eng.draw(dims...)
+	return t
 }
 
 // release returns a dead intermediate tensor's buffer to the pool.
@@ -418,7 +440,11 @@ func (n *Network) WarmPlans(eng *Engine, covered func(conv.Shape) bool) (warmed 
 	if cache == nil {
 		return 0, fmt.Errorf("nn: WarmPlans needs Reuse or an explicit plan cache")
 	}
-	for _, u := range n.ConvUnits() {
+	units := n.ConvUnits()
+	if eng.Algo == AlgoNDirect {
+		units = append(units, n.fcUnits()...) // the engine runs them as convolutions
+	}
+	for _, u := range units {
 		s := u.Shape.WithBatch(1)
 		if covered != nil && !covered(s) {
 			continue
@@ -465,6 +491,20 @@ func (n *Network) WarmPlans(eng *Engine, covered func(conv.Shape) bool) (warmed 
 	return warmed, nil
 }
 
+// fcUnits returns the network's fully connected layers in their
+// convolution form (FC.asConv; they only occur at the top level of the
+// layer sequence): the units whose reuse state a Reuse+nDirect engine
+// builds besides ConvUnits'.
+func (n *Network) fcUnits() []*ConvUnit {
+	var units []*ConvUnit
+	for _, l := range n.Layers {
+		if f, ok := l.(*FC); ok {
+			units = append(units, f.asConv())
+		}
+	}
+	return units
+}
+
 // sepUnits returns the network's depthwise-separable blocks (they only
 // occur at the top level of the layer sequence).
 func (n *Network) sepUnits() []*DepthwiseSeparable {
@@ -502,6 +542,9 @@ type ConvUnit struct {
 
 	epOnce sync.Once
 	ep     *core.EpilogueParams // bias/BN/ReLU as a fused store epilogue; nil when the unit has none
+
+	resEpOnce sync.Once
+	resEp     *core.EpilogueParams // ep + residual add + ReLU: the unit as a residual block's tail
 
 	// planMemos cache the last plan resolved for the fused-epilogue
 	// route, so the steady-state serving loop skips the plan-cache
@@ -590,6 +633,22 @@ func (c *ConvUnit) fusedEpilogue() *core.EpilogueParams {
 		c.ep = ep
 	})
 	return c.ep
+}
+
+// residualEpilogue is fusedEpilogue with a residual block's tail behind
+// it — the unit's bias/BN, then the shortcut added, then ReLU — for a
+// unit that closes a block and has no ReLU of its own. Built once, like
+// fusedEpilogue, and the plan-memo identity of the block-tail route.
+func (c *ConvUnit) residualEpilogue() *core.EpilogueParams {
+	c.resEpOnce.Do(func() {
+		ep := core.EpilogueParams{}
+		if own := c.fusedEpilogue(); own != nil {
+			ep = *own
+		}
+		ep.Residual, ep.ReLU = true, true
+		c.resEp = &ep
+	})
+	return c.resEp
 }
 
 // packedFor returns the pre-transformed (⌈K/Vk⌉·C·R·S·Vk blocked) form
@@ -699,12 +758,13 @@ func (c *ConvUnit) invalidateReuse(eng *Engine) {
 }
 
 // InvalidateReuse retires every conv unit's reuse state (packed
-// filters, plan memos) against eng's residency hooks — the unregister
-// / eviction entry point of the serving registry. The network remains
+// filters, plan memos), the fully connected layers' included, against
+// eng's residency hooks — the unregister / eviction entry point of the
+// serving registry. The network remains
 // fully servable afterwards: the next forward re-plans and re-packs,
 // bit-identically.
 func (n *Network) InvalidateReuse(eng *Engine) {
-	for _, u := range n.ConvUnits() {
+	for _, u := range append(n.ConvUnits(), n.fcUnits()...) {
 		u.invalidateReuse(eng)
 	}
 	for _, d := range n.sepUnits() {
@@ -761,6 +821,17 @@ func (c *ConvUnit) tryForward(eng *Engine, x *tensor.Tensor) (*tensor.Tensor, er
 		}
 	}
 	return out, nil
+}
+
+// tryForwardResidual applies the unit as the tail of a residual block on
+// a Reuse+nDirect engine: relu(unit(x) + residual) as one plan execution,
+// the add and the ReLU in the store (residualEpilogue) — bit-identical
+// to tryForward followed by the addReLU sweep. The caller checks the
+// engine takes the route (residualTail).
+func (c *ConvUnit) tryForwardResidual(eng *Engine, x, residual *tensor.Tensor) (*tensor.Tensor, error) {
+	s := c.Shape.WithBatch(x.Dims[0])
+	return c.tryReuse(eng, s, x, c.Weights, residual,
+		core.Options{Threads: eng.Threads, FusedEpilogue: c.residualEpilogue()})
 }
 
 func (c *ConvUnit) tryConvPlain(eng *Engine, s conv.Shape, x *tensor.Tensor) (*tensor.Tensor, error) {
@@ -834,14 +905,13 @@ func (c *ConvUnit) tryBaseline(eng *Engine, s conv.Shape, x, w *tensor.Tensor) (
 // on-the-fly filter transform, recomputing unbounded when the budget
 // expires (wedged goroutines are accounted in parallel.LeakedWorkers;
 // the pass stays bounded by roughly 2× the layer budget). With Reuse
-// on, the plan comes from the cache, the weights from the unit's
-// pre-transformed copy, and the output from the buffer pool.
+// on it is tryReuse.
 func (c *ConvUnit) tryNDirect(eng *Engine, s conv.Shape, x, w *tensor.Tensor, opt core.Options) (*tensor.Tensor, error) {
 	if eng.ForceReference {
 		return c.tryReference(eng, s, x, w, opt)
 	}
-	opt.PlanCache = eng.plans()
 	if !eng.Reuse {
+		opt.PlanCache = eng.plans()
 		ctx, cancel := eng.convCtx()
 		defer cancel()
 		if ctx.Done() == nil {
@@ -854,7 +924,18 @@ func (c *ConvUnit) tryNDirect(eng *Engine, s conv.Shape, x, w *tensor.Tensor, op
 		}
 		return out, nil
 	}
+	return c.tryReuse(eng, s, x, w, nil, opt)
+}
 
+// tryReuse is tryNDirect on a Reuse engine: the plan from the unit's
+// memo or the cache, the weights from the unit's pre-transformed copy,
+// the output from the buffer pool (uncleared: a plan execution writes
+// every element). res, when non-nil, is the residual operand of a plan
+// whose epilogue has the residual step (residualEpilogue). A ConvBudget
+// miss abandons the output to the workers that may still write it and
+// recomputes unbounded into another.
+func (c *ConvUnit) tryReuse(eng *Engine, s conv.Shape, x, w, res *tensor.Tensor, opt core.Options) (*tensor.Tensor, error) {
+	opt.PlanCache = eng.plans()
 	plan, err := c.planFor(s, opt)
 	if err != nil {
 		return nil, err
@@ -863,60 +944,54 @@ func (c *ConvUnit) tryNDirect(eng *Engine, s conv.Shape, x, w *tensor.Tensor, op
 	if err != nil {
 		return nil, err
 	}
-	out := eng.newTensor(s.N, s.K, s.P(), s.Q())
+	out := eng.newOutput(s.N, s.K, s.P(), s.Q())
 	ctx, cancel := eng.convCtx()
 	defer cancel()
-	if pf == nil {
-		// Residency denied (weight budget full): run this call with the
-		// on-the-fly filter transform — bit-identical to the packed path,
-		// nothing retained — instead of failing or thrashing the budget.
-		return c.runUnpacked(eng, s, plan, ctx, x, w, out)
-	}
-	if ctx.Done() == nil {
-		err = plan.TryExecutePacked(x, pf, out)
-		if errors.Is(err, core.ErrWeightsReleased) {
-			// Evicted between fetch and execute: this call runs with the
-			// on-the-fly transform; the next fetch rebuilds the packed
-			// copy (bit-identically) under the fresh budget charge.
-			return c.runUnpacked(eng, s, plan, ctx, x, w, out)
-		}
-		if errors.Is(err, core.ErrIntegrity) {
-			c.recoverIntegrity(eng, pf, err)
-			return c.runUnpacked(eng, s, plan, ctx, x, w, out)
-		}
-		if err != nil {
-			eng.release(out)
-			return nil, err
-		}
-		return out, nil
-	}
-	if err := plan.TryExecutePackedCtx(ctx, x, pf, out); err != nil {
-		if errors.Is(err, core.ErrWeightsReleased) {
-			return c.runUnpacked(eng, s, plan, ctx, x, w, out)
-		}
-		if errors.Is(err, core.ErrIntegrity) {
-			// Integrity failures join the grid before returning, so out
-			// is safe to reuse on the unpacked retry.
-			c.recoverIntegrity(eng, pf, err)
-			return c.runUnpacked(eng, s, plan, ctx, x, w, out)
-		}
+	err = c.execDegrading(eng, ctx, plan, x, w, pf, res, out)
+	if err != nil && ctx.Done() != nil {
 		eng.logLimited("budget|ndirect|"+shapeKey(s), "nn: ndirect backend missed ConvBudget on %v; recomputing unbounded: %v", s, err)
-		// Abandoned workers may still write into out: leak it (never
-		// back to the pool) and recompute into a fresh tensor.
-		out = eng.newTensor(s.N, s.K, s.P(), s.Q())
-		if err := plan.TryExecutePacked(x, pf, out); err != nil {
-			if errors.Is(err, core.ErrWeightsReleased) {
-				return c.runUnpacked(eng, s, plan, ctx, x, w, out)
-			}
-			if errors.Is(err, core.ErrIntegrity) {
-				c.recoverIntegrity(eng, pf, err)
-				return c.runUnpacked(eng, s, plan, ctx, x, w, out)
-			}
-			eng.release(out)
-			return nil, err
-		}
+		out = eng.newOutput(s.N, s.K, s.P(), s.Q())
+		err = c.execDegrading(eng, context.Background(), plan, x, w, pf, res, out)
+	}
+	if err != nil {
+		eng.release(out) // an unbounded execution joined its grid: nobody writes out any more
+		return nil, err
 	}
 	return out, nil
+}
+
+// execPlan is one execution of plan into out: from the packed filter
+// when there is one, with the on-the-fly transform of w otherwise, and
+// through the residual entry point when the plan takes the operand.
+func execPlan(ctx context.Context, plan *core.Plan, x, w *tensor.Tensor, pf *core.PackedFilter, res, out *tensor.Tensor) error {
+	switch {
+	case res != nil:
+		return plan.TryExecuteResidualCtx(ctx, x, w, pf, res, out)
+	case pf != nil:
+		return plan.TryExecutePackedCtx(ctx, x, pf, out)
+	}
+	return plan.TryExecuteCtx(ctx, x, w, out)
+}
+
+// execDegrading is execPlan with the packed path's escape hatch: a
+// packed filter that is unavailable (pf nil: residency denied), was
+// evicted between fetch and execute, or fails an integrity check (it is
+// then discarded, so the next fetch re-packs from the KCRS source) drops
+// this call to the on-the-fly transform — bit-identical, nothing
+// retained. Both failures are reported before or after the grid runs,
+// never with workers still writing, so out is reused for the retry.
+func (c *ConvUnit) execDegrading(eng *Engine, ctx context.Context, plan *core.Plan, x, w *tensor.Tensor, pf *core.PackedFilter, res, out *tensor.Tensor) error {
+	err := execPlan(ctx, plan, x, w, pf, res, out)
+	if err == nil || pf == nil {
+		return err
+	}
+	switch {
+	case errors.Is(err, core.ErrIntegrity):
+		c.recoverIntegrity(eng, pf, err)
+	case !errors.Is(err, core.ErrWeightsReleased):
+		return err
+	}
+	return execPlan(ctx, plan, x, w, nil, res, out)
 }
 
 // recoverIntegrity handles a typed integrity failure surfaced by a
@@ -931,30 +1006,6 @@ func (c *ConvUnit) recoverIntegrity(eng *Engine, pf *core.PackedFilter, err erro
 		"nn: %s: integrity failure on packed path; re-packing from KCRS source and serving unpacked: %v",
 		c.LayerName, err)
 	c.discardPacked(eng, pf)
-}
-
-// runUnpacked executes plan with the on-the-fly filter transform into
-// out — the Reuse path's escape hatch when a persistent packed filter
-// is unavailable (residency denied, or evicted between fetch and
-// execute). Results are bit-identical to the packed path; only the
-// per-call transform cost differs.
-func (c *ConvUnit) runUnpacked(eng *Engine, s conv.Shape, plan *core.Plan, ctx context.Context, x, w *tensor.Tensor, out *tensor.Tensor) (*tensor.Tensor, error) {
-	if ctx.Done() == nil {
-		if err := plan.TryExecute(x, w, out); err != nil {
-			eng.release(out)
-			return nil, err
-		}
-		return out, nil
-	}
-	if err := plan.TryExecuteCtx(ctx, x, w, out); err != nil {
-		eng.logLimited("budget|ndirect|"+shapeKey(s), "nn: ndirect backend missed ConvBudget on %v; recomputing unbounded: %v", s, err)
-		out = eng.newTensor(s.N, s.K, s.P(), s.Q())
-		if err := plan.TryExecute(x, w, out); err != nil {
-			eng.release(out)
-			return nil, err
-		}
-	}
-	return out, nil
 }
 
 // tryReference runs the convolution on the plan's naive reference path
@@ -980,7 +1031,7 @@ func (c *ConvUnit) tryReference(eng *Engine, s conv.Shape, x, w *tensor.Tensor, 
 	if err != nil {
 		return nil, err
 	}
-	out := eng.newTensor(s.N, s.K, s.P(), s.Q())
+	out := eng.newOutput(s.N, s.K, s.P(), s.Q())
 	ctx, cancel := eng.convCtx()
 	defer cancel()
 	if err := plan.TryExecuteReferenceCtx(ctx, x, w, out); err != nil {
@@ -1005,7 +1056,7 @@ func (c *ConvUnit) planFor(s conv.Shape, opt core.Options) (*core.Plan, error) {
 	// a post-invalidation load — the ordering that makes eviction /
 	// unregister safe against concurrent forwards.
 	gen := c.reuseGen.Load()
-	memoable := opt.FusedEpilogue != nil && opt.FusedEpilogue == c.ep
+	memoable := opt.FusedEpilogue != nil && (opt.FusedEpilogue == c.ep || opt.FusedEpilogue == c.resEp)
 	slot := &c.planMemos[s.N&3]
 	if memoable {
 		if m := slot.Load(); m != nil && m.gen == gen && m.s == s && m.threads == opt.Threads && m.fe == opt.FusedEpilogue {
@@ -1133,6 +1184,25 @@ func applyReLU(t *tensor.Tensor, threads int) error {
 	})
 }
 
+// addReLU is a residual block's unfused tail, dst = relu(dst + src), as
+// one checked parallel pass: per element the add then the ReLU, the
+// same float32 operations as an add sweep followed by applyReLU.
+func addReLU(dst, src *tensor.Tensor, threads int) error {
+	if dst.Len() != src.Len() {
+		return fmt.Errorf("%w: residual shape mismatch %v vs %v", conv.ErrDimMismatch, dst.Dims, src.Dims)
+	}
+	return parallel.ForRange(len(dst.Data), threads, func(_ int, r parallel.Range) {
+		d, s := dst.Data[r.Lo:r.Hi], src.Data[r.Lo:r.Hi]
+		for i := range d {
+			v := d[i] + s[i]
+			if v < 0 {
+				v = 0
+			}
+			d[i] = v
+		}
+	})
+}
+
 // --- Supporting layers ---
 
 // ReLULayer is a standalone activation.
@@ -1157,7 +1227,7 @@ func (m *MaxPool) Forward(eng *Engine, x *tensor.Tensor) *tensor.Tensor {
 	n, c, h, w := x.Dims[0], x.Dims[1], x.Dims[2], x.Dims[3]
 	p := (h+2*m.Pad-m.K)/m.Str + 1
 	q := (w+2*m.Pad-m.K)/m.Str + 1
-	out := eng.newTensor(n, c, p, q)
+	out := eng.newOutput(n, c, p, q)
 	parallel.MustFor(n*c, eng.Threads, func(nc int) {
 		src := x.Data[nc*h*w : (nc+1)*h*w]
 		dst := out.Data[nc*p*q : (nc+1)*p*q]
@@ -1201,7 +1271,7 @@ func (GlobalAvgPool) Name() string { return "gap" }
 func (GlobalAvgPool) Forward(eng *Engine, x *tensor.Tensor) *tensor.Tensor {
 	n, c := x.Dims[0], x.Dims[1]
 	pq := x.Dims[2] * x.Dims[3]
-	out := eng.newTensor(n, c, 1, 1)
+	out := eng.newOutput(n, c, 1, 1)
 	parallel.MustFor(n*c, eng.Threads, func(nc int) {
 		var sum float64
 		for _, v := range x.Data[nc*pq : (nc+1)*pq] {
@@ -1212,7 +1282,12 @@ func (GlobalAvgPool) Forward(eng *Engine, x *tensor.Tensor) *tensor.Tensor {
 	return out
 }
 
-// FC is a fully connected layer on flattened activations.
+// FC is a fully connected layer on flattened activations. On a Reuse
+// engine with the nDirect backend it runs as the 1×1 convolution it is —
+// C = In, K = Out over a 1×1 image, bias and ReLU in the fused store —
+// through asConv's unit, so it shares the convolution layers' plan memo,
+// packed weights and weight-residency accounting; every other engine
+// multiplies by the cached transpose through the GEMM.
 type FC struct {
 	LayerName string
 	In, Out   int
@@ -1222,37 +1297,78 @@ type FC struct {
 
 	wtOnce sync.Once
 	wt     *tensor.Tensor // cached transpose for the GEMM orientation
+
+	convOnce sync.Once
+	conv     *ConvUnit // the layer as a convolution unit over W's own storage
 }
 
 func (f *FC) Name() string { return f.LayerName }
 
+// Forward applies the layer, panicking on failure (tryForward is the
+// checked form).
 func (f *FC) Forward(eng *Engine, x *tensor.Tensor) *tensor.Tensor {
-	n := x.Dims[0]
-	if x.Len() != n*f.In {
-		panic(fmt.Sprintf("nn: FC %s input %v does not flatten to %d", f.LayerName, x.Dims, f.In))
-	}
-	out := eng.newTensor(n, f.Out)
-	// out[n][o] = x[n][i] · W[o][i]: GEMM with B transposed — done by
-	// swapping to out = X · Wᵀ via per-row dot products through the
-	// Goto kernel on W's natural layout.
-	// We materialise Wᵀ once for the GEMM-friendly orientation.
-	wt := f.transposed()
-	gemm.Gemm(n, f.Out, f.In, 1, x.Data, f.In, wt.Data, f.Out, 0, out.Data, f.Out,
-		gemm.Config{Threads: eng.Threads})
-	if f.B != nil {
-		for i := 0; i < n; i++ {
-			row := out.Data[i*f.Out : (i+1)*f.Out]
-			for o := range row {
-				row[o] += f.B[o]
-			}
-		}
-	}
-	if f.ReLU {
-		if err := applyReLU(out, eng.Threads); err != nil {
-			panic(fmt.Sprintf("nn: %s: %v", f.LayerName, err)) // unchecked contract; TryForward recovers
-		}
+	out, err := f.tryForward(eng, x)
+	if err != nil {
+		panic(fmt.Sprintf("nn: %s: %v", f.LayerName, err))
 	}
 	return out
+}
+
+func (f *FC) tryForward(eng *Engine, x *tensor.Tensor) (*tensor.Tensor, error) {
+	n := x.Dims[0]
+	if x.Len() != n*f.In {
+		return nil, fmt.Errorf("%w: FC %s input %v does not flatten to %d", conv.ErrDimMismatch, f.LayerName, x.Dims, f.In)
+	}
+	if eng.Reuse && eng.Algo == AlgoNDirect {
+		out, err := f.asConv().tryForward(eng, tensor.FromSlice(x.Data, n, f.In, 1, 1))
+		if err != nil {
+			return nil, err
+		}
+		return tensor.FromSlice(out.Data, n, f.Out), nil
+	}
+	out := eng.newOutput(n, f.Out) // beta = 0: the GEMM assigns every element
+	// The GEMM and the sweeps may panic on a worker fault; this is a
+	// checked layer, so the panic is reported as the typed error.
+	err := parallel.Protect(func() {
+		// out[n][o] = x[n][i] · W[o][i], as out = X · Wᵀ on the transpose
+		// materialised once for the GEMM-friendly orientation.
+		wt := f.transposed()
+		gemm.Gemm(n, f.Out, f.In, 1, x.Data, f.In, wt.Data, f.Out, 0, out.Data, f.Out,
+			gemm.Config{Threads: eng.Threads})
+		if f.B != nil {
+			for i := 0; i < n; i++ {
+				row := out.Data[i*f.Out : (i+1)*f.Out]
+				for o := range row {
+					row[o] += f.B[o]
+				}
+			}
+		}
+	})
+	if err == nil && f.ReLU {
+		err = applyReLU(out, eng.Threads)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// asConv returns the layer as a convolution unit, built once: the weight
+// tensor is W's storage viewed as [Out, In, 1, 1] (no copy), bias and
+// ReLU the unit's own epilogue. It is not among Network.ConvUnits — those
+// are the network's convolution layers — so the walks that must reach
+// its reuse state (InvalidateReuse, WarmPlans) go through fcUnits.
+func (f *FC) asConv() *ConvUnit {
+	f.convOnce.Do(func() {
+		f.conv = &ConvUnit{
+			LayerName: f.LayerName,
+			Shape:     conv.Shape{N: 1, C: f.In, H: 1, W: 1, K: f.Out, R: 1, S: 1, Str: 1},
+			Weights:   tensor.FromSlice(f.W.Data, f.Out, f.In, 1, 1),
+			Bias:      f.B,
+			ReLU:      f.ReLU,
+		}
+	})
+	return f.conv
 }
 
 // transposed materialises Wᵀ exactly once, even under concurrent
@@ -1278,7 +1394,7 @@ func (Softmax) Name() string { return "softmax" }
 func (Softmax) Forward(eng *Engine, x *tensor.Tensor) *tensor.Tensor {
 	n := x.Dims[0]
 	k := x.Len() / n
-	out := eng.newTensor(x.Dims...)
+	out := eng.newOutput(x.Dims...)
 	parallel.MustFor(n, eng.Threads, func(i int) {
 		row := x.Data[i*k : (i+1)*k]
 		dst := out.Data[i*k : (i+1)*k]

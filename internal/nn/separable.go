@@ -205,7 +205,7 @@ func (d *DepthwiseSeparable) tryFused(eng *Engine, x *tensor.Tensor) (*tensor.Te
 	if err != nil {
 		return nil, false, nil
 	}
-	out := eng.newTensor(ss.N, ss.K, ss.P(), ss.Q())
+	out := eng.newOutput(ss.N, ss.K, ss.P(), ss.Q()) // the fused plan writes every element
 	ctx, cancel := eng.convCtx()
 	defer cancel()
 	err = d.execFused(eng, ctx, plan, x, pdw, ppw, out)
@@ -217,7 +217,7 @@ func (d *DepthwiseSeparable) tryFused(eng *Engine, x *tensor.Tensor) (*tensor.Te
 			"nn: %s: fused path missed ConvBudget; recomputing unbounded: %v", d.LayerName, err)
 		// Abandoned workers may still write into out: leak it (never
 		// back to the pool) and recompute into a fresh tensor.
-		out = eng.newTensor(ss.N, ss.K, ss.P(), ss.Q())
+		out = eng.newOutput(ss.N, ss.K, ss.P(), ss.Q())
 		if err := d.execFused(eng, context.Background(), plan, x, pdw, ppw, out); err == nil {
 			return out, true, nil
 		}

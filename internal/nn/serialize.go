@@ -60,7 +60,7 @@ func (n *Network) paramSlices() [][]float32 {
 }
 
 // invalidateCaches drops derived parameter caches (BN-folded weights,
-// pre-transformed filters, FC transposes) after the underlying
+// pre-transformed filters, FC transposes and conv forms) after the underlying
 // parameters change. Weight loading is an exclusive operation — it
 // rewrites the parameter slices in place — so resetting the sync.Once
 // guards here is safe; no Forward may be in flight.
@@ -87,6 +87,8 @@ func (n *Network) invalidateCaches() {
 			case *FC:
 				v.wtOnce = sync.Once{}
 				v.wt = nil
+				v.convOnce = sync.Once{}
+				v.conv = nil
 			}
 		}
 	}

@@ -155,10 +155,13 @@ func NewServer(cfg ServeConfig) *Server { return serve.New(cfg) }
 type PackedFilter = core.PackedFilter
 
 // EpilogueParams is the fused epilogue (per-channel bias,
-// per-channel affine — the inference form of batch normalisation —
-// and ReLU) applied inside the output store while the accumulator tile
-// is still in registers. Select it via Options.FusedEpilogue; output
-// is bit-identical to running the separate bias/BN/ReLU passes.
+// per-channel affine — the inference form of batch normalisation — a
+// residual operand added element for element, and ReLU) applied inside
+// the output store while the accumulator tile is still in registers.
+// Select it via Options.FusedEpilogue; output is bit-identical to
+// running the separate bias/BN/add/ReLU passes. A plan built with
+// Residual executes through Plan.TryExecuteResidualCtx, which takes the
+// operand.
 type EpilogueParams = core.EpilogueParams
 
 // WorkerPool is the persistent pool of parked worker goroutines every

@@ -12,15 +12,39 @@ go build ./...
 echo "==> go vet ./..."
 go vet ./...
 
-# The vector micro-kernel body is amd64 assembly; every other
-# architecture compiles the stub (internal/core/kernel_other.go) and
-# keeps the portable Go bodies. Prove both a 64-bit and a 32-bit one
-# build and vet clean.
+# The vector micro-kernel body and the vector tile store are amd64
+# assembly; every other architecture compiles the stubs
+# (internal/core/kernel_other.go, store_other.go) and keeps the portable
+# Go bodies and store. Prove both a 64-bit and a 32-bit one build and vet
+# clean.
 for arch in arm64 386; do
     echo "==> GOARCH=$arch go build ./... && go vet ./..."
     GOARCH=$arch go build ./...
     GOARCH=$arch go vet ./...
 done
+
+# The numeric contract is == against the Go bodies and the oracle: one
+# multiply and one add, two roundings, nowhere a fused multiply-add — not
+# in the assembly and not from the compiler (GOAMD64=v3 would fuse the Go
+# bodies). `go tool objdump` does not decode VEX instructions, so the
+# check reads the bytes it prints: every FMA3 instruction is
+# C4 [RXB.00010] [W.vvvv.L.01] followed by an opcode in 96-9F, A6-AF or
+# B6-BF. The first grep is the positive control (VFMADD231PS Y0,Y0,Y0).
+if [ "$(go env GOARCH)" = amd64 ]; then
+    echo "==> no fused multiply-add in the kernel and store symbols of internal/core"
+    FMA3='c4 [02468ace]2 [0-9a-f][159d] (9[6-9a-f]|a[6-9a-f]|b[6-9a-f])'
+    echo "c4 e2 7d b8 c0" | grep -Eq "$FMA3" || { echo "FAIL: the FMA3 pattern misses VFMADD231PS" >&2; exit 1; }
+    COREBIN=$(mktemp "${TMPDIR:-/tmp}/ndirect-core.XXXXXX.test")
+    go test -c -o "$COREBIN" ./internal/core
+    CODE=$(go tool objdump -s 'internal/core\.(kernel|vector|store)' "$COREBIN" |
+        awk '$2 ~ /^0x/ { print $3 }' | tr -d '\n' | sed 's/../& /g')
+    rm -f "$COREBIN"
+    [ -n "$CODE" ] || { echo "FAIL: objdump found no kernel or store symbol" >&2; exit 1; }
+    if echo "$CODE" | grep -Eq "$FMA3"; then
+        echo "FAIL: a fused multiply-add instruction in internal/core's kernel or store code" >&2
+        exit 1
+    fi
+fi
 
 echo "==> go test -race ./..."
 go test -race ./...
@@ -31,11 +55,14 @@ go test -run='^$' -fuzz=FuzzTryConv2D -fuzztime=10s ./internal/core
 echo "==> fuzz smoke: FuzzVectorBody (10s, every micro-kernel body vs the looped kernel)"
 go test -run='^$' -fuzz=FuzzVectorBody -fuzztime=10s ./internal/core
 
+echo "==> fuzz smoke: FuzzVectorStore (10s, the vector tile store vs the Go store)"
+go test -run='^$' -fuzz=FuzzVectorStore -fuzztime=10s ./internal/core
+
 echo "==> ndserve selftest (multi-tenant HTTP lifecycle + batching burst)"
 go run ./cmd/ndserve -selftest
 
 echo "==> warm-start round trip (ndtune -manifest -> ndserve -selftest -manifest)"
-MANIFEST=$(mktemp /tmp/ndtune-manifest.XXXXXX.json)
+MANIFEST=$(mktemp "${TMPDIR:-/tmp}/ndtune-manifest.XXXXXX.json")
 trap 'rm -f "$MANIFEST"' EXIT
 go run ./cmd/ndtune -shape 8,16,16,16,3,3,1,1 -trials 6 -population 4 -generations 2 \
     -threads 2 -seed 1 -manifest "$MANIFEST"
