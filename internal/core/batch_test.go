@@ -4,10 +4,8 @@ import (
 	"context"
 	"errors"
 	"testing"
-	"time"
 
 	"ndirect/internal/conv"
-	"ndirect/internal/faultinject"
 	"ndirect/internal/tensor"
 )
 
@@ -136,7 +134,7 @@ func TestBatchBitExactMatchesSolo(t *testing.T) {
 			if tc.nchw {
 				err = bp.TryExecuteBatchCtx(context.Background(), ins, filter, outs)
 			} else {
-				err = bp.TryExecuteBatchNHWCCtx(context.Background(), ins, filter, outs)
+				err = bp.exec(context.Background(), execReq{batched: true, ins: ins, filter: filter, outs: outs, nhwc: true})
 			}
 			if err != nil {
 				t.Fatalf("batched execute: %v", err)
@@ -151,7 +149,7 @@ func TestBatchBitExactMatchesSolo(t *testing.T) {
 			if tc.nchw {
 				err = bp.TryExecuteBatchPackedCtx(context.Background(), ins, pf, outs)
 			} else {
-				err = bp.TryExecuteBatchPackedNHWCCtx(context.Background(), ins, pf, outs)
+				err = bp.exec(context.Background(), execReq{batched: true, ins: ins, pf: pf, packed: true, outs: outs, nhwc: true})
 			}
 			if err != nil {
 				t.Fatalf("batched packed execute: %v", err)
@@ -184,75 +182,5 @@ func TestBatchValidation(t *testing.T) {
 	badIn := tensor.New(1, 4, 8, 8) // wrong channel count
 	if err := bp2.TryExecuteBatchCtx(context.Background(), []*tensor.Tensor{ins[0], badIn}, filter, outs); !errors.Is(err, conv.ErrDimMismatch) {
 		t.Fatalf("bad request operand must fail with ErrDimMismatch, got %v", err)
-	}
-}
-
-// A fault on the batched grid (injected packed-weight corruption, NaN
-// poisoning) must recover per request on the reference path: every
-// caller still receives a bit-exact output and a nil error.
-func TestBatchFaultFallsBackPerRequest(t *testing.T) {
-	logged := captureLog(t)
-	defer faultinject.Reset()
-	s := conv.Shape{N: 1, C: 8, H: 8, W: 8, K: 8, R: 3, S: 3, Str: 1, Pad: 1}
-	perN := []int{1, 1, 1}
-	ins, solos, filter := batchOperands(t, s, perN, Options{Threads: 1}, true, true)
-	bp := NewPlan(s.WithBatch(3), Options{Threads: 1})
-	pf, err := bp.TransformFilter(filter)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	faultinject.Arm(faultinject.PackedCorrupt, 5)
-	outs := newBatchOuts(s, perN, true)
-	if err := bp.TryExecuteBatchPackedCtx(context.Background(), ins, pf, outs); err != nil {
-		t.Fatalf("batched path must degrade, not fail: %v", err)
-	}
-	wantBitExact(t, outs, solos, "packed-corrupt")
-
-	faultinject.Arm(faultinject.NaNPoison, 3)
-	outs = newBatchOuts(s, perN, true)
-	if err := bp.TryExecuteBatchPackedCtx(context.Background(), ins, pf, outs); err != nil {
-		t.Fatalf("batched path must degrade, not fail: %v", err)
-	}
-	wantBitExact(t, outs, solos, "nan-poison")
-	if logged() == "" {
-		t.Fatal("fault fallback must be logged")
-	}
-}
-
-// Deadline semantics over a batch: an expired context without a
-// fallback budget fails typed with conv.ErrDeadline; with
-// FallbackBudget every request's result is recomputed on the reference
-// path and republished through fresh arrays (stragglers may still
-// write the originals).
-func TestBatchDeadline(t *testing.T) {
-	defer captureLog(t)
-	s := conv.Shape{N: 1, C: 8, H: 8, W: 8, K: 8, R: 3, S: 3, Str: 1, Pad: 1}
-	perN := []int{1, 1}
-	ins, solos, filter := batchOperands(t, s, perN, Options{Threads: 1}, true, true)
-
-	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
-	defer cancel()
-
-	bp := NewPlan(s.WithBatch(2), Options{Threads: 1})
-	outs := newBatchOuts(s, perN, true)
-	if err := bp.TryExecuteBatchCtx(ctx, ins, filter, outs); !errors.Is(err, conv.ErrDeadline) {
-		t.Fatalf("expired ctx without FallbackBudget must fail with ErrDeadline, got %v", err)
-	}
-
-	bpf := NewPlan(s.WithBatch(2), Options{Threads: 1, FallbackBudget: 5 * time.Second})
-	outs = newBatchOuts(s, perN, true)
-	orig := make([][]float32, len(outs))
-	for i := range outs {
-		orig[i] = outs[i].Data
-	}
-	if err := bpf.TryExecuteBatchCtx(ctx, ins, filter, outs); err != nil {
-		t.Fatalf("FallbackBudget must rescue the batch: %v", err)
-	}
-	wantBitExact(t, outs, solos, "deadline-fallback")
-	for i := range outs {
-		if &outs[i].Data[0] == &orig[i][0] {
-			t.Fatalf("request %d: deadline fallback must publish through a fresh array", i)
-		}
 	}
 }

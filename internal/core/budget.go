@@ -41,11 +41,6 @@ func (p *Plan) OutputBytes() int64 {
 	return 4 * int64(s.N) * int64(s.K) * int64(s.P()) * int64(s.Q())
 }
 
-// Bytes returns the packed buffer's size — the persistent-weight
-// memory a serving process charges against its budget once at load
-// time (the packed copy lives as long as the layer).
-func (pf *PackedFilter) Bytes() int64 { return 4 * int64(len(pf.data)) }
-
 // PackedBytes returns the size of the PackedFilter TransformFilter
 // would build for this plan (⌈K/Vk⌉·C·R·S·Vk floats) — the admission
 // quote a weight-residency budget checks before the packed copy is

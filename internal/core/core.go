@@ -201,8 +201,7 @@ type Plan struct {
 	hRanges []parallel.Range // output rows
 	wRanges []parallel.Range // output-column tiles (Vw wide)
 
-	runMu   sync.Mutex // guards runFree
-	runFree []*planRun // reusable run states (scratch + task closures)
+	runs runPool // reusable run states (scratch + task closures)
 
 	runSeq       atomic.Uint64 // stamps each run for stats ordering
 	statsMu      sync.Mutex

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -206,7 +207,9 @@ func TestExecuteAddAccumulates(t *testing.T) {
 	out := s.NewOutput()
 	p.Execute(in, f, out)
 	once := out.Clone()
-	p.ExecuteAdd(in, f, out)
+	if err := p.TryExecuteAddCtx(context.Background(), in, f, out); err != nil {
+		t.Fatal(err)
+	}
 	for i := range out.Data {
 		if d := out.Data[i] - 2*once.Data[i]; d > 1e-4 || d < -1e-4 {
 			t.Fatalf("ExecuteAdd not additive at %d: %v vs %v", i, out.Data[i], 2*once.Data[i])
@@ -339,7 +342,7 @@ func TestTable4LayersCorrectSmallBatch(t *testing.T) {
 }
 
 func TestSpecialisedKernelsBitIdenticalToGeneric(t *testing.T) {
-	// The constant-folded 3x3/1x1 family bodies must produce
+	// The 3x3/1x1 family bodies must produce
 	// bit-identical results to the generic kernel (same operation order
 	// per output).
 	for _, s := range []conv.Shape{

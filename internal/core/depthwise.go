@@ -24,84 +24,32 @@ import (
 // · filter[c][r][s] on NCHW input with a [C,R,S] filter. The Shape's K
 // is ignored (output channels equal input channels). Checked variant:
 // validation failures return errors; a faulting parallel worker is
-// logged and the result recomputed sequentially.
+// logged and the result recomputed on the oracle path.
 func TryDepthwiseConv2D(s conv.Shape, in, filter *tensor.Tensor, opt Options) (*tensor.Tensor, error) {
 	return TryDepthwiseConv2DCtx(context.Background(), s, in, filter, opt)
 }
 
 // TryDepthwiseConv2DCtx is the context-bounded form of
-// TryDepthwiseConv2D: deadline semantics follow Plan.TryExecuteCtx —
-// on context expiry the parallel plane loop is abandoned and the call
-// returns an error wrapping conv.ErrDeadline, unless
-// Options.FallbackBudget grants the sequential recompute time to
-// finish (it polls the fallback deadline between planes).
+// TryDepthwiseConv2D: a DepthwisePlan built and executed once, so the
+// kernel family, the fused epilogue (Options.FusedEpilogue, length C)
+// and the deadline semantics are the plan's (Plan.TryExecuteCtx's: on
+// expiry the grid is abandoned and the call returns an error wrapping
+// conv.ErrDeadline, unless Options.FallbackBudget grants the oracle
+// recompute time to finish).
 func TryDepthwiseConv2DCtx(ctx context.Context, s conv.Shape, in, filter *tensor.Tensor, opt Options) (*tensor.Tensor, error) {
-	chk := s
-	chk.K = 1
-	if err := chk.Validate(); err != nil {
+	p, err := TryNewDepthwisePlan(s, opt)
+	if err != nil {
 		return nil, err
 	}
-	if opt.Threads > maxThreads {
-		return nil, fmt.Errorf("%w: Threads=%d exceeds %d", ErrBadOptions, opt.Threads, maxThreads)
-	}
-	if err := conv.ValidateTensor("depthwise input", in, s.N, s.C, s.H, s.W); err != nil {
+	out := tensor.New(s.N, s.C, s.P(), s.Q())
+	if err := p.TryExecuteCtx(ctx, in, filter, out); err != nil {
 		return nil, err
-	}
-	if err := conv.ValidateTensor("depthwise filter", filter, s.C, s.R, s.S); err != nil {
-		return nil, err
-	}
-	p, q := s.P(), s.Q()
-	out := tensor.New(s.N, s.C, p, q)
-	threads := opt.Threads
-	if threads <= 0 {
-		threads = parallel.DefaultThreads()
-	}
-	plane := func(nc int) {
-		n, c := nc/s.C, nc%s.C
-		inPlane := in.Data[(n*s.C+c)*s.H*s.W : (n*s.C+c+1)*s.H*s.W]
-		outPlane := out.Data[(n*s.C+c)*p*q : (n*s.C+c+1)*p*q]
-		fPlane := filter.Data[c*s.R*s.S : (c+1)*s.R*s.S]
-		depthwisePlane(s, inPlane, fPlane, outPlane)
-	}
-	// Parallelise over the N×C planes: depthwise has no reduction
-	// over C, so every (n, c) plane is independent.
-	if err := parallel.ForCtx(ctx, s.N*s.C, threads, plane); err != nil {
-		fctx, cancel, derr := fallbackCtx(ctx, err, opt)
-		if derr != nil {
-			return nil, derr
-		}
-		defer cancel()
-		Logf("core: depthwise parallel path faulted on %v; recomputing sequentially: %v", s, err)
-		if errors.Is(err, parallel.ErrCanceled) {
-			// The abandoned plane workers captured the current out and
-			// may still store into it whenever they resume: recompute
-			// into a fresh tensor they have never seen (plane writes
-			// through the rebound variable) and leave the old
-			// allocation to the stragglers.
-			out = tensor.New(s.N, s.C, p, q)
-		}
-		if err := parallel.Protect(func() {
-			for nc := 0; nc < s.N*s.C; nc++ {
-				if fctx.Done() != nil && fctx.Err() != nil {
-					panic(deadlineErr(fctx))
-				}
-				plane(nc)
-			}
-		}); err != nil {
-			var pe *parallel.PanicError
-			if errors.As(err, &pe) {
-				if de, ok := pe.Value.(error); ok && errors.Is(de, conv.ErrDeadline) {
-					return nil, de
-				}
-			}
-			return nil, fmt.Errorf("%w: %v", ErrExecFault, err)
-		}
 	}
 	return out, nil
 }
 
 // fallbackCtx classifies a parallel-loop error for the sibling
-// drivers (depthwise/grouped/fp64/int16): a worker fault keeps the
+// drivers (grouped/fp64/int16): a worker fault keeps the
 // unbounded sequential fallback (fctx is Background), while a context
 // abandonment either returns the conv.ErrDeadline-wrapped error
 // as-is (no FallbackBudget) or grants the fallback that budget. The
@@ -124,13 +72,6 @@ func DepthwiseConv2D(s conv.Shape, in, filter *tensor.Tensor, opt Options) *tens
 		panic(err)
 	}
 	return out
-}
-
-// depthwisePlane convolves one (n, c) plane. The inner loop
-// vectorises over 4 adjacent output columns for stride 1 (the common
-// MobileNet case) and falls back to scalars otherwise.
-func depthwisePlane(s conv.Shape, in, filter, out []float32) {
-	depthwisePlaneRange(s, in, filter, out, 0, s.P())
 }
 
 // PointwiseShape returns the conv.Shape of a 1×1/stride-1/pad-0

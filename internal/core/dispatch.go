@@ -5,14 +5,14 @@ package core
 // so the bodies are keyed the same way: one static table of (R, S,
 // stride) families, five for the standard 12×8 register file and two
 // for depthwise (dwkernel.go). A standard family's body is the AVX2
-// vector body (kernel_amd64.s) where the host has one and the family's
-// constant-folded Go body (kernel_variants.go) everywhere else, and its
-// tile store is the AVX2 store epilogue (store_amd64.s) or the portable
-// Go store (store.go); the choice is made once, at init, from what the
-// CPU reports. A plan binds its family once, at construction, from its
-// own loop constants — no registration, no per-shape table — and this
-// file is the only place that decides which body an execution runs: the
-// family's, unless the
+// vector body (kernel_amd64.s) and its tile store the AVX2 store
+// epilogue (store_amd64.s) where the host has them; everywhere else the
+// family has no body of its own and its plans run the looped Go kernel
+// bound to their (S, stride) with the portable Go store (store.go). The
+// choice is made once, at init, from what the CPU reports. A plan binds
+// its family once, at construction, from its own loop constants — no
+// registration, no per-shape table — and this file is the only place
+// that decides which body an execution runs: the family's, unless the
 // integrity sentinel has quarantined it (DESIGN.md §12), in which case
 // the bit-identical looped fallback (kernel12x8, depthwisePlaneRange)
 // runs instead, with the Go store. The quarantine flag is read once per
@@ -49,9 +49,10 @@ type specializedKernel func(acc *accFile8, buf, tf []float32, rows, vwEff, pitch
 // channels kBase..kBase+7 all exist.
 type tileStore func(acc *accFile8, dst, res []float32, ep *epilogue, kBase, stride, vwEff int, nchw, accumulate bool)
 
-// kernelFamily is one body and the (R, S, stride) it serves. Exactly one
-// of kern (standard 12×8) and dwKern (depthwise) is set; store, nil for
-// the portable Go store, rides with kern.
+// kernelFamily is one body and the (R, S, stride) it serves. A depthwise
+// family sets dwKern; a standard 12×8 family's kern and store are the
+// vector routines, bound at init, or nil on a host without them (the
+// plan's looped kernel12x8 and the portable Go store run).
 type kernelFamily struct {
 	name      string
 	r, s, str int
@@ -68,16 +69,16 @@ type kernelFamily struct {
 }
 
 // kernelFamilies is the whole dispatch table, in the order the
-// integrity sentinel probes it, written with the portable Go bodies. A
-// shape with a standard family is planned on the family's V_w=12, V_k=8
-// register file whatever Equations 3–4 solve to (TryNewPlan): the 7×7
-// stride-2 stem solves to 20×4, a tile only the generic kernel runs.
+// integrity sentinel probes it. A shape with a standard family is
+// planned on the family's V_w=12, V_k=8 register file whatever
+// Equations 3–4 solve to (TryNewPlan): the 7×7 stride-2 stem solves to
+// 20×4, a tile only the generic kernel runs.
 var kernelFamilies = []*kernelFamily{
-	{name: "12x8.r3s3.s1", r: 3, s: 3, str: 1, kern: kernel12x8S3s1},
-	{name: "12x8.r3s3.s2", r: 3, s: 3, str: 2, kern: kernel12x8S3s2},
-	{name: "12x8.r1s1.s1", r: 1, s: 1, str: 1, kern: kernel12x8S1s1},
-	{name: "12x8.r1s1.s2", r: 1, s: 1, str: 2, kern: kernel12x8S1s2},
-	{name: "12x8.r7s7.s2", r: 7, s: 7, str: 2, kern: kernel12x8S7s2},
+	{name: "12x8.r3s3.s1", r: 3, s: 3, str: 1},
+	{name: "12x8.r3s3.s2", r: 3, s: 3, str: 2},
+	{name: "12x8.r1s1.s1", r: 1, s: 1, str: 1},
+	{name: "12x8.r1s1.s2", r: 1, s: 1, str: 2},
+	{name: "12x8.r7s7.s2", r: 7, s: 7, str: 2},
 	{name: "dw.r3s3.s1", r: 3, s: 3, str: 1, dwKern: dwKernel3x3s1},
 	{name: "dw.r3s3.s2", r: 3, s: 3, str: 2, dwKern: dwKernel3x3s2},
 }
@@ -90,7 +91,7 @@ func init() {
 		return
 	}
 	for _, f := range kernelFamilies {
-		if f.kern != nil {
+		if f.dwKern == nil {
 			f.kern = vectorKernel(f.s, f.str)
 			f.store = vectorStore
 		}
@@ -104,9 +105,9 @@ func vectorKernel(s, str int) specializedKernel {
 	}
 }
 
-// KernelISA names the instruction set the standard kernel families are
-// bound to in this process: "avx2" for the vector body, "go" for the
-// portable bodies. Family names do not change with it.
+// KernelISA names the instruction set the standard kernel families run
+// in this process: "avx2" for the vector body, "go" for the looped Go
+// kernel. Family names do not change with it.
 func KernelISA() string {
 	if hasVectorBody {
 		return "avx2"
@@ -155,12 +156,13 @@ func (f *kernelFamily) live() bool { return f != nil && !f.quarantined.Load() }
 
 // body resolves the V_k=8 micro-kernel and tile store for one
 // execution: the bound family's, or the looped kernel12x8 and the Go
-// store (nil) when the plan has no family or the family is quarantined.
+// store (nil) when the plan has no family, the family is quarantined, or
+// the host has no vector body for it.
 // Every V_k=8 consumer — the k-block loop, the pack-fused first block,
 // the separable pointwise stage — runs what this returned and nothing
 // else.
 func (p *Plan) body() (specializedKernel, tileStore) {
-	if p.family.live() {
+	if p.family.live() && p.family.kern != nil {
 		return p.family.kern, p.family.store
 	}
 	return p.looped, nil

@@ -12,7 +12,7 @@ import (
 // dispatchCases pairs every standard kernel family with an arbitrary
 // shape of its (R, S, stride) — in no model table, batch > 1, ragged
 // everywhere (partial register tiles, ragged K blocks, partial channel
-// tiles) — so the constant-folded bodies are exercised on their hardest
+// tiles) — so the family bodies are exercised on their hardest
 // geometry and the binding is shown to depend on the loop constants
 // alone.
 var dispatchCases = []struct {

@@ -2,30 +2,26 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"math"
-	"sync"
-	"sync/atomic"
 
 	"ndirect/internal/conv"
-	"ndirect/internal/faultinject"
 	"ndirect/internal/parallel"
 	"ndirect/internal/tensor"
 )
 
 // DepthwisePlan is the reusable execution state for a depthwise
-// convolution (DESIGN.md §13): the depthwise twin of Plan. It fixes
-// the shape, kernel family (dispatch.go), fused epilogue and row-tile
-// decomposition at construction, and pools per-run state so a warm plan
-// executes with zero heap allocations — the same steady-state contract
-// the standard packed path holds.
+// convolution (DESIGN.md §13): §10.2's "same kernel without the
+// C-reduction" as a plan. It fixes the shape, kernel family
+// (dispatch.go), fused epilogue and row-tile decomposition at
+// construction and executes through the shared harness and ladder
+// (govern.go), so a warm plan runs with zero heap allocations — the
+// steady-state contract the standard packed path holds.
 //
 // The iteration space is the N·C independent (n, c) planes, each cut
 // into row tiles of rowTile output rows; grid cells are distributed
 // contiguously over the worker tasks. Depthwise needs no packing
 // scratch (each output channel reads one input plane directly), so a
-// worker's only state is its task range.
+// worker's only state is its cell range.
 type DepthwisePlan struct {
 	Shape conv.Shape // K normalised to C (depthwise: one output per input channel)
 
@@ -34,43 +30,22 @@ type DepthwisePlan struct {
 	family  *kernelFamily // nil: generic depthwisePlaneRange body
 	ep      epilogue      // per-channel (length C) fused epilogue
 
-	rowTile int // output rows per grid cell
-	tiles   int // row tiles per plane
-	cells   int // N·C·tiles
-	workers int
+	rowTile int              // output rows per grid cell
+	tiles   int              // row tiles per plane
+	cells   int              // N·C·tiles
+	ranges  []parallel.Range // cells per worker task
 
-	runMu   sync.Mutex
-	runFree []*dwRun
-	runSeq  uint64 // guarded by runMu; diagnostic only
+	runs runPool
 }
 
-// dwTask is one worker's prebuilt dispatch unit: a contiguous range of
-// grid cells and the two closures the drivers reuse (fn = recovery
-// shell, body = fault-injection points + the cell loop). Closures are
-// built once per run state, so steady-state dispatch allocates no
-// funcvals.
-type dwTask struct {
-	r      *dwRun
-	w      int // task slot, also the faultinject worker index
-	lo, hi int // cell range
-	fn     func()
-	body   func()
-}
-
-// dwRun is one execution's mutable state, pooled on the plan exactly
-// like planRun: operand slices are cleared on release so a parked run
-// never pins a caller's tensors.
+// dwRun is one execution's operands on top of the shared harness.
 type dwRun struct {
-	p               *DepthwisePlan
-	in, filter, out []float32
-	kern            depthwiseKernel // this execution's body (dwBody)
+	gridRun
+	p          *DepthwisePlan
+	in, filter *tensor.Tensor // filter: the raw [C,R,S] weights (packed: the pack's source)
 
-	fs    parallel.FaultSink
-	g     parallel.Group
-	tasks []*dwTask
-
-	abandonFn func(error)
-	drainFn   func()
+	inD, fdata, outD []float32       // fdata: the weights the grid reads
+	kern             depthwiseKernel // this execution's body (dwBody)
 }
 
 // TryNewDepthwisePlan validates the geometry and options and builds a
@@ -128,10 +103,7 @@ func TryNewDepthwisePlan(s conv.Shape, opt Options) (*DepthwisePlan, error) {
 	}
 	p.tiles = (pp + p.rowTile - 1) / p.rowTile
 	p.cells = planes * p.tiles
-	p.workers = min(p.threads, p.cells)
-	if p.workers < 1 {
-		p.workers = 1
-	}
+	p.ranges = parallel.Split(p.cells, p.threads)
 	return p, nil
 }
 
@@ -180,9 +152,6 @@ func (p *DepthwisePlan) PackedBytes() int64 {
 	s := p.Shape
 	return 4 * int64(s.C) * int64(s.R) * int64(s.S)
 }
-
-// kernel resolves the body for one execution.
-func (p *DepthwisePlan) kernel() depthwiseKernel { return dwBody(p.family) }
 
 // cell computes one grid cell: the row tile [h0, h1) of plane
 // cell/tiles, kernel accumulation then the per-channel epilogue sweep
@@ -235,103 +204,31 @@ func applyChannelEpilogue(dst []float32, ep *epilogue, c int) {
 	}
 }
 
-// newRun builds a run state: one task per worker, cells distributed
-// contiguously (parallel.Split's policy), closures prebuilt.
+// newRun builds a run state: one task per worker over its contiguous
+// cell range.
 func (p *DepthwisePlan) newRun() *dwRun {
 	r := &dwRun{p: p}
-	chunk := (p.cells + p.workers - 1) / p.workers
-	for w := 0; w < p.workers; w++ {
-		lo := w * chunk
-		hi := min(lo+chunk, p.cells)
-		if lo >= hi {
-			break
-		}
-		t := &dwTask{r: r, w: w, lo: lo, hi: hi}
-		t.body = func() {
-			faultinject.Fire(faultinject.WorkerPanic, t.w)
-			faultinject.Stall(faultinject.WorkerStall, t.w)
-			for cell := t.lo; cell < t.hi; cell++ {
-				if t.r.fs.Stopped() {
-					return
-				}
-				p.cell(t.r.in, t.r.filter, t.r.out, cell, t.r.kern)
-			}
-		}
-		t.fn = func() { r.fs.Record(parallel.Protect(t.body)) }
-		r.tasks = append(r.tasks, t)
-	}
-	r.abandonFn = func(err error) { r.fs.Record(err) }
-	r.drainFn = func() { p.releaseRun(r) }
+	r.init(r, &p.runs, &p.opts, p.Shape, len(p.ranges), &r.fdata)
 	return r
 }
 
-func (p *DepthwisePlan) getRun() *dwRun {
-	p.runMu.Lock()
-	if n := len(p.runFree); n > 0 {
-		r := p.runFree[n-1]
-		p.runFree[n-1] = nil
-		p.runFree = p.runFree[:n-1]
-		p.runMu.Unlock()
-		return r
-	}
-	p.runMu.Unlock()
-	return p.newRun()
-}
-
-func (p *DepthwisePlan) releaseRun(r *dwRun) {
-	r.in, r.filter, r.out = nil, nil, nil
-	p.runMu.Lock()
-	if len(p.runFree) < maxFreeRuns {
-		p.runFree = append(p.runFree, r)
-	}
-	p.runMu.Unlock()
-}
-
-// run executes the plane/row-tile grid on the persistent worker pool,
-// with Plan.run's join semantics: non-cancellable callers execute the
-// first task inline and join unconditionally; cancellable callers
-// dispatch every task and bound the join by ctx (abandoned stragglers
-// are accounted in parallel.LeakedWorkers and the run state recycles
-// only when they terminate).
-func (p *DepthwisePlan) run(ctx context.Context, in, filter, out []float32) error {
-	r := p.getRun()
-	if len(r.tasks) == 0 {
-		p.releaseRun(r)
-		return nil
-	}
-	r.in, r.filter, r.out = in, filter, out
-	r.kern = p.kernel()
-	r.fs.Reset()
-	p.runMu.Lock()
-	p.runSeq++
-	p.runMu.Unlock()
-
-	if ctx == nil || ctx.Done() == nil {
-		if len(r.tasks) > 1 {
-			pool := parallel.DefaultPool()
-			for _, t := range r.tasks[1:] {
-				r.g.GoVia(pool, t.fn)
-			}
-			r.tasks[0].fn()
-			r.g.Wait()
-		} else {
-			r.tasks[0].fn()
+func (r *dwRun) cells(w int) {
+	rg := r.p.ranges[w]
+	for cell := rg.Lo; cell < rg.Hi; cell++ {
+		if r.fs.Stopped() {
+			return
 		}
-		err := r.fs.Err()
-		p.releaseRun(r)
-		return err
+		r.p.cell(r.inD, r.fdata, r.outD, cell, r.kern)
 	}
+}
 
-	pool := parallel.DefaultPool()
-	for _, t := range r.tasks {
-		r.g.GoVia(pool, t.fn)
-	}
-	if err := r.g.WaitCtx(ctx, r.abandonFn, r.drainFn); err != nil {
-		return fmt.Errorf("%w: %w", conv.ErrDeadline, err)
-	}
-	err := r.fs.Err()
-	p.releaseRun(r)
-	return err
+func (r *dwRun) unload() {
+	r.in, r.filter, r.inD, r.outD = nil, nil, nil, nil
+}
+
+// recompute is the depthwise oracle path, from the raw weights.
+func (r *dwRun) recompute(ctx context.Context, dst, _ [][]float32) bool {
+	return r.p.oracle(ctx, r.in.Data, r.filter.Data, dst[0])
 }
 
 // TryExecute runs the depthwise plan on an NCHW input with a [C,R,S]
@@ -339,7 +236,7 @@ func (p *DepthwisePlan) run(ctx context.Context, in, filter, out []float32) erro
 // means a correct output: execution faults are recomputed on the
 // oracle path.
 func (p *DepthwisePlan) TryExecute(in, filter, out *tensor.Tensor) error {
-	return p.TryExecuteCtx(context.Background(), in, filter, out)
+	return p.exec(context.Background(), in, filter, nil, out)
 }
 
 // TryExecuteCtx is TryExecute bounded by ctx, with Plan.TryExecuteCtx
@@ -347,17 +244,7 @@ func (p *DepthwisePlan) TryExecute(in, filter, out *tensor.Tensor) error {
 // FallbackBudget-bounded oracle recompute published through a fresh
 // out.Data array).
 func (p *DepthwisePlan) TryExecuteCtx(ctx context.Context, in, filter, out *tensor.Tensor) error {
-	s := p.Shape
-	if err := conv.ValidateTensor("depthwise input", in, s.N, s.C, s.H, s.W); err != nil {
-		return err
-	}
-	if err := conv.ValidateTensor("depthwise filter", filter, s.C, s.R, s.S); err != nil {
-		return err
-	}
-	if err := conv.ValidateTensor("depthwise output", out, s.N, s.C, s.P(), s.Q()); err != nil {
-		return err
-	}
-	return p.execChecked(ctx, in, filter, nil, out)
+	return p.exec(ctx, in, filter, nil, out)
 }
 
 // TryExecutePacked runs the plan with a pre-packed depthwise filter in
@@ -369,111 +256,51 @@ func (p *DepthwisePlan) TryExecutePacked(in *tensor.Tensor, pf *PackedDepthwiseF
 
 // TryExecutePackedCtx is TryExecutePacked bounded by ctx.
 func (p *DepthwisePlan) TryExecutePackedCtx(ctx context.Context, in *tensor.Tensor, pf *PackedDepthwiseFilter, out *tensor.Tensor) error {
-	if err := pf.validateFor(p); err != nil {
+	if err := pf.validateFor(p.Shape); err != nil {
 		return err
 	}
+	return p.exec(ctx, in, pf.src, &pf.packedCore, out)
+}
+
+// exec validates the operands, loads them into a pooled run and hands
+// it to the ladder (govern); pc is the packed weights' handle, nil for
+// a raw-filter execution.
+func (p *DepthwisePlan) exec(ctx context.Context, in, filter *tensor.Tensor, pc *packedCore, out *tensor.Tensor) error {
 	s := p.Shape
 	if err := conv.ValidateTensor("depthwise input", in, s.N, s.C, s.H, s.W); err != nil {
+		return err
+	}
+	if err := conv.ValidateTensor("depthwise filter", filter, s.C, s.R, s.S); err != nil {
 		return err
 	}
 	if err := conv.ValidateTensor("depthwise output", out, s.N, s.C, s.P(), s.Q()); err != nil {
 		return err
 	}
-	return p.execChecked(ctx, in, pf.src, pf, out)
+	var r *dwRun
+	if g := p.runs.get(); g != nil {
+		r = g.owner.(*dwRun)
+	} else {
+		r = p.newRun()
+	}
+	r.in, r.filter, r.inD, r.fdata, r.outD = in, filter, in.Data, filter.Data, out.Data
+	if pc != nil {
+		r.packed[0].core, r.fdata = pc, pc.data
+	}
+	r.setOut(out)
+	r.kern = dwBody(p.family)
+	return govern(ctx, &r.gridRun)
 }
 
-// execChecked is the depthwise twin of Plan.execChecked: the same
-// fault ladder (fast-fail expired contexts, injected weight
-// corruption against a run-private copy, sampled packed verification
-// returned typed, non-finite scan under injection or CheckNumerics,
-// oracle recompute on worker faults, budget-bounded recompute on
-// deadlines).
-func (p *DepthwisePlan) execChecked(ctx context.Context, in, filter *tensor.Tensor, pf *PackedDepthwiseFilter, out *tensor.Tensor) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	cancellable := ctx.Done() != nil
-	if cancellable && ctx.Err() != nil {
-		if p.opts.FallbackBudget <= 0 {
-			return deadlineErr(ctx)
-		}
-		return p.deadlineFallback(ctx, in, filter, out, deadlineErr(ctx))
-	}
-	injecting := faultinject.Enabled()
-	fdata := filter.Data
-	if pf != nil {
-		fdata = pf.data
-		forceVerify := false
-		if injecting {
-			if idx, ok := faultinject.Take(faultinject.WeightBitflip); ok && len(fdata) > 0 {
-				if idx < 0 || idx >= len(fdata) {
-					idx = 0
-				}
-				corrupted := append([]float32(nil), fdata...)
-				corrupted[idx] = math.Float32frombits(math.Float32bits(corrupted[idx]) ^ 0x00400000)
-				fdata = corrupted
-				forceVerify = true
-			}
-		}
-		if forceVerify || pf.shouldVerify() {
-			if verr := pf.verifyConsumed(fdata); verr != nil {
-				return verr
-			}
-		}
-		if injecting {
-			if idx, ok := faultinject.Take(faultinject.PackedCorrupt); ok && len(fdata) > 0 {
-				if idx < 0 || idx >= len(fdata) {
-					idx = 0
-				}
-				corrupted := append([]float32(nil), fdata...)
-				corrupted[idx] = float32(math.NaN())
-				fdata = corrupted
-			}
-		}
-	}
-	err := p.run(ctx, in.Data, fdata, out.Data)
-	if err == nil && injecting {
-		if idx, ok := faultinject.Take(faultinject.NaNPoison); ok && len(out.Data) > 0 {
-			if idx < 0 || idx >= len(out.Data) {
-				idx = 0
-			}
-			out.Data[idx] = float32(math.NaN())
-		}
-	}
-	if err == nil && (injecting || p.opts.CheckNumerics) {
-		if i, bad := scanNonFinite(out.Data); bad {
-			err = fmt.Errorf("%w: non-finite depthwise output at element %d", ErrExecFault, i)
-		}
-	}
-	if err == nil {
-		return nil
-	}
-	if errors.Is(err, ErrIntegrity) {
-		return err
-	}
-	if errors.Is(err, conv.ErrDeadline) {
-		if p.opts.FallbackBudget <= 0 {
-			return err
-		}
-		return p.deadlineFallback(ctx, in, filter, out, err)
-	}
-	Logf("core: depthwise path faulted on %v; recomputing on oracle path: %v", p.Shape, err)
-	p.fallbackOracle(in.Data, filter.Data, out.Data)
-	if p.opts.CheckNumerics {
-		if i, bad := scanNonFinite(out.Data); bad {
-			return fmt.Errorf("%w: non-finite depthwise output at element %d after oracle fallback", ErrExecFault, i)
-		}
-	}
-	return nil
-}
-
-// fallbackOracle recomputes the full result sequentially on the
-// generic oracle body plus the epilogue sweep, in place — safe because
-// the fault path joins every worker first.
-func (p *DepthwisePlan) fallbackOracle(in, filter, out []float32) {
+// oracle computes the full result sequentially on the generic oracle
+// body plus the epilogue sweep into out, polling ctx between planes; it
+// reports false when ctx expired first.
+func (p *DepthwisePlan) oracle(ctx context.Context, in, filter, out []float32) bool {
 	s := p.Shape
 	pp, q := s.P(), s.Q()
 	for plane := 0; plane < s.N*s.C; plane++ {
+		if ctx.Err() != nil {
+			return false
+		}
 		c := plane % s.C
 		inPlane := in[plane*s.H*s.W : (plane+1)*s.H*s.W]
 		fch := filter[c*s.R*s.S : (c+1)*s.R*s.S]
@@ -483,133 +310,58 @@ func (p *DepthwisePlan) fallbackOracle(in, filter, out []float32) {
 			applyChannelEpilogue(dst, &p.ep, c)
 		}
 	}
-}
-
-// deadlineFallback spends Options.FallbackBudget recomputing on the
-// oracle path after a blown deadline, publishing through a fresh
-// backing array because the abandoned grid may still store into the
-// old one (Plan.deadlineFallback's contract).
-func (p *DepthwisePlan) deadlineFallback(ctx context.Context, in, filter *tensor.Tensor, out *tensor.Tensor, origErr error) error {
-	fctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), p.opts.FallbackBudget)
-	defer cancel()
-	Logf("core: depthwise path abandoned on %v; recomputing on oracle path within %v: %v",
-		p.Shape, p.opts.FallbackBudget, origErr)
-	s := p.Shape
-	pp, q := s.P(), s.Q()
-	fresh := make([]float32, len(out.Data))
-	for plane := 0; plane < s.N*s.C; plane++ {
-		if fctx.Err() != nil {
-			return origErr
-		}
-		c := plane % s.C
-		inPlane := in.Data[plane*s.H*s.W : (plane+1)*s.H*s.W]
-		fch := filter.Data[c*s.R*s.S : (c+1)*s.R*s.S]
-		dst := fresh[plane*pp*q : (plane+1)*pp*q]
-		depthwisePlaneRange(s, inPlane, fch, dst, 0, pp)
-		if !p.ep.none {
-			applyChannelEpilogue(dst, &p.ep, c)
-		}
-	}
-	out.Data = fresh
-	if p.opts.CheckNumerics {
-		if i, bad := scanNonFinite(out.Data); bad {
-			return fmt.Errorf("%w: non-finite depthwise output at element %d after oracle fallback", ErrExecFault, i)
-		}
-	}
-	return nil
+	return true
 }
 
 // PackedDepthwiseFilter is the persistent packed form of a depthwise
-// [C,R,S] filter: a private copy of the weights stamped with a
-// CRC32-C at pack time (DESIGN.md §12 — the depthwise layout is
-// already the per-channel contiguous form the kernels consume, so
-// packing buys immutability, residency accounting and checksum
-// protection rather than a reordering). Verification runs on the same
-// sampled schedule as PackedFilter (SetPackedVerifyInterval), and a
-// mismatch is typed ErrIntegrity: the owner must re-pack from the
-// retained source.
+// [C,R,S] filter: a private copy of the weights on the shared
+// packed-weights core (DESIGN.md §12 — the depthwise layout is already
+// the per-channel contiguous form the kernels consume, so packing buys
+// immutability, residency accounting and checksum protection rather
+// than a reordering). Verification runs on the same sampled schedule as
+// PackedFilter (SetPackedVerifyInterval), and a mismatch is typed
+// ErrIntegrity: the owner must re-pack from the retained source.
 type PackedDepthwiseFilter struct {
-	c, r, s   int
-	src       *tensor.Tensor
-	data      []float32
-	released  atomic.Bool
-	crc       uint32
-	verifySeq atomic.Uint64
+	packedCore
+	c, r, s int
 }
 
 // TransformFilter packs the [C,R,S] depthwise filter for the plan,
 // stamping its CRC32-C. The source tensor is retained (Source) so
 // fault fallbacks and re-packs read pristine weights.
 func (p *DepthwisePlan) TransformFilter(filter *tensor.Tensor) (*PackedDepthwiseFilter, error) {
-	s := p.Shape
+	return packDepthwise(p.Shape, filter)
+}
+
+// packDepthwise packs a depthwise stage's weights (a DepthwisePlan's,
+// or a SeparablePlan's depthwise stage).
+func packDepthwise(s conv.Shape, filter *tensor.Tensor) (*PackedDepthwiseFilter, error) {
 	if err := conv.ValidateTensor("depthwise filter", filter, s.C, s.R, s.S); err != nil {
 		return nil, err
 	}
-	data := append([]float32(nil), filter.Data...)
-	return &PackedDepthwiseFilter{
-		c: s.C, r: s.R, s: s.S,
-		src:  filter,
-		data: data,
-		crc:  crcFloats(data),
-	}, nil
+	pf := &PackedDepthwiseFilter{c: s.C, r: s.R, s: s.S}
+	pf.seal(fmt.Sprintf("packed depthwise filter C%d R%d S%d", s.C, s.R, s.S), filter, append([]float32(nil), filter.Data...))
+	return pf, nil
 }
-
-// Checksum returns the pack-time CRC32-C.
-func (pf *PackedDepthwiseFilter) Checksum() uint32 { return pf.crc }
-
-// Verify re-checks the packed weights against the pack-time CRC32-C.
-func (pf *PackedDepthwiseFilter) Verify() error { return pf.verifyConsumed(pf.data) }
-
-func (pf *PackedDepthwiseFilter) verifyConsumed(data []float32) error {
-	packedVerifies.Add(1)
-	if crcFloats(data) != pf.crc {
-		packedVerifyFailures.Add(1)
-		return fmt.Errorf("%w: packed depthwise filter C%d R%d S%d fails its pack-time CRC32-C; re-pack from the source",
-			ErrIntegrity, pf.c, pf.r, pf.s)
-	}
-	return nil
-}
-
-func (pf *PackedDepthwiseFilter) shouldVerify() bool {
-	iv := packedVerifyInterval.Load()
-	if iv <= 0 {
-		return false
-	}
-	return pf.verifySeq.Add(1)%uint64(iv) == 0
-}
-
-// Bytes returns the packed allocation size (weight-budget accounting).
-func (pf *PackedDepthwiseFilter) Bytes() int64 { return 4 * int64(len(pf.data)) }
-
-// Source returns the retained [C,R,S] source tensor.
-func (pf *PackedDepthwiseFilter) Source() *tensor.Tensor { return pf.src }
 
 // CompatibleWith reports whether the packed geometry matches the plan.
-func (pf *PackedDepthwiseFilter) CompatibleWith(p *DepthwisePlan) bool {
-	s := p.Shape
+func (pf *PackedDepthwiseFilter) CompatibleWith(p *DepthwisePlan) bool { return pf.fits(p.Shape) }
+
+func (pf *PackedDepthwiseFilter) fits(s conv.Shape) bool {
 	return pf.c == s.C && pf.r == s.R && pf.s == s.S
 }
 
-// Release marks the packed weights evicted, exactly once. In-flight
-// runs holding the data finish safely (the array is immutable); new
-// executions fail typed with ErrWeightsReleased.
-func (pf *PackedDepthwiseFilter) Release() bool {
-	return !pf.released.Swap(true)
-}
-
-// Released reports whether Release has been called.
-func (pf *PackedDepthwiseFilter) Released() bool { return pf.released.Load() }
-
-func (pf *PackedDepthwiseFilter) validateFor(p *DepthwisePlan) error {
+// validateFor checks the packed filter against a depthwise stage's
+// shape.
+func (pf *PackedDepthwiseFilter) validateFor(s conv.Shape) error {
 	if pf == nil {
 		return fmt.Errorf("%w: nil packed depthwise filter", ErrBadOptions)
 	}
-	if pf.Released() {
-		return fmt.Errorf("%w: packed depthwise filter C%d R%d S%d", ErrWeightsReleased, pf.c, pf.r, pf.s)
+	if err := pf.usable(); err != nil {
+		return err
 	}
-	if !pf.CompatibleWith(p) {
-		return fmt.Errorf("%w: packed depthwise filter C%d R%d S%d does not match plan %v",
-			ErrBadOptions, pf.c, pf.r, pf.s, p.Shape)
+	if !pf.fits(s) {
+		return fmt.Errorf("%w: %s does not match plan %v", ErrBadOptions, pf.what, s)
 	}
 	return nil
 }
@@ -634,7 +386,7 @@ func newDepthwiseProbe(f *kernelFamily) (*familyProbe, error) {
 		out:   tensor.New(s.N, s.C, s.P(), s.Q()),
 		want:  tensor.New(s.N, s.C, s.P(), s.Q()),
 	}
-	p.fallbackOracle(in.Data, filter.Data, kp.want.Data)
+	p.oracle(context.Background(), in.Data, filter.Data, kp.want.Data)
 	kp.exec = func() error { return p.TryExecute(in, filter, kp.out) }
 	return kp, nil
 }

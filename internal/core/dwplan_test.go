@@ -38,8 +38,8 @@ func dwOracle(s conv.Shape, in, filter *tensor.Tensor, ep *epilogue) *tensor.Ten
 	for plane := 0; plane < s.N*s.C; plane++ {
 		c := plane % s.C
 		dst := out.Data[plane*pp*q : (plane+1)*pp*q]
-		depthwisePlane(s, in.Data[plane*s.H*s.W:(plane+1)*s.H*s.W],
-			filter.Data[c*s.R*s.S:(c+1)*s.R*s.S], dst)
+		depthwisePlaneRange(s, in.Data[plane*s.H*s.W:(plane+1)*s.H*s.W],
+			filter.Data[c*s.R*s.S:(c+1)*s.R*s.S], dst, 0, pp)
 		if ep != nil && !ep.none {
 			applyChannelEpilogue(dst, ep, c)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"sync"
@@ -158,7 +159,7 @@ func TestExecuteAddFaultRestoresSnapshot(t *testing.T) {
 	ref := conv.Reference(s, in, filter)
 
 	faultinject.Arm(faultinject.WorkerPanic, -1)
-	if err := plan.TryExecuteAdd(in, filter, out); err != nil {
+	if err := plan.TryExecuteAddCtx(context.Background(), in, filter, out); err != nil {
 		t.Fatal(err)
 	}
 	for i, v := range out.Data {
@@ -184,9 +185,9 @@ func TestDepthwiseFaultFallsBack(t *testing.T) {
 		t.Fatalf("depthwise must degrade, not fail: %v", err)
 	}
 	if d := tensor.RelDiff(want, got); d != 0 {
-		t.Fatalf("sequential recompute differs: rel diff %g", d)
+		t.Fatalf("oracle recompute differs: rel diff %g", d)
 	}
-	if !strings.Contains(logged(), "recomputing sequentially") {
+	if !strings.Contains(logged(), "recomputing on reference path") {
 		t.Fatal("degradation must be logged")
 	}
 }

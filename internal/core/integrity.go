@@ -14,9 +14,12 @@ package core
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"math"
 	"sync/atomic"
+
+	"ndirect/internal/tensor"
 )
 
 // castagnoli is the CRC32-C polynomial table; Castagnoli is the SSE4/
@@ -122,6 +125,97 @@ func IntegritySnapshot() IntegrityStats {
 		PackedVerifyFailures: packedVerifyFailures.Load(),
 		ScratchCanaryTrips:   scratchCanaryTrips.Load(),
 	}
+}
+
+// packedCore is the resident-weights handle every packed operand is
+// built on — PackedFilter and PackedDepthwiseFilter embed it and add
+// only their geometry check. It owns what the robustness layer needs of
+// a packed artifact whatever its layout: the immutable buffer, the
+// framework-layout source the oracle recomputes from (and re-packs
+// read), the pack-time CRC32-C with its sampled verification schedule,
+// and the released flag a residency manager flips on eviction.
+//
+// The buffer is immutable after seal and garbage-collected, never
+// recycled: executions that validated before a Release keep reading
+// valid memory, so an eviction racing in-flight traffic yields a
+// stale-but-correct result or a typed error, never a read of reused
+// memory. The source must not be mutated while the handle is in use.
+type packedCore struct {
+	what      string         // artifact and geometry, for errors ("packed filter K64 C64 R3 S3 Vk8")
+	src       *tensor.Tensor // framework-layout source weights
+	data      []float32
+	crc       uint32        // CRC32-C of data, computed at pack time
+	released  atomic.Bool   // set by Release; checked by usable
+	verifySeq atomic.Uint64 // execution counter driving sampled verification
+}
+
+// seal binds a freshly packed buffer to the handle and stamps its
+// checksum.
+func (pc *packedCore) seal(what string, src *tensor.Tensor, data []float32) {
+	pc.what, pc.src, pc.data, pc.crc = what, src, data, crcFloats(data)
+}
+
+// Checksum returns the CRC32-C computed over the packed buffer at pack
+// time. Packing is deterministic, so re-packing the same source always
+// reproduces it — the property the eviction/re-pack path's verification
+// rests on.
+func (pc *packedCore) Checksum() uint32 { return pc.crc }
+
+// Verify re-checksums the packed buffer against the pack-time CRC32-C,
+// returning an error wrapping ErrIntegrity on mismatch. A mismatch
+// means the resident bytes were corrupted after packing (a DRAM bit
+// flip, a stray store); the owner must drop the handle and re-pack
+// from the retained source rather than keep serving from it. Safe for
+// concurrent use with executions — the buffer is read-only.
+func (pc *packedCore) Verify() error { return pc.verifyConsumed(pc.data) }
+
+// verifyConsumed checks the buffer an execution is about to consume
+// (the resident data, or a run-private copy under fault injection)
+// against the pack-time checksum, counting the verification and any
+// failure.
+func (pc *packedCore) verifyConsumed(data []float32) error {
+	packedVerifies.Add(1)
+	if crcFloats(data) != pc.crc {
+		packedVerifyFailures.Add(1)
+		return fmt.Errorf("%w: %s fails its pack-time CRC32-C; re-pack from the source", ErrIntegrity, pc.what)
+	}
+	return nil
+}
+
+// shouldVerify implements the sampled verification schedule: every
+// PackedVerifyInterval-th execution consuming this handle re-checksums
+// the weights first.
+func (pc *packedCore) shouldVerify() bool {
+	iv := packedVerifyInterval.Load()
+	if iv <= 0 {
+		return false
+	}
+	return pc.verifySeq.Add(1)%uint64(iv) == 0
+}
+
+// Bytes returns the packed allocation size (weight-budget accounting).
+func (pc *packedCore) Bytes() int64 { return 4 * int64(len(pc.data)) }
+
+// Source returns the framework-layout tensor the handle was packed
+// from.
+func (pc *packedCore) Source() *tensor.Tensor { return pc.src }
+
+// Release retires the packed weights: subsequent executions fail typed
+// with ErrWeightsReleased until the owner re-packs. It reports whether
+// this call performed the release (false when already released), which
+// gives residency accountants exactly-once charge-return semantics
+// even when eviction, replacement and unregistration race.
+func (pc *packedCore) Release() bool { return !pc.released.Swap(true) }
+
+// Released reports whether the packed weights have been retired.
+func (pc *packedCore) Released() bool { return pc.released.Load() }
+
+// usable fails typed once the handle is released.
+func (pc *packedCore) usable() error {
+	if pc.Released() {
+		return fmt.Errorf("%w: %s was evicted; re-pack before executing", ErrWeightsReleased, pc.what)
+	}
+	return nil
 }
 
 // FillProbe fills data with small integers in [-3, 3] from a

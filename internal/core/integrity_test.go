@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math"
 	"sync"
@@ -274,16 +275,23 @@ type bodyMeter struct{ calls, rows, stores int }
 
 // meterFamily swaps the named family's body (and vector store, where the
 // host binds one) for doubles that count into the returned meter and
-// then run the real routine; the swap is undone when the test ends.
+// then run the real routine — the looped kernel on a host that binds the
+// family no body of its own; the swap is undone when the test ends.
 // Metered plans must run single-threaded.
 func meterFamily(t *testing.T, name string) *bodyMeter {
 	t.Helper()
 	f := familyByName(name)
 	body, store, m := f.kern, f.store, &bodyMeter{}
+	run := body
+	if run == nil {
+		run = func(acc *accFile8, buf, tf []float32, rows, vwEff, pitch int) {
+			kernel12x8(acc, buf, tf, rows, f.s, f.str, vwEff, pitch)
+		}
+	}
 	f.kern = func(acc *accFile8, buf, tf []float32, rows, vwEff, pitch int) {
 		m.calls++
 		m.rows += rows
-		body(acc, buf, tf, rows, vwEff, pitch)
+		run(acc, buf, tf, rows, vwEff, pitch)
 	}
 	if store != nil {
 		f.store = func(acc *accFile8, dst, res []float32, ep *epilogue, kBase, stride, vwEff int, nchw, accumulate bool) {
@@ -350,7 +358,7 @@ func TestQuarantinedBodyNeverRunsOnAnyConsumer(t *testing.T) {
 		name: "Plan/batched", family: "12x8.r3s3.s1", tiles: tiles(3, s.P(), s.Q()), rows: s.C * s.R,
 		exec: func() {
 			outs := []*tensor.Tensor{s.NewOutput(), tensor.New(2, s.K, s.P(), s.Q())}
-			if err := bp.TryExecuteBatch([]*tensor.Tensor{in, in2}, filter, outs); err != nil {
+			if err := bp.TryExecuteBatchCtx(context.Background(), []*tensor.Tensor{in, in2}, filter, outs); err != nil {
 				t.Fatal(err)
 			}
 			for i, o := range [][]float32{outs[0].Data, outs[1].Data[:len(want.Data)], outs[1].Data[len(want.Data):]} {

@@ -106,7 +106,6 @@ func BenchmarkMicroKernelBodies(b *testing.B) {
 		run  func(acc *accFile8)
 	}{
 		{"looped12x8", func(acc *accFile8) { kernel12x8(acc, buf, tf, tc*r, s, str, vw, wIn) }},
-		{"foldedS3s1", func(acc *accFile8) { kernel12x8S3s1(acc, buf, tf, tc*r, vw, wIn) }},
 		{"vector", func(acc *accFile8) { vector12x8(acc, buf, tf, tc*r, s, str, vw, wIn) }},
 		{"unrolledS3", func(acc *accFile8) { kernel12x8S3(acc, buf, tf, tc, r, vw, wIn) }},
 	} {

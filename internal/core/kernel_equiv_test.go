@@ -7,40 +7,20 @@ import (
 )
 
 // bodyImpl is one implementation of the V_k=8 main micro-kernel body in
-// kernel12x8's calling convention, written for one (s, str) — or, with
-// s == 0, for any.
+// kernel12x8's calling convention.
 type bodyImpl struct {
-	name   string
-	s, str int
-	run    func(acc *accFile8, buf, tf []float32, rows, s, str, vwEff, pitch int)
-}
-
-func (b bodyImpl) covers(s, str int) bool { return b.s == 0 || (b.s == s && b.str == str) }
-
-// goBody adapts a constant-folded Go family body (kernel_variants.go).
-// They are called here by name, not through the dispatch table: on an
-// AVX2 host the table shadows them with the vector body and this battery
-// is the only thing that runs them.
-func goBody(name string, s, str int, kern specializedKernel) bodyImpl {
-	return bodyImpl{name, s, str, func(acc *accFile8, buf, tf []float32, rows, _, _, vwEff, pitch int) {
-		kern(acc, buf, tf, rows, vwEff, pitch)
-	}}
+	name string
+	run  func(acc *accFile8, buf, tf []float32, rows, s, str, vwEff, pitch int)
 }
 
 // bodyImpls is every implementation of the body besides the looped
-// kernel12x8 they are all compared against.
+// kernel12x8 they are all compared against: the vector body, where the
+// host has one.
 func bodyImpls() []bodyImpl {
-	impls := []bodyImpl{
-		goBody("go.s3.s1", 3, 1, kernel12x8S3s1),
-		goBody("go.s3.s2", 3, 2, kernel12x8S3s2),
-		goBody("go.s1.s1", 1, 1, kernel12x8S1s1),
-		goBody("go.s1.s2", 1, 2, kernel12x8S1s2),
-		goBody("go.s7.s2", 7, 2, kernel12x8S7s2),
-	}
 	if hasVectorBody {
-		impls = append(impls, bodyImpl{name: "vector", run: vector12x8})
+		return []bodyImpl{{name: "vector", run: vector12x8}}
 	}
-	return impls
+	return nil
 }
 
 // operandValues draws test operands: ordinary values in [-2, 2), or,
@@ -111,9 +91,6 @@ func checkBodies(t testing.TB, rng *rand.Rand, rows, s, str, vwEff, pitch int, s
 	want := acc0
 	kernel12x8(&want, buf, tf, rows, s, str, vwEff, pitch)
 	for _, impl := range bodyImpls() {
-		if !impl.covers(s, str) {
-			continue
-		}
 		got := acc0
 		impl.run(&got, buf, tf, rows, s, str, vwEff, pitch)
 		if lane, ok := sameAccBits(&got, &want); !ok {
@@ -125,8 +102,8 @@ func checkBodies(t testing.TB, rng *rand.Rand, rows, s, str, vwEff, pitch int, s
 }
 
 // TestBodyEquivalence is the one battery every implementation of the
-// body answers to: vector, each constant-folded Go family body and the
-// looped kernel12x8 store the same accumulator bits for every S, stride,
+// body answers to: the vector body and the looped kernel12x8 store the
+// same accumulator bits for every S, stride,
 // tile width, ragged row count and row pitch, from non-zero accumulators,
 // on ordinary and on denormal / signed-zero / infinite operands.
 func TestBodyEquivalence(t *testing.T) {
@@ -156,9 +133,6 @@ func TestBodyRejectsBadExtents(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	acc0, buf, tf := bodyOperands(rng, 3, 3, 1, 12, 14, false)
 	for _, impl := range bodyImpls() {
-		if !impl.covers(3, 1) {
-			continue
-		}
 		for _, bad := range []struct{ rows, vwEff int }{{3, 0}, {3, -1}, {3, 13}, {0, 12}} {
 			got := acc0
 			impl.run(&got, buf, tf, bad.rows, 3, 1, bad.vwEff, 14)
@@ -195,8 +169,7 @@ func TestVectorBodyProvesExtents(t *testing.T) {
 }
 
 // FuzzVectorBody drives the same comparison from fuzzed extents and
-// operand seeds. (On a host without the vector body it still checks the
-// Go family bodies against the looped kernel.)
+// operand seeds.
 func FuzzVectorBody(f *testing.F) {
 	f.Add(uint8(2), uint8(0), uint8(11), uint8(8), uint8(0), false, int64(1)) // 3×3 s1, full tile
 	f.Add(uint8(6), uint8(1), uint8(6), uint8(20), uint8(3), true, int64(2))  // 7×7 s2 stem, ragged tile

@@ -2,8 +2,8 @@
 
 package core
 
-// No vector body on this architecture: the kernel families keep their
-// portable Go bodies (kernel_variants.go).
+// No vector body on this architecture: the standard kernel families run
+// the looped Go kernel (Plan.body).
 const hasVectorBody = false
 
 // vector12x8 is never bound when hasVectorBody is false; it exists so

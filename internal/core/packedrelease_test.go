@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -44,7 +45,7 @@ func TestPackedFilterReleaseTyped(t *testing.T) {
 	}
 	nhwcIn := tensor.NCHWToNHWC(in)
 	nhwcOut := tensor.New(s.N, s.P(), s.Q(), s.K)
-	if err := plan.TryExecutePackedNHWC(nhwcIn, pf, nhwcOut); !errors.Is(err, ErrWeightsReleased) {
+	if err := plan.exec(context.Background(), execReq{in: nhwcIn, pf: pf, packed: true, out: nhwcOut, nhwc: true}); !errors.Is(err, ErrWeightsReleased) {
 		t.Fatalf("TryExecutePackedNHWC on released filter: want ErrWeightsReleased, got %v", err)
 	}
 
@@ -54,8 +55,8 @@ func TestPackedFilterReleaseTyped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pf2.Len() != pf.Len() {
-		t.Fatalf("re-pack length changed: %d vs %d", pf2.Len(), pf.Len())
+	if pf2.Bytes() != pf.Bytes() {
+		t.Fatalf("re-pack length changed: %d vs %d", pf2.Bytes(), pf.Bytes())
 	}
 	for i := range pf2.data {
 		if pf2.data[i] != pf.data[i] {

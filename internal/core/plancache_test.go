@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"testing"
@@ -99,7 +100,7 @@ func TestExecutePackedNHWCMatchesSeed(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := tensor.New(s.N, s.P(), s.Q(), s.K)
-	if err := p.TryExecutePackedNHWC(inNHWC, pf, got); err != nil {
+	if err := p.exec(context.Background(), execReq{in: inNHWC, pf: pf, packed: true, out: got, nhwc: true}); err != nil {
 		t.Fatal(err)
 	}
 	if d := tensor.MaxAbsDiff(want, got); d != 0 {

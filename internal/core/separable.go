@@ -2,13 +2,9 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"math"
-	"sync"
 
 	"ndirect/internal/conv"
-	"ndirect/internal/faultinject"
 	"ndirect/internal/parallel"
 	"ndirect/internal/tensor"
 )
@@ -94,15 +90,14 @@ type SeparablePlan struct {
 	dwEp     epilogue      // depthwise-stage epilogue (length C)
 	pwPlan   *Plan         // full-shape pointwise plan: Tc partition, packed layout, store epilogue
 
-	rowTile int // depthwise output rows per grid cell
-	tiles   int // row tiles per image
-	cells   int // N·tiles
-	workers int
-	midLen  int // C·rowTile·Q: one worker's intermediate scratch
-	preLen  int // ⌈K/8⌉·C·8: packed pointwise filter length
+	rowTile int              // depthwise output rows per grid cell
+	tiles   int              // row tiles per image
+	cells   int              // N·tiles
+	ranges  []parallel.Range // cells per worker task
+	midLen  int              // C·rowTile·Q: one worker's intermediate scratch
+	preLen  int              // ⌈K/8⌉·C·8: packed pointwise filter length
 
-	runMu   sync.Mutex
-	runFree []*sepRun
+	runs runPool
 }
 
 // sepMidBudget bounds the default per-worker intermediate scratch so
@@ -173,10 +168,7 @@ func TryNewSeparablePlan(shape SeparableShape, opt Options) (*SeparablePlan, err
 	}
 	p.tiles = (pp + p.rowTile - 1) / p.rowTile
 	p.cells = shape.N * p.tiles
-	p.workers = min(p.threads, p.cells)
-	if p.workers < 1 {
-		p.workers = 1
-	}
+	p.ranges = parallel.Split(p.cells, p.threads)
 	p.midLen = shape.C * p.rowTile * q
 	p.preLen = (shape.K + 7) / 8 * shape.C * 8
 	return p, nil
@@ -243,143 +235,69 @@ func (p *SeparablePlan) TransformFilters(dwFilter, pwFilter *tensor.Tensor) (*Pa
 // unit sharing one budget-charged PackedFilter between the fused path
 // and a standalone pointwise unit builds it via PointwisePlan()).
 func (p *SeparablePlan) TransformDepthwiseFilter(dwFilter *tensor.Tensor) (*PackedDepthwiseFilter, error) {
-	s := p.dw
-	if err := conv.ValidateTensor("depthwise filter", dwFilter, s.C, s.R, s.S); err != nil {
-		return nil, err
-	}
-	data := append([]float32(nil), dwFilter.Data...)
-	return &PackedDepthwiseFilter{
-		c: s.C, r: s.R, s: s.S,
-		src:  dwFilter,
-		data: data,
-		crc:  crcFloats(data),
-	}, nil
+	return packDepthwise(p.dw, dwFilter)
 }
 
-// compatibleDW reports whether the packed depthwise filter matches the
-// plan's depthwise geometry.
-func (p *SeparablePlan) validateDW(pdw *PackedDepthwiseFilter) error {
-	if pdw == nil {
-		return fmt.Errorf("%w: nil packed depthwise filter", ErrBadOptions)
-	}
-	if pdw.Released() {
-		return fmt.Errorf("%w: packed depthwise filter C%d R%d S%d", ErrWeightsReleased, pdw.c, pdw.r, pdw.s)
-	}
-	s := p.dw
-	if pdw.c != s.C || pdw.r != s.R || pdw.s != s.S {
-		return fmt.Errorf("%w: packed depthwise filter C%d R%d S%d does not match plan %v",
-			ErrBadOptions, pdw.c, pdw.r, pdw.s, s)
-	}
-	return nil
-}
-
-// sepScratch is one worker's private state: the guarded row-tile
-// intermediate and the pointwise register file.
+// sepScratch is one worker's private state: the row-tile intermediate
+// (a guarded allocation, gridRun.guard) and the pointwise register file.
 type sepScratch struct {
-	midFull []float32 // mid + canary guard words
-	mid     []float32
-	acc     accFile8
+	mid []float32
+	acc accFile8
 }
 
-func (p *SeparablePlan) newScratch() *sepScratch {
-	ws := &sepScratch{midFull: newGuarded(p.midLen)}
-	ws.mid = ws.midFull[:p.midLen:p.midLen]
-	return ws
-}
-
-type sepTask struct {
-	r      *sepRun
-	w      int
-	lo, hi int // cell range
-	ws     *sepScratch
-	fn     func()
-	body   func()
-}
-
-// sepRun is one execution's pooled mutable state (planRun's twin).
+// sepRun is one execution's operands on top of the shared harness.
 // packBuf lazily holds the per-run pointwise pack for the unpacked
 // path; it belongs to the run (not a shared pool) so a
 // deadline-abandoned straggler can never race a recycled buffer.
 type sepRun struct {
-	p            *SeparablePlan
-	in, dwf, pre []float32
-	out          []float32
-	packBuf      []float32
+	gridRun
+	p                      *SeparablePlan
+	scratch                []*sepScratch  // per grid slot
+	in, dwFilter, pwFilter *tensor.Tensor // the filters raw (packed: the packs' sources)
 
-	fs    parallel.FaultSink
-	g     parallel.Group
-	tasks []*sepTask
-
-	abandonFn func(error)
-	drainFn   func()
+	inD, dwf, pre, outD []float32 // dwf, pre: the weights the grid reads
+	packBuf             []float32
 }
 
 func (p *SeparablePlan) newRun() *sepRun {
 	r := &sepRun{p: p}
-	chunk := (p.cells + p.workers - 1) / p.workers
-	for w := 0; w < p.workers; w++ {
-		lo := w * chunk
-		hi := min(lo+chunk, p.cells)
-		if lo >= hi {
-			break
-		}
-		t := &sepTask{r: r, w: w, lo: lo, hi: hi, ws: p.newScratch()}
-		t.body = func() {
-			faultinject.Fire(faultinject.WorkerPanic, t.w)
-			faultinject.Stall(faultinject.WorkerStall, t.w)
-			if faultinject.Should(faultinject.ScratchOverrun, t.w) {
-				// Clobber the first guard word past the intermediate: the
-				// canary check at join must quarantine this run state.
-				t.ws.midFull[len(t.ws.mid)] = 1
-			}
-			for cell := t.lo; cell < t.hi; cell++ {
-				if t.r.fs.Stopped() {
-					return
-				}
-				p.cell(t.r.in, t.r.dwf, t.r.pre, t.r.out, cell, t.ws)
-			}
-		}
-		t.fn = func() { r.fs.Record(parallel.Protect(t.body)) }
-		r.tasks = append(r.tasks, t)
+	r.init(r, &p.runs, &p.opts, fmt.Sprintf("separable %+v", p.Shape), len(p.ranges), &r.dwf, &r.pre)
+	for w := range p.ranges {
+		r.scratch = append(r.scratch, &sepScratch{mid: r.guard(w, p.midLen)})
 	}
-	r.abandonFn = func(err error) { r.fs.Record(err) }
-	r.drainFn = func() { p.releaseRun(r) }
 	return r
 }
 
-func (p *SeparablePlan) getRun() *sepRun {
-	p.runMu.Lock()
-	if n := len(p.runFree); n > 0 {
-		r := p.runFree[n-1]
-		p.runFree[n-1] = nil
-		p.runFree = p.runFree[:n-1]
-		p.runMu.Unlock()
-		return r
-	}
-	p.runMu.Unlock()
-	return p.newRun()
-}
-
-func (p *SeparablePlan) releaseRun(r *sepRun) {
-	r.in, r.dwf, r.pre, r.out = nil, nil, nil, nil
-	if r.scratchTripped() >= 0 {
-		scratchCanaryTrips.Add(1)
-		return // quarantined: never parked
-	}
-	p.runMu.Lock()
-	if len(p.runFree) < maxFreeRuns {
-		p.runFree = append(p.runFree, r)
-	}
-	p.runMu.Unlock()
-}
-
-func (r *sepRun) scratchTripped() int {
-	for _, t := range r.tasks {
-		if !canariesIntact(t.ws.midFull, len(t.ws.mid)) {
-			return t.w
+func (r *sepRun) cells(w int) {
+	rg := r.p.ranges[w]
+	for cell := rg.Lo; cell < rg.Hi; cell++ {
+		if r.fs.Stopped() {
+			return
 		}
+		r.p.cell(r.inD, r.dwf, r.pre, r.outD, cell, r.scratch[w])
 	}
-	return -1
+}
+
+func (r *sepRun) unload() {
+	r.in, r.dwFilter, r.pwFilter, r.inD, r.outD = nil, nil, nil, nil, nil
+}
+
+// recompute replays the fused computation cell by cell on the caller's
+// goroutine with fresh scratch and the raw weights — bit-identical to
+// a clean parallel run (same kernels, same tile partition) and, like
+// the fast path, never materialising the full intermediate.
+func (r *sepRun) recompute(ctx context.Context, dst, _ [][]float32) bool {
+	p := r.p
+	pre := make([]float32, p.preLen)
+	transformFilter(r.pwFilter.Data, pre, p.pw.K, p.pw.C, 1, 1, 0, p.pw.K, 0, p.pw.C, 8)
+	ws := &sepScratch{mid: make([]float32, p.midLen)}
+	for cell := 0; cell < p.cells; cell++ {
+		if ctx.Err() != nil {
+			return false
+		}
+		p.cell(r.in.Data, r.dwFilter.Data, pre, dst[0], cell, ws)
+	}
+	return true
 }
 
 // dwKernel resolves the depthwise-stage body; cell calls it per grid
@@ -447,73 +365,39 @@ func (p *SeparablePlan) pwStage(pre, out []float32, n, h0, h1 int, ws *sepScratc
 	}
 }
 
-// run executes the cell grid with Plan.run's dispatch and join
-// semantics. pre may be nil (unpacked path): the pointwise filter
-// pwfRaw is then packed once into the run-owned buffer before
-// dispatch.
-func (p *SeparablePlan) run(ctx context.Context, in, dwf, pre, pwfRaw, out []float32) error {
-	r := p.getRun()
-	if len(r.tasks) == 0 {
-		p.releaseRun(r)
-		return nil
-	}
-	if pre == nil {
-		if r.packBuf == nil {
-			r.packBuf = make([]float32, p.preLen)
-		}
-		transformFilter(pwfRaw, r.packBuf, p.pw.K, p.pw.C, 1, 1, 0, p.pw.K, 0, p.pw.C, 8)
-		pre = r.packBuf
-	}
-	r.in, r.dwf, r.pre, r.out = in, dwf, pre, out
-	r.fs.Reset()
-
-	if ctx == nil || ctx.Done() == nil {
-		if len(r.tasks) > 1 {
-			pool := parallel.DefaultPool()
-			for _, t := range r.tasks[1:] {
-				r.g.GoVia(pool, t.fn)
-			}
-			r.tasks[0].fn()
-			r.g.Wait()
-		} else {
-			r.tasks[0].fn()
-		}
-		err := r.fs.Err()
-		if err == nil {
-			if w := r.scratchTripped(); w >= 0 {
-				err = fmt.Errorf("%w: scratch canary tripped on grid slot %d", ErrIntegrity, w)
-			}
-		}
-		p.releaseRun(r)
-		return err
-	}
-
-	pool := parallel.DefaultPool()
-	for _, t := range r.tasks {
-		r.g.GoVia(pool, t.fn)
-	}
-	if err := r.g.WaitCtx(ctx, r.abandonFn, r.drainFn); err != nil {
-		return fmt.Errorf("%w: %w", conv.ErrDeadline, err)
-	}
-	err := r.fs.Err()
-	if err == nil {
-		if w := r.scratchTripped(); w >= 0 {
-			err = fmt.Errorf("%w: scratch canary tripped on grid slot %d", ErrIntegrity, w)
-		}
-	}
-	p.releaseRun(r)
-	return err
-}
-
 // TryExecute runs the fused block: NCHW input, [C,R,S] depthwise
 // filter, [K,C,1,1] pointwise filter, [N,K,P,Q] output written in
 // place. A nil error always means a correct output.
 func (p *SeparablePlan) TryExecute(in, dwFilter, pwFilter, out *tensor.Tensor) error {
-	return p.TryExecuteCtx(context.Background(), in, dwFilter, pwFilter, out)
+	return p.exec(context.Background(), in, dwFilter, pwFilter, nil, nil, out)
 }
 
 // TryExecuteCtx is TryExecute bounded by ctx.
 func (p *SeparablePlan) TryExecuteCtx(ctx context.Context, in, dwFilter, pwFilter, out *tensor.Tensor) error {
+	return p.exec(ctx, in, dwFilter, pwFilter, nil, nil, out)
+}
+
+// TryExecutePacked runs the fused block from the two packed artifacts.
+func (p *SeparablePlan) TryExecutePacked(in *tensor.Tensor, pdw *PackedDepthwiseFilter, ppw *PackedFilter, out *tensor.Tensor) error {
+	return p.TryExecutePackedCtx(context.Background(), in, pdw, ppw, out)
+}
+
+// TryExecutePackedCtx is TryExecutePacked bounded by ctx.
+func (p *SeparablePlan) TryExecutePackedCtx(ctx context.Context, in *tensor.Tensor, pdw *PackedDepthwiseFilter, ppw *PackedFilter, out *tensor.Tensor) error {
+	if err := pdw.validateFor(p.dw); err != nil {
+		return err
+	}
+	if err := ppw.validateFor(p.pwPlan); err != nil {
+		return err
+	}
+	return p.exec(ctx, in, pdw.src, ppw.src, &pdw.packedCore, &ppw.packedCore, out)
+}
+
+// exec validates the operands, loads them into a pooled run and hands
+// it to the ladder (govern). pdw/ppw are the packed handles, nil on the
+// raw-filter path, where the pointwise filter is packed once into the
+// run-owned buffer before dispatch.
+func (p *SeparablePlan) exec(ctx context.Context, in, dwFilter, pwFilter *tensor.Tensor, pdw, ppw *packedCore, out *tensor.Tensor) error {
 	s := p.dw
 	if err := conv.ValidateTensor("separable input", in, s.N, s.C, s.H, s.W); err != nil {
 		return err
@@ -527,165 +411,28 @@ func (p *SeparablePlan) TryExecuteCtx(ctx context.Context, in, dwFilter, pwFilte
 	if err := conv.ValidateTensor("separable output", out, s.N, p.pw.K, p.pw.P(), p.pw.Q()); err != nil {
 		return err
 	}
-	return p.execChecked(ctx, in, dwFilter, pwFilter, nil, nil, out)
-}
-
-// TryExecutePacked runs the fused block from the two packed artifacts.
-func (p *SeparablePlan) TryExecutePacked(in *tensor.Tensor, pdw *PackedDepthwiseFilter, ppw *PackedFilter, out *tensor.Tensor) error {
-	return p.TryExecutePackedCtx(context.Background(), in, pdw, ppw, out)
-}
-
-// TryExecutePackedCtx is TryExecutePacked bounded by ctx.
-func (p *SeparablePlan) TryExecutePackedCtx(ctx context.Context, in *tensor.Tensor, pdw *PackedDepthwiseFilter, ppw *PackedFilter, out *tensor.Tensor) error {
-	if err := p.validateDW(pdw); err != nil {
-		return err
+	var r *sepRun
+	if g := p.runs.get(); g != nil {
+		r = g.owner.(*sepRun)
+	} else {
+		r = p.newRun()
 	}
-	if err := ppw.validateFor(p.pwPlan); err != nil {
-		return err
-	}
-	s := p.dw
-	if err := conv.ValidateTensor("separable input", in, s.N, s.C, s.H, s.W); err != nil {
-		return err
-	}
-	if err := conv.ValidateTensor("separable output", out, s.N, p.pw.K, p.pw.P(), p.pw.Q()); err != nil {
-		return err
-	}
-	return p.execChecked(ctx, in, pdw.src, ppw.src, pdw, ppw, out)
-}
-
-// execChecked is the fused path's fault ladder, mirroring
-// Plan.execChecked: injected weight corruption against run-private
-// copies, sampled CRC verification of both packed artifacts (typed
-// ErrIntegrity), non-finite scan, sequential bit-identical recompute
-// on worker faults, budget-bounded recompute on deadlines.
-func (p *SeparablePlan) execChecked(ctx context.Context, in, dwFilter, pwFilter *tensor.Tensor,
-	pdw *PackedDepthwiseFilter, ppw *PackedFilter, out *tensor.Tensor) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	cancellable := ctx.Done() != nil
-	if cancellable && ctx.Err() != nil {
-		if p.opts.FallbackBudget <= 0 {
-			return deadlineErr(ctx)
-		}
-		return p.deadlineFallback(ctx, in, dwFilter, pwFilter, out, deadlineErr(ctx))
-	}
-	injecting := faultinject.Enabled()
-	dwData := dwFilter.Data
-	var pre []float32
+	r.in, r.dwFilter, r.pwFilter = in, dwFilter, pwFilter
+	r.inD, r.dwf, r.outD = in.Data, dwFilter.Data, out.Data
 	if pdw != nil {
-		dwData = pdw.data
-		if pdw.shouldVerify() {
-			if verr := pdw.verifyConsumed(dwData); verr != nil {
-				return verr
-			}
-		}
+		r.packed[0].core, r.dwf = pdw, pdw.data
 	}
 	if ppw != nil {
-		pre = ppw.data
-		forceVerify := false
-		if injecting {
-			if idx, ok := faultinject.Take(faultinject.WeightBitflip); ok && len(pre) > 0 {
-				if idx < 0 || idx >= len(pre) {
-					idx = 0
-				}
-				corrupted := append([]float32(nil), pre...)
-				corrupted[idx] = math.Float32frombits(math.Float32bits(corrupted[idx]) ^ 0x00400000)
-				pre = corrupted
-				forceVerify = true
-			}
+		r.packed[1].core, r.pre = ppw, ppw.data
+	} else {
+		if r.packBuf == nil {
+			r.packBuf = make([]float32, p.preLen)
 		}
-		if forceVerify || ppw.shouldVerify() {
-			if verr := ppw.verifyConsumed(pre); verr != nil {
-				return verr
-			}
-		}
-		if injecting {
-			if idx, ok := faultinject.Take(faultinject.PackedCorrupt); ok && len(pre) > 0 {
-				if idx < 0 || idx >= len(pre) {
-					idx = 0
-				}
-				corrupted := append([]float32(nil), pre...)
-				corrupted[idx] = float32(math.NaN())
-				pre = corrupted
-			}
-		}
+		transformFilter(pwFilter.Data, r.packBuf, p.pw.K, p.pw.C, 1, 1, 0, p.pw.K, 0, p.pw.C, 8)
+		r.pre = r.packBuf
 	}
-	err := p.run(ctx, in.Data, dwData, pre, pwFilter.Data, out.Data)
-	if err == nil && injecting {
-		if idx, ok := faultinject.Take(faultinject.NaNPoison); ok && len(out.Data) > 0 {
-			if idx < 0 || idx >= len(out.Data) {
-				idx = 0
-			}
-			out.Data[idx] = float32(math.NaN())
-		}
-	}
-	if err == nil && (injecting || p.opts.CheckNumerics) {
-		if i, bad := scanNonFinite(out.Data); bad {
-			err = fmt.Errorf("%w: non-finite separable output at element %d", ErrExecFault, i)
-		}
-	}
-	if err == nil {
-		return nil
-	}
-	if errors.Is(err, ErrIntegrity) {
-		return err
-	}
-	if errors.Is(err, conv.ErrDeadline) {
-		if p.opts.FallbackBudget <= 0 {
-			return err
-		}
-		return p.deadlineFallback(ctx, in, dwFilter, pwFilter, out, err)
-	}
-	Logf("core: separable path faulted on %+v; recomputing sequentially: %v", p.Shape, err)
-	p.fallbackSequential(nil, in.Data, dwFilter.Data, pwFilter.Data, out.Data)
-	if p.opts.CheckNumerics {
-		if i, bad := scanNonFinite(out.Data); bad {
-			return fmt.Errorf("%w: non-finite separable output at element %d after fallback", ErrExecFault, i)
-		}
-	}
-	return nil
-}
-
-// fallbackSequential replays the fused computation cell by cell on
-// the caller's goroutine with fresh scratch and pristine weights —
-// bit-identical to a clean parallel run (same kernels, same tile
-// partition) and, like the fast path, never materialising the full
-// intermediate. A non-nil ctx makes it poll per cell and return false
-// on expiry.
-func (p *SeparablePlan) fallbackSequential(ctx context.Context, in, dwf, pwfRaw, out []float32) bool {
-	pre := make([]float32, p.preLen)
-	transformFilter(pwfRaw, pre, p.pw.K, p.pw.C, 1, 1, 0, p.pw.K, 0, p.pw.C, 8)
-	ws := p.newScratch()
-	for cell := 0; cell < p.cells; cell++ {
-		if ctx != nil && ctx.Err() != nil {
-			return false
-		}
-		p.cell(in, dwf, pre, out, cell, ws)
-	}
-	return true
-}
-
-// deadlineFallback spends Options.FallbackBudget recomputing
-// sequentially after a blown deadline, publishing through a fresh
-// backing array (abandoned stragglers may still store into the old
-// one).
-func (p *SeparablePlan) deadlineFallback(ctx context.Context, in, dwFilter, pwFilter *tensor.Tensor, out *tensor.Tensor, origErr error) error {
-	fctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), p.opts.FallbackBudget)
-	defer cancel()
-	Logf("core: separable path abandoned on %+v; recomputing sequentially within %v: %v",
-		p.Shape, p.opts.FallbackBudget, origErr)
-	fresh := make([]float32, len(out.Data))
-	if !p.fallbackSequential(fctx, in.Data, dwFilter.Data, pwFilter.Data, fresh) {
-		return origErr
-	}
-	out.Data = fresh
-	if p.opts.CheckNumerics {
-		if i, bad := scanNonFinite(out.Data); bad {
-			return fmt.Errorf("%w: non-finite separable output at element %d after fallback", ErrExecFault, i)
-		}
-	}
-	return nil
+	r.setOut(out)
+	return govern(ctx, &r.gridRun)
 }
 
 // TrySeparableConv2D computes a full depthwise-separable block — the

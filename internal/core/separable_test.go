@@ -432,9 +432,9 @@ func TestSeparableNeverMaterializesIntermediate(t *testing.T) {
 	}
 	perWorker := p.ScratchBytes()
 	full := p.IntermediateBytes()
-	if total := perWorker * int64(p.workers); total >= full {
+	if total := perWorker * int64(len(p.ranges)); total >= full {
 		t.Fatalf("fused scratch %d B (×%d workers) not smaller than full intermediate %d B",
-			perWorker, p.workers, full)
+			perWorker, len(p.ranges), full)
 	}
 	if p.rowTile >= sh.P() {
 		t.Fatalf("rowTile=%d covers the whole output height %d: fusion degenerates to materialization", p.rowTile, sh.P())

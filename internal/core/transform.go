@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"ndirect/internal/conv"
 	"ndirect/internal/tensor"
@@ -64,27 +63,14 @@ func tfIndex(kb, cv, rr, ss, r, s, tc, vk int) int {
 // zero repacking and bit-identical results.
 //
 // A PackedFilter is immutable after construction and safe for
-// concurrent use by any number of Execute calls. It retains the source
-// KCRS tensor so the fault-tolerant reference fallback (and operand
-// validation) still have the framework-layout weights; the source must
-// not be mutated while the PackedFilter is in use.
-//
-// A packed filter can be retired by Release: a residency manager (the
-// multi-tenant weight budget in internal/serve) that evicts a model's
-// packed weights flips the released flag, after which every new
-// execution attempt fails typed with ErrWeightsReleased and the owner
-// is expected to drop its reference and re-pack on next use.
-// Executions that validated before the flip keep reading the buffer —
-// it is immutable and garbage-collected, never recycled — so an
-// eviction racing in-flight traffic can produce a stale-but-correct
-// result or a typed error, but never a read of reused memory.
+// concurrent use by any number of Execute calls. Checksum, sampled
+// verification, the retained KCRS source and Release — the residency
+// manager's eviction flag, after which new executions fail typed with
+// ErrWeightsReleased — are the shared packed-weights core's
+// (packedCore); this type adds only the geometry it was packed for.
 type PackedFilter struct {
+	packedCore     // data: [⌈K/Vk⌉][C][R][S][Vk], zero lanes past K
 	k, c, r, s, vk int
-	src            *tensor.Tensor // original KCRS weights (fallback path)
-	data           []float32      // [⌈K/Vk⌉][C][R][S][Vk], zero lanes past K
-	released       atomic.Bool    // set by Release; checked by validateFor
-	crc            uint32         // CRC32-C of data, computed at pack time
-	verifySeq      atomic.Uint64  // execution counter driving sampled verification
 }
 
 // TransformFilter pre-transforms the KCRS filter for this plan's
@@ -100,57 +86,14 @@ func (p *Plan) TransformFilter(filter *tensor.Tensor) (*PackedFilter, error) {
 	}
 	vk := p.RT.Vk
 	kBlocks := (s.K + vk - 1) / vk
-	pf := &PackedFilter{
-		k: s.K, c: s.C, r: s.R, s: s.S, vk: vk,
-		src:  filter,
-		data: make([]float32, kBlocks*s.C*s.R*s.S*vk),
-	}
+	data := make([]float32, kBlocks*s.C*s.R*s.S*vk)
 	// The whole filter is one "tile": kt=0, tk=K, ct=0, tc=C yields the
 	// [⌈K/Vk⌉][C][R][S][Vk] layout directly, zero-filling the lanes of
 	// the ragged last block exactly as the per-tile transform does.
-	transformFilter(filter.Data, pf.data, s.K, s.C, s.R, s.S, 0, s.K, 0, s.C, vk)
-	pf.crc = crcFloats(pf.data)
+	transformFilter(filter.Data, data, s.K, s.C, s.R, s.S, 0, s.K, 0, s.C, vk)
+	pf := &PackedFilter{k: s.K, c: s.C, r: s.R, s: s.S, vk: vk}
+	pf.seal(fmt.Sprintf("packed filter K%d C%d R%d S%d Vk%d", s.K, s.C, s.R, s.S, vk), filter, data)
 	return pf, nil
-}
-
-// Checksum returns the CRC32-C computed over the packed buffer at
-// pack time. Because the transform is deterministic, re-packing the
-// same KCRS source always reproduces the same checksum — the property
-// the eviction/re-pack path's verification rests on.
-func (pf *PackedFilter) Checksum() uint32 { return pf.crc }
-
-// Verify re-checksums the packed buffer against the pack-time CRC32-C,
-// returning an error wrapping ErrIntegrity on mismatch. A mismatch
-// means the resident bytes were corrupted after packing (a DRAM bit
-// flip, a stray store); the owner must drop the handle and re-pack
-// from the retained KCRS source rather than keep serving from it.
-// Safe for concurrent use with executions — the buffer is read-only.
-func (pf *PackedFilter) Verify() error {
-	return pf.verifyConsumed(pf.data)
-}
-
-// verifyConsumed checks the buffer an execution is about to consume
-// (pf.data, or a run-private copy under fault injection) against the
-// pack-time checksum, counting the verification and any failure.
-func (pf *PackedFilter) verifyConsumed(pre []float32) error {
-	packedVerifies.Add(1)
-	if crcFloats(pre) != pf.crc {
-		packedVerifyFailures.Add(1)
-		return fmt.Errorf("%w: packed filter K%d C%d R%d S%d fails its pack-time CRC32-C; re-pack from the KCRS source",
-			ErrIntegrity, pf.k, pf.c, pf.r, pf.s)
-	}
-	return nil
-}
-
-// shouldVerify implements the sampled verification schedule: every
-// PackedVerifyInterval-th execution of this filter re-checksums the
-// weights before consuming them.
-func (pf *PackedFilter) shouldVerify() bool {
-	iv := packedVerifyInterval.Load()
-	if iv <= 0 {
-		return false
-	}
-	return pf.verifySeq.Add(1)%uint64(iv) == 0
 }
 
 // CompatibleWith reports whether the packed filter can serve the
@@ -162,29 +105,6 @@ func (pf *PackedFilter) CompatibleWith(p *Plan) bool {
 	return pf.k == s.K && pf.c == s.C && pf.r == s.R && pf.s == s.S && pf.vk == p.RT.Vk
 }
 
-// Source returns the original KCRS filter tensor the packed filter was
-// built from.
-func (pf *PackedFilter) Source() *tensor.Tensor { return pf.src }
-
-// Len returns the packed buffer's element count
-// (⌈K/Vk⌉·C·R·S·Vk floats).
-func (pf *PackedFilter) Len() int { return len(pf.data) }
-
-// Release retires the packed filter: subsequent executions fail typed
-// with ErrWeightsReleased until the owner re-packs. It reports whether
-// this call performed the release (false when already released), which
-// gives residency accountants exactly-once charge-return semantics
-// even when eviction, replacement and unregistration race. The buffer
-// itself is left to the garbage collector once every holder drops its
-// reference — in-flight executions that validated before the flip
-// finish on valid memory.
-func (pf *PackedFilter) Release() bool {
-	return !pf.released.Swap(true)
-}
-
-// Released reports whether the packed filter has been retired.
-func (pf *PackedFilter) Released() bool { return pf.released.Load() }
-
 // validateFor checks the packed filter against the plan, wrapping
 // ErrBadOptions on mismatch (the packed geometry is an execution
 // configuration, not an operand).
@@ -192,14 +112,13 @@ func (pf *PackedFilter) validateFor(p *Plan) error {
 	if pf == nil {
 		return fmt.Errorf("%w: nil PackedFilter", ErrBadOptions)
 	}
-	if pf.Released() {
-		return fmt.Errorf("%w: packed filter K%d C%d R%d S%d was evicted; re-pack before executing",
-			ErrWeightsReleased, pf.k, pf.c, pf.r, pf.s)
+	if err := pf.usable(); err != nil {
+		return err
 	}
 	if !pf.CompatibleWith(p) {
 		s := p.Shape
-		return fmt.Errorf("%w: packed filter K%d C%d R%d S%d Vk%d does not match plan K%d C%d R%d S%d Vk%d",
-			ErrBadOptions, pf.k, pf.c, pf.r, pf.s, pf.vk, s.K, s.C, s.R, s.S, p.RT.Vk)
+		return fmt.Errorf("%w: %s does not match plan K%d C%d R%d S%d Vk%d",
+			ErrBadOptions, pf.what, s.K, s.C, s.R, s.S, p.RT.Vk)
 	}
 	return nil
 }

@@ -768,7 +768,7 @@ func (n *Network) InvalidateReuse(eng *Engine) {
 		u.invalidateReuse(eng)
 	}
 	for _, d := range n.sepUnits() {
-		d.invalidateReuse(eng)
+		d.invalidateReuse()
 	}
 }
 

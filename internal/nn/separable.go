@@ -163,7 +163,7 @@ func (d *DepthwiseSeparable) discardPackedDW(pf *core.PackedDepthwiseFilter) {
 // invalidateReuse retires the block's fused serving state (the memo
 // and the depthwise pack; the pointwise pack lives on the PW unit and
 // is retired by its own invalidateReuse).
-func (d *DepthwiseSeparable) invalidateReuse(eng *Engine) {
+func (d *DepthwiseSeparable) invalidateReuse() {
 	d.sepMu.Lock()
 	d.sepGen.Add(1)
 	for i := range d.sepMemos {
@@ -174,7 +174,6 @@ func (d *DepthwiseSeparable) invalidateReuse(eng *Engine) {
 		pf.Release()
 	}
 	d.sepMu.Unlock()
-	_ = eng
 }
 
 // tryFused runs the block on the fused separable path when the engine
@@ -362,7 +361,7 @@ func (d *DepthwiseConv) discardPacked(pf *core.PackedDepthwiseFilter) {
 	pf.Release()
 }
 
-func (d *DepthwiseConv) invalidateReuse(eng *Engine) {
+func (d *DepthwiseConv) invalidateReuse() {
 	d.packMu.Lock()
 	d.reuseGen.Add(1)
 	for i := range d.planMemos {
@@ -373,7 +372,6 @@ func (d *DepthwiseConv) invalidateReuse(eng *Engine) {
 		pf.Release()
 	}
 	d.packMu.Unlock()
-	_ = eng
 }
 
 func (d *DepthwiseConv) tryForward(eng *Engine, x *tensor.Tensor) (*tensor.Tensor, error) {

@@ -46,8 +46,28 @@ if [ "$(go env GOARCH)" = amd64 ]; then
     fi
 fi
 
+# The governance around the kernels — the fault/deadline ladder, the
+# grid join and the packed-weights CRC verify — is written once
+# (internal/core/govern.go, integrity.go). Each of these lines is the
+# signature of one copy; a second non-test file holding one means a
+# hand-copied ladder came back.
+echo "==> written once: drill points, the grid join and the CRC verify in internal/core"
+for pat in 'faultinject.Take(faultinject.WeightBitflip' 'faultinject.Take(faultinject.PackedCorrupt' \
+    'faultinject.Take(faultinject.NaNPoison' '.WaitCtx(' 'crcFloats(' 'packedVerifies.Add'; do
+    files=$(ls internal/core/*.go | grep -v _test.go | xargs grep -lF -- "$pat" || true)
+    if [ "$(echo "$files" | grep -c .)" -ne 1 ]; then
+        echo "FAIL: '$pat' must appear in exactly one non-test file of internal/core, found in: $(echo $files)" >&2
+        exit 1
+    fi
+done
+
 echo "==> go test -race ./..."
 go test -race ./...
+
+# An arg-less spec arms index -1: every element-addressed drill must
+# clamp it (the batched ladder once did not, and panicked).
+echo "==> governed ladder under NDIRECT_FAULTS=nan-poison (arg-less, -race)"
+NDIRECT_FAULTS=nan-poison go test -race -count=1 -run 'TestBatchedNaNPoisonArgLess|TestGovernedLadder' ./internal/core
 
 echo "==> fuzz smoke: FuzzTryConv2D (10s)"
 go test -run='^$' -fuzz=FuzzTryConv2D -fuzztime=10s ./internal/core
