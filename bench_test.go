@@ -7,6 +7,7 @@ package ndirect_test
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"testing"
 	"time"
@@ -247,53 +248,28 @@ func BenchmarkFig9HyperThreadingModeled(b *testing.B) {
 
 // --- DESIGN.md §4 ablations ---
 
-// Ablation 2: the default V_k=8 register-file kernel against the
-// generic slice-accumulator kernel on the same 3×3 stride-1 workload.
-// (The fully S-unrolled Algorithm 3 transcription is measured body
-// against body in internal/core's BenchmarkMicroKernelBodies.)
+// Ablation 2: the 3×3 stride-1 family's body against the looped Go
+// kernel12x8 it falls back to under quarantine, on the same plan. (The
+// fully S-unrolled Algorithm 3 transcription is measured body against
+// body in internal/core's BenchmarkMicroKernelBodies.)
 func BenchmarkAblationKernelSpecialisation(b *testing.B) {
 	s := benchShape
 	in, filter, out := benchOperands(s)
-	for _, variant := range []struct {
-		name string
-		opt  core.Options
-	}{
-		{"looped12x8-default", core.Options{Threads: 1}},
-		{"generic", core.Options{Threads: 1, ForceGenericKernel: true}},
-	} {
-		b.Run(variant.name, func(b *testing.B) {
-			plan := core.NewPlan(s, variant.opt)
-			b.ResetTimer()
+	plan := core.NewPlan(s, core.Options{Threads: 1})
+	family := plan.KernelName()
+	for _, looped := range []bool{false, true} {
+		name := "family-default"
+		if looped {
+			name = "looped12x8"
+			core.QuarantineKernelFamily(family)
+		}
+		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				plan.Execute(in, filter, out)
 			}
 			reportGFLOPS(b, s, b.N)
 		})
-	}
-}
-
-// Ablation 3: the Equation 3-4 optimum against alternative register
-// tiles.
-func BenchmarkAblationRegisterTile(b *testing.B) {
-	s := benchShape
-	in, filter, out := benchOperands(s)
-	for _, tile := range []struct {
-		name   string
-		vw, vk int
-	}{
-		{"12x8-optimal", 12, 8},
-		{"8x8", 8, 8},
-		{"16x4", 16, 4},
-		{"4x16", 4, 16},
-	} {
-		b.Run(tile.name, func(b *testing.B) {
-			plan := core.NewPlan(s, core.Options{Threads: 1, ForceVw: tile.vw, ForceVk: tile.vk})
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				plan.Execute(in, filter, out)
-			}
-			reportGFLOPS(b, s, b.N)
-		})
+		core.RestoreKernelFamily(family)
 	}
 }
 
@@ -352,6 +328,45 @@ func BenchmarkPublicConv2D(b *testing.B) {
 		ndirect.Conv2D(s, in, w, ndirect.Options{Threads: 1})
 	}
 	reportGFLOPS(b, conv.Shape(s), b.N)
+}
+
+// BenchmarkLoopedAndGrouped times the shapes that run no kernel family
+// (5×5 and 7×7 at stride 1: the looped 12×8 kernel) and grouped
+// convolution with two groups and with one group per channel (each
+// (image, group) sub-problem one plan execution).
+func BenchmarkLoopedAndGrouped(b *testing.B) {
+	for _, tc := range []struct {
+		name string
+		s    conv.Shape
+	}{
+		{"r5s5s1", conv.Shape{N: 1, C: 32, H: 28, W: 28, K: 32, R: 5, S: 5, Str: 1, Pad: 2}},
+		{"r7s7s1", conv.Shape{N: 1, C: 16, H: 28, W: 28, K: 32, R: 7, S: 7, Str: 1, Pad: 3}},
+	} {
+		b.Run("looped/"+tc.name, func(b *testing.B) {
+			in, filter, out := benchOperands(tc.s)
+			plan := core.NewPlan(tc.s, core.Options{Threads: 1})
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				plan.Execute(in, filter, out)
+			}
+			reportGFLOPS(b, tc.s, b.N)
+		})
+	}
+	s := conv.Shape{N: 1, C: 64, H: 28, W: 28, K: 64, R: 3, S: 3, Str: 1, Pad: 1}
+	for _, groups := range []int{2, s.C} {
+		b.Run(fmt.Sprintf("grouped/g%d", groups), func(b *testing.B) {
+			in := s.NewInput()
+			in.FillRandom(1)
+			filter := tensor.New(s.K, s.C/groups, s.R, s.S)
+			filter.FillRandom(2)
+			opt := core.Options{Threads: 2, PlanCache: core.NewPlanCache(0)}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				core.GroupedConv2D(s, groups, in, filter, opt)
+			}
+			b.ReportMetric(float64(s.FLOPs()/int64(groups))*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
+		})
+	}
 }
 
 func BenchmarkPublicDepthwise(b *testing.B) {

@@ -1,6 +1,5 @@
 // Algorithm shootout: the public-API view of the paper's design
-// ablations — overlapped vs sequential packing (Figure 5), the
-// analytical register tile vs forced alternatives (§5.2.3), NCHW vs
+// ablations — overlapped vs sequential packing (Figure 5), NCHW vs
 // NHWC entry points, and 3-D convolution (§10.2).
 package main
 
@@ -47,16 +46,13 @@ func main() {
 			fatal(err)
 		}
 		sec := time.Since(t0).Seconds()
-		fmt.Printf("%-34s %8.2f GFLOPS  (tile %dx%d)\n",
-			label, float64(s.FLOPs())/sec/1e9, plan.RT.Vw, plan.RT.Vk)
+		fmt.Printf("%-34s %8.2f GFLOPS  (kernel %s)\n",
+			label, float64(s.FLOPs())/sec/1e9, plan.KernelName())
 	}
 
 	fmt.Printf("layer %d: %v\n\n", l.ID, s)
 	run("analytical tiles, overlapped pack", ndirect.Options{})
 	run("sequential pack (Fig. 5 baseline)", ndirect.Options{SequentialPack: true})
-	run("forced 8x8 register tile", ndirect.Options{ForceVw: 8, ForceVk: 8})
-	run("forced 4x16 register tile", ndirect.Options{ForceVw: 4, ForceVk: 16})
-	run("forced 16x4 register tile", ndirect.Options{ForceVw: 16, ForceVk: 4})
 
 	// NHWC entry point: no activation layout conversion in either
 	// direction.

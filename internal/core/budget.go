@@ -17,20 +17,16 @@ import (
 
 // ScratchBytes returns an upper bound on the transient worker-scratch
 // memory one execution of the plan allocates: the per-worker
-// transformed-filter block, packing buffer and (for the generic
-// kernel) accumulator file, times the full PTk × PN × PH × PW thread
-// grid. Actual usage can be lower — worker ranges collapse when a
-// dimension is smaller than its grid factor, and the plan's run pool
-// reuses scratch across calls — so this is a safe admission estimate,
-// not an exact meter.
+// transformed-filter block and packing buffer, times the full
+// PTk × PN × PH × PW thread grid. Actual usage can be lower — worker
+// ranges collapse when a dimension is smaller than its grid factor, and
+// the plan's run pool reuses scratch across calls — so this is a safe
+// admission estimate, not an exact meter.
 func (p *Plan) ScratchBytes() int64 {
 	s := p.Shape
 	kBlocks := (p.CT.Tk + p.RT.Vk - 1) / p.RT.Vk
 	per := kBlocks*p.RT.Vk*p.CT.Tc*s.R*s.S + // tf
 		p.CT.Tc*s.R*((p.RT.Vw-1)*s.Str+s.S) // buf
-	if p.kind == kindGeneric {
-		per += p.RT.Vw * p.RT.Vk // accG (Vec4s, counted in floats)
-	}
 	workers := p.TM.PTk * p.TM.PN * p.TM.PH * p.TM.PW
 	return 4 * int64(per) * int64(workers)
 }

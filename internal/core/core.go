@@ -3,8 +3,9 @@
 //
 // nDirect preserves the framework-native NCHW/NHWC activation layouts
 // and KCRS filter layout. It tiles the loop nest at two levels — cache
-// tiles T_c/T_k/T_h from the Equation 1–2 analytical model, register
-// tiles V_w × V_k from the Equation 3–4 model — transforms the filter
+// tiles T_c/T_k/T_h from the Equation 1–2 analytical model, and the
+// V_w=12 × V_k=8 register tile Equations 3–4 solve for the paper's 3×3
+// working example, on which every standard plan runs — transforms the filter
 // block to a vector-friendly blocking on the fly (line 5 of
 // Algorithm 2), packs the input micro-panel into a linear buffer
 // overlapped with the first compute pass (§5.3), and runs an
@@ -91,9 +92,6 @@ type Options struct {
 	// packs each micro-panel in a separate pass before computing —
 	// the baseline ablated in Figure 5.
 	SequentialPack bool
-	// ForceVw/ForceVk override the register-tile solver (ablation).
-	// Both must be multiples of 4 and fit the Equation 3 budget.
-	ForceVw, ForceVk int
 	// ForceTc/ForceTk/ForceTh override the cache-tile solver
 	// (auto-tuning hooks; 0 keeps the analytical value).
 	ForceTc, ForceTk, ForceTh int
@@ -113,9 +111,6 @@ type Options struct {
 	// readable via Plan.LastStats (filter transform, packing,
 	// kernel, store).
 	CollectStats bool
-	// ForceGenericKernel disables the specialised micro-kernels —
-	// the kernel-specialisation ablation of DESIGN.md §4.
-	ForceGenericKernel bool
 	// CheckNumerics makes every checked execution scan the output for
 	// NaN/Inf after the optimised path finishes. On a non-finite value
 	// the result is recomputed on the reference path and re-scanned; if
@@ -151,14 +146,6 @@ type Options struct {
 	PlanCache *PlanCache
 }
 
-// kernelKind selects the main micro-kernel implementation.
-type kernelKind int
-
-const (
-	kindGeneric kernelKind = iota // any (V_w, V_k), slice accumulators
-	kind12x8                      // V_k=8 fixed-register file; body per Plan.family
-)
-
 // genericPlatform is the tile-model profile used when no platform is
 // given.
 var genericPlatform = hw.Platform{
@@ -188,7 +175,6 @@ type Plan struct {
 	opts     Options
 	platform hw.Platform
 	threads  int
-	kind     kernelKind
 	family   *kernelFamily     // (R,S,Str) body bound at plan time; nil = looped kernel12x8 (dispatch.go)
 	looped   specializedKernel // kernel12x8 bound to the plan's (S, Str): the no-family / quarantine body
 	ep       epilogue          // normalised fused epilogue
@@ -251,18 +237,6 @@ func validateOptions(s conv.Shape, opt Options) error {
 	for _, f := range []struct {
 		name string
 		v    int
-	}{{"ForceVw", opt.ForceVw}, {"ForceVk", opt.ForceVk}} {
-		if f.v != 0 && (f.v < 0 || f.v%4 != 0 || f.v > maxForceTile) {
-			return fmt.Errorf("%w: %s=%d must be a multiple of 4 in [4, %d]",
-				ErrBadOptions, f.name, f.v, maxForceTile)
-		}
-	}
-	if opt.ForceVk > 32 {
-		return fmt.Errorf("%w: ForceVk=%d exceeds the 32-lane register file", ErrBadOptions, opt.ForceVk)
-	}
-	for _, f := range []struct {
-		name string
-		v    int
 	}{{"ForceTc", opt.ForceTc}, {"ForceTk", opt.ForceTk}, {"ForceTh", opt.ForceTh}} {
 		if f.v < 0 {
 			return fmt.Errorf("%w: %s=%d is negative", ErrBadOptions, f.name, f.v)
@@ -277,9 +251,9 @@ func validateOptions(s conv.Shape, opt Options) error {
 	return validateChannelEpilogue(opt.FusedEpilogue, s.K, "fused", true)
 }
 
-// TryNewPlan derives an execution plan for the shape: register tile
-// from Equations 3–4, cache tiles from Equations 1–2, thread mapping
-// from Equations 5–6. It is the checked, panic-free constructor; the
+// TryNewPlan derives an execution plan for the shape: the 12×8 register
+// tile, cache tiles from Equations 1–2, thread mapping from Equations
+// 5–6. It is the checked, panic-free constructor; the
 // returned errors wrap conv.ErrBadShape or ErrBadOptions.
 func TryNewPlan(s conv.Shape, opt Options) (*Plan, error) {
 	if err := s.Validate(); err != nil {
@@ -298,27 +272,16 @@ func TryNewPlan(s conv.Shape, opt Options) (*Plan, error) {
 		p.threads = parallel.DefaultThreads()
 	}
 
-	// Register tile: Equations 3–4, except that a shape with a kernel
-	// family is planned on the family's 12×8 register file (only the 7×7
-	// stride-2 stem solves to anything else — 20×4, which no body but
-	// the generic kernel runs); the ablation overrides outrank both.
-	p.RT = model.SolveRegisterTile(s.S, s.Str)
-	vw, vk := p.RT.Vw, p.RT.Vk
-	family := familyFor(s, false)
-	if family != nil {
-		vw, vk = maxVw, 8
-	}
-	if opt.ForceVw != 0 {
-		vw = opt.ForceVw
-	}
-	if opt.ForceVk != 0 {
-		vk = opt.ForceVk
-	}
-	if vw != p.RT.Vw || vk != p.RT.Vk {
-		p.RT = model.RegTile{Vw: vw, Vk: vk,
-			Registers: model.RegistersUsed(vw, vk, s.S),
-			FAI:       model.FAI(vw, vk, s.S, s.Str)}
-	}
+	// Register tile: every standard plan runs on the 12×8 file, whatever
+	// Equations 3–4 solve to for its (S, stride); Registers and FAI are
+	// the model's values for that tile, kept for reporting. Both bodies of
+	// the file take any (S, stride): a shape with a kernel family binds
+	// its body, every other runs the looped kernel12x8 (dispatch.go).
+	p.RT = model.RegTile{Vw: maxVw, Vk: 8,
+		Registers: model.RegistersUsed(maxVw, 8, s.S),
+		FAI:       model.FAI(maxVw, 8, s.S, s.Str)}
+	p.family = familyFor(s, false)
+	countStandardBinding(p.family)
 
 	p.CT = model.SolveCacheTiles(p.platform, s, p.RT)
 	if opt.ForceTc > 0 {
@@ -333,16 +296,6 @@ func TryNewPlan(s conv.Shape, opt Options) (*Plan, error) {
 
 	p.TM = model.SolveThreadMapping(s, p.platform.Alpha, p.threads, p.RT.Vk)
 
-	// Micro-kernel selection: a tile the V_k=8 register file holds binds
-	// the family body for its (R, S, stride) when one exists and
-	// otherwise runs the looped kernel12x8; every other tile is generic.
-	if opt.ForceGenericKernel || p.RT.Vk != 8 || p.RT.Vw > maxVw {
-		p.kind = kindGeneric
-	} else {
-		p.kind = kind12x8
-		p.family = family
-		countStandardBinding(family)
-	}
 	kw, str := s.S, s.Str
 	p.looped = func(acc *accFile8, buf, tf []float32, rows, vwEff, pitch int) {
 		kernel12x8(acc, buf, tf, rows, kw, str, vwEff, pitch)

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -42,8 +41,8 @@ func TestConv2DMatchesReferenceStride2(t *testing.T) {
 }
 
 func TestConv2DMatchesReference7x7Stride2(t *testing.T) {
-	// ResNet conv1 geometry (scaled down): 7x7 stride 2 pad 3 uses
-	// the generic kernel path (register tile not 12x8).
+	// ResNet conv1 geometry (scaled down): 7x7 stride 2 pad 3, the stem
+	// family.
 	checkAgainstReference(t, conv.Shape{N: 1, C: 3, H: 32, W: 32, K: 16, R: 7, S: 7, Str: 2, Pad: 3}, Options{})
 }
 
@@ -101,13 +100,6 @@ func TestConv2DPlatformsAllCorrect(t *testing.T) {
 	for _, p := range hw.Platforms {
 		pp := p
 		checkAgainstReference(t, s, Options{Platform: &pp, Threads: 4})
-	}
-}
-
-func TestConv2DForcedRegisterTiles(t *testing.T) {
-	s := conv.Shape{N: 1, C: 8, H: 10, W: 10, K: 16, R: 3, S: 3, Str: 1, Pad: 1}
-	for _, tile := range [][2]int{{8, 8}, {12, 8}, {4, 16}, {8, 4}, {16, 4}} {
-		checkAgainstReference(t, s, Options{ForceVw: tile[0], ForceVk: tile[1]})
 	}
 }
 
@@ -197,26 +189,6 @@ func TestEpilogueBiasLengthValidation(t *testing.T) {
 		Options{FusedEpilogue: &EpilogueParams{Bias: make([]float32, 3)}})
 }
 
-func TestExecuteAddAccumulates(t *testing.T) {
-	s := conv.Shape{N: 1, C: 4, H: 8, W: 8, K: 4, R: 3, S: 3, Str: 1, Pad: 1}
-	in := s.NewInput()
-	in.FillRandom(7)
-	f := s.NewFilter()
-	f.FillRandom(8)
-	p := NewPlan(s, Options{})
-	out := s.NewOutput()
-	p.Execute(in, f, out)
-	once := out.Clone()
-	if err := p.TryExecuteAddCtx(context.Background(), in, f, out); err != nil {
-		t.Fatal(err)
-	}
-	for i := range out.Data {
-		if d := out.Data[i] - 2*once.Data[i]; d > 1e-4 || d < -1e-4 {
-			t.Fatalf("ExecuteAdd not additive at %d: %v vs %v", i, out.Data[i], 2*once.Data[i])
-		}
-	}
-}
-
 func TestExecuteOverwritesDirtyOutput(t *testing.T) {
 	s := conv.Shape{N: 1, C: 4, H: 8, W: 8, K: 4, R: 3, S: 3, Str: 1, Pad: 1}
 	in := s.NewInput()
@@ -241,16 +213,6 @@ func TestNewPlanInvalidShapePanics(t *testing.T) {
 		}
 	}()
 	NewPlan(conv.Shape{}, Options{})
-}
-
-func TestNewPlanForcedTileValidation(t *testing.T) {
-	s := conv.Shape{N: 1, C: 1, H: 4, W: 4, K: 4, R: 1, S: 1, Str: 1, Pad: 0}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on non-aligned forced tile")
-		}
-	}()
-	NewPlan(s, Options{ForceVw: 10})
 }
 
 func TestStatsCollected(t *testing.T) {
@@ -342,9 +304,9 @@ func TestTable4LayersCorrectSmallBatch(t *testing.T) {
 }
 
 func TestSpecialisedKernelsBitIdenticalToGeneric(t *testing.T) {
-	// The 3x3/1x1 family bodies must produce
-	// bit-identical results to the generic kernel (same operation order
-	// per output).
+	// The 3x3/1x1 family bodies must produce bit-identical results to
+	// the looped kernel12x8 a quarantined family falls back to (same
+	// operation order per output).
 	for _, s := range []conv.Shape{
 		{N: 1, C: 16, H: 14, W: 14, K: 16, R: 3, S: 3, Str: 1, Pad: 1},
 		{N: 1, C: 16, H: 14, W: 14, K: 16, R: 1, S: 1, Str: 1, Pad: 0},
@@ -354,45 +316,54 @@ func TestSpecialisedKernelsBitIdenticalToGeneric(t *testing.T) {
 		in.FillRandom(1)
 		f := s.NewFilter()
 		f.FillRandom(2)
-		spec := Conv2D(s, in, f, Options{Threads: 1})
-		gen := Conv2D(s, in, f, Options{Threads: 1, ForceGenericKernel: true})
-		if d := tensor.MaxAbsDiff(spec, gen); d != 0 {
-			t.Fatalf("%v: specialised kernel differs from generic by %g", s, d)
+		p := NewPlan(s, Options{Threads: 1})
+		family := p.KernelName()
+		spec := s.NewOutput()
+		p.Execute(in, f, spec)
+		QuarantineKernelFamily(family)
+		looped := s.NewOutput()
+		p.Execute(in, f, looped)
+		RestoreKernelFamily(family)
+		if d := tensor.MaxAbsDiff(spec, looped); d != 0 {
+			t.Fatalf("%v: family %s differs from the looped kernel by %g", s, family, d)
 		}
 	}
 }
 
 func TestKernelDispatchSelection(t *testing.T) {
-	// A plan's kind and family follow from its register tile and its
-	// (R, S, stride) alone.
+	// Every standard plan is on the 12×8 register file; its family
+	// follows from (R, S, stride) alone, and a shape without one runs the
+	// looped kernel — correctly.
 	for _, tc := range []struct {
 		s      conv.Shape
-		opt    Options
-		kind   kernelKind
 		family string // "" = none bound
 	}{
-		{conv.Shape{N: 1, C: 4, H: 8, W: 8, K: 8, R: 3, S: 3, Str: 1, Pad: 1}, Options{}, kind12x8, "12x8.r3s3.s1"},
-		{conv.Shape{N: 1, C: 4, H: 8, W: 8, K: 8, R: 3, S: 3, Str: 2, Pad: 1}, Options{}, kind12x8, "12x8.r3s3.s2"},
-		{conv.Shape{N: 1, C: 4, H: 8, W: 8, K: 8, R: 1, S: 1, Str: 1, Pad: 0}, Options{}, kind12x8, "12x8.r1s1.s1"},
-		{conv.Shape{N: 1, C: 4, H: 8, W: 8, K: 8, R: 1, S: 1, Str: 2, Pad: 0}, Options{}, kind12x8, "12x8.r1s1.s2"},
-		// A forced tile the V_k=8 file holds still binds by loop constants.
-		{conv.Shape{N: 1, C: 4, H: 8, W: 8, K: 8, R: 3, S: 3, Str: 1, Pad: 1}, Options{ForceVw: 8, ForceVk: 8}, kind12x8, "12x8.r3s3.s1"},
-		{conv.Shape{N: 1, C: 4, H: 8, W: 8, K: 8, R: 3, S: 3, Str: 1, Pad: 1}, Options{ForceVw: 8, ForceVk: 4}, kindGeneric, ""},
-		// The stem has a family, so it is planned on the family's 12×8 tile,
-		// not the model's 20×4; a 7×7 without one keeps the model's tile.
-		{conv.Shape{N: 1, C: 3, H: 16, W: 16, K: 8, R: 7, S: 7, Str: 2, Pad: 3}, Options{}, kind12x8, "12x8.r7s7.s2"},
-		{conv.Shape{N: 1, C: 3, H: 16, W: 16, K: 8, R: 7, S: 7, Str: 2, Pad: 3}, Options{ForceGenericKernel: true}, kindGeneric, ""},
-		{conv.Shape{N: 1, C: 3, H: 16, W: 16, K: 8, R: 7, S: 7, Str: 1, Pad: 3}, Options{}, kindGeneric, ""},
-		{conv.Shape{N: 1, C: 4, H: 8, W: 8, K: 8, R: 3, S: 3, Str: 1, Pad: 1}, Options{ForceGenericKernel: true}, kindGeneric, ""},
+		{conv.Shape{N: 1, C: 4, H: 8, W: 8, K: 8, R: 3, S: 3, Str: 1, Pad: 1}, "12x8.r3s3.s1"},
+		{conv.Shape{N: 1, C: 4, H: 8, W: 8, K: 8, R: 3, S: 3, Str: 2, Pad: 1}, "12x8.r3s3.s2"},
+		{conv.Shape{N: 1, C: 4, H: 8, W: 8, K: 8, R: 1, S: 1, Str: 1, Pad: 0}, "12x8.r1s1.s1"},
+		{conv.Shape{N: 1, C: 4, H: 8, W: 8, K: 8, R: 1, S: 1, Str: 2, Pad: 0}, "12x8.r1s1.s2"},
+		// The stem, whose model tile is 20×4, runs its family's 12×8 tile.
+		{conv.Shape{N: 1, C: 3, H: 16, W: 16, K: 8, R: 7, S: 7, Str: 2, Pad: 3}, "12x8.r7s7.s2"},
+		{conv.Shape{N: 1, C: 4, H: 8, W: 8, K: 5, R: 3, S: 3, Str: 1, Pad: 1}, "12x8.r3s3.s1"},
+		// No family: the looped kernel12x8.
+		{conv.Shape{N: 1, C: 4, H: 12, W: 12, K: 8, R: 5, S: 5, Str: 1, Pad: 2}, ""},
+		{conv.Shape{N: 1, C: 3, H: 16, W: 16, K: 8, R: 7, S: 7, Str: 1, Pad: 3}, ""},
+		{conv.Shape{N: 1, C: 4, H: 12, W: 12, K: 8, R: 2, S: 2, Str: 2, Pad: 0}, ""},
+		{conv.Shape{N: 2, C: 5, H: 11, W: 13, K: 3, R: 5, S: 5, Str: 1, Pad: 2}, ""},
 	} {
-		p := NewPlan(tc.s, tc.opt)
-		family := ""
+		p := NewPlan(tc.s, Options{})
+		family, name := "", "12x8"
 		if p.family != nil {
 			family = p.family.name
 		}
-		if p.kind != tc.kind || family != tc.family {
-			t.Fatalf("%v %+v: kind %d family %q, want kind %d family %q", tc.s, tc.opt, p.kind, family, tc.kind, tc.family)
+		if tc.family != "" {
+			name = tc.family
 		}
+		if p.RT.Vw != 12 || p.RT.Vk != 8 || family != tc.family || p.KernelName() != name {
+			t.Fatalf("%v: RT %dx%d family %q KernelName %q, want 12x8, %q, %q",
+				tc.s, p.RT.Vw, p.RT.Vk, family, p.KernelName(), tc.family, name)
+		}
+		checkAgainstReference(t, tc.s, Options{})
 	}
 }
 

@@ -2,11 +2,9 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"ndirect/internal/conv"
-	"ndirect/internal/parallel"
 	"ndirect/internal/tensor"
 )
 
@@ -46,23 +44,6 @@ func TryDepthwiseConv2DCtx(ctx context.Context, s conv.Shape, in, filter *tensor
 		return nil, err
 	}
 	return out, nil
-}
-
-// fallbackCtx classifies a parallel-loop error for the sibling
-// drivers (grouped/fp64/int16): a worker fault keeps the
-// unbounded sequential fallback (fctx is Background), while a context
-// abandonment either returns the conv.ErrDeadline-wrapped error
-// as-is (no FallbackBudget) or grants the fallback that budget. The
-// returned cancel must be deferred when derr is nil.
-func fallbackCtx(ctx context.Context, err error, opt Options) (fctx context.Context, cancel context.CancelFunc, derr error) {
-	if !errors.Is(err, parallel.ErrCanceled) {
-		return context.Background(), func() {}, nil
-	}
-	if opt.FallbackBudget <= 0 {
-		return nil, nil, fmt.Errorf("%w: %w", conv.ErrDeadline, err)
-	}
-	fctx, cancel = context.WithTimeout(context.WithoutCancel(ctx), opt.FallbackBudget)
-	return fctx, cancel, nil
 }
 
 // DepthwiseConv2D is the panicking wrapper over TryDepthwiseConv2D.
@@ -145,30 +126,36 @@ func (s Shape3D) Validate() error {
 	case s.DOut() < 1:
 		return fmt.Errorf("%w: 3-D depth geometry D=%d T=%d strD=%d padD=%d yields no output",
 			conv.ErrBadShape, s.D, s.T, s.StrD, s.PadD)
+	case int64(s.C)*int64(s.T) > conv.MaxDim:
+		return fmt.Errorf("%w: 3-D reduction C·T=%d·%d exceeds %d channels", conv.ErrBadShape, s.C, s.T, conv.MaxDim)
 	}
 	return nil
 }
 
-// TryConv3D computes a 3-D convolution by decomposing it into 2-D
-// nDirect convolutions summed over the kernel depth (§10.2: "3D
-// Convolution can be seen as 2D Convolution with additional reduction
-// dimensions, so we can directly use the micro-kernels of nDirect").
-// Each (d, t) pair convolves input depth-slice d·strD−padD+t with
-// filter depth-slice t, accumulating into output slice d. Checked
-// variant: never panics.
+// TryConv3D computes a 3-D convolution as one 2-D nDirect convolution
+// per output depth (§10.2: "3D Convolution can be seen as 2D
+// Convolution with additional reduction dimensions, so we can directly
+// use the micro-kernels of nDirect"): the T depth taps join the
+// reduction as C·T input channels. The KCTRS filter is read in place as
+// that problem's [K, C·T, R, S] filter; depth d's input gathers input
+// plane d·strD−padD+t of channel c into channel c·T+t, zero outside
+// [0, D). Checked variant: never panics.
 func TryConv3D(s Shape3D, in, filter *tensor.Tensor, opt Options) (*tensor.Tensor, error) {
 	return TryConv3DCtx(context.Background(), s, in, filter, opt)
 }
 
-// TryConv3DCtx is TryConv3D bounded by ctx: the deadline applies to
-// the whole depth decomposition — each per-slice 2-D execution runs
-// under the same context, so the first slice to hit the deadline
-// aborts the 3-D computation with an error wrapping conv.ErrDeadline.
+// TryConv3DCtx is TryConv3D bounded by ctx: each output depth is one
+// governed execution of the same plan under ctx, with the deadline and
+// fault semantics of Plan.TryExecuteCtx, so the first depth to hit the
+// deadline returns an error wrapping conv.ErrDeadline (unless
+// Options.FallbackBudget grants its reference recompute time).
 func TryConv3DCtx(ctx context.Context, s Shape3D, in, filter *tensor.Tensor, opt Options) (*tensor.Tensor, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	plan, err := TryNewPlan(s.Shape, opt)
+	s2 := s.Shape
+	s2.C = s.C * s.T
+	plan, err := planFor(s2, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -178,44 +165,29 @@ func TryConv3DCtx(ctx context.Context, s Shape3D, in, filter *tensor.Tensor, opt
 	if err := conv.ValidateTensor("3-D filter", filter, s.K, s.C, s.T, s.R, s.S); err != nil {
 		return nil, err
 	}
-	dOut := s.DOut()
-	p, q := s.P(), s.Q()
-	out := tensor.New(s.N, s.K, dOut, p, q)
-
-	// Views: slicing depth d of the input requires a gather because D
-	// is interior to the NCDHW layout; build per-slice NCHW tensors.
-	inSlice := tensor.New(s.N, s.C, s.H, s.W)
-	fSlice := tensor.New(s.K, s.C, s.R, s.S)
-	outSlice := tensor.New(s.N, s.K, p, q)
-	hw2 := s.H * s.W
-	rs := s.R * s.S
+	dOut, hw, pq := s.DOut(), s.H*s.W, s.P()*s.Q()
+	out := tensor.New(s.N, s.K, dOut, s.P(), s.Q())
+	fView := tensor.FromSlice(filter.Data, s.K, s2.C, s.R, s.S)
+	inSlice := tensor.New(s.N, s2.C, s.H, s.W)
+	outSlice := tensor.New(s.N, s.K, s.P(), s.Q())
 	for d := 0; d < dOut; d++ {
-		outSlice.Zero()
-		for t := 0; t < s.T; t++ {
-			id := d*s.StrD - s.PadD + t
-			if id < 0 || id >= s.D {
-				continue
-			}
-			for n := 0; n < s.N; n++ {
-				for c := 0; c < s.C; c++ {
-					src := in.Data[(((n*s.C+c)*s.D + id) * hw2):(((n*s.C+c)*s.D+id)*hw2 + hw2)]
-					copy(inSlice.Data[(n*s.C+c)*hw2:], src)
+		for nc := 0; nc < s.N*s.C; nc++ {
+			for t := 0; t < s.T; t++ {
+				dst := inSlice.Data[(nc*s.T+t)*hw : (nc*s.T+t+1)*hw]
+				if id := d*s.StrD - s.PadD + t; id >= 0 && id < s.D {
+					copy(dst, in.Data[(nc*s.D+id)*hw:])
+				} else {
+					clear(dst)
 				}
-			}
-			for k := 0; k < s.K; k++ {
-				for c := 0; c < s.C; c++ {
-					src := filter.Data[(((k*s.C+c)*s.T + t) * rs):(((k*s.C+c)*s.T+t)*rs + rs)]
-					copy(fSlice.Data[(k*s.C+c)*rs:], src)
-				}
-			}
-			if err := plan.TryExecuteAddCtx(ctx, inSlice, fSlice, outSlice); err != nil {
-				return nil, err
 			}
 		}
-		for n := 0; n < s.N; n++ {
-			for k := 0; k < s.K; k++ {
-				copy(out.Data[(((n*s.K+k)*dOut+d)*p*q):], outSlice.Data[((n*s.K+k)*p*q):((n*s.K+k)+1)*p*q])
-			}
+		// A deadline fallback republishes through a fresh outSlice.Data,
+		// so the scatter reads the field after every execution.
+		if err := plan.TryExecuteCtx(ctx, inSlice, fView, outSlice); err != nil {
+			return nil, err
+		}
+		for nk := 0; nk < s.N*s.K; nk++ {
+			copy(out.Data[(nk*dOut+d)*pq:], outSlice.Data[nk*pq:(nk+1)*pq])
 		}
 	}
 	return out, nil

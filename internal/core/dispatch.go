@@ -69,10 +69,9 @@ type kernelFamily struct {
 }
 
 // kernelFamilies is the whole dispatch table, in the order the
-// integrity sentinel probes it. A shape with a standard family is
-// planned on the family's V_w=12, V_k=8 register file whatever
-// Equations 3–4 solve to (TryNewPlan): the 7×7 stride-2 stem solves to
-// 20×4, a tile only the generic kernel runs.
+// integrity sentinel probes it. Every standard plan is on the V_w=12,
+// V_k=8 register file (TryNewPlan), so a standard family is keyed by
+// (R, S, stride) alone.
 var kernelFamilies = []*kernelFamily{
 	{name: "12x8.r3s3.s1", r: 3, s: 3, str: 1},
 	{name: "12x8.r3s3.s2", r: 3, s: 3, str: 2},
@@ -116,7 +115,7 @@ func KernelISA() string {
 }
 
 // dispatchHits/dispatchMisses count standard plan constructions that
-// were eligible for the V_k=8 kernels and did / did not find a family.
+// did / did not find a family.
 var dispatchHits, dispatchMisses atomic.Uint64
 
 // familyFor returns the family for a shape's loop constants, nil when
@@ -139,9 +138,9 @@ func familyByName(name string) *kernelFamily {
 	return nil
 }
 
-// countStandardBinding records the outcome of TryNewPlan's family lookup
-// for a plan already on the V_k=8 register file, so the hit ratio
-// measures family coverage of the eligible traffic.
+// countStandardBinding records the outcome of TryNewPlan's family
+// lookup, so the hit ratio measures family coverage of the standard
+// traffic.
 func countStandardBinding(f *kernelFamily) {
 	if f != nil {
 		dispatchHits.Add(1)
@@ -186,13 +185,10 @@ func dwKernelName(f *kernelFamily) string {
 }
 
 // KernelName reports which main micro-kernel the plan's next execution
-// runs: its family's name, "12x8" for the looped V_k=8 kernel (no
-// family, or family quarantined), or "generic".
+// runs: its family's name, or "12x8" for the looped kernel (no family,
+// or family quarantined).
 func (p *Plan) KernelName() string {
-	switch {
-	case p.kind == kindGeneric:
-		return "generic"
-	case p.family.live():
+	if p.family.live() {
 		return p.family.name
 	}
 	return "12x8"

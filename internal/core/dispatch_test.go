@@ -27,9 +27,9 @@ var dispatchCases = []struct {
 }
 
 // TestDispatchBitExactVsGeneric: a plan binds its family from (R, S,
-// stride) with no registration, and the family body, the forced-generic
-// kernel and the quarantined looped fallback all store the same bits on
-// the same operands — selection is a pure execution-strategy change.
+// stride) with no registration, and the family body and the quarantined
+// looped fallback store the same bits on the same operands — selection
+// is a pure execution-strategy change.
 // Exercised on both packing strategies: SequentialPack runs every
 // k-block over the whole packed buffer, the overlapped default runs the
 // first one through the pack-fused path (which skips out-of-image rows).
@@ -51,21 +51,6 @@ func TestDispatchBitExactVsGeneric(t *testing.T) {
 			got := s.NewOutput()
 			if err := plan.TryExecute(in, f, got); err != nil {
 				t.Fatal(err)
-			}
-			gplan, err := TryNewPlan(s, Options{Threads: 2, SequentialPack: seq, ForceGenericKernel: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if name := gplan.KernelName(); name != "generic" {
-				t.Fatalf("shape %v: forced-generic KernelName = %q", s, name)
-			}
-			want := s.NewOutput()
-			if err := gplan.TryExecute(in, f, want); err != nil {
-				t.Fatal(err)
-			}
-			if d := tensor.MaxAbsDiff(want, got); d != 0 {
-				t.Fatalf("shape %v seq=%v: family body differs from generic by %g, want bit-identical",
-					s, seq, d)
 			}
 			// The same plan, family quarantined, runs the looped fallback.
 			func() {
@@ -142,9 +127,9 @@ func TestDispatchBatchIndependent(t *testing.T) {
 	}
 }
 
-// TestDispatchPrecedence: ForceGenericKernel outranks the family
-// binding, and the quarantine flag outranks the family on a plan that
-// already exists — with restore handing the same plan its body back.
+// TestDispatchPrecedence: the quarantine flag outranks the family on a
+// plan that already exists and on one built under it — with restore
+// handing both plans their body back.
 func TestDispatchPrecedence(t *testing.T) {
 	s := dispatchCases[0].shape
 	family := dispatchCases[0].family
@@ -152,18 +137,13 @@ func TestDispatchPrecedence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	forced, err := TryNewPlan(s, Options{ForceGenericKernel: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	names := func() [2]string { return [2]string{plan.KernelName(), forced.KernelName()} }
-	if got, want := names(), [2]string{family, "generic"}; got != want {
-		t.Fatalf("KernelNames = %v, want %v", got, want)
+	if got := plan.KernelName(); got != family {
+		t.Fatalf("KernelName = %q, want %q", got, family)
 	}
 	QuarantineKernelFamily(family)
 	defer RestoreKernelFamily(family)
-	if got, want := names(), [2]string{"12x8", "generic"}; got != want {
-		t.Fatalf("quarantined KernelNames = %v, want %v", got, want)
+	if got := plan.KernelName(); got != "12x8" {
+		t.Fatalf("quarantined KernelName = %q, want 12x8", got)
 	}
 	during, err := TryNewPlan(s, Options{})
 	if err != nil {
@@ -173,19 +153,18 @@ func TestDispatchPrecedence(t *testing.T) {
 		t.Fatalf("plan built under quarantine: KernelName = %q, want 12x8", got)
 	}
 	RestoreKernelFamily(family)
-	if got, want := names(), [2]string{family, "generic"}; got != want {
-		t.Fatalf("restored KernelNames = %v, want %v", got, want)
+	if got := plan.KernelName(); got != family {
+		t.Fatalf("restored KernelName = %q, want %q", got, family)
 	}
 	if got := during.KernelName(); got != family {
 		t.Fatalf("plan built under quarantine, after restore: KernelName = %q, want %q", got, family)
 	}
 }
 
-// TestDispatchRejectsUncoveredShapes: a 12×8 geometry with no family
-// (2×2) runs the looped kernel and counts as a dispatch miss; a non-12×8
-// register tile with no family (5×5) is generic and counts as neither;
-// the 7×7 stride-2 stem, whose model tile is 20×4, is planned on its
-// family's tile and counts as a hit; an invalid shape never plans.
+// TestDispatchRejectsUncoveredShapes: a geometry with no family (2×2,
+// 5×5) runs the looped kernel and counts as a dispatch miss; the 7×7
+// stride-2 stem, whose model tile is 20×4, runs its family and counts as
+// a hit; an invalid shape never plans.
 func TestDispatchRejectsUncoveredShapes(t *testing.T) {
 	pre := KernelDispatchStats()
 	for _, tc := range []struct {
@@ -193,7 +172,7 @@ func TestDispatchRejectsUncoveredShapes(t *testing.T) {
 		want  string
 	}{
 		{conv.Shape{N: 1, C: 4, H: 12, W: 12, K: 8, R: 2, S: 2, Str: 1, Pad: 0}, "12x8"},
-		{conv.Shape{N: 1, C: 4, H: 12, W: 12, K: 8, R: 5, S: 5, Str: 1, Pad: 2}, "generic"},
+		{conv.Shape{N: 1, C: 4, H: 12, W: 12, K: 8, R: 5, S: 5, Str: 1, Pad: 2}, "12x8"},
 		{conv.Shape{N: 1, C: 3, H: 32, W: 32, K: 16, R: 7, S: 7, Str: 2, Pad: 3}, "12x8.r7s7.s2"},
 	} {
 		plan, err := TryNewPlan(tc.shape, Options{Threads: 1})
@@ -208,8 +187,8 @@ func TestDispatchRejectsUncoveredShapes(t *testing.T) {
 		t.Fatal("invalid shape planned")
 	}
 	post := KernelDispatchStats()
-	if post.Misses-pre.Misses != 1 || post.Hits-pre.Hits != 1 {
-		t.Fatalf("dispatch counters moved by %d hits / %d misses, want 1 / 1",
+	if post.Misses-pre.Misses != 2 || post.Hits-pre.Hits != 1 {
+		t.Fatalf("dispatch counters moved by %d hits / %d misses, want 1 / 2",
 			post.Hits-pre.Hits, post.Misses-pre.Misses)
 	}
 }

@@ -53,8 +53,7 @@ type dwRun struct {
 // equal input channels); Options.FusedEpilogue applies per output
 // channel, so its slices must have length C, not K.
 // Options.ForceTh overrides the row-tile height (the `ndtune`
-// depthwise tuning knob); Options.ForceGenericKernel pins the plan to
-// the oracle body.
+// depthwise tuning knob).
 func TryNewDepthwisePlan(s conv.Shape, opt Options) (*DepthwisePlan, error) {
 	chk := s
 	chk.K = 1
@@ -75,13 +74,10 @@ func TryNewDepthwisePlan(s conv.Shape, opt Options) (*DepthwisePlan, error) {
 		return nil, err
 	}
 
-	p := &DepthwisePlan{Shape: s, opts: opt, ep: normalizeEpilogue(opt.FusedEpilogue)}
+	p := &DepthwisePlan{Shape: s, opts: opt, ep: normalizeEpilogue(opt.FusedEpilogue), family: familyFor(s, true)}
 	p.threads = opt.Threads
 	if p.threads == 0 {
 		p.threads = parallel.DefaultThreads()
-	}
-	if !opt.ForceGenericKernel {
-		p.family = familyFor(s, true)
 	}
 
 	pp := s.P()
@@ -227,7 +223,7 @@ func (r *dwRun) unload() {
 }
 
 // recompute is the depthwise oracle path, from the raw weights.
-func (r *dwRun) recompute(ctx context.Context, dst, _ [][]float32) bool {
+func (r *dwRun) recompute(ctx context.Context, dst [][]float32) bool {
 	return r.p.oracle(ctx, r.in.Data, r.filter.Data, dst[0])
 }
 

@@ -77,35 +77,35 @@ func TestDepthwisePlanMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestDepthwisePlanGenericMatches pins ForceGenericKernel to the
-// oracle body and cross-checks against the specialized variant.
+// TestDepthwisePlanGenericMatches cross-checks each specialized variant
+// against the oracle body its plan runs under quarantine.
 func TestDepthwisePlanGenericMatches(t *testing.T) {
 	for _, s := range dwShapes[:7] {
 		in, filter := dwOperands(s, 23)
-		fast, err := TryNewDepthwisePlan(s, Options{Threads: 2})
+		p, err := TryNewDepthwisePlan(s, Options{Threads: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if fast.KernelName() == "dw.generic" {
+		family := p.KernelName()
+		if family == "dw.generic" {
 			t.Fatalf("shape %v: expected a specialized variant", s)
-		}
-		gen, err := TryNewDepthwisePlan(s, Options{Threads: 2, ForceGenericKernel: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gen.KernelName() != "dw.generic" {
-			t.Fatalf("ForceGenericKernel selected %s", gen.KernelName())
 		}
 		a := tensor.New(s.N, s.C, s.P(), s.Q())
 		b := tensor.New(s.N, s.C, s.P(), s.Q())
-		if err := fast.TryExecute(in, filter, a); err != nil {
+		if err := p.TryExecute(in, filter, a); err != nil {
 			t.Fatal(err)
 		}
-		if err := gen.TryExecute(in, filter, b); err != nil {
+		QuarantineKernelFamily(family)
+		if p.KernelName() != "dw.generic" {
+			t.Fatalf("quarantine left %s bound", p.KernelName())
+		}
+		err = p.TryExecute(in, filter, b)
+		RestoreKernelFamily(family)
+		if err != nil {
 			t.Fatal(err)
 		}
 		if d := tensor.MaxAbsDiff(a, b); d != 0 {
-			t.Fatalf("shape %v: %s vs generic differ by %g", s, fast.KernelName(), d)
+			t.Fatalf("shape %v: %s vs generic differ by %g", s, family, d)
 		}
 	}
 }

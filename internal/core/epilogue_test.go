@@ -12,15 +12,17 @@ import (
 )
 
 // epilogueShapes is the fused-epilogue battery: every specialised
-// micro-kernel (3×3/s1, 1×1, strided) plus the generic path, and the
-// ragged edges (K%Vk≠0, Q<Vw, partial channel tiles) where the store
-// sweep's masked columns must still see the epilogue.
+// micro-kernel (3×3/s1, 1×1, strided, the 7×7 stem) plus the looped
+// kernel of a shape with no family, and the ragged edges (K%Vk≠0, Q<Vw,
+// partial channel tiles) where the store sweep's masked columns must
+// still see the epilogue.
 var epilogueShapes = []conv.Shape{
 	{N: 1, C: 8, H: 16, W: 16, K: 16, R: 3, S: 3, Str: 1, Pad: 1},  // S3 kernel
 	{N: 2, C: 16, H: 14, W: 14, K: 32, R: 1, S: 1, Str: 1, Pad: 0}, // S1 pointwise
 	{N: 1, C: 8, H: 16, W: 16, K: 8, R: 3, S: 3, Str: 2, Pad: 1},   // strided
 	{N: 1, C: 5, H: 7, W: 7, K: 13, R: 3, S: 3, Str: 1, Pad: 1},    // ragged K, Q < Vw
-	{N: 1, C: 3, H: 20, W: 20, K: 10, R: 7, S: 7, Str: 2, Pad: 3},  // generic kernel
+	{N: 1, C: 3, H: 20, W: 20, K: 10, R: 7, S: 7, Str: 2, Pad: 3},  // stem
+	{N: 1, C: 3, H: 13, W: 13, K: 10, R: 5, S: 5, Str: 1, Pad: 2},  // no family: looped kernel12x8
 }
 
 // testEpilogue builds a deterministic non-trivial epilogue for K

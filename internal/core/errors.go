@@ -10,16 +10,16 @@ import (
 // and faults that only exist at the core layer.
 var (
 	// ErrBadOptions reports an Options value the planner cannot
-	// honour: a misaligned forced register tile, a negative forced
-	// cache tile, an unknown epilogue, a bias of the wrong length, or
-	// a thread count past the implementation limit.
+	// honour: a negative forced cache tile, an unknown epilogue, a bias
+	// of the wrong length, or a thread count past the implementation
+	// limit.
 	ErrBadOptions = errors.New("core: bad options")
 	// ErrExecFault reports that the optimised execution path faulted
 	// (a recovered worker panic or a non-finite output detected under
-	// fault injection). The checked Execute variants normally log it
-	// and fall back to the reference path instead of returning it; the
-	// one exception is an accumulate run that faulted without a prior
-	// snapshot of the output, which cannot be recovered.
+	// fault injection). The checked Execute variants log it and fall
+	// back to the reference path instead of returning it; it surfaces
+	// when the reference output is non-finite too (CheckNumerics), or
+	// when the FP64/INT16 entry points' sequential fallback faults too.
 	ErrExecFault = errors.New("core: execution fault")
 	// ErrOverloaded reports that the serving runtime refused the
 	// request before doing any convolution work: admission control
@@ -54,10 +54,6 @@ var (
 // factorisation enumeration stays trivially cheap; no real machine
 // this library targets has more workers.
 const maxThreads = 1 << 12
-
-// maxForceTile bounds the ForceVw/ForceVk ablation knobs so a typo
-// cannot demand a multi-gigabyte accumulator file.
-const maxForceTile = 256
 
 // Logf is the destination of the fault-tolerance log lines (reference
 // fallbacks, skipped schedules). It defaults to the standard logger;

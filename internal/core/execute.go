@@ -7,7 +7,6 @@ import (
 
 	"ndirect/internal/conv"
 	"ndirect/internal/parallel"
-	"ndirect/internal/simd"
 	"ndirect/internal/tensor"
 )
 
@@ -98,28 +97,19 @@ func (p *Plan) TryExecuteNHWCCtx(ctx context.Context, in, filter, out *tensor.Te
 	return p.exec(ctx, execReq{in: in, filter: filter, out: out, nhwc: true})
 }
 
-// TryExecuteAddCtx accumulates the convolution into out instead of
-// overwriting it (used by the 3-D convolution extension, which sums
-// 2-D slices over the kernel depth); deadline semantics follow
-// TryExecuteCtx.
-func (p *Plan) TryExecuteAddCtx(ctx context.Context, in, filter, out *tensor.Tensor) error {
-	return p.exec(ctx, execReq{in: in, filter: filter, out: out, accumulate: true})
-}
-
 // execReq is one execution request as every Plan entry point states it:
 // the exported methods are fixed points of this struct, and the
 // combinations none of them names (NHWC × packed, NHWC × batched) are
 // reached by filling it directly.
 type execReq struct {
-	in, out    *tensor.Tensor   // one request covering the plan's whole batch, or
-	batched    bool             // a coalesced batch of per-request tensors:
-	ins, outs  []*tensor.Tensor // request i is ins[i] → outs[i]
-	filter     *tensor.Tensor   // KCRS weights; ignored when packed
-	pf         *PackedFilter
-	packed     bool           // the weights come from pf
-	res        *tensor.Tensor // residual operand, NCHW solo only
-	nhwc       bool           // NHWC activations, NPQK outputs
-	accumulate bool           // add into out instead of overwriting it, solo only
+	in, out   *tensor.Tensor   // one request covering the plan's whole batch, or
+	batched   bool             // a coalesced batch of per-request tensors:
+	ins, outs []*tensor.Tensor // request i is ins[i] → outs[i]
+	filter    *tensor.Tensor   // KCRS weights; ignored when packed
+	pf        *PackedFilter
+	packed    bool           // the weights come from pf
+	res       *tensor.Tensor // residual operand, NCHW solo only
+	nhwc      bool           // NHWC activations, NPQK outputs
 }
 
 // exec validates a request, loads it into a pooled run and hands it to
@@ -160,7 +150,7 @@ func (p *Plan) exec(ctx context.Context, q execReq) error {
 	} else {
 		r = p.newRun()
 	}
-	r.filter, r.filterD, r.nchw, r.accumulate = q.filter, q.filter.Data, !q.nhwc, q.accumulate
+	r.filter, r.filterD, r.nchw = q.filter, q.filter.Data, !q.nhwc
 	if q.packed {
 		r.packed[0].core, r.pre = &q.pf.packedCore, q.pf.data
 	}
@@ -228,20 +218,16 @@ func validateRequest(si conv.Shape, in, filter, out *tensor.Tensor, nchw bool) e
 // recompute is the standard plan's oracle path: conv.ReferenceCtx per
 // request (it polls ctx between output rows, so a deadline-abandoned
 // execution does not trade an unbounded grid join for an unbounded
-// sequential recompute), then the accumulation and the plan's epilogue
-// replayed — exactly what a fault-free optimised run would have stored.
-func (r *planRun) recompute(ctx context.Context, dst, prev [][]float32) bool {
+// sequential recompute), then the plan's epilogue replayed — exactly
+// what a fault-free optimised run would have stored.
+func (r *planRun) recompute(ctx context.Context, dst [][]float32) bool {
 	p := r.p
 	for i, in := range r.ins {
 		ref, err := conv.ReferenceCtx(ctx, p.Shape.WithBatch(in.Dims[0]), p.refInput(in, r.nchw), r.filter)
 		if err != nil {
 			return false
 		}
-		var pv []float32
-		if prev != nil {
-			pv = prev[i]
-		}
-		p.applyFallback(ref, dst[i], r.resD, r.nchw, r.accumulate, pv)
+		p.applyFallback(ref, dst[i], r.resD, r.nchw)
 	}
 	return true
 }
@@ -255,9 +241,9 @@ func (p *Plan) refInput(in *tensor.Tensor, nchw bool) *tensor.Tensor {
 }
 
 // applyFallback stores the oracle's NKPQ result into dst, replaying
-// accumulation and the plan's fused epilogue (same per-element order
-// as storeLane: bias, affine, residual, ReLU; res is laid out like dst).
-func (p *Plan) applyFallback(ref *tensor.Tensor, dst, res []float32, nchw, accumulate bool, prev []float32) {
+// the plan's fused epilogue (same per-element order as storeLane: bias,
+// affine, residual, ReLU; res is laid out like dst).
+func (p *Plan) applyFallback(ref *tensor.Tensor, dst, res []float32, nchw bool) {
 	s := p.Shape
 	if !nchw {
 		ref = tensor.NCHWToNHWC(ref) // NKPQ -> NPQK, the NHWC output layout
@@ -265,9 +251,6 @@ func (p *Plan) applyFallback(ref *tensor.Tensor, dst, res []float32, nchw, accum
 	pp, q := s.P(), s.Q()
 	for i := range dst {
 		v := ref.Data[i]
-		if accumulate {
-			v += prev[i]
-		}
 		if !p.ep.none {
 			var k int
 			if nchw {
@@ -293,8 +276,8 @@ func (p *Plan) applyFallback(ref *tensor.Tensor, dst, res []float32, nchw, accum
 }
 
 // workerScratch is the thread-private memory of one worker: the
-// transformed filter block, the packed input buffer, the generic
-// accumulator file, and the per-stage timers.
+// transformed filter block, the packed input buffer, the accumulator
+// file, and the per-stage timers.
 type workerScratch struct {
 	// tf and buf are guarded allocations: canary words sit past each
 	// logical end and are checked when the run's grid joins
@@ -305,7 +288,6 @@ type workerScratch struct {
 	// &acc through a family body's indirect kernel call cannot make it
 	// escape — the steady-state path stays allocation-free.
 	acc   accFile8
-	accG  []simd.Vec4
 	stats *Stats // always non-nil; only accumulated when timed
 	timed bool
 }
@@ -367,9 +349,6 @@ func (p *Plan) newRun() *planRun {
 				for _, wr := range p.wRanges {
 					w := len(r.tasks)
 					ws := &workerScratch{tf: r.guard(w, tfLen), buf: r.guard(w, bufLen), stats: &Stats{}, timed: p.opts.CollectStats}
-					if p.kind == kindGeneric {
-						ws.accG = make([]simd.Vec4, p.RT.Vw*p.RT.Vk/simd.Width)
-					}
 					r.tasks = append(r.tasks, runTask{kLo: kLo, kHi: kHi, nr: nr, hr: hr, wr: wr, ws: ws})
 				}
 			}
@@ -385,7 +364,7 @@ func (p *Plan) newRun() *planRun {
 // skips the per-tile transform entirely.
 func (r *planRun) cells(w int) {
 	t := &r.tasks[w]
-	r.p.worker(r.inD, r.filterD, r.pre, r.outD, r.resD, r.imgIn, r.imgOut, r.nchw, r.accumulate,
+	r.p.worker(r.inD, r.filterD, r.pre, r.outD, r.resD, r.imgIn, r.imgOut, r.nchw,
 		t.kLo, t.kHi, t.nr, t.hr, t.wr, t.ws, &r.fs, r.kern, r.vst)
 }
 
@@ -435,14 +414,13 @@ func (r *planRun) unload() {
 // caller's input and writes each caller's output buffer directly (no
 // gather or scatter copies). Only the L1 loop changes; tile order,
 // accumulation order and hence bit patterns are untouched.
-func (p *Plan) worker(in, filter, pre, out, res []float32, imgIn, imgOut [][]float32, nchw, accumulate bool,
+func (p *Plan) worker(in, filter, pre, out, res []float32, imgIn, imgOut [][]float32, nchw bool,
 	kLo, kHi int, nr, hr, wr parallel.Range, ws *workerScratch, fs *parallel.FaultSink, kern specializedKernel, vst tileStore) {
 	s := p.Shape
 	vw, vk := p.RT.Vw, p.RT.Vk
 	tc, tk, th := p.CT.Tc, p.CT.Tk, p.CT.Th
 	q := s.Q()
 	wIn := (vw-1)*s.Str + s.S
-	use12x8 := p.kind != kindGeneric
 	rsv := s.R * s.S * vk // one channel's slab in a transformed block
 	acc := &ws.acc
 
@@ -451,7 +429,7 @@ func (p *Plan) worker(in, filter, pre, out, res []float32, imgIn, imgOut [][]flo
 		if ct+tcEff > s.C {
 			tcEff = s.C - ct
 		}
-		firstC := ct == 0 && !accumulate
+		firstC := ct == 0
 		lastC := ct+tcEff >= s.C
 
 		for kt := kLo; kt < kHi; kt += tk { // L4
@@ -498,45 +476,26 @@ func (p *Plan) worker(in, filter, pre, out, res []float32, imgIn, imgOut [][]flo
 								if pre != nil {
 									tfBlock = pre[((kt/vk+kb)*s.C+ct)*rsv:]
 								}
-								if use12x8 {
-									*acc = accFile8{}
-									if kb == 0 && p.opts.SequentialPack {
-										t0 = now(ws)
-										if nchw {
-											packNCHW(inD, ws.buf, g, nEff, s.C, s.H, s.W, ct, tcEff, s.R)
-										} else {
-											packNHWC(inD, ws.buf, g, nEff, s.C, s.H, s.W, ct, tcEff, s.R)
-										}
-										addTime(ws, &ws.stats.PackSec, t0)
-									}
+								*acc = accFile8{}
+								if kb == 0 && p.opts.SequentialPack {
 									t0 = now(ws)
-									if kb == 0 && !p.opts.SequentialPack {
-										p.packCompute(kern, acc, inD, ws.buf, tfBlock, g, nEff, ct, tcEff, vwEff, nchw)
+									if nchw {
+										packNCHW(inD, ws.buf, g, nEff, s.C, s.H, s.W, ct, tcEff, s.R)
 									} else {
-										kern(acc, ws.buf, tfBlock, tcEff*s.R, vwEff, wIn)
+										packNHWC(inD, ws.buf, g, nEff, s.C, s.H, s.W, ct, tcEff, s.R)
 									}
-									addTime(ws, &ws.stats.KernelSec, t0)
-									t0 = now(ws)
-									p.store(vst, acc, outD, res, nchw, nEff, kt+kb*vk, kHi, oh, qt0, vwEff, firstC, lastC)
-									addTime(ws, &ws.stats.StoreSec, t0)
-								} else {
-									clear(ws.accG)
-									if kb == 0 {
-										t0 = now(ws)
-										if nchw {
-											packNCHW(inD, ws.buf, g, nEff, s.C, s.H, s.W, ct, tcEff, s.R)
-										} else {
-											packNHWC(inD, ws.buf, g, nEff, s.C, s.H, s.W, ct, tcEff, s.R)
-										}
-										addTime(ws, &ws.stats.PackSec, t0)
-									}
-									t0 = now(ws)
-									kernelGeneric(ws.accG, ws.buf, tfBlock, tcEff, s.R, s.S, s.Str, vwEff, wIn, vk)
-									addTime(ws, &ws.stats.KernelSec, t0)
-									t0 = now(ws)
-									p.storeGeneric(ws.accG, outD, res, nchw, nEff, kt+kb*vk, kHi, oh, qt0, vwEff, firstC, lastC)
-									addTime(ws, &ws.stats.StoreSec, t0)
+									addTime(ws, &ws.stats.PackSec, t0)
 								}
+								t0 = now(ws)
+								if kb == 0 && !p.opts.SequentialPack {
+									p.packCompute(kern, acc, inD, ws.buf, tfBlock, g, nEff, ct, tcEff, vwEff, nchw)
+								} else {
+									kern(acc, ws.buf, tfBlock, tcEff*s.R, vwEff, wIn)
+								}
+								addTime(ws, &ws.stats.KernelSec, t0)
+								t0 = now(ws)
+								p.store(vst, acc, outD, res, nchw, nEff, kt+kb*vk, kHi, oh, qt0, vwEff, firstC, lastC)
+								addTime(ws, &ws.stats.StoreSec, t0)
 							}
 						}
 					}

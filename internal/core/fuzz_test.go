@@ -68,7 +68,9 @@ func fuzzEpilogue(sel, biasLen int) *EpilogueParams {
 // the inputs are constrained to realisable problems and the result is
 // additionally checked against the Algorithm 1 oracle (including the
 // fuzzed epilogue); with sane=false the raw values go in unclamped,
-// including tensors whose buffers disagree with their shapes.
+// including tensors whose buffers disagree with their shapes. forceVw
+// and forceVk are unused: they keep the signature the checked-in corpus
+// was recorded against.
 func FuzzTryConv2D(f *testing.F) {
 	f.Add(true, 8, 8, 10, 10, 8, 3, 3, 1, 1, int8(2), int8(0), int8(0), uint8(0), uint8(3), int64(1))
 	f.Add(true, 1, 1, 1, 1, 1, 1, 1, 1, 0, int8(1), int8(12), int8(8), uint8(3), uint8(1), int64(2))
@@ -120,8 +122,6 @@ func FuzzTryConv2D(f *testing.F) {
 			fl = &tensor.Tensor{Dims: []int{k, c, r, ss}, Data: make([]float32, mod(k, 64))}
 			// Two selectors past the valid range, bias length unrelated to K.
 			opt.FusedEpilogue = fuzzEpilogue(int(epiRaw)%6, int(biasRaw)%32)
-			opt.ForceVw = int(forceVw)
-			opt.ForceVk = int(forceVk)
 		}
 		out, err := TryConv2D(s, in, fl, opt)
 		if err != nil {
@@ -168,7 +168,8 @@ func FuzzTryConv2D(f *testing.F) {
 
 // Fuzz target: TryNewPlan must reject (with an error) or plan — never
 // panic — for arbitrary shapes and options, including pathological
-// dimensions near the overflow guards.
+// dimensions near the overflow guards. forceVw and forceVk are unused,
+// kept for the corpus like FuzzTryConv2D's.
 func FuzzTryNewPlan(f *testing.F) {
 	f.Add(1, 64, 56, 56, 64, 3, 3, 1, 1, 8, 0, 0, 0, 0, 0, uint8(0))
 	f.Add(0, -1, 1<<30, 1<<30, 1<<24, -3, 7, 0, -2, 1<<20, -4, 44, -1, 3, 1<<20, uint8(5))
@@ -183,7 +184,6 @@ func FuzzTryNewPlan(f *testing.F) {
 		s := conv.Shape{N: n, C: c, H: h, W: w, K: k, R: r, S: ss, Str: str, Pad: pad}
 		opt := Options{
 			Threads: threads,
-			ForceVw: forceVw, ForceVk: forceVk,
 			ForceTc: forceTc, ForceTk: forceTk, ForceTh: forceTh,
 			FusedEpilogue: fuzzEpilogue(int(epiRaw)%6, int(epiRaw)%16),
 		}

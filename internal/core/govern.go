@@ -8,7 +8,10 @@ package core
 // the only place that knows how a grid is dispatched and joined, what a
 // fault or a blown deadline turns into, and where the faultinject
 // drills bite; a plan type supplies its cell loop and its oracle
-// recompute (gridOwner) and nothing else.
+// recompute (gridOwner) and nothing else. The grouped and 3-D entry
+// points are governed plan executions too; only the FP64 and INT16
+// entry points keep a loop of their own, classified by fallbackCtx
+// below.
 
 import (
 	"context"
@@ -34,8 +37,8 @@ type gridOwner interface {
 	// recompute writes what a fault-free execution would have stored
 	// into dst — one array per output tensor, laid out like it — on the
 	// plan type's oracle path, polling ctx; it reports false when ctx
-	// expired first. prev is the accumulate snapshot (nil otherwise).
-	recompute(ctx context.Context, dst, prev [][]float32) bool
+	// expired first.
+	recompute(ctx context.Context, dst [][]float32) bool
 	// unload drops the operand references (and publishes whatever the
 	// run measured) once no worker can touch the run any more.
 	unload()
@@ -69,10 +72,9 @@ type gridRun struct {
 	label any      // the plan's shape, for log lines
 
 	// Per execution, loaded by the owner before govern.
-	outs       []*tensor.Tensor
-	out1       [1]*tensor.Tensor // backing for the single-output case
-	accumulate bool              // outputs are accumulated into, not overwritten
-	packed     []packedOperand   // slots fixed at construction, cores per execution
+	outs   []*tensor.Tensor
+	out1   [1]*tensor.Tensor // backing for the single-output case
+	packed []packedOperand   // slots fixed at construction, cores per execution
 
 	fs     parallel.FaultSink
 	g      parallel.Group
@@ -258,28 +260,28 @@ func (g *gridRun) dispatch(ctx context.Context) error {
 // order:
 //
 //  1. A context already expired at the boundary fails before any work
-//     is spawned (or goes straight to rung 7 under FallbackBudget).
-//  2. Accumulate runs snapshot the prior output whenever a fault could
-//     be detected: a mid-run fault leaves partially updated targets
-//     that cannot be reconstructed any other way.
-//  3. Every packed operand the execution consumes is verified against
+//     is spawned (or goes straight to rung 6 under FallbackBudget).
+//  2. Every packed operand the execution consumes is verified against
 //     its pack-time CRC on the sampled schedule — always, when the
 //     weight-bitflip drill hit it. A mismatch is silent corruption,
 //     returned typed: the oracle must not mask it, because the resident
 //     artifact stays poisoned until the owner re-packs.
-//  4. The grid runs (dispatch).
-//  5. Under fault injection or CheckNumerics the outputs are scanned
+//  3. The grid runs (dispatch).
+//  4. Under fault injection or CheckNumerics the outputs are scanned
 //     for NaN/Inf.
-//  6. ErrIntegrity (a tripped scratch canary, rung 3) passes through:
+//  5. ErrIntegrity (a tripped scratch canary, rung 2) passes through:
 //     the faulty artifact must be quarantined or re-packed by the owning
 //     layer before results can be trusted again.
-//  7. A deadline abandon is not a fault: the caller asked for bounded
+//  6. A deadline abandon is not a fault: the caller asked for bounded
 //     time, so the oracle runs only within FallbackBudget — into fresh
 //     arrays swapped into each out.Data, because abandoned stragglers
 //     may still store into the arrays they captured — and otherwise the
 //     conv.ErrDeadline-wrapped error is returned.
-//  8. Any other fault (a recovered worker panic, a non-finite output) is
+//  7. Any other fault (a recovered worker panic, a non-finite output) is
 //     logged and recomputed in place; every worker has been joined.
+//
+// Every execution overwrites its outputs, so a recompute needs nothing
+// of what a faulted grid left behind.
 //
 // The three weight/output drills address the concatenation of the
 // packed operands (resp. outputs) by element index; an index outside it
@@ -295,13 +297,9 @@ func govern(ctx context.Context, g *gridRun) error {
 		if g.opts.FallbackBudget <= 0 {
 			return deadlineErr(ctx)
 		}
-		return g.deadlineRecompute(ctx, g.snapshot(), deadlineErr(ctx))
+		return g.deadlineRecompute(ctx, deadlineErr(ctx))
 	}
 	injecting := faultinject.Enabled()
-	var prev [][]float32
-	if injecting || cancellable || g.opts.CheckNumerics {
-		prev = g.snapshot()
-	}
 
 	flipped := -1
 	if injecting && g.packedLen() > 0 {
@@ -344,24 +342,18 @@ func govern(ctx context.Context, g *gridRun) error {
 	if err == nil || errors.Is(err, ErrIntegrity) {
 		return err
 	}
-	if g.accumulate && prev == nil {
-		// Fault without a snapshot (injection armed mid-run): the
-		// accumulation target may be partially updated and cannot be
-		// recovered. Surface the fault instead of guessing.
-		return fmt.Errorf("%w: %v", ErrExecFault, err)
-	}
 	if errors.Is(err, conv.ErrDeadline) {
 		if g.opts.FallbackBudget <= 0 {
 			return err
 		}
-		return g.deadlineRecompute(ctx, prev, err)
+		return g.deadlineRecompute(ctx, err)
 	}
 	Logf("core: optimised path faulted on %v; recomputing on reference path: %v", g.label, err)
 	dst := make([][]float32, len(g.outs))
 	for i, out := range g.outs {
 		dst[i] = out.Data
 	}
-	g.owner.recompute(context.Background(), dst, prev)
+	g.owner.recompute(context.Background(), dst)
 	return g.rescan()
 }
 
@@ -369,7 +361,7 @@ func govern(ctx context.Context, g *gridRun) error {
 // oracle path after a blown deadline. On success the caller receives
 // correct tensors and a nil error; an exhausted budget reports origErr
 // (the original deadline error) and publishes nothing.
-func (g *gridRun) deadlineRecompute(ctx context.Context, prev [][]float32, origErr error) error {
+func (g *gridRun) deadlineRecompute(ctx context.Context, origErr error) error {
 	fctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), g.opts.FallbackBudget)
 	defer cancel()
 	Logf("core: optimised path abandoned on %v; recomputing on reference path within %v: %v",
@@ -378,7 +370,7 @@ func (g *gridRun) deadlineRecompute(ctx context.Context, prev [][]float32, origE
 	for i, out := range g.outs {
 		fresh[i] = make([]float32, len(out.Data))
 	}
-	if !g.owner.recompute(fctx, fresh, prev) {
+	if !g.owner.recompute(fctx, fresh) {
 		return origErr
 	}
 	for i, out := range g.outs {
@@ -395,18 +387,6 @@ func (g *gridRun) rescan() error {
 		return nil
 	}
 	return g.scanOutputs(" after reference fallback")
-}
-
-// snapshot copies the outputs of an accumulate run (nil otherwise).
-func (g *gridRun) snapshot() [][]float32 {
-	if !g.accumulate {
-		return nil
-	}
-	prev := make([][]float32, len(g.outs))
-	for i, out := range g.outs {
-		prev[i] = append([]float32(nil), out.Data...)
-	}
-	return prev
 }
 
 // packedLen is the element count of the packed operands this execution
@@ -479,6 +459,24 @@ func (g *gridRun) scanOutputs(when string) error {
 // deadlineErr wraps a done context's cause in conv.ErrDeadline.
 func deadlineErr(ctx context.Context) error {
 	return fmt.Errorf("%w: %w", conv.ErrDeadline, context.Cause(ctx))
+}
+
+// fallbackCtx classifies a parallel-loop error for the FP64 and INT16
+// entry points, the two that run their own loop outside the ladder: a
+// worker fault keeps the unbounded sequential fallback (fctx is
+// Background), while a context abandonment either returns the
+// conv.ErrDeadline-wrapped error as-is (no FallbackBudget) or grants the
+// fallback that budget. The returned cancel must be deferred when derr
+// is nil.
+func fallbackCtx(ctx context.Context, err error, opt Options) (fctx context.Context, cancel context.CancelFunc, derr error) {
+	if !errors.Is(err, parallel.ErrCanceled) {
+		return context.Background(), func() {}, nil
+	}
+	if opt.FallbackBudget <= 0 {
+		return nil, nil, fmt.Errorf("%w: %w", conv.ErrDeadline, err)
+	}
+	fctx, cancel = context.WithTimeout(context.WithoutCancel(ctx), opt.FallbackBudget)
+	return fctx, cancel, nil
 }
 
 // scanNonFinite returns the index of the first NaN/Inf in data.

@@ -193,6 +193,34 @@ var ladderConsumers = []ladderConsumer{
 		}
 		return e
 	}},
+	// The grouped and 3-D entry points are sequences of governed Plan
+	// executions (one per (image, group), one per output depth): each row
+	// must come out of the first faulted execution exactly as a Plan does.
+	{"one-shot grouped", func(t *testing.T, opt Options, _, nanInput bool) ladderExec {
+		const groups = 2
+		s := conv.Shape{N: 2, C: 8, H: 12, W: 12, K: 8, R: 3, S: 3, Str: 1, Pad: 1}
+		in, filter := s.NewInput(), tensor.New(s.K, s.C/groups, s.R, s.S)
+		ladderInput(in, 81, nanInput)
+		fillInts(filter, 82)
+		e := ladderExec{want: [][]float32{groupedReference(s, groups, in, filter).Data}, scratch: true}
+		e.run = func(ctx context.Context) ([]*tensor.Tensor, [][]float32, error) {
+			out, err := TryGroupedConv2DCtx(ctx, s, groups, in, filter, opt)
+			return []*tensor.Tensor{out}, nil, err
+		}
+		return e
+	}},
+	{"one-shot 3-D", func(t *testing.T, opt Options, _, nanInput bool) ladderExec {
+		s := Shape3D{Shape: conv.Shape{N: 1, C: 3, H: 10, W: 10, K: 8, R: 3, S: 3, Str: 1, Pad: 1}, D: 4, T: 3, StrD: 1, PadD: 1}
+		in, filter := tensor.New(s.N, s.C, s.D, s.H, s.W), tensor.New(s.K, s.C, s.T, s.R, s.S)
+		ladderInput(in, 91, nanInput)
+		fillInts(filter, 92)
+		e := ladderExec{want: [][]float32{conv3dReference(s, in, filter).Data}, scratch: true}
+		e.run = func(ctx context.Context) ([]*tensor.Tensor, [][]float32, error) {
+			out, err := TryConv3DCtx(ctx, s, in, filter, opt)
+			return []*tensor.Tensor{out}, nil, err
+		}
+		return e
+	}},
 }
 
 // ladderFault is one row of the table: what to arm, under which

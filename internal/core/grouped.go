@@ -2,11 +2,9 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"ndirect/internal/conv"
-	"ndirect/internal/parallel"
 	"ndirect/internal/tensor"
 )
 
@@ -14,26 +12,26 @@ import (
 // (groups=1) and the depthwise convolution of §10.2 (groups=C). Each
 // group convolves C/g input channels into K/g output channels with an
 // independent filter set — the ResNeXt/AlexNet-style building block.
-// nDirect extends naturally: each group is a standard convolution on
-// a channel slice, so the per-group work reuses one shared Plan (same
-// tile geometry for every group) and the driver adds the group loop
-// to the parallel dimensions.
+// nDirect extends naturally: image n's group g reads a contiguous slab
+// of the NCHW input and writes a contiguous slab of the NKPQ output, so
+// each (n, g) sub-problem is one governed execution of a shared
+// per-group Plan on views of the operands — no copy, and the plan's
+// own thread grid inside.
 
 // TryGroupedConv2D convolves an NCHW input with a [K, C/groups, R, S]
 // filter in `groups` independent channel groups, returning the NKPQ
 // output. groups must divide both C and K. groups=1 degenerates to
-// Conv2D. Checked variant: validation failures return errors; a fault
-// in the parallel group loop is logged and the groups recomputed
-// sequentially.
+// Conv2D. Checked variant: validation failures return errors; a
+// faulted sub-problem is logged and recomputed on the reference path.
 func TryGroupedConv2D(s conv.Shape, groups int, in, filter *tensor.Tensor, opt Options) (*tensor.Tensor, error) {
 	return TryGroupedConv2DCtx(context.Background(), s, groups, in, filter, opt)
 }
 
-// TryGroupedConv2DCtx is the context-bounded form of TryGroupedConv2D
-// with the deadline semantics of Plan.TryExecuteCtx: on expiry the
-// parallel group loop is abandoned and the error wraps
-// conv.ErrDeadline, unless Options.FallbackBudget grants the
-// sequential recompute time to finish (polled between groups).
+// TryGroupedConv2DCtx is the context-bounded form of TryGroupedConv2D:
+// every (n, g) sub-problem runs under ctx with the deadline semantics
+// of Plan.TryExecuteCtx, so the first one to hit the deadline returns an
+// error wrapping conv.ErrDeadline, unless Options.FallbackBudget grants
+// its reference recompute time to finish.
 func TryGroupedConv2DCtx(ctx context.Context, s conv.Shape, groups int, in, filter *tensor.Tensor, opt Options) (*tensor.Tensor, error) {
 	if groups < 1 || s.C%groups != 0 || s.K%groups != 0 {
 		return nil, fmt.Errorf("%w: groups=%d must divide C=%d and K=%d", conv.ErrBadShape, groups, s.C, s.K)
@@ -57,68 +55,28 @@ func TryGroupedConv2DCtx(ctx context.Context, s conv.Shape, groups int, in, filt
 	if err := gs.Validate(); err != nil {
 		return nil, fmt.Errorf("%w (per-group sub-problem, groups=%d)", err, groups)
 	}
-	threads := opt.Threads
-	if threads <= 0 {
-		threads = parallel.DefaultThreads()
-	}
-	p, q := s.P(), s.Q()
-
-	// One plan shared by every (n, g) sub-problem; the batch/group
-	// product is the outer parallel dimension, the plan runs
-	// single-threaded inside (it already saturates a worker).
-	gOpt := opt
-	gOpt.Threads = 1
-	gs1 := gs.WithBatch(1)
-	plan, err := planFor(gs1, gOpt)
+	plan, err := planFor(gs.WithBatch(1), opt)
 	if err != nil {
 		return nil, err
 	}
 	out := s.NewOutput()
-
-	inSlice := cg * s.H * s.W
-	outSlice := kg * p * q
-	fSlice := kg * cg * s.R * s.S
-	group := func(ng int) {
-		n, g := ng/groups, ng%groups
-		inView := tensor.FromSlice(
-			in.Data[(n*s.C+g*cg)*s.H*s.W:(n*s.C+g*cg)*s.H*s.W+inSlice],
-			1, cg, s.H, s.W)
-		fView := tensor.FromSlice(filter.Data[g*fSlice:(g+1)*fSlice], kg, cg, s.R, s.S)
-		outView := tensor.FromSlice(
-			out.Data[(n*s.K+g*kg)*p*q:(n*s.K+g*kg)*p*q+outSlice],
-			1, kg, p, q)
-		plan.Execute(inView, fView, outView)
-	}
-	if err := parallel.ForCtx(ctx, s.N*groups, threads, group); err != nil {
-		fctx, cancel, derr := fallbackCtx(ctx, err, opt)
-		if derr != nil {
-			return nil, derr
+	inLen, outLen, fLen := cg*s.H*s.W, kg*s.P()*s.Q(), kg*cg*s.R*s.S
+	for ng := 0; ng < s.N*groups; ng++ {
+		g := ng % groups
+		inView := tensor.FromSlice(in.Data[ng*inLen:(ng+1)*inLen], 1, cg, s.H, s.W)
+		fView := tensor.FromSlice(filter.Data[g*fLen:(g+1)*fLen], kg, cg, s.R, s.S)
+		outView := tensor.FromSlice(out.Data[ng*outLen:(ng+1)*outLen], 1, kg, s.P(), s.Q())
+		if err := plan.TryExecuteCtx(ctx, inView, fView, outView); err != nil {
+			return nil, err
 		}
-		defer cancel()
-		Logf("core: grouped parallel path faulted on %v (groups=%d); recomputing sequentially: %v", s, groups, err)
-		if errors.Is(err, parallel.ErrCanceled) {
-			// The abandoned group workers captured the current out and
-			// may still store into it whenever they resume: recompute
-			// into a fresh tensor they have never seen (group writes
-			// through the rebound variable) and leave the old
-			// allocation to the stragglers.
-			out = s.NewOutput()
-		}
-		if err := parallel.Protect(func() {
-			for ng := 0; ng < s.N*groups; ng++ {
-				if fctx.Done() != nil && fctx.Err() != nil {
-					panic(deadlineErr(fctx))
-				}
-				group(ng)
-			}
-		}); err != nil {
-			var pe *parallel.PanicError
-			if errors.As(err, &pe) {
-				if de, ok := pe.Value.(error); ok && errors.Is(de, conv.ErrDeadline) {
-					return nil, de
-				}
-			}
-			return nil, fmt.Errorf("%w: %v", ErrExecFault, err)
+		if &outView.Data[0] != &out.Data[ng*outLen] {
+			// A deadline fallback published through a fresh array: the
+			// abandoned grid may still store into out, so the finished
+			// slabs move to a tensor it has never seen.
+			fresh := s.NewOutput()
+			copy(fresh.Data, out.Data[:ng*outLen])
+			copy(fresh.Data[ng*outLen:], outView.Data)
+			out = fresh
 		}
 	}
 	return out, nil

@@ -141,7 +141,7 @@ func IntegritySnapshot() IntegrityStats {
 // stale-but-correct result or a typed error, never a read of reused
 // memory. The source must not be mutated while the handle is in use.
 type packedCore struct {
-	what      string         // artifact and geometry, for errors ("packed filter K64 C64 R3 S3 Vk8")
+	what      string         // artifact and geometry, for errors ("packed filter K64 C64 R3 S3")
 	src       *tensor.Tensor // framework-layout source weights
 	data      []float32
 	crc       uint32        // CRC32-C of data, computed at pack time

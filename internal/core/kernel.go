@@ -104,41 +104,3 @@ func (p *Plan) packCompute(kern specializedKernel, acc *accFile8, in, buf, tf []
 		}
 	}
 }
-
-// kernelGeneric is the fallback main micro-kernel for arbitrary
-// (V_w, V_k) register tiles (V_k a multiple of 4). acc holds
-// vwEff × vk/4 accumulators, column-major per output column:
-// acc[ow*(vk/4)+j].
-// Unlike the V_k=8 kernels above, this loop nest is deliberately NOT
-// restructured for bounds-check elimination: the accumulator step jn
-// is a runtime value, and the prove pass only reasons about induction
-// variables with constant steps, so the acc[base+j] checks cannot be
-// discharged. Walking-slice and descending-index rewrites were
-// measured ~5-8% slower than this plain form (the restructuring
-// overhead exceeds the cost of the predictable checks), so the
-// straightforward nest stays.
-func kernelGeneric(acc []simd.Vec4, buf, tf []float32, tc, r, s, str, vwEff, wIn, vk int) {
-	jn := vk / simd.Width
-	var fregs [simd.NumRegs / 4]simd.Vec4 // filter slice registers (jn <= 8 in practice)
-	for cv := 0; cv < tc; cv++ {
-		for rr := 0; rr < r; rr++ {
-			row := buf[(cv*r+rr)*wIn : (cv*r+rr)*wIn+wIn]
-			fb := (cv*r + rr) * s * vk
-			for ss := 0; ss < s; ss++ {
-				fs := tf[fb+ss*vk : fb+(ss+1)*vk]
-				for j := 0; j < jn; j++ {
-					fregs[j] = simd.Load(fs[j*simd.Width:])
-				}
-				x := ss
-				for ow := 0; ow < vwEff; ow++ {
-					v := row[x]
-					base := ow * jn
-					for j := 0; j < jn; j++ {
-						acc[base+j] = acc[base+j].FMAScalar(fregs[j], v)
-					}
-					x += str
-				}
-			}
-		}
-	}
-}

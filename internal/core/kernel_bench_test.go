@@ -121,14 +121,6 @@ func BenchmarkMicroKernelBodies(b *testing.B) {
 			sinkV = acc[0]
 		})
 	}
-	b.Run("generic", func(b *testing.B) {
-		acc := make([]simd.Vec4, vw*vk/4)
-		for i := 0; i < b.N; i++ {
-			kernelGeneric(acc, buf, tf, tc, r, s, str, vw, wIn, vk)
-		}
-		b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
-		sinkV = acc[0]
-	})
 }
 
 var sinkV simd.Vec4
@@ -166,7 +158,7 @@ func BenchmarkStoreTile(b *testing.B) {
 				run  tileStore
 			}{
 				{"go", func(acc *accFile8, dst, res []float32, ep *epilogue, kBase, stride, vwEff int, nchw, accumulate bool) {
-					storeTile(acc[:], 2, dst, res, ep, kBase, kBase+8, stride, vwEff, nchw, accumulate)
+					storeTile(acc, dst, res, ep, kBase, kBase+8, stride, vwEff, nchw, accumulate)
 				}},
 				{"vector", vectorStore},
 			} {

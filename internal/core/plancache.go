@@ -68,8 +68,6 @@ type planKey struct {
 	platform   hw.Platform
 	threads    int
 	seqPack    bool
-	forceVw    int
-	forceVk    int
 	forceTc    int
 	forceTk    int
 	forceTh    int
@@ -80,7 +78,6 @@ type planKey struct {
 	fusedRes   bool
 	fusedReLU  bool
 	collect    bool
-	generic    bool
 	numerics   bool
 	budget     time.Duration
 }
@@ -108,13 +105,10 @@ func planKeyFor(s conv.Shape, opt Options) planKey {
 		platform: pf,
 		threads:  opt.Threads,
 		seqPack:  opt.SequentialPack,
-		forceVw:  opt.ForceVw,
-		forceVk:  opt.ForceVk,
 		forceTc:  opt.ForceTc,
 		forceTk:  opt.ForceTk,
 		forceTh:  opt.ForceTh,
 		collect:  opt.CollectStats,
-		generic:  opt.ForceGenericKernel,
 		numerics: opt.CheckNumerics,
 		budget:   opt.FallbackBudget,
 	}

@@ -134,15 +134,9 @@ func TryNewSeparablePlan(shape SeparableShape, opt Options) (*SeparablePlan, err
 	if err != nil {
 		return nil, err
 	}
-	if pwPlan.RT.Vw != maxVw || pwPlan.RT.Vk != 8 {
-		return nil, fmt.Errorf("%w: fused separable requires the 12×8 register file; pointwise solved/forced to %d×%d",
-			ErrBadOptions, pwPlan.RT.Vw, pwPlan.RT.Vk)
-	}
 	p.pwPlan = pwPlan
 	p.dwEp = normalizeEpilogue(opt.DepthwiseEpilogue)
-	if !opt.ForceGenericKernel {
-		p.dwFamily = familyFor(p.dw, true)
-	}
+	p.dwFamily = familyFor(p.dw, true)
 	p.threads = opt.Threads
 	if p.threads == 0 {
 		p.threads = parallel.DefaultThreads()
@@ -286,7 +280,7 @@ func (r *sepRun) unload() {
 // goroutine with fresh scratch and the raw weights — bit-identical to
 // a clean parallel run (same kernels, same tile partition) and, like
 // the fast path, never materialising the full intermediate.
-func (r *sepRun) recompute(ctx context.Context, dst, _ [][]float32) bool {
+func (r *sepRun) recompute(ctx context.Context, dst [][]float32) bool {
 	p := r.p
 	pre := make([]float32, p.preLen)
 	transformFilter(r.pwFilter.Data, pre, p.pw.K, p.pw.C, 1, 1, 0, p.pw.K, 0, p.pw.C, 8)

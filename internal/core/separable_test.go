@@ -136,7 +136,6 @@ func TestSeparableLadderOptions(t *testing.T) {
 	opts := []Options{
 		{Threads: 1, ForceTc: 4, ForceTk: 1, ForceTh: 1}, // the degraded rung
 		{Threads: 2, ForceTc: 3},
-		{Threads: 2, ForceGenericKernel: true},
 		{Threads: 2, CheckNumerics: true},
 	}
 	for i, opt := range opts {

@@ -19,51 +19,38 @@ import "ndirect/internal/simd"
 // kernel-family table like the micro-kernel body, must match it bit for
 // bit.
 
-// tileOperands slices the output and the residual operand at the tile
-// that starts at channel kBase, row oh, column qt0 of image n, with the
-// stride a tileStore walks them by, and picks the epilogue its store
-// applies: the plan's on the last channel tile, nil before it or when
-// the plan has none.
-func (p *Plan) tileOperands(out, res []float32, nchw bool, n, kBase, oh, qt0 int, lastC bool) (dst, resT []float32, ep *epilogue, stride int) {
+// store writes the accumulator file of the tile that starts at channel
+// kBase, row oh, column qt0 of image n into the output tensor, with the
+// plan's epilogue on the last channel tile (its residual operand sliced
+// like the output): with vst, the execution's vector store (Plan.body),
+// for every full K-block, with the Go store for a ragged one or when vst
+// is nil.
+func (p *Plan) store(vst tileStore, acc *accFile8, out, res []float32, nchw bool,
+	n, kBase, kHi, oh, qt0, vwEff int, firstC, lastC bool) {
 	s := p.Shape
 	pp, q := s.P(), s.Q()
 	base, stride := ((n*pp+oh)*q+qt0)*s.K+kBase, s.K
 	if nchw {
 		base, stride = ((n*s.K+kBase)*pp+oh)*q+qt0, pp*q
 	}
+	var ep *epilogue
+	var resT []float32
 	if lastC && !p.ep.none {
 		ep = &p.ep
 		if ep.residual {
 			resT = res[base:]
 		}
 	}
-	return out[base:], resT, ep, stride
-}
-
-// store writes the V_k=8 accumulator file into the output tensor: with
-// vst, the execution's vector store (Plan.body), for every full K-block,
-// with the Go store for a ragged one or when vst is nil.
-func (p *Plan) store(vst tileStore, acc *accFile8, out, res []float32, nchw bool,
-	n, kBase, kHi, oh, qt0, vwEff int, firstC, lastC bool) {
-	dst, resT, ep, stride := p.tileOperands(out, res, nchw, n, kBase, oh, qt0, lastC)
 	if vst != nil && kBase+8 <= kHi {
-		vst(acc, dst, resT, ep, kBase, stride, vwEff, nchw, !firstC)
+		vst(acc, out[base:], resT, ep, kBase, stride, vwEff, nchw, !firstC)
 		return
 	}
-	storeTile(acc[:], 2, dst, resT, ep, kBase, min(kBase+8, kHi), stride, vwEff, nchw, !firstC)
-}
-
-// storeGeneric is the arbitrary-V_k variant of store.
-func (p *Plan) storeGeneric(acc []simd.Vec4, out, res []float32, nchw bool,
-	n, kBase, kHi, oh, qt0, vwEff int, firstC, lastC bool) {
-	dst, resT, ep, stride := p.tileOperands(out, res, nchw, n, kBase, oh, qt0, lastC)
-	storeTile(acc, p.RT.Vk/simd.Width, dst, resT, ep, kBase, min(kBase+p.RT.Vk, kHi), stride, vwEff, nchw, !firstC)
+	storeTile(acc, out[base:], resT, ep, kBase, min(kBase+8, kHi), stride, vwEff, nchw, !firstC)
 }
 
 // storeTile is the portable tile store, tileStore's convention plus the
-// two things only it handles: a ragged K-block (kEnd < kBase + V_k) and
-// any V_k (acc is indexed acc[ow*jn + j][lane], jn = V_k/4).
-func storeTile(acc []simd.Vec4, jn int, dst, res []float32, ep *epilogue, kBase, kEnd, stride, vwEff int, nchw, accumulate bool) {
+// one thing only it handles: a ragged K-block (kEnd < kBase + 8).
+func storeTile(acc *accFile8, dst, res []float32, ep *epilogue, kBase, kEnd, stride, vwEff int, nchw, accumulate bool) {
 	for k := kBase; k < kEnd; k++ {
 		j, lane := (k-kBase)/simd.Width, (k-kBase)%simd.Width
 		off, step := (k-kBase)*stride, 1
@@ -74,12 +61,12 @@ func storeTile(acc []simd.Vec4, jn int, dst, res []float32, ep *epilogue, kBase,
 		if res != nil {
 			resRow = res[off:]
 		}
-		storeLane(dst[off:], resRow, step, acc, jn, j, lane, vwEff, k, accumulate, ep)
+		storeLane(dst[off:], resRow, step, acc, j, lane, vwEff, k, accumulate, ep)
 	}
 }
 
 // storeLane writes one output channel's row of the register tile.
-func storeLane(row, res []float32, step int, acc []simd.Vec4, jn, j, lane, vwEff, k int, accumulate bool, ep *epilogue) {
+func storeLane(row, res []float32, step int, acc *accFile8, j, lane, vwEff, k int, accumulate bool, ep *epilogue) {
 	var bias, scale, shift float32
 	hasBias, hasAffine, hasRes, relu := false, false, false, false
 	if ep != nil {
@@ -94,7 +81,7 @@ func storeLane(row, res []float32, step int, acc []simd.Vec4, jn, j, lane, vwEff
 	}
 	x := 0
 	for ow := 0; ow < vwEff; ow++ {
-		v := acc[ow*jn+j][lane]
+		v := acc[2*ow+j][lane]
 		if accumulate {
 			v += row[x]
 		}

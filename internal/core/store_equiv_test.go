@@ -117,7 +117,7 @@ func checkStores(t testing.TB, rng *rand.Rand, c storeCase) {
 	}
 
 	want := append([]float32(nil), out0...)
-	storeTile(acc[:], 2, tile(want), tile(res0), ep, storeKBase, storeKBase+8, c.stride, c.vwEff, c.nchw, c.accumulate)
+	storeTile(&acc, tile(want), tile(res0), ep, storeKBase, storeKBase+8, c.stride, c.vwEff, c.nchw, c.accumulate)
 	for i, v := range want {
 		if j := i - storePad; (j < 0 || j > last || !inTile[j]) && math.Float32bits(v) != math.Float32bits(out0[i]) {
 			t.Fatalf("%v: the Go store wrote element %d outside the tile", c, j)
@@ -337,15 +337,13 @@ func residualCase(t *testing.T, s conv.Shape, opt Options, exact bool) (p *Plan,
 }
 
 // The residual step through a whole plan: packed and unpacked, vector
-// and Go store (quarantine), the generic kernel, several channel tiles
-// (so the last store both accumulates and finishes) and a ragged K, each
-// == the sweep form.
+// and Go store (quarantine), several channel tiles (so the last store
+// both accumulates and finishes) and a ragged K, each == the sweep form.
 func TestResidualEpilogueMatchesSweeps(t *testing.T) {
 	s := conv.Shape{N: 2, C: 11, H: 9, W: 15, K: 21, R: 3, S: 3, Str: 1, Pad: 1}
 	for name, opt := range map[string]Options{
 		"one-tile":    {Threads: 2},
 		"three-tiles": {Threads: 2, ForceTc: 4},
-		"generic":     {Threads: 2, ForceTc: 4, ForceGenericKernel: true},
 	} {
 		p, in, filter, res, want := residualCase(t, s, opt, false)
 		pf, err := p.TransformFilter(filter)
@@ -380,32 +378,30 @@ func TestResidualEpilogueMatchesSweeps(t *testing.T) {
 func TestResidualFallbacksReplayResidual(t *testing.T) {
 	defer faultinject.Reset()
 	s := conv.Shape{N: 1, C: 6, H: 8, W: 13, K: 11, R: 3, S: 3, Str: 1, Pad: 1}
-	for _, generic := range []bool{false, true} {
-		p, in, filter, res, want := residualCase(t, s, Options{Threads: 2, FallbackBudget: 5 * time.Second, ForceGenericKernel: generic}, true)
-		check := func(path string, out *tensor.Tensor) {
-			t.Helper()
-			for i := range out.Data {
-				if out.Data[i] != want.Data[i] {
-					t.Fatalf("%s (generic=%v): element %d = %g, sweeps give %g", path, generic, i, out.Data[i], want.Data[i])
-				}
+	p, in, filter, res, want := residualCase(t, s, Options{Threads: 2, FallbackBudget: 5 * time.Second}, true)
+	check := func(path string, out *tensor.Tensor) {
+		t.Helper()
+		for i := range out.Data {
+			if out.Data[i] != want.Data[i] {
+				t.Fatalf("%s: element %d = %g, sweeps give %g", path, i, out.Data[i], want.Data[i])
 			}
 		}
-		out := s.NewOutput()
-		faultinject.Arm(faultinject.WorkerPanic, 0)
-		if err := p.TryExecuteResidualCtx(context.Background(), in, filter, nil, res, out); err != nil {
-			t.Fatal(err)
-		}
-		faultinject.Reset()
-		check("reference fallback", out)
-
-		expired, cancel := context.WithCancel(context.Background())
-		cancel()
-		out = s.NewOutput()
-		if err := p.TryExecuteResidualCtx(expired, in, filter, nil, res, out); err != nil {
-			t.Fatal(err)
-		}
-		check("deadline fallback", out)
 	}
+	out := s.NewOutput()
+	faultinject.Arm(faultinject.WorkerPanic, 0)
+	if err := p.TryExecuteResidualCtx(context.Background(), in, filter, nil, res, out); err != nil {
+		t.Fatal(err)
+	}
+	faultinject.Reset()
+	check("reference fallback", out)
+
+	expired, cancel := context.WithCancel(context.Background())
+	cancel()
+	out = s.NewOutput()
+	if err := p.TryExecuteResidualCtx(expired, in, filter, nil, res, out); err != nil {
+		t.Fatal(err)
+	}
+	check("deadline fallback", out)
 }
 
 // A plan built with Residual executes only with the operand, and the
@@ -424,7 +420,6 @@ func TestResidualOperandIsTyped(t *testing.T) {
 	for name, err := range map[string]error{
 		"TryExecute":       p.TryExecute(in, filter, out),
 		"TryExecutePacked": p.TryExecutePacked(in, pf, out),
-		"TryExecuteAdd":    p.TryExecuteAddCtx(context.Background(), in, filter, out),
 		"TryExecuteBatch":  p.TryExecuteBatchCtx(context.Background(), []*tensor.Tensor{in}, filter, []*tensor.Tensor{out}),
 		"TryExecuteRef":    p.TryExecuteReferenceCtx(context.Background(), in, filter, out),
 		"no operand":       p.TryExecuteResidualCtx(context.Background(), in, filter, nil, nil, out),

@@ -59,7 +59,7 @@ func TestVectorStoreStopsAtGuardPage(t *testing.T) {
 				dst[i], res[i] = rng.Float32()-0.5, rng.Float32()-0.5
 				want[i], resCopy[i] = dst[i], res[i]
 			}
-			storeTile(acc[:], 2, want, resCopy, ep, 0, 8, stride, vwEff, nchw, true)
+			storeTile(&acc, want, resCopy, ep, 0, 8, stride, vwEff, nchw, true)
 			func() {
 				defer func() {
 					if r := recover(); r != nil {

@@ -69,13 +69,13 @@ func tfIndex(kb, cv, rr, ss, r, s, tc, vk int) int {
 // ErrWeightsReleased — are the shared packed-weights core's
 // (packedCore); this type adds only the geometry it was packed for.
 type PackedFilter struct {
-	packedCore     // data: [⌈K/Vk⌉][C][R][S][Vk], zero lanes past K
-	k, c, r, s, vk int
+	packedCore // data: [⌈K/Vk⌉][C][R][S][Vk], zero lanes past K
+	k, c, r, s int
 }
 
 // TransformFilter pre-transforms the KCRS filter for this plan's
 // register blocking. The result is reusable across every Execute call
-// of any plan with the same filter geometry and V_k (see
+// of any plan with the same filter geometry (see
 // PackedFilter.CompatibleWith) — build it once per layer at load time
 // and the per-call transform stage disappears (its time was counted in
 // Stats.TransformSec; packed runs report zero there).
@@ -91,18 +91,18 @@ func (p *Plan) TransformFilter(filter *tensor.Tensor) (*PackedFilter, error) {
 	// [⌈K/Vk⌉][C][R][S][Vk] layout directly, zero-filling the lanes of
 	// the ragged last block exactly as the per-tile transform does.
 	transformFilter(filter.Data, data, s.K, s.C, s.R, s.S, 0, s.K, 0, s.C, vk)
-	pf := &PackedFilter{k: s.K, c: s.C, r: s.R, s: s.S, vk: vk}
-	pf.seal(fmt.Sprintf("packed filter K%d C%d R%d S%d Vk%d", s.K, s.C, s.R, s.S, vk), filter, data)
+	pf := &PackedFilter{k: s.K, c: s.C, r: s.R, s: s.S}
+	pf.seal(fmt.Sprintf("packed filter K%d C%d R%d S%d", s.K, s.C, s.R, s.S), filter, data)
 	return pf, nil
 }
 
 // CompatibleWith reports whether the packed filter can serve the
-// plan: same filter geometry (K, C, R, S) and the same V_k blocking.
+// plan: the same filter geometry (K, C, R, S); every plan blocks V_k=8.
 // Batch size is irrelevant — one PackedFilter serves a layer at every
 // batch size.
 func (pf *PackedFilter) CompatibleWith(p *Plan) bool {
 	s := p.Shape
-	return pf.k == s.K && pf.c == s.C && pf.r == s.R && pf.s == s.S && pf.vk == p.RT.Vk
+	return pf.k == s.K && pf.c == s.C && pf.r == s.R && pf.s == s.S
 }
 
 // validateFor checks the packed filter against the plan, wrapping
@@ -117,8 +117,8 @@ func (pf *PackedFilter) validateFor(p *Plan) error {
 	}
 	if !pf.CompatibleWith(p) {
 		s := p.Shape
-		return fmt.Errorf("%w: %s does not match plan K%d C%d R%d S%d Vk%d",
-			ErrBadOptions, pf.what, s.K, s.C, s.R, s.S, p.RT.Vk)
+		return fmt.Errorf("%w: %s does not match plan K%d C%d R%d S%d",
+			ErrBadOptions, pf.what, s.K, s.C, s.R, s.S)
 	}
 	return nil
 }

@@ -653,12 +653,10 @@ func (c *ConvUnit) residualEpilogue() *core.EpilogueParams {
 
 // packedFor returns the pre-transformed (⌈K/Vk⌉·C·R·S·Vk blocked) form
 // of w — the raw or the BN-folded weights — building it on first use
-// and caching it next to the fold. A plan with a different V_k
-// blocking (say, after an engine re-targets platforms) just rebuilds
-// the packed copy; the check is CompatibleWith plus source identity
-// plus liveness — a residency manager that evicted the cached filter
-// (PackedFilter.Release) makes the slot stale exactly like a V_k
-// change, and the rebuild re-packs bit-identically from the KCRS
+// and caching it next to the fold. The check is CompatibleWith plus
+// source identity plus liveness — a residency manager that evicted the
+// cached filter (PackedFilter.Release) makes the slot stale exactly like
+// a new source, and the rebuild re-packs bit-identically from the KCRS
 // source. With the engine's residency hooks set, a rebuild first asks
 // OnPackAdmit for the packed bytes; a denied charge returns (nil, nil)
 // and the caller runs that call with the on-the-fly transform instead,
@@ -731,14 +729,18 @@ func (c *ConvUnit) discardPacked(eng *Engine, pf *core.PackedFilter) {
 }
 
 // invalidateReuse retires the unit's reuse state: packed filters are
-// released (dropped through the engine's residency hooks so their
-// charges return), the plan memo is cleared, and the generation is
-// bumped so any concurrently running planFor cannot re-publish a
-// pre-invalidation memo entry. Safe against concurrent forwards: an
-// execution that already fetched the old packed filter finishes on its
-// immutable buffer; the next fetch observes the released flag (or the
-// cleared slot) and rebuilds.
-func (c *ConvUnit) invalidateReuse(eng *Engine) {
+// released (dropped through eng's residency hooks so their charges
+// return), the plan memo is cleared, and the generation is bumped so any
+// concurrently running planFor cannot re-publish a pre-invalidation memo
+// entry. Safe against concurrent forwards: an execution that already
+// fetched the old packed filter finishes on its immutable buffer; the
+// next fetch observes the released flag (or the cleared slot) and
+// rebuilds. With no engine to report to, a pack is flagged released and
+// left in its slot: the next packedFor drops it through the serving
+// engine's OnPackDrop, which returns the charge there. params (the unit's
+// parameters changed; exclusive access) also resets the caches derived
+// from them: the BN fold and both fused epilogues.
+func (c *ConvUnit) invalidateReuse(eng *Engine, params bool) {
 	c.packMu.Lock()
 	defer c.packMu.Unlock()
 	c.reuseGen.Add(1)
@@ -747,29 +749,59 @@ func (c *ConvUnit) invalidateReuse(eng *Engine) {
 	}
 	for _, slot := range []**core.PackedFilter{&c.packedRaw, &c.packedFolded} {
 		if pf := *slot; pf != nil {
-			*slot = nil
-			if eng != nil && eng.OnPackDrop != nil {
-				eng.OnPackDrop(pf)
-			} else {
-				pf.Release()
+			pf.Release()
+			if eng != nil {
+				*slot = nil
+				if eng.OnPackDrop != nil {
+					eng.OnPackDrop(pf)
+				}
 			}
 		}
 	}
+	if params {
+		c.foldOnce, c.folded, c.foldedB = sync.Once{}, nil, nil
+		c.epOnce, c.ep = sync.Once{}, nil
+		c.resEpOnce, c.resEp = sync.Once{}, nil
+	}
 }
 
-// InvalidateReuse retires every conv unit's reuse state (packed
-// filters, plan memos), the fully connected layers' included, against
-// eng's residency hooks — the unregister / eviction entry point of the
-// serving registry. The network remains
-// fully servable afterwards: the next forward re-plans and re-packs,
-// bit-identically.
-func (n *Network) InvalidateReuse(eng *Engine) {
-	for _, u := range append(n.ConvUnits(), n.fcUnits()...) {
-		u.invalidateReuse(eng)
+// InvalidateReuse retires the reuse state of every layer that holds any
+// — conv units (residual blocks' and separable blocks' included), fully
+// connected layers, separable and standalone depthwise units: packed
+// filters and plan memos, against eng's residency hooks. It is the
+// unregister / eviction entry point of the serving registry. The network
+// remains fully servable afterwards: the next forward re-plans and
+// re-packs, bit-identically.
+func (n *Network) InvalidateReuse(eng *Engine) { n.retireReuse(eng, false) }
+
+// retireReuse is the one walk over the layers' reuse state, shared by
+// InvalidateReuse and ReadWeights (params: the parameters changed, so the
+// caches derived from them go too).
+func (n *Network) retireReuse(eng *Engine, params bool) {
+	var walk func(ls []Layer)
+	walk = func(ls []Layer) {
+		for _, l := range ls {
+			switch v := l.(type) {
+			case *ConvUnit:
+				v.invalidateReuse(eng, params)
+			case *Bottleneck:
+				walk(v.sublayers())
+			case *BasicBlock:
+				walk(v.sublayers())
+			case *DepthwiseSeparable:
+				v.invalidateReuse(params)
+				walk(v.sublayers())
+			case *DepthwiseConv:
+				v.invalidateReuse(params)
+			case *FC:
+				v.asConv().invalidateReuse(eng, params)
+				if params {
+					v.wtOnce, v.wt = sync.Once{}, nil
+				}
+			}
+		}
 	}
-	for _, d := range n.sepUnits() {
-		d.invalidateReuse()
-	}
+	walk(n.Layers)
 }
 
 // Forward applies the unit with the engine's backend and fusion
@@ -1357,7 +1389,7 @@ func (f *FC) tryForward(eng *Engine, x *tensor.Tensor) (*tensor.Tensor, error) {
 // tensor is W's storage viewed as [Out, In, 1, 1] (no copy), bias and
 // ReLU the unit's own epilogue. It is not among Network.ConvUnits — those
 // are the network's convolution layers — so the walks that must reach
-// its reuse state (InvalidateReuse, WarmPlans) go through fcUnits.
+// its reuse state (retireReuse, WarmPlans) reach it through the FC.
 func (f *FC) asConv() *ConvUnit {
 	f.convOnce.Do(func() {
 		f.conv = &ConvUnit{

@@ -162,8 +162,9 @@ func (d *DepthwiseSeparable) discardPackedDW(pf *core.PackedDepthwiseFilter) {
 
 // invalidateReuse retires the block's fused serving state (the memo
 // and the depthwise pack; the pointwise pack lives on the PW unit and
-// is retired by its own invalidateReuse).
-func (d *DepthwiseSeparable) invalidateReuse() {
+// is retired by its own invalidateReuse) and, with params, the
+// depthwise-stage epilogue derived from DWBN.
+func (d *DepthwiseSeparable) invalidateReuse(params bool) {
 	d.sepMu.Lock()
 	d.sepGen.Add(1)
 	for i := range d.sepMemos {
@@ -172,6 +173,9 @@ func (d *DepthwiseSeparable) invalidateReuse() {
 	if pf := d.sepPackedDW; pf != nil {
 		d.sepPackedDW = nil
 		pf.Release()
+	}
+	if params {
+		d.dwEpOnce, d.dwEp = sync.Once{}, nil
 	}
 	d.sepMu.Unlock()
 }
@@ -361,7 +365,9 @@ func (d *DepthwiseConv) discardPacked(pf *core.PackedDepthwiseFilter) {
 	pf.Release()
 }
 
-func (d *DepthwiseConv) invalidateReuse() {
+// invalidateReuse retires the unit's plan memo and packed filter and,
+// with params, the epilogue derived from BN.
+func (d *DepthwiseConv) invalidateReuse(params bool) {
 	d.packMu.Lock()
 	d.reuseGen.Add(1)
 	for i := range d.planMemos {
@@ -370,6 +376,9 @@ func (d *DepthwiseConv) invalidateReuse() {
 	if pf := d.packed; pf != nil {
 		d.packed = nil
 		pf.Release()
+	}
+	if params {
+		d.epOnce, d.ep = sync.Once{}, nil
 	}
 	d.packMu.Unlock()
 }

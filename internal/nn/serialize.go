@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sync"
 )
 
 // Weight serialization: a minimal, deterministic binary format
@@ -47,6 +46,9 @@ func (n *Network) paramSlices() [][]float32 {
 				out = append(out, v.DWFilter.Data)
 				appendBN(v.DWBN)
 				appendConv(v.PW)
+			case *DepthwiseConv:
+				out = append(out, v.Filter.Data)
+				appendBN(v.BN)
 			case *FC:
 				out = append(out, v.W.Data)
 				if v.B != nil {
@@ -57,42 +59,6 @@ func (n *Network) paramSlices() [][]float32 {
 	}
 	walk(n.Layers)
 	return out
-}
-
-// invalidateCaches drops derived parameter caches (BN-folded weights,
-// pre-transformed filters, FC transposes and conv forms) after the underlying
-// parameters change. Weight loading is an exclusive operation — it
-// rewrites the parameter slices in place — so resetting the sync.Once
-// guards here is safe; no Forward may be in flight.
-func (n *Network) invalidateCaches() {
-	var walk func(ls []Layer)
-	clearConv := func(c *ConvUnit) {
-		c.foldOnce = sync.Once{}
-		c.folded, c.foldedB = nil, nil
-		c.packMu.Lock()
-		c.packedRaw, c.packedFolded = nil, nil
-		c.packMu.Unlock()
-	}
-	walk = func(ls []Layer) {
-		for _, l := range ls {
-			switch v := l.(type) {
-			case *ConvUnit:
-				clearConv(v)
-			case *Bottleneck:
-				walk(v.sublayers())
-			case *BasicBlock:
-				walk(v.sublayers())
-			case *DepthwiseSeparable:
-				clearConv(v.PW)
-			case *FC:
-				v.wtOnce = sync.Once{}
-				v.wt = nil
-				v.convOnce = sync.Once{}
-				v.conv = nil
-			}
-		}
-	}
-	walk(n.Layers)
 }
 
 // WriteWeights serialises every parameter of the network to w.
@@ -122,7 +88,13 @@ func (n *Network) WriteWeights(w io.Writer) error {
 
 // ReadWeights deserialises parameters written by WriteWeights into
 // this network, which must have the identical architecture. Every
-// slice length is validated before anything is overwritten.
+// slice length is validated before anything is overwritten. Loading is
+// exclusive (no forward may be in flight): afterwards every cache built
+// from the old parameters is retired through the same walk as
+// InvalidateReuse — BN folds, fused epilogues, FC transposes, plan
+// memos and packed weights. A packed filter is released and dropped by
+// the next forward through its engine's OnPackDrop hook, so a serving
+// engine's residency charge comes back.
 func (n *Network) ReadWeights(r io.Reader) error {
 	br := bufio.NewReader(r)
 	magic := make([]byte, len(weightsMagic))
@@ -164,6 +136,6 @@ func (n *Network) ReadWeights(r io.Reader) error {
 	for i, s := range slices {
 		copy(s, staged[i])
 	}
-	n.invalidateCaches()
+	n.retireReuse(nil, true)
 	return nil
 }

@@ -10,11 +10,11 @@ package serve
 //
 //   - kernel-family targets: every registered dispatch family
 //     (core.KernelFamilyNames) through core.VerifyKernelFamily. A
-//     miscompare quarantines the family out of dispatch — entries are
-//     dropped, re-registration is barred, and the dispatch generation
-//     is bumped so plan caches re-key onto the generic kernel. The
-//     probe keeps running while quarantined (it forces the variant
-//     in-package), so the first clean probe restores the family.
+//     miscompare quarantines the family out of dispatch — every plan
+//     bound to it, cached or not, runs the bit-identical looped
+//     fallback from its next execution. The probe keeps running while
+//     quarantined (it drives the family's own body), so the first clean
+//     probe restores the family.
 //   - model targets: each registered model's fast engine against its
 //     reference engine (installed by Registry.Register, removed by
 //     Unregister). A miscompare quarantines the model to its

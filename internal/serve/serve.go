@@ -97,10 +97,11 @@ type Config struct {
 	// family is re-verified bit-for-bit against the single-threaded
 	// reference (core.VerifyKernelFamily), or a registered model's fast
 	// engine is compared against its reference engine. A miscomparing
-	// kernel family is quarantined out of dispatch (with a generation
-	// bump, so plan caches re-key to the generic kernel); a miscomparing
-	// model is quarantined to its reference path. Both are restored by
-	// the first clean probe. 0 (the default) disables the sentinel.
+	// kernel family is quarantined out of dispatch (every plan bound to
+	// it runs the bit-identical looped kernel from its next execution);
+	// a miscomparing model is quarantined to its reference path. Both
+	// are restored by the first clean probe. 0 (the default) disables
+	// the sentinel.
 	SentinelInterval time.Duration
 	// Manifest, when non-nil, warm-starts the runtime from an offline
 	// `ndtune -manifest` run: each valid entry's shape is registered

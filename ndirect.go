@@ -198,9 +198,9 @@ func TensorFromSlice(data []float32, dims ...int) *Tensor {
 	return tensor.FromSlice(data, dims...)
 }
 
-// NewPlan derives an nDirect execution plan for the shape: register
-// tile from Equations 3–4, cache tiles from Equations 1–2, thread
-// mapping from Equations 5–6. It panics on an invalid shape or
+// NewPlan derives an nDirect execution plan for the shape: the 12×8
+// register tile, cache tiles from Equations 1–2, thread mapping from
+// Equations 5–6. It panics on an invalid shape or
 // options; use TryNewPlan for the checked form.
 func NewPlan(s Shape, opt Options) *Plan { return core.NewPlan(s, opt) }
 

@@ -61,6 +61,21 @@ for pat in 'faultinject.Take(faultinject.WeightBitflip' 'faultinject.Take(faulti
     fi
 done
 
+# Every entry point in internal/core — the grouped and 3-D ones
+# included — executes through that ladder. Only the two parked precision
+# paths (conv64.go, convint16.go) keep a loop of their own with a
+# recovery shell and a fallback classifier; either in any other file is
+# a new entry point with a hand-written ladder.
+echo "==> written once: .Protect( and fallbackCtx( only in govern.go, conv64.go and convint16.go"
+for pat in '.Protect(' 'fallbackCtx('; do
+    extra=$(ls internal/core/*.go | grep -v _test.go | xargs grep -lF -- "$pat" |
+        grep -vxF -e internal/core/govern.go -e internal/core/conv64.go -e internal/core/convint16.go || true)
+    if [ -n "$extra" ]; then
+        echo "FAIL: '$pat' outside govern.go, conv64.go and convint16.go of internal/core: $(echo $extra)" >&2
+        exit 1
+    fi
+done
+
 echo "==> go test -race ./..."
 go test -race ./...
 
