@@ -6,7 +6,6 @@
 package ndirect_test
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"testing"
@@ -617,44 +616,6 @@ func BenchmarkSmallConvServing(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-	})
-
-	// batched: the same packed execution reached through the serving
-	// runtime's micro-batcher by 4 concurrent callers. BatchMax matches
-	// the caller count, so at steady state every 4 requests coalesce
-	// into one N=4 plan execution (one admission, one scratch set, one
-	// grid join); ns/op is per REQUEST, so the row is directly
-	// comparable to steady. On a single-core host the kernel dominates
-	// and batching buys only the amortised fixed cost; the batch-axis
-	// win scales with cores (EXPERIMENTS.md records both readings).
-	b.Run("batched", func(b *testing.B) {
-		rt := ndirect.NewServer(ndirect.ServeConfig{
-			MaxInFlight: 16, MaxQueue: 64,
-			BatchWindow: 200 * time.Microsecond, BatchMax: 4,
-			Options: core.Options{Threads: 1},
-		})
-		pf, err := rt.Pack(s, w)
-		if err != nil {
-			b.Fatal(err)
-		}
-		warm, err := rt.TryConv2DPackedCtx(context.Background(), s, in, pf)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rt.Recycle(warm)
-		b.ReportAllocs()
-		b.SetParallelism(4) // 4 concurrent callers per GOMAXPROCS
-		b.ResetTimer()
-		b.RunParallel(func(pb *testing.PB) {
-			for pb.Next() {
-				o, err := rt.TryConv2DPackedCtx(context.Background(), s, in, pf)
-				if err != nil {
-					b.Error(err)
-					return
-				}
-				rt.Recycle(o)
-			}
-		})
 	})
 }
 

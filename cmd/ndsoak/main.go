@@ -100,7 +100,6 @@ func main() {
 	verbose := flag.Bool("v", false, "log every violation as it happens")
 	tenants := flag.Int("tenants", 0, "run the multi-tenant registry soak with this many tenants (0 = classic single-runtime soak)")
 	weightKB := flag.Int64("weight-kb", 0, "packed-weight residency budget in KiB for -tenants mode (0 = unlimited); lower it so serving thrashes the weight LRU")
-	batch := flag.Bool("batch", false, "enable cross-request micro-batching (2ms window, max 4 images) so the soak drives coalesced execution through the storm")
 	integrity := flag.Bool("integrity", false, "run the integrity sentinel, arm the silent-corruption drills in the storm, and assert every injected corruption is detected")
 	flag.Parse()
 
@@ -119,22 +118,6 @@ func main() {
 			BreakerThreshold: 5,
 			BreakerCooldown:  2 * time.Second,
 		},
-	}
-	if *batch {
-		// Clients share per-shape inputs and filters, so concurrent
-		// requests for the same workload coalesce naturally; the soak's
-		// bit-exact-or-typed-error invariant then covers the batched
-		// grid, the per-batch reservation and the expired-waiter paths.
-		cfg.BatchWindow = 2 * time.Millisecond
-		cfg.BatchMax = 4
-		// A parked waiter holds its admission slot (batching must never
-		// multiply concurrency past the gate), so coalescing is
-		// impossible when the gate caps in-flight below the batch size;
-		// give the batch soak enough slots to actually fill batches.
-		if cfg.MaxInFlight < 2*cfg.BatchMax {
-			cfg.MaxInFlight = 2 * cfg.BatchMax
-			cfg.MaxQueue = 2 * cfg.MaxInFlight
-		}
 	}
 	if *integrity {
 		// The sentinel probes only when the gate is idle, so a short
@@ -360,13 +343,6 @@ drain:
 		st.FullRuns, st.DegradedRuns, st.ReferenceRuns, st.OverBudget, st.MemRejected, st.PoolHits, st.FreshAllocs, st.MemPeak)
 	fmt.Printf("ndsoak: worker pool %d workers, %d dispatched, %d spawn-fallbacks\n",
 		st.WorkerPool.Workers, st.WorkerPool.Dispatched, st.WorkerPool.Spawned)
-	if *batch {
-		fmt.Printf("ndsoak: batching %d batches / %d coalesced requests, %d solo flushes, %d expired waiters, %d recycles refused\n",
-			st.BatchesExecuted, st.BatchedRequests, st.BatchSoloFlushes, st.BatchExpired, st.RecycleRefused)
-		if st.BatchesExecuted == 0 {
-			violate("-batch soak never coalesced a single batch (window too small for this load?)")
-		}
-	}
 	if br := rt.Engine().BreakerStats(nn.AlgoIm2col); br.Trips > 0 || br.Skips > 0 {
 		fmt.Printf("ndsoak: im2col breaker %+v\n", br)
 	}

@@ -223,8 +223,8 @@ func (r *dwRun) unload() {
 }
 
 // recompute is the depthwise oracle path, from the raw weights.
-func (r *dwRun) recompute(ctx context.Context, dst [][]float32) bool {
-	return r.p.oracle(ctx, r.in.Data, r.filter.Data, dst[0])
+func (r *dwRun) recompute(ctx context.Context, dst []float32) bool {
+	return r.p.oracle(ctx, r.in.Data, r.filter.Data, dst)
 }
 
 // TryExecute runs the depthwise plan on an NCHW input with a [C,R,S]
@@ -282,7 +282,7 @@ func (p *DepthwisePlan) exec(ctx context.Context, in, filter *tensor.Tensor, pc 
 	if pc != nil {
 		r.packed[0].core, r.fdata = pc, pc.data
 	}
-	r.setOut(out)
+	r.out = out
 	r.kern = dwBody(p.family)
 	return govern(ctx, &r.gridRun)
 }

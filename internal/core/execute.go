@@ -99,17 +99,15 @@ func (p *Plan) TryExecuteNHWCCtx(ctx context.Context, in, filter, out *tensor.Te
 
 // execReq is one execution request as every Plan entry point states it:
 // the exported methods are fixed points of this struct, and the
-// combinations none of them names (NHWC × packed, NHWC × batched) are
-// reached by filling it directly.
+// combination none of them names (NHWC × packed) is reached by filling
+// it directly.
 type execReq struct {
-	in, out   *tensor.Tensor   // one request covering the plan's whole batch, or
-	batched   bool             // a coalesced batch of per-request tensors:
-	ins, outs []*tensor.Tensor // request i is ins[i] → outs[i]
-	filter    *tensor.Tensor   // KCRS weights; ignored when packed
-	pf        *PackedFilter
-	packed    bool           // the weights come from pf
-	res       *tensor.Tensor // residual operand, NCHW solo only
-	nhwc      bool           // NHWC activations, NPQK outputs
+	in, out *tensor.Tensor // covering the plan's whole batch
+	filter  *tensor.Tensor // KCRS weights; ignored when packed
+	pf      *PackedFilter
+	packed  bool           // the weights come from pf
+	res     *tensor.Tensor // residual operand, NCHW only
+	nhwc    bool           // NHWC activations, NPQK outputs
 }
 
 // exec validates a request, loads it into a pooled run and hands it to
@@ -124,11 +122,7 @@ func (p *Plan) exec(ctx context.Context, q execReq) error {
 		}
 		q.filter = q.pf.src
 	}
-	if q.batched {
-		if err := p.validateBatch(q.ins, q.filter, q.outs, !q.nhwc); err != nil {
-			return err
-		}
-	} else if err := validateRequest(p.Shape, q.in, q.filter, q.out, !q.nhwc); err != nil {
+	if err := validateRequest(p.Shape, q.in, q.filter, q.out, !q.nhwc); err != nil {
 		return err
 	}
 	if err := p.checkResidual(q.res != nil); err != nil {
@@ -157,24 +151,7 @@ func (p *Plan) exec(ctx context.Context, q execReq) error {
 	if q.res != nil {
 		r.res, r.resD = q.res, q.res.Data
 	}
-	if q.batched {
-		// Batched scatter: the workers resolve image n to a slice of the
-		// owning request's buffers.
-		s := p.Shape
-		cin, cout := s.C*s.H*s.W, s.K*s.P()*s.Q()
-		r.ins, r.outs = q.ins, q.outs
-		r.imgIn, r.imgOut = make([][]float32, 0, s.N), make([][]float32, 0, s.N)
-		for i, in := range q.ins {
-			for j := 0; j < in.Dims[0]; j++ {
-				r.imgIn = append(r.imgIn, in.Data[j*cin:(j+1)*cin])
-				r.imgOut = append(r.imgOut, q.outs[i].Data[j*cout:(j+1)*cout])
-			}
-		}
-	} else {
-		r.in1[0] = q.in
-		r.ins, r.inD, r.outD = r.in1[:], q.in.Data, q.out.Data
-		r.setOut(q.out)
-	}
+	r.in, r.inD, r.outD, r.out = q.in, q.in.Data, q.out.Data, q.out
 	r.kern, r.vst = p.body()
 	r.seq = p.runSeq.Add(1)
 	if p.opts.CollectStats {
@@ -197,38 +174,36 @@ func (p *Plan) checkResidual(have bool) error {
 	return nil
 }
 
-// validateRequest checks one request's operands against its slice si of
-// the plan's shape, in the activation layout it runs in.
-func validateRequest(si conv.Shape, in, filter, out *tensor.Tensor, nchw bool) error {
+// validateRequest checks a request's operands against shape s, in the
+// activation layout it runs in.
+func validateRequest(s conv.Shape, in, filter, out *tensor.Tensor, nchw bool) error {
 	if nchw {
-		if err := conv.ValidateOperands(si, in, filter); err != nil {
+		if err := conv.ValidateOperands(s, in, filter); err != nil {
 			return err
 		}
-		return conv.ValidateOutput(si, out)
+		return conv.ValidateOutput(s, out)
 	}
-	if err := conv.ValidateTensor("input", in, si.N, si.H, si.W, si.C); err != nil {
+	if err := conv.ValidateTensor("input", in, s.N, s.H, s.W, s.C); err != nil {
 		return err
 	}
-	if err := conv.ValidateTensor("filter", filter, si.K, si.C, si.R, si.S); err != nil {
+	if err := conv.ValidateTensor("filter", filter, s.K, s.C, s.R, s.S); err != nil {
 		return err
 	}
-	return conv.ValidateTensor("output", out, si.N, si.P(), si.Q(), si.K)
+	return conv.ValidateTensor("output", out, s.N, s.P(), s.Q(), s.K)
 }
 
-// recompute is the standard plan's oracle path: conv.ReferenceCtx per
-// request (it polls ctx between output rows, so a deadline-abandoned
-// execution does not trade an unbounded grid join for an unbounded
-// sequential recompute), then the plan's epilogue replayed — exactly
-// what a fault-free optimised run would have stored.
-func (r *planRun) recompute(ctx context.Context, dst [][]float32) bool {
+// recompute is the standard plan's oracle path: conv.ReferenceCtx (it
+// polls ctx between output rows, so a deadline-abandoned execution does
+// not trade an unbounded grid join for an unbounded sequential
+// recompute), then the plan's epilogue replayed — exactly what a
+// fault-free optimised run would have stored.
+func (r *planRun) recompute(ctx context.Context, dst []float32) bool {
 	p := r.p
-	for i, in := range r.ins {
-		ref, err := conv.ReferenceCtx(ctx, p.Shape.WithBatch(in.Dims[0]), p.refInput(in, r.nchw), r.filter)
-		if err != nil {
-			return false
-		}
-		p.applyFallback(ref, dst[i], r.resD, r.nchw)
+	ref, err := conv.ReferenceCtx(ctx, p.Shape, p.refInput(r.in, r.nchw), r.filter)
+	if err != nil {
+		return false
 	}
+	p.applyFallback(ref, dst, r.resD, r.nchw)
 	return true
 }
 
@@ -310,8 +285,7 @@ type planRun struct {
 	p     *Plan
 	tasks []runTask
 
-	ins    []*tensor.Tensor // one per request (solo: the one input)
-	in1    [1]*tensor.Tensor
+	in     *tensor.Tensor
 	filter *tensor.Tensor // KCRS weights (packed: the packed filter's source)
 	res    *tensor.Tensor // residual operand; nil for none
 
@@ -320,14 +294,6 @@ type planRun struct {
 	nchw              bool              // activation layout
 	kern              specializedKernel // this execution's V_k=8 body and
 	vst               tileStore         // tile store (Plan.body)
-
-	// Batched execution: per-image operand slices, one entry per image
-	// of the plan's batch dimension. When non-nil the workers read image
-	// n from imgIn[n] and scatter its rows directly into imgOut[n] (a
-	// caller-owned per-request buffer) instead of indexing the
-	// contiguous inD/outD arrays — the zero-copy scatter of the serving
-	// micro-batcher.
-	imgIn, imgOut [][]float32
 
 	seq uint64 // runSeq stamp, orders LastStats publication
 }
@@ -364,7 +330,7 @@ func (p *Plan) newRun() *planRun {
 // skips the per-tile transform entirely.
 func (r *planRun) cells(w int) {
 	t := &r.tasks[w]
-	r.p.worker(r.inD, r.filterD, r.pre, r.outD, r.resD, r.imgIn, r.imgOut, r.nchw,
+	r.p.worker(r.inD, r.filterD, r.pre, r.outD, r.resD, r.nchw,
 		t.kLo, t.kHi, t.nr, t.hr, t.wr, t.ws, &r.fs, r.kern, r.vst)
 }
 
@@ -389,9 +355,8 @@ func (r *planRun) unload() {
 		}
 		p.statsMu.Unlock()
 	}
-	r.ins, r.in1[0], r.filter, r.res = nil, nil, nil, nil
+	r.in, r.filter, r.res = nil, nil, nil
 	r.inD, r.filterD, r.outD, r.resD = nil, nil, nil, nil
-	r.imgIn, r.imgOut = nil, nil
 }
 
 // worker executes Algorithm 2 over its slice of the iteration space.
@@ -406,15 +371,7 @@ func (r *planRun) unload() {
 // ct is byte-for-byte the slab transformFilter would have produced.
 // The fault sink's stop flag is polled at tile granularity so
 // surviving workers cancel promptly after a sibling faults.
-//
-// Batched scatter (imgIn/imgOut non-nil): image n's operands come from
-// the per-image slice tables instead of offsets into in/out, with the
-// batch index collapsed to zero — every pack and store below then
-// addresses a single-image tensor, so a coalesced batch reads each
-// caller's input and writes each caller's output buffer directly (no
-// gather or scatter copies). Only the L1 loop changes; tile order,
-// accumulation order and hence bit patterns are untouched.
-func (p *Plan) worker(in, filter, pre, out, res []float32, imgIn, imgOut [][]float32, nchw bool,
+func (p *Plan) worker(in, filter, pre, out, res []float32, nchw bool,
 	kLo, kHi int, nr, hr, wr parallel.Range, ws *workerScratch, fs *parallel.FaultSink, kern specializedKernel, vst tileStore) {
 	s := p.Shape
 	vw, vk := p.RT.Vw, p.RT.Vk
@@ -449,10 +406,6 @@ func (p *Plan) worker(in, filter, pre, out, res []float32, imgIn, imgOut [][]flo
 			kvBlocks := (tkEff + vk - 1) / vk
 
 			for n := nr.Lo; n < nr.Hi; n++ { // L1 (worker slice)
-				inD, outD, nEff := in, out, n
-				if imgIn != nil {
-					inD, outD, nEff = imgIn[n], imgOut[n], 0
-				}
 				for ht := hr.Lo; ht < hr.Hi; ht += th { // L2
 					hEnd := ht + th
 					if hEnd > hr.Hi {
@@ -480,21 +433,21 @@ func (p *Plan) worker(in, filter, pre, out, res []float32, imgIn, imgOut [][]flo
 								if kb == 0 && p.opts.SequentialPack {
 									t0 = now(ws)
 									if nchw {
-										packNCHW(inD, ws.buf, g, nEff, s.C, s.H, s.W, ct, tcEff, s.R)
+										packNCHW(in, ws.buf, g, n, s.C, s.H, s.W, ct, tcEff, s.R)
 									} else {
-										packNHWC(inD, ws.buf, g, nEff, s.C, s.H, s.W, ct, tcEff, s.R)
+										packNHWC(in, ws.buf, g, n, s.C, s.H, s.W, ct, tcEff, s.R)
 									}
 									addTime(ws, &ws.stats.PackSec, t0)
 								}
 								t0 = now(ws)
 								if kb == 0 && !p.opts.SequentialPack {
-									p.packCompute(kern, acc, inD, ws.buf, tfBlock, g, nEff, ct, tcEff, vwEff, nchw)
+									p.packCompute(kern, acc, in, ws.buf, tfBlock, g, n, ct, tcEff, vwEff, nchw)
 								} else {
 									kern(acc, ws.buf, tfBlock, tcEff*s.R, vwEff, wIn)
 								}
 								addTime(ws, &ws.stats.KernelSec, t0)
 								t0 = now(ws)
-								p.store(vst, acc, outD, res, nchw, nEff, kt+kb*vk, kHi, oh, qt0, vwEff, firstC, lastC)
+								p.store(vst, acc, out, res, nchw, n, kt+kb*vk, kHi, oh, qt0, vwEff, firstC, lastC)
 								addTime(ws, &ws.stats.StoreSec, t0)
 							}
 						}

@@ -1,10 +1,10 @@
 package core
 
 // One governed execution path (DESIGN.md §5, §8). Every plan type —
-// Plan solo and batched, DepthwisePlan, SeparablePlan — executes the
-// same way: its entry point validates the operands, checks a pooled run
-// state out of the plan (gridRun, embedded in the plan type's operand
-// holder), loads the operands into it and calls govern. This file is
+// Plan, DepthwisePlan, SeparablePlan — executes the same way: its entry
+// point validates the operands, checks a pooled run state out of the
+// plan (gridRun, embedded in the plan type's operand holder), loads the
+// operands and its one output tensor into it and calls govern. This file is
 // the only place that knows how a grid is dispatched and joined, what a
 // fault or a blown deadline turns into, and where the faultinject
 // drills bite; a plan type supplies its cell loop and its oracle
@@ -35,10 +35,9 @@ type gridOwner interface {
 	// loaded operands, polling the run's fault sink between work items.
 	cells(w int)
 	// recompute writes what a fault-free execution would have stored
-	// into dst — one array per output tensor, laid out like it — on the
-	// plan type's oracle path, polling ctx; it reports false when ctx
-	// expired first.
-	recompute(ctx context.Context, dst [][]float32) bool
+	// into dst, laid out like the output tensor, on the plan type's
+	// oracle path, polling ctx; it reports false when ctx expired first.
+	recompute(ctx context.Context, dst []float32) bool
 	// unload drops the operand references (and publishes whatever the
 	// run measured) once no worker can touch the run any more.
 	unload()
@@ -59,7 +58,7 @@ type guardedBuf struct {
 
 // gridRun is one execution's harness state: fault sink, join group, one
 // prebuilt task closure per grid slot, the scratch canaries, and what
-// the ladder needs of the execution (outputs, packed operands). Runs
+// the ladder needs of the execution (output, packed operands). Runs
 // are pooled on their plan — checked out per call and parked again once
 // the ladder has returned and every worker, deadline-abandoned
 // stragglers included, has terminated — so a warm plan executes with
@@ -72,9 +71,8 @@ type gridRun struct {
 	label any      // the plan's shape, for log lines
 
 	// Per execution, loaded by the owner before govern.
-	outs   []*tensor.Tensor
-	out1   [1]*tensor.Tensor // backing for the single-output case
-	packed []packedOperand   // slots fixed at construction, cores per execution
+	out    *tensor.Tensor
+	packed []packedOperand // slots fixed at construction, cores per execution
 
 	fs     parallel.FaultSink
 	g      parallel.Group
@@ -167,12 +165,6 @@ func (g *gridRun) guard(w, n int) []float32 {
 	return full[:n:n]
 }
 
-// setOut loads a single output tensor.
-func (g *gridRun) setOut(out *tensor.Tensor) {
-	g.out1[0] = out
-	g.outs = g.out1[:]
-}
-
 // scratchTripped returns the grid slot of the first worker whose
 // scratch guard words were overwritten, or -1 when all are intact.
 func (g *gridRun) scratchTripped() int {
@@ -196,7 +188,7 @@ func (g *gridRun) release() {
 		return
 	}
 	g.owner.unload()
-	g.outs, g.out1[0], g.ran = nil, nil, false
+	g.out, g.ran = nil, false
 	for i := range g.packed {
 		g.packed[i].core = nil
 		*g.packed[i].slot = nil
@@ -267,25 +259,25 @@ func (g *gridRun) dispatch(ctx context.Context) error {
 //     returned typed: the oracle must not mask it, because the resident
 //     artifact stays poisoned until the owner re-packs.
 //  3. The grid runs (dispatch).
-//  4. Under fault injection or CheckNumerics the outputs are scanned
-//     for NaN/Inf.
+//  4. Under fault injection or CheckNumerics the output is scanned for
+//     NaN/Inf.
 //  5. ErrIntegrity (a tripped scratch canary, rung 2) passes through:
 //     the faulty artifact must be quarantined or re-packed by the owning
 //     layer before results can be trusted again.
 //  6. A deadline abandon is not a fault: the caller asked for bounded
-//     time, so the oracle runs only within FallbackBudget — into fresh
-//     arrays swapped into each out.Data, because abandoned stragglers
-//     may still store into the arrays they captured — and otherwise the
+//     time, so the oracle runs only within FallbackBudget — into a fresh
+//     array swapped into out.Data, because abandoned stragglers may
+//     still store into the array they captured — and otherwise the
 //     conv.ErrDeadline-wrapped error is returned.
 //  7. Any other fault (a recovered worker panic, a non-finite output) is
 //     logged and recomputed in place; every worker has been joined.
 //
-// Every execution overwrites its outputs, so a recompute needs nothing
+// Every execution overwrites its output, so a recompute needs nothing
 // of what a faulted grid left behind.
 //
 // The three weight/output drills address the concatenation of the
-// packed operands (resp. outputs) by element index; an index outside it
-// — the −1 an arg-less NDIRECT_FAULTS spec arms included — means
+// packed operands (resp. the output) by element index; an index outside
+// it — the −1 an arg-less NDIRECT_FAULTS spec arms included — means
 // element 0.
 func govern(ctx context.Context, g *gridRun) error {
 	defer g.release()
@@ -337,7 +329,7 @@ func govern(ctx context.Context, g *gridRun) error {
 		}
 	}
 	if err == nil && (injecting || g.opts.CheckNumerics) {
-		err = g.scanOutputs("")
+		err = g.scanOutput("")
 	}
 	if err == nil || errors.Is(err, ErrIntegrity) {
 		return err
@@ -349,33 +341,24 @@ func govern(ctx context.Context, g *gridRun) error {
 		return g.deadlineRecompute(ctx, err)
 	}
 	Logf("core: optimised path faulted on %v; recomputing on reference path: %v", g.label, err)
-	dst := make([][]float32, len(g.outs))
-	for i, out := range g.outs {
-		dst[i] = out.Data
-	}
-	g.owner.recompute(context.Background(), dst)
+	g.owner.recompute(context.Background(), g.out.Data)
 	return g.rescan()
 }
 
 // deadlineRecompute spends Options.FallbackBudget recomputing on the
 // oracle path after a blown deadline. On success the caller receives
-// correct tensors and a nil error; an exhausted budget reports origErr
+// a correct tensor and a nil error; an exhausted budget reports origErr
 // (the original deadline error) and publishes nothing.
 func (g *gridRun) deadlineRecompute(ctx context.Context, origErr error) error {
 	fctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), g.opts.FallbackBudget)
 	defer cancel()
 	Logf("core: optimised path abandoned on %v; recomputing on reference path within %v: %v",
 		g.label, g.opts.FallbackBudget, origErr)
-	fresh := make([][]float32, len(g.outs))
-	for i, out := range g.outs {
-		fresh[i] = make([]float32, len(out.Data))
-	}
+	fresh := make([]float32, len(g.out.Data))
 	if !g.owner.recompute(fctx, fresh) {
 		return origErr
 	}
-	for i, out := range g.outs {
-		out.Data = fresh[i]
-	}
+	g.out.Data = fresh
 	return g.rescan()
 }
 
@@ -386,7 +369,7 @@ func (g *gridRun) rescan() error {
 	if !g.opts.CheckNumerics {
 		return nil
 	}
-	return g.scanOutputs(" after reference fallback")
+	return g.scanOutput(" after reference fallback")
 }
 
 // packedLen is the element count of the packed operands this execution
@@ -424,34 +407,19 @@ func (g *gridRun) mutatePacked(idx int, mutate func(float32) float32) int {
 	return -1
 }
 
-// poisonOutput stores a NaN at element idx of the concatenated outputs.
+// poisonOutput stores a NaN at element idx of the output.
 func (g *gridRun) poisonOutput(idx int) {
-	total := 0
-	for _, out := range g.outs {
-		total += len(out.Data)
-	}
-	if idx < 0 || idx >= total {
+	if idx < 0 || idx >= len(g.out.Data) {
 		idx = 0
 	}
-	for _, out := range g.outs {
-		if idx < len(out.Data) {
-			out.Data[idx] = float32(math.NaN())
-			return
-		}
-		idx -= len(out.Data)
-	}
+	g.out.Data[idx] = float32(math.NaN())
 }
 
-// scanOutputs returns an ErrExecFault naming the first NaN/Inf in the
-// outputs.
-func (g *gridRun) scanOutputs(when string) error {
-	for i, out := range g.outs {
-		if j, bad := scanNonFinite(out.Data); bad {
-			if len(g.outs) > 1 {
-				return fmt.Errorf("%w: non-finite output at request %d element %d%s", ErrExecFault, i, j, when)
-			}
-			return fmt.Errorf("%w: non-finite output at element %d%s", ErrExecFault, j, when)
-		}
+// scanOutput returns an ErrExecFault naming the first NaN/Inf in the
+// output.
+func (g *gridRun) scanOutput(when string) error {
+	if j, bad := scanNonFinite(g.out.Data); bad {
+		return fmt.Errorf("%w: non-finite output at element %d%s", ErrExecFault, j, when)
 	}
 	return nil
 }

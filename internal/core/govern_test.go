@@ -12,42 +12,26 @@ import (
 	"ndirect/internal/tensor"
 )
 
-// TestBatchedNaNPoisonArgLess is the drift this path's unification
-// removed: the batched copy of the ladder had lost the drill-index
-// clamp, so the −1 an arg-less NDIRECT_FAULTS=nan-poison arms made the
-// checked TryExecuteBatchCtx panic (index out of range [-1]) instead of
-// recovering through the reference path. check.sh also runs it with
-// the variable set arg-less in the environment; it is the first test of
-// the ladder's file so that run finds the environment's shot unspent.
-func TestBatchedNaNPoisonArgLess(t *testing.T) {
-	captureLog(t)
-	defer faultinject.Reset()
-	if !faultinject.Enabled() {
-		faultinject.Arm(faultinject.NaNPoison, -1)
-	}
-	e := ladderConsumers[1].prepare(t, Options{Threads: 2}, false, false)
-	outs, _, err := e.run(context.Background())
-	if err != nil {
-		t.Fatalf("err = %v, want nil", err)
-	}
-	for i, out := range outs {
-		for j, v := range out.Data {
-			if v != e.want[i][j] {
-				t.Fatalf("output %d element %d = %v, oracle %v", i, j, v, e.want[i][j])
-			}
-		}
+// fillInts fills t with small integers so every execution path —
+// optimised, degraded, reference fallback — produces bit-identical
+// float32 results (all partial sums exactly representable).
+func fillInts(t *tensor.Tensor, seed int64) {
+	x := uint64(seed)*2654435761 + 12345
+	for i := range t.Data {
+		x = x*6364136223846793005 + 1442695040888963407
+		t.Data[i] = float32(int64(x>>33)%7 - 3)
 	}
 }
 
 // ladderExec is one consumer of the governed path prepared for the
-// ladder table: run performs one checked execution on fresh output
-// tensors and returns them with the arrays they were created on (nil
-// for the one-shot form, which allocates its own result).
+// ladder table: run performs one checked execution on a fresh output
+// tensor and returns it with the array it was created on (nil for the
+// one-shot form, which allocates its own result).
 type ladderExec struct {
-	run        func(ctx context.Context) (outs []*tensor.Tensor, before [][]float32, err error)
-	want       [][]float32 // the oracle, one array per output
-	packedLens []int       // element counts of the packed operands, in drill order
-	scratch    bool        // the grid's workers own canary-guarded scratch
+	run        func(ctx context.Context) (out *tensor.Tensor, before []float32, err error)
+	want       []float32 // the oracle
+	packedLens []int     // element counts of the packed operands, in drill order
+	scratch    bool      // the grid's workers own canary-guarded scratch
 }
 
 // ladderConsumer prepares one entry path under opt. packed selects the
@@ -66,12 +50,9 @@ func ladderInput(in *tensor.Tensor, seed int64, nanInput bool) {
 	}
 }
 
-func freshOuts(dims ...[]int) (outs []*tensor.Tensor, before [][]float32) {
-	for _, d := range dims {
-		o := tensor.New(d...)
-		outs, before = append(outs, o), append(before, o.Data)
-	}
-	return outs, before
+func freshOut(dims ...int) (out *tensor.Tensor, before []float32) {
+	out = tensor.New(dims...)
+	return out, out.Data
 }
 
 var ladderConsumers = []ladderConsumer{
@@ -88,44 +69,13 @@ var ladderConsumers = []ladderConsumer{
 		if err != nil {
 			t.Fatal(err)
 		}
-		e := ladderExec{want: [][]float32{conv.Reference(s, in, filter).Data}, packedLens: []int{len(pf.data)}, scratch: true}
-		e.run = func(ctx context.Context) ([]*tensor.Tensor, [][]float32, error) {
-			outs, before := freshOuts([]int{s.N, s.K, s.P(), s.Q()})
+		e := ladderExec{want: conv.Reference(s, in, filter).Data, packedLens: []int{len(pf.data)}, scratch: true}
+		e.run = func(ctx context.Context) (*tensor.Tensor, []float32, error) {
+			out, before := freshOut(s.N, s.K, s.P(), s.Q())
 			if packed {
-				return outs, before, p.TryExecutePackedCtx(ctx, in, pf, outs[0])
+				return out, before, p.TryExecutePackedCtx(ctx, in, pf, out)
 			}
-			return outs, before, p.TryExecuteCtx(ctx, in, filter, outs[0])
-		}
-		return e
-	}},
-	{"batched Plan", func(t *testing.T, opt Options, packed, nanInput bool) ladderExec {
-		s := faultShape()
-		filter := s.NewFilter()
-		fillInts(filter, 42)
-		var ins []*tensor.Tensor
-		e := ladderExec{scratch: true}
-		for i := 0; i < 3; i++ {
-			in := s.NewInput()
-			ladderInput(in, int64(43+i), nanInput && i == 1)
-			ins = append(ins, in)
-			e.want = append(e.want, conv.Reference(s, in, filter).Data)
-		}
-		p, err := TryNewPlan(s.WithBatch(len(ins)), opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pf, err := p.TransformFilter(filter)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e.packedLens = []int{len(pf.data)}
-		e.run = func(ctx context.Context) ([]*tensor.Tensor, [][]float32, error) {
-			d := []int{1, s.K, s.P(), s.Q()}
-			outs, before := freshOuts(d, d, d)
-			if packed {
-				return outs, before, p.TryExecuteBatchPackedCtx(ctx, ins, pf, outs)
-			}
-			return outs, before, p.TryExecuteBatchCtx(ctx, ins, filter, outs)
+			return out, before, p.TryExecuteCtx(ctx, in, filter, out)
 		}
 		return e
 	}},
@@ -142,13 +92,13 @@ var ladderConsumers = []ladderConsumer{
 		if err != nil {
 			t.Fatal(err)
 		}
-		e := ladderExec{want: [][]float32{dwOracle(s, in, filter, nil).Data}, packedLens: []int{len(pf.data)}}
-		e.run = func(ctx context.Context) ([]*tensor.Tensor, [][]float32, error) {
-			outs, before := freshOuts([]int{s.N, s.C, s.P(), s.Q()})
+		e := ladderExec{want: dwOracle(s, in, filter, nil).Data, packedLens: []int{len(pf.data)}}
+		e.run = func(ctx context.Context) (*tensor.Tensor, []float32, error) {
+			out, before := freshOut(s.N, s.C, s.P(), s.Q())
 			if packed {
-				return outs, before, p.TryExecutePackedCtx(ctx, in, pf, outs[0])
+				return out, before, p.TryExecutePackedCtx(ctx, in, pf, out)
 			}
-			return outs, before, p.TryExecuteCtx(ctx, in, filter, outs[0])
+			return out, before, p.TryExecuteCtx(ctx, in, filter, out)
 		}
 		return e
 	}},
@@ -168,16 +118,16 @@ var ladderConsumers = []ladderConsumer{
 		}
 		mid := dwOracle(sh.DWShape(), in, dwF, nil)
 		e := ladderExec{
-			want:       [][]float32{conv.Reference(sh.PWShape(), mid, pwF).Data},
+			want:       conv.Reference(sh.PWShape(), mid, pwF).Data,
 			packedLens: []int{len(pdw.data), len(ppw.data)},
 			scratch:    true,
 		}
-		e.run = func(ctx context.Context) ([]*tensor.Tensor, [][]float32, error) {
-			outs, before := freshOuts([]int{sh.N, sh.K, sh.P(), sh.Q()})
+		e.run = func(ctx context.Context) (*tensor.Tensor, []float32, error) {
+			out, before := freshOut(sh.N, sh.K, sh.P(), sh.Q())
 			if packed {
-				return outs, before, p.TryExecutePackedCtx(ctx, in, pdw, ppw, outs[0])
+				return out, before, p.TryExecutePackedCtx(ctx, in, pdw, ppw, out)
 			}
-			return outs, before, p.TryExecuteCtx(ctx, in, dwF, pwF, outs[0])
+			return out, before, p.TryExecuteCtx(ctx, in, dwF, pwF, out)
 		}
 		return e
 	}},
@@ -186,10 +136,10 @@ var ladderConsumers = []ladderConsumer{
 		in, filter := tensor.New(s.N, s.C, s.H, s.W), tensor.New(s.C, s.R, s.S)
 		ladderInput(in, 71, nanInput)
 		fillInts(filter, 72)
-		e := ladderExec{want: [][]float32{dwOracle(s, in, filter, nil).Data}}
-		e.run = func(ctx context.Context) ([]*tensor.Tensor, [][]float32, error) {
+		e := ladderExec{want: dwOracle(s, in, filter, nil).Data}
+		e.run = func(ctx context.Context) (*tensor.Tensor, []float32, error) {
 			out, err := TryDepthwiseConv2DCtx(ctx, s, in, filter, opt)
-			return []*tensor.Tensor{out}, nil, err
+			return out, nil, err
 		}
 		return e
 	}},
@@ -202,10 +152,10 @@ var ladderConsumers = []ladderConsumer{
 		in, filter := s.NewInput(), tensor.New(s.K, s.C/groups, s.R, s.S)
 		ladderInput(in, 81, nanInput)
 		fillInts(filter, 82)
-		e := ladderExec{want: [][]float32{groupedReference(s, groups, in, filter).Data}, scratch: true}
-		e.run = func(ctx context.Context) ([]*tensor.Tensor, [][]float32, error) {
+		e := ladderExec{want: groupedReference(s, groups, in, filter).Data, scratch: true}
+		e.run = func(ctx context.Context) (*tensor.Tensor, []float32, error) {
 			out, err := TryGroupedConv2DCtx(ctx, s, groups, in, filter, opt)
-			return []*tensor.Tensor{out}, nil, err
+			return out, nil, err
 		}
 		return e
 	}},
@@ -214,10 +164,10 @@ var ladderConsumers = []ladderConsumer{
 		in, filter := tensor.New(s.N, s.C, s.D, s.H, s.W), tensor.New(s.K, s.C, s.T, s.R, s.S)
 		ladderInput(in, 91, nanInput)
 		fillInts(filter, 92)
-		e := ladderExec{want: [][]float32{conv3dReference(s, in, filter).Data}, scratch: true}
-		e.run = func(ctx context.Context) ([]*tensor.Tensor, [][]float32, error) {
+		e := ladderExec{want: conv3dReference(s, in, filter).Data, scratch: true}
+		e.run = func(ctx context.Context) (*tensor.Tensor, []float32, error) {
 			out, err := TryConv3DCtx(ctx, s, in, filter, opt)
-			return []*tensor.Tensor{out}, nil, err
+			return out, nil, err
 		}
 		return e
 	}},
@@ -327,7 +277,7 @@ func TestGovernedLadder(t *testing.T) {
 					ctx, cancel = f.ctx()
 				}
 				defer cancel()
-				outs, before, err := e.run(ctx)
+				out, before, err := e.run(ctx)
 				faultinject.Reset() // release a stalled worker
 				waitNoLeakedWorkers(t)
 
@@ -342,15 +292,13 @@ func TestGovernedLadder(t *testing.T) {
 				if err != nil {
 					t.Fatalf("err = %v, want nil", err)
 				}
-				for i, out := range outs {
-					for j, v := range out.Data {
-						if v != e.want[i][j] {
-							t.Fatalf("output %d element %d = %v, oracle %v", i, j, v, e.want[i][j])
-						}
+				for j, v := range out.Data {
+					if v != e.want[j] {
+						t.Fatalf("element %d = %v, oracle %v", j, v, e.want[j])
 					}
-					if f.fresh && before != nil && &out.Data[0] == &before[i][0] {
-						t.Fatalf("output %d: deadline recompute published through the abandoned grid's array", i)
-					}
+				}
+				if f.fresh && before != nil && &out.Data[0] == &before[0] {
+					t.Fatal("deadline recompute published through the abandoned grid's array")
 				}
 			})
 		}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"math"
 	"sync"
@@ -305,13 +304,14 @@ func meterFamily(t *testing.T, name string) *bodyMeter {
 
 // A quarantined body never runs on any plan, end to end: every consumer
 // of the V_k=8 body — the k-block loop, the pack-fused first block
-// (which used to run the looped kernel whatever the plan had bound), a
-// batched execution's scatter grid and the separable pointwise stage —
-// runs the family body for every (tile, k-block) while the family is
-// live and for none while it is quarantined, storing the same bits
-// either way. The vector store rides with the body: one call per (tile,
-// k-block) while live (K=16: both blocks are full), none quarantined. The shapes are unpadded, so no row is out of image and the
-// body sees all C·R rows of every (tile, k-block).
+// (which used to run the looped kernel whatever the plan had bound) and
+// the separable pointwise stage — runs the family body for every (tile,
+// k-block) while the family is live and for none while it is
+// quarantined, storing the same bits either way. The vector store rides
+// with the body: one call per (tile, k-block) while live (K=16: both
+// blocks are full), none quarantined. The shapes are unpadded, so no row
+// is out of image and the body sees all C·R rows of every (tile,
+// k-block).
 func TestQuarantinedBodyNeverRunsOnAnyConsumer(t *testing.T) {
 	s := conv.Shape{N: 1, C: 8, H: 12, W: 12, K: 16, R: 3, S: 3, Str: 1, Pad: 0}
 	in, filter := intOperands(s)
@@ -348,28 +348,6 @@ func TestQuarantinedBodyNeverRunsOnAnyConsumer(t *testing.T) {
 		}
 		consumers = append(consumers, c)
 	}
-
-	bs := s.WithBatch(3)
-	bp := NewPlan(bs, Options{Threads: 1})
-	in2 := tensor.New(2, s.C, s.H, s.W)
-	copy(in2.Data, in.Data)
-	copy(in2.Data[len(in.Data):], in.Data)
-	consumers = append(consumers, consumer{
-		name: "Plan/batched", family: "12x8.r3s3.s1", tiles: tiles(3, s.P(), s.Q()), rows: s.C * s.R,
-		exec: func() {
-			outs := []*tensor.Tensor{s.NewOutput(), tensor.New(2, s.K, s.P(), s.Q())}
-			if err := bp.TryExecuteBatchCtx(context.Background(), []*tensor.Tensor{in, in2}, filter, outs); err != nil {
-				t.Fatal(err)
-			}
-			for i, o := range [][]float32{outs[0].Data, outs[1].Data[:len(want.Data)], outs[1].Data[len(want.Data):]} {
-				for j := range o {
-					if o[j] != want.Data[j] {
-						t.Fatalf("batched image %d on %s: element %d = %g, want %g", i, bp.KernelName(), j, o[j], want.Data[j])
-					}
-				}
-			}
-		},
-	})
 
 	ss := SeparableShape{N: 1, C: 8, H: 12, W: 12, K: 16, R: 3, S: 3, Str: 1, Pad: 1}
 	sp, err := TryNewSeparablePlan(ss, Options{Threads: 1})

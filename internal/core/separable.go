@@ -280,7 +280,7 @@ func (r *sepRun) unload() {
 // goroutine with fresh scratch and the raw weights — bit-identical to
 // a clean parallel run (same kernels, same tile partition) and, like
 // the fast path, never materialising the full intermediate.
-func (r *sepRun) recompute(ctx context.Context, dst [][]float32) bool {
+func (r *sepRun) recompute(ctx context.Context, dst []float32) bool {
 	p := r.p
 	pre := make([]float32, p.preLen)
 	transformFilter(r.pwFilter.Data, pre, p.pw.K, p.pw.C, 1, 1, 0, p.pw.K, 0, p.pw.C, 8)
@@ -289,7 +289,7 @@ func (r *sepRun) recompute(ctx context.Context, dst [][]float32) bool {
 		if ctx.Err() != nil {
 			return false
 		}
-		p.cell(r.in.Data, r.dwFilter.Data, pre, dst[0], cell, ws)
+		p.cell(r.in.Data, r.dwFilter.Data, pre, dst, cell, ws)
 	}
 	return true
 }
@@ -425,7 +425,7 @@ func (p *SeparablePlan) exec(ctx context.Context, in, dwFilter, pwFilter *tensor
 		transformFilter(pwFilter.Data, r.packBuf, p.pw.K, p.pw.C, 1, 1, 0, p.pw.K, 0, p.pw.C, 8)
 		r.pre = r.packBuf
 	}
-	r.setOut(out)
+	r.out = out
 	return govern(ctx, &r.gridRun)
 }
 

@@ -420,7 +420,6 @@ func TestResidualOperandIsTyped(t *testing.T) {
 	for name, err := range map[string]error{
 		"TryExecute":       p.TryExecute(in, filter, out),
 		"TryExecutePacked": p.TryExecutePacked(in, pf, out),
-		"TryExecuteBatch":  p.TryExecuteBatchCtx(context.Background(), []*tensor.Tensor{in}, filter, []*tensor.Tensor{out}),
 		"TryExecuteRef":    p.TryExecuteReferenceCtx(context.Background(), in, filter, out),
 		"no operand":       p.TryExecuteResidualCtx(context.Background(), in, filter, nil, nil, out),
 		"plain plan":       plain.TryExecuteResidualCtx(context.Background(), in, filter, nil, res, out),

@@ -9,6 +9,16 @@ import (
 	"ndirect/internal/tensor"
 )
 
+// fillInts fills t with small integers, so every path that sums them
+// (optimised, fused, reference) produces the same float32 bits.
+func fillInts(t *tensor.Tensor, seed uint64) {
+	x := seed*2654435761 + 12345
+	for i := range t.Data {
+		x = x*6364136223846793005 + 1442695040888963407
+		t.Data[i] = float32(int64(x>>33)%7 - 3)
+	}
+}
+
 // An armed weight-bitflip against a reuse engine's packed weights must
 // be invisible in the outputs: the checksum catches it, the suspect
 // artifact is discarded and the request served with the on-the-fly
@@ -18,13 +28,13 @@ func TestForwardRecoversFromWeightBitflip(t *testing.T) {
 	defer faultinject.Reset()
 	s := conv.Shape{N: 1, C: 4, H: 8, W: 8, K: 8, R: 3, S: 3, Str: 1, Pad: 1}
 	w := s.NewFilter()
-	fillIntsB(w, 21)
+	fillInts(w, 21)
 	net := &Network{Name: "sdc", Layers: []Layer{
 		&ConvUnit{LayerName: "c1", Shape: s, Weights: w, ReLU: true},
 	}}
 	eng := &Engine{Algo: AlgoNDirect, Threads: 2, Reuse: true}
 	x := tensor.New(1, 4, 8, 8)
-	fillIntsB(x, 50)
+	fillInts(x, 50)
 
 	want, err := net.TryForward(eng, x) // warm: plans built, weights packed
 	if err != nil {
@@ -68,13 +78,13 @@ func TestForwardRecoversFromScratchOverrun(t *testing.T) {
 	defer faultinject.Reset()
 	s := conv.Shape{N: 1, C: 4, H: 8, W: 8, K: 8, R: 3, S: 3, Str: 1, Pad: 1}
 	w := s.NewFilter()
-	fillIntsB(w, 31)
+	fillInts(w, 31)
 	net := &Network{Name: "sdc2", Layers: []Layer{
 		&ConvUnit{LayerName: "c1", Shape: s, Weights: w, ReLU: true},
 	}}
 	eng := &Engine{Algo: AlgoNDirect, Threads: 2, Reuse: true}
 	x := tensor.New(1, 4, 8, 8)
-	fillIntsB(x, 60)
+	fillInts(x, 60)
 
 	want, err := net.TryForward(eng, x)
 	if err != nil {
@@ -122,7 +132,7 @@ func TestQuarantineReachesWarmPlans(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		um, bm := unit.planMemos[2].Load(), blk.sepMemos[2].Load()
+		um, bm := unit.planMemo.Load(), blk.sepMemo.Load()
 		if um == nil || bm == nil {
 			t.Fatal("forward did not memoise its plans")
 		}
@@ -134,7 +144,7 @@ func TestQuarantineReachesWarmPlans(t *testing.T) {
 	if want := (kernels{"12x8.r3s3.s1", "dw.r3s3.s1"}); got != want {
 		t.Fatalf("warm forward ran %+v, want %+v", got, want)
 	}
-	convPlan, sepPlan := unit.planMemos[2].Load().plan, blk.sepMemos[2].Load().plan
+	convPlan, sepPlan := unit.planMemo.Load().plan, blk.sepMemo.Load().plan
 	misses := eng.plans().Stats().Misses
 
 	check := func(stage string, want kernels) {
@@ -149,7 +159,7 @@ func TestQuarantineReachesWarmPlans(t *testing.T) {
 		if d := tensor.MaxAbsDiff(bo, wantB); d != 0 {
 			t.Fatalf("%s: DepthwiseSeparable output differs by %g, want bit-identical", stage, d)
 		}
-		if unit.planMemos[2].Load().plan != convPlan || blk.sepMemos[2].Load().plan != sepPlan {
+		if unit.planMemo.Load().plan != convPlan || blk.sepMemo.Load().plan != sepPlan {
 			t.Fatalf("%s: a unit re-planned", stage)
 		}
 		if m := eng.plans().Stats().Misses; m != misses {

@@ -300,8 +300,8 @@ type DepthwiseSeparable struct {
 	dwEpOnce sync.Once
 	dwEp     *core.EpilogueParams
 
-	sepMemos [4]atomic.Pointer[sepMemoEntry]
-	sepGen   atomic.Uint64
+	sepMemo atomic.Pointer[sepMemoEntry]
+	sepGen  atomic.Uint64
 
 	sepMu       sync.Mutex
 	sepPackedDW *core.PackedDepthwiseFilter

@@ -285,8 +285,24 @@ func (n *Network) Forward(eng *Engine, x *tensor.Tensor) *tensor.Tensor {
 // plan and packed-filter caches are built once and immutable after,
 // and pooled buffers are never shared between live tensors.
 func (n *Network) TryForward(eng *Engine, x *tensor.Tensor) (*tensor.Tensor, error) {
+	return n.TryForwardCtx(context.Background(), eng, x)
+}
+
+// TryForwardCtx is TryForward bounded by ctx between layers: ctx is
+// polled before each top-level layer, and once it is done the forward
+// stops, returns the dead intermediate to the engine pool and fails with
+// an error wrapping conv.ErrDeadline and context.Cause(ctx). A layer
+// already running finishes under the engine's own per-layer bounds
+// (ConvBudget).
+func (n *Network) TryForwardCtx(ctx context.Context, eng *Engine, x *tensor.Tensor) (*tensor.Tensor, error) {
 	cur := x
 	for _, l := range n.Layers {
+		if ctx.Err() != nil {
+			if cur != x {
+				eng.release(cur)
+			}
+			return nil, fmt.Errorf("%w: before layer %s: %w", conv.ErrDeadline, l.Name(), context.Cause(ctx))
+		}
 		var next *tensor.Tensor
 		var err error
 		if cl, ok := l.(checkedLayer); ok {
@@ -546,15 +562,11 @@ type ConvUnit struct {
 	resEpOnce sync.Once
 	resEp     *core.EpilogueParams // ep + residual add + ReLU: the unit as a residual block's tail
 
-	// planMemos cache the last plan resolved for the fused-epilogue
+	// planMemo caches the last plan resolved for the fused-epilogue
 	// route, so the steady-state serving loop skips the plan-cache
 	// lookup (whose key serialises the epilogue vectors, allocating on
-	// every call). Slotted by batch size (N mod 4): a serving unit at
-	// steady state sees solo (N=1) traffic interleaved with coalesced
-	// (N=k) batches, and a single entry would thrash between the two
-	// plans on every alternation. A miss just falls through to the
-	// cache.
-	planMemos [4]atomic.Pointer[planMemoEntry]
+	// every call). A miss just falls through to the cache.
+	planMemo atomic.Pointer[planMemoEntry]
 
 	// reuseGen versions the unit's reuse state (plan memo + packed
 	// filters). InvalidateReuse bumps it when the model is unregistered
@@ -744,9 +756,7 @@ func (c *ConvUnit) invalidateReuse(eng *Engine, params bool) {
 	c.packMu.Lock()
 	defer c.packMu.Unlock()
 	c.reuseGen.Add(1)
-	for i := range c.planMemos {
-		c.planMemos[i].Store(nil)
-	}
+	c.planMemo.Store(nil)
 	for _, slot := range []**core.PackedFilter{&c.packedRaw, &c.packedFolded} {
 		if pf := *slot; pf != nil {
 			pf.Release()
@@ -1089,9 +1099,8 @@ func (c *ConvUnit) planFor(s conv.Shape, opt core.Options) (*core.Plan, error) {
 	// unregister safe against concurrent forwards.
 	gen := c.reuseGen.Load()
 	memoable := opt.FusedEpilogue != nil && (opt.FusedEpilogue == c.ep || opt.FusedEpilogue == c.resEp)
-	slot := &c.planMemos[s.N&3]
 	if memoable {
-		if m := slot.Load(); m != nil && m.gen == gen && m.s == s && m.threads == opt.Threads && m.fe == opt.FusedEpilogue {
+		if m := c.planMemo.Load(); m != nil && m.gen == gen && m.s == s && m.threads == opt.Threads && m.fe == opt.FusedEpilogue {
 			return m.plan, nil
 		}
 	}
@@ -1100,7 +1109,7 @@ func (c *ConvUnit) planFor(s conv.Shape, opt core.Options) (*core.Plan, error) {
 		return nil, err
 	}
 	if memoable {
-		slot.Store(&planMemoEntry{s: s, threads: opt.Threads, fe: opt.FusedEpilogue, gen: gen, plan: plan})
+		c.planMemo.Store(&planMemoEntry{s: s, threads: opt.Threads, fe: opt.FusedEpilogue, gen: gen, plan: plan})
 	}
 	return plan, nil
 }

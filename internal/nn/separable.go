@@ -48,7 +48,7 @@ func channelEpilogue(bn *BNParams, ch int, relu bool) *core.EpilogueParams {
 }
 
 // sepMemoEntry records the inputs that determine a fused separable
-// plan (same role as ConvUnit.planMemos for standard plans, which the
+// plan (same role as ConvUnit.planMemo for standard plans, which the
 // core.PlanCache cannot hold — it is keyed for *core.Plan).
 type sepMemoEntry struct {
 	shape   core.SeparableShape
@@ -90,18 +90,16 @@ func (d *DepthwiseSeparable) dwEpilogue() *core.EpilogueParams {
 	return d.dwEp
 }
 
-// sepPlanFor resolves the block's fused plan through the per-unit memo
-// (slotted by batch like ConvUnit.planMemos). A memo entry is stale
-// when the unit's reuse generation moved (eviction/unregister). Kernel
-// quarantine needs no invalidation: the plan resolves its bodies per
-// execution.
+// sepPlanFor resolves the block's fused plan through the per-unit memo.
+// A memo entry is stale when the unit's reuse generation moved
+// (eviction/unregister). Kernel quarantine needs no invalidation: the
+// plan resolves its bodies per execution.
 func (d *DepthwiseSeparable) sepPlanFor(eng *Engine, ss core.SeparableShape) (*core.SeparablePlan, error) {
 	gen := d.sepGen.Load()
 	dwEp := d.dwEpilogue()
 	pwEp := d.PW.fusedEpilogue()
 	rowTile := eng.dwRowTile(ss.DWShape())
-	slot := &d.sepMemos[ss.N&3]
-	if m := slot.Load(); m != nil && m.gen == gen && m.shape == ss && m.threads == eng.Threads && m.rowTile == rowTile &&
+	if m := d.sepMemo.Load(); m != nil && m.gen == gen && m.shape == ss && m.threads == eng.Threads && m.rowTile == rowTile &&
 		m.dwEp == dwEp && m.pwEp == pwEp {
 		return m.plan, nil
 	}
@@ -115,7 +113,7 @@ func (d *DepthwiseSeparable) sepPlanFor(eng *Engine, ss core.SeparableShape) (*c
 	if err != nil {
 		return nil, err
 	}
-	slot.Store(&sepMemoEntry{
+	d.sepMemo.Store(&sepMemoEntry{
 		shape: ss, threads: eng.Threads, rowTile: rowTile,
 		dwEp: dwEp, pwEp: pwEp, gen: gen, plan: plan,
 	})
@@ -167,9 +165,7 @@ func (d *DepthwiseSeparable) discardPackedDW(pf *core.PackedDepthwiseFilter) {
 func (d *DepthwiseSeparable) invalidateReuse(params bool) {
 	d.sepMu.Lock()
 	d.sepGen.Add(1)
-	for i := range d.sepMemos {
-		d.sepMemos[i].Store(nil)
-	}
+	d.sepMemo.Store(nil)
 	if pf := d.sepPackedDW; pf != nil {
 		d.sepPackedDW = nil
 		pf.Release()
@@ -285,8 +281,8 @@ type DepthwiseConv struct {
 	epOnce sync.Once
 	ep     *core.EpilogueParams
 
-	planMemos [4]atomic.Pointer[dwMemoEntry]
-	reuseGen  atomic.Uint64
+	planMemo atomic.Pointer[dwMemoEntry]
+	reuseGen atomic.Uint64
 
 	packMu sync.Mutex
 	packed *core.PackedDepthwiseFilter
@@ -322,8 +318,7 @@ func (d *DepthwiseConv) planFor(eng *Engine, s conv.Shape) (*core.DepthwisePlan,
 	gen := d.reuseGen.Load()
 	ep := d.epilogue()
 	rowTile := eng.dwRowTile(s)
-	slot := &d.planMemos[s.N&3]
-	if m := slot.Load(); m != nil && m.gen == gen && m.s == s && m.threads == eng.Threads && m.rowTile == rowTile && m.ep == ep {
+	if m := d.planMemo.Load(); m != nil && m.gen == gen && m.s == s && m.threads == eng.Threads && m.rowTile == rowTile && m.ep == ep {
 		return m.plan, nil
 	}
 	plan, err := core.TryNewDepthwisePlan(s, core.Options{
@@ -332,7 +327,7 @@ func (d *DepthwiseConv) planFor(eng *Engine, s conv.Shape) (*core.DepthwisePlan,
 	if err != nil {
 		return nil, err
 	}
-	slot.Store(&dwMemoEntry{s: s, threads: eng.Threads, rowTile: rowTile, ep: ep, gen: gen, plan: plan})
+	d.planMemo.Store(&dwMemoEntry{s: s, threads: eng.Threads, rowTile: rowTile, ep: ep, gen: gen, plan: plan})
 	return plan, nil
 }
 
@@ -370,9 +365,7 @@ func (d *DepthwiseConv) discardPacked(pf *core.PackedDepthwiseFilter) {
 func (d *DepthwiseConv) invalidateReuse(params bool) {
 	d.packMu.Lock()
 	d.reuseGen.Add(1)
-	for i := range d.planMemos {
-		d.planMemos[i].Store(nil)
-	}
+	d.planMemo.Store(nil)
 	if pf := d.packed; pf != nil {
 		d.packed = nil
 		pf.Release()

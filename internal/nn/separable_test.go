@@ -255,7 +255,7 @@ func TestWarmPlansCoversSeparable(t *testing.T) {
 	if packed == nil {
 		t.Fatal("warm did not build the packed depthwise filter")
 	}
-	if blk.sepMemos[1].Load() == nil {
+	if blk.sepMemo.Load() == nil {
 		t.Fatal("warm did not populate the batch-1 plan memo")
 	}
 	x := tensor.New(1, 8, 16, 16)

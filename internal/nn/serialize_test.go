@@ -249,11 +249,11 @@ func TestDepthwiseConvWeightsRoundTrip(t *testing.T) {
 	d.packMu.Lock()
 	packed := d.packed
 	d.packMu.Unlock()
-	if packed == nil || d.planMemos[1].Load() == nil {
+	if packed == nil || d.planMemo.Load() == nil {
 		t.Fatal("the Reuse forward built no packed filter or plan memo")
 	}
 	dst.InvalidateReuse(eng)
-	if !packed.Released() || d.packed != nil || d.planMemos[1].Load() != nil {
+	if !packed.Released() || d.packed != nil || d.planMemo.Load() != nil {
 		t.Fatal("InvalidateReuse left the depthwise unit's pack or memo in place")
 	}
 	if got, err = dst.TryForward(eng, x); err != nil || tensor.MaxAbsDiff(got, want) != 0 {

@@ -240,8 +240,8 @@ func poisonPools(eng *Engine) (poisoned int) {
 // Conv, pool, FC and softmax outputs are drawn uncleared: their
 // producers overwrite every element, on the fallback paths too. With the
 // pools pre-filled with NaN the forward outputs do not change — plain,
-// batched, with every grid faulting onto the reference path, and on the
-// reference engine.
+// with every grid faulting onto the reference path, and on the reference
+// engine.
 func TestPoisonedPoolLeavesOutputsUnchanged(t *testing.T) {
 	defer faultinject.Reset()
 	quiet := core.Logf
@@ -253,27 +253,15 @@ func TestPoisonedPoolLeavesOutputsUnchanged(t *testing.T) {
 	whole := &Network{Name: "whole", Layers: append(residualBlocks(true),
 		&MaxPool{K: 2, Str: 2}, b.dsc("dsc", 9, 9, 6, 1), GlobalAvgPool{}, fc, Softmax{})}
 	x := blockInputC(2, 6, true)
-	halves := []*tensor.Tensor{
-		tensor.FromSlice(x.Data[:len(x.Data)/2], 1, 6, 12, 12),
-		tensor.FromSlice(x.Data[len(x.Data)/2:], 1, 6, 12, 12),
-	}
-	batched := func(eng *Engine) (*tensor.Tensor, error) {
-		outs, err := whole.TryForwardBatch(eng, halves)
-		if err != nil {
-			return nil, err
-		}
-		return tensor.FromSlice(append(append([]float32(nil), outs[0].Data...), outs[1].Data...), 2, 7), nil
-	}
 	type forward struct {
 		name string
 		net  *Network
 		x    *tensor.Tensor
-		run  func(eng *Engine) (*tensor.Tensor, error) // nil: net.TryForward(eng, x)
-		arm  bool                                      // every grid's first cell panics: reference recompute
+		arm  bool // every grid's first cell panics: reference recompute
 	}
 	// The blocks alone under injection: their fused tails leave no sweep
 	// for the fault to land in, so every fault is recovered.
-	fast := []forward{{name: "plain", net: whole, x: x}, {name: "batched", net: whole, run: batched}}
+	fast := []forward{{name: "plain", net: whole, x: x}}
 	nets, inputs := exactBlockNets(2)
 	for i, net := range nets {
 		fast = append(fast, forward{name: "faulting " + net.Name, net: net, x: inputs[i], arm: true})
@@ -287,10 +275,7 @@ func TestPoisonedPoolLeavesOutputsUnchanged(t *testing.T) {
 			[]forward{{name: "plain", net: whole, x: x}}},
 	} {
 		for _, f := range c.forwards {
-			run := f.run
-			if run == nil {
-				run = func(eng *Engine) (*tensor.Tensor, error) { return f.net.TryForward(eng, f.x) }
-			}
+			run := func(eng *Engine) (*tensor.Tensor, error) { return f.net.TryForward(eng, f.x) }
 			var want *tensor.Tensor
 			for i := 0; i < 2; i++ { // the second forward parks every intermediate size
 				out, err := run(c.eng)

@@ -17,9 +17,9 @@ func warmNet() (*Network, []conv.Shape) {
 	s1 := conv.Shape{N: 1, C: 4, H: 10, W: 10, K: 6, R: 3, S: 3, Str: 1, Pad: 1}
 	s2 := conv.Shape{N: 1, C: 6, H: 10, W: 10, K: 8, R: 1, S: 1, Str: 1, Pad: 0}
 	w1 := s1.NewFilter()
-	fillIntsB(w1, 31)
+	fillInts(w1, 31)
 	w2 := s2.NewFilter()
-	fillIntsB(w2, 32)
+	fillInts(w2, 32)
 	net := &Network{Name: "warmnet", Layers: []Layer{
 		&ConvUnit{LayerName: "c1", Shape: s1, Weights: w1, ReLU: true},
 		&ConvUnit{LayerName: "c2", Shape: s2, Weights: w2},
@@ -76,7 +76,7 @@ func TestWarmPlansZeroMissServing(t *testing.T) {
 	}
 
 	x := shapes[0].NewInput()
-	fillIntsB(x, 99)
+	fillInts(x, 99)
 	pre := cache.Stats()
 	var got *tensor.Tensor
 	for i := 0; i < 5; i++ {

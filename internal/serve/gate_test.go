@@ -174,3 +174,50 @@ func TestGateClamps(t *testing.T) {
 	}
 	rel()
 }
+
+// The gate's in-flight accounting must stay coherent under concurrent
+// acquire/release/read: never above the configured ceiling, never
+// negative, and exactly zero once everything has drained. Run with
+// -race in CI.
+func TestGateInFlightCoherentUnderRace(t *testing.T) {
+	const max = 4
+	g := NewGate(max, 64)
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	readers.Add(1)
+	go func() {
+		defer readers.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if n := g.InFlight(); n < 0 || n > max {
+				t.Errorf("InFlight = %d, want 0..%d", n, max)
+				return
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for i := 0; i < 16; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 200; j++ {
+				release, err := g.Acquire(context.Background())
+				if err != nil {
+					continue
+				}
+				release()
+				release() // idempotent: must not double-decrement
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	readers.Wait()
+	if n := g.InFlight(); n != 0 {
+		t.Fatalf("drained gate InFlight = %d, want 0", n)
+	}
+}

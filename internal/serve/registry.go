@@ -107,12 +107,6 @@ type Registry struct {
 	gate    *TenantGate
 	weights *Budget
 
-	// inferBatcher coalesces Infer requests per (tenant, model, input
-	// geometry, class) when the Runtime has batching enabled. It shares
-	// the Runtime's counters, so Stats.BatchesExecuted covers both raw
-	// convs and inference.
-	inferBatcher *batcher
-
 	quarThreshold int
 	quarCooldown  time.Duration
 
@@ -161,10 +155,6 @@ func NewRegistry(cfg RegistryConfig) *Registry {
 	}
 	for t, tc := range cfg.Tenants {
 		r.tenants[t] = tc
-	}
-	if rt.batcher != nil {
-		r.inferBatcher = newBatcher(rt.batcher.window, rt.batcher.max, &rt.batchStats,
-			r.runInferBatch, r.soloInfer, nil)
 	}
 	return r
 }
@@ -563,9 +553,11 @@ func (r *Registry) recordOutcome(e *modelEntry, probe bool, err error) {
 // multi-tenant discipline: per-tenant QoS admission (class shed order,
 // weighted-fair slot handoff, outstanding cap), weight-residency
 // charging with transparent LRU eviction and bit-identical re-pack,
-// and the per-model quarantine ladder. Failure modes: ErrUnknownModel,
-// core.ErrOverloaded (typed, fail-fast), or the layer's execution
-// error when every rung fails.
+// and the per-model quarantine ladder. ctx bounds the admission wait
+// and then the forward pass between layers. Failure modes:
+// ErrUnknownModel, core.ErrOverloaded (typed, fail-fast),
+// conv.ErrDeadline (ctx done before the pass finished), or the layer's
+// execution error when every rung fails.
 func (r *Registry) Infer(ctx context.Context, tenant, model string, x *tensor.Tensor) (*tensor.Tensor, error) {
 	if _, ok := faultinject.Take(faultinject.WeightEvict); ok {
 		if e, err := r.lookup(tenant, model); err == nil {
@@ -583,74 +575,8 @@ func (r *Registry) Infer(ctx context.Context, tenant, model string, x *tensor.Te
 	if err != nil {
 		return nil, err
 	}
-	if r.inferBatcher != nil && len(x.Dims) == 4 && x.Dims[0] >= 1 {
-		// The slot is held across the park, so batching never exceeds
-		// the tenant gate's concurrency; the model was just resolved, so
-		// an unknown model fails fast instead of wasting a window.
-		key := batchKey{
-			shape:  conv.Shape{N: 1, C: x.Dims[1], H: x.Dims[2], W: x.Dims[3]},
-			tenant: tenant,
-			model:  model,
-			class:  tc.Class,
-		}
-		return r.inferBatcher.submit(ctx, key, x)
-	}
 	eng, probe := r.engineFor(e)
-	out, err := e.net.TryForward(eng, x)
-	r.recordOutcome(e, probe, err)
-	return out, err
-}
-
-// runInferBatch is the inference batcher's run hook: one forward pass
-// over the stacked batch when the model is on the healthy fast path,
-// falling back to per-request passes for quarantine/probe traffic (a
-// probe must be a single attributable request) or single-waiter
-// flushes.
-func (r *Registry) runInferBatch(key batchKey, reqs []*batchReq) {
-	e, err := r.lookup(key.tenant, key.model)
-	if err != nil {
-		for _, rr := range reqs {
-			rr.err = err // unregistered while parked
-		}
-		return
-	}
-	eng, probe := r.engineFor(e)
-	if len(reqs) > 1 && eng == e.eng && !probe {
-		xs := make([]*tensor.Tensor, len(reqs))
-		for i, rr := range reqs {
-			xs[i] = rr.in
-		}
-		outs, err := e.net.TryForwardBatch(eng, xs)
-		r.recordOutcome(e, false, err)
-		if err != nil {
-			for _, rr := range reqs {
-				rr.err = err
-			}
-			return
-		}
-		for i, rr := range reqs {
-			rr.out = outs[i]
-		}
-		return
-	}
-	for i, rr := range reqs {
-		out, err := e.net.TryForward(eng, rr.in)
-		r.recordOutcome(e, probe && i == 0, err)
-		rr.out, rr.err = out, err
-	}
-}
-
-// soloInfer serves an Infer waiter that left its batch on deadline:
-// the plain single-request path (whose engine layer applies the core
-// deadline discipline to the already-expired context).
-func (r *Registry) soloInfer(ctx context.Context, key batchKey, x *tensor.Tensor) (*tensor.Tensor, error) {
-	_ = ctx // TryForward inherits deadline handling from the conv layer's plan options
-	e, err := r.lookup(key.tenant, key.model)
-	if err != nil {
-		return nil, err
-	}
-	eng, probe := r.engineFor(e)
-	out, err := e.net.TryForward(eng, x)
+	out, err := e.net.TryForwardCtx(ctx, eng, x)
 	r.recordOutcome(e, probe, err)
 	return out, err
 }
@@ -667,9 +593,6 @@ func (r *Registry) Conv2DCtx(ctx context.Context, tenant string, s conv.Shape, i
 		return nil, err
 	}
 	defer release()
-	if r.rt.batcher != nil {
-		return r.rt.convBatched(ctx, s, in, filter, nil, tenant, tc.Class)
-	}
 	return r.rt.convAdmitted(ctx, s, in, filter, nil)
 }
 

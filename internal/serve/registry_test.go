@@ -4,9 +4,11 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"ndirect/internal/conv"
 	"ndirect/internal/core"
 	"ndirect/internal/faultinject"
 	"ndirect/internal/nn"
@@ -38,6 +40,48 @@ func baseline(t *testing.T, net *nn.Network, x *tensor.Tensor) *tensor.Tensor {
 		t.Fatal(err)
 	}
 	return want
+}
+
+// cancelLayer cancels the request's context as it passes its input on.
+type cancelLayer struct{ cancel context.CancelFunc }
+
+func (c cancelLayer) Name() string { return "cancel" }
+func (c cancelLayer) Forward(_ *nn.Engine, x *tensor.Tensor) *tensor.Tensor {
+	c.cancel()
+	return x
+}
+
+// countLayer counts the forwards that reach it.
+type countLayer struct{ n atomic.Int32 }
+
+func (c *countLayer) Name() string { return "count" }
+func (c *countLayer) Forward(_ *nn.Engine, x *tensor.Tensor) *tensor.Tensor {
+	c.n.Add(1)
+	return x
+}
+
+// Infer keeps the request context past admission: a context cancelled
+// by the model's second layer stops the forward before the third, and
+// the request fails typed as a deadline carrying the cancellation.
+func TestInferStopsOnCancelBetweenLayers(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	count := &countLayer{}
+	net := tinyNet(12, false)
+	net.Layers = append(net.Layers, cancelLayer{cancel}, count)
+	r := NewRegistry(RegistryConfig{Runtime: New(Config{})})
+	if err := r.Register("alice", "m", net); err != nil {
+		t.Fatal(err)
+	}
+	x := testShape.NewInput()
+	fillInts(x, 13)
+	out, err := r.Infer(ctx, "alice", "m", x)
+	if out != nil || !errors.Is(err, conv.ErrDeadline) || !errors.Is(err, context.Canceled) {
+		t.Fatalf("Infer = (%v, %v), want an error wrapping ErrDeadline and context.Canceled", out, err)
+	}
+	if n := count.n.Load(); n != 0 {
+		t.Fatalf("the layer after the cancel ran %d times", n)
+	}
 }
 
 // TestRegistryMultiTenantBitExactAndBudgetBaseline: two tenants serve

@@ -63,27 +63,19 @@ type Config struct {
 	// PlanCacheCap is the runtime plan cache's entry bound (<= 0:
 	// core.DefaultPlanCacheCap).
 	PlanCacheCap int
-	// BatchWindow enables cross-request micro-batching behind the
-	// admission gate: compatible requests (same per-image shape, same
-	// weights, same tenant and QoS class) arriving within the window
-	// coalesce into one plan execution over the batch axis, with one
-	// memory-budget reservation for the whole batch and per-request
-	// output scatter. 0 (the default) disables batching — every
-	// request executes alone, the pre-batching behaviour. Batching
-	// only helps when MaxInFlight admits at least BatchMax concurrent
-	// requests; waiters hold their admission slot while parked.
+	// BatchWindow is not read: every request runs as its own plan
+	// execution.
+	//
+	// Deprecated: ignored; kept until benchmark/ stops setting it.
 	BatchWindow time.Duration
-	// BatchMax caps a coalesced batch's total images. A batch seals
-	// and executes the moment it reaches the cap, without waiting out
-	// the window. <= 0 selects DefaultBatchMax. Only meaningful with
-	// BatchWindow > 0.
+	// BatchMax is not read.
+	//
+	// Deprecated: ignored; kept until benchmark/ stops setting it.
 	BatchMax int
 	// Options are the base convolution options for every request
 	// (threads, platform, epilogue, FallbackBudget, CheckNumerics...).
 	// The PlanCache field is ignored: the runtime always routes
-	// through its own cache. Because every request shares these
-	// options, the micro-batcher's compatibility key reduces to
-	// (shape, weights, tenant, class).
+	// through its own cache.
 	Options core.Options
 	// Engine, when non-nil, serves the Forward path. Nil selects a
 	// private nDirect engine with Reuse on, sharing the runtime's plan
@@ -119,8 +111,9 @@ type Config struct {
 // holding a serving process's budget hostage.
 const DefaultPoolIdleBytes int64 = 32 << 20
 
-// DefaultBatchMax is the coalesced-batch image cap when Config enables
-// batching (BatchWindow > 0) but leaves BatchMax zero.
+// DefaultBatchMax is not read.
+//
+// Deprecated: ignored; kept until benchmark/ stops using it.
 const DefaultBatchMax = 8
 
 // Runtime is the overload-safe serving runtime. All methods are safe
@@ -132,7 +125,6 @@ type Runtime struct {
 	pool     *bufferPool
 	opts     core.Options
 	engine   *nn.Engine
-	batcher  *batcher // nil: batching disabled
 	manifest *autotune.Manifest
 	sentinel *sentinel // nil: sentinel disabled
 
@@ -147,7 +139,6 @@ type Runtime struct {
 	overBudget     atomic.Uint64
 	memRejected    atomic.Uint64
 	recycleRefused atomic.Uint64
-	batchStats     batchStats
 
 	// Silent-corruption defense (DESIGN.md §12).
 	canaryTrips       atomic.Uint64
@@ -191,18 +182,6 @@ func New(cfg Config) *Runtime {
 			Reuse:   true,
 			Plans:   rt.plans,
 		}
-	}
-	if cfg.BatchWindow > 0 {
-		max := cfg.BatchMax
-		if max <= 0 {
-			max = DefaultBatchMax
-		}
-		rt.batcher = newBatcher(cfg.BatchWindow, max, &rt.batchStats,
-			rt.execConvBatch,
-			func(ctx context.Context, key batchKey, in *tensor.Tensor) (*tensor.Tensor, error) {
-				return rt.convAdmitted(ctx, key.shape.WithBatch(in.Dims[0]), in, key.filter, key.pf)
-			},
-			rt.Recycle)
 	}
 	if cfg.Manifest != nil {
 		rt.manifest = cfg.Manifest
@@ -284,9 +263,6 @@ func (rt *Runtime) TryConv2DCtx(ctx context.Context, s conv.Shape, in, filter *t
 		return nil, err
 	}
 	defer release()
-	if rt.batcher != nil {
-		return rt.convBatched(ctx, s, in, filter, nil, "", ClassStandard)
-	}
 	return rt.convAdmitted(ctx, s, in, filter, nil)
 }
 
@@ -329,22 +305,20 @@ func (rt *Runtime) TryConv2DPackedCtx(ctx context.Context, s conv.Shape, in *ten
 		return nil, err
 	}
 	defer release()
-	if rt.batcher != nil {
-		return rt.convBatched(ctx, s, in, nil, pf, "", ClassStandard)
-	}
 	return rt.convAdmitted(ctx, s, in, nil, pf)
 }
 
 // Forward runs a network forward pass under admission control with
 // the runtime's engine (whose own protections — plan/weight reuse,
 // per-layer ConvBudget, backend circuit breakers — apply per layer).
+// ctx also bounds the pass between layers (nn.Network.TryForwardCtx).
 func (rt *Runtime) Forward(ctx context.Context, net *nn.Network, x *tensor.Tensor) (*tensor.Tensor, error) {
 	release, err := rt.gate.Acquire(ctx)
 	if err != nil {
 		return nil, err
 	}
 	defer release()
-	return net.TryForward(rt.engine, x)
+	return net.TryForwardCtx(ctx, rt.engine, x)
 }
 
 // Recycle parks a dead output tensor's buffer in the activation pool
@@ -356,7 +330,7 @@ func (rt *Runtime) Forward(ctx context.Context, net *nn.Network, x *tensor.Tenso
 //
 // Hazardous recycles are detected and refused rather than poisoning
 // the pool: a view tensor (its Data does not own the full backing
-// array — batched-inference outputs are such views) is never parked;
+// array) is never parked;
 // recycling the same tensor twice parks its array once (the second
 // call is refused instead of listing one buffer for two future
 // requests); and a buffer the runtime did not itself hand out —
@@ -508,16 +482,11 @@ type Stats struct {
 	OverBudget                            uint64 // full-plan reservation failures
 	MemRejected                           uint64 // not even the reference rung fit
 
-	// Micro-batching (Config.BatchWindow > 0; zero otherwise).
-	// BatchesExecuted counts coalesced executions of >= 2 requests;
-	// BatchedRequests the requests served inside them. A window that
-	// expires with a single waiter runs solo (BatchSoloFlushes), and a
-	// waiter whose deadline expires while parked leaves the queue
-	// (BatchExpired) to run solo or shed.
-	BatchesExecuted  uint64
-	BatchedRequests  uint64
-	BatchSoloFlushes uint64
-	BatchExpired     uint64
+	// BatchesExecuted, BatchedRequests and BatchSoloFlushes are always 0:
+	// every request runs as its own plan execution.
+	//
+	// Deprecated: always 0; kept until benchmark/ stops reading them.
+	BatchesExecuted, BatchedRequests, BatchSoloFlushes uint64
 
 	// RecycleRefused counts hazardous Recycle calls that were refused
 	// (view tensors, double-recycles, foreign buffers) instead of
@@ -563,10 +532,6 @@ func (rt *Runtime) Stats() Stats {
 		ReferenceRuns:     rt.refRuns.Load(),
 		OverBudget:        rt.overBudget.Load(),
 		MemRejected:       rt.memRejected.Load(),
-		BatchesExecuted:   rt.batchStats.batches.Load(),
-		BatchedRequests:   rt.batchStats.batchedReqs.Load(),
-		BatchSoloFlushes:  rt.batchStats.soloFlushes.Load(),
-		BatchExpired:      rt.batchStats.expired.Load(),
 		RecycleRefused:    rt.recycleRefused.Load(),
 		CanaryTrips:       rt.canaryTrips.Load(),
 		IntegrityFailures: rt.integrityFailures.Load(),

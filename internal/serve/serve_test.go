@@ -276,3 +276,39 @@ func TestBadOperandsChargeNothing(t *testing.T) {
 		t.Fatalf("validation failure left footprints: %+v", st)
 	}
 }
+
+// Recycle must refuse hazards instead of corrupting the pool: a tensor
+// recycled twice is parked once, and a view into a larger tensor (len
+// != cap, or aliasing a parked buffer) never enters the free list.
+func TestRecycleRefusesDoubleRecycleAndViews(t *testing.T) {
+	rt := New(Config{})
+	in, filter, _ := testOperands(testShape)
+	out, err := rt.TryConv2D(testShape, in, filter)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.Recycle(out)
+	rt.Recycle(out) // double recycle: refused, not double-parked
+	if got := rt.Stats().RecycleRefused; got != 1 {
+		t.Fatalf("RecycleRefused = %d, want 1 after double recycle", got)
+	}
+	// The buffer must come back out exactly once.
+	n := len(out.Data)
+	if buf := rt.pool.get(n); buf == nil {
+		t.Fatal("recycled buffer not pooled")
+	}
+	if buf := rt.pool.get(n); buf != nil {
+		t.Fatal("double recycle parked the same buffer twice")
+	}
+
+	// Views (len != cap) must be refused outright.
+	big := tensor.New(2, 4)
+	view := tensor.FromSlice(big.Data[:4], 1, 4)
+	rt.Recycle(view)
+	if got := rt.Stats().RecycleRefused; got != 2 {
+		t.Fatalf("RecycleRefused = %d, want 2 after view recycle", got)
+	}
+	if buf := rt.pool.get(4); buf != nil {
+		t.Fatal("view entered the pool")
+	}
+}

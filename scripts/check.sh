@@ -80,9 +80,9 @@ echo "==> go test -race ./..."
 go test -race ./...
 
 # An arg-less spec arms index -1: every element-addressed drill must
-# clamp it (the batched ladder once did not, and panicked).
+# clamp it (a hand-copied ladder once did not, and panicked).
 echo "==> governed ladder under NDIRECT_FAULTS=nan-poison (arg-less, -race)"
-NDIRECT_FAULTS=nan-poison go test -race -count=1 -run 'TestBatchedNaNPoisonArgLess|TestGovernedLadder' ./internal/core
+NDIRECT_FAULTS=nan-poison go test -race -count=1 -run 'TestGovernedLadder' ./internal/core
 
 echo "==> fuzz smoke: FuzzTryConv2D (10s)"
 go test -run='^$' -fuzz=FuzzTryConv2D -fuzztime=10s ./internal/core
@@ -93,7 +93,7 @@ go test -run='^$' -fuzz=FuzzVectorBody -fuzztime=10s ./internal/core
 echo "==> fuzz smoke: FuzzVectorStore (10s, the vector tile store vs the Go store)"
 go test -run='^$' -fuzz=FuzzVectorStore -fuzztime=10s ./internal/core
 
-echo "==> ndserve selftest (multi-tenant HTTP lifecycle + batching burst)"
+echo "==> ndserve selftest (multi-tenant HTTP lifecycle + concurrent burst)"
 go run ./cmd/ndserve -selftest
 
 echo "==> warm-start round trip (ndtune -manifest -> ndserve -selftest -manifest)"
@@ -102,9 +102,6 @@ trap 'rm -f "$MANIFEST"' EXIT
 go run ./cmd/ndtune -shape 8,16,16,16,3,3,1,1 -trials 6 -population 4 -generations 2 \
     -threads 2 -seed 1 -manifest "$MANIFEST"
 go run ./cmd/ndserve -selftest -manifest "$MANIFEST"
-
-echo "==> ndsoak batching smoke (8s, coalesced serving invariants)"
-go run ./cmd/ndsoak -duration 8s -batch -clients 8
 
 echo "==> ndsoak integrity smoke (8s, silent-corruption drills + sentinel loop)"
 go run ./cmd/ndsoak -duration 8s -integrity -storm -clients 8
