@@ -186,7 +186,7 @@ func httpStatus(err error) int {
 		return http.StatusConflict
 	case errors.Is(err, core.ErrOverloaded):
 		return http.StatusTooManyRequests
-	case errors.Is(err, core.ErrBadOptions), errors.Is(err, conv.ErrBadShape):
+	case errors.Is(err, core.ErrBadOptions), errors.Is(err, conv.ErrBadShape), errors.Is(err, conv.ErrDimMismatch):
 		return http.StatusBadRequest
 	}
 	return http.StatusInternalServerError
@@ -270,8 +270,19 @@ func (s *server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		x = shape.NewInput()
 		fillInts(x, *req.Seed)
 	case len(req.Dims) == 4 && len(req.Data) > 0:
-		n := req.Dims[0] * req.Dims[1] * req.Dims[2] * req.Dims[3]
-		if n != len(req.Data) {
+		// Check every dim before multiplying, so a negative pair or an
+		// overflowing product can never match len(data) and reach
+		// tensor.New.
+		n := int64(1)
+		for _, d := range req.Dims {
+			if d < 1 || d > conv.MaxDim || n > conv.MaxElems/int64(d) {
+				http.Error(w, fmt.Sprintf("dims %v: each dim must be in [1, %d] and their product at most %d",
+					req.Dims, conv.MaxDim, int64(conv.MaxElems)), http.StatusBadRequest)
+				return
+			}
+			n *= int64(d)
+		}
+		if n != int64(len(req.Data)) {
 			http.Error(w, fmt.Sprintf("dims %v need %d elements, got %d", req.Dims, n, len(req.Data)), http.StatusBadRequest)
 			return
 		}
@@ -305,7 +316,7 @@ type healthResponse struct {
 	ModelsQuarantined  int    `json:"models_quarantined"`
 	SentinelProbes     uint64 `json:"sentinel_probes"`
 	IntegrityFailures  uint64 `json:"integrity_failures"`
-	CanaryTrips        uint64 `json:"canary_trips"`
+	CanaryTrips        uint64 `json:"canary_trips"` // scratch guard words found overwritten
 }
 
 func (s *server) handleHealth(w http.ResponseWriter, _ *http.Request) {
@@ -317,7 +328,7 @@ func (s *server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 		ModelsQuarantined:  st.QuarantinedNow,
 		SentinelProbes:     st.Runtime.SentinelProbes,
 		IntegrityFailures:  st.Runtime.IntegrityFailures,
-		CanaryTrips:        st.Runtime.CanaryTrips,
+		CanaryTrips:        st.Runtime.Integrity.ScratchCanaryTrips,
 	}
 	if h.KernelsQuarantined > 0 || h.ModelsQuarantined > 0 {
 		h.Status = "degraded"
@@ -345,7 +356,6 @@ func main() {
 	threads := flag.Int("threads", 2, "worker threads per convolution")
 	inFlight := flag.Int("inflight", 8, "admission in-flight limit")
 	queue := flag.Int("queue", 16, "admission queue length (class-graduated)")
-	memKB := flag.Int64("mem-kb", 0, "activation memory budget in KiB (0 = unlimited)")
 	weightKB := flag.Int64("weight-kb", 0, "packed-weight residency budget in KiB (0 = unlimited)")
 	quarThreshold := flag.Int("quar-threshold", 3, "consecutive faults before a model is quarantined")
 	quarCooldown := flag.Duration("quar-cooldown", 30*time.Second, "quarantine cooldown before a probe")
@@ -378,7 +388,6 @@ func main() {
 	rt := serve.New(serve.Config{
 		MaxInFlight:      *inFlight,
 		MaxQueue:         *queue,
-		MemLimitBytes:    *memKB << 10,
 		SentinelInterval: *sentinel,
 		Options:          core.Options{Threads: *threads},
 		Manifest:         manifest,

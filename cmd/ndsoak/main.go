@@ -1,29 +1,39 @@
-// Command ndsoak is the chaos-soak harness for the serving runtime:
-// it drives concurrent mixed-shape convolution and network-forward
-// traffic through serve.Runtime while (with -storm) every fault
-// injection point in the repository is armed and re-armed on a random
-// schedule — worker panics, schedule corruption, NaN poisoning,
-// packed-weight corruption, worker stalls — and asserts the survival
-// invariants the overload-safe design promises:
+// Command ndsoak is the chaos-soak harness for the serving path: it
+// drives concurrent inference for N tenants through one serve.Registry
+// — shared plan cache, worker pool and weight-residency budget — while
+// (with -storm) every fault injection point in the repository is armed
+// and re-armed on a random schedule — worker panics, schedule
+// corruption, NaN poisoning, packed-weight corruption, worker stalls,
+// forced weight eviction — and one tenant's model is
+// register/unregister-churned mid-traffic. Each tenant serves a conv
+// network (every other one with a depthwise-separable block) ending in
+// a pooling layer, and the five raw-convolution geometries the soak
+// covers (3×3 stride 1 including K=13 and N=2, 1×1, a 5×5 stride 2
+// with no kernel family) are one-unit models spread over the tenants.
+// It asserts the survival invariants the overload-safe design
+// promises:
 //
-//  1. Every request completes with either a bit-exact result (the
-//     traffic uses integer-valued tensors, so all execution modes and
-//     fallback paths agree to the bit) or an error wrapping one of the
-//     typed sentinels (ErrOverloaded, ErrDeadline, ErrExecFault,
-//     ErrWorkerPanic, ErrIntegrity). Anything else — a wrong answer,
-//     an untyped error, a panic — is a violation.
+//  1. Every request completes with either a result bit-identical to
+//     ITS OWN model's oracle (the traffic uses integer-valued tensors,
+//     so every execution path agrees to the bit with the naive
+//     references) or an error wrapping one of the typed sentinels
+//     (ErrOverloaded, ErrDeadline, ErrExecFault, ErrWorkerPanic,
+//     ErrIntegrity, ErrUnknownModel while churned out). Anything else —
+//     a wrong answer, another tenant's answer, an untyped error, a
+//     panic — is a violation. Forced mid-traffic eviction must be
+//     harmless: evicted weights re-pack bit-identically.
 //  2. After the storm, parallel.LeakedWorkers drains to zero: every
 //     abandoned worker terminates once stalls are released.
-//  3. Memory accounting returns to its post-setup baseline (the
-//     packed-filter lifetime charges): no request leaks budget.
+//  3. The weight budget returns to its zero baseline after the drain
+//     unregisters every model — forced evictions, re-packs and churn
+//     must balance their charges exactly.
 //  4. No deadlock: every client goroutine exits within a grace period
 //     after the run ends (stalled workers are released by periodic
 //     fault resets).
 //  5. No goroutine growth: serving runs on the persistent worker pool
 //     (plus transient spawn-fallback workers that exit with their
 //     grid), so after the drain the process goroutine count settles
-//     back to the post-setup baseline — a steady-state request must
-//     not leave goroutines behind.
+//     back to the post-setup baseline.
 //
 // With -integrity the storm additionally arms the silent-corruption
 // drills (weight-bitflip, scratch-overrun, kernel-miscompute), the
@@ -41,9 +51,15 @@
 //     armed kernel-miscompute must drive quarantine of a kernel family
 //     out of dispatch, and clearing the fault must drive its restore.
 //
+// And always:
+//
+//  8. QoS shed ordering is monotone: if a class ever saw a queue-full
+//     rejection, every lower class did too — batch absorbs overload
+//     strictly before standard, standard strictly before premium.
+//
 // Exit status: 0 on a clean soak, 1 on invariant violations, 2 on a
-// hang (clients failed to drain). CI runs this for ~30 seconds with
-// -storm on every push, plus an -integrity -storm soak under -race.
+// hang (clients failed to drain) or a setup failure. CI runs a 30 s
+// -storm soak and a 20 s -integrity -storm soak, both under -race.
 package main
 
 import (
@@ -67,20 +83,27 @@ import (
 	"ndirect/internal/tensor"
 )
 
-// workload is one pre-validated traffic unit: a shape, integer-valued
-// operands, the bit-exact oracle, and (for some) a packed filter.
-type workload struct {
-	shape  conv.Shape
-	in     *tensor.Tensor
-	filter *tensor.Tensor
-	want   *tensor.Tensor
-	packed *core.PackedFilter // nil: plain traffic only
+// model is one registered model's pre-validated traffic: its owner,
+// network, input and the bit-exact oracle for that input.
+type model struct {
+	tenant, name string
+	net          *nn.Network
+	in, want     *tensor.Tensor
+}
+
+// rawShapes are the one-unit models: a convolution and nothing else.
+var rawShapes = []conv.Shape{
+	{N: 1, C: 8, H: 16, W: 16, K: 16, R: 3, S: 3, Str: 1, Pad: 1},
+	{N: 1, C: 16, H: 14, W: 14, K: 32, R: 3, S: 3, Str: 1, Pad: 1},
+	{N: 2, C: 5, H: 9, W: 9, K: 13, R: 3, S: 3, Str: 1, Pad: 1},
+	{N: 1, C: 16, H: 28, W: 28, K: 16, R: 1, S: 1, Str: 1, Pad: 0},
+	{N: 1, C: 4, H: 32, W: 32, K: 8, R: 5, S: 5, Str: 2, Pad: 2},
 }
 
 // fillInts fills t with integers in [-3, 3]. Integer tensors make
-// every path — optimised grid, degraded plan, float64 reference
-// fallback, im2col — produce identical bits, so the soak can demand
-// exact equality from whatever mode the ladder picked.
+// every path — optimised grid, unpacked retry, float64 reference
+// fallback — produce identical bits, so the soak can demand exact
+// equality from whatever path served the request.
 func fillInts(t *tensor.Tensor, seed uint64) {
 	x := seed*2654435761 + 12345
 	for i := range t.Data {
@@ -94,54 +117,49 @@ func main() {
 	clients := flag.Int("clients", 2*runtime.GOMAXPROCS(0), "concurrent client goroutines")
 	threads := flag.Int("threads", 2, "worker threads per convolution")
 	inFlight := flag.Int("inflight", runtime.GOMAXPROCS(0), "admission in-flight limit")
-	memKB := flag.Int64("mem-kb", 256, "global memory budget in KiB (0 = unlimited); lower it (e.g. 64) so requests over-run the budget and walk the degradation ladder")
 	storm := flag.Bool("storm", false, "arm every fault injection point on a random schedule")
 	seed := flag.Int64("seed", 1, "storm/traffic random seed")
 	verbose := flag.Bool("v", false, "log every violation as it happens")
-	tenants := flag.Int("tenants", 0, "run the multi-tenant registry soak with this many tenants (0 = classic single-runtime soak)")
-	weightKB := flag.Int64("weight-kb", 0, "packed-weight residency budget in KiB for -tenants mode (0 = unlimited); lower it so serving thrashes the weight LRU")
+	tenants := flag.Int("tenants", 4, "tenants sharing the registry (>= 1)")
+	weightKB := flag.Int64("weight-kb", 0, "packed-weight residency budget in KiB (0 = unlimited); lower it so serving thrashes the weight LRU")
 	integrity := flag.Bool("integrity", false, "run the integrity sentinel, arm the silent-corruption drills in the storm, and assert every injected corruption is detected")
 	flag.Parse()
+	if *tenants < 1 {
+		fmt.Println("ndsoak: -tenants must be at least 1")
+		os.Exit(2)
+	}
 
 	cfg := serve.Config{
-		MaxInFlight:   *inFlight,
-		MaxQueue:      2 * *inFlight,
-		MemLimitBytes: *memKB << 10,
-		Options:       core.Options{Threads: *threads, FallbackBudget: 40 * time.Millisecond},
-		Engine: &nn.Engine{
-			// im2col so the storm's worker panics exercise the
-			// baseline→nDirect degradation and the circuit breakers.
-			Algo:             nn.AlgoIm2col,
-			Threads:          *threads,
-			ConvBudget:       60 * time.Millisecond,
-			Reuse:            true,
-			BreakerThreshold: 5,
-			BreakerCooldown:  2 * time.Second,
-		},
+		MaxInFlight: *inFlight,
+		MaxQueue:    2 * *inFlight,
+		Options:     core.Options{Threads: *threads},
 	}
 	if *integrity {
-		// The sentinel probes only when the gate is idle, so a short
-		// interval costs the soak nothing while traffic is flowing and
-		// turns every lull into a verification pass.
+		// The sentinel's kernel-family probes run whenever the runtime
+		// gate is idle, and its model probes whenever the tenant gate is,
+		// so a short interval turns every lull into a verification pass.
 		cfg.SentinelInterval = 2 * time.Millisecond
 		// Tighten checksum sampling from the production default so the
 		// sampled (not just injection-forced) verification path fires
-		// many times inside a 30-second soak.
+		// many times inside a short soak.
 		core.SetPackedVerifyInterval(64)
 	}
 	rt := serve.New(cfg)
-
-	if *tenants > 0 {
-		os.Exit(runTenantSoak(rt, *tenants, *weightKB, *duration, *clients, *inFlight, *seed, *storm, *verbose))
-	}
-
-	works, baseline, net, netIn, netWant := buildTraffic(rt)
+	reg := serve.NewRegistry(serve.RegistryConfig{
+		Runtime:             rt,
+		MaxInFlight:         *inFlight,
+		MaxQueue:            2 * *inFlight,
+		WeightLimitBytes:    *weightKB << 10,
+		QuarantineThreshold: 5,
+		QuarantineCooldown:  2 * time.Second,
+	})
+	models, churned := buildModels(reg, *tenants)
 	// Post-setup goroutine baseline: serve.New has already warmed the
 	// persistent worker pool, so everything counted here is expected to
 	// still exist after the soak drains (invariant 5).
 	gBase := runtime.NumGoroutine()
-	fmt.Printf("ndsoak: %d shapes, %d clients, %v, budget %d KiB, baseline %d B / %d goroutines, storm=%v\n",
-		len(works), *clients, *duration, *memKB, baseline, gBase, *storm)
+	fmt.Printf("ndsoak: %d tenants, %d models, %d clients, %v, weight budget %d KiB, baseline %d goroutines, storm=%v integrity=%v\n",
+		*tenants, len(models), *clients, *duration, *weightKB, gBase, *storm, *integrity)
 
 	var (
 		requests   atomic.Uint64
@@ -176,6 +194,7 @@ func main() {
 			faultinject.NaNPoison,
 			faultinject.WorkerStall,
 			faultinject.PackedCorrupt,
+			faultinject.WeightEvict,
 		}
 		if *integrity {
 			// The silent-corruption drills: a finite bit flip only the
@@ -207,6 +226,27 @@ func main() {
 		}
 	}()
 
+	// Register/unregister churn: one model flaps while its traffic is in
+	// flight — requests must finish bit-exact or fail typed
+	// (ErrUnknownModel while unregistered), never touch freed weights,
+	// and never strand budget.
+	churnDone := make(chan struct{})
+	go func() {
+		defer close(churnDone)
+		for trafficCtx.Err() == nil {
+			time.Sleep(50 * time.Millisecond)
+			if err := reg.Unregister(churned.tenant, churned.name); err != nil {
+				violate("churn unregister: %v", err)
+				return
+			}
+			time.Sleep(5 * time.Millisecond)
+			if err := reg.Register(churned.tenant, churned.name, churned.net); err != nil {
+				violate("churn re-register: %v", err)
+				return
+			}
+		}
+	}()
+
 	var wg sync.WaitGroup
 	for c := 0; c < *clients; c++ {
 		wg.Add(1)
@@ -215,42 +255,24 @@ func main() {
 			rng := rand.New(rand.NewSource(*seed + 1000 + int64(c)))
 			for trafficCtx.Err() == nil {
 				requests.Add(1)
-				w := works[rng.Intn(len(works))]
+				m := models[rng.Intn(len(models))]
 				deadline := time.Duration(5+rng.Intn(95)) * time.Millisecond
 				ctx, cancel := context.WithTimeout(trafficCtx, deadline)
-
-				var out *tensor.Tensor
-				var err error
-				var want *tensor.Tensor
-				switch op := rng.Intn(10); {
-				case op < 2: // network forward through the gated engine
-					out, err = rt.Forward(ctx, net, netIn)
-					want = netWant
-				case op < 5 && w.packed != nil: // packed serving path
-					out, err = rt.TryConv2DPackedCtx(ctx, w.shape, w.in, w.packed)
-					want = w.want
-				default: // plain serving path
-					out, err = rt.TryConv2DCtx(ctx, w.shape, w.in, w.filter)
-					want = w.want
-				}
+				out, err := reg.Infer(ctx, m.tenant, m.name, m.in)
 				cancel()
-
 				if err != nil {
 					if !typedError(err) {
-						violate("untyped error from %v: %v", w.shape, err)
+						violate("untyped error from %s/%s: %v", m.tenant, m.name, err)
 					} else {
 						typedErrs.Add(1)
 					}
 					continue
 				}
-				if d := tensor.MaxAbsDiff(want, out); d != 0 {
-					violate("result differs from oracle by %g on %v", d, w.shape)
+				if d := tensor.MaxAbsDiff(m.want, out); d != 0 {
+					violate("%s/%s: output differs from its oracle by %g (cross-tenant corruption?)", m.tenant, m.name, d)
 					continue
 				}
 				okRuns.Add(1)
-				if rng.Intn(2) == 0 && out != netWant {
-					rt.Recycle(out)
-				}
 			}
 		}(c)
 	}
@@ -264,10 +286,10 @@ func main() {
 			case <-trafficCtx.Done():
 				return
 			case <-tick.C:
-				st := rt.Stats()
-				fmt.Printf("ndsoak: %d requests (%d ok, %d typed errors, %d violations); modes full/degraded/ref = %d/%d/%d; leaked=%d\n",
+				st := reg.Stats()
+				fmt.Printf("ndsoak: %d requests (%d ok, %d typed errors, %d violations); weights %d B (%d evictions, %d forced); quarantined=%d refInfers=%d; leaked=%d\n",
 					requests.Load(), okRuns.Load(), typedErrs.Load(), violations.Load(),
-					st.FullRuns, st.DegradedRuns, st.ReferenceRuns, parallel.LeakedWorkers())
+					st.WeightInUse, st.Evictions, st.ForcedEvictions, st.QuarantinedNow, st.ReferenceInfers, parallel.LeakedWorkers())
 			}
 		}
 	}()
@@ -277,6 +299,7 @@ func main() {
 	// cannot drain inside the grace period.
 	<-trafficCtx.Done()
 	<-stormDone
+	<-churnDone
 	drained := make(chan struct{})
 	go func() { wg.Wait(); close(drained) }()
 	grace := time.After(20 * time.Second)
@@ -304,19 +327,30 @@ drain:
 		time.Sleep(10 * time.Millisecond)
 	}
 
-	// Invariant 7 (-integrity): with the gate idle, the sentinel must
+	// Invariant 7 (-integrity): with traffic drained, the sentinel must
 	// close the detect→quarantine→restore loop on its own. Runs before
 	// rt.Close() tears the sentinel down.
 	if *integrity {
 		sentinelDrill(rt, violate)
+	}
+
+	// Invariant 3: unregister everything; the weight budget must be back
+	// to its zero baseline (the churned model may already be mid-flap,
+	// so tolerate an already-gone model there).
+	for _, m := range models {
+		if err := reg.Unregister(m.tenant, m.name); err != nil && !errors.Is(err, serve.ErrUnknownModel) {
+			violate("teardown unregister %s/%s: %v", m.tenant, m.name, err)
+		}
+	}
+	if inUse := reg.WeightBudget().InUse(); inUse != 0 {
+		violate("weight budget did not return to baseline: %d B in use, want 0", inUse)
 	}
 	rt.Close()
 
 	// Invariant 5: goroutine count settles back to the post-setup
 	// baseline — steady-state serving dispatches onto the persistent
 	// pool, and spawn-fallback workers exit with their grid, so any
-	// residue above the baseline (plus the still-parked leak monitors'
-	// slack already counted by invariant 2) is a per-call leak.
+	// residue above the baseline is a per-call leak.
 	gDeadline := time.Now().Add(10 * time.Second)
 	for runtime.NumGoroutine() > gBase {
 		if time.Now().After(gDeadline) {
@@ -327,38 +361,45 @@ drain:
 		time.Sleep(10 * time.Millisecond)
 	}
 
-	// Invariant 3: memory accounting back to the post-setup baseline.
-	st := rt.Stats()
-	if st.MemInUse != baseline {
-		violate("memory accounting did not return to baseline: %d B in use, want %d B", st.MemInUse, baseline)
-	}
+	st := reg.Stats()
 	if st.Gate.InFlight != 0 || st.Gate.Queued != 0 {
-		violate("gate not drained: %+v", st.Gate)
+		violate("tenant gate not drained: %+v", st.Gate)
+	}
+	if st.Models != 0 {
+		violate("%d models still registered after teardown", st.Models)
+	}
+	// Invariant 8: queue-full shedding is monotone in class — a higher
+	// class shedding implies every lower class shed too.
+	for c := 0; c < serve.NumQoSClasses-1; c++ {
+		if st.Gate.ShedFull[c+1] > 0 && st.Gate.ShedFull[c] == 0 {
+			violate("shed ordering inverted: class %d shed %d times but class %d never did",
+				c+1, st.Gate.ShedFull[c+1], c)
+		}
 	}
 
 	fmt.Printf("ndsoak: done: %d requests, %d ok, %d typed errors, %d violations\n",
 		requests.Load(), okRuns.Load(), typedErrs.Load(), violations.Load())
-	fmt.Printf("ndsoak: gate %+v\n", st.Gate)
-	fmt.Printf("ndsoak: ladder full/degraded/ref = %d/%d/%d, over-budget %d, rejected %d; pool hits/fresh = %d/%d; peak %d B\n",
-		st.FullRuns, st.DegradedRuns, st.ReferenceRuns, st.OverBudget, st.MemRejected, st.PoolHits, st.FreshAllocs, st.MemPeak)
+	fmt.Printf("ndsoak: tenant gate %+v\n", st.Gate)
+	fmt.Printf("ndsoak: weights: peak %d B, %d evictions (%d filters, %d B), %d forced, %d pack denials\n",
+		st.WeightPeak, st.Evictions, st.EvictedFilters, st.EvictedBytes, st.ForcedEvictions, st.ResidencyDenied)
+	fmt.Printf("ndsoak: quarantine: %d trips, %d reference infers, %d restores\n",
+		st.Quarantines, st.ReferenceInfers, st.Restores)
+	rs := st.Runtime
 	fmt.Printf("ndsoak: worker pool %d workers, %d dispatched, %d spawn-fallbacks\n",
-		st.WorkerPool.Workers, st.WorkerPool.Dispatched, st.WorkerPool.Spawned)
-	if br := rt.Engine().BreakerStats(nn.AlgoIm2col); br.Trips > 0 || br.Skips > 0 {
-		fmt.Printf("ndsoak: im2col breaker %+v\n", br)
-	}
+		rs.WorkerPool.Workers, rs.WorkerPool.Dispatched, rs.WorkerPool.Spawned)
 	if *integrity {
-		fmt.Printf("ndsoak: integrity: %d sentinel probes, %d canary trips, %d integrity failures, kernel quarantines/restores %d/%d\n",
-			st.SentinelProbes, st.CanaryTrips, st.IntegrityFailures, st.KernelQuarantines, st.KernelRestores)
+		fmt.Printf("ndsoak: integrity: %d sentinel probes, %d integrity failures, kernel quarantines/restores %d/%d\n",
+			rs.SentinelProbes, rs.IntegrityFailures, rs.KernelQuarantines, rs.KernelRestores)
 		fmt.Printf("ndsoak: integrity: %d packed verifies (%d failed), %d scratch canary trips\n",
-			st.Integrity.PackedVerifies, st.Integrity.PackedVerifyFailures, st.Integrity.ScratchCanaryTrips)
+			rs.Integrity.PackedVerifies, rs.Integrity.PackedVerifyFailures, rs.Integrity.ScratchCanaryTrips)
 		// Invariant 6: the detection layers actually fired. The oracle
 		// comparison proves no corruption got through; these prove the
 		// storm's corruptions were caught rather than never injected.
 		if *storm {
-			if st.Integrity.PackedVerifyFailures == 0 {
+			if rs.Integrity.PackedVerifyFailures == 0 {
 				violate("storm armed weight-bitflip but no packed checksum verification ever failed")
 			}
-			if st.Integrity.ScratchCanaryTrips == 0 {
+			if rs.Integrity.ScratchCanaryTrips == 0 {
 				violate("storm armed scratch-overrun but no scratch canary ever tripped")
 			}
 		}
@@ -375,7 +416,8 @@ func typedError(err error) bool {
 		errors.Is(err, conv.ErrDeadline) ||
 		errors.Is(err, core.ErrExecFault) ||
 		errors.Is(err, parallel.ErrWorkerPanic) ||
-		errors.Is(err, core.ErrIntegrity)
+		errors.Is(err, core.ErrIntegrity) ||
+		errors.Is(err, serve.ErrUnknownModel)
 }
 
 // sentinelDrill proves the sentinel's unattended quarantine/restore
@@ -412,75 +454,78 @@ func sentinelDrill(rt *serve.Runtime, violate func(string, ...any)) {
 	}
 }
 
-// buildTraffic precomputes the mixed-shape workloads and their oracles
-// (all fault injection disarmed), packs filters for part of the set,
-// and builds the small network the forward traffic uses. Returns the
-// post-setup budget baseline (the packed lifetime charges).
-func buildTraffic(rt *serve.Runtime) (works []*workload, baseline int64, net *nn.Network, netIn, netWant *tensor.Tensor) {
-	shapes := []conv.Shape{
-		{N: 1, C: 8, H: 16, W: 16, K: 16, R: 3, S: 3, Str: 1, Pad: 1},
-		{N: 1, C: 16, H: 14, W: 14, K: 32, R: 3, S: 3, Str: 1, Pad: 1},
-		{N: 2, C: 5, H: 9, W: 9, K: 13, R: 3, S: 3, Str: 1, Pad: 1},
-		{N: 1, C: 16, H: 28, W: 28, K: 16, R: 1, S: 1, Str: 1, Pad: 0},
-		{N: 1, C: 4, H: 32, W: 32, K: 8, R: 5, S: 5, Str: 2, Pad: 2},
-	}
-	for i, s := range shapes {
-		w := &workload{shape: s, in: s.NewInput(), filter: s.NewFilter()}
-		fillInts(w.in, uint64(2*i+1))
-		fillInts(w.filter, uint64(2*i+2))
-		w.want = conv.Reference(s, w.in, w.filter)
-		if i%2 == 0 {
-			pf, err := rt.Pack(s, w.filter)
-			if err != nil {
-				fmt.Printf("ndsoak: setup: Pack(%v): %v\n", s, err)
-				os.Exit(2)
-			}
-			w.packed = pf
+// buildModels registers every model with all fault injection disarmed
+// and computes each oracle from the naive references (conv.Reference,
+// depthwiseReference, maxPool2Reference) — never from an engine under
+// test. Tenant t<i> gets class i mod 3 (batch/standard/premium) and
+// model "m": conv+ReLU, on odd tenants a depthwise-separable block,
+// then 2×2 max pooling, whose worker grid lets storm worker-panics
+// surface as typed faults and exercise the per-model quarantine rung.
+// Raw shape j becomes model "conv<j>" of tenant t<j mod nTenants>. The
+// returned churn target is the last tenant's "m".
+func buildModels(reg *serve.Registry, nTenants int) (models []*model, churned *model) {
+	register := func(m *model) {
+		if err := reg.Register(m.tenant, m.name, m.net); err != nil {
+			fmt.Printf("ndsoak: setup: register %s/%s: %v\n", m.tenant, m.name, err)
+			os.Exit(2)
 		}
-		works = append(works, w)
+		models = append(models, m)
 	}
-
-	// One integer-weight conv+ReLU unit followed by a depthwise-
-	// separable block: integer weights and an exact-identity BN
-	// (Eps = 0, so the fold contributes bit-nothing) keep the oracle
-	// exact on every engine backend and ladder rung — fused separable,
-	// unfused composition, post-breaker nDirect and the float64
-	// reference alike.
-	ns := conv.Shape{N: 1, C: 8, H: 16, W: 16, K: 16, R: 3, S: 3, Str: 1, Pad: 1}
-	nw := ns.NewFilter()
-	fillInts(nw, 77)
-	dwShape := conv.Shape{N: 1, C: 16, H: 16, W: 16, K: 16, R: 3, S: 3, Str: 1, Pad: 1}
-	dwW := tensor.New(16, 3, 3)
-	fillInts(dwW, 79)
-	pwShape := conv.Shape{N: 1, C: 16, H: 16, W: 16, K: 24, R: 1, S: 1, Str: 1, Pad: 0}
-	pwW := pwShape.NewFilter()
-	fillInts(pwW, 80)
-	net = &nn.Network{Name: "soak", Layers: []nn.Layer{
-		&nn.ConvUnit{LayerName: "conv1", Shape: ns, Weights: nw, ReLU: true},
-		&nn.DepthwiseSeparable{
-			LayerName: "dwsep",
-			DWShape:   dwShape,
-			DWFilter:  dwW,
-			DWBN:      exactIdentityBN(dwShape.C),
-			PW:        &nn.ConvUnit{LayerName: "dwsep_pw", Shape: pwShape, Weights: pwW, ReLU: true},
-		},
-	}}
-	netIn = ns.NewInput()
-	fillInts(netIn, 78)
-	// The oracle composes the naive per-stage references (injection is
-	// still disarmed here).
-	y := conv.Reference(ns, netIn, nw)
-	reluInPlace(y)
-	mid := depthwiseReference(dwShape, y, dwW)
-	reluInPlace(mid) // identity BN at Eps 0 contributes nothing
-	netWant = conv.Reference(pwShape, mid, pwW)
-	reluInPlace(netWant)
-	return works, rt.Budget().InUse(), net, netIn, netWant
+	s := rawShapes[0]
+	for i := 0; i < nTenants; i++ {
+		tenant := fmt.Sprintf("t%d", i)
+		reg.SetTenant(tenant, serve.TenantConfig{Class: serve.QoSClass(i % serve.NumQoSClasses)})
+		w := s.NewFilter()
+		fillInts(w, uint64(1000+2*i))
+		m := &model{tenant: tenant, name: "m", in: s.NewInput()}
+		fillInts(m.in, uint64(1001+2*i))
+		layers := []nn.Layer{&nn.ConvUnit{LayerName: "conv1", Shape: s, Weights: w, ReLU: true}}
+		y := conv.Reference(s, m.in, w)
+		reluInPlace(y)
+		if i%2 == 1 {
+			// Integer weights + an exact-identity BN keep the block
+			// bit-exact on the fused separable executor, its packed dw+pw
+			// recovery ladder and the reference path alike.
+			dwShape := conv.Shape{N: 1, C: 16, H: 16, W: 16, K: 16, R: 3, S: 3, Str: 1, Pad: 1}
+			dwW := tensor.New(16, 3, 3)
+			fillInts(dwW, uint64(5000+2*i))
+			pwShape := conv.Shape{N: 1, C: 16, H: 16, W: 16, K: 24, R: 1, S: 1, Str: 1, Pad: 0}
+			pwW := pwShape.NewFilter()
+			fillInts(pwW, uint64(5001+2*i))
+			layers = append(layers, &nn.DepthwiseSeparable{
+				LayerName: "dwsep",
+				DWShape:   dwShape,
+				DWFilter:  dwW,
+				DWBN:      exactIdentityBN(dwShape.C),
+				PW:        &nn.ConvUnit{LayerName: "dwsep_pw", Shape: pwShape, Weights: pwW, ReLU: true},
+			})
+			y = depthwiseReference(dwShape, y, dwW)
+			reluInPlace(y) // identity BN at Eps 0 contributes nothing
+			y = conv.Reference(pwShape, y, pwW)
+			reluInPlace(y)
+		}
+		m.net = &nn.Network{Name: tenant + "/m", Layers: append(layers, &nn.MaxPool{K: 2, Str: 2})}
+		m.want = maxPool2Reference(y)
+		register(m)
+		churned = m
+	}
+	for j, rs := range rawShapes {
+		w := rs.NewFilter()
+		fillInts(w, uint64(2*j+2))
+		m := &model{tenant: fmt.Sprintf("t%d", j%nTenants), name: fmt.Sprintf("conv%d", j), in: rs.NewInput()}
+		fillInts(m.in, uint64(2*j+1))
+		m.net = &nn.Network{Name: m.tenant + "/" + m.name, Layers: []nn.Layer{
+			&nn.ConvUnit{LayerName: "conv", Shape: rs, Weights: w},
+		}}
+		m.want = conv.Reference(rs, m.in, w)
+		register(m)
+	}
+	return models, churned
 }
 
 // exactIdentityBN builds BatchNorm parameters that fold to an exact
 // float32 no-op: Eps = 0 so scale is exactly 1 and shift exactly 0,
-// keeping integer tensors integer through every rung.
+// keeping integer tensors integer through every path.
 func exactIdentityBN(c int) *nn.BNParams {
 	bn := &nn.BNParams{
 		Gamma: make([]float32, c),
@@ -530,6 +575,27 @@ func depthwiseReference(s conv.Shape, in, filter *tensor.Tensor) *tensor.Tensor 
 					}
 					out.Data[((n*s.C+c)*p+oj)*q+oi] = float32(acc)
 				}
+			}
+		}
+	}
+	return out
+}
+
+// maxPool2Reference is the oracle for nn.MaxPool{K: 2, Str: 2}: the
+// maximum of each non-overlapping 2×2 window of every plane.
+func maxPool2Reference(in *tensor.Tensor) *tensor.Tensor {
+	n, c, h, w := in.Dims[0], in.Dims[1], in.Dims[2], in.Dims[3]
+	p, q := h/2, w/2
+	out := tensor.New(n, c, p, q)
+	for nc := 0; nc < n*c; nc++ {
+		src := in.Data[nc*h*w:]
+		for oj := 0; oj < p; oj++ {
+			for oi := 0; oi < q; oi++ {
+				best := src[2*oj*w+2*oi]
+				for _, v := range []float32{src[2*oj*w+2*oi+1], src[(2*oj+1)*w+2*oi], src[(2*oj+1)*w+2*oi+1]} {
+					best = max(best, v)
+				}
+				out.Data[(nc*p+oj)*q+oi] = best
 			}
 		}
 	}

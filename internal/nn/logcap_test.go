@@ -5,9 +5,34 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"ndirect/internal/core"
+	"ndirect/internal/faultinject"
+	"ndirect/internal/tensor"
 )
+
+// captureLogs redirects core.Logf to a slice of formatted lines for
+// the duration of the test.
+func captureLogs(t *testing.T) (get func() []string) {
+	t.Helper()
+	old := core.Logf
+	var mu sync.Mutex
+	var logs []string
+	core.Logf = func(format string, args ...any) {
+		line := fmt.Sprintf(format, args...)
+		mu.Lock()
+		logs = append(logs, line)
+		mu.Unlock()
+		t.Logf("(captured) %s", line)
+	}
+	t.Cleanup(func() { core.Logf = old })
+	return func() []string {
+		mu.Lock()
+		defer mu.Unlock()
+		return append([]string(nil), logs...)
+	}
+}
 
 // TestLogLimitedKeyCapBounded: the rate-limiter's key map must stay
 // bounded under many-key traffic (the multi-tenant shape explosion),
@@ -105,5 +130,60 @@ func TestLogLimitedRecencyRetainsActiveKey(t *testing.T) {
 	eng.logMu.Unlock()
 	if !ok {
 		t.Fatal("hot key evicted despite constant touches")
+	}
+}
+
+// TestFallbackLogRateLimited: repeated fallbacks on one (backend,
+// shape) emit one line per interval, and the next emission carries the
+// suppressed count.
+func TestFallbackLogRateLimited(t *testing.T) {
+	defer faultinject.Reset()
+	getLogs := captureLogs(t)
+
+	b := builderForTest()
+	net := &Network{Name: "tiny", Layers: []Layer{
+		b.convUnit("c1", 3, 8, 16, 3, 1, 1, true, true),
+		GlobalAvgPool{},
+	}}
+	x := tensor.New(1, 3, 16, 16)
+	x.FillRandom(7)
+
+	const interval = 300 * time.Millisecond
+	eng := &Engine{Algo: AlgoAnsor, Threads: 2, LogInterval: interval}
+	faultinject.ArmN(faultinject.ScheduleCorrupt, -1, -1)
+
+	countFallbacks := func() int {
+		n := 0
+		for _, l := range getLogs() {
+			if strings.Contains(l, "falling back to ndirect") {
+				n++
+			}
+		}
+		return n
+	}
+
+	const calls = 4
+	for i := 0; i < calls; i++ {
+		if _, err := net.TryForward(eng, x); err != nil {
+			t.Fatalf("forward %d: %v", i, err)
+		}
+	}
+	if got := countFallbacks(); got != 1 {
+		t.Fatalf("%d fallback lines within one interval, want exactly 1", got)
+	}
+
+	// The interval rolls over: the next failure logs again, carrying
+	// the count of the lines dropped above.
+	time.Sleep(interval + 20*time.Millisecond)
+	if _, err := net.TryForward(eng, x); err != nil {
+		t.Fatal(err)
+	}
+	if got := countFallbacks(); got != 2 {
+		t.Fatalf("%d fallback lines after the interval, want 2", got)
+	}
+	logs := getLogs()
+	last := logs[len(logs)-1]
+	if !strings.Contains(last, fmt.Sprintf("%d similar lines suppressed", calls-1)) {
+		t.Fatalf("summary line %q lacks the suppressed count (%d)", last, calls-1)
 	}
 }

@@ -107,18 +107,6 @@ type Engine struct {
 	// Reuse; nil with Reuse on means a private cache is created on
 	// first use.
 	Plans *core.PlanCache
-	// BreakerThreshold enables per-backend circuit breakers: after
-	// this many consecutive failures a baseline backend (im2col,
-	// LIBXSMM, XNNPACK, Ansor) is quarantined and dispatch goes
-	// straight to nDirect without invoking it; after BreakerCooldown a
-	// single half-open probe is let through, restoring the backend on
-	// success. 0 (the default) disables breakers — the seed behaviour
-	// of retrying the failing backend and logging on every call.
-	// nDirect itself is never breakered: it is the fallback.
-	BreakerThreshold int
-	// BreakerCooldown is the quarantine duration before a half-open
-	// probe (DefaultBreakerCooldown when zero).
-	BreakerCooldown time.Duration
 	// LogInterval rate-limits repeated backend-fallback log lines to
 	// one per (backend, shape) per interval with a suppressed-count
 	// summary (DefaultLogInterval when zero; negative disables
@@ -163,7 +151,6 @@ type Engine struct {
 	// the same discipline as Schedules).
 	dwRowTiles map[string]int
 
-	breakers [numAlgos]breaker
 	logMu    sync.Mutex
 	logSeen  map[string]*list.Element // key → LRU element (*logEntry)
 	logLRU   *list.List               // most recently touched key at front
@@ -884,9 +871,6 @@ func (c *ConvUnit) tryConvPlain(eng *Engine, s conv.Shape, x *tensor.Tensor) (*t
 	}
 	switch eng.Algo {
 	case AlgoAnsor:
-		if !eng.backendAllowed(AlgoAnsor, s) {
-			return c.tryNDirect(eng, s, x, c.Weights, core.Options{Threads: eng.Threads})
-		}
 		out := eng.newTensor(s.N, s.K, s.P(), s.Q())
 		ctx, cancel := eng.convCtx()
 		err := autotune.ExecuteCtx(ctx, s, eng.schedule(s), x, c.Weights, out, eng.Threads)
@@ -901,7 +885,6 @@ func (c *ConvUnit) tryConvPlain(eng *Engine, s conv.Shape, x *tensor.Tensor) (*t
 			eng.backendFailed(AlgoAnsor, s, err)
 			return c.tryNDirect(eng, s, x, c.Weights, core.Options{Threads: eng.Threads})
 		}
-		eng.backendOK(AlgoAnsor)
 		return out, nil
 	case AlgoIm2col, AlgoXSMM, AlgoXNN:
 		return c.tryBaseline(eng, s, x, c.Weights)
@@ -916,9 +899,6 @@ func (c *ConvUnit) tryConvPlain(eng *Engine, s conv.Shape, x *tensor.Tensor) (*t
 // so a backend fault surfaces as a slow layer rather than a nil tensor
 // crashing the next one.
 func (c *ConvUnit) tryBaseline(eng *Engine, s conv.Shape, x, w *tensor.Tensor) (*tensor.Tensor, error) {
-	if !eng.backendAllowed(eng.Algo, s) {
-		return c.tryNDirect(eng, s, x, w, core.Options{Threads: eng.Threads})
-	}
 	var (
 		out *tensor.Tensor
 		err error
@@ -937,7 +917,6 @@ func (c *ConvUnit) tryBaseline(eng *Engine, s conv.Shape, x, w *tensor.Tensor) (
 		eng.backendFailed(eng.Algo, s, err)
 		return c.tryNDirect(eng, s, x, w, core.Options{Threads: eng.Threads})
 	}
-	eng.backendOK(eng.Algo)
 	return out, nil
 }
 
@@ -1135,9 +1114,6 @@ func (c *ConvUnit) tryConvFused(eng *Engine, s conv.Shape, x *tensor.Tensor, w *
 	case AlgoNDirect:
 		return fusedFallback()
 	case AlgoAnsor:
-		if !eng.backendAllowed(AlgoAnsor, s) {
-			return fusedFallback()
-		}
 		out := eng.newTensor(s.N, s.K, s.P(), s.Q())
 		ctx, cancel := eng.convCtx()
 		err := autotune.ExecuteFusedCtx(ctx, s, eng.schedule(s), x, w, out, eng.Threads, b, c.ReLU)
@@ -1148,7 +1124,6 @@ func (c *ConvUnit) tryConvFused(eng *Engine, s conv.Shape, x *tensor.Tensor, w *
 			// write into it.
 			return fusedFallback()
 		}
-		eng.backendOK(AlgoAnsor)
 		return out, nil
 	default:
 		out, err := c.tryBaseline(eng, s, x, w)

@@ -10,10 +10,10 @@ import (
 	"ndirect/internal/faultinject"
 )
 
-// Context-aware loop drivers. The bare drivers (For, ForRange,
-// ForGrid) join their workers with a plain WaitGroup, so one wedged
-// worker blocks the caller forever — acceptable for a benchmark
-// harness, not for a serving system. The *Ctx variants bound that
+// Context-aware loop drivers. The bare drivers (For, ForRange) join
+// their workers with a plain WaitGroup, so one wedged worker blocks
+// the caller forever — acceptable for a benchmark harness, not for a
+// serving system. The *Ctx variants bound that
 // join: when the context expires or is canceled before the grid
 // finishes, the driver raises the group's cooperative stop flag,
 // abandons the join (the wedged goroutines are leaked deliberately and
@@ -207,38 +207,6 @@ func ForRangeCtx(ctx context.Context, n, p int, body func(worker int, r Range)) 
 				body(w, c)
 			}))
 		})
-	}
-	if err := g.WaitCtx(ctx, fs.Record, nil); err != nil {
-		return err
-	}
-	return fs.Err()
-}
-
-// ForGridCtx is ForGrid bounded by ctx.
-func (gr Grid2D) ForGridCtx(ctx context.Context, body func(kWorker, nWorker int)) error {
-	if ctx == nil || ctx.Done() == nil {
-		return gr.ForGrid(body)
-	}
-	if ctx.Err() != nil {
-		return cancelErr(ctx)
-	}
-	var fs FaultSink
-	var g Group
-	pool := DefaultPool()
-	for k := 0; k < gr.PTk; k++ {
-		for n := 0; n < gr.PTn; n++ {
-			w, k, n := k*gr.PTn+n, k, n
-			g.GoVia(pool, func() {
-				fs.Record(Protect(func() {
-					faultinject.Fire(faultinject.WorkerPanic, w)
-					faultinject.Stall(faultinject.WorkerStall, w)
-					if fs.Stopped() {
-						return
-					}
-					body(k, n)
-				}))
-			})
-		}
 	}
 	if err := g.WaitCtx(ctx, fs.Record, nil); err != nil {
 		return err

@@ -95,21 +95,6 @@ func TestForRangeCtxAbandonsStalledWorker(t *testing.T) {
 	waitLeakedWorkersZero(t)
 }
 
-func TestForGridCtxAbandonsStalledWorker(t *testing.T) {
-	defer faultinject.Reset()
-	faultinject.Arm(faultinject.WorkerStall, 0)
-
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	g := Grid2D{PTk: 2, PTn: 2}
-	err := g.ForGridCtx(ctx, func(k, n int) {})
-	if !errors.Is(err, ErrCanceled) || !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want ErrCanceled wrapping DeadlineExceeded", err)
-	}
-	faultinject.Reset()
-	waitLeakedWorkersZero(t)
-}
-
 // Without faults or deadline pressure the *Ctx drivers behave exactly
 // like the bare ones.
 func TestCtxDriversCompleteUnderGenerousDeadline(t *testing.T) {
@@ -134,14 +119,6 @@ func TestCtxDriversCompleteUnderGenerousDeadline(t *testing.T) {
 		if !covered[i].Load() {
 			t.Fatalf("index %d not covered", i)
 		}
-	}
-	var cells atomic.Int64
-	g := Grid2D{PTk: 3, PTn: 2}
-	if err := g.ForGridCtx(ctx, func(k, n int) { cells.Add(1) }); err != nil {
-		t.Fatal(err)
-	}
-	if cells.Load() != 6 {
-		t.Fatalf("grid ran %d cells, want 6", cells.Load())
 	}
 }
 

@@ -117,18 +117,6 @@ func TestForRangeWorkerPanicBecomesError(t *testing.T) {
 	}
 }
 
-func TestForGridWorkerPanicBecomesError(t *testing.T) {
-	g := Grid2D{PTk: 2, PTn: 3}
-	err := g.ForGrid(func(k, n int) {
-		if k == 1 && n == 2 {
-			panic("grid cell died")
-		}
-	})
-	if !errors.Is(err, ErrWorkerPanic) {
-		t.Fatalf("err = %v", err)
-	}
-}
-
 func TestMustForRethrows(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -13,7 +13,7 @@
 // the panic value and stack) and returned as the loop's error instead
 // of crashing the process. After the first fault, the remaining
 // chunks observe a cooperative stop flag and cancel: For stops
-// between body invocations, ForRange/ForGrid before each not-yet-
+// between body invocations, ForRange before each not-yet-
 // started chunk. Only the first fault is reported.
 package parallel
 
@@ -231,62 +231,6 @@ func MustFor(n, p int, body func(i int)) {
 	if err := For(n, p, body); err != nil {
 		panic(err)
 	}
-}
-
-// MustForRange is ForRange with MustFor's crash-on-fault semantics.
-func MustForRange(n, p int, body func(worker int, r Range)) {
-	if err := ForRange(n, p, body); err != nil {
-		panic(err)
-	}
-}
-
-// Grid2D describes the two-level thread grid of §6.1: PTk workers
-// along the output-channel dimension times PTn workers along the
-// batch/spatial dimensions, PTk*PTn = PT.
-type Grid2D struct {
-	PTk, PTn int
-}
-
-// Workers returns the total worker count of the grid.
-func (g Grid2D) Workers() int { return g.PTk * g.PTn }
-
-// ForGrid runs body(kWorker, nWorker) for every cell of the grid
-// concurrently. The body typically slices K by kWorker and N×H×W by
-// nWorker. Panic recovery, error propagation and chunk-grained
-// cancellation follow ForRange.
-func (g Grid2D) ForGrid(body func(kWorker, nWorker int)) error {
-	total := g.Workers()
-	var fs FaultSink
-	runCell := func(w, k, n int) {
-		fs.Record(Protect(func() {
-			faultinject.Fire(faultinject.WorkerPanic, w)
-			faultinject.Stall(faultinject.WorkerStall, w)
-			if fs.Stopped() {
-				return
-			}
-			body(k, n)
-		}))
-	}
-	if total <= 1 {
-		runCell(0, 0, 0)
-		return fs.Err()
-	}
-	var grp Group
-	pool := DefaultPool()
-	first := true
-	for k := 0; k < g.PTk; k++ {
-		for n := 0; n < g.PTn; n++ {
-			if first {
-				first = false
-				continue
-			}
-			w, k, n := k*g.PTn+n, k, n
-			grp.GoVia(pool, func() { runCell(w, k, n) })
-		}
-	}
-	runCell(0, 0, 0)
-	grp.Wait()
-	return fs.Err()
 }
 
 // Factorize returns all (a, b) pairs with a*b == p, a ascending. Used

@@ -114,31 +114,6 @@ func TestForRangeEmpty(t *testing.T) {
 	}
 }
 
-func TestGrid2DCoversAllCells(t *testing.T) {
-	g := Grid2D{PTk: 3, PTn: 4}
-	if g.Workers() != 12 {
-		t.Fatal("Workers")
-	}
-	var mask [3][4]int32
-	g.ForGrid(func(k, n int) { atomic.AddInt32(&mask[k][n], 1) })
-	for k := 0; k < 3; k++ {
-		for n := 0; n < 4; n++ {
-			if mask[k][n] != 1 {
-				t.Fatalf("cell (%d,%d) visited %d times", k, n, mask[k][n])
-			}
-		}
-	}
-}
-
-func TestGrid2DSingleCell(t *testing.T) {
-	g := Grid2D{PTk: 1, PTn: 1}
-	calls := 0
-	g.ForGrid(func(k, n int) { calls++ })
-	if calls != 1 {
-		t.Fatal("1x1 grid must call body exactly once")
-	}
-}
-
 func TestFactorize(t *testing.T) {
 	got := Factorize(12)
 	want := [][2]int{{1, 12}, {2, 6}, {3, 4}, {4, 3}, {6, 2}, {12, 1}}

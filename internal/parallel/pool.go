@@ -160,7 +160,7 @@ var defaultPool atomic.Pointer[Pool]
 
 // DefaultPool returns the process-wide worker pool, starting it on
 // first use with one worker per GOMAXPROCS. Every loop driver (For,
-// ForRange, ForGrid and their Ctx forms) and the core thread grid
+// ForRange and their Ctx forms) and the core thread grid
 // dispatch onto it, so a steady-state serving process wakes the same
 // parked goroutines call after call instead of spawning fresh ones.
 func DefaultPool() *Pool {

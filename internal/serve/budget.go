@@ -1,18 +1,13 @@
 package serve
 
-import (
-	"math"
-	"sync"
-	"sync/atomic"
-)
+import "sync/atomic"
 
-// Budget is the global byte accountant: every in-flight request
-// reserves the memory its execution mode needs (output tensor plus
-// plan scratch; packed filters are charged for their lifetime at Pack
-// time) and releases it when done. Reserve is a CAS loop, so admission
-// under concurrency never overshoots the ceiling; a limit of 0 means
-// "account but never refuse" — the counters still drive the stats and
-// the soak harness's return-to-baseline invariant.
+// Budget is a byte accountant: the registry's weight-residency budget
+// charges each packed filter while it stays resident and releases the
+// charge when it is evicted or dropped. Reserve is a CAS loop, so
+// admission under concurrency never overshoots the ceiling; a limit of
+// 0 means "account but never refuse" — the counters still drive the
+// stats and the soak harness's return-to-baseline invariant.
 type Budget struct {
 	limit int64 // bytes; <= 0 means unlimited
 	inUse atomic.Int64
@@ -65,207 +60,3 @@ func (b *Budget) Peak() int64 { return b.peak.Load() }
 
 // Limit returns the configured ceiling (<= 0: unlimited).
 func (b *Budget) Limit() int64 { return b.limit }
-
-// Activation-pool guard words (DESIGN.md §12): every buffer the pool
-// hands out is a window into a slightly larger backing array whose
-// first and last poolCanaryWords elements are stamped with a bit
-// pattern no convolution computes. The guards are re-checked whenever
-// the buffer crosses an ownership boundary — after a run completes,
-// when it is recycled, and again when it leaves the free list — so an
-// out-of-bounds store (an assembly kernel bug, a stray straggler from
-// an abandoned grid, a hardware fault) is caught before the buffer is
-// ever handed to another request. In pure Go an overrun past a slice
-// length panics before it reaches a guard; the canaries exist for the
-// injected drills and for future bounds-check-free kernels.
-const (
-	poolCanaryBits  = 0xDEADBEEF // not NaN/Inf: survives numeric scans untouched
-	poolCanaryWords = 4
-)
-
-// maxOutstanding bounds the outstanding index (checked-out buffer →
-// backing array). When a caller drops an output without recycling it,
-// its entry would otherwise pin the backing array forever; at the cap
-// an arbitrary entry is evicted instead — that buffer merely becomes
-// un-recyclable (refused at put), never unsafe.
-const maxOutstanding = 4096
-
-func poolCanary() float32 { return math.Float32frombits(poolCanaryBits) }
-
-// bufferPool is the activation pool: a bounded free list of guarded
-// output buffers keyed by exact element count. Unlike sync.Pool it is
-// fully deterministic (no GC-driven drops), which the
-// return-to-baseline invariant needs; idle bytes are bounded by
-// maxIdleBytes and tracked in the runtime stats, and are deliberately
-// NOT charged against the Budget — the budget bounds what in-flight
-// requests are using, while the pool holds memory no request owns
-// (see DESIGN.md). onTrip is invoked (outside bp.mu is NOT guaranteed;
-// it must be lock-free) once per buffer whose guards are found
-// overwritten; such buffers are quarantined — forgotten, never parked.
-type bufferPool struct {
-	mu           sync.Mutex
-	bySize       map[int][][]float32    // full guarded arrays, keyed by user length
-	outstanding  map[*float32][]float32 // checked-out user-view base → full array
-	idleBytes    int64
-	maxIdleBytes int64
-	onTrip       func()
-}
-
-func newBufferPool(maxIdleBytes int64, onTrip func()) *bufferPool {
-	if onTrip == nil {
-		onTrip = func() {}
-	}
-	return &bufferPool{
-		bySize:       make(map[int][][]float32),
-		outstanding:  make(map[*float32][]float32),
-		maxIdleBytes: maxIdleBytes,
-		onTrip:       onTrip,
-	}
-}
-
-// view slices the n-element user window out of a guarded array. The
-// view's cap equals its len, so user code cannot reach the tail guard
-// even with a full-cap reslice.
-func poolView(full []float32, n int) []float32 {
-	return full[poolCanaryWords : poolCanaryWords+n : poolCanaryWords+n]
-}
-
-// guardsIntact reports whether both guard bands of a full array still
-// hold their stamp.
-func guardsIntact(full []float32) bool {
-	n := len(full)
-	for i := 0; i < poolCanaryWords; i++ {
-		if math.Float32bits(full[i]) != poolCanaryBits ||
-			math.Float32bits(full[n-1-i]) != poolCanaryBits {
-			return false
-		}
-	}
-	return true
-}
-
-// track records a checked-out buffer, evicting an arbitrary stale
-// entry at the cap. Caller holds bp.mu.
-func (bp *bufferPool) trackLocked(base *float32, full []float32) {
-	if len(bp.outstanding) >= maxOutstanding {
-		for k := range bp.outstanding {
-			delete(bp.outstanding, k)
-			break
-		}
-	}
-	bp.outstanding[base] = full
-}
-
-// alloc returns a fresh guarded buffer of n elements (the pool-miss
-// path: every output the runtime publishes carries guards, pooled or
-// not).
-func (bp *bufferPool) alloc(n int) []float32 {
-	full := make([]float32, n+2*poolCanaryWords)
-	c := poolCanary()
-	for i := 0; i < poolCanaryWords; i++ {
-		full[i] = c
-		full[len(full)-1-i] = c
-	}
-	buf := poolView(full, n)
-	bp.mu.Lock()
-	bp.trackLocked(&buf[0], full)
-	bp.mu.Unlock()
-	return buf
-}
-
-// get returns a pooled buffer of exactly n elements, or nil. A parked
-// array whose guards were overwritten while idle (a straggling writer,
-// a DRAM fault) is quarantined here instead of being handed out.
-func (bp *bufferPool) get(n int) []float32 {
-	bp.mu.Lock()
-	defer bp.mu.Unlock()
-	list := bp.bySize[n]
-	for len(list) > 0 {
-		full := list[len(list)-1]
-		list = list[:len(list)-1]
-		bp.bySize[n] = list
-		bp.idleBytes -= 4 * int64(len(full))
-		if !guardsIntact(full) {
-			bp.onTrip()
-			continue // quarantined: fall through to the next parked array
-		}
-		buf := poolView(full, n)
-		bp.trackLocked(&buf[0], full)
-		return buf
-	}
-	return nil
-}
-
-// put parks a dead buffer for reuse, dropping it to the GC when the
-// idle bound is reached. parked=false refuses the buffer: it is not
-// one of ours (a foreign allocation, or an entry evicted from the
-// outstanding index), or it was already recycled — outstanding-index
-// membership is the double-recycle guard. tripped=true means the
-// buffer's guards were overwritten: it is quarantined (forgotten,
-// never parked) and counted via onTrip.
-func (bp *bufferPool) put(buf []float32) (parked, tripped bool) {
-	if len(buf) == 0 {
-		return false, false
-	}
-	bp.mu.Lock()
-	full, ok := bp.outstanding[&buf[0]]
-	if !ok {
-		bp.mu.Unlock()
-		return false, false
-	}
-	delete(bp.outstanding, &buf[0])
-	if !guardsIntact(full) {
-		bp.mu.Unlock()
-		bp.onTrip()
-		return false, true
-	}
-	n := len(buf)
-	if bp.idleBytes+4*int64(len(full)) > bp.maxIdleBytes {
-		bp.mu.Unlock()
-		return true, false // dropped to the GC: not a hazard, just full
-	}
-	bp.bySize[n] = append(bp.bySize[n], full)
-	bp.idleBytes += 4 * int64(len(full))
-	bp.mu.Unlock()
-	return true, false
-}
-
-// check inspects a checked-out buffer's guards after a run. A tripped
-// canary quarantines the buffer (it is forgotten and can never be
-// parked) and reports true so the caller fails the request typed. A
-// buffer the outstanding index no longer tracks (evicted at the cap)
-// reports intact: its guards cannot be located, and it was allocated
-// guarded, so the failure mode is only a lost check, never a false
-// alarm.
-func (bp *bufferPool) check(buf []float32) (tripped bool) {
-	if len(buf) == 0 {
-		return false
-	}
-	bp.mu.Lock()
-	full, ok := bp.outstanding[&buf[0]]
-	if ok && !guardsIntact(full) {
-		delete(bp.outstanding, &buf[0])
-		bp.mu.Unlock()
-		bp.onTrip()
-		return true
-	}
-	bp.mu.Unlock()
-	return false
-}
-
-// forget drops a checked-out buffer from the outstanding index without
-// parking it — the error path: an abandoned grid's stragglers may
-// still write the array, so it must go to the GC, never back into
-// circulation.
-func (bp *bufferPool) forget(buf []float32) {
-	if len(buf) == 0 {
-		return
-	}
-	bp.mu.Lock()
-	delete(bp.outstanding, &buf[0])
-	bp.mu.Unlock()
-}
-
-func (bp *bufferPool) idle() int64 {
-	bp.mu.Lock()
-	defer bp.mu.Unlock()
-	return bp.idleBytes
-}

@@ -72,41 +72,3 @@ func TestBudgetConcurrentNeverOvershoots(t *testing.T) {
 		t.Fatalf("Peak = %d > limit %d", p, limit)
 	}
 }
-
-func TestBufferPoolBoundedAndExactSize(t *testing.T) {
-	// A guarded 10-element array is 10+2*poolCanaryWords = 18 floats =
-	// 72 B; the bound has room for exactly two.
-	bp := newBufferPool(150, nil)
-	for i := 0; i < 3; i++ {
-		if parked, tripped := bp.put(bp.alloc(10)); !parked || tripped {
-			t.Fatalf("put %d = parked %v tripped %v, want parked and intact", i, parked, tripped)
-		}
-	}
-	if got := bp.idle(); got != 144 {
-		t.Fatalf("idle = %d, want 144 (third buffer dropped past the bound)", got)
-	}
-	if buf := bp.get(7); buf != nil {
-		t.Fatal("pool returned a buffer for a size it never saw")
-	}
-	if buf := bp.get(10); len(buf) != 10 || cap(buf) != 10 {
-		t.Fatalf("get(10) = len %d cap %d, want 10 and 10 (the tail guard must be unreachable)", len(buf), cap(buf))
-	}
-	if buf := bp.get(10); len(buf) != 10 {
-		t.Fatalf("second get(10) = len %d, want 10", len(buf))
-	}
-	if buf := bp.get(10); buf != nil {
-		t.Fatal("pool returned a third buffer after parking only two")
-	}
-	if got := bp.idle(); got != 0 {
-		t.Fatalf("idle = %d after draining, want 0", got)
-	}
-	bp.put(nil) // zero-length must be ignored
-	if got := bp.idle(); got != 0 {
-		t.Fatalf("idle = %d after putting nil, want 0", got)
-	}
-	// A buffer the pool never issued carries no guards: refused, never
-	// parked.
-	if parked, tripped := bp.put(make([]float32, 10)); parked || tripped {
-		t.Fatalf("foreign put = parked %v tripped %v, want refused", parked, tripped)
-	}
-}

@@ -24,94 +24,6 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 	}
 }
 
-// A recycled buffer whose guard words were overwritten must be
-// quarantined — counted in CanaryTrips, never parked for a future
-// request — while an intact recycle still round-trips.
-func TestRecycleQuarantinesTrippedCanary(t *testing.T) {
-	rt := New(Config{})
-	in, filter, _ := testOperands(testShape)
-	out, err := rt.TryConv2D(testShape, in, filter)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Overwrite the tail guard the way an out-of-bounds store would
-	// (white box: the outstanding index maps the user view to the full
-	// guarded array).
-	rt.pool.mu.Lock()
-	full := rt.pool.outstanding[&out.Data[0]]
-	rt.pool.mu.Unlock()
-	if full == nil {
-		t.Fatal("runtime output not tracked in the outstanding index")
-	}
-	full[len(full)-1] = 42
-
-	rt.Recycle(out)
-	st := rt.Stats()
-	if st.CanaryTrips != 1 || st.IntegrityFailures != 1 {
-		t.Fatalf("CanaryTrips = %d IntegrityFailures = %d, want 1 and 1", st.CanaryTrips, st.IntegrityFailures)
-	}
-	if st.RecycleRefused != 0 {
-		t.Fatalf("RecycleRefused = %d: a trip is a quarantine, not a refusal", st.RecycleRefused)
-	}
-	if st.PoolIdleBytes != 0 {
-		t.Fatal("tripped buffer was parked")
-	}
-	if buf := rt.pool.get(len(out.Data)); buf != nil {
-		t.Fatal("tripped buffer came back out of the pool")
-	}
-}
-
-// A buffer the runtime never issued carries no guard words: Recycle
-// must refuse it (it can never be safely pooled) rather than trusting
-// the caller.
-func TestRecycleRefusesForeignBuffer(t *testing.T) {
-	rt := New(Config{})
-	rt.Recycle(tensor.New(4, 4))
-	if st := rt.Stats(); st.RecycleRefused != 1 || st.PoolIdleBytes != 0 {
-		t.Fatalf("foreign recycle: RecycleRefused = %d PoolIdleBytes = %d, want 1 and 0",
-			st.RecycleRefused, st.PoolIdleBytes)
-	}
-}
-
-// check must quarantine a checked-out buffer whose guards are gone
-// (the convAdmitted post-run path), and a parked array corrupted while
-// idle must be caught at get instead of being handed to a request.
-func TestBufferPoolCheckAndGetCatchTrips(t *testing.T) {
-	trips := 0
-	bp := newBufferPool(1<<20, func() { trips++ })
-
-	buf := bp.alloc(6)
-	bp.mu.Lock()
-	full := bp.outstanding[&buf[0]]
-	bp.mu.Unlock()
-	full[0] = 1 // head guard
-	if !bp.check(buf) {
-		t.Fatal("check missed an overwritten head guard")
-	}
-	if trips != 1 {
-		t.Fatalf("trips = %d after check, want 1", trips)
-	}
-	if parked, _ := bp.put(buf); parked {
-		t.Fatal("quarantined buffer was parked on a later put")
-	}
-
-	// Corrupt a parked array while idle.
-	buf2 := bp.alloc(6)
-	if parked, _ := bp.put(buf2); !parked {
-		t.Fatal("clean put refused")
-	}
-	bp.mu.Lock()
-	bp.bySize[6][0][0] = 7
-	bp.mu.Unlock()
-	if got := bp.get(6); got != nil {
-		t.Fatal("get handed out a buffer with overwritten guards")
-	}
-	if trips != 2 {
-		t.Fatalf("trips = %d after poisoned get, want 2", trips)
-	}
-}
-
 // The sentinel must detect an injected kernel miscompute on its golden
 // probe, quarantine the family out of dispatch, and restore it on the
 // first clean probe once the fault clears — all without an operator in

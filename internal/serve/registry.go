@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"ndirect/internal/conv"
 	"ndirect/internal/core"
 	"ndirect/internal/faultinject"
 	"ndirect/internal/nn"
@@ -40,8 +39,8 @@ type TenantConfig struct {
 // RegistryConfig configures a multi-tenant model Registry.
 type RegistryConfig struct {
 	// Runtime supplies the shared serving substrate: plan cache,
-	// activation-memory budget with its degradation ladder, buffer pool.
-	// Nil builds a default Runtime.
+	// manifest, integrity sentinel and engine thread count. Nil builds a
+	// default Runtime.
 	Runtime *Runtime
 	// MaxInFlight / MaxQueue size the tenant admission gate (see
 	// NewTenantGate; <= 0 selects one in-flight slot per core and an
@@ -52,9 +51,7 @@ type RegistryConfig struct {
 	// of all tenants' resident packed filters stays under it, enforced
 	// by LRU eviction across models (evicted weights re-pack
 	// bit-identically on next use). <= 0 disables the ceiling but keeps
-	// accounting. This budget is distinct from the Runtime's activation
-	// budget: weights are long-lived and evictable, activations are
-	// per-request and shed by the degradation ladder.
+	// accounting.
 	WeightLimitBytes int64
 	// QuarantineThreshold is the number of consecutive surfaced
 	// execution faults (worker panics, exec faults) after which a model
@@ -100,8 +97,8 @@ type modelEntry struct {
 
 // Registry is the multi-tenant model registry: tenants register
 // networks, infer against them under per-tenant QoS admission, and
-// share one weight-residency budget, one plan cache, one activation
-// budget and one worker pool. All methods are safe for concurrent use.
+// share one weight-residency budget, one plan cache and one worker
+// pool. All methods are safe for concurrent use.
 type Registry struct {
 	rt      *Runtime
 	gate    *TenantGate
@@ -579,21 +576,6 @@ func (r *Registry) Infer(ctx context.Context, tenant, model string, x *tensor.Te
 	out, err := e.net.TryForwardCtx(ctx, eng, x)
 	r.recordOutcome(e, probe, err)
 	return out, err
-}
-
-// Conv2DCtx runs one raw convolution for tenant under QoS admission
-// and the Runtime's activation-memory ladder (full → degraded →
-// reference → ErrOverloaded) — the per-op entry point the soak harness
-// drives to keep activation pressure and weight pressure churning at
-// once.
-func (r *Registry) Conv2DCtx(ctx context.Context, tenant string, s conv.Shape, in, filter *tensor.Tensor) (*tensor.Tensor, error) {
-	tc := r.tenantConfig(tenant)
-	release, err := r.gate.Acquire(ctx, tenant, tc.Class, tc.MaxOutstanding)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	return r.rt.convAdmitted(ctx, s, in, filter, nil)
 }
 
 // ResidentBytes returns a model's current resident packed-weight bytes

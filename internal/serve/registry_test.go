@@ -355,7 +355,7 @@ func TestRegistryQuarantineIsolatesFaultingModel(t *testing.T) {
 
 // TestRegistryConcurrentChurnRace is the -race target for the shared
 // caches: concurrent Infer traffic across tenants, forced evictions,
-// Pack/ReleasePacked churn on the shared runtime, and a tenant
+// plan-cache churn on the shared runtime, and a tenant
 // register/unregister loop with requests in flight. Every request must
 // finish bit-exact or fail with a typed sentinel, and after the drain
 // the weight budget must return to baseline (zero).
@@ -417,22 +417,25 @@ func TestRegistryConcurrentChurnRace(t *testing.T) {
 			}
 		}
 	}()
-	// Pack/ReleasePacked churn on the shared runtime plan cache.
+	// Plan-cache churn on the shared runtime: other batch sizes of the
+	// served shape, each packed and released.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		filter := testShape.NewFilter()
 		fillInts(filter, 88)
 		for i := 0; i < iters; i++ {
-			pf, err := r.Runtime().Pack(testShape, filter)
+			plan, err := r.Runtime().PlanCache().Get(testShape.WithBatch(1+i%3), core.Options{Threads: 2})
 			if err != nil {
-				if !errors.Is(err, core.ErrOverloaded) {
-					t.Errorf("pack: %v", err)
-					return
-				}
-				continue
+				t.Errorf("plan: %v", err)
+				return
 			}
-			r.Runtime().ReleasePacked(pf)
+			pf, err := plan.TransformFilter(filter)
+			if err != nil {
+				t.Errorf("pack: %v", err)
+				return
+			}
+			pf.Release()
 		}
 	}()
 	// Register/unregister churn with requests in flight.

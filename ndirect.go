@@ -71,14 +71,13 @@ var (
 	ErrCanceled = parallel.ErrCanceled
 	// ErrOverloaded: the serving runtime refused the request before
 	// doing any convolution work — admission control found the wait
-	// queue full (or no slot freed before the deadline), or the memory
-	// budget could not cover even the bottom rung of the degradation
-	// ladder. The request can be retried once load drains; no partial
-	// work was done.
+	// queue full, the tenant's outstanding cap reached, or no slot freed
+	// before the deadline. The request can be retried once load drains;
+	// no partial work was done.
 	ErrOverloaded = core.ErrOverloaded
 	// ErrIntegrity: detected silent data corruption — a packed filter
-	// failing its pack-time CRC32-C before consumption, a scratch or
-	// output-buffer canary overwritten by an out-of-bounds store, or a
+	// failing its pack-time CRC32-C before consumption, a scratch
+	// canary overwritten by an out-of-bounds store, or a
 	// kernel family diverging from the reference oracle on its golden
 	// probe. Never silently repaired at this level: the artifact may
 	// stay corrupt, so the owner must discard and rebuild it (the nn
@@ -125,23 +124,23 @@ func NewPlanCache(capacity int) *PlanCache { return core.NewPlanCache(capacity) 
 // hit/miss/eviction counters and population, via (*PlanCache).Stats.
 type PlanCacheStats = core.PlanCacheStats
 
-// Server is the overload-safe serving runtime: admission control with
-// a bounded deadline-aware wait queue, a global memory budget with an
-// explicit degradation ladder (pooled buffer → fresh allocation →
-// smaller-tile plan → reference path), and gated network forward
-// passes whose engine can quarantine failing baseline backends behind
-// circuit breakers. Requests that cannot be served within those
-// bounds fail fast with errors wrapping ErrOverloaded. See
-// internal/serve and the README's "Serving hardening" section.
+// Server is the serving runtime's single-model face: Forward runs a
+// network forward pass under admission control (a bounded in-flight
+// limit and a deadline-aware wait queue) on a Reuse nDirect engine that
+// shares the runtime's plan cache and executes governed plans. Requests
+// that cannot be admitted fail fast with errors wrapping ErrOverloaded.
+// Multi-tenant serving goes through serve.Registry on the same
+// runtime. See internal/serve and the README's "Serving hardening"
+// section.
 type Server = serve.Runtime
 
 // ServeConfig configures NewServer; the zero value gives one
-// in-flight request per core, an equal-size wait queue, accounting
-// without a memory ceiling, and a private plan cache.
+// in-flight request per core, an equal-size wait queue and a private
+// plan cache.
 type ServeConfig = serve.Config
 
-// ServeStats is the Server's counter snapshot (admission, memory,
-// ladder rungs, pool and plan-cache activity).
+// ServeStats is the Server's counter snapshot (admission, integrity
+// sentinel, worker-pool and plan-cache activity).
 type ServeStats = serve.Stats
 
 // NewServer builds an overload-safe serving runtime.

@@ -2,9 +2,11 @@ package ndirect
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"testing"
 
+	"ndirect/internal/nn"
 	"ndirect/internal/tensor"
 )
 
@@ -152,16 +154,16 @@ func TestPublicServerSmoke(t *testing.T) {
 	want := Conv2D(s, in, w, Options{})
 
 	srv := NewServer(ServeConfig{})
-	got, err := srv.TryConv2D(s, in, w)
+	net := &nn.Network{Name: "one", Layers: []nn.Layer{&nn.ConvUnit{LayerName: "conv1", Shape: s, Weights: w}}}
+	got, err := srv.Forward(context.Background(), net, in)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d := tensor.MaxAbsDiff(want, got); d != 0 {
 		t.Fatalf("served result differs from seed path by %g, want bit-identical", d)
 	}
-	srv.Recycle(got)
 	st := srv.Stats()
-	if st.Gate.Admitted != 1 || st.FullRuns != 1 || st.MemInUse != 0 {
+	if st.Gate.Admitted != 1 || st.Gate.InFlight != 0 {
 		t.Fatalf("unexpected serve stats: %+v", st)
 	}
 	if st.PlanCache.Misses == 0 {

@@ -103,7 +103,7 @@ go run ./cmd/ndtune -shape 8,16,16,16,3,3,1,1 -trials 6 -population 4 -generatio
     -threads 2 -seed 1 -manifest "$MANIFEST"
 go run ./cmd/ndserve -selftest -manifest "$MANIFEST"
 
-echo "==> ndsoak integrity smoke (8s, silent-corruption drills + sentinel loop)"
+echo "==> ndsoak integrity smoke (8s registry soak: fault storm, silent-corruption drills, sentinel loop)"
 go run ./cmd/ndsoak -duration 8s -integrity -storm -clients 8
 
 echo "OK: all checks passed"
