@@ -7,13 +7,11 @@ import (
 	"ndirect/internal/tensor"
 )
 
-// Memory-budget hooks for the serving layer (internal/serve). The
-// paper's whole argument is explicit resource budgeting — register and
-// cache tiles sized to the hardware by Equations 1–4 — and a serving
-// process extends that discipline one level up: before a request is
-// executed, the bytes its plan will touch are charged against a global
-// ceiling. These methods expose the sizes the accountant needs; the
-// policy (the degradation ladder) lives in internal/serve.
+// A plan's byte sizes and its reference executor. The sizes report what
+// an execution and the plan's packed weights occupy — the serving
+// registry's weight-residency budget quotes PackedBytes before a pack is
+// allocated — and TryExecuteReferenceCtx runs the plan's convolution on
+// the naive loop for the reference engine (nn.Engine.ForceReference).
 
 // ScratchBytes returns an upper bound on the transient worker-scratch
 // memory one execution of the plan allocates: the per-worker
@@ -50,14 +48,14 @@ func (p *Plan) PackedBytes() int64 {
 // TryExecuteReferenceCtx computes the plan's convolution with the
 // naive seven-loop algorithm directly into out — no worker grid, no
 // scratch buffers, no fresh output publication — replaying the plan's
-// fused epilogue. It is the bottom rung of the serving memory-
-// degradation ladder: when the budget cannot cover even a degraded
-// tile plan's scratch, this path needs only the output the caller was
-// owed anyway. Accumulation is float64 in the same (c, r, s) order as
-// conv.Reference, so its results are bit-identical to the reference
-// oracle. The context is polled between output rows; expiry returns
-// an error wrapping conv.ErrDeadline and the context's cause. NCHW
-// only (the layout the serving entry points use).
+// fused epilogue. It is the path of a reference engine
+// (nn.Engine.ForceReference), the registry's quarantine rung: it needs
+// only the output the caller was owed anyway. Accumulation is float64
+// in the same (c, r, s) order as conv.Reference, so its results are
+// bit-identical to the reference oracle. The context is polled between
+// output rows; expiry returns an error wrapping conv.ErrDeadline and
+// the context's cause. NCHW only (the layout the serving entry points
+// use).
 func (p *Plan) TryExecuteReferenceCtx(ctx context.Context, in, filter *tensor.Tensor, out *tensor.Tensor) error {
 	if err := conv.ValidateOperands(p.Shape, in, filter); err != nil {
 		return err

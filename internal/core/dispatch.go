@@ -6,9 +6,11 @@ package core
 // stride) families, five for the standard 12×8 register file and two
 // for depthwise (dwkernel.go). A standard family's body is the AVX2
 // vector body (kernel_amd64.s) and its tile store the AVX2 store
-// epilogue (store_amd64.s) where the host has them; everywhere else the
-// family has no body of its own and its plans run the looped Go kernel
-// bound to their (S, stride) with the portable Go store (store.go). The
+// epilogue (store_amd64.s) where the host has them, and a depthwise
+// family's the AVX2 depthwise body (dwkernel_amd64.s); everywhere else
+// the family has no body of its own and its plans run the looped Go
+// kernel bound to their (S, stride) with the portable Go store
+// (store.go), or the depthwisePlaneRange oracle. The
 // choice is made once, at init, from what the CPU reports. A plan binds
 // its family once, at construction, from its own loop constants — no
 // registration, no per-shape table — and this file is the only place
@@ -49,13 +51,15 @@ type specializedKernel func(acc *accFile8, buf, tf []float32, rows, vwEff, pitch
 // channels kBase..kBase+7 all exist.
 type tileStore func(acc *accFile8, dst, res []float32, ep *epilogue, kBase, stride, vwEff int, nchw, accumulate bool)
 
-// kernelFamily is one body and the (R, S, stride) it serves. A depthwise
-// family sets dwKern; a standard 12×8 family's kern and store are the
+// kernelFamily is one body and the (R, S, stride) it serves. A standard
+// 12×8 family's kern and store, and a depthwise family's dwKern, are the
 // vector routines, bound at init, or nil on a host without them (the
-// plan's looped kernel12x8 and the portable Go store run).
+// plan's looped kernel12x8 and the portable Go store run, or
+// depthwisePlaneRange).
 type kernelFamily struct {
 	name      string
 	r, s, str int
+	depthwise bool
 	kern      specializedKernel
 	store     tileStore
 	dwKern    depthwiseKernel
@@ -78,19 +82,21 @@ var kernelFamilies = []*kernelFamily{
 	{name: "12x8.r1s1.s1", r: 1, s: 1, str: 1},
 	{name: "12x8.r1s1.s2", r: 1, s: 1, str: 2},
 	{name: "12x8.r7s7.s2", r: 7, s: 7, str: 2},
-	{name: "dw.r3s3.s1", r: 3, s: 3, str: 1, dwKern: dwKernel3x3s1},
-	{name: "dw.r3s3.s2", r: 3, s: 3, str: 2, dwKern: dwKernel3x3s2},
+	{name: "dw.r3s3.s1", r: 3, s: 3, str: 1, depthwise: true},
+	{name: "dw.r3s3.s2", r: 3, s: 3, str: 2, depthwise: true},
 }
 
 // On a host with the vector body every standard family runs it, bound
 // to the family's (S, stride), and stores its tiles with the vector
-// store.
+// store; both depthwise families run the vector depthwise body.
 func init() {
 	if !hasVectorBody {
 		return
 	}
 	for _, f := range kernelFamilies {
-		if f.dwKern == nil {
+		if f.depthwise {
+			f.dwKern = vectorDepthwise3x3
+		} else {
 			f.kern = vectorKernel(f.s, f.str)
 			f.store = vectorStore
 		}
@@ -104,9 +110,9 @@ func vectorKernel(s, str int) specializedKernel {
 	}
 }
 
-// KernelISA names the instruction set the standard kernel families run
-// in this process: "avx2" for the vector body, "go" for the looped Go
-// kernel. Family names do not change with it.
+// KernelISA names the instruction set the kernel families run in this
+// process: "avx2" for the vector bodies, "go" for the looped Go kernel
+// and the depthwise oracle. Family names do not change with it.
 func KernelISA() string {
 	if hasVectorBody {
 		return "avx2"
@@ -122,7 +128,7 @@ var dispatchHits, dispatchMisses atomic.Uint64
 // none is written for them.
 func familyFor(s conv.Shape, depthwise bool) *kernelFamily {
 	for _, f := range kernelFamilies {
-		if (f.dwKern != nil) == depthwise && f.r == s.R && f.s == s.S && f.str == s.Str {
+		if f.depthwise == depthwise && f.r == s.R && f.s == s.S && f.str == s.Str {
 			return f
 		}
 	}
@@ -170,7 +176,7 @@ func (p *Plan) body() (specializedKernel, tileStore) {
 // dwBody is body's depthwise twin; the fallback is the
 // depthwisePlaneRange oracle loop.
 func dwBody(f *kernelFamily) depthwiseKernel {
-	if f.live() {
+	if f.live() && f.dwKern != nil {
 		return f.dwKern
 	}
 	return depthwisePlaneRange
@@ -259,7 +265,7 @@ func RestoreKernelFamily(name string) bool {
 // whatever the live flag says, which is what makes the probe usable as
 // the restore check.
 func (f *kernelFamily) probeCopy() *kernelFamily {
-	return &kernelFamily{name: f.name, r: f.r, s: f.s, str: f.str, kern: f.kern, store: f.store, dwKern: f.dwKern}
+	return &kernelFamily{name: f.name, r: f.r, s: f.s, str: f.str, depthwise: f.depthwise, kern: f.kern, store: f.store, dwKern: f.dwKern}
 }
 
 // familyProbe is one family's golden-probe state — a plan bound to a
@@ -320,7 +326,7 @@ func VerifyKernelFamily(name string) error {
 	kp := f.probe
 	if kp == nil {
 		build := newStandardProbe
-		if f.dwKern != nil {
+		if f.depthwise {
 			build = newDepthwiseProbe
 		}
 		var err error

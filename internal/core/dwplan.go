@@ -131,8 +131,7 @@ func validateChannelEpilogue(fe *EpilogueParams, ch int, stage string, residualO
 // quarantined).
 func (p *DepthwisePlan) KernelName() string { return dwKernelName(p.family) }
 
-// OutputBytes returns the byte size of the plan's output tensor (the
-// serve-layer admission ladder's per-request footprint input).
+// OutputBytes returns the byte size of the plan's output tensor.
 func (p *DepthwisePlan) OutputBytes() int64 {
 	s := p.Shape
 	return 4 * int64(s.N) * int64(s.C) * int64(s.P()) * int64(s.Q())
@@ -362,13 +361,19 @@ func (pf *PackedDepthwiseFilter) validateFor(s conv.Shape) error {
 	return nil
 }
 
+// depthwiseProbeShape is a depthwise family's golden probe plane: 23
+// columns give both strides at least two 8-wide vector blocks, the last
+// one ragged, with a halo column on each side (stride 1: columns 1–21 in
+// blocks, stride 2: 1–10), and 13 rows a top and a bottom edge row.
+func depthwiseProbeShape(f *kernelFamily) conv.Shape {
+	return conv.Shape{N: 1, C: 5, H: 13, W: 23, K: 5, R: f.r, S: f.s, Str: f.str, Pad: 1}
+}
+
 // newDepthwiseProbe builds the golden probe for a depthwise family
-// (VerifyKernelFamily): small, padded, with a ragged Q tail (11 = 2·4+3
-// at stride 1) so the vector interior, the guarded halo and the scalar
-// tail all run, compared against the depthwisePlaneRange oracle (the
-// pre-plan scalar loop).
+// (VerifyKernelFamily): the body over depthwiseProbeShape, compared
+// against the depthwisePlaneRange oracle.
 func newDepthwiseProbe(f *kernelFamily) (*familyProbe, error) {
-	s := conv.Shape{N: 1, C: 5, H: 11, W: 11, K: 5, R: f.r, S: f.s, Str: f.str, Pad: 1}
+	s := depthwiseProbeShape(f)
 	p, err := TryNewDepthwisePlan(s, Options{Threads: 1})
 	if err != nil {
 		return nil, err

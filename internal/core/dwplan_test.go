@@ -409,20 +409,67 @@ func TestDepthwiseKernelFamilySentinel(t *testing.T) {
 	}
 }
 
-// TestDepthwiseKernelMiscompute arms the kernel-miscompute fault and
-// proves VerifyKernelFamily fails typed on the depthwise family.
+// TestDepthwiseKernelMiscompute proves VerifyKernelFamily fails typed
+// — the evidence the integrity sentinel quarantines on — for each
+// depthwise family: under the armed kernel-miscompute fault, and with a
+// body that miscomputes only what its 8-wide vector blocks store (the
+// last block column of every row). Quarantined, the family's plans run
+// the oracle and store the right bits; restored to a sound body, the
+// probe is clean again.
 func TestDepthwiseKernelMiscompute(t *testing.T) {
 	defer faultinject.Reset()
-	if err := VerifyKernelFamily("dw.r3s3.s2"); err != nil {
-		t.Fatalf("clean probe: %v", err)
-	}
-	faultinject.Arm(faultinject.KernelMiscompute, 0)
-	if err := VerifyKernelFamily("dw.r3s3.s2"); !errors.Is(err, ErrIntegrity) {
-		t.Fatalf("miscompute probe = %v, want ErrIntegrity", err)
-	}
-	faultinject.Reset()
-	if err := VerifyKernelFamily("dw.r3s3.s2"); err != nil {
-		t.Fatalf("probe after reset: %v", err)
+	for _, name := range []string{"dw.r3s3.s1", "dw.r3s3.s2"} {
+		if err := VerifyKernelFamily(name); err != nil {
+			t.Fatalf("%s: clean probe: %v", name, err)
+		}
+		faultinject.Arm(faultinject.KernelMiscompute, 0)
+		if err := VerifyKernelFamily(name); !errors.Is(err, ErrIntegrity) {
+			t.Fatalf("%s: miscompute probe = %v, want ErrIntegrity", name, err)
+		}
+		faultinject.Reset()
+
+		f := familyByName(name)
+		sound := f.dwKern
+		rebind := func(k depthwiseKernel) {
+			probeMu.Lock()
+			f.dwKern, f.probe = k, nil // the probe binds a copy of the body: rebuild it
+			probeMu.Unlock()
+		}
+		body := sound
+		if body == nil {
+			body = depthwisePlaneRange // no vector body on this host
+		}
+		t.Cleanup(func() { rebind(sound); RestoreKernelFamily(name) })
+		rebind(func(s conv.Shape, in, filter, dst []float32, h0, h1 int) {
+			body(s, in, filter, dst, h0, h1)
+			if lo, hi := dwVectorColumns(s); lo < hi {
+				for row := 0; row < h1-h0; row++ {
+					dst[row*s.Q()+hi-1]++
+				}
+			}
+		})
+		if err := VerifyKernelFamily(name); !errors.Is(err, ErrIntegrity) {
+			t.Fatalf("%s: a body miscomputing its vector blocks probes %v, want ErrIntegrity", name, err)
+		}
+		QuarantineKernelFamily(name)
+		s := conv.Shape{N: 1, C: 3, H: 20, W: 30, K: 3, R: 3, S: 3, Str: f.str, Pad: 1}
+		in, filter := dwOperands(s, 41)
+		p, err := TryNewDepthwisePlan(s, Options{Threads: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := tensor.New(s.N, s.C, s.P(), s.Q())
+		if err := p.TryExecute(in, filter, out); err != nil {
+			t.Fatal(err)
+		}
+		RestoreKernelFamily(name)
+		rebind(sound)
+		if d := tensor.MaxAbsDiff(out, dwOracle(s, in, filter, nil)); d != 0 {
+			t.Fatalf("%s quarantined: output differs from the oracle by %g", name, d)
+		}
+		if err := VerifyKernelFamily(name); err != nil {
+			t.Fatalf("%s: probe after restoring the body: %v", name, err)
+		}
 	}
 }
 

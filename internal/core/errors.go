@@ -23,11 +23,11 @@ var (
 	ErrExecFault = errors.New("core: execution fault")
 	// ErrOverloaded reports that the serving runtime refused the
 	// request before doing any convolution work: admission control
-	// could not grant an execution slot before the caller's deadline
-	// (or the wait queue was full), or the global memory budget could
-	// not cover even the bottom rung of the degradation ladder. It is
-	// the fail-fast sentinel of internal/serve; overload rejections
-	// are cheap by construction (no goroutines spawned, no buffers
+	// could not grant an execution slot before the caller's deadline,
+	// its wait queue was full, or the tenant was at its outstanding
+	// cap. It is the fail-fast sentinel of internal/serve; overload
+	// rejections are
+	// cheap by construction (no goroutines spawned, no buffers
 	// allocated) so callers can shed load and retry elsewhere.
 	ErrOverloaded = errors.New("core: overloaded")
 	// ErrWeightsReleased reports an attempt to execute with a

@@ -1,5 +1,11 @@
 package core
 
+import (
+	"fmt"
+
+	"ndirect/internal/conv"
+)
+
 // hasVectorBody reports whether this process can run the AVX2 body of
 // kernel_amd64.s: the CPU implements AVX2 and the OS saves the YMM
 // state across context switches.
@@ -41,4 +47,27 @@ func vector12x8(acc *accFile8, buf, tf []float32, rows, s, str, vwEff, pitch int
 	_ = buf[(rows-1)*pitch+(vwEff-1)*str+s-1]
 	_ = tf[rows*s*8-1]
 	kernel12x8AVX2(acc, &buf[0], &tf[0], rows, s, str, pitch, vwEff)
+}
+
+//go:noescape
+func kernelDepthwise3x3AVX2(in, filter, dst *float32, w, h, str, pad, q, h0, h1, lo, hi int)
+
+// vectorDepthwise3x3 is depthwisePlaneRange for a 3×3 filter at stride 1
+// or 2 on the AVX2 body of dwkernel_amd64.s: same operands, same output
+// bits. Like vector12x8 it is the Go side of the assembly boundary: one
+// bounds check on the last element each operand is touched at. The body
+// reads only input rows in [0, H) and columns in [0, W).
+func vectorDepthwise3x3(s conv.Shape, in, filter, dst []float32, h0, h1 int) {
+	if s.R != 3 || s.S != 3 || s.Str < 1 || s.Str > 2 {
+		panic(fmt.Sprintf("core: 3×3 depthwise body bound to %v", s))
+	}
+	if h0 >= h1 {
+		return
+	}
+	q := s.Q()
+	_ = in[s.H*s.W-1]
+	_ = filter[8]
+	_ = dst[(h1-h0)*q-1]
+	lo, hi := dwVectorColumns(s)
+	kernelDepthwise3x3AVX2(&in[0], &filter[0], &dst[0], s.W, s.H, s.Str, s.Pad, q, h0, h1, lo, hi)
 }

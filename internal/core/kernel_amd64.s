@@ -51,8 +51,13 @@
 
 // NEST is the rows × S loop nest over one fixed column count; it never
 // touches a column at or past that count. The filter cursor runs
-// straight through the block: taps are contiguous across rows.
+// straight through the block: taps are contiguous across rows. Each nest
+// is entered by a jump, so the padding that starts the row loop on a
+// 64-byte line never executes, and the tap loop head sits six bytes into
+// that same line: both heads keep one placement whatever code moves
+// around them.
 #define NEST(row, tap, COLS) \
+	PCALIGN $64; \
 row: \
 	MOVQ SI, AX; \
 	MOVQ R8, R9; \

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
+	"ndirect/internal/conv"
 	"ndirect/internal/simd"
 )
 
@@ -172,6 +174,35 @@ func BenchmarkStoreTile(b *testing.B) {
 					sinkV[0] = out[0]
 				})
 			}
+		}
+	}
+}
+
+// Direct depthwise-body A/B: one whole plane of MobileNet rows 29
+// (112×112, stride 1) and 31 (56×56, stride 2) per iteration, the
+// oracle against the vector body.
+func BenchmarkDepthwiseBodies(b *testing.B) {
+	for _, s := range []conv.Shape{
+		{N: 1, C: 1, H: 112, W: 112, K: 1, R: 3, S: 3, Str: 1, Pad: 1},
+		{N: 1, C: 1, H: 56, W: 56, K: 1, R: 3, S: 3, Str: 2, Pad: 1},
+	} {
+		in, filter, out := make([]float32, s.H*s.W), make([]float32, 9), make([]float32, s.P()*s.Q())
+		fillProbe(in, 1)
+		fillProbe(filter, 2)
+		flops := float64(2 * 9 * s.P() * s.Q())
+		for _, body := range []struct {
+			name string
+			run  depthwiseKernel
+		}{{"oracle", depthwisePlaneRange}, {"vector", vectorDepthwise3x3}} {
+			b.Run(fmt.Sprintf("%dx%d.s%d/%s", s.H, s.W, s.Str, body.name), func(b *testing.B) {
+				if body.name == "vector" && !hasVectorBody {
+					b.Skip("no vector body on this host")
+				}
+				for i := 0; i < b.N; i++ {
+					body.run(s, in, filter, out, 0, s.P())
+				}
+				b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
+			})
 		}
 	}
 }

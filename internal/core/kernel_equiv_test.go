@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"ndirect/internal/conv"
 )
 
 // bodyImpl is one implementation of the V_k=8 main micro-kernel body in
@@ -143,23 +145,32 @@ func TestBodyRejectsBadExtents(t *testing.T) {
 	}
 }
 
-// TestVectorBodyProvesExtents: the Go wrapper, not the assembly, is what
-// stands between a short operand and an out-of-bounds read — it must
-// panic before the body runs.
+// TestVectorBodyProvesExtents: the Go wrappers, not the assembly, are
+// what stands between a short operand and an out-of-bounds access — the
+// main body's and the depthwise body's must panic before the body runs.
 func TestVectorBodyProvesExtents(t *testing.T) {
 	if !hasVectorBody {
 		t.Skip("no vector body on this host")
 	}
 	rng := rand.New(rand.NewSource(2))
 	_, buf, tf := bodyOperands(rng, 4, 3, 2, 12, 25, false)
+	// The depthwise body: a 20×30 plane, output rows [2, 7) of 10×15.
+	dw := conv.Shape{N: 1, C: 1, H: 20, W: 30, K: 1, R: 3, S: 3, Str: 2, Pad: 1}
+	in, filter, dst := make([]float32, dw.H*dw.W), make([]float32, 9), make([]float32, 5*dw.Q())
 	for name, call := range map[string]func(acc *accFile8){
-		"short buf": func(acc *accFile8) { vector12x8(acc, buf[:len(buf)-1], tf, 4, 3, 2, 12, 25) },
-		"short tf":  func(acc *accFile8) { vector12x8(acc, buf, tf[:len(tf)-1], 4, 3, 2, 12, 25) },
+		"short buf":      func(acc *accFile8) { vector12x8(acc, buf[:len(buf)-1], tf, 4, 3, 2, 12, 25) },
+		"short tf":       func(acc *accFile8) { vector12x8(acc, buf, tf[:len(tf)-1], 4, 3, 2, 12, 25) },
+		"depthwise in":   func(*accFile8) { vectorDepthwise3x3(dw, in[:len(in)-1], filter, dst, 2, 7) },
+		"depthwise taps": func(*accFile8) { vectorDepthwise3x3(dw, in, filter[:8], dst, 2, 7) },
+		"depthwise dst":  func(*accFile8) { vectorDepthwise3x3(dw, in, filter, dst[:len(dst)-1], 2, 7) },
+		"depthwise shape": func(*accFile8) {
+			vectorDepthwise3x3(conv.Shape{H: 20, W: 30, R: 3, S: 3, Str: 3}, in, filter, dst, 2, 7)
+		},
 	} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Fatalf("%s: vector12x8 did not panic", name)
+					t.Fatalf("%s: the wrapper did not panic", name)
 				}
 			}()
 			var acc accFile8

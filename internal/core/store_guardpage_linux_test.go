@@ -9,6 +9,8 @@ import (
 	"syscall"
 	"testing"
 	"unsafe"
+
+	"ndirect/internal/conv"
 )
 
 // guardedFloats returns n floats whose last element is the last word
@@ -71,6 +73,68 @@ func TestVectorStoreStopsAtGuardPage(t *testing.T) {
 			for i := range dst {
 				if math.Float32bits(dst[i]) != math.Float32bits(want[i]) {
 					t.Fatalf("nchw=%v vwEff=%d: element %d = %g, the Go store writes %g", nchw, vwEff, i, dst[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// guardedFloatsAfter returns n floats whose first element is the first
+// word after an inaccessible page: any access before the slice faults.
+func guardedFloatsAfter(t *testing.T, n int) []float32 {
+	t.Helper()
+	page := syscall.Getpagesize()
+	data := (4*n + page - 1) / page * page
+	mem, err := syscall.Mmap(-1, 0, page+data, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
+	if err != nil {
+		t.Skipf("mmap: %v", err)
+	}
+	t.Cleanup(func() { _ = syscall.Munmap(mem) }) // test memory: nothing to do about a failed unmap
+	if err := syscall.Mprotect(mem[:page], syscall.PROT_NONE); err != nil {
+		t.Skipf("mprotect: %v", err)
+	}
+	return unsafe.Slice((*float32)(unsafe.Pointer(&mem[page])), n)
+}
+
+// The vector depthwise body touches nothing outside the input plane and
+// the destination rows: with the plane's first word right after a
+// PROT_NONE page, or its last right before one, and the destination
+// ending at one, every stride, pad and width — halo columns, ragged
+// last blocks, edge rows — stores the oracle's bits without a fault.
+func TestVectorDepthwiseStaysInPlane(t *testing.T) {
+	if !hasVectorBody {
+		t.Skip("no vector depthwise body on this host")
+	}
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	rng := rand.New(rand.NewSource(9))
+	filter := []float32{0.5, -1, 2, 0.25, 1, -0.5, 1.5, -2, 0.75}
+	for _, str := range []int{1, 2} {
+		for pad := 0; pad <= 2; pad++ {
+			for _, w := range []int{3, 8, 9, 10, 17, 26, 33} {
+				for _, h := range []int{3, 10} {
+					s := conv.Shape{N: 1, C: 1, H: h, W: w, K: 1, R: 3, S: 3, Str: str, Pad: pad}
+					n := s.P() * s.Q()
+					want := make([]float32, n)
+					for _, in := range [][]float32{guardedFloats(t, h*w), guardedFloatsAfter(t, h*w)} {
+						for i := range in {
+							in[i] = rng.Float32() - 0.5
+						}
+						depthwisePlaneRange(s, in, filter, want, 0, s.P())
+						dst := guardedFloats(t, n)
+						func() {
+							defer func() {
+								if r := recover(); r != nil {
+									t.Fatalf("%v: the vector depthwise body faulted outside its operands: %v", s, r)
+								}
+							}()
+							vectorDepthwise3x3(s, in, filter, dst, 0, s.P())
+						}()
+						for i := range dst {
+							if math.Float32bits(dst[i]) != math.Float32bits(want[i]) {
+								t.Fatalf("%v: output %d = %g, depthwisePlaneRange stores %g", s, i, dst[i], want[i])
+							}
+						}
+					}
 				}
 			}
 		}

@@ -186,8 +186,8 @@ func modelKey(tenant, model string) string { return tenant + "\x00" + model }
 // charged against the shared weight budget — unless the Runtime was
 // built with a tuning manifest, in which case every manifest-covered
 // conv unit is warmed eagerly (plan cache entry, per-unit plan memo,
-// packed weights, specialized kernel registration) before the model
-// becomes visible, so covered traffic never pays planning latency.
+// packed weights) before the model becomes visible, so covered traffic
+// never pays planning latency.
 func (r *Registry) Register(tenant, model string, net *nn.Network) error {
 	if tenant == "" || model == "" {
 		return fmt.Errorf("%w: empty tenant or model name", core.ErrBadOptions)

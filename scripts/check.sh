@@ -30,10 +30,19 @@ done
 # check reads the bytes it prints: every FMA3 instruction is
 # C4 [RXB.00010] [W.vvvv.L.01] followed by an opcode in 96-9F, A6-AF or
 # B6-BF. The first grep is the positive control (VFMADD231PS Y0,Y0,Y0).
+# The scan selects symbols by name, so every assembly routine of
+# internal/core but the two CPUID helpers must carry one of its prefixes:
+# a routine named outside them would never be scanned.
 if [ "$(go env GOARCH)" = amd64 ]; then
     echo "==> no fused multiply-add in the kernel and store symbols of internal/core"
     FMA3='c4 [02468ace]2 [0-9a-f][159d] (9[6-9a-f]|a[6-9a-f]|b[6-9a-f])'
     echo "c4 e2 7d b8 c0" | grep -Eq "$FMA3" || { echo "FAIL: the FMA3 pattern misses VFMADD231PS" >&2; exit 1; }
+    for sym in $(sed -n 's/^TEXT ·\([A-Za-z0-9_]*\)(SB).*/\1/p' internal/core/*.s); do
+        case $sym in
+        cpuid | xgetbv | kernel* | vector* | store*) ;;
+        *) echo "FAIL: assembly routine $sym is outside the no-FMA scan's kernel|vector|store names" >&2; exit 1 ;;
+        esac
+    done
     COREBIN=$(mktemp "${TMPDIR:-/tmp}/ndirect-core.XXXXXX.test")
     go test -c -o "$COREBIN" ./internal/core
     CODE=$(go tool objdump -s 'internal/core\.(kernel|vector|store)' "$COREBIN" |
@@ -92,6 +101,9 @@ go test -run='^$' -fuzz=FuzzVectorBody -fuzztime=10s ./internal/core
 
 echo "==> fuzz smoke: FuzzVectorStore (10s, the vector tile store vs the Go store)"
 go test -run='^$' -fuzz=FuzzVectorStore -fuzztime=10s ./internal/core
+
+echo "==> fuzz smoke: FuzzDepthwiseBody (10s, the vector depthwise body vs depthwisePlaneRange)"
+go test -run='^$' -fuzz=FuzzDepthwiseBody -fuzztime=10s ./internal/core
 
 echo "==> ndserve selftest (multi-tenant HTTP lifecycle + concurrent burst)"
 go run ./cmd/ndserve -selftest
