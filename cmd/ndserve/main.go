@@ -17,6 +17,10 @@
 //	GET    /v1/stats
 //	GET    /healthz                        200 ok / 503 degraded, with integrity detail
 //
+// /v1/infer answers {"dims":[...],"data":[...]}, byte for byte what
+// encoding/json writes for the output tensor, or 422 naming the first
+// element when the output holds a NaN or ±Inf, which JSON cannot carry.
+//
 // /healthz reflects the silent-corruption defense (DESIGN.md §12): it
 // reports degraded (HTTP 503, so a load balancer can rotate the
 // replica out) while any kernel family or model is under integrity
@@ -92,6 +96,8 @@ type inferRequest struct {
 	Data []float32 `json:"data,omitempty"`
 }
 
+// inferResponse is the /v1/infer body; writeInferResponse writes it
+// without building one.
 type inferResponse struct {
 	Dims []int     `json:"dims"`
 	Data []float32 `json:"data"`
@@ -298,7 +304,7 @@ func (s *server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	writeJSON(w, inferResponse{Dims: out.Dims, Data: out.Data})
+	writeInferResponse(w, out.Dims, out.Data)
 }
 
 func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {

@@ -4,7 +4,8 @@
 # engine path (with and without the integrity sentinel + sampled
 # checksum verification running) and the small-shape steady path must
 # report exactly 0 allocs/op (the deterministic counterpart assertion
-# is core.TestSteadyStateZeroAllocs, run first). A regression that
+# is core.TestSteadyStateZeroAllocs, run first), and so must ndserve's
+# /v1/infer response appender. A regression that
 # makes the hot loop allocate fails this script even when it is too
 # small to move wall-clock benchmarks.
 set -eu
@@ -24,11 +25,21 @@ go test -run '^$' -bench 'EngineSteadyState/packed-pooled|SmallConvServing/stead
 out=$(go test -run '^$' -bench 'EngineSteadyState/packed-pooled|SmallConvServing/steady|SeparableSteadyState/fused' -benchtime=100x .)
 echo "$out"
 
+# The /v1/infer response appender writes into a caller's buffer: with
+# the buffer grown once, an integral and a fractional response both
+# append without allocating.
+echo "==> /v1/infer response appender (100 measured iterations, allocs gate)"
+wire=$(go test -run '^$' -bench 'InferResponse$' -benchtime=100x ./cmd/ndserve)
+echo "$wire"
+out="$out
+$wire"
+
 # The -[0-9]+ alternative covers the GOMAXPROCS>1 name suffix; the
 # bare-name alternative covers single-proc runs. Anchoring on the
 # following whitespace keeps packed-pooled from matching its
 # -sentinel sibling.
-for bench in packed-pooled packed-pooled-sentinel SmallConvServing/steady SeparableSteadyState/fused; do
+for bench in packed-pooled packed-pooled-sentinel SmallConvServing/steady SeparableSteadyState/fused \
+    InferResponse/integral InferResponse/nonintegral; do
     line=$(echo "$out" | grep -E "$bench(-[0-9]+)?[[:space:]]" || true)
     if [ -z "$line" ]; then
         echo "FAIL: benchmark $bench did not run" >&2
@@ -43,4 +54,4 @@ for bench in packed-pooled packed-pooled-sentinel SmallConvServing/steady Separa
     esac
 done
 
-echo "OK: steady-state paths allocation-free"
+echo "OK: steady-state paths and the response appender allocation-free"

@@ -105,6 +105,9 @@ go test -run='^$' -fuzz=FuzzVectorStore -fuzztime=10s ./internal/core
 echo "==> fuzz smoke: FuzzDepthwiseBody (10s, the vector depthwise body vs depthwisePlaneRange)"
 go test -run='^$' -fuzz=FuzzDepthwiseBody -fuzztime=10s ./internal/core
 
+echo "==> fuzz smoke: FuzzInferResponse (10s, ndserve's /v1/infer response appender vs encoding/json)"
+go test -run='^$' -fuzz=FuzzInferResponse -fuzztime=10s ./cmd/ndserve
+
 echo "==> ndserve selftest (multi-tenant HTTP lifecycle + concurrent burst)"
 go run ./cmd/ndserve -selftest
 
