@@ -618,42 +618,3 @@ func BenchmarkSmallConvServing(b *testing.B) {
 		}
 	})
 }
-
-// --- Warm-start manifests: plan resolution cost for a covered shape
-// (EXPERIMENTS.md warm-start table; scripts/bench_json.sh records this
-// into BENCH_steady.json) ---
-
-func BenchmarkWarmStartPlan(b *testing.B) {
-	// The manifest selftest shape: small enough that cold planning cost
-	// is dominated by analysis, which is exactly what a warm start
-	// removes from the serving path.
-	s := conv.Shape{N: 1, C: 8, H: 16, W: 16, K: 16, R: 3, S: 3, Str: 1, Pad: 1}
-	opt := core.Options{Threads: 1}
-
-	// cold: full plan construction per request — what the first request
-	// for every uncovered shape pays.
-	b.Run("cold-plan", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := core.TryNewPlan(s, opt); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-
-	// warm: the same shape resolved through a pre-warmed plan cache —
-	// the steady-state path after `ndserve -manifest` startup.
-	b.Run("manifest-hit", func(b *testing.B) {
-		cache := core.NewPlanCache(0)
-		if _, err := cache.Get(s, opt); err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := cache.Get(s, opt); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}

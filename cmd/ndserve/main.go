@@ -51,7 +51,6 @@ import (
 	"sync"
 	"time"
 
-	"ndirect/internal/autotune"
 	"ndirect/internal/conv"
 	"ndirect/internal/core"
 	"ndirect/internal/faultinject"
@@ -367,21 +366,9 @@ func main() {
 	quarCooldown := flag.Duration("quar-cooldown", 30*time.Second, "quarantine cooldown before a probe")
 	batchWindow := flag.Duration("batch-window", 0, "Deprecated: ignored; kept until benchmark/ stops setting it")
 	flag.Int("batch-max", 0, "Deprecated: ignored; kept until benchmark/ stops setting it")
-	manifestPath := flag.String("manifest", "", "warm-start tuning manifest (ndtune -manifest output); covered shapes serve with pre-built plans and specialized kernels")
 	sentinel := flag.Duration("sentinel", time.Second, "integrity sentinel probe interval (0 = disabled); probes run only while the admission gate is idle")
 	selftest := flag.Bool("selftest", false, "run the scripted multi-tenant exercise against a loopback server and exit")
 	flag.Parse()
-
-	var manifest *autotune.Manifest
-	if *manifestPath != "" {
-		m, err := autotune.ReadManifestFile(*manifestPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ndserve: loading manifest %s: %v\n", *manifestPath, err)
-			os.Exit(1)
-		}
-		manifest = m
-		fmt.Printf("ndserve: manifest %s: %d tuned shape(s)\n", *manifestPath, len(m.Entries))
-	}
 
 	if *batchWindow > 0 {
 		fmt.Printf("ndserve: -batch-window %v ignored: every request runs as its own execution\n", *batchWindow)
@@ -396,7 +383,6 @@ func main() {
 		MaxQueue:         *queue,
 		SentinelInterval: *sentinel,
 		Options:          core.Options{Threads: *threads},
-		Manifest:         manifest,
 	})
 	defer rt.Close()
 	s := &server{
@@ -642,46 +628,6 @@ func runSelftest(s *server) error {
 	}
 	if err := do("DELETE", "/v1/models/alice/sep", nil, http.StatusNoContent, nil); err != nil {
 		return err
-	}
-
-	// Warm-start phase (only with -manifest): a model whose shape the
-	// tuning manifest covers is fully warmed at registration — plans,
-	// per-unit memos, packed weights, specialized kernel — so serving
-	// it does zero autotune work and zero plan construction: the shared
-	// plan cache's miss counter must not move across its traffic, and
-	// every response stays bit-exact against the local oracle.
-	if m := s.reg.Runtime().Manifest(); m != nil {
-		if !m.Covers(defaultShape.shape()) {
-			return fmt.Errorf("manifest loaded but does not cover the selftest shape %v", defaultShape.shape())
-		}
-		warmSpec := modelSpec{Seed: 33, ReLU: true}
-		if err := do("POST", "/v1/models/warm/m", warmSpec, http.StatusCreated, nil); err != nil {
-			return err
-		}
-		net, shape := buildNet("warm/m", warmSpec)
-		x := shape.NewInput()
-		fillInts(x, inputSeed)
-		want, err := net.TryForward(&nn.Engine{Algo: nn.AlgoNDirect, Threads: 1}, x)
-		if err != nil {
-			return fmt.Errorf("warm oracle forward: %w", err)
-		}
-		oracles["warm"] = want
-		// Snapshot after registration: the warm-up itself may build
-		// plans (those are startup cost, not serving cost).
-		preWarm := s.reg.Stats().Runtime.PlanCache
-		for i := 0; i < 5; i++ {
-			if err := inferOnce("warm"); err != nil {
-				return fmt.Errorf("warm-start serving: %w", err)
-			}
-		}
-		postWarm := s.reg.Stats().Runtime.PlanCache
-		if postWarm.Misses != preWarm.Misses {
-			return fmt.Errorf("manifest-covered model still constructed plans while serving: plan-cache misses %d -> %d",
-				preWarm.Misses, postWarm.Misses)
-		}
-		if err := do("DELETE", "/v1/models/warm/m", nil, http.StatusNoContent, nil); err != nil {
-			return err
-		}
 	}
 
 	// Integrity drill: /healthz must report ok now; arming an unlimited

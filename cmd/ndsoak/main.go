@@ -37,8 +37,8 @@
 //
 // With -integrity the storm additionally arms the silent-corruption
 // drills (weight-bitflip, scratch-overrun, kernel-miscompute), the
-// runtime's integrity sentinel runs throughout, packed-filter checksum
-// sampling is tightened, and two more invariants apply:
+// runtime's integrity sentinel probes in every lull, packed-filter
+// checksum sampling is tightened, and two more invariants apply:
 //
 //  6. Zero corrupted outputs reach callers: every injected corruption
 //     is either caught (typed core.ErrIntegrity, a canary trip, a
@@ -135,9 +135,9 @@ func main() {
 		Options:     core.Options{Threads: *threads},
 	}
 	if *integrity {
-		// The sentinel's kernel-family probes run whenever the runtime
-		// gate is idle, and its model probes whenever the tenant gate is,
-		// so a short interval turns every lull into a verification pass.
+		// The sentinel probes only while both the runtime gate and the
+		// tenant gate are idle, so a short interval turns every lull in
+		// the storm into a verification pass.
 		cfg.SentinelInterval = 2 * time.Millisecond
 		// Tighten checksum sampling from the production default so the
 		// sampled (not just injection-forced) verification path fires

@@ -1,28 +1,17 @@
 // Command ndtune runs the Ansor-substitute evolutionary schedule
 // search on one convolution layer and reports the best schedule, its
 // throughput, and nDirect's throughput on the same layer for
-// comparison (the per-layer view behind Figure 6). With -manifest the
-// winning schedule is also recorded in a versioned warm-start manifest
-// (merged into the file if it already exists) that `ndserve -manifest`
-// loads at startup.
+// comparison (the per-layer view behind Figure 6). nDirect itself
+// never reads the result: its plans come from the analytical model.
 //
 // Runs are deterministic for a fixed -seed and machine-independent in
 // which schedules they try (only the measured times, and hence the
 // winner, vary with the host). Failures exit non-zero: 2 for usage
 // errors, 1 when tuning measured no admissible schedule or an
-// execution / manifest write failed.
-//
-// With -depthwise the target is the fused depthwise-separable
-// executor instead: the shape is read as the depthwise stage's
-// geometry and the tuned knob is the row-tile height (how many
-// depthwise output rows each grid cell computes before handing them to
-// the pointwise micro-kernel). The winner is recorded as a depthwise
-// manifest entry that nn.Engine.LoadManifest feeds back as
-// Options.ForceTh when planning separable blocks of that shape.
+// execution failed.
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -32,7 +21,6 @@ import (
 	"ndirect/internal/conv"
 	"ndirect/internal/core"
 	"ndirect/internal/parallel"
-	"ndirect/internal/tensor"
 )
 
 func main() {
@@ -62,9 +50,6 @@ func run() int {
 		gens      = flag.Int("generations", 4, "evolution rounds")
 		seed      = flag.Int64("seed", 1, "search seed (fixed seed -> same candidate sequence)")
 		useCM     = flag.Bool("cost-model", false, "enable the Ansor-style learned cost model")
-		manifest  = flag.String("manifest", "", "warm-start manifest file to create or merge the result into")
-		depthwise = flag.Bool("depthwise", false, "tune the fused separable row-tile height for the shape's depthwise geometry")
-		pwK       = flag.Int("pw-k", 0, "pointwise output channels for the -depthwise measurement (0 = 2x input channels)")
 	)
 	flag.Parse()
 
@@ -85,10 +70,6 @@ func run() int {
 		}
 		s = l.Shape.WithBatch(*batch)
 		fmt.Printf("tuning layer %d: %v\n", l.ID, s)
-	}
-
-	if *depthwise {
-		return runDepthwise(s, *threads, *pwK, *manifest)
 	}
 
 	res := autotune.Tune(s, autotune.TuneOptions{
@@ -134,154 +115,5 @@ func run() int {
 	ndGF := float64(s.FLOPs()) / ndSec / 1e9
 	fmt.Printf("nDirect throughput: %.2f GFLOPS (%.4fs)  -> speedup %.2fx over tuned schedule\n",
 		ndGF, ndSec, ndGF/gf)
-
-	if *manifest != "" {
-		m, err := autotune.ReadManifestFile(*manifest)
-		switch {
-		case errors.Is(err, os.ErrNotExist):
-			m = autotune.NewManifest()
-		case err != nil:
-			fmt.Fprintf(os.Stderr, "ndtune: reading manifest %s: %v\n", *manifest, err)
-			return 1
-		}
-		m.Set(s, res.Best, res.BestSec, res.Trials)
-		if err := autotune.WriteManifestFile(*manifest, m); err != nil {
-			fmt.Fprintf(os.Stderr, "ndtune: writing manifest %s: %v\n", *manifest, err)
-			return 1
-		}
-		fmt.Printf("manifest %s: %d tuned shape(s)\n", *manifest, len(m.Entries))
-	}
-	return 0
-}
-
-// runDepthwise measures the fused separable executor at a ladder of
-// forced row-tile heights and records the winner as a depthwise
-// manifest entry. The pointwise stage exists only to make the
-// measurement realistic (the row tile trades depthwise grid
-// granularity against intermediate-scratch locality, a trade-off that
-// only shows up under the fused consumer), so its K is synthetic —
-// 2×C by default, the usual MobileNet expansion — and is not recorded.
-func runDepthwise(dw conv.Shape, threads, pwK int, manifest string) int {
-	dw.K = dw.C // depthwise geometry: K is implied by C
-	if pwK <= 0 {
-		pwK = 2 * dw.C
-	}
-	ss := core.SeparableShape{N: dw.N, C: dw.C, H: dw.H, W: dw.W, K: pwK,
-		R: dw.R, S: dw.S, Str: dw.Str, Pad: dw.Pad}
-	if err := ss.Validate(); err != nil {
-		fmt.Fprintf(os.Stderr, "ndtune: bad separable shape: %v\n", err)
-		return 2
-	}
-	fmt.Printf("tuning fused separable row tile: dw %v -> pw K=%d, %d thread(s)\n", dw, pwK, threads)
-
-	in := tensor.New(ss.N, ss.C, ss.H, ss.W)
-	in.FillRandom(11)
-	dwF := tensor.New(ss.C, ss.R, ss.S)
-	dwF.FillRandom(13)
-	pwF := tensor.New(ss.K, ss.C, 1, 1)
-	pwF.FillRandom(17)
-	out := tensor.New(ss.N, ss.K, ss.P(), ss.Q())
-
-	// Candidate row tiles: the plan's own solve (ForceTh = 0) plus a
-	// ladder of explicit heights clamped to the output.
-	candidates := []int{0}
-	for _, th := range []int{1, 2, 3, 4, 6, 8, 12, 16} {
-		if th <= ss.P() {
-			candidates = append(candidates, th)
-		}
-	}
-
-	flops := float64(2*ss.N*ss.C*ss.P()*ss.Q()) * float64(ss.R*ss.S+ss.K)
-	const reps = 3
-	bestTile, trials := -1, 0
-	bestSec := 0.0
-	for _, th := range candidates {
-		plan, err := core.TryNewSeparablePlan(ss, core.Options{Threads: threads, ForceTh: th})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ndtune: planning row tile %d failed: %v\n", th, err)
-			continue
-		}
-		pdw, ppw, err := plan.TransformFilters(dwF, pwF)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ndtune: packing for row tile %d failed: %v\n", th, err)
-			continue
-		}
-		sec, execErr := 0.0, error(nil)
-		for rep := 0; rep <= reps; rep++ { // rep 0 is the warm-up
-			t0 := time.Now()
-			if execErr = plan.TryExecutePacked(in, pdw, ppw, out); execErr != nil {
-				break
-			}
-			if d := time.Since(t0).Seconds(); rep > 0 && (sec == 0 || d < sec) {
-				sec = d
-			}
-		}
-		ppw.Release()
-		pdw.Release()
-		if execErr != nil {
-			fmt.Fprintf(os.Stderr, "ndtune: row tile %d execution failed: %v\n", th, execErr)
-			continue
-		}
-		trials++
-		label := fmt.Sprintf("forced %2d", th)
-		if th == 0 {
-			label = fmt.Sprintf("solved %2d", plan.RowTile())
-		}
-		fmt.Printf("  row tile %s: %7.2f GFLOPS (%.5fs)\n", label, flops/sec/1e9, sec)
-		if bestTile < 0 || sec < bestSec {
-			// Record the realised height even for the default solve, so
-			// the manifest entry is explicit about what won.
-			bestTile, bestSec = plan.RowTile(), sec
-		}
-	}
-	if bestTile < 0 {
-		fmt.Fprintf(os.Stderr, "ndtune: no row tile measured for %v\n", ss)
-		return 1
-	}
-	fmt.Printf("best row tile after %d candidates: %d (%.2f GFLOPS)\n", trials, bestTile, flops/bestSec/1e9)
-
-	// The unfused two-call composition on the same data, for the
-	// fusion-speedup line (EXPERIMENTS.md §fused-vs-unfused). The two
-	// calls materialise (and allocate) the full intermediate each
-	// iteration — exactly the cost fusion removes.
-	unfusedSec := -1.0
-	for rep := 0; rep <= reps; rep++ {
-		t0 := time.Now()
-		mid, err := core.TryDepthwiseConv2D(dw, in, dwF, core.Options{Threads: threads})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ndtune: unfused depthwise failed: %v\n", err)
-			unfusedSec = -1
-			break
-		}
-		if _, err := core.TryPointwiseConv2DShape(ss.PWShape(), mid, pwF, core.Options{Threads: threads}); err != nil {
-			fmt.Fprintf(os.Stderr, "ndtune: unfused pointwise failed: %v\n", err)
-			unfusedSec = -1
-			break
-		}
-		if d := time.Since(t0).Seconds(); rep > 0 && (unfusedSec < 0 || d < unfusedSec) {
-			unfusedSec = d
-		}
-	}
-	if unfusedSec > 0 {
-		fmt.Printf("unfused two-call: %7.2f GFLOPS (%.5fs) -> fusion speedup %.2fx\n",
-			flops/unfusedSec/1e9, unfusedSec, unfusedSec/bestSec)
-	}
-
-	if manifest != "" {
-		m, err := autotune.ReadManifestFile(manifest)
-		switch {
-		case errors.Is(err, os.ErrNotExist):
-			m = autotune.NewManifest()
-		case err != nil:
-			fmt.Fprintf(os.Stderr, "ndtune: reading manifest %s: %v\n", manifest, err)
-			return 1
-		}
-		m.SetDepthwise(dw, bestTile, bestSec, trials)
-		if err := autotune.WriteManifestFile(manifest, m); err != nil {
-			fmt.Fprintf(os.Stderr, "ndtune: writing manifest %s: %v\n", manifest, err)
-			return 1
-		}
-		fmt.Printf("manifest %s: %d tuned shape(s)\n", manifest, len(m.Entries))
-	}
 	return 0
 }

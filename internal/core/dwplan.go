@@ -52,8 +52,7 @@ type dwRun struct {
 // reusable depthwise plan. The Shape's K is ignored (output channels
 // equal input channels); Options.FusedEpilogue applies per output
 // channel, so its slices must have length C, not K.
-// Options.ForceTh overrides the row-tile height (the `ndtune`
-// depthwise tuning knob).
+// Options.ForceTh overrides the row-tile height (0 solves it).
 func TryNewDepthwisePlan(s conv.Shape, opt Options) (*DepthwisePlan, error) {
 	chk := s
 	chk.K = 1

@@ -110,8 +110,8 @@ const sepMidBudget = 256 << 10 // bytes
 // applies to the depthwise stage before the pointwise kernel consumes
 // it; Options.FusedEpilogue (length K) applies at the pointwise store,
 // exactly as it would on a standalone pointwise plan.
-// Options.ForceTh overrides the depthwise row-tile height — the
-// `ndtune -depthwise` tuning knob.
+// Options.ForceTh overrides the depthwise row-tile height (0 solves
+// it below).
 func TryNewSeparablePlan(shape SeparableShape, opt Options) (*SeparablePlan, error) {
 	if err := shape.Validate(); err != nil {
 		return nil, err
@@ -202,10 +202,6 @@ func (p *SeparablePlan) IntermediateBytes() int64 {
 func (p *SeparablePlan) PackedBytes() int64 {
 	return 4 * (int64(p.Shape.C)*int64(p.Shape.R)*int64(p.Shape.S) + int64(p.preLen))
 }
-
-// RowTile returns the depthwise row-tile height the plan solved (or
-// was forced to) — surfaced so `ndtune -depthwise` can report it.
-func (p *SeparablePlan) RowTile() int { return p.rowTile }
 
 // TransformFilters packs both stages' weights: the depthwise [C,R,S]
 // filter into a CRC-stamped PackedDepthwiseFilter and the pointwise

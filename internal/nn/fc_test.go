@@ -74,10 +74,11 @@ func TestFCRunsAsConvolutionOnReuse(t *testing.T) {
 	}
 }
 
-// The FC's plan and packed weights are reuse state like a conv unit's,
-// reached by the walks that manage it — WarmPlans, InvalidateReuse, the
-// weight-residency hooks — while ConvUnits keeps listing convolution
-// layers only (its callers map every unit to a conv layer of the model).
+// The FC's plan and packed weights are reuse state like a conv unit's:
+// the first forward makes them resident through the weight-residency
+// hooks and InvalidateReuse retires them, while ConvUnits keeps listing
+// convolution layers only (its callers map every unit to a conv layer
+// of the model).
 func TestFCReuseStateReachedByWalks(t *testing.T) {
 	net, fc := fcNet(16, 10, false)
 	if units := net.ConvUnits(); len(units) != 1 || units[0].LayerName != "c1" {
@@ -90,26 +91,27 @@ func TestFCReuseStateReachedByWalks(t *testing.T) {
 	eng.OnPackRetain = func(*core.PackedFilter) { retained.Add(1) }
 	eng.OnPackDrop = func(pf *core.PackedFilter) { dropped.Add(1); pf.Release() }
 
-	warmed, err := net.WarmPlans(eng, nil)
+	x := tensor.New(1, 3, 8, 8)
+	x.FillRandom(3)
+	want, err := net.TryForward(eng, x)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if warmed != 2 || retained.Load() != 2 {
-		t.Fatalf("WarmPlans warmed %d units and retained %d packs, want the conv unit and the FC", warmed, retained.Load())
+	if retained.Load() != 2 {
+		t.Fatalf("the first forward retained %d packs, want the conv unit's and the FC's", retained.Load())
 	}
 	fcPack := 4 * int64((fc.Out+7)/8*8*fc.In)
 	if got := bytes.Load(); got < fcPack {
 		t.Fatalf("residency admitted %d bytes, less than the packed FC's %d", got, fcPack)
 	}
-	x := tensor.New(1, 3, 8, 8)
-	x.FillRandom(3)
 	pre := cache.Stats().Misses
-	want, err := net.TryForward(eng, x)
+	again, err := net.TryForward(eng, x)
 	if err != nil {
 		t.Fatal(err)
 	}
+	requireSameBits(t, "warm forward", again, want)
 	if cache.Stats().Misses != pre || retained.Load() != 2 {
-		t.Fatalf("a warmed network planned or packed on its first forward: misses %d -> %d, packs %d", pre, cache.Stats().Misses, retained.Load())
+		t.Fatalf("a warm network planned or packed again: misses %d -> %d, packs %d", pre, cache.Stats().Misses, retained.Load())
 	}
 
 	net.InvalidateReuse(eng)
@@ -123,11 +125,5 @@ func TestFCReuseStateReachedByWalks(t *testing.T) {
 	requireSameBits(t, "post-invalidation forward", got, want)
 	if retained.Load() != 4 {
 		t.Fatalf("the rebuild retained %d packs, want 2 more", retained.Load()-2)
-	}
-
-	// A non-nDirect engine multiplies through the GEMM: nothing to warm.
-	other := &Engine{Algo: AlgoIm2col, Threads: 1, Reuse: true}
-	if warmed, err := net.WarmPlans(other, nil); err != nil || warmed != 1 {
-		t.Fatalf("WarmPlans on an im2col engine = (%d, %v), want the conv unit only", warmed, err)
 	}
 }

@@ -76,7 +76,9 @@ type Engine struct {
 	// configurations do not (§8.3).
 	Fuse bool
 	// Schedules maps a conv shape key to a tuned Ansor schedule
-	// (filled by Tune; DefaultSchedule otherwise).
+	// (filled by Network.Tune; DefaultSchedule otherwise). Only the
+	// AlgoAnsor backend, the Figure 6/7 baseline, reads it: nDirect
+	// plans come from the analytical model and ignore it.
 	Schedules map[string]autotune.Schedule
 	// ConvBudget bounds each convolution layer's wall time (0 = no
 	// bound). A layer that exceeds it — a wedged worker, a
@@ -145,11 +147,6 @@ type Engine struct {
 	planOnce  sync.Once
 	planCache *core.PlanCache
 	pools     sync.Map // len([]float32) → *sync.Pool of buffers
-
-	// dwRowTiles maps a depthwise geometry key to the manifest-tuned
-	// separable row-tile height (LoadManifest; read-only afterwards,
-	// the same discipline as Schedules).
-	dwRowTiles map[string]int
 
 	logMu    sync.Mutex
 	logSeen  map[string]*list.Element // key → LRU element (*logEntry)
@@ -375,149 +372,6 @@ func (eng *Engine) Tune(n *Network, opt autotune.TuneOptions) {
 		}
 		eng.Schedules[key] = res.Best
 	}
-}
-
-// LoadManifest merges a tuning manifest (the `ndtune -manifest`
-// output) into the engine's schedule table, keyed the same way Tune
-// keys its results, so Ansor-backend calls use the offline-tuned
-// schedule instead of searching or defaulting. Entries with an
-// invalid shape or a schedule failing Schedule.Valid are rejected
-// with a rate-limited log — a stale or hand-edited manifest degrades
-// to the default schedule, never crashes. Nil-safe. Returns how many
-// entries were loaded and how many rejected.
-func (eng *Engine) LoadManifest(m *autotune.Manifest) (loaded, rejected int) {
-	if m == nil {
-		return 0, 0
-	}
-	if eng.Schedules == nil {
-		eng.Schedules = map[string]autotune.Schedule{}
-	}
-	for _, e := range m.Entries {
-		if e.Depthwise {
-			// Depthwise entries tune the fused separable executor's
-			// row-tile height, not an Ansor schedule.
-			if e.Shape.Validate() != nil || e.Shape.K != e.Shape.C || e.DWRowTile < 0 {
-				rejected++
-				eng.logLimited("manifest|"+shapeKey(e.Shape),
-					"nn: depthwise manifest entry for %v rejected (invalid shape or row tile); planning as untuned", e.Shape)
-				continue
-			}
-			if eng.dwRowTiles == nil {
-				eng.dwRowTiles = map[string]int{}
-			}
-			eng.dwRowTiles[shapeKey(e.Shape)] = e.DWRowTile
-			loaded++
-			continue
-		}
-		if e.Shape.Validate() != nil || !e.Schedule.Valid(e.Shape) {
-			rejected++
-			eng.logLimited("manifest|"+shapeKey(e.Shape),
-				"nn: manifest entry for %v rejected (invalid shape or schedule); planning as untuned", e.Shape)
-			continue
-		}
-		eng.Schedules[shapeKey(e.Shape)] = e.Schedule
-		loaded++
-	}
-	return loaded, rejected
-}
-
-// dwRowTile returns the manifest-tuned depthwise row-tile height for
-// the depthwise geometry s (0 = untuned: the plan solves its own).
-// Like Schedules, the map is written by LoadManifest before serving
-// and read-only after.
-func (eng *Engine) dwRowTile(s conv.Shape) int {
-	return eng.dwRowTiles[shapeKey(s)]
-}
-
-// WarmPlans pre-builds the steady-state serving state — the cached
-// plan, the per-unit plan memo and the packed weights — for every
-// conv unit whose shape the covered filter admits (nil covers all),
-// at batch 1 with the exact options the Reuse serving path uses. A
-// warmed unit's first request (and every one after) runs with zero
-// plan-cache misses and zero filter transforms: the warm-start
-// contract the tuning manifest promises. Requires a Reuse engine (or
-// an explicit Plans cache). Weight-residency hooks fire exactly as
-// they would on a first request, so warming charges the same budget.
-func (n *Network) WarmPlans(eng *Engine, covered func(conv.Shape) bool) (warmed int, err error) {
-	cache := eng.plans()
-	if cache == nil {
-		return 0, fmt.Errorf("nn: WarmPlans needs Reuse or an explicit plan cache")
-	}
-	units := n.ConvUnits()
-	if eng.Algo == AlgoNDirect {
-		units = append(units, n.fcUnits()...) // the engine runs them as convolutions
-	}
-	for _, u := range units {
-		s := u.Shape.WithBatch(1)
-		if covered != nil && !covered(s) {
-			continue
-		}
-		opt := core.Options{Threads: eng.Threads, PlanCache: cache}
-		if ep := u.fusedEpilogue(); ep != nil {
-			opt.FusedEpilogue = ep
-		}
-		plan, perr := u.planFor(s, opt)
-		if perr != nil {
-			return warmed, fmt.Errorf("nn: warm %s: %w", u.LayerName, perr)
-		}
-		if _, perr := u.packedFor(eng, plan, u.Weights); perr != nil {
-			return warmed, fmt.Errorf("nn: warm %s: %w", u.LayerName, perr)
-		}
-		warmed++
-	}
-	// Depthwise-separable units additionally hold a fused plan (memo)
-	// and a packed depthwise filter; a depthwise manifest entry for the
-	// unit's depthwise geometry marks it covered. The pointwise packed
-	// filter is shared with the unit's ConvUnit (warmed above when its
-	// own shape is covered), built here against the fused plan's
-	// pointwise half when it was not.
-	for _, d := range n.sepUnits() {
-		ss, ok := d.separableShape(1)
-		if !ok {
-			continue
-		}
-		if covered != nil && !covered(ss.DWShape()) {
-			continue
-		}
-		plan, perr := d.sepPlanFor(eng, ss)
-		if perr != nil {
-			return warmed, fmt.Errorf("nn: warm %s: %w", d.LayerName, perr)
-		}
-		if _, perr := d.packedDWFor(eng, plan); perr != nil {
-			return warmed, fmt.Errorf("nn: warm %s: %w", d.LayerName, perr)
-		}
-		if _, perr := d.PW.packedFor(eng, plan.PointwisePlan(), d.PW.Weights); perr != nil {
-			return warmed, fmt.Errorf("nn: warm %s: %w", d.LayerName, perr)
-		}
-		warmed++
-	}
-	return warmed, nil
-}
-
-// fcUnits returns the network's fully connected layers in their
-// convolution form (FC.asConv; they only occur at the top level of the
-// layer sequence): the units whose reuse state a Reuse+nDirect engine
-// builds besides ConvUnits'.
-func (n *Network) fcUnits() []*ConvUnit {
-	var units []*ConvUnit
-	for _, l := range n.Layers {
-		if f, ok := l.(*FC); ok {
-			units = append(units, f.asConv())
-		}
-	}
-	return units
-}
-
-// sepUnits returns the network's depthwise-separable blocks (they only
-// occur at the top level of the layer sequence).
-func (n *Network) sepUnits() []*DepthwiseSeparable {
-	var units []*DepthwiseSeparable
-	for _, l := range n.Layers {
-		if d, ok := l.(*DepthwiseSeparable); ok {
-			units = append(units, d)
-		}
-	}
-	return units
 }
 
 // --- Convolution unit (conv [+BN] [+ReLU]) ---
@@ -1372,8 +1226,8 @@ func (f *FC) tryForward(eng *Engine, x *tensor.Tensor) (*tensor.Tensor, error) {
 // asConv returns the layer as a convolution unit, built once: the weight
 // tensor is W's storage viewed as [Out, In, 1, 1] (no copy), bias and
 // ReLU the unit's own epilogue. It is not among Network.ConvUnits — those
-// are the network's convolution layers — so the walks that must reach
-// its reuse state (retireReuse, WarmPlans) reach it through the FC.
+// are the network's convolution layers — so retireReuse, the walk that
+// must reach its reuse state, reaches it through the FC.
 func (f *FC) asConv() *ConvUnit {
 	f.convOnce.Do(func() {
 		f.conv = &ConvUnit{

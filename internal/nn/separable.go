@@ -53,7 +53,6 @@ func channelEpilogue(bn *BNParams, ch int, relu bool) *core.EpilogueParams {
 type sepMemoEntry struct {
 	shape   core.SeparableShape
 	threads int
-	rowTile int // manifest-forced row tile (0 = plan-solved)
 	dwEp    *core.EpilogueParams
 	pwEp    *core.EpilogueParams
 	gen     uint64 // unit reuse generation at build
@@ -98,8 +97,7 @@ func (d *DepthwiseSeparable) sepPlanFor(eng *Engine, ss core.SeparableShape) (*c
 	gen := d.sepGen.Load()
 	dwEp := d.dwEpilogue()
 	pwEp := d.PW.fusedEpilogue()
-	rowTile := eng.dwRowTile(ss.DWShape())
-	if m := d.sepMemo.Load(); m != nil && m.gen == gen && m.shape == ss && m.threads == eng.Threads && m.rowTile == rowTile &&
+	if m := d.sepMemo.Load(); m != nil && m.gen == gen && m.shape == ss && m.threads == eng.Threads &&
 		m.dwEp == dwEp && m.pwEp == pwEp {
 		return m.plan, nil
 	}
@@ -107,14 +105,13 @@ func (d *DepthwiseSeparable) sepPlanFor(eng *Engine, ss core.SeparableShape) (*c
 		Threads:           eng.Threads,
 		DepthwiseEpilogue: dwEp,
 		FusedEpilogue:     pwEp,
-		ForceTh:           rowTile,
 	}
 	plan, err := core.TryNewSeparablePlan(ss, opt)
 	if err != nil {
 		return nil, err
 	}
 	d.sepMemo.Store(&sepMemoEntry{
-		shape: ss, threads: eng.Threads, rowTile: rowTile,
+		shape: ss, threads: eng.Threads,
 		dwEp: dwEp, pwEp: pwEp, gen: gen, plan: plan,
 	})
 	return plan, nil
@@ -291,7 +288,6 @@ type DepthwiseConv struct {
 type dwMemoEntry struct {
 	s       conv.Shape
 	threads int
-	rowTile int
 	ep      *core.EpilogueParams
 	gen     uint64
 	plan    *core.DepthwisePlan
@@ -317,17 +313,16 @@ func (d *DepthwiseConv) epilogue() *core.EpilogueParams {
 func (d *DepthwiseConv) planFor(eng *Engine, s conv.Shape) (*core.DepthwisePlan, error) {
 	gen := d.reuseGen.Load()
 	ep := d.epilogue()
-	rowTile := eng.dwRowTile(s)
-	if m := d.planMemo.Load(); m != nil && m.gen == gen && m.s == s && m.threads == eng.Threads && m.rowTile == rowTile && m.ep == ep {
+	if m := d.planMemo.Load(); m != nil && m.gen == gen && m.s == s && m.threads == eng.Threads && m.ep == ep {
 		return m.plan, nil
 	}
 	plan, err := core.TryNewDepthwisePlan(s, core.Options{
-		Threads: eng.Threads, FusedEpilogue: ep, ForceTh: rowTile,
+		Threads: eng.Threads, FusedEpilogue: ep,
 	})
 	if err != nil {
 		return nil, err
 	}
-	d.planMemo.Store(&dwMemoEntry{s: s, threads: eng.Threads, rowTile: rowTile, ep: ep, gen: gen, plan: plan})
+	d.planMemo.Store(&dwMemoEntry{s: s, threads: eng.Threads, ep: ep, gen: gen, plan: plan})
 	return plan, nil
 }
 

@@ -3,7 +3,6 @@ package nn
 import (
 	"testing"
 
-	"ndirect/internal/autotune"
 	"ndirect/internal/conv"
 	"ndirect/internal/tensor"
 )
@@ -186,91 +185,6 @@ func TestFuseSeparableRewrite(t *testing.T) {
 	n2 := &Network{Name: "t2", Layers: []Layer{dwc2, conv3}}
 	if got := n2.FuseSeparable(); got != 0 {
 		t.Fatalf("non-composing pair fused (%d)", got)
-	}
-}
-
-func TestLoadManifestDepthwiseRowTile(t *testing.T) {
-	blk := sepBlockForTest(8, 16, 24, 1)
-	dwShape := blk.DWShape
-	m := autotune.NewManifest()
-	m.SetDepthwise(dwShape, 3, 0.001, 4)
-	bad := dwShape
-	bad.H = -1
-	m.Entries = append(m.Entries, autotune.ManifestEntry{Shape: bad, Depthwise: true, DWRowTile: 2})
-	eng := &Engine{Algo: AlgoNDirect, Threads: 2, Reuse: true}
-	loaded, rejected := eng.LoadManifest(m)
-	if loaded != 1 || rejected != 1 {
-		t.Fatalf("LoadManifest = (%d, %d), want (1, 1)", loaded, rejected)
-	}
-	if got := eng.dwRowTile(dwShape); got != 3 {
-		t.Fatalf("dwRowTile = %d, want 3", got)
-	}
-	ss, ok := blk.separableShape(1)
-	if !ok {
-		t.Fatal("block does not compose")
-	}
-	plan, err := blk.sepPlanFor(eng, ss)
-	if err != nil {
-		t.Fatalf("sepPlanFor: %v", err)
-	}
-	if plan.RowTile() != 3 {
-		t.Fatalf("plan row tile %d, want manifest-forced 3", plan.RowTile())
-	}
-	// The tuned plan still serves bit-identically.
-	plain := &Engine{Algo: AlgoNDirect, Threads: 2}
-	x := tensor.New(1, 8, 24, 24)
-	x.FillRandom(17)
-	want, err := blk.tryForward(plain, x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := blk.tryForward(eng, x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := tensor.MaxAbsDiff(got, want); d != 0 {
-		t.Fatalf("tuned fused path differs by %g", d)
-	}
-}
-
-func TestWarmPlansCoversSeparable(t *testing.T) {
-	blk := sepBlockForTest(8, 16, 16, 1)
-	net := &Network{Name: "m", Layers: []Layer{blk}}
-	m := autotune.NewManifest()
-	m.SetDepthwise(blk.DWShape, 0, 0, 0)
-	eng := &Engine{Algo: AlgoNDirect, Threads: 2, Reuse: true}
-	eng.LoadManifest(m)
-	warmed, err := net.WarmPlans(eng, m.Covers)
-	if err != nil {
-		t.Fatalf("WarmPlans: %v", err)
-	}
-	// The depthwise entry covers the separable unit; the pointwise
-	// ConvUnit's own shape is uncovered and stays cold.
-	if warmed != 1 {
-		t.Fatalf("warmed %d units, want 1", warmed)
-	}
-	blk.sepMu.Lock()
-	packed := blk.sepPackedDW
-	blk.sepMu.Unlock()
-	if packed == nil {
-		t.Fatal("warm did not build the packed depthwise filter")
-	}
-	if blk.sepMemo.Load() == nil {
-		t.Fatal("warm did not populate the batch-1 plan memo")
-	}
-	x := tensor.New(1, 8, 16, 16)
-	x.FillRandom(23)
-	plain := &Engine{Algo: AlgoNDirect, Threads: 2}
-	want, err := blk.tryForward(plain, x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := blk.tryForward(eng, x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := tensor.MaxAbsDiff(got, want); d != 0 {
-		t.Fatalf("warmed fused path differs by %g", d)
 	}
 }
 

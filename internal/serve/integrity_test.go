@@ -132,3 +132,63 @@ func TestSentinelModelQuarantineAndRestore(t *testing.T) {
 		t.Fatal("restore not counted")
 	}
 }
+
+// holdLayer parks the forward of one request's input until release
+// closes, so that request stays in flight for as long as a test needs.
+// Every other forward, a sentinel probe's included, passes straight
+// through.
+type holdLayer struct {
+	x                *tensor.Tensor
+	entered, release chan struct{}
+}
+
+func (h holdLayer) Name() string { return "hold" }
+func (h holdLayer) Forward(_ *nn.Engine, x *tensor.Tensor) *tensor.Tensor {
+	if x == h.x {
+		close(h.entered)
+		<-h.release
+	}
+	return x
+}
+
+// No sentinel probe, kernel family or model, runs beside registry
+// traffic. Registry requests admit through the tenant gate and never
+// enter the runtime gate, so a sentinel that checked only the runtime
+// gate would keep probing kernel families through every request.
+func TestSentinelWaitsForRegistryTraffic(t *testing.T) {
+	rt := New(Config{SentinelInterval: time.Millisecond})
+	defer rt.Close()
+	reg := NewRegistry(RegistryConfig{Runtime: rt})
+	x := testShape.NewInput()
+	fillInts(x, 15)
+	hold := holdLayer{x: x, entered: make(chan struct{}), release: make(chan struct{})}
+	net := tinyNet(14, false)
+	net.Layers = append([]nn.Layer{hold}, net.Layers...)
+	if err := reg.Register("acme", "m", net); err != nil {
+		t.Fatal(err)
+	}
+	defer reg.Unregister("acme", "m")
+
+	done := make(chan error, 1)
+	go func() {
+		_, err := reg.Infer(context.Background(), "acme", "m", x)
+		done <- err
+	}()
+	<-hold.entered
+	// Let a tick that passed its idle check just before admission
+	// finish counting its probe.
+	time.Sleep(20 * time.Millisecond)
+	before := rt.Stats().SentinelProbes
+	time.Sleep(100 * time.Millisecond)
+	during := rt.Stats().SentinelProbes
+	close(hold.release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if during != before {
+		t.Fatalf("%d sentinel probes ran while a registry request was in flight, want 0", during-before)
+	}
+	waitFor(t, 10*time.Second, "probes to resume once the request drains", func() bool {
+		return rt.Stats().SentinelProbes > during
+	})
+}

@@ -39,7 +39,7 @@ type TenantConfig struct {
 // RegistryConfig configures a multi-tenant model Registry.
 type RegistryConfig struct {
 	// Runtime supplies the shared serving substrate: plan cache,
-	// manifest, integrity sentinel and engine thread count. Nil builds a
+	// integrity sentinel and engine thread count. Nil builds a
 	// default Runtime.
 	Runtime *Runtime
 	// MaxInFlight / MaxQueue size the tenant admission gate (see
@@ -181,13 +181,12 @@ func (r *Registry) tenantConfig(tenant string) TenantConfig {
 
 func modelKey(tenant, model string) string { return tenant + "\x00" + model }
 
-// Register adds a tenant's network under the given model name. The
-// model's packed weights become resident lazily, on first inference,
-// charged against the shared weight budget — unless the Runtime was
-// built with a tuning manifest, in which case every manifest-covered
-// conv unit is warmed eagerly (plan cache entry, per-unit plan memo,
-// packed weights) before the model becomes visible, so covered traffic
-// never pays planning latency.
+// Register adds a tenant's network under the given model name.
+// Registration is lazy: each layer's plan comes from the analytical
+// model and its packed weights become resident on the model's first
+// inference, charged against the shared weight budget then. Nothing is
+// charged for a model that never gets traffic, so registering one
+// cannot evict the weights of models that are serving.
 func (r *Registry) Register(tenant, model string, net *nn.Network) error {
 	if tenant == "" || model == "" {
 		return fmt.Errorf("%w: empty tenant or model name", core.ErrBadOptions)
@@ -196,12 +195,6 @@ func (r *Registry) Register(tenant, model string, net *nn.Network) error {
 		return fmt.Errorf("%w: nil network", core.ErrBadOptions)
 	}
 	key := modelKey(tenant, model)
-	r.mu.Lock()
-	if _, ok := r.models[key]; ok {
-		r.mu.Unlock()
-		return fmt.Errorf("%w: %s/%s", ErrModelExists, tenant, model)
-	}
-	r.mu.Unlock()
 	e := &modelEntry{
 		tenant:   tenant,
 		model:    model,
@@ -210,7 +203,7 @@ func (r *Registry) Register(tenant, model string, net *nn.Network) error {
 	}
 	e.eng = &nn.Engine{
 		Algo:         nn.AlgoNDirect,
-		Threads:      r.rt.opts.Threads,
+		Threads:      r.rt.engine.Threads,
 		Reuse:        true,
 		Plans:        r.rt.plans,
 		OnPackAdmit:  func(bytes int64) bool { return r.admitWeights(e, bytes) },
@@ -224,45 +217,26 @@ func (r *Registry) Register(tenant, model string, net *nn.Network) error {
 		Plans:          r.rt.plans,
 		ForceReference: true,
 	}
-	if m := r.rt.manifest; m != nil {
-		// Warm-start outside every registry lock: warming takes the
-		// units' packMu (which orders before r.mu) and charges the
-		// weight budget through the entry's own hooks — exactly the
-		// charges a first request would make. A warm failure degrades
-		// to cold-start planning, never blocks registration.
-		e.eng.LoadManifest(m)
-		if _, err := net.WarmPlans(e.eng, m.Covers); err != nil {
-			core.Logf("serve: warm-start %s/%s failed (serving cold): %v", tenant, model, err)
-		}
-	}
 	r.mu.Lock()
 	if _, ok := r.models[key]; ok {
 		r.mu.Unlock()
-		// A concurrent Register won the name between the pre-check and
-		// the insert. Retire this entry's warmed residency so the lost
-		// race cannot leak weight-budget charges.
-		e.mu.Lock()
-		e.dead = true
-		r.releaseResidentLocked(e)
-		e.mu.Unlock()
-		e.net.InvalidateReuse(e.eng)
 		return fmt.Errorf("%w: %s/%s", ErrModelExists, tenant, model)
 	}
 	r.models[key] = e
 	e.lruEl = r.lru.PushFront(e)
 	r.mu.Unlock()
-	if len(net.ConvUnits()) > 0 {
-		// Hand the model to the integrity sentinel (no-op when the
-		// Runtime has no sentinel): an idle-time golden probe comparing
-		// the fast engine bit-for-bit against the reference engine.
-		r.rt.addSentinelTarget(key, r.gateIdle, func() { r.sentinelProbe(e) })
-	}
+	// Hand the model to the integrity sentinel (no-op when the Runtime
+	// has no sentinel): an idle-time golden probe comparing the fast
+	// engine bit-for-bit against the reference engine. Its idleness
+	// predicate holds every probe back while this registry serves, so
+	// even a model with no conv unit to probe registers one.
+	r.rt.addSentinelTarget(key, r.gateIdle, func() { r.sentinelProbe(e) })
 	return nil
 }
 
 // gateIdle reports whether the tenant gate is fully idle — the
-// sentinel's extra predicate for model probes, so a probe never runs
-// beside (or ahead of) tenant traffic.
+// sentinel's predicate for every probe, kernel family or model, so a
+// probe never runs beside (or ahead of) tenant traffic.
 func (r *Registry) gateIdle() bool {
 	gs := r.gate.Stats()
 	return gs.InFlight == 0 && gs.Queued == 0

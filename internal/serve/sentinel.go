@@ -3,10 +3,11 @@ package serve
 // The integrity sentinel (DESIGN.md §12): a background prober that
 // spends idle cycles re-proving the bit-exactness contract the fast
 // paths rest on. Each tick, if and only if the runtime's admission
-// gate is fully idle (nothing in flight, nothing queued — the
-// sentinel never competes with a real request for a slot), one
-// round-robin target is probed with a golden integer-valued input and
-// compared bit-for-bit against the single-threaded reference:
+// gate and the tenant gate of every registry with a model target are
+// fully idle (nothing in flight, nothing queued — the sentinel never
+// competes with a real request for a core), one round-robin target is
+// probed with a golden integer-valued input and compared bit-for-bit
+// against the single-threaded reference:
 //
 //   - kernel-family targets: every registered dispatch family
 //     (core.KernelFamilyNames) through core.VerifyKernelFamily. A
@@ -37,7 +38,7 @@ import (
 // kernel families are enumerated statically).
 type sentinelTarget struct {
 	id    string
-	idle  func() bool // extra idleness predicate (tenant gate); nil: none
+	idle  func() bool // the owning registry's tenant gate is idle
 	probe func()
 }
 
@@ -138,6 +139,15 @@ func (s *sentinel) tick(fams []string) {
 	}
 	i := s.cursor % total
 	s.cursor++
+	// Registry requests admit through their tenant gate, never the
+	// runtime gate: every probe, kernel family or model, waits until
+	// no registry that owns a model target has one in flight or queued.
+	for _, t := range s.models {
+		if !t.idle() {
+			s.mu.Unlock()
+			return
+		}
+	}
 	var target *sentinelTarget
 	if i >= len(fams) {
 		target = s.models[i-len(fams)]
@@ -146,9 +156,6 @@ func (s *sentinel) tick(fams []string) {
 
 	if target == nil {
 		s.probeKernelFamily(fams[i])
-		return
-	}
-	if target.idle != nil && !target.idle() {
 		return
 	}
 	s.rt.sentinelProbes.Add(1)

@@ -28,7 +28,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"ndirect/internal/autotune"
 	"ndirect/internal/core"
 	"ndirect/internal/nn"
 	"ndirect/internal/parallel"
@@ -60,33 +59,24 @@ type Config struct {
 	//
 	// Deprecated: ignored; kept until benchmark/ stops setting it.
 	BatchMax int
-	// Options are the base convolution options: Threads sizes every
-	// engine's grid, and manifest warm-start pre-plans with them. The
-	// PlanCache field is ignored: the runtime always routes through its
-	// own cache.
+	// Options are the base convolution options; only Threads is read,
+	// and it sizes every engine's grid. Plans are built lazily on first
+	// use through the runtime's own cache.
 	Options core.Options
 	// SentinelInterval enables the background integrity sentinel: every
-	// interval, while the admission gate is fully idle (no request in
-	// flight or queued — the sentinel never takes a slot), one
-	// round-robin golden-shape probe runs: a registered kernel-dispatch
-	// family is re-verified bit-for-bit against the single-threaded
-	// reference (core.VerifyKernelFamily), or a registered model's fast
-	// engine is compared against its reference engine. A miscomparing
+	// interval, while the admission gate and the tenant gate of every
+	// registry serving a model are fully idle (no request in flight or
+	// queued — the sentinel never takes a slot), one round-robin
+	// golden-shape probe runs: a registered kernel-dispatch family is
+	// re-verified bit-for-bit against the single-threaded reference
+	// (core.VerifyKernelFamily), or a registered model's fast engine is
+	// compared against its reference engine. A miscomparing
 	// kernel family is quarantined out of dispatch (every plan bound to
 	// it runs the bit-identical looped kernel from its next execution);
 	// a miscomparing model is quarantined to its reference path. Both
 	// are restored by the first clean probe. 0 (the default) disables
 	// the sentinel.
 	SentinelInterval time.Duration
-	// Manifest, when non-nil, warm-starts the runtime from an offline
-	// `ndtune -manifest` run: each valid entry's shape is registered
-	// with the core kernel-dispatch registry and its plan pre-built
-	// into the runtime cache at construction, and registry-registered
-	// models covered by the manifest are fully warmed (plans, memos,
-	// packed weights) at Register time — production traffic on covered
-	// shapes then never pays autotune or plan-construction latency.
-	// Entries failing validation are dropped with a log, never fatal.
-	Manifest *autotune.Manifest
 }
 
 // DefaultBatchMax is not read.
@@ -99,9 +89,7 @@ const DefaultBatchMax = 8
 type Runtime struct {
 	gate     *Gate
 	plans    *core.PlanCache
-	opts     core.Options
 	engine   *nn.Engine
-	manifest *autotune.Manifest
 	sentinel *sentinel // nil: sentinel disabled
 
 	// Silent-corruption defense (DESIGN.md §12).
@@ -121,37 +109,11 @@ func New(cfg Config) *Runtime {
 	if queue == 0 {
 		queue = inFlight
 	}
-	opts := cfg.Options
-	opts.PlanCache = nil
 	plans := core.NewPlanCache(cfg.PlanCacheCap)
 	rt := &Runtime{
 		gate:   NewGate(inFlight, queue),
 		plans:  plans,
-		opts:   opts,
-		engine: &nn.Engine{Algo: nn.AlgoNDirect, Threads: opts.Threads, Reuse: true, Plans: plans},
-	}
-	if cfg.Manifest != nil {
-		rt.manifest = cfg.Manifest
-		if rejected := rt.manifest.Validate(); len(rejected) > 0 {
-			core.Logf("serve: manifest: %d entries rejected (invalid shape or schedule); covered shapes reduced", len(rejected))
-		}
-		rt.engine.LoadManifest(rt.manifest)
-		// Warm-start: pre-solve each covered shape's batch-1 plan into
-		// the runtime cache, so the first request on a tuned shape is a
-		// cache hit. Failures are logged and skipped — a bad entry
-		// degrades to cold planning, never blocks startup.
-		for _, e := range rt.manifest.Entries {
-			if e.Depthwise {
-				// Depthwise entries carry a separable row tile, not a
-				// standard schedule: they reach execution through
-				// Engine.LoadManifest above (nn plans separable blocks
-				// with the tuned ForceTh) — nothing to pre-plan here.
-				continue
-			}
-			if _, err := rt.plans.Get(e.Shape.WithBatch(1), rt.opts); err != nil {
-				core.Logf("serve: manifest: pre-planning %v failed: %v", e.Shape, err)
-			}
-		}
+		engine: &nn.Engine{Algo: nn.AlgoNDirect, Threads: cfg.Options.Threads, Reuse: true, Plans: plans},
 	}
 	if cfg.SentinelInterval > 0 {
 		rt.sentinel = newSentinel(rt, cfg.SentinelInterval)
@@ -177,10 +139,6 @@ func (rt *Runtime) Gate() *Gate { return rt.gate }
 
 // PlanCache returns the runtime's shared plan cache.
 func (rt *Runtime) PlanCache() *core.PlanCache { return rt.plans }
-
-// Manifest returns the validated tuning manifest the runtime was
-// built with (nil without Config.Manifest).
-func (rt *Runtime) Manifest() *autotune.Manifest { return rt.manifest }
 
 // Forward runs a network forward pass under the runtime's admission
 // gate on its private Reuse nDirect engine (shared plan cache, packed

@@ -21,12 +21,12 @@ COUNT=${COUNT:-5}
 BENCHTIME=${BENCHTIME:-500x}
 
 echo "==> warmup pass (discarded)"
-go test -run '^$' -bench 'EngineSteadyState|SmallConvServing|WarmStartPlan|SeparableSteadyState' -benchtime 100x . >/dev/null
+go test -run '^$' -bench 'EngineSteadyState|SmallConvServing|SeparableSteadyState' -benchtime 100x . >/dev/null
 go test -run '^$' -bench 'MicroKernelBodies|StoreTile' -benchtime 100x ./internal/core >/dev/null
 
 echo "==> measured passes (count=$COUNT, benchtime=$BENCHTIME, best-of-N)"
 {
-    go test -run '^$' -bench 'EngineSteadyState|SmallConvServing|WarmStartPlan|SeparableSteadyState' \
+    go test -run '^$' -bench 'EngineSteadyState|SmallConvServing|SeparableSteadyState' \
         -benchtime "$BENCHTIME" -count "$COUNT" .
     go test -run '^$' -bench 'MicroKernelBodies|StoreTile' \
         -benchtime "$BENCHTIME" -count "$COUNT" ./internal/core

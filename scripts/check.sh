@@ -111,12 +111,18 @@ go test -run='^$' -fuzz=FuzzInferResponse -fuzztime=10s ./cmd/ndserve
 echo "==> ndserve selftest (multi-tenant HTTP lifecycle + concurrent burst)"
 go run ./cmd/ndserve -selftest
 
-echo "==> warm-start round trip (ndtune -manifest -> ndserve -selftest -manifest)"
-MANIFEST=$(mktemp "${TMPDIR:-/tmp}/ndtune-manifest.XXXXXX.json")
-trap 'rm -f "$MANIFEST"' EXIT
-go run ./cmd/ndtune -shape 8,16,16,16,3,3,1,1 -trials 6 -population 4 -generations 2 \
-    -threads 2 -seed 1 -manifest "$MANIFEST"
-go run ./cmd/ndserve -selftest -manifest "$MANIFEST"
+echo "==> ndtune smoke (schedule search vs nDirect on one layer; a usage error exits 2)"
+NDTUNE_DIR=$(mktemp -d "${TMPDIR:-/tmp}/ndtune.XXXXXX")
+trap 'rm -rf "$NDTUNE_DIR"' EXIT
+go build -o "$NDTUNE_DIR/ndtune" ./cmd/ndtune
+"$NDTUNE_DIR/ndtune" -shape 8,16,16,16,3,3,1,1 -trials 6 -population 4 -generations 2 \
+    -threads 2 -seed 1
+status=0
+"$NDTUNE_DIR/ndtune" -shape bad 2>/dev/null || status=$?
+if [ "$status" -ne 2 ]; then
+    echo "FAIL: ndtune -shape bad exited $status, want 2 (usage error)"
+    exit 1
+fi
 
 echo "==> ndsoak integrity smoke (8s registry soak: fault storm, silent-corruption drills, sentinel loop)"
 go run ./cmd/ndsoak -duration 8s -integrity -storm -clients 8
