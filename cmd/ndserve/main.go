@@ -316,7 +316,7 @@ func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
 // what the defense layers have caught so far.
 type healthResponse struct {
 	Status             string `json:"status"`     // "ok" or "degraded"
-	KernelISA          string `json:"kernel_isa"` // what the kernel families are bound to: "avx2" or "go"
+	KernelISA          string `json:"kernel_isa"` // what the kernel families are bound to: "avx512", "avx2" or "go"
 	KernelsQuarantined int    `json:"kernels_quarantined"`
 	ModelsQuarantined  int    `json:"models_quarantined"`
 	SentinelProbes     uint64 `json:"sentinel_probes"`

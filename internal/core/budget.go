@@ -14,19 +14,35 @@ import (
 // the naive loop for the reference engine (nn.Engine.ForceReference).
 
 // ScratchBytes returns an upper bound on the transient worker-scratch
-// memory one execution of the plan allocates: the per-worker
+// memory one NCHW execution of the plan allocates: the per-worker
 // transformed-filter block and packing buffer, times the full
-// PTk × PN × PH × PW thread grid. Actual usage can be lower — worker
-// ranges collapse when a dimension is smaller than its grid factor, and
-// the plan's run pool reuses scratch across calls — so this is a safe
-// admission estimate, not an exact meter.
+// PTk × PN × PH × PW thread grid. A plan that reads its tiles in place
+// (Plan.inPlace) has no packing buffer until an NHWC execution needs
+// one. Actual usage can be lower — worker ranges collapse when a
+// dimension is smaller than its grid factor, and the plan's run pool
+// reuses scratch across calls — so this is a safe admission estimate,
+// not an exact meter.
 func (p *Plan) ScratchBytes() int64 {
-	s := p.Shape
-	kBlocks := (p.CT.Tk + p.RT.Vk - 1) / p.RT.Vk
-	per := kBlocks*p.RT.Vk*p.CT.Tc*s.R*s.S + // tf
-		p.CT.Tc*s.R*((p.RT.Vw-1)*s.Str+s.S) // buf
+	per := p.tfLen()
+	if !p.inPlace {
+		per += p.bufLen()
+	}
 	workers := p.TM.PTk * p.TM.PN * p.TM.PH * p.TM.PW
 	return 4 * int64(per) * int64(workers)
+}
+
+// tfLen is one worker's transformed-filter block: Tk rounded up to whole
+// K-blocks, by Tc·R·S.
+func (p *Plan) tfLen() int {
+	s := p.Shape
+	kBlocks := (p.CT.Tk + p.RT.Vk - 1) / p.RT.Vk
+	return kBlocks * p.RT.Vk * p.CT.Tc * s.R * s.S
+}
+
+// bufLen is one worker's packing buffer: Tc·R rows of the packed width.
+func (p *Plan) bufLen() int {
+	s := p.Shape
+	return p.CT.Tc * s.R * ((p.RT.Vw-1)*s.Str + s.S)
 }
 
 // OutputBytes returns the size of the plan's NKPQ output tensor.

@@ -178,6 +178,7 @@ type Plan struct {
 	family   *kernelFamily     // (R,S,Str) body bound at plan time; nil = looped kernel12x8 (dispatch.go)
 	looped   specializedKernel // kernel12x8 bound to the plan's (S, Str): the no-family / quarantine body
 	ep       epilogue          // normalised fused epilogue
+	inPlace  bool              // 1×1 unpadded: NCHW tiles are read where they lie, never packed
 
 	// The static thread grid (§6) is a pure function of the plan, so
 	// the per-dimension worker ranges are solved once here instead of
@@ -301,6 +302,12 @@ func TryNewPlan(s conv.Shape, opt Options) (*Plan, error) {
 		kernel12x8(acc, buf, tf, rows, kw, str, vwEff, pitch)
 	}
 	p.ep = normalizeEpilogue(opt.FusedEpilogue)
+	// A 1×1 unpadded tile's rows are input rows as they lie: channel cv of
+	// the tile starts one plane (H·W) after channel cv-1, and its columns
+	// are str apart, which is the body's own column step. So the body
+	// reads an NCHW tile in place — the copy-free streaming of Georganas
+	// et al. — at any stride.
+	p.inPlace = s.R == 1 && s.S == 1 && s.Pad == 0
 
 	qTiles := (s.Q() + p.RT.Vw - 1) / p.RT.Vw
 	kBlocks := (s.K + p.RT.Vk - 1) / p.RT.Vk

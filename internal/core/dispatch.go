@@ -6,12 +6,13 @@ package core
 // stride) families, five for the standard 12×8 register file and two
 // for depthwise (dwkernel.go). A standard family's body is the AVX2
 // vector body (kernel_amd64.s) and its tile store the AVX2 store
-// epilogue (store_amd64.s) where the host has them, and a depthwise
-// family's the AVX2 depthwise body (dwkernel_amd64.s); everywhere else
-// the family has no body of its own and its plans run the looped Go
-// kernel bound to their (S, stride) with the portable Go store
-// (store.go), or the depthwisePlaneRange oracle. The
-// choice is made once, at init, from what the CPU reports. A plan binds
+// epilogue (store_amd64.s) where the host has them — plus the AVX-512
+// paired body, which runs two K-blocks per call, where the host has that
+// too (bodies.span) — and a depthwise family's the AVX2 depthwise body
+// (dwkernel_amd64.s); everywhere else the family has no body of its own
+// and its plans run the looped Go kernel bound to their (S, stride) with
+// the portable Go store (store.go), or the depthwisePlaneRange oracle.
+// The choice is made once, at init, from what the CPU reports. A plan binds
 // its family once, at construction, from its own loop constants — no
 // registration, no per-shape table — and this file is the only place
 // that decides which body an execution runs: the family's, unless the
@@ -41,6 +42,11 @@ import (
 // at tf[i*S*8:] (kernel12x8's operand layout).
 type specializedKernel func(acc *accFile8, buf, tf []float32, rows, vwEff, pitch int)
 
+// pairedKernel is specializedKernel over two adjacent K-blocks in one
+// call: block 0's filter vectors at tf into acc[0], block 1's at
+// tf[tfOff:] into acc[1], both against the same input rows.
+type pairedKernel func(acc *accPair, buf, tf []float32, tfOff, rows, vwEff, pitch int)
+
 // tileStore is the calling convention of a V_k=8 tile store: the
 // accumulator file goes to dst, which starts at the tile's first element
 // (channel kBase, column qt0) — channel k's row at dst[(k-kBase)*stride:]
@@ -52,15 +58,16 @@ type specializedKernel func(acc *accFile8, buf, tf []float32, rows, vwEff, pitch
 type tileStore func(acc *accFile8, dst, res []float32, ep *epilogue, kBase, stride, vwEff int, nchw, accumulate bool)
 
 // kernelFamily is one body and the (R, S, stride) it serves. A standard
-// 12×8 family's kern and store, and a depthwise family's dwKern, are the
-// vector routines, bound at init, or nil on a host without them (the
-// plan's looped kernel12x8 and the portable Go store run, or
-// depthwisePlaneRange).
+// 12×8 family's kern, pair and store, and a depthwise family's dwKern,
+// are the vector routines, bound at init, or nil on a host without them
+// (the plan's looped kernel12x8 and the portable Go store run, or
+// depthwisePlaneRange; a nil pair runs kern one block at a time).
 type kernelFamily struct {
 	name      string
 	r, s, str int
 	depthwise bool
 	kern      specializedKernel
+	pair      pairedKernel
 	store     tileStore
 	dwKern    depthwiseKernel
 
@@ -88,7 +95,8 @@ var kernelFamilies = []*kernelFamily{
 
 // On a host with the vector body every standard family runs it, bound
 // to the family's (S, stride), and stores its tiles with the vector
-// store; both depthwise families run the vector depthwise body.
+// store — pairing K-blocks on the AVX-512 body where the host has one;
+// both depthwise families run the vector depthwise body.
 func init() {
 	if !hasVectorBody {
 		return
@@ -99,6 +107,9 @@ func init() {
 		} else {
 			f.kern = vectorKernel(f.s, f.str)
 			f.store = vectorStore
+			if hasPairBody {
+				f.pair = pairKernel(f.s, f.str)
+			}
 		}
 	}
 }
@@ -110,11 +121,23 @@ func vectorKernel(s, str int) specializedKernel {
 	}
 }
 
+// pairKernel binds the AVX-512 paired body to one (S, stride).
+func pairKernel(s, str int) pairedKernel {
+	return func(acc *accPair, buf, tf []float32, tfOff, rows, vwEff, pitch int) {
+		vector12x16(acc, buf, tf, tfOff, rows, s, str, vwEff, pitch)
+	}
+}
+
 // KernelISA names the instruction set the kernel families run in this
-// process: "avx2" for the vector bodies, "go" for the looped Go kernel
+// process: "avx512" when the standard families pair K-blocks on the
+// AVX-512 body (the rest of their work, and the depthwise families, stay
+// on AVX2), "avx2" for the vector bodies, "go" for the looped Go kernel
 // and the depthwise oracle. Family names do not change with it.
 func KernelISA() string {
-	if hasVectorBody {
+	switch {
+	case hasPairBody:
+		return "avx512"
+	case hasVectorBody:
 		return "avx2"
 	}
 	return "go"
@@ -159,18 +182,48 @@ func countStandardBinding(f *kernelFamily) {
 // body right now: the one read of the quarantine flag.
 func (f *kernelFamily) live() bool { return f != nil && !f.quarantined.Load() }
 
-// body resolves the V_k=8 micro-kernel and tile store for one
-// execution: the bound family's, or the looped kernel12x8 and the Go
-// store (nil) when the plan has no family, the family is quarantined, or
-// the host has no vector body for it.
+// bodies is one execution's V_k=8 micro-kernel: the single-block body,
+// the paired body (nil: none) and the tile store (nil: the Go store).
+type bodies struct {
+	kern specializedKernel
+	pair pairedKernel
+	vst  tileStore
+}
+
+// body resolves the V_k=8 bodies and tile store for one execution: the
+// bound family's, or the looped kernel12x8, no paired body and the Go
+// store when the plan has no family, the family is quarantined, or the
+// host has no vector body for it — so a quarantine takes the paired body
+// out of service with the single-block one.
 // Every V_k=8 consumer — the k-block loop, the pack-fused first block,
-// the separable pointwise stage — runs what this returned and nothing
-// else.
-func (p *Plan) body() (specializedKernel, tileStore) {
-	if p.family.live() && p.family.kern != nil {
-		return p.family.kern, p.family.store
+// the separable pointwise stage — runs what this returned, through
+// span and run, and nothing else.
+func (p *Plan) body() bodies {
+	if f := p.family; f.live() && f.kern != nil {
+		return bodies{kern: f.kern, pair: f.pair, vst: f.store}
 	}
-	return p.looped, nil
+	return bodies{kern: p.looped}
+}
+
+// span is how many K-blocks, from block kb of n, the next body call
+// covers: two where a paired body is bound and block kb+1 exists, one
+// otherwise — so an odd last block runs the single-block body.
+func (b *bodies) span(kb, n int) int {
+	if b.pair != nil && kb+1 < n {
+		return 2
+	}
+	return 1
+}
+
+// run is the body call of every V_k=8 consumer: nb (span's answer)
+// blocks of one register tile, block 0's filter vectors at tf into
+// acc[0] and, when nb is 2, block 1's at tf[tfOff:] into acc[1].
+func (b *bodies) run(acc *accPair, nb int, buf, tf []float32, tfOff, rows, vwEff, pitch int) {
+	if nb == 2 {
+		b.pair(acc, buf, tf, tfOff, rows, vwEff, pitch)
+		return
+	}
+	b.kern(&acc[0], buf, tf, rows, vwEff, pitch)
 }
 
 // dwBody is body's depthwise twin; the fallback is the
@@ -265,7 +318,8 @@ func RestoreKernelFamily(name string) bool {
 // whatever the live flag says, which is what makes the probe usable as
 // the restore check.
 func (f *kernelFamily) probeCopy() *kernelFamily {
-	return &kernelFamily{name: f.name, r: f.r, s: f.s, str: f.str, depthwise: f.depthwise, kern: f.kern, store: f.store, dwKern: f.dwKern}
+	return &kernelFamily{name: f.name, r: f.r, s: f.s, str: f.str, depthwise: f.depthwise,
+		kern: f.kern, pair: f.pair, store: f.store, dwKern: f.dwKern}
 }
 
 // familyProbe is one family's golden-probe state — a plan bound to a
@@ -311,7 +365,10 @@ func newStandardProbe(f *kernelFamily) (*familyProbe, error) {
 // VerifyKernelFamily runs the named family's body and tile store over
 // a golden integer-valued probe shape and compares the output
 // bit-for-bit against the oracle (conv.Reference, or the
-// depthwisePlaneRange loop for a depthwise family). A divergence
+// depthwisePlaneRange loop for a depthwise family). A standard probe has
+// two K-blocks (K=13), so on a host that pairs them it runs through the
+// paired body and checks its zmm path against the looped kernel's sums
+// as well. A divergence
 // returns an error wrapping ErrIntegrity; the caller (the serve-layer
 // integrity sentinel) then quarantines the family. The probe drives the
 // family's own body whether or not it is quarantined, so it also serves

@@ -27,9 +27,10 @@ var dispatchCases = []struct {
 }
 
 // TestDispatchBitExactVsGeneric: a plan binds its family from (R, S,
-// stride) with no registration, and the family body and the quarantined
-// looped fallback store the same bits on the same operands — selection
-// is a pure execution-strategy change.
+// stride) with no registration, and the family body, the same family
+// without its paired body and the quarantined looped fallback store the
+// same bits on the same operands — selection is a pure
+// execution-strategy change.
 // Exercised on both packing strategies: SequentialPack runs every
 // k-block over the whole packed buffer, the overlapped default runs the
 // first one through the pack-fused path (which skips out-of-image rows).
@@ -68,6 +69,23 @@ func TestDispatchBitExactVsGeneric(t *testing.T) {
 						s, seq, d)
 				}
 			}()
+			// With the paired body unbound — the bodies of an AVX2 host
+			// without AVX-512F — the plan runs one block per call and
+			// stores the same bits.
+			if fam := familyByName(tc.family); fam.pair != nil {
+				pair := fam.pair
+				fam.pair = nil
+				single := s.NewOutput()
+				err := plan.TryExecute(in, f, single)
+				fam.pair = pair
+				if err != nil {
+					t.Fatal(err)
+				}
+				if d := tensor.MaxAbsDiff(single, got); d != 0 {
+					t.Fatalf("shape %v seq=%v: single-block bodies differ from the paired body by %g, want bit-identical",
+						s, seq, d)
+				}
+			}
 			// And correct against the float64 reference.
 			ref := conv.Reference(s, in, f)
 			if d := tensor.RelDiff(ref, got); d > tol {

@@ -245,9 +245,18 @@ func TestFusedEpilogueValidation(t *testing.T) {
 // after warm-up, the single-threaded packed execution path (cached
 // plan, pre-transformed weights, caller-owned output, per-plan scratch
 // pool) performs zero heap allocations per call — with and without the
-// fused epilogue.
+// fused epilogue, packing a 3×3 plan's tiles and reading a 1×1 plan's
+// in place.
 func TestSteadyStateZeroAllocs(t *testing.T) {
-	s := conv.Shape{N: 1, C: 8, H: 14, W: 14, K: 16, R: 3, S: 3, Str: 1, Pad: 1}
+	for _, s := range []conv.Shape{
+		{N: 1, C: 8, H: 14, W: 14, K: 16, R: 3, S: 3, Str: 1, Pad: 1},
+		{N: 1, C: 8, H: 14, W: 14, K: 24, R: 1, S: 1, Str: 1, Pad: 0},
+	} {
+		steadyStateZeroAllocs(t, s)
+	}
+}
+
+func steadyStateZeroAllocs(t *testing.T, s conv.Shape) {
 	in := s.NewInput()
 	in.FillRandom(31)
 	f := s.NewFilter()
@@ -275,7 +284,7 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 			}
 		})
 		if allocs != 0 {
-			t.Fatalf("fused=%v: steady-state packed path allocates %.1f objects per call, want 0", fused, allocs)
+			t.Fatalf("%v fused=%v: steady-state packed path allocates %.1f objects per call, want 0", s, fused, allocs)
 		}
 	}
 }

@@ -152,7 +152,10 @@ func (p *Plan) exec(ctx context.Context, q execReq) error {
 		r.res, r.resD = q.res, q.res.Data
 	}
 	r.in, r.inD, r.outD, r.out = q.in, q.in.Data, q.out.Data, q.out
-	r.kern, r.vst = p.body()
+	if q.nhwc && r.tasks[0].ws.buf == nil {
+		r.addPackBufs()
+	}
+	r.b = p.body()
 	r.seq = p.runSeq.Add(1)
 	if p.opts.CollectStats {
 		for _, t := range r.tasks {
@@ -252,17 +255,18 @@ func (p *Plan) applyFallback(ref *tensor.Tensor, dst, res []float32, nchw bool) 
 
 // workerScratch is the thread-private memory of one worker: the
 // transformed filter block, the packed input buffer, the accumulator
-// file, and the per-stage timers.
+// files of two K-blocks, and the per-stage timers.
 type workerScratch struct {
 	// tf and buf are guarded allocations: canary words sit past each
 	// logical end and are checked when the run's grid joins
-	// (gridRun.guard, DESIGN.md §12).
+	// (gridRun.guard, DESIGN.md §12). buf is nil while the plan reads
+	// every tile in place (addPackBufs).
 	tf  []float32
 	buf []float32
 	// acc lives in the scratch (not on the worker's stack) so passing
 	// &acc through a family body's indirect kernel call cannot make it
 	// escape — the steady-state path stays allocation-free.
-	acc   accFile8
+	acc   accPair
 	stats *Stats // always non-nil; only accumulated when timed
 	timed bool
 }
@@ -290,10 +294,9 @@ type planRun struct {
 	res    *tensor.Tensor // residual operand; nil for none
 
 	inD, filterD, pre []float32
-	outD, resD        []float32         // resD is laid out like outD
-	nchw              bool              // activation layout
-	kern              specializedKernel // this execution's V_k=8 body and
-	vst               tileStore         // tile store (Plan.body)
+	outD, resD        []float32 // resD is laid out like outD
+	nchw              bool      // activation layout
+	b                 bodies    // this execution's V_k=8 bodies and tile store (Plan.body)
 
 	seq uint64 // runSeq stamp, orders LastStats publication
 }
@@ -304,9 +307,7 @@ func (p *Plan) newRun() *planRun {
 	r := &planRun{p: p}
 	s := p.Shape
 	r.init(r, &p.runs, &p.opts, s, len(p.kRanges)*len(p.nRanges)*len(p.hRanges)*len(p.wRanges), &r.pre)
-	kBlocks := (p.CT.Tk + p.RT.Vk - 1) / p.RT.Vk
-	tfLen := kBlocks * p.RT.Vk * p.CT.Tc * s.R * s.S
-	bufLen := p.CT.Tc * s.R * ((p.RT.Vw-1)*s.Str + s.S)
+	tfLen := p.tfLen()
 	for _, kr := range p.kRanges {
 		kLo := kr.Lo * p.RT.Vk
 		kHi := min(kr.Hi*p.RT.Vk, s.K)
@@ -314,13 +315,26 @@ func (p *Plan) newRun() *planRun {
 			for _, hr := range p.hRanges {
 				for _, wr := range p.wRanges {
 					w := len(r.tasks)
-					ws := &workerScratch{tf: r.guard(w, tfLen), buf: r.guard(w, bufLen), stats: &Stats{}, timed: p.opts.CollectStats}
+					ws := &workerScratch{tf: r.guard(w, tfLen), stats: &Stats{}, timed: p.opts.CollectStats}
 					r.tasks = append(r.tasks, runTask{kLo: kLo, kHi: kHi, nr: nr, hr: hr, wr: wr, ws: ws})
 				}
 			}
 		}
 	}
+	if !p.inPlace {
+		r.addPackBufs()
+	}
 	return r
+}
+
+// addPackBufs gives every worker its packing buffer: when the run is
+// built for a plan that packs, and on the first NHWC execution of a run
+// whose plan reads its NCHW tiles in place.
+func (r *planRun) addPackBufs() {
+	n := r.p.bufLen()
+	for w := range r.tasks {
+		r.tasks[w].ws.buf = r.guard(w, n)
+	}
 }
 
 // cells runs grid slot w: one worker of the §6 thread grid — PT_k
@@ -331,7 +345,7 @@ func (p *Plan) newRun() *planRun {
 func (r *planRun) cells(w int) {
 	t := &r.tasks[w]
 	r.p.worker(r.inD, r.filterD, r.pre, r.outD, r.resD, r.nchw,
-		t.kLo, t.kHi, t.nr, t.hr, t.wr, t.ws, &r.fs, r.kern, r.vst)
+		t.kLo, t.kHi, t.nr, t.hr, t.wr, t.ws, &r.fs, &r.b)
 }
 
 // unload publishes a dispatched run's stats and drops its operands.
@@ -369,10 +383,14 @@ func (r *planRun) unload() {
 // has the same Vk-innermost blocking and the same R·S·Vk channel
 // stride as the per-tile buffer, so block kt/Vk+kb at channel offset
 // ct is byte-for-byte the slab transformFilter would have produced.
+// The k-block loop steps through bodies.span, two blocks per body call
+// where a paired body is bound. An NCHW tile of a plan that reads in
+// place (Plan.inPlace) is handed to the body where it lies in the input,
+// its row pitch the plane stride H·W, and nothing is packed.
 // The fault sink's stop flag is polled at tile granularity so
 // surviving workers cancel promptly after a sibling faults.
 func (p *Plan) worker(in, filter, pre, out, res []float32, nchw bool,
-	kLo, kHi int, nr, hr, wr parallel.Range, ws *workerScratch, fs *parallel.FaultSink, kern specializedKernel, vst tileStore) {
+	kLo, kHi int, nr, hr, wr parallel.Range, ws *workerScratch, fs *parallel.FaultSink, b *bodies) {
 	s := p.Shape
 	vw, vk := p.RT.Vw, p.RT.Vk
 	tc, tk, th := p.CT.Tc, p.CT.Tk, p.CT.Th
@@ -380,6 +398,7 @@ func (p *Plan) worker(in, filter, pre, out, res []float32, nchw bool,
 	wIn := (vw-1)*s.Str + s.S
 	rsv := s.R * s.S * vk // one channel's slab in a transformed block
 	acc := &ws.acc
+	inPlace := nchw && p.inPlace
 
 	for ct := 0; ct < s.C; ct += tc { // L3
 		tcEff := tc
@@ -423,14 +442,20 @@ func (p *Plan) worker(in, filter, pre, out, res []float32, nchw bool,
 							}
 							g := p.geometry(oh, qt0)
 							g.wIn = wIn
+							src, pitch := ws.buf, wIn
+							if inPlace {
+								src, pitch = in[((n*s.C+ct)*s.H+g.ihBase)*s.W+g.iwBase:], s.H*s.W
+							}
 
-							for kb := 0; kb < kvBlocks; kb++ { // L7
-								tfBlock := ws.tf[kb*tcEff*rsv:]
+							for kb := 0; kb < kvBlocks; { // L7
+								nb := b.span(kb, kvBlocks)
+								tfBlock, tfOff := ws.tf[kb*tcEff*rsv:], tcEff*rsv
 								if pre != nil {
-									tfBlock = pre[((kt/vk+kb)*s.C+ct)*rsv:]
+									tfBlock, tfOff = pre[((kt/vk+kb)*s.C+ct)*rsv:], s.C*rsv
 								}
-								*acc = accFile8{}
-								if kb == 0 && p.opts.SequentialPack {
+								clear(acc[:nb])
+								pack := kb == 0 && !inPlace
+								if pack && p.opts.SequentialPack {
 									t0 = now(ws)
 									if nchw {
 										packNCHW(in, ws.buf, g, n, s.C, s.H, s.W, ct, tcEff, s.R)
@@ -440,15 +465,18 @@ func (p *Plan) worker(in, filter, pre, out, res []float32, nchw bool,
 									addTime(ws, &ws.stats.PackSec, t0)
 								}
 								t0 = now(ws)
-								if kb == 0 && !p.opts.SequentialPack {
-									p.packCompute(kern, acc, in, ws.buf, tfBlock, g, n, ct, tcEff, vwEff, nchw)
+								if pack && !p.opts.SequentialPack {
+									p.packCompute(b, acc, nb, in, ws.buf, tfBlock, tfOff, g, n, ct, tcEff, vwEff, nchw)
 								} else {
-									kern(acc, ws.buf, tfBlock, tcEff*s.R, vwEff, wIn)
+									b.run(acc, nb, src, tfBlock, tfOff, tcEff*s.R, vwEff, pitch)
 								}
 								addTime(ws, &ws.stats.KernelSec, t0)
 								t0 = now(ws)
-								p.store(vst, acc, out, res, nchw, n, kt+kb*vk, kHi, oh, qt0, vwEff, firstC, lastC)
+								for j := 0; j < nb; j++ {
+									p.store(b.vst, &acc[j], out, res, nchw, n, kt+(kb+j)*vk, kHi, oh, qt0, vwEff, firstC, lastC)
+								}
 								addTime(ws, &ws.stats.StoreSec, t0)
+								kb += nb
 							}
 						}
 					}

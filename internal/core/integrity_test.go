@@ -268,19 +268,59 @@ func TestKernelFamilyQuarantineCycle(t *testing.T) {
 	}
 }
 
-// bodyMeter is a counting double for one family's body and tile store:
-// body calls, the (cv, r) rows they covered, and vector-store calls.
-type bodyMeter struct{ calls, rows, stores int }
+// The sentinel's probe of a standard family reaches its paired body: a
+// paired body that silently miscomputes its second block — finite,
+// small, wrong, with the single-block body and the store intact — fails
+// the probe typed, so the sentinel quarantines the family.
+func TestSentinelProbesPairedBody(t *testing.T) {
+	if !hasPairBody {
+		t.Skip("no AVX-512F on this host: no paired body to probe")
+	}
+	// The probe caches a copy of the family's bodies; rebuild it around
+	// each swap.
+	reprobe := func(f *kernelFamily) {
+		probeMu.Lock()
+		f.probe = nil
+		probeMu.Unlock()
+	}
+	for _, name := range KernelFamilyNames() {
+		f := familyByName(name)
+		if f.depthwise {
+			continue
+		}
+		real := f.pair
+		f.pair = func(acc *accPair, buf, tf []float32, tfOff, rows, vwEff, pitch int) {
+			real(acc, buf, tf, tfOff, rows, vwEff, pitch)
+			acc[1][0][0]++
+		}
+		reprobe(f)
+		err := VerifyKernelFamily(name)
+		f.pair = real
+		reprobe(f)
+		if !errors.Is(err, ErrIntegrity) {
+			t.Fatalf("family %s: probe over a miscomputing paired body = %v, want ErrIntegrity", name, err)
+		}
+		if err := VerifyKernelFamily(name); err != nil {
+			t.Fatalf("family %s: probe after restoring the paired body: %v", name, err)
+		}
+	}
+}
 
-// meterFamily swaps the named family's body (and vector store, where the
-// host binds one) for doubles that count into the returned meter and
-// then run the real routine — the looped kernel on a host that binds the
-// family no body of its own; the swap is undone when the test ends.
-// Metered plans must run single-threaded.
+// bodyMeter is a counting double for one family's bodies and tile
+// store: body calls and the (cv, r) rows they covered, per K-block — a
+// paired-body call counts as one call per block it runs — the
+// paired-body calls among them, and vector-store calls.
+type bodyMeter struct{ calls, rows, pairs, stores int }
+
+// meterFamily swaps the named family's body, paired body and vector
+// store (each where the host binds one) for doubles that count into the
+// returned meter and then run the real routine — the looped kernel on a
+// host that binds the family no body of its own; the swap is undone when
+// the test ends. Metered plans must run single-threaded.
 func meterFamily(t *testing.T, name string) *bodyMeter {
 	t.Helper()
 	f := familyByName(name)
-	body, store, m := f.kern, f.store, &bodyMeter{}
+	body, pair, store, m := f.kern, f.pair, f.store, &bodyMeter{}
 	run := body
 	if run == nil {
 		run = func(acc *accFile8, buf, tf []float32, rows, vwEff, pitch int) {
@@ -292,13 +332,21 @@ func meterFamily(t *testing.T, name string) *bodyMeter {
 		m.rows += rows
 		run(acc, buf, tf, rows, vwEff, pitch)
 	}
+	if pair != nil {
+		f.pair = func(acc *accPair, buf, tf []float32, tfOff, rows, vwEff, pitch int) {
+			m.calls += 2
+			m.rows += 2 * rows
+			m.pairs++
+			pair(acc, buf, tf, tfOff, rows, vwEff, pitch)
+		}
+	}
 	if store != nil {
 		f.store = func(acc *accFile8, dst, res []float32, ep *epilogue, kBase, stride, vwEff int, nchw, accumulate bool) {
 			m.stores++
 			store(acc, dst, res, ep, kBase, stride, vwEff, nchw, accumulate)
 		}
 	}
-	t.Cleanup(func() { f.kern, f.store = body, store })
+	t.Cleanup(func() { f.kern, f.pair, f.store = body, pair, store })
 	return m
 }
 
@@ -309,7 +357,9 @@ func meterFamily(t *testing.T, name string) *bodyMeter {
 // k-block) while the family is live and for none while it is
 // quarantined, storing the same bits either way. The vector store rides
 // with the body: one call per (tile, k-block) while live (K=16: both
-// blocks are full), none quarantined. The shapes are unpadded, so no row
+// blocks are full), none quarantined. Where the host pairs K-blocks,
+// both blocks of every tile run in one paired-body call, which the
+// quarantine takes out of service with the single-block body. The shapes are unpadded, so no row
 // is out of image and the body sees all C·R rows of every (tile,
 // k-block).
 func TestQuarantinedBodyNeverRunsOnAnyConsumer(t *testing.T) {
@@ -348,6 +398,25 @@ func TestQuarantinedBodyNeverRunsOnAnyConsumer(t *testing.T) {
 		}
 		consumers = append(consumers, c)
 	}
+
+	// The in-place source: a 1×1 unpadded plan hands the body its tiles
+	// where they lie, one whole-tile call per (tile, k-block).
+	pw := conv.Shape{N: 1, C: 8, H: 12, W: 12, K: 16, R: 1, S: 1, Str: 1, Pad: 0}
+	pwIn, pwFilter := intOperands(pw)
+	pwWant := conv.Reference(pw, pwIn, pwFilter)
+	pwPlan := NewPlan(pw, Options{Threads: 1})
+	consumers = append(consumers, consumer{
+		name: "Plan/InPlace", family: "12x8.r1s1.s1", tiles: tiles(1, pw.P(), pw.Q()), rows: pw.C, calls: 1,
+		exec: func() {
+			out := pw.NewOutput()
+			if err := pwPlan.TryExecute(pwIn, pwFilter, out); err != nil {
+				t.Fatal(err)
+			}
+			if d := tensor.MaxAbsDiff(out, pwWant); d != 0 {
+				t.Fatalf("Plan/InPlace on %s: output differs from reference by %g", pwPlan.KernelName(), d)
+			}
+		},
+	})
 
 	ss := SeparableShape{N: 1, C: 8, H: 12, W: 12, K: 16, R: 3, S: 3, Str: 1, Pad: 1}
 	sp, err := TryNewSeparablePlan(ss, Options{Threads: 1})
@@ -393,6 +462,9 @@ func TestQuarantinedBodyNeverRunsOnAnyConsumer(t *testing.T) {
 		}
 		if hasVectorBody && live.stores != c.tiles*kvBlocks {
 			t.Fatalf("%s, family live: %d vector stores, want one per (tile, k-block) = %d", c.name, live.stores, c.tiles*kvBlocks)
+		}
+		if hasPairBody && (c.calls != 0 && live.pairs != c.tiles || live.pairs == 0) {
+			t.Fatalf("%s, family live: %d paired-body calls, want one per tile (%d)", c.name, live.pairs, c.tiles)
 		}
 		QuarantineKernelFamily(c.family)
 		quarantined := run()

@@ -26,6 +26,10 @@ const maxVw = 12
 // column ow.
 type accFile8 = [2 * maxVw]simd.Vec4
 
+// accPair is the register tile of two adjacent V_k=8 K-blocks — the
+// paired body's 12×16 tile — one accFile8 per block.
+type accPair = [2]accFile8
+
 // kernel12x8 is the looped main micro-kernel for the V_k=8 register
 // file (any S, stride): the portable fallback every other body must
 // match bit for bit. rows = tc·R (cv, r) coordinates are walked in
@@ -74,15 +78,16 @@ func kernel12x8(acc *accFile8, buf, tf []float32, rows, s, str, vwEff, pitch int
 // while the stores that wrote them are still in flight.
 const fusedPackRows = 16
 
-// packCompute fuses the packing micro-kernel with the first V_k-block
-// computation (§5.3): the channel tile is packed a few channels at a
-// time and each group is consumed by the execution's body as soon as it
-// is stored, hiding the packing stores behind the compute — the analogue
-// of placing st instructions between FMAs for the out-of-order core to
-// overlap. Rows outside the image are cleared in the buffer (later
-// V_k blocks read them) but never reach the body: a tile that has any
-// runs the body once per channel, over that channel's in-image rows.
-func (p *Plan) packCompute(kern specializedKernel, acc *accFile8, in, buf, tf []float32, g packGeometry,
+// packCompute fuses the packing micro-kernel with the first body call
+// of a tile — nb K-blocks, one or a pair (bodies.span) — (§5.3): the
+// channel tile is packed a few channels at a time and each group is
+// consumed by the execution's body as soon as it is stored, hiding the
+// packing stores behind the compute — the analogue of placing st
+// instructions between FMAs for the out-of-order core to overlap. Rows
+// outside the image are cleared in the buffer (later V_k blocks read
+// them) but never reach the body: a tile that has any runs the body once
+// per channel, over that channel's in-image rows.
+func (p *Plan) packCompute(b *bodies, acc *accPair, nb int, in, buf, tf []float32, tfOff int, g packGeometry,
 	n, ct, tc, vwEff int, nchw bool) {
 	s := p.Shape
 	r := s.R
@@ -100,7 +105,7 @@ func (p *Plan) packCompute(kern specializedKernel, acc *accFile8, in, buf, tf []
 		nc := min(group, tc-cv)
 		pack(in, buf[cv*r*g.wIn:], g, n, s.C, s.H, s.W, ct+cv, nc, r)
 		if rHi > rLo {
-			kern(acc, buf[(cv*r+rLo)*g.wIn:], tf[(cv*r+rLo)*s.S*8:], (nc-1)*r+rHi-rLo, vwEff, g.wIn)
+			b.run(acc, nb, buf[(cv*r+rLo)*g.wIn:], tf[(cv*r+rLo)*s.S*8:], tfOff, (nc-1)*r+rHi-rLo, vwEff, g.wIn)
 		}
 	}
 }

@@ -11,6 +11,11 @@ import (
 // state across context switches.
 var hasVectorBody = detectAVX2()
 
+// hasPairBody reports whether this process can also run the AVX-512
+// paired body of kernel_amd64.s: the AVX2 body's host plus AVX512F, with
+// the OS saving the opmask and ZMM state.
+var hasPairBody = hasVectorBody && detectAVX512F()
+
 func detectAVX2() bool {
 	maxLeaf, _, _, _ := cpuid(0, 0)
 	if maxLeaf < 7 {
@@ -27,6 +32,18 @@ func detectAVX2() bool {
 	const avx2 = 1 << 5
 	_, ebx, _, _ := cpuid(7, 0)
 	return ebx&avx2 != 0
+}
+
+// detectAVX512F is called only once detectAVX2 has vouched for leaf 7
+// and OSXSAVE.
+func detectAVX512F() bool {
+	const zmmState = 0xE6 // XCR0 bits 1, 2 and 5–7: XMM, YMM, opmask, ZMM0–15 high, ZMM16–31
+	if eax, _ := xgetbv(); eax&zmmState != zmmState {
+		return false
+	}
+	const avx512f = 1 << 16
+	_, ebx, _, _ := cpuid(7, 0)
+	return ebx&avx512f != 0
 }
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
@@ -47,6 +64,23 @@ func vector12x8(acc *accFile8, buf, tf []float32, rows, s, str, vwEff, pitch int
 	_ = buf[(rows-1)*pitch+(vwEff-1)*str+s-1]
 	_ = tf[rows*s*8-1]
 	kernel12x8AVX2(acc, &buf[0], &tf[0], rows, s, str, pitch, vwEff)
+}
+
+//go:noescape
+func kernel12x16AVX512(acc *accPair, buf, tf *float32, tfOff, rows, s, str, pitch, vwEff int)
+
+// vector12x16 is vector12x8 over two adjacent K-blocks in one pass, on
+// the AVX-512 paired body: block 0's filter at tf into acc[0], block 1's
+// at tf[tfOff:] into acc[1], over the same input rows. Each half stores
+// exactly the bits vector12x8 stores for its block. Like vector12x8 it
+// proves the extents before the body runs.
+func vector12x16(acc *accPair, buf, tf []float32, tfOff, rows, s, str, vwEff, pitch int) {
+	if rows <= 0 || s <= 0 || str <= 0 || pitch < 0 || tfOff < 0 || vwEff <= 0 || vwEff > maxVw {
+		return
+	}
+	_ = buf[(rows-1)*pitch+(vwEff-1)*str+s-1]
+	_ = tf[tfOff+rows*s*8-1]
+	kernel12x16AVX512(acc, &buf[0], &tf[0], tfOff, rows, s, str, pitch, vwEff)
 }
 
 //go:noescape

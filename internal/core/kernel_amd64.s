@@ -163,6 +163,166 @@ done:
 	VZEROUPPER
 	RET
 
+// The AVX-512 paired body: kernel12x8AVX2 over two adjacent V_k=8
+// K-blocks in one pass. Lane l of zmm column ow is block 0's channel l
+// for l < 8 and block 1's channel l-8 above, so the register tile is
+// 12 columns × 16 channels. Per tap the body loads block 0's 8-lane
+// filter vector into the low half of Z12 and block 1's, tfOff bytes
+// further on, into the high half, then runs the AVX2 body's column
+// sequence on zmm: VBROADCASTSS, VMULPS, VADDPS with the same operand
+// order — the same two roundings in the same (row, tap) order per lane,
+// so each half stores exactly the bits kernel12x8AVX2 stores for its
+// block. Only AVX512F instructions are used, and no fused multiply-add.
+//
+// Register map:
+//	Z0–Z11  accumulators, column ow in Z<ow>: acc[0] column ow in the
+//	        low 256 bits, acc[1] column ow in the high 256
+//	Z12     filter vectors of the current tap, block 0 low, block 1 high
+//	Z13     broadcast input scalar, then its product
+//	DI      acc (entry and exit), block 1's filter offset tfOff (B) in the loops
+//	SI, DX, CX, R8–R13, AX, BX  as kernel12x8AVX2
+
+#define ZCOL0  VBROADCASTSS (AX), Z13;        VMULPS Z12, Z13, Z13; VADDPS Z13, Z0, Z0
+#define ZCOL1  VBROADCASTSS (AX)(R11*1), Z13; VMULPS Z12, Z13, Z13; VADDPS Z13, Z1, Z1
+#define ZCOL2  VBROADCASTSS (AX)(R11*2), Z13; VMULPS Z12, Z13, Z13; VADDPS Z13, Z2, Z2
+#define ZCOL3  VBROADCASTSS (AX)(R12*1), Z13; VMULPS Z12, Z13, Z13; VADDPS Z13, Z3, Z3
+#define ZCOL4  VBROADCASTSS (AX)(R11*4), Z13; VMULPS Z12, Z13, Z13; VADDPS Z13, Z4, Z4
+#define ZCOL5  VBROADCASTSS (AX)(R13*1), Z13; VMULPS Z12, Z13, Z13; VADDPS Z13, Z5, Z5
+#define ZCOL6  VBROADCASTSS (BX), Z13;        VMULPS Z12, Z13, Z13; VADDPS Z13, Z6, Z6
+#define ZCOL7  VBROADCASTSS (BX)(R11*1), Z13; VMULPS Z12, Z13, Z13; VADDPS Z13, Z7, Z7
+#define ZCOL8  VBROADCASTSS (BX)(R11*2), Z13; VMULPS Z12, Z13, Z13; VADDPS Z13, Z8, Z8
+#define ZCOL9  VBROADCASTSS (BX)(R12*1), Z13; VMULPS Z12, Z13, Z13; VADDPS Z13, Z9, Z9
+#define ZCOL10 VBROADCASTSS (BX)(R11*4), Z13; VMULPS Z12, Z13, Z13; VADDPS Z13, Z10, Z10
+#define ZCOL11 VBROADCASTSS (BX)(R13*1), Z13; VMULPS Z12, Z13, Z13; VADDPS Z13, Z11, Z11
+
+#define ZCOLS1  ZCOL0
+#define ZCOLS2  ZCOLS1; ZCOL1
+#define ZCOLS3  ZCOLS2; ZCOL2
+#define ZCOLS4  ZCOLS3; ZCOL3
+#define ZCOLS5  ZCOLS4; ZCOL4
+#define ZCOLS6  ZCOLS5; ZCOL5
+#define ZCOLS7  ZCOLS6; ZCOL6
+#define ZCOLS8  ZCOLS7; ZCOL7
+#define ZCOLS9  ZCOLS8; ZCOL8
+#define ZCOLS10 ZCOLS9; ZCOL9
+#define ZCOLS11 ZCOLS10; ZCOL10
+#define ZCOLS12 ZCOLS11; ZCOL11
+
+// ZNEST is NEST with the paired filter load.
+#define ZNEST(row, tap, COLS) \
+	PCALIGN $64; \
+row: \
+	MOVQ SI, AX; \
+	MOVQ R8, R9; \
+tap: \
+	VMOVUPS (DX), Y12; \
+	VINSERTF64X4 $1, (DX)(DI*1), Z12, Z12; \
+	LEAQ (AX)(R12*2), BX; \
+	COLS; \
+	ADDQ $32, DX; \
+	ADDQ $4, AX; \
+	DECQ R9; \
+	JNZ tap; \
+	ADDQ R10, SI; \
+	DECQ CX; \
+	JNZ row; \
+	JMP pstore
+
+// Column ow of both accumulator files: acc[0] at off, acc[1] 384 bytes on.
+#define ZLOAD(off, Z, Y) VMOVUPS off(DI), Y; VINSERTF64X4 $1, 384+off(DI), Z, Z
+#define ZSTORE(off, Z, Y) VMOVUPS Y, off(DI); VEXTRACTF64X4 $1, Z, 384+off(DI)
+
+// func kernel12x16AVX512(acc *accPair, buf, tf *float32, tfOff, rows, s, str, pitch, vwEff int)
+//
+// The caller guarantees what kernel12x8AVX2 requires, with tfOff ≥ 0 and
+// tf[tfOff+rows·s·8-1] in bounds.
+TEXT ·kernel12x16AVX512(SB), NOSPLIT, $0-72
+	MOVQ acc+0(FP), DI
+	MOVQ buf+8(FP), SI
+	MOVQ tf+16(FP), DX
+	MOVQ rows+32(FP), CX
+	MOVQ s+40(FP), R8
+	MOVQ str+48(FP), R11
+	MOVQ pitch+56(FP), R10
+	MOVQ vwEff+64(FP), BX
+	SHLQ $2, R10
+	SHLQ $2, R11
+	LEAQ (R11)(R11*2), R12
+	LEAQ (R11)(R11*4), R13
+
+	// Columns past vwEff are loaded and stored back untouched.
+	ZLOAD(0, Z0, Y0)
+	ZLOAD(32, Z1, Y1)
+	ZLOAD(64, Z2, Y2)
+	ZLOAD(96, Z3, Y3)
+	ZLOAD(128, Z4, Y4)
+	ZLOAD(160, Z5, Y5)
+	ZLOAD(192, Z6, Y6)
+	ZLOAD(224, Z7, Y7)
+	ZLOAD(256, Z8, Y8)
+	ZLOAD(288, Z9, Y9)
+	ZLOAD(320, Z10, Y10)
+	ZLOAD(352, Z11, Y11)
+	MOVQ tfOff+24(FP), DI
+	SHLQ $2, DI
+
+	CMPQ BX, $12
+	JEQ  p12
+	CMPQ BX, $11
+	JEQ  p11
+	CMPQ BX, $10
+	JEQ  p10
+	CMPQ BX, $9
+	JEQ  p9
+	CMPQ BX, $8
+	JEQ  p8
+	CMPQ BX, $7
+	JEQ  p7
+	CMPQ BX, $6
+	JEQ  p6
+	CMPQ BX, $5
+	JEQ  p5
+	CMPQ BX, $4
+	JEQ  p4
+	CMPQ BX, $3
+	JEQ  p3
+	CMPQ BX, $2
+	JEQ  p2
+	CMPQ BX, $1
+	JEQ  p1
+	JMP  pdone
+
+	ZNEST(p12, q12, ZCOLS12)
+	ZNEST(p11, q11, ZCOLS11)
+	ZNEST(p10, q10, ZCOLS10)
+	ZNEST(p9, q9, ZCOLS9)
+	ZNEST(p8, q8, ZCOLS8)
+	ZNEST(p7, q7, ZCOLS7)
+	ZNEST(p6, q6, ZCOLS6)
+	ZNEST(p5, q5, ZCOLS5)
+	ZNEST(p4, q4, ZCOLS4)
+	ZNEST(p3, q3, ZCOLS3)
+	ZNEST(p2, q2, ZCOLS2)
+	ZNEST(p1, q1, ZCOLS1)
+
+pstore:
+	MOVQ acc+0(FP), DI
+	ZSTORE(0, Z0, Y0)
+	ZSTORE(32, Z1, Y1)
+	ZSTORE(64, Z2, Y2)
+	ZSTORE(96, Z3, Y3)
+	ZSTORE(128, Z4, Y4)
+	ZSTORE(160, Z5, Y5)
+	ZSTORE(192, Z6, Y6)
+	ZSTORE(224, Z7, Y7)
+	ZSTORE(256, Z8, Y8)
+	ZSTORE(288, Z9, Y9)
+	ZSTORE(320, Z10, Y10)
+	ZSTORE(352, Z11, Y11)
+pdone:
+	VZEROUPPER
+	RET
+
 // func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL eaxArg+0(FP), AX

@@ -97,30 +97,37 @@ func TestUnrolledS3BitIdenticalToLooped(t *testing.T) {
 }
 
 // Direct micro-kernel A/B: one (tc=32, R=3, S=3) register-tile update
-// per iteration, no loop-nest overhead.
+// per iteration, no loop-nest overhead — two K-blocks' worth for the
+// paired avx512 body, which does twice the flops per call.
 func BenchmarkMicroKernelBodies(b *testing.B) {
 	const tc, r, s, vw, vk, str = 32, 3, 3, 12, 8, 1
 	buf, tf, wIn := microKernelOperands()
+	pairTF := append(append([]float32(nil), tf...), tf...)
 	flops := float64(2 * tc * r * s * vw * vk)
 
 	for _, body := range []struct {
-		name string
-		run  func(acc *accFile8)
+		name   string
+		blocks int
+		run    func(acc *accPair)
 	}{
-		{"looped12x8", func(acc *accFile8) { kernel12x8(acc, buf, tf, tc*r, s, str, vw, wIn) }},
-		{"vector", func(acc *accFile8) { vector12x8(acc, buf, tf, tc*r, s, str, vw, wIn) }},
-		{"unrolledS3", func(acc *accFile8) { kernel12x8S3(acc, buf, tf, tc, r, vw, wIn) }},
+		{"looped12x8", 1, func(acc *accPair) { kernel12x8(&acc[0], buf, tf, tc*r, s, str, vw, wIn) }},
+		{"vector", 1, func(acc *accPair) { vector12x8(&acc[0], buf, tf, tc*r, s, str, vw, wIn) }},
+		{"avx512", 2, func(acc *accPair) { vector12x16(acc, buf, pairTF, len(tf), tc*r, s, str, vw, wIn) }},
+		{"unrolledS3", 1, func(acc *accPair) { kernel12x8S3(&acc[0], buf, tf, tc, r, vw, wIn) }},
 	} {
 		b.Run(body.name, func(b *testing.B) {
 			if body.name == "vector" && !hasVectorBody {
 				b.Skip("no vector body on this host")
 			}
-			var acc accFile8
+			if body.name == "avx512" && !hasPairBody {
+				b.Skip("no AVX-512F on this host")
+			}
+			var acc accPair
 			for i := 0; i < b.N; i++ {
 				body.run(&acc)
 			}
-			b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
-			sinkV = acc[0]
+			b.ReportMetric(float64(body.blocks)*flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
+			sinkV = acc[0][0]
 		})
 	}
 }

@@ -229,10 +229,11 @@ func (p *SeparablePlan) TransformDepthwiseFilter(dwFilter *tensor.Tensor) (*Pack
 }
 
 // sepScratch is one worker's private state: the row-tile intermediate
-// (a guarded allocation, gridRun.guard) and the pointwise register file.
+// (a guarded allocation, gridRun.guard) and the pointwise register files
+// of two K-blocks.
 type sepScratch struct {
 	mid []float32
-	acc accFile8
+	acc accPair
 }
 
 // sepRun is one execution's operands on top of the shared harness.
@@ -327,7 +328,8 @@ func (p *SeparablePlan) cell(in, dwf, pre, out []float32, cell int, ws *sepScrat
 // own Tc: per output element the channel-tile sequence, the in-tile FMA
 // chain, the between-tile spill-and-add and the final epilogue are
 // exactly the standard plan's — the bit-identity contract. pre is the
-// [⌈K/8⌉][C][8] packed pointwise filter.
+// [⌈K/8⌉][C][8] packed pointwise filter; K-blocks step through
+// bodies.span like the standard plan's.
 func (p *SeparablePlan) pwStage(pre, out []float32, n, h0, h1 int, ws *sepScratch) {
 	pw := p.pwPlan
 	C, K, q := p.pw.C, p.pw.K, p.pw.Q()
@@ -335,22 +337,26 @@ func (p *SeparablePlan) pwStage(pre, out []float32, n, h0, h1 int, ws *sepScratc
 	kvBlocks := (K + 7) / 8
 	chStride := p.rowTile * q
 	acc := &ws.acc
-	kern, vst := pw.body()
+	b := pw.body()
 	for ct := 0; ct < C; ct += tc {
 		tcEff := min(tc, C-ct)
 		firstC := ct == 0
 		lastC := ct+tcEff >= C
-		for kb := 0; kb < kvBlocks; kb++ {
+		for kb := 0; kb < kvBlocks; {
+			nb := b.span(kb, kvBlocks)
 			tfBlock := pre[(kb*C+ct)*8:]
 			for oh := h0; oh < h1; oh++ {
 				rowBase := ct*chStride + (oh-h0)*q
 				for qt0 := 0; qt0 < q; qt0 += maxVw {
 					vwEff := min(maxVw, q-qt0)
-					*acc = accFile8{}
-					kern(acc, ws.mid[rowBase+qt0:], tfBlock, tcEff, vwEff, chStride)
-					pw.store(vst, acc, out, nil, true, n, kb*8, K, oh, qt0, vwEff, firstC, lastC)
+					clear(acc[:nb])
+					b.run(acc, nb, ws.mid[rowBase+qt0:], tfBlock, C*8, tcEff, vwEff, chStride)
+					for j := 0; j < nb; j++ {
+						pw.store(b.vst, &acc[j], out, nil, true, n, (kb+j)*8, K, oh, qt0, vwEff, firstC, lastC)
+					}
 				}
 			}
+			kb += nb
 		}
 	}
 }

@@ -29,7 +29,10 @@ done
 # bodies). `go tool objdump` does not decode VEX instructions, so the
 # check reads the bytes it prints: every FMA3 instruction is
 # C4 [RXB.00010] [W.vvvv.L.01] followed by an opcode in 96-9F, A6-AF or
-# B6-BF. The first grep is the positive control (VFMADD231PS Y0,Y0,Y0).
+# B6-BF, and every EVEX-encoded one (the AVX-512 body's encoding) is
+# 62 [RXBR'.0.010] [W.vvvv.1.01] [P2] followed by the same opcodes. Each
+# pattern has its positive control: VFMADD231PS Y0,Y0,Y0 and
+# VFMADD231PS Z0,Z0,Z0.
 # The scan selects symbols by name, so every assembly routine of
 # internal/core but the two CPUID helpers must carry one of its prefixes:
 # a routine named outside them would never be scanned.
@@ -37,6 +40,8 @@ if [ "$(go env GOARCH)" = amd64 ]; then
     echo "==> no fused multiply-add in the kernel and store symbols of internal/core"
     FMA3='c4 [02468ace]2 [0-9a-f][159d] (9[6-9a-f]|a[6-9a-f]|b[6-9a-f])'
     echo "c4 e2 7d b8 c0" | grep -Eq "$FMA3" || { echo "FAIL: the FMA3 pattern misses VFMADD231PS" >&2; exit 1; }
+    EVEXFMA='62 [0-9a-f][2a] [0-9a-f][5d] [0-9a-f]{2} (9[6-9a-f]|a[6-9a-f]|b[6-9a-f])'
+    echo "62 f2 7d 48 b8 c0" | grep -Eq "$EVEXFMA" || { echo "FAIL: the EVEX pattern misses VFMADD231PS Z0,Z0,Z0" >&2; exit 1; }
     for sym in $(sed -n 's/^TEXT ·\([A-Za-z0-9_]*\)(SB).*/\1/p' internal/core/*.s); do
         case $sym in
         cpuid | xgetbv | kernel* | vector* | store*) ;;
@@ -49,7 +54,7 @@ if [ "$(go env GOARCH)" = amd64 ]; then
         awk '$2 ~ /^0x/ { print $3 }' | tr -d '\n' | sed 's/../& /g')
     rm -f "$COREBIN"
     [ -n "$CODE" ] || { echo "FAIL: objdump found no kernel or store symbol" >&2; exit 1; }
-    if echo "$CODE" | grep -Eq "$FMA3"; then
+    if echo "$CODE" | grep -Eq "$FMA3|$EVEXFMA"; then
         echo "FAIL: a fused multiply-add instruction in internal/core's kernel or store code" >&2
         exit 1
     fi
