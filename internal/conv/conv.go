@@ -5,7 +5,6 @@
 package conv
 
 import (
-	"context"
 	"fmt"
 
 	"ndirect/internal/tensor"
@@ -93,30 +92,12 @@ func (s Shape) NewOutput() *tensor.Tensor { return tensor.New(s.N, s.K, s.P(), s
 // this repository. in is NCHW, filter is KCRS; the NKPQ result is
 // freshly allocated.
 func Reference(s Shape, in, filter *tensor.Tensor) *tensor.Tensor {
-	out, err := ReferenceCtx(context.Background(), s, in, filter)
-	if err != nil {
-		panic(err) // unreachable: Background never expires
-	}
-	return out
-}
-
-// ReferenceCtx is Reference bounded by ctx: the context is polled
-// between output rows, and on expiry the partial result is dropped
-// and an error wrapping ErrDeadline (and the context's cause) is
-// returned — the cancellable oracle behind the deadline-bounded
-// reference fallback of the core driver. Operand validation failures
-// panic as in Reference (it is the trusted-caller oracle).
-func ReferenceCtx(ctx context.Context, s Shape, in, filter *tensor.Tensor) (*tensor.Tensor, error) {
 	checkOperands(s, in, filter)
 	out := s.NewOutput()
 	p, q := s.P(), s.Q()
-	poll := ctx.Done() != nil
 	for n := 0; n < s.N; n++ {
 		for k := 0; k < s.K; k++ {
 			for oj := 0; oj < p; oj++ {
-				if poll && ctx.Err() != nil {
-					return nil, fmt.Errorf("%w: %w", ErrDeadline, context.Cause(ctx))
-				}
 				for oi := 0; oi < q; oi++ {
 					var acc float64
 					ij := s.Str*oj - s.Pad
@@ -142,7 +123,7 @@ func ReferenceCtx(ctx context.Context, s Shape, in, filter *tensor.Tensor) (*ten
 			}
 		}
 	}
-	return out, nil
+	return out
 }
 
 func checkOperands(s Shape, in, filter *tensor.Tensor) {

@@ -63,7 +63,7 @@ func (p *Plan) PackedBytes() int64 {
 
 // TryExecuteReferenceCtx computes the plan's convolution with the
 // naive seven-loop algorithm directly into out — no worker grid, no
-// scratch buffers, no fresh output publication — replaying the plan's
+// scratch buffers — replaying the plan's
 // fused epilogue. It is the path of a reference engine
 // (nn.Engine.ForceReference), the registry's quarantine rung: it needs
 // only the output the caller was owed anyway. Accumulation is float64

@@ -30,9 +30,7 @@ func TryConv2D64(s conv.Shape, in, filter []float64, opt Options) ([]float64, er
 
 // TryConv2D64Ctx is the context-bounded form of TryConv2D64 with the
 // deadline semantics of Plan.TryExecuteCtx: on expiry the parallel
-// row loop is abandoned and the error wraps conv.ErrDeadline, unless
-// Options.FallbackBudget grants the Reference64 recompute time to
-// finish (the oracle polls its deadline between output rows).
+// row loop is abandoned and the error wraps conv.ErrDeadline.
 func TryConv2D64Ctx(ctx context.Context, s conv.Shape, in, filter []float64, opt Options) ([]float64, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -91,18 +89,12 @@ func TryConv2D64Ctx(ctx context.Context, s conv.Shape, in, filter []float64, opt
 		}
 	})
 	if err != nil {
-		fctx, cancel, derr := fallbackCtx(ctx, err, opt)
-		if derr != nil {
+		if derr := fallbackCtx(err); derr != nil {
 			return nil, derr
 		}
-		defer cancel()
 		Logf("core: fp64 parallel path faulted on %v; recomputing on reference path: %v", s, err)
-		var refErr error
-		if perr := parallel.Protect(func() { out, refErr = reference64Ctx(fctx, s, in, filter) }); perr != nil {
+		if perr := parallel.Protect(func() { out = Reference64(s, in, filter) }); perr != nil {
 			return nil, fmt.Errorf("%w: %v", ErrExecFault, perr)
-		}
-		if refErr != nil {
-			return nil, refErr
 		}
 	}
 	return out, nil
@@ -223,25 +215,11 @@ func store64(acc []simd.Vec2D, out []float64, s conv.Shape, n, kBase, oh, qt0, v
 
 // Reference64 is the float64 naive oracle (Algorithm 1).
 func Reference64(s conv.Shape, in, filter []float64) []float64 {
-	out, err := reference64Ctx(context.Background(), s, in, filter)
-	if err != nil {
-		panic(err) // unreachable: Background never expires
-	}
-	return out
-}
-
-// reference64Ctx is Reference64 bounded by ctx, polled between output
-// rows like conv.ReferenceCtx.
-func reference64Ctx(ctx context.Context, s conv.Shape, in, filter []float64) ([]float64, error) {
 	p, q := s.P(), s.Q()
-	poll := ctx.Done() != nil
 	out := make([]float64, s.N*s.K*p*q)
 	for n := 0; n < s.N; n++ {
 		for k := 0; k < s.K; k++ {
 			for oj := 0; oj < p; oj++ {
-				if poll && ctx.Err() != nil {
-					return nil, deadlineErr(ctx)
-				}
 				for oi := 0; oi < q; oi++ {
 					var acc float64
 					for c := 0; c < s.C; c++ {
@@ -265,5 +243,5 @@ func reference64Ctx(ctx context.Context, s conv.Shape, in, filter []float64) ([]
 			}
 		}
 	}
-	return out, nil
+	return out
 }

@@ -36,9 +36,7 @@ func TryConv2DInt16(s conv.Shape, in, filter []int16, opt Options) ([]int32, err
 // TryConv2DInt16Ctx is the context-bounded form of TryConv2DInt16
 // with the deadline semantics of Plan.TryExecuteCtx: on expiry the
 // parallel row loop is abandoned and the error wraps
-// conv.ErrDeadline, unless Options.FallbackBudget grants the
-// ReferenceInt16 recompute time to finish (the oracle polls its
-// deadline between output rows).
+// conv.ErrDeadline.
 func TryConv2DInt16Ctx(ctx context.Context, s conv.Shape, in, filter []int16, opt Options) ([]int32, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -90,18 +88,12 @@ func TryConv2DInt16Ctx(ctx context.Context, s conv.Shape, in, filter []int16, op
 		}
 	})
 	if err != nil {
-		fctx, cancel, derr := fallbackCtx(ctx, err, opt)
-		if derr != nil {
+		if derr := fallbackCtx(err); derr != nil {
 			return nil, derr
 		}
-		defer cancel()
 		Logf("core: int16 parallel path faulted on %v; recomputing on reference path: %v", s, err)
-		var refErr error
-		if perr := parallel.Protect(func() { out, refErr = referenceInt16Ctx(fctx, s, in, filter) }); perr != nil {
+		if perr := parallel.Protect(func() { out = ReferenceInt16(s, in, filter) }); perr != nil {
 			return nil, fmt.Errorf("%w: %v", ErrExecFault, perr)
-		}
-		if refErr != nil {
-			return nil, refErr
 		}
 	}
 	return out, nil
@@ -214,25 +206,11 @@ func storeInt16(acc []int32, out []int32, s conv.Shape, n, kBase, oh, qt0, vwEff
 // on quantised data); bit-identical to Conv2DInt16 because integer
 // addition is associative.
 func ReferenceInt16(s conv.Shape, in, filter []int16) []int32 {
-	out, err := referenceInt16Ctx(context.Background(), s, in, filter)
-	if err != nil {
-		panic(err) // unreachable: Background never expires
-	}
-	return out
-}
-
-// referenceInt16Ctx is ReferenceInt16 bounded by ctx, polled between
-// output rows like conv.ReferenceCtx.
-func referenceInt16Ctx(ctx context.Context, s conv.Shape, in, filter []int16) ([]int32, error) {
 	p, q := s.P(), s.Q()
-	poll := ctx.Done() != nil
 	out := make([]int32, s.N*s.K*p*q)
 	for n := 0; n < s.N; n++ {
 		for k := 0; k < s.K; k++ {
 			for oj := 0; oj < p; oj++ {
-				if poll && ctx.Err() != nil {
-					return nil, deadlineErr(ctx)
-				}
 				for oi := 0; oi < q; oi++ {
 					var acc int32
 					for c := 0; c < s.C; c++ {
@@ -256,5 +234,5 @@ func referenceInt16Ctx(ctx context.Context, s conv.Shape, in, filter []int16) ([
 			}
 		}
 	}
-	return out, nil
+	return out
 }

@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"ndirect/internal/conv"
 	"ndirect/internal/hw"
@@ -111,31 +110,6 @@ type Options struct {
 	// readable via Plan.LastStats (filter transform, packing,
 	// kernel, store).
 	CollectStats bool
-	// CheckNumerics makes every checked execution scan the output for
-	// NaN/Inf after the optimised path finishes. On a non-finite value
-	// the result is recomputed on the reference path and re-scanned; if
-	// the reference output is non-finite too (a non-finite input, a
-	// genuine overflow), the execution returns an error wrapping
-	// ErrExecFault instead of handing the caller a poisoned tensor.
-	// Costs one pass over the output; off by default. Under fault
-	// injection the scan runs regardless of this knob.
-	CheckNumerics bool
-	// FallbackBudget is the extra wall-clock budget granted to the
-	// reference-path fallback when a context-bounded execution
-	// (TryExecuteCtx and friends) is abandoned on deadline expiry or
-	// cancellation: 0 (the default) disables the fallback — the
-	// deadline error wrapping conv.ErrDeadline is returned as-is —
-	// while a positive value lets the driver spend up to that long
-	// recomputing the result on the naive reference path, returning a
-	// correct output and a nil error when it finishes in time. The
-	// budget also covers a context that is already expired at the call
-	// boundary. Because the abandoned grid's stragglers may still
-	// store into the output array they captured, the fallback always
-	// publishes through a fresh allocation (the plan entry points swap
-	// it into out.Data; the one-shot drivers return it). It does not
-	// affect fault (panic / NaN) fallbacks, which remain unbounded as
-	// in the context-free path.
-	FallbackBudget time.Duration
 	// PlanCache, when non-nil, makes the one-shot entry points
 	// (TryConv2D and friends, the NHWC/grouped/pointwise forms) fetch
 	// their plan from the cache instead of re-solving the Equation 1–6
@@ -243,9 +217,6 @@ func validateOptions(s conv.Shape, opt Options) error {
 			return fmt.Errorf("%w: %s=%d is negative", ErrBadOptions, f.name, f.v)
 		}
 	}
-	if opt.FallbackBudget < 0 {
-		return fmt.Errorf("%w: FallbackBudget=%v is negative", ErrBadOptions, opt.FallbackBudget)
-	}
 	if opt.DepthwiseEpilogue != nil {
 		return fmt.Errorf("%w: DepthwiseEpilogue only applies to separable plans", ErrBadOptions)
 	}
@@ -352,8 +323,7 @@ func TryConv2D(s conv.Shape, in, filter *tensor.Tensor, opt Options) (*tensor.Te
 // TryConv2DCtx is TryConv2D bounded by ctx: when the context expires
 // or is canceled before the worker grid finishes, the grid is
 // abandoned and the call returns an error wrapping conv.ErrDeadline
-// and the context's cause — unless Options.FallbackBudget grants the
-// reference path time to recompute the result. See Plan.TryExecuteCtx.
+// and the context's cause. See Plan.TryExecuteCtx.
 func TryConv2DCtx(ctx context.Context, s conv.Shape, in, filter *tensor.Tensor, opt Options) (*tensor.Tensor, error) {
 	p, err := planFor(s, opt)
 	if err != nil {

@@ -80,149 +80,6 @@ func TestTryExecuteCtxAbandonsStalledGrid(t *testing.T) {
 	waitNoLeakedWorkers(t)
 }
 
-// With a FallbackBudget, a deadline-abandoned run recomputes on the
-// reference path and returns a correct result with a nil error.
-func TestTryExecuteCtxFallsBackToReferenceWithinBudget(t *testing.T) {
-	logged := captureLog(t)
-	defer faultinject.Reset()
-	s := faultShape()
-	in, filter := faultOperands(s)
-	want := conv.Reference(s, in, filter)
-
-	faultinject.Arm(faultinject.WorkerStall, 0)
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	got, err := TryConv2DCtx(ctx, s, in, filter,
-		Options{Threads: 4, FallbackBudget: 10 * time.Second})
-	if err != nil {
-		t.Fatalf("fallback within budget must succeed: %v", err)
-	}
-	if d := tensor.RelDiff(want, got); d > 1e-7 {
-		t.Fatalf("fallback output diverges from reference: rel diff %g", d)
-	}
-	if !strings.Contains(logged(), "recomputing on reference path") {
-		t.Fatal("the deadline fallback must be logged")
-	}
-	faultinject.Reset()
-	waitNoLeakedWorkers(t)
-}
-
-// The deadline fallback must publish its result through a fresh
-// backing array: the abandoned grid's stragglers still hold the old
-// one and may store tiles into it whenever they resume, so reusing it
-// could corrupt a nil-error result.
-func TestDeadlineFallbackPublishesFreshArray(t *testing.T) {
-	captureLog(t)
-	defer faultinject.Reset()
-	s := faultShape()
-	in, filter := faultOperands(s)
-	want := conv.Reference(s, in, filter)
-	plan := NewPlan(s, Options{Threads: 4, FallbackBudget: 10 * time.Second})
-	out := s.NewOutput()
-	old := out.Data
-
-	faultinject.Arm(faultinject.WorkerStall, 0)
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	if err := plan.TryExecuteCtx(ctx, in, filter, out); err != nil {
-		t.Fatalf("fallback within budget must succeed: %v", err)
-	}
-	if len(out.Data) > 0 && &out.Data[0] == &old[0] {
-		t.Fatal("fallback reused the abandoned grid's backing array")
-	}
-	if d := tensor.RelDiff(want, out); d > 1e-7 {
-		t.Fatalf("fallback output diverges from reference: rel diff %g", d)
-	}
-	// Release the straggler: whatever it scribbles on the old array,
-	// the returned tensor must stay correct.
-	faultinject.Reset()
-	waitNoLeakedWorkers(t)
-	if d := tensor.RelDiff(want, out); d > 1e-7 {
-		t.Fatalf("resumed straggler corrupted the result: rel diff %g", d)
-	}
-}
-
-// A context that is already expired at the call boundary still gets
-// the documented FallbackBudget recompute instead of a fast-fail
-// error.
-func TestTryExecuteCtxExpiredContextStillFallsBack(t *testing.T) {
-	captureLog(t)
-	s := faultShape()
-	in, filter := faultOperands(s)
-	want := conv.Reference(s, in, filter)
-	plan := NewPlan(s, Options{Threads: 2, FallbackBudget: 10 * time.Second})
-	out := s.NewOutput()
-
-	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
-	defer cancel()
-	time.Sleep(time.Millisecond)
-	if err := plan.TryExecuteCtx(ctx, in, filter, out); err != nil {
-		t.Fatalf("FallbackBudget must cover the already-expired boundary: %v", err)
-	}
-	if d := tensor.RelDiff(want, out); d > 1e-7 {
-		t.Fatalf("boundary fallback diverges from reference: rel diff %g", d)
-	}
-}
-
-// The depthwise and grouped entry points must publish their budgeted
-// fallback through a fresh tensor (the abandoned workers captured the
-// old one) and still return a correct result; the grouped operands are
-// integer-valued, so its reference recompute is == the optimised path.
-func TestDepthwiseGroupedFallbackFreshOutput(t *testing.T) {
-	captureLog(t)
-	s := conv.Shape{N: 2, C: 8, H: 10, W: 10, K: 8, R: 3, S: 3, Str: 1, Pad: 1}
-
-	t.Run("depthwise", func(t *testing.T) {
-		defer faultinject.Reset()
-		in := s.NewInput()
-		in.FillRandom(1)
-		filter := tensor.New(s.C, s.R, s.S)
-		filter.FillRandom(2)
-		want, err := TryDepthwiseConv2D(s, in, filter, Options{Threads: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		faultinject.Arm(faultinject.WorkerStall, 0)
-		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-		defer cancel()
-		got, err := TryDepthwiseConv2DCtx(ctx, s, in, filter,
-			Options{Threads: 4, FallbackBudget: 10 * time.Second})
-		if err != nil {
-			t.Fatalf("bounded depthwise fallback must succeed: %v", err)
-		}
-		faultinject.Reset()
-		waitNoLeakedWorkers(t)
-		if d := tensor.RelDiff(want, got); d > 1e-7 {
-			t.Fatalf("depthwise fallback diverges: rel diff %g", d)
-		}
-	})
-
-	t.Run("grouped", func(t *testing.T) {
-		defer faultinject.Reset()
-		in := s.NewInput()
-		fillInts(in, 3)
-		filter := tensor.New(s.K, s.C/2, s.R, s.S)
-		fillInts(filter, 4)
-		want, err := TryGroupedConv2D(s, 2, in, filter, Options{Threads: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		faultinject.Arm(faultinject.WorkerStall, 0)
-		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-		defer cancel()
-		got, err := TryGroupedConv2DCtx(ctx, s, 2, in, filter,
-			Options{Threads: 4, FallbackBudget: 10 * time.Second})
-		if err != nil {
-			t.Fatalf("bounded grouped fallback must succeed: %v", err)
-		}
-		faultinject.Reset()
-		waitNoLeakedWorkers(t)
-		if d := tensor.MaxAbsDiff(want, got); d != 0 {
-			t.Fatalf("grouped fallback diverges by %g", d)
-		}
-	})
-}
-
 // A deadline-abandoned run's stragglers can drain after a newer run
 // already completed; their partial stats must not overwrite the newer
 // run's LastStats snapshot.
@@ -255,27 +112,6 @@ func TestStragglerStatsDoNotOverwriteNewerRun(t *testing.T) {
 	if got := plan.LastStats(); got != snap {
 		t.Fatalf("stale straggler stats overwrote the newer run: got %+v, want %+v", got, snap)
 	}
-}
-
-// An exhausted FallbackBudget reports the original deadline error
-// rather than hanging in the sequential oracle.
-func TestTryExecuteCtxFallbackBudgetExhausted(t *testing.T) {
-	captureLog(t)
-	defer faultinject.Reset()
-	// Large enough that the naive oracle cannot finish in a nanosecond.
-	s := conv.Shape{N: 1, C: 32, H: 28, W: 28, K: 32, R: 3, S: 3, Str: 1, Pad: 1}
-	in, filter := faultOperands(s)
-
-	faultinject.Arm(faultinject.WorkerStall, 0)
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
-	defer cancel()
-	_, err := TryConv2DCtx(ctx, s, in, filter,
-		Options{Threads: 4, FallbackBudget: time.Nanosecond})
-	if !errors.Is(err, conv.ErrDeadline) || !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want the original deadline error", err)
-	}
-	faultinject.Reset()
-	waitNoLeakedWorkers(t)
 }
 
 // Deadline semantics reach the NHWC entry point too.
@@ -350,45 +186,20 @@ func TestSiblingDriversDeadline(t *testing.T) {
 		waitNoLeakedWorkers(t)
 	})
 
-	t.Run("int16-fallback", func(t *testing.T) {
-		logged := captureLog(t)
+	t.Run("int16", func(t *testing.T) {
 		defer faultinject.Reset()
 		in := make([]int16, s.N*s.C*s.H*s.W)
 		filter := make([]int16, s.K*s.C*s.R*s.S)
-		for i := range in {
-			in[i] = int16(i%15) - 7
-		}
-		for i := range filter {
-			filter[i] = int16(i%9) - 4
-		}
-		want := ReferenceInt16(s, in, filter)
 		faultinject.Arm(faultinject.WorkerStall, 0)
 		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 		defer cancel()
-		got, err := TryConv2DInt16Ctx(ctx, s, in, filter,
-			Options{Threads: 4, FallbackBudget: 10 * time.Second})
-		if err != nil {
-			t.Fatalf("bounded fallback must succeed: %v", err)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("element %d = %d, want %d", i, got[i], want[i])
-			}
-		}
-		if logged() == "" {
-			t.Fatal("the fallback must be logged")
+		_, err := TryConv2DInt16Ctx(ctx, s, in, filter, Options{Threads: 4})
+		if !errors.Is(err, conv.ErrDeadline) {
+			t.Fatalf("err = %v, want ErrDeadline", err)
 		}
 		faultinject.Reset()
 		waitNoLeakedWorkers(t)
 	})
-}
-
-// A negative FallbackBudget is a validation error, not a silent no-op.
-func TestNegativeFallbackBudgetRejected(t *testing.T) {
-	s := faultShape()
-	if _, err := TryNewPlan(s, Options{FallbackBudget: -time.Second}); !errors.Is(err, ErrBadOptions) {
-		t.Fatalf("err = %v, want ErrBadOptions", err)
-	}
 }
 
 // Regression test for the Plan.Stats write-write race: two concurrent
@@ -419,10 +230,10 @@ func TestConcurrentExecuteStatsRace(t *testing.T) {
 	}
 }
 
-// CheckNumerics must catch an injected NaN even when that is the only
-// armed fault, repair it via the reference path, and guarantee an
-// all-finite output on nil error.
-func TestCheckNumericsCatchesNaNPoison(t *testing.T) {
+// The non-finite scan under fault injection must catch an injected NaN
+// even when that is the only armed fault, repair it via the reference
+// path, and guarantee an all-finite output on nil error.
+func TestNaNPoisonRepairedOnReferencePath(t *testing.T) {
 	logged := captureLog(t)
 	defer faultinject.Reset()
 	s := faultShape()
@@ -430,7 +241,7 @@ func TestCheckNumericsCatchesNaNPoison(t *testing.T) {
 	want := conv.Reference(s, in, filter)
 
 	faultinject.Arm(faultinject.NaNPoison, 5)
-	got, err := TryConv2D(s, in, filter, Options{Threads: 2, CheckNumerics: true})
+	got, err := TryConv2D(s, in, filter, Options{Threads: 2})
 	if err != nil {
 		t.Fatalf("repairable poison must not fail: %v", err)
 	}
@@ -438,30 +249,16 @@ func TestCheckNumericsCatchesNaNPoison(t *testing.T) {
 		t.Fatalf("poison not repaired: rel diff %g", d)
 	}
 	if _, bad := scanNonFinite(got.Data); bad {
-		t.Fatal("CheckNumerics returned a non-finite output with nil error")
+		t.Fatal("the scan returned a non-finite output with nil error")
 	}
 	if !strings.Contains(logged(), "recomputing on reference path") {
 		t.Fatal("the repair must be logged")
 	}
 }
 
-// A genuinely non-finite input cannot be repaired: CheckNumerics must
-// surface ErrExecFault instead of returning a poisoned tensor.
-func TestCheckNumericsRejectsNonFiniteInput(t *testing.T) {
-	captureLog(t)
-	s := faultShape()
-	in, filter := faultOperands(s)
-	in.Data[3] = float32(math.NaN())
-
-	_, err := TryConv2D(s, in, filter, Options{Threads: 2, CheckNumerics: true})
-	if !errors.Is(err, ErrExecFault) {
-		t.Fatalf("err = %v, want ErrExecFault", err)
-	}
-}
-
-// Without CheckNumerics (and without injection) no scan runs: the NaN
-// propagates, preserving the zero-overhead production default.
-func TestNoCheckNumericsSkipsScan(t *testing.T) {
+// Without fault injection no scan runs: a NaN input propagates to the
+// output at no cost to the production path.
+func TestUninjectedRunSkipsScan(t *testing.T) {
 	s := faultShape()
 	in, filter := faultOperands(s)
 	in.Data[3] = float32(math.NaN())
@@ -471,7 +268,7 @@ func TestNoCheckNumericsSkipsScan(t *testing.T) {
 		t.Fatalf("unchecked run must not fail: %v", err)
 	}
 	if _, bad := scanNonFinite(got.Data); !bad {
-		t.Fatal("NaN input should propagate when no scan is requested")
+		t.Fatal("NaN input should propagate when no fault is injected")
 	}
 }
 

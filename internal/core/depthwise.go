@@ -32,8 +32,7 @@ func TryDepthwiseConv2D(s conv.Shape, in, filter *tensor.Tensor, opt Options) (*
 // kernel family, the fused epilogue (Options.FusedEpilogue, length C)
 // and the deadline semantics are the plan's (Plan.TryExecuteCtx's: on
 // expiry the grid is abandoned and the call returns an error wrapping
-// conv.ErrDeadline, unless Options.FallbackBudget grants the oracle
-// recompute time to finish).
+// conv.ErrDeadline).
 func TryDepthwiseConv2DCtx(ctx context.Context, s conv.Shape, in, filter *tensor.Tensor, opt Options) (*tensor.Tensor, error) {
 	p, err := TryNewDepthwisePlan(s, opt)
 	if err != nil {
@@ -147,8 +146,7 @@ func TryConv3D(s Shape3D, in, filter *tensor.Tensor, opt Options) (*tensor.Tenso
 // TryConv3DCtx is TryConv3D bounded by ctx: each output depth is one
 // governed execution of the same plan under ctx, with the deadline and
 // fault semantics of Plan.TryExecuteCtx, so the first depth to hit the
-// deadline returns an error wrapping conv.ErrDeadline (unless
-// Options.FallbackBudget grants its reference recompute time).
+// deadline returns an error wrapping conv.ErrDeadline.
 func TryConv3DCtx(ctx context.Context, s Shape3D, in, filter *tensor.Tensor, opt Options) (*tensor.Tensor, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -181,8 +179,6 @@ func TryConv3DCtx(ctx context.Context, s Shape3D, in, filter *tensor.Tensor, opt
 				}
 			}
 		}
-		// A deadline fallback republishes through a fresh outSlice.Data,
-		// so the scatter reads the field after every execution.
 		if err := plan.TryExecuteCtx(ctx, inSlice, fView, outSlice); err != nil {
 			return nil, err
 		}

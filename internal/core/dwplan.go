@@ -25,7 +25,6 @@ import (
 type DepthwisePlan struct {
 	Shape conv.Shape // K normalised to C (depthwise: one output per input channel)
 
-	opts    Options
 	threads int
 	family  *kernelFamily // nil: generic depthwisePlaneRange body
 	ep      epilogue      // per-channel (length C) fused epilogue
@@ -73,7 +72,7 @@ func TryNewDepthwisePlan(s conv.Shape, opt Options) (*DepthwisePlan, error) {
 		return nil, err
 	}
 
-	p := &DepthwisePlan{Shape: s, opts: opt, ep: normalizeEpilogue(opt.FusedEpilogue), family: familyFor(s, true)}
+	p := &DepthwisePlan{Shape: s, ep: normalizeEpilogue(opt.FusedEpilogue), family: familyFor(s, true)}
 	p.threads = opt.Threads
 	if p.threads == 0 {
 		p.threads = parallel.DefaultThreads()
@@ -202,7 +201,7 @@ func applyChannelEpilogue(dst []float32, ep *epilogue, c int) {
 // cell range.
 func (p *DepthwisePlan) newRun() *dwRun {
 	r := &dwRun{p: p}
-	r.init(r, &p.runs, &p.opts, p.Shape, len(p.ranges), &r.fdata)
+	r.init(r, &p.runs, p.Shape, len(p.ranges), &r.fdata)
 	return r
 }
 
@@ -221,8 +220,8 @@ func (r *dwRun) unload() {
 }
 
 // recompute is the depthwise oracle path, from the raw weights.
-func (r *dwRun) recompute(ctx context.Context, dst []float32) bool {
-	return r.p.oracle(ctx, r.in.Data, r.filter.Data, dst)
+func (r *dwRun) recompute() {
+	r.p.oracle(r.in.Data, r.filter.Data, r.out.Data)
 }
 
 // TryExecute runs the depthwise plan on an NCHW input with a [C,R,S]
@@ -234,9 +233,8 @@ func (p *DepthwisePlan) TryExecute(in, filter, out *tensor.Tensor) error {
 }
 
 // TryExecuteCtx is TryExecute bounded by ctx, with Plan.TryExecuteCtx
-// deadline semantics (abandon + conv.ErrDeadline, or a
-// FallbackBudget-bounded oracle recompute published through a fresh
-// out.Data array).
+// deadline semantics: on expiry the grid is abandoned and the call
+// returns an error wrapping conv.ErrDeadline.
 func (p *DepthwisePlan) TryExecuteCtx(ctx context.Context, in, filter, out *tensor.Tensor) error {
 	return p.exec(ctx, in, filter, nil, out)
 }
@@ -286,15 +284,11 @@ func (p *DepthwisePlan) exec(ctx context.Context, in, filter *tensor.Tensor, pc 
 }
 
 // oracle computes the full result sequentially on the generic oracle
-// body plus the epilogue sweep into out, polling ctx between planes; it
-// reports false when ctx expired first.
-func (p *DepthwisePlan) oracle(ctx context.Context, in, filter, out []float32) bool {
+// body plus the epilogue sweep into out.
+func (p *DepthwisePlan) oracle(in, filter, out []float32) {
 	s := p.Shape
 	pp, q := s.P(), s.Q()
 	for plane := 0; plane < s.N*s.C; plane++ {
-		if ctx.Err() != nil {
-			return false
-		}
 		c := plane % s.C
 		inPlane := in[plane*s.H*s.W : (plane+1)*s.H*s.W]
 		fch := filter[c*s.R*s.S : (c+1)*s.R*s.S]
@@ -304,7 +298,6 @@ func (p *DepthwisePlan) oracle(ctx context.Context, in, filter, out []float32) b
 			applyChannelEpilogue(dst, &p.ep, c)
 		}
 	}
-	return true
 }
 
 // PackedDepthwiseFilter is the persistent packed form of a depthwise
@@ -386,7 +379,7 @@ func newDepthwiseProbe(f *kernelFamily) (*familyProbe, error) {
 		out:   tensor.New(s.N, s.C, s.P(), s.Q()),
 		want:  tensor.New(s.N, s.C, s.P(), s.Q()),
 	}
-	p.oracle(context.Background(), in.Data, filter.Data, kp.want.Data)
+	p.oracle(in.Data, filter.Data, kp.want.Data)
 	kp.exec = func() error { return p.TryExecute(in, filter, kp.out) }
 	return kp, nil
 }

@@ -273,26 +273,6 @@ func TestDepthwisePlanFaultRecovery(t *testing.T) {
 		}
 	})
 
-	t.Run("worker-stall-fallback-budget", func(t *testing.T) {
-		defer faultinject.Reset()
-		faultinject.Arm(faultinject.WorkerStall, 1)
-		p, err := TryNewDepthwisePlan(s, Options{Threads: 4, FallbackBudget: time.Second})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
-		defer cancel()
-		out := tensor.New(s.N, s.C, s.P(), s.Q())
-		err = p.TryExecuteCtx(ctx, in, filter, out)
-		faultinject.Reset()
-		if err != nil {
-			t.Fatalf("budgeted fallback returned error: %v", err)
-		}
-		if d := tensor.MaxAbsDiff(out, want); d != 0 {
-			t.Fatalf("fallback output diverges by %g", d)
-		}
-	})
-
 	t.Run("nan-poison", func(t *testing.T) {
 		defer faultinject.Reset()
 		faultinject.Arm(faultinject.NaNPoison, 5)

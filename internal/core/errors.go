@@ -17,9 +17,9 @@ var (
 	// ErrExecFault reports that the optimised execution path faulted
 	// (a recovered worker panic or a non-finite output detected under
 	// fault injection). The checked Execute variants log it and fall
-	// back to the reference path instead of returning it; it surfaces
-	// when the reference output is non-finite too (CheckNumerics), or
-	// when the FP64/INT16 entry points' sequential fallback faults too.
+	// back to the reference path, in place, instead of returning it; it
+	// surfaces only when the FP64/INT16 entry points' sequential
+	// fallback faults too.
 	ErrExecFault = errors.New("core: execution fault")
 	// ErrOverloaded reports that the serving runtime refused the
 	// request before doing any convolution work: admission control

@@ -28,15 +28,11 @@ func (p *Plan) TryExecute(in, filter, out *tensor.Tensor) error {
 // parallel.LeakedWorkers until it terminates) and returns an error
 // wrapping conv.ErrDeadline plus the context's cause, so
 // errors.Is(err, context.DeadlineExceeded) classifies a blown budget.
-// With Options.FallbackBudget > 0 the driver instead spends up to that
-// extra budget recomputing the result on the naive reference path,
-// returning a correct output and a nil error when it finishes in time.
-// Because abandoned workers may still store tiles into the array they
-// captured whenever they resume, the fallback result is published by
-// swapping a freshly allocated array into out.Data — callers holding
-// an alias of the previous backing slice must re-read out.Data after a
-// deadline fallback. A context without a deadline or cancellation
-// behaves exactly like TryExecute (same join, no extra goroutines).
+// No reference recompute runs after a deadline, and out.Data is never
+// replaced: an abandoned worker may still store tiles into it whenever
+// it resumes, so after a deadline error its contents are undefined. A
+// context without a deadline or cancellation behaves exactly like
+// TryExecute (same join, no extra goroutines).
 func (p *Plan) TryExecuteCtx(ctx context.Context, in, filter, out *tensor.Tensor) error {
 	return p.exec(ctx, execReq{in: in, filter: filter, out: out})
 }
@@ -53,8 +49,8 @@ func (p *Plan) TryExecutePacked(in *tensor.Tensor, pf *PackedFilter, out *tensor
 }
 
 // TryExecutePackedCtx is TryExecutePacked bounded by ctx; deadline
-// semantics follow TryExecuteCtx (the reference fallback recomputes
-// from the packed filter's source KCRS weights).
+// semantics follow TryExecuteCtx (a fault's reference recompute reads
+// the packed filter's source KCRS weights).
 func (p *Plan) TryExecutePackedCtx(ctx context.Context, in *tensor.Tensor, pf *PackedFilter, out *tensor.Tensor) error {
 	return p.exec(ctx, execReq{in: in, pf: pf, packed: true, out: out})
 }
@@ -195,19 +191,13 @@ func validateRequest(s conv.Shape, in, filter, out *tensor.Tensor, nchw bool) er
 	return conv.ValidateTensor("output", out, s.N, s.P(), s.Q(), s.K)
 }
 
-// recompute is the standard plan's oracle path: conv.ReferenceCtx (it
-// polls ctx between output rows, so a deadline-abandoned execution does
-// not trade an unbounded grid join for an unbounded sequential
-// recompute), then the plan's epilogue replayed — exactly what a
-// fault-free optimised run would have stored.
-func (r *planRun) recompute(ctx context.Context, dst []float32) bool {
+// recompute is the standard plan's oracle path: conv.Reference, then
+// the plan's epilogue replayed — exactly what a fault-free optimised
+// run would have stored.
+func (r *planRun) recompute() {
 	p := r.p
-	ref, err := conv.ReferenceCtx(ctx, p.Shape, p.refInput(r.in, r.nchw), r.filter)
-	if err != nil {
-		return false
-	}
-	p.applyFallback(ref, dst, r.resD, r.nchw)
-	return true
+	ref := conv.Reference(p.Shape, p.refInput(r.in, r.nchw), r.filter)
+	p.applyFallback(ref, r.out.Data, r.resD, r.nchw)
 }
 
 // refInput converts the input to the oracle's NCHW layout if needed.
@@ -306,7 +296,7 @@ type planRun struct {
 func (p *Plan) newRun() *planRun {
 	r := &planRun{p: p}
 	s := p.Shape
-	r.init(r, &p.runs, &p.opts, s, len(p.kRanges)*len(p.nRanges)*len(p.hRanges)*len(p.wRanges), &r.pre)
+	r.init(r, &p.runs, s, len(p.kRanges)*len(p.nRanges)*len(p.hRanges)*len(p.wRanges), &r.pre)
 	tfLen := p.tfLen()
 	for _, kr := range p.kRanges {
 		kLo := kr.Lo * p.RT.Vk

@@ -35,9 +35,8 @@ type gridOwner interface {
 	// loaded operands, polling the run's fault sink between work items.
 	cells(w int)
 	// recompute writes what a fault-free execution would have stored
-	// into dst, laid out like the output tensor, on the plan type's
-	// oracle path, polling ctx; it reports false when ctx expired first.
-	recompute(ctx context.Context, dst []float32) bool
+	// into the output tensor, on the plan type's oracle path.
+	recompute()
 	// unload drops the operand references (and publishes whatever the
 	// run measured) once no worker can touch the run any more.
 	unload()
@@ -67,8 +66,7 @@ type guardedBuf struct {
 type gridRun struct {
 	owner gridOwner
 	pool  *runPool
-	opts  *Options // the plan's: FallbackBudget, CheckNumerics
-	label any      // the plan's shape, for log lines
+	label any // the plan's shape, for log lines
 
 	// Per execution, loaded by the owner before govern.
 	out    *tensor.Tensor
@@ -127,8 +125,8 @@ func (rp *runPool) put(g *gridRun) {
 // slot. The
 // closures are built once and read the current operands through the
 // owner, so steady-state dispatch creates no funcvals.
-func (g *gridRun) init(owner gridOwner, pool *runPool, opts *Options, label any, slots int, weights ...*[]float32) {
-	g.owner, g.pool, g.opts, g.label = owner, pool, opts, label
+func (g *gridRun) init(owner gridOwner, pool *runPool, label any, slots int, weights ...*[]float32) {
+	g.owner, g.pool, g.label = owner, pool, label
 	g.refs.Store(1)
 	g.guards = make([][]guardedBuf, slots)
 	for _, w := range weights {
@@ -252,24 +250,20 @@ func (g *gridRun) dispatch(ctx context.Context) error {
 // order:
 //
 //  1. A context already expired at the boundary fails before any work
-//     is spawned (or goes straight to rung 6 under FallbackBudget).
+//     is spawned.
 //  2. Every packed operand the execution consumes is verified against
 //     its pack-time CRC on the sampled schedule — always, when the
 //     weight-bitflip drill hit it. A mismatch is silent corruption,
 //     returned typed: the oracle must not mask it, because the resident
 //     artifact stays poisoned until the owner re-packs.
 //  3. The grid runs (dispatch).
-//  4. Under fault injection or CheckNumerics the output is scanned for
-//     NaN/Inf.
-//  5. ErrIntegrity (a tripped scratch canary, rung 2) passes through:
-//     the faulty artifact must be quarantined or re-packed by the owning
-//     layer before results can be trusted again.
-//  6. A deadline abandon is not a fault: the caller asked for bounded
-//     time, so the oracle runs only within FallbackBudget — into a fresh
-//     array swapped into out.Data, because abandoned stragglers may
-//     still store into the array they captured — and otherwise the
-//     conv.ErrDeadline-wrapped error is returned.
-//  7. Any other fault (a recovered worker panic, a non-finite output) is
+//  4. Under fault injection the output is scanned for NaN/Inf.
+//  5. ErrIntegrity (a tripped scratch canary, rung 2) and a deadline
+//     abandon pass through. The faulty artifact must be quarantined or
+//     re-packed by the owning layer before results can be trusted again;
+//     a deadline is not a fault — the caller asked for bounded time, so
+//     the conv.ErrDeadline-wrapped error returns and no oracle runs.
+//  6. Any other fault (a recovered worker panic, a non-finite output) is
 //     logged and recomputed in place; every worker has been joined.
 //
 // Every execution overwrites its output, so a recompute needs nothing
@@ -284,12 +278,8 @@ func govern(ctx context.Context, g *gridRun) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	cancellable := ctx.Done() != nil
-	if cancellable && ctx.Err() != nil {
-		if g.opts.FallbackBudget <= 0 {
-			return deadlineErr(ctx)
-		}
-		return g.deadlineRecompute(ctx, deadlineErr(ctx))
+	if ctx.Err() != nil {
+		return deadlineErr(ctx)
 	}
 	injecting := faultinject.Enabled()
 
@@ -328,48 +318,15 @@ func govern(ctx context.Context, g *gridRun) error {
 			g.poisonOutput(idx)
 		}
 	}
-	if err == nil && (injecting || g.opts.CheckNumerics) {
-		err = g.scanOutput("")
+	if err == nil && injecting {
+		err = g.scanOutput()
 	}
-	if err == nil || errors.Is(err, ErrIntegrity) {
+	if err == nil || errors.Is(err, ErrIntegrity) || errors.Is(err, conv.ErrDeadline) {
 		return err
 	}
-	if errors.Is(err, conv.ErrDeadline) {
-		if g.opts.FallbackBudget <= 0 {
-			return err
-		}
-		return g.deadlineRecompute(ctx, err)
-	}
 	Logf("core: optimised path faulted on %v; recomputing on reference path: %v", g.label, err)
-	g.owner.recompute(context.Background(), g.out.Data)
-	return g.rescan()
-}
-
-// deadlineRecompute spends Options.FallbackBudget recomputing on the
-// oracle path after a blown deadline. On success the caller receives
-// a correct tensor and a nil error; an exhausted budget reports origErr
-// (the original deadline error) and publishes nothing.
-func (g *gridRun) deadlineRecompute(ctx context.Context, origErr error) error {
-	fctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), g.opts.FallbackBudget)
-	defer cancel()
-	Logf("core: optimised path abandoned on %v; recomputing on reference path within %v: %v",
-		g.label, g.opts.FallbackBudget, origErr)
-	fresh := make([]float32, len(g.out.Data))
-	if !g.owner.recompute(fctx, fresh) {
-		return origErr
-	}
-	g.out.Data = fresh
-	return g.rescan()
-}
-
-// rescan is the CheckNumerics pass after an oracle recompute: the
-// oracle cannot repair non-finite inputs or genuine overflow, so those
-// surface instead of a poisoned tensor being returned.
-func (g *gridRun) rescan() error {
-	if !g.opts.CheckNumerics {
-		return nil
-	}
-	return g.scanOutput(" after reference fallback")
+	g.owner.recompute()
+	return nil
 }
 
 // packedLen is the element count of the packed operands this execution
@@ -417,9 +374,9 @@ func (g *gridRun) poisonOutput(idx int) {
 
 // scanOutput returns an ErrExecFault naming the first NaN/Inf in the
 // output.
-func (g *gridRun) scanOutput(when string) error {
+func (g *gridRun) scanOutput() error {
 	if j, bad := scanNonFinite(g.out.Data); bad {
-		return fmt.Errorf("%w: non-finite output at element %d%s", ErrExecFault, j, when)
+		return fmt.Errorf("%w: non-finite output at element %d", ErrExecFault, j)
 	}
 	return nil
 }
@@ -430,21 +387,14 @@ func deadlineErr(ctx context.Context) error {
 }
 
 // fallbackCtx classifies a parallel-loop error for the FP64 and INT16
-// entry points, the two that run their own loop outside the ladder: a
-// worker fault keeps the unbounded sequential fallback (fctx is
-// Background), while a context abandonment either returns the
-// conv.ErrDeadline-wrapped error as-is (no FallbackBudget) or grants the
-// fallback that budget. The returned cancel must be deferred when derr
-// is nil.
-func fallbackCtx(ctx context.Context, err error, opt Options) (fctx context.Context, cancel context.CancelFunc, derr error) {
-	if !errors.Is(err, parallel.ErrCanceled) {
-		return context.Background(), func() {}, nil
+// entry points, the two that run their own loop outside the ladder: it
+// returns nil for a worker fault, which keeps the sequential reference
+// fallback, and wraps a context abandonment in conv.ErrDeadline.
+func fallbackCtx(err error) error {
+	if errors.Is(err, parallel.ErrCanceled) {
+		return fmt.Errorf("%w: %w", conv.ErrDeadline, err)
 	}
-	if opt.FallbackBudget <= 0 {
-		return nil, nil, fmt.Errorf("%w: %w", conv.ErrDeadline, err)
-	}
-	fctx, cancel = context.WithTimeout(context.WithoutCancel(ctx), opt.FallbackBudget)
-	return fctx, cancel, nil
+	return nil
 }
 
 // scanNonFinite returns the index of the first NaN/Inf in data.

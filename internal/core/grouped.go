@@ -30,8 +30,7 @@ func TryGroupedConv2D(s conv.Shape, groups int, in, filter *tensor.Tensor, opt O
 // TryGroupedConv2DCtx is the context-bounded form of TryGroupedConv2D:
 // every (n, g) sub-problem runs under ctx with the deadline semantics
 // of Plan.TryExecuteCtx, so the first one to hit the deadline returns an
-// error wrapping conv.ErrDeadline, unless Options.FallbackBudget grants
-// its reference recompute time to finish.
+// error wrapping conv.ErrDeadline.
 func TryGroupedConv2DCtx(ctx context.Context, s conv.Shape, groups int, in, filter *tensor.Tensor, opt Options) (*tensor.Tensor, error) {
 	if groups < 1 || s.C%groups != 0 || s.K%groups != 0 {
 		return nil, fmt.Errorf("%w: groups=%d must divide C=%d and K=%d", conv.ErrBadShape, groups, s.C, s.K)
@@ -68,15 +67,6 @@ func TryGroupedConv2DCtx(ctx context.Context, s conv.Shape, groups int, in, filt
 		outView := tensor.FromSlice(out.Data[ng*outLen:(ng+1)*outLen], 1, kg, s.P(), s.Q())
 		if err := plan.TryExecuteCtx(ctx, inView, fView, outView); err != nil {
 			return nil, err
-		}
-		if &outView.Data[0] != &out.Data[ng*outLen] {
-			// A deadline fallback published through a fresh array: the
-			// abandoned grid may still store into out, so the finished
-			// slabs move to a tensor it has never seen.
-			fresh := s.NewOutput()
-			copy(fresh.Data, out.Data[:ng*outLen])
-			copy(fresh.Data[ng*outLen:], outView.Data)
-			out = fresh
 		}
 	}
 	return out, nil

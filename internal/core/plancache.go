@@ -6,7 +6,6 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"ndirect/internal/conv"
 	"ndirect/internal/hw"
@@ -78,8 +77,7 @@ type planKey struct {
 	fusedRes   bool
 	fusedReLU  bool
 	collect    bool
-	numerics   bool
-	budget     time.Duration
+	dwEpilogue bool
 }
 
 // floatsKey serialises a float slice to its exact bit pattern for use
@@ -109,8 +107,10 @@ func planKeyFor(s conv.Shape, opt Options) planKey {
 		forceTk:  opt.ForceTk,
 		forceTh:  opt.ForceTh,
 		collect:  opt.CollectStats,
-		numerics: opt.CheckNumerics,
-		budget:   opt.FallbackBudget,
+		// A plan with a depthwise epilogue is never built (TryNewPlan
+		// rejects it), so this bit only keeps such a lookup off the clean
+		// entry: it must miss and fail.
+		dwEpilogue: opt.DepthwiseEpilogue != nil,
 	}
 	if fe := opt.FusedEpilogue; fe != nil {
 		key.fusedSet = true

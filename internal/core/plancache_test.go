@@ -306,6 +306,14 @@ func TestPlanCacheKeyDistinguishesEpilogue(t *testing.T) {
 	if c.Len() != len(opts) {
 		t.Fatalf("cache holds %d plans for %d distinct epilogue configurations", c.Len(), len(opts))
 	}
+	// A depthwise epilogue is a misrouted option on a standard plan: the
+	// warm clean entry (opts[0]) must not answer it, so the one-shot call
+	// fails exactly as it does on a cold cache.
+	in, filter := s.NewInput(), s.NewFilter()
+	misrouted := Options{PlanCache: c, DepthwiseEpilogue: &EpilogueParams{ReLU: true}}
+	if _, err := TryConv2D(s, in, filter, misrouted); !errors.Is(err, ErrBadOptions) {
+		t.Fatalf("DepthwiseEpilogue on a warm cache: err = %v, want ErrBadOptions", err)
+	}
 }
 
 func TestPlanCacheErrorNotCached(t *testing.T) {

@@ -84,7 +84,6 @@ type SeparablePlan struct {
 	dw conv.Shape // depthwise stage (K normalised to C)
 	pw conv.Shape // pointwise stage
 
-	opts     Options
 	threads  int
 	dwFamily *kernelFamily // nil: generic depthwise body
 	dwEp     epilogue      // depthwise-stage epilogue (length C)
@@ -126,7 +125,6 @@ func TryNewSeparablePlan(shape SeparableShape, opt Options) (*SeparablePlan, err
 		Shape: shape,
 		dw:    shape.DWShape(),
 		pw:    shape.PWShape(),
-		opts:  opt,
 	}
 	pwOpt := opt
 	pwOpt.DepthwiseEpilogue = nil // consumed by the depthwise stage above
@@ -252,7 +250,7 @@ type sepRun struct {
 
 func (p *SeparablePlan) newRun() *sepRun {
 	r := &sepRun{p: p}
-	r.init(r, &p.runs, &p.opts, fmt.Sprintf("separable %+v", p.Shape), len(p.ranges), &r.dwf, &r.pre)
+	r.init(r, &p.runs, fmt.Sprintf("separable %+v", p.Shape), len(p.ranges), &r.dwf, &r.pre)
 	for w := range p.ranges {
 		r.scratch = append(r.scratch, &sepScratch{mid: r.guard(w, p.midLen)})
 	}
@@ -277,18 +275,14 @@ func (r *sepRun) unload() {
 // goroutine with fresh scratch and the raw weights — bit-identical to
 // a clean parallel run (same kernels, same tile partition) and, like
 // the fast path, never materialising the full intermediate.
-func (r *sepRun) recompute(ctx context.Context, dst []float32) bool {
+func (r *sepRun) recompute() {
 	p := r.p
 	pre := make([]float32, p.preLen)
 	transformFilter(r.pwFilter.Data, pre, p.pw.K, p.pw.C, 1, 1, 0, p.pw.K, 0, p.pw.C, 8)
 	ws := &sepScratch{mid: make([]float32, p.midLen)}
 	for cell := 0; cell < p.cells; cell++ {
-		if ctx.Err() != nil {
-			return false
-		}
-		p.cell(r.in.Data, r.dwFilter.Data, pre, dst, cell, ws)
+		p.cell(r.in.Data, r.dwFilter.Data, pre, r.out.Data, cell, ws)
 	}
-	return true
 }
 
 // dwKernel resolves the depthwise-stage body; cell calls it per grid

@@ -49,7 +49,7 @@ func TestLogLimitedKeyCapBounded(t *testing.T) {
 	}
 	t.Cleanup(func() { core.Logf = old })
 
-	eng := &Engine{LogKeyCap: 8}
+	eng := &Engine{logKeyCap: 8}
 	// First touch of each key emits; a second immediate touch is
 	// suppressed (pending count 1 on that key).
 	for i := 0; i < 100; i++ {
@@ -93,21 +93,16 @@ func TestLogLimitedKeyCapBounded(t *testing.T) {
 		t.Fatal("no evicted suppression ever surfaced in a trailer")
 	}
 
-	// Negative cap disables the bound (pre-cap behaviour).
-	unbounded := &Engine{LogKeyCap: -1}
-	for i := 0; i < 100; i++ {
-		unbounded.logLimited(fmt.Sprintf("key-%d", i), "line %d", i)
+	// An engine's own zero cap is the default bound.
+	zero := &Engine{}
+	for i := 0; i < DefaultLogKeyCap+10; i++ {
+		zero.logLimited(fmt.Sprintf("key-%d", i), "line %d", i)
 	}
-	unbounded.logMu.Lock()
-	if n := len(unbounded.logSeen); n != 100 {
-		unbounded.logMu.Unlock()
-		t.Fatalf("negative cap must be unbounded: kept %d of 100 keys", n)
-	}
-	unbounded.logMu.Unlock()
-
-	// Zero selects the default cap.
-	if (&Engine{}).logKeyCap() != DefaultLogKeyCap {
-		t.Fatal("zero LogKeyCap must select DefaultLogKeyCap")
+	zero.logMu.Lock()
+	n := len(zero.logSeen)
+	zero.logMu.Unlock()
+	if n != DefaultLogKeyCap {
+		t.Fatalf("a zero-valued engine kept %d keys, want DefaultLogKeyCap (%d)", n, DefaultLogKeyCap)
 	}
 }
 
@@ -119,7 +114,7 @@ func TestLogLimitedRecencyRetainsActiveKey(t *testing.T) {
 	core.Logf = func(string, ...any) {}
 	t.Cleanup(func() { core.Logf = old })
 
-	eng := &Engine{LogKeyCap: 4}
+	eng := &Engine{logKeyCap: 4}
 	eng.logLimited("hot", "hot")
 	for i := 0; i < 20; i++ {
 		eng.logLimited("hot", "hot") // suppressed touch refreshes recency
@@ -149,7 +144,7 @@ func TestFallbackLogRateLimited(t *testing.T) {
 	x.FillRandom(7)
 
 	const interval = 300 * time.Millisecond
-	eng := &Engine{Algo: AlgoAnsor, Threads: 2, LogInterval: interval}
+	eng := &Engine{Algo: AlgoAnsor, Threads: 2, logInterval: interval}
 	faultinject.ArmN(faultinject.ScheduleCorrupt, -1, -1)
 
 	countFallbacks := func() int {

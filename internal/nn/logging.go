@@ -13,12 +13,12 @@ import (
 // count on the next emission.
 const DefaultLogInterval = 5 * time.Second
 
-// DefaultLogKeyCap bounds the rate-limiter's key map when
-// Engine.LogKeyCap is zero. Multi-tenant traffic mints a fresh key per
-// (site, backend, shape), so an unbounded map is a slow leak on a
-// long-lived serving process; past the cap the least recently touched
-// key is evicted and its pending suppressed count folds into the next
-// emission's trailer, so no suppression is ever silently lost.
+// DefaultLogKeyCap bounds the rate-limiter's key map. Multi-tenant
+// traffic mints a fresh key per (site, backend, shape), so an unbounded
+// map is a slow leak on a long-lived serving process; past the cap the
+// least recently touched key is evicted and its pending suppressed count
+// folds into the next emission's trailer, so no suppression is ever
+// silently lost.
 const DefaultLogKeyCap = 1024
 
 // backendFailed emits the rate-limited line for a failed baseline
@@ -35,30 +35,19 @@ type logEntry struct {
 	suppressed int
 }
 
-// logKeyCap resolves Engine.LogKeyCap: 0 → the default bound,
-// negative → unbounded (the pre-cap behaviour).
-func (eng *Engine) logKeyCap() int {
-	if eng.LogKeyCap == 0 {
-		return DefaultLogKeyCap
-	}
-	return eng.LogKeyCap
-}
-
-// logLimited emits via core.Logf at most once per key per LogInterval;
-// lines dropped in between surface as a suppressed count appended to
-// the next emission. A negative Engine.LogInterval disables
-// suppression (the seed's log-every-call behaviour). The key map is
-// LRU-bounded at logKeyCap: evicting a key folds its pending
-// suppressed count into eng.logCarry, which the next emission (of any
-// key) adds to its trailer — bounded memory, lossless counts.
+// logLimited emits via core.Logf at most once per key per
+// DefaultLogInterval; lines dropped in between surface as a suppressed
+// count appended to the next emission. The key map is LRU-bounded at
+// DefaultLogKeyCap: evicting a key folds its pending suppressed count
+// into eng.logCarry, which the next emission (of any key) adds to its
+// trailer — bounded memory, lossless counts.
 func (eng *Engine) logLimited(key, format string, args ...any) {
-	interval := eng.LogInterval
-	if interval < 0 {
-		core.Logf(format, args...)
-		return
-	}
-	if interval == 0 {
+	interval, keyCap := eng.logInterval, eng.logKeyCap
+	if interval <= 0 {
 		interval = DefaultLogInterval
+	}
+	if keyCap <= 0 {
+		keyCap = DefaultLogKeyCap
 	}
 	now := time.Now()
 	eng.logMu.Lock()
@@ -73,14 +62,12 @@ func (eng *Engine) logLimited(key, format string, args ...any) {
 	} else {
 		e = &logEntry{key: key}
 		eng.logSeen[key] = eng.logLRU.PushFront(e)
-		if cap := eng.logKeyCap(); cap > 0 {
-			for eng.logLRU.Len() > cap {
-				back := eng.logLRU.Back()
-				old := back.Value.(*logEntry)
-				eng.logLRU.Remove(back)
-				delete(eng.logSeen, old.key)
-				eng.logCarry += old.suppressed
-			}
+		for eng.logLRU.Len() > keyCap {
+			back := eng.logLRU.Back()
+			old := back.Value.(*logEntry)
+			eng.logLRU.Remove(back)
+			delete(eng.logSeen, old.key)
+			eng.logCarry += old.suppressed
 		}
 	}
 	if !e.last.IsZero() && now.Sub(e.last) < interval {

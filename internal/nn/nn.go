@@ -80,13 +80,6 @@ type Engine struct {
 	// AlgoAnsor backend, the Figure 6/7 baseline, reads it: nDirect
 	// plans come from the analytical model and ignore it.
 	Schedules map[string]autotune.Schedule
-	// ConvBudget bounds each convolution layer's wall time (0 = no
-	// bound). A layer that exceeds it — a wedged worker, a
-	// pathological schedule — is abandoned and rerun on the nDirect
-	// backend (or, for nDirect itself, recomputed unbounded after the
-	// one-shot fault is consumed), so one stuck layer cannot wedge
-	// the whole forward pass.
-	ConvBudget time.Duration
 	// Reuse turns on the cross-call amortisation for repeated
 	// inference: execution plans come from a shared core.PlanCache
 	// instead of re-solving the Eq. 1–6 models per call, the nDirect
@@ -109,18 +102,6 @@ type Engine struct {
 	// Reuse; nil with Reuse on means a private cache is created on
 	// first use.
 	Plans *core.PlanCache
-	// LogInterval rate-limits repeated backend-fallback log lines to
-	// one per (backend, shape) per interval with a suppressed-count
-	// summary (DefaultLogInterval when zero; negative disables
-	// suppression and logs every call).
-	LogInterval time.Duration
-	// LogKeyCap bounds the rate-limiter's per-(site, backend, shape)
-	// key map: many-tenant, many-shape traffic mints keys without
-	// limit, so past the cap the least recently touched key is dropped
-	// (its pending suppressed count folds into the next emission's
-	// trailer). 0 selects DefaultLogKeyCap; negative disables the
-	// bound (the pre-cap behaviour).
-	LogKeyCap int
 	// ForceReference routes every convolution straight to the plan's
 	// naive reference path — no optimised kernels, no worker grid, no
 	// packed weights — while keeping results bit-identical for exactly
@@ -148,10 +129,15 @@ type Engine struct {
 	planCache *core.PlanCache
 	pools     sync.Map // len([]float32) → *sync.Pool of buffers
 
-	logMu    sync.Mutex
-	logSeen  map[string]*list.Element // key → LRU element (*logEntry)
-	logLRU   *list.List               // most recently touched key at front
-	logCarry int                      // suppressed counts from evicted keys
+	// The rate limiter of repeated fallback log lines (logLimited).
+	// logInterval and logKeyCap are zero, selecting DefaultLogInterval and
+	// DefaultLogKeyCap, except in tests that shrink them.
+	logInterval time.Duration
+	logKeyCap   int
+	logMu       sync.Mutex
+	logSeen     map[string]*list.Element // key → LRU element (*logEntry)
+	logLRU      *list.List               // most recently touched key at front
+	logCarry    int                      // suppressed counts from evicted keys
 }
 
 // plans returns the plan cache the engine's conv calls share: the
@@ -219,15 +205,6 @@ func (eng *Engine) release(t *tensor.Tensor) {
 	p.(*sync.Pool).Put(t.Data[:len(t.Data):len(t.Data)])
 }
 
-// convCtx returns the per-layer execution context: Background when no
-// budget is configured (zero overhead), a timeout context otherwise.
-func (eng *Engine) convCtx() (context.Context, context.CancelFunc) {
-	if eng.ConvBudget <= 0 {
-		return context.Background(), func() {}
-	}
-	return context.WithTimeout(context.Background(), eng.ConvBudget)
-}
-
 func shapeKey(s conv.Shape) string {
 	return fmt.Sprintf("c%dk%dh%dw%dr%ds%dst%dp%d", s.C, s.K, s.H, s.W, s.R, s.S, s.Str, s.Pad)
 }
@@ -276,8 +253,7 @@ func (n *Network) TryForward(eng *Engine, x *tensor.Tensor) (*tensor.Tensor, err
 // polled before each top-level layer, and once it is done the forward
 // stops, returns the dead intermediate to the engine pool and fails with
 // an error wrapping conv.ErrDeadline and context.Cause(ctx). A layer
-// already running finishes under the engine's own per-layer bounds
-// (ConvBudget).
+// already running runs to completion.
 func (n *Network) TryForwardCtx(ctx context.Context, eng *Engine, x *tensor.Tensor) (*tensor.Tensor, error) {
 	cur := x
 	for _, l := range n.Layers {
@@ -726,16 +702,10 @@ func (c *ConvUnit) tryConvPlain(eng *Engine, s conv.Shape, x *tensor.Tensor) (*t
 	switch eng.Algo {
 	case AlgoAnsor:
 		out := eng.newTensor(s.N, s.K, s.P(), s.Q())
-		ctx, cancel := eng.convCtx()
-		err := autotune.ExecuteCtx(ctx, s, eng.schedule(s), x, c.Weights, out, eng.Threads)
-		cancel()
-		if err != nil {
-			// Graceful degradation: a bad tuned schedule, a faulting
-			// executor, or a stalled worker past ConvBudget must not
-			// take the network down — rerun the layer on the nDirect
-			// backend (unbounded: the injected fault was consumed).
-			// out is not pooled back: abandoned workers may still
-			// write into it.
+		if err := autotune.Execute(s, eng.schedule(s), x, c.Weights, out, eng.Threads); err != nil {
+			// Graceful degradation: a bad tuned schedule or a faulting
+			// executor must not take the network down — rerun the layer
+			// on the nDirect backend.
 			eng.backendFailed(AlgoAnsor, s, err)
 			return c.tryNDirect(eng, s, x, c.Weights, core.Options{Threads: eng.Threads})
 		}
@@ -774,30 +744,17 @@ func (c *ConvUnit) tryBaseline(eng *Engine, s conv.Shape, x, w *tensor.Tensor) (
 	return out, nil
 }
 
-// tryNDirect runs the nDirect backend under the engine's ConvBudget
-// and reuse configuration. With Reuse off this is the seed path: plan
-// (possibly via an explicit Plans cache) and execute with the
-// on-the-fly filter transform, recomputing unbounded when the budget
-// expires (wedged goroutines are accounted in parallel.LeakedWorkers;
-// the pass stays bounded by roughly 2× the layer budget). With Reuse
-// on it is tryReuse.
+// tryNDirect runs the nDirect backend under the engine's reuse
+// configuration. With Reuse off this is the seed path: plan (possibly
+// via an explicit Plans cache) and execute with the on-the-fly filter
+// transform. With Reuse on it is tryReuse.
 func (c *ConvUnit) tryNDirect(eng *Engine, s conv.Shape, x, w *tensor.Tensor, opt core.Options) (*tensor.Tensor, error) {
 	if eng.ForceReference {
 		return c.tryReference(eng, s, x, w, opt)
 	}
 	if !eng.Reuse {
 		opt.PlanCache = eng.plans()
-		ctx, cancel := eng.convCtx()
-		defer cancel()
-		if ctx.Done() == nil {
-			return core.TryConv2D(s, x, w, opt)
-		}
-		out, err := core.TryConv2DCtx(ctx, s, x, w, opt)
-		if err != nil {
-			eng.logLimited("budget|ndirect|"+shapeKey(s), "nn: ndirect backend missed ConvBudget on %v; recomputing unbounded: %v", s, err)
-			return core.TryConv2D(s, x, w, opt)
-		}
-		return out, nil
+		return core.TryConv2D(s, x, w, opt)
 	}
 	return c.tryReuse(eng, s, x, w, nil, opt)
 }
@@ -806,9 +763,7 @@ func (c *ConvUnit) tryNDirect(eng *Engine, s conv.Shape, x, w *tensor.Tensor, op
 // memo or the cache, the weights from the unit's pre-transformed copy,
 // the output from the buffer pool (uncleared: a plan execution writes
 // every element). res, when non-nil, is the residual operand of a plan
-// whose epilogue has the residual step (residualEpilogue). A ConvBudget
-// miss abandons the output to the workers that may still write it and
-// recomputes unbounded into another.
+// whose epilogue has the residual step (residualEpilogue).
 func (c *ConvUnit) tryReuse(eng *Engine, s conv.Shape, x, w, res *tensor.Tensor, opt core.Options) (*tensor.Tensor, error) {
 	opt.PlanCache = eng.plans()
 	plan, err := c.planFor(s, opt)
@@ -820,16 +775,8 @@ func (c *ConvUnit) tryReuse(eng *Engine, s conv.Shape, x, w, res *tensor.Tensor,
 		return nil, err
 	}
 	out := eng.newOutput(s.N, s.K, s.P(), s.Q())
-	ctx, cancel := eng.convCtx()
-	defer cancel()
-	err = c.execDegrading(eng, ctx, plan, x, w, pf, res, out)
-	if err != nil && ctx.Done() != nil {
-		eng.logLimited("budget|ndirect|"+shapeKey(s), "nn: ndirect backend missed ConvBudget on %v; recomputing unbounded: %v", s, err)
-		out = eng.newOutput(s.N, s.K, s.P(), s.Q())
-		err = c.execDegrading(eng, context.Background(), plan, x, w, pf, res, out)
-	}
-	if err != nil {
-		eng.release(out) // an unbounded execution joined its grid: nobody writes out any more
+	if err := c.execDegrading(eng, plan, x, w, pf, res, out); err != nil {
+		eng.release(out) // the execution joined its grid: nobody writes out any more
 		return nil, err
 	}
 	return out, nil
@@ -838,14 +785,14 @@ func (c *ConvUnit) tryReuse(eng *Engine, s conv.Shape, x, w, res *tensor.Tensor,
 // execPlan is one execution of plan into out: from the packed filter
 // when there is one, with the on-the-fly transform of w otherwise, and
 // through the residual entry point when the plan takes the operand.
-func execPlan(ctx context.Context, plan *core.Plan, x, w *tensor.Tensor, pf *core.PackedFilter, res, out *tensor.Tensor) error {
+func execPlan(plan *core.Plan, x, w *tensor.Tensor, pf *core.PackedFilter, res, out *tensor.Tensor) error {
 	switch {
 	case res != nil:
-		return plan.TryExecuteResidualCtx(ctx, x, w, pf, res, out)
+		return plan.TryExecuteResidualCtx(context.Background(), x, w, pf, res, out)
 	case pf != nil:
-		return plan.TryExecutePackedCtx(ctx, x, pf, out)
+		return plan.TryExecutePacked(x, pf, out)
 	}
-	return plan.TryExecuteCtx(ctx, x, w, out)
+	return plan.TryExecute(x, w, out)
 }
 
 // execDegrading is execPlan with the packed path's escape hatch: a
@@ -855,8 +802,8 @@ func execPlan(ctx context.Context, plan *core.Plan, x, w *tensor.Tensor, pf *cor
 // this call to the on-the-fly transform — bit-identical, nothing
 // retained. Both failures are reported before or after the grid runs,
 // never with workers still writing, so out is reused for the retry.
-func (c *ConvUnit) execDegrading(eng *Engine, ctx context.Context, plan *core.Plan, x, w *tensor.Tensor, pf *core.PackedFilter, res, out *tensor.Tensor) error {
-	err := execPlan(ctx, plan, x, w, pf, res, out)
+func (c *ConvUnit) execDegrading(eng *Engine, plan *core.Plan, x, w *tensor.Tensor, pf *core.PackedFilter, res, out *tensor.Tensor) error {
+	err := execPlan(plan, x, w, pf, res, out)
 	if err == nil || pf == nil {
 		return err
 	}
@@ -866,7 +813,7 @@ func (c *ConvUnit) execDegrading(eng *Engine, ctx context.Context, plan *core.Pl
 	case !errors.Is(err, core.ErrWeightsReleased):
 		return err
 	}
-	return execPlan(ctx, plan, x, w, nil, res, out)
+	return execPlan(plan, x, w, nil, res, out)
 }
 
 // recoverIntegrity handles a typed integrity failure surfaced by a
@@ -907,9 +854,7 @@ func (c *ConvUnit) tryReference(eng *Engine, s conv.Shape, x, w *tensor.Tensor, 
 		return nil, err
 	}
 	out := eng.newOutput(s.N, s.K, s.P(), s.Q())
-	ctx, cancel := eng.convCtx()
-	defer cancel()
-	if err := plan.TryExecuteReferenceCtx(ctx, x, w, out); err != nil {
+	if err := plan.TryExecuteReferenceCtx(context.Background(), x, w, out); err != nil {
 		eng.release(out)
 		return nil, err
 	}
@@ -969,13 +914,8 @@ func (c *ConvUnit) tryConvFused(eng *Engine, s conv.Shape, x *tensor.Tensor, w *
 		return fusedFallback()
 	case AlgoAnsor:
 		out := eng.newTensor(s.N, s.K, s.P(), s.Q())
-		ctx, cancel := eng.convCtx()
-		err := autotune.ExecuteFusedCtx(ctx, s, eng.schedule(s), x, w, out, eng.Threads, b, c.ReLU)
-		cancel()
-		if err != nil {
+		if err := autotune.ExecuteFused(s, eng.schedule(s), x, w, out, eng.Threads, b, c.ReLU); err != nil {
 			eng.backendFailed(AlgoAnsor, s, err)
-			// out stays out of the pool: abandoned workers may still
-			// write into it.
 			return fusedFallback()
 		}
 		return out, nil

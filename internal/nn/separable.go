@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -202,21 +201,9 @@ func (d *DepthwiseSeparable) tryFused(eng *Engine, x *tensor.Tensor) (*tensor.Te
 		return nil, false, nil
 	}
 	out := eng.newOutput(ss.N, ss.K, ss.P(), ss.Q()) // the fused plan writes every element
-	ctx, cancel := eng.convCtx()
-	defer cancel()
-	err = d.execFused(eng, ctx, plan, x, pdw, ppw, out)
+	err = d.execFused(eng, plan, x, pdw, ppw, out)
 	if err == nil {
 		return out, true, nil
-	}
-	if errors.Is(err, conv.ErrDeadline) {
-		eng.logLimited("budget|sep|"+d.LayerName,
-			"nn: %s: fused path missed ConvBudget; recomputing unbounded: %v", d.LayerName, err)
-		// Abandoned workers may still write into out: leak it (never
-		// back to the pool) and recompute into a fresh tensor.
-		out = eng.newOutput(ss.N, ss.K, ss.P(), ss.Q())
-		if err := d.execFused(eng, context.Background(), plan, x, pdw, ppw, out); err == nil {
-			return out, true, nil
-		}
 	}
 	eng.logLimited("sep|exec|"+d.LayerName,
 		"nn: %s: fused path failed (%v); serving unfused", d.LayerName, err)
@@ -228,16 +215,10 @@ func (d *DepthwiseSeparable) tryFused(eng *Engine, x *tensor.Tensor) (*tensor.Te
 // integrity-failing packed artifact drops to the on-the-fly transform
 // (bit-identical; the suspect artifact is discarded so the next call
 // re-packs from source).
-func (d *DepthwiseSeparable) execFused(eng *Engine, ctx context.Context, plan *core.SeparablePlan, x *tensor.Tensor,
+func (d *DepthwiseSeparable) execFused(eng *Engine, plan *core.SeparablePlan, x *tensor.Tensor,
 	pdw *core.PackedDepthwiseFilter, ppw *core.PackedFilter, out *tensor.Tensor) error {
-	bounded := ctx.Done() != nil
 	if pdw != nil && ppw != nil {
-		var err error
-		if bounded {
-			err = plan.TryExecutePackedCtx(ctx, x, pdw, ppw, out)
-		} else {
-			err = plan.TryExecutePacked(x, pdw, ppw, out)
-		}
+		err := plan.TryExecutePacked(x, pdw, ppw, out)
 		if err == nil {
 			return nil
 		}
@@ -252,9 +233,6 @@ func (d *DepthwiseSeparable) execFused(eng *Engine, ctx context.Context, plan *c
 		} else {
 			return err
 		}
-	}
-	if bounded {
-		return plan.TryExecuteCtx(ctx, x, d.DWFilter, d.PW.Weights, out)
 	}
 	return plan.TryExecute(x, d.DWFilter, d.PW.Weights, out)
 }
@@ -413,35 +391,19 @@ func (d *DepthwiseConv) tryPlanned(eng *Engine, s conv.Shape, x *tensor.Tensor) 
 		return nil, false, nil
 	}
 	out := eng.newTensor(s.N, s.C, s.P(), s.Q())
-	ctx, cancel := eng.convCtx()
-	defer cancel()
-	err = d.execPlanned(ctx, plan, x, pf, out)
+	err = d.execPlanned(plan, x, pf, out)
 	if err == nil {
 		return out, true, nil
-	}
-	if errors.Is(err, conv.ErrDeadline) {
-		eng.logLimited("budget|dw|"+d.LayerName,
-			"nn: %s: depthwise plan missed ConvBudget; recomputing unbounded: %v", d.LayerName, err)
-		out = eng.newTensor(s.N, s.C, s.P(), s.Q()) // leak the abandoned one
-		if err := d.execPlanned(context.Background(), plan, x, pf, out); err == nil {
-			return out, true, nil
-		}
 	}
 	eng.logLimited("dw|exec|"+d.LayerName,
 		"nn: %s: depthwise plan failed (%v); serving on the plane loop", d.LayerName, err)
 	return nil, false, nil
 }
 
-func (d *DepthwiseConv) execPlanned(ctx context.Context, plan *core.DepthwisePlan, x *tensor.Tensor,
+func (d *DepthwiseConv) execPlanned(plan *core.DepthwisePlan, x *tensor.Tensor,
 	pf *core.PackedDepthwiseFilter, out *tensor.Tensor) error {
-	bounded := ctx.Done() != nil
 	if pf != nil {
-		var err error
-		if bounded {
-			err = plan.TryExecutePackedCtx(ctx, x, pf, out)
-		} else {
-			err = plan.TryExecutePacked(x, pf, out)
-		}
+		err := plan.TryExecutePacked(x, pf, out)
 		if err == nil {
 			return nil
 		}
@@ -452,9 +414,6 @@ func (d *DepthwiseConv) execPlanned(ctx context.Context, plan *core.DepthwisePla
 		} else {
 			return err
 		}
-	}
-	if bounded {
-		return plan.TryExecuteCtx(ctx, x, d.Filter, out)
 	}
 	return plan.TryExecute(x, d.Filter, out)
 }

@@ -6,7 +6,6 @@ import (
 	"math"
 	"sync"
 	"testing"
-	"time"
 
 	"ndirect/internal/conv"
 	"ndirect/internal/core"
@@ -122,11 +121,10 @@ func TestResidualTailFusedMatchesSweeps(t *testing.T) {
 	}
 }
 
-// The fused tail survives the convolution's own recoveries with the
+// The fused tail survives the convolution's own recovery with the
 // residual step replayed: a faulted grid recomputed on the reference
-// path (core's applyFallback) and a ConvBudget miss recomputed
-// unbounded both return the sweep form's bits. Integer parameters make
-// the float64 reference exact.
+// path (core's applyFallback) returns the sweep form's bits. Integer
+// parameters make the float64 reference exact.
 func TestResidualTailFusedThroughFallbacks(t *testing.T) {
 	defer faultinject.Reset()
 	quiet := core.Logf
@@ -149,31 +147,6 @@ func TestResidualTailFusedThroughFallbacks(t *testing.T) {
 			t.Fatal(err)
 		}
 		requireSameBits(t, net.Name+": reference fallback", got, want)
-
-		// The deadline route, on the tail alone (a stalled worker holds its
-		// shot until Reset, so only one execution can be armed): the
-		// bounded execution stalls past ConvBudget and is abandoned, the
-		// unbounded recompute returns the sweep form's bits.
-		var last *ConvUnit
-		switch v := net.Layers[0].(type) {
-		case *Bottleneck:
-			last = v.Conv3
-		case *BasicBlock:
-			last = v.Conv2
-		}
-		in, identity := blockInputC(2, last.Shape.C, true), blockInputC(2, last.Shape.K, true)
-		want, err = residualTail(&Engine{Algo: AlgoNDirect, Threads: 2}, last, in, identity)
-		if err != nil {
-			t.Fatal(err)
-		}
-		budgeted := &Engine{Algo: AlgoNDirect, Threads: 2, Reuse: true, ConvBudget: 20 * time.Millisecond}
-		faultinject.Arm(faultinject.WorkerStall, 0)
-		got, err = residualTail(budgeted, last, in, identity)
-		faultinject.Reset()
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireSameBits(t, net.Name+": deadline recompute", got, want)
 	}
 }
 

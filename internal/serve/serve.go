@@ -36,7 +36,7 @@ import (
 
 // Config configures a serving Runtime. The zero value yields a usable
 // runtime: one in-flight slot per core, an equally sized wait queue,
-// and a private plan cache.
+// and a private plan cache of core.DefaultPlanCacheCap entries.
 type Config struct {
 	// MaxInFlight bounds concurrently executing requests. <= 0 selects
 	// one per available core (each request already spawns its own
@@ -47,9 +47,6 @@ type Config struct {
 	// MaxInFlight; pass a negative value for "no queue, reject the
 	// moment all slots are taken".
 	MaxQueue int
-	// PlanCacheCap is the runtime plan cache's entry bound (<= 0:
-	// core.DefaultPlanCacheCap).
-	PlanCacheCap int
 	// BatchWindow is not read: every request runs as its own plan
 	// execution.
 	//
@@ -109,7 +106,7 @@ func New(cfg Config) *Runtime {
 	if queue == 0 {
 		queue = inFlight
 	}
-	plans := core.NewPlanCache(cfg.PlanCacheCap)
+	plans := core.NewPlanCache(core.DefaultPlanCacheCap)
 	rt := &Runtime{
 		gate:   NewGate(inFlight, queue),
 		plans:  plans,

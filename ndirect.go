@@ -135,8 +135,8 @@ type PlanCacheStats = core.PlanCacheStats
 type Server = serve.Runtime
 
 // ServeConfig configures NewServer; the zero value gives one
-// in-flight request per core, an equal-size wait queue and a private
-// plan cache.
+// in-flight request per core and an equal-size wait queue. Every
+// server has its own plan cache of core.DefaultPlanCacheCap entries.
 type ServeConfig = serve.Config
 
 // ServeStats is the Server's counter snapshot (admission, integrity
@@ -228,10 +228,8 @@ func TryConv2D(s Shape, in, filter *Tensor, opt Options) (*Tensor, error) {
 // TryConv2DCtx is TryConv2D bounded by ctx: when the context expires
 // before the thread grid finishes, the run is abandoned (cooperative
 // stop flag plus a detached join — see DESIGN.md §5) and the error
-// wraps both ErrDeadline and the context's cause. With a positive
-// Options.FallbackBudget the result is instead recomputed on the
-// reference path within that budget. A context without a deadline
-// costs nothing.
+// wraps both ErrDeadline and the context's cause; no reference
+// recompute follows. A context without a deadline costs nothing.
 func TryConv2DCtx(ctx context.Context, s Shape, in, filter *Tensor, opt Options) (*Tensor, error) {
 	return core.TryConv2DCtx(ctx, s, in, filter, opt)
 }

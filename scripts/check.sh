@@ -90,6 +90,18 @@ for pat in '.Protect(' 'fallbackCtx('; do
     fi
 done
 
+# One deadline: the caller's context. The core, nn and serve layers
+# take it as given and never start a timer of their own; a context
+# timer in a non-test file of theirs is a second deadline.
+echo "==> one deadline: no context.WithTimeout/WithDeadline/WithoutCancel in internal/core, internal/nn or internal/serve"
+for pat in 'context.WithTimeout(' 'context.WithDeadline(' 'context.WithoutCancel('; do
+    files=$(ls internal/core/*.go internal/nn/*.go internal/serve/*.go | grep -v _test.go | xargs grep -lF -- "$pat" || true)
+    if [ -n "$files" ]; then
+        echo "FAIL: '$pat' in a non-test file of internal/core, internal/nn or internal/serve: $(echo $files)" >&2
+        exit 1
+    fi
+done
+
 echo "==> go test -race ./..."
 go test -race ./...
 
