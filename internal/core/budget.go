@@ -134,7 +134,7 @@ func (p *Plan) TryExecuteReferenceCtx(ctx context.Context, in, filter *tensor.Te
 						v += bias
 					}
 					if hasAffine {
-						v = v*scale + shift
+						v = float32(v*scale) + shift
 					}
 					if relu && v < 0 {
 						v = 0

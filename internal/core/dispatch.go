@@ -7,8 +7,9 @@ package core
 // for depthwise (dwkernel.go). A standard family's body is the AVX2
 // vector body (kernel_amd64.s) and its tile store the AVX2 store
 // epilogue (store_amd64.s) where the host has them — plus the AVX-512
-// paired body, which runs two K-blocks per call, where the host has that
-// too (bodies.span) — and a depthwise family's the AVX2 depthwise body
+// four-block and paired bodies, which run four and two K-blocks per
+// call, where the host has those too (bodies.span) — and a depthwise
+// family's the AVX2 depthwise body
 // (dwkernel_amd64.s); everywhere else the family has no body of its own
 // and its plans run the looped Go kernel bound to their (S, stride) with
 // the portable Go store (store.go), or the depthwisePlaneRange oracle.
@@ -22,7 +23,7 @@ package core
 // execution, so quarantine and restore reach every live plan — cached,
 // memoised or held by a caller — without re-planning. Every body keeps
 // kernel12x8's per-accumulator operation sequence (row ascending, s
-// ascending, one multiply and one add per tap) and every store
+// ascending, one fused multiply-add per tap) and every store
 // storeTile's per-element one, so either choice stores the same bits.
 
 import (
@@ -42,10 +43,11 @@ import (
 // at tf[i*S*8:] (kernel12x8's operand layout).
 type specializedKernel func(acc *accFile8, buf, tf []float32, rows, vwEff, pitch int)
 
-// pairedKernel is specializedKernel over two adjacent K-blocks in one
-// call: block 0's filter vectors at tf into acc[0], block 1's at
-// tf[tfOff:] into acc[1], both against the same input rows.
-type pairedKernel func(acc *accPair, buf, tf []float32, tfOff, rows, vwEff, pitch int)
+// multiKernel is specializedKernel over several adjacent K-blocks in one
+// call (two for the paired body, four for the four-block body): block
+// b's filter vectors at tf[b*tfOff:] into acc[b], all against the same
+// input rows.
+type multiKernel func(acc *accTile, buf, tf []float32, tfOff, rows, vwEff, pitch int)
 
 // tileStore is the calling convention of a V_k=8 tile store: the
 // accumulator file goes to dst, which starts at the tile's first element
@@ -58,16 +60,18 @@ type pairedKernel func(acc *accPair, buf, tf []float32, tfOff, rows, vwEff, pitc
 type tileStore func(acc *accFile8, dst, res []float32, ep *epilogue, kBase, stride, vwEff int, nchw, accumulate bool)
 
 // kernelFamily is one body and the (R, S, stride) it serves. A standard
-// 12×8 family's kern, pair and store, and a depthwise family's dwKern,
-// are the vector routines, bound at init, or nil on a host without them
-// (the plan's looped kernel12x8 and the portable Go store run, or
-// depthwisePlaneRange; a nil pair runs kern one block at a time).
+// 12×8 family's kern, pair, quad and store, and a depthwise family's
+// dwKern, are the vector routines, bound at init, or nil on a host
+// without them (the plan's looped kernel12x8 and the portable Go store
+// run, or depthwisePlaneRange; a nil quad or pair leaves its blocks to
+// the narrower bodies).
 type kernelFamily struct {
 	name      string
 	r, s, str int
 	depthwise bool
 	kern      specializedKernel
-	pair      pairedKernel
+	pair      multiKernel // two K-blocks per call
+	quad      multiKernel // four K-blocks per call
 	store     tileStore
 	dwKern    depthwiseKernel
 
@@ -95,8 +99,9 @@ var kernelFamilies = []*kernelFamily{
 
 // On a host with the vector body every standard family runs it, bound
 // to the family's (S, stride), and stores its tiles with the vector
-// store — pairing K-blocks on the AVX-512 body where the host has one;
-// both depthwise families run the vector depthwise body.
+// store — running four or two K-blocks per call on the AVX-512 bodies
+// where the host has them; both depthwise families run the vector
+// depthwise body.
 func init() {
 	if !hasVectorBody {
 		return
@@ -108,7 +113,8 @@ func init() {
 			f.kern = vectorKernel(f.s, f.str)
 			f.store = vectorStore
 			if hasPairBody {
-				f.pair = pairKernel(f.s, f.str)
+				f.pair = multiBlockKernel(vector12x16, f.s, f.str)
+				f.quad = multiBlockKernel(vector12x32, f.s, f.str)
 			}
 		}
 	}
@@ -121,18 +127,19 @@ func vectorKernel(s, str int) specializedKernel {
 	}
 }
 
-// pairKernel binds the AVX-512 paired body to one (S, stride).
-func pairKernel(s, str int) pairedKernel {
-	return func(acc *accPair, buf, tf []float32, tfOff, rows, vwEff, pitch int) {
-		vector12x16(acc, buf, tf, tfOff, rows, s, str, vwEff, pitch)
+// multiBlockKernel binds an AVX-512 multi-block body to one (S, stride).
+func multiBlockKernel(body func(acc *accTile, buf, tf []float32, tfOff, rows, s, str, vwEff, pitch int), s, str int) multiKernel {
+	return func(acc *accTile, buf, tf []float32, tfOff, rows, vwEff, pitch int) {
+		body(acc, buf, tf, tfOff, rows, s, str, vwEff, pitch)
 	}
 }
 
 // KernelISA names the instruction set the kernel families run in this
-// process: "avx512" when the standard families pair K-blocks on the
-// AVX-512 body (the rest of their work, and the depthwise families, stay
-// on AVX2), "avx2" for the vector bodies, "go" for the looped Go kernel
-// and the depthwise oracle. Family names do not change with it.
+// process: "avx512" when the standard families run four or two K-blocks
+// per call on the AVX-512 bodies (an odd last block, and the depthwise
+// families, stay on AVX2), "avx2" for the vector bodies, "go" for the
+// looped Go kernel and the depthwise oracle. Family names do not change
+// with it.
 func KernelISA() string {
 	switch {
 	case hasPairBody:
@@ -183,47 +190,57 @@ func countStandardBinding(f *kernelFamily) {
 func (f *kernelFamily) live() bool { return f != nil && !f.quarantined.Load() }
 
 // bodies is one execution's V_k=8 micro-kernel: the single-block body,
-// the paired body (nil: none) and the tile store (nil: the Go store).
+// the paired and four-block bodies (nil: none) and the tile store (nil:
+// the Go store).
 type bodies struct {
 	kern specializedKernel
-	pair pairedKernel
+	pair multiKernel
+	quad multiKernel
 	vst  tileStore
 }
 
 // body resolves the V_k=8 bodies and tile store for one execution: the
-// bound family's, or the looped kernel12x8, no paired body and the Go
-// store when the plan has no family, the family is quarantined, or the
-// host has no vector body for it — so a quarantine takes the paired body
-// out of service with the single-block one.
+// bound family's, or the looped kernel12x8, no multi-block body and the
+// Go store when the plan has no family, the family is quarantined, or
+// the host has no vector body for it — so a quarantine takes the
+// multi-block bodies out of service with the single-block one.
 // Every V_k=8 consumer — the k-block loop, the pack-fused first block,
 // the separable pointwise stage — runs what this returned, through
 // span and run, and nothing else.
 func (p *Plan) body() bodies {
 	if f := p.family; f.live() && f.kern != nil {
-		return bodies{kern: f.kern, pair: f.pair, vst: f.store}
+		return bodies{kern: f.kern, pair: f.pair, quad: f.quad, vst: f.store}
 	}
 	return bodies{kern: p.looped}
 }
 
 // span is how many K-blocks, from block kb of n, the next body call
-// covers: two where a paired body is bound and block kb+1 exists, one
-// otherwise — so an odd last block runs the single-block body.
+// covers: four where a four-block body is bound and four blocks remain,
+// two where a paired body is bound and two or three remain, one
+// otherwise — so seven blocks run as 4+2+1 and an odd last block runs
+// the single-block body.
 func (b *bodies) span(kb, n int) int {
-	if b.pair != nil && kb+1 < n {
+	switch left := n - kb; {
+	case b.quad != nil && left >= 4:
+		return 4
+	case b.pair != nil && left >= 2:
 		return 2
 	}
 	return 1
 }
 
 // run is the body call of every V_k=8 consumer: nb (span's answer)
-// blocks of one register tile, block 0's filter vectors at tf into
-// acc[0] and, when nb is 2, block 1's at tf[tfOff:] into acc[1].
-func (b *bodies) run(acc *accPair, nb int, buf, tf []float32, tfOff, rows, vwEff, pitch int) {
-	if nb == 2 {
+// blocks of one register tile, block b's filter vectors at tf[b*tfOff:]
+// into acc[b].
+func (b *bodies) run(acc *accTile, nb int, buf, tf []float32, tfOff, rows, vwEff, pitch int) {
+	switch nb {
+	case 4:
+		b.quad(acc, buf, tf, tfOff, rows, vwEff, pitch)
+	case 2:
 		b.pair(acc, buf, tf, tfOff, rows, vwEff, pitch)
-		return
+	default:
+		b.kern(&acc[0], buf, tf, rows, vwEff, pitch)
 	}
-	b.kern(&acc[0], buf, tf, rows, vwEff, pitch)
 }
 
 // dwBody is body's depthwise twin; the fallback is the
@@ -319,7 +336,7 @@ func RestoreKernelFamily(name string) bool {
 // the restore check.
 func (f *kernelFamily) probeCopy() *kernelFamily {
 	return &kernelFamily{name: f.name, r: f.r, s: f.s, str: f.str, depthwise: f.depthwise,
-		kern: f.kern, pair: f.pair, store: f.store, dwKern: f.dwKern}
+		kern: f.kern, pair: f.pair, quad: f.quad, store: f.store, dwKern: f.dwKern}
 }
 
 // familyProbe is one family's golden-probe state — a plan bound to a
@@ -342,10 +359,13 @@ var probeMu sync.Mutex
 // newStandardProbe builds the golden probe for a 12×8 family: small
 // enough to cost microseconds, with ragged C and K edges (neither
 // divides the tile sizes) so the body's edge handling is exercised,
-// padded so the boundary row/column paths run too. Integer-valued
-// operands make conv.Reference exact.
+// padded so the boundary row/column paths run too. K=53 is seven
+// K-blocks, so every bound body runs — four-block, paired and single, as
+// 4+2+1 — and Q is 13 or 14: one full 12-column tile and a ragged one.
+// Integer-valued operands make conv.Reference exact.
 func newStandardProbe(f *kernelFamily) (*familyProbe, error) {
-	s := conv.Shape{N: 1, C: 5, H: 11, W: 11, K: 13, R: f.r, S: f.s, Str: f.str, Pad: 1}
+	w := 12*f.str + f.s - 2 + 1 // Q = (W+2-S)/str + 1 ≥ 13 at Pad 1
+	s := conv.Shape{N: 1, C: 5, H: 11, W: w, K: 53, R: f.r, S: f.s, Str: f.str, Pad: 1}
 	p, err := TryNewPlan(s, Options{Threads: 1})
 	if err != nil {
 		return nil, err
@@ -366,9 +386,9 @@ func newStandardProbe(f *kernelFamily) (*familyProbe, error) {
 // a golden integer-valued probe shape and compares the output
 // bit-for-bit against the oracle (conv.Reference, or the
 // depthwisePlaneRange loop for a depthwise family). A standard probe has
-// two K-blocks (K=13), so on a host that pairs them it runs through the
-// paired body and checks its zmm path against the looped kernel's sums
-// as well. A divergence
+// seven K-blocks, so on an AVX-512 host it runs the four-block, paired
+// and single-block bodies and checks each against the oracle's sums. A
+// divergence
 // returns an error wrapping ErrIntegrity; the caller (the serve-layer
 // integrity sentinel) then quarantines the family. The probe drives the
 // family's own body whether or not it is quarantined, so it also serves

@@ -19,18 +19,20 @@ var dispatchCases = []struct {
 	family string
 	shape  conv.Shape
 }{
-	{"12x8.r3s3.s1", conv.Shape{N: 2, C: 5, H: 10, W: 10, K: 13, R: 3, S: 3, Str: 1, Pad: 1}},
+	{"12x8.r3s3.s1", conv.Shape{N: 2, C: 5, H: 10, W: 10, K: 53, R: 3, S: 3, Str: 1, Pad: 1}},
 	{"12x8.r3s3.s2", conv.Shape{N: 3, C: 4, H: 11, W: 11, K: 9, R: 3, S: 3, Str: 2, Pad: 1}},
-	{"12x8.r1s1.s1", conv.Shape{N: 2, C: 6, H: 9, W: 9, K: 10, R: 1, S: 1, Str: 1, Pad: 0}},
+	{"12x8.r1s1.s1", conv.Shape{N: 2, C: 6, H: 9, W: 9, K: 37, R: 1, S: 1, Str: 1, Pad: 0}},
 	{"12x8.r1s1.s2", conv.Shape{N: 2, C: 6, H: 10, W: 10, K: 10, R: 1, S: 1, Str: 2, Pad: 0}},
-	{"12x8.r7s7.s2", conv.Shape{N: 2, C: 3, H: 29, W: 29, K: 11, R: 7, S: 7, Str: 2, Pad: 3}},
+	{"12x8.r7s7.s2", conv.Shape{N: 2, C: 3, H: 29, W: 29, K: 27, R: 7, S: 7, Str: 2, Pad: 3}},
 }
 
 // TestDispatchBitExactVsGeneric: a plan binds its family from (R, S,
-// stride) with no registration, and the family body, the same family
-// without its paired body and the quarantined looped fallback store the
-// same bits on the same operands — selection is a pure
-// execution-strategy change.
+// stride) with no registration, and the family bodies, the same family
+// without its four-block body, without its multi-block bodies, and the
+// quarantined looped fallback store the same bits on the same operands
+// — selection is a pure execution-strategy change. K spans seven, five
+// and four K-blocks in three of the cases, so the four-block body runs
+// beside the paired and single-block ones.
 // Exercised on both packing strategies: SequentialPack runs every
 // k-block over the whole packed buffer, the overlapped default runs the
 // first one through the pack-fused path (which skips out-of-image rows).
@@ -69,21 +71,27 @@ func TestDispatchBitExactVsGeneric(t *testing.T) {
 						s, seq, d)
 				}
 			}()
-			// With the paired body unbound — the bodies of an AVX2 host
-			// without AVX-512F — the plan runs one block per call and
-			// stores the same bits.
+			// With the four-block body unbound the plan steps K-blocks two
+			// at a time, and with the paired body unbound too — the bodies
+			// of an AVX2 host without AVX-512F — one block per call; both
+			// store the same bits.
 			if fam := familyByName(tc.family); fam.pair != nil {
-				pair := fam.pair
-				fam.pair = nil
-				single := s.NewOutput()
-				err := plan.TryExecute(in, f, single)
-				fam.pair = pair
-				if err != nil {
-					t.Fatal(err)
-				}
-				if d := tensor.MaxAbsDiff(single, got); d != 0 {
-					t.Fatalf("shape %v seq=%v: single-block bodies differ from the paired body by %g, want bit-identical",
-						s, seq, d)
+				pair, quad := fam.pair, fam.quad
+				for _, unbind := range []string{"four-block", "four-block and paired"} {
+					fam.quad = nil
+					if unbind != "four-block" {
+						fam.pair = nil
+					}
+					narrow := s.NewOutput()
+					err := plan.TryExecute(in, f, narrow)
+					fam.pair, fam.quad = pair, quad
+					if err != nil {
+						t.Fatal(err)
+					}
+					if d := tensor.MaxAbsDiff(narrow, got); d != 0 {
+						t.Fatalf("shape %v seq=%v: %s body unbound differs from every body bound by %g, want bit-identical",
+							s, seq, unbind, d)
+					}
 				}
 			}
 			// And correct against the float64 reference.

@@ -23,10 +23,10 @@ import "ndirect/internal/conv"
 //	                     fall back to kernel12x8.
 //
 // Bit-exactness contract: both visit a given output element's taps in
-// the same order — r ascending, s ascending, acc = acc + in·f from
-// acc = +0 with each float32 op individually rounded — and skip an
-// out-of-range tap instead of multiplying a zero, so a non-finite
-// weight never reaches a padded output.
+// the same order — r ascending, s ascending, acc = fma32(in, f, acc)
+// from acc = +0, one rounding per tap (VFMADD231PS/SS in the body) —
+// and skip an out-of-range tap instead of multiplying a zero, so a
+// non-finite weight never reaches a padded output.
 
 // depthwiseKernel computes the raw depthwise accumulation for output
 // rows [h0, h1) of one (n, c) plane. in is the H×W input plane, filter
@@ -58,7 +58,7 @@ func depthwisePlaneRange(s conv.Shape, in, filter, dst []float32, h0, h1 int) {
 					if iw < 0 || iw >= s.W {
 						continue
 					}
-					acc += in[ih*s.W+iw] * filter[r*s.S+ss]
+					acc = fma32(in[ih*s.W+iw], filter[r*s.S+ss], acc)
 				}
 			}
 			drow[ow] = acc

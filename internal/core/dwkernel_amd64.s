@@ -5,9 +5,9 @@
 //
 // Every output keeps depthwisePlaneRange's operation sequence: the
 // accumulator starts at +0, then for r ascending and s ascending each
-// in-range tap adds in·f with one VMULPS (VMULSS) and one VADDPS
-// (VADDSS) — two roundings, no fused multiply-add. An out-of-range tap
-// is skipped, never multiplied as a zero.
+// in-range tap adds in·f with one VFMADD231PS (VFMADD231SS in a halo
+// lane) — acc = fma(in, f, acc), one rounding, the oracle's fma32. An
+// out-of-range tap is skipped, never multiplied as a zero.
 //
 // A row's output columns split three ways (dwVectorColumns): columns
 // [lo, hi), whose three taps read inside the input row, run in 8-wide
@@ -25,7 +25,7 @@
 // Register map:
 //	Y0–Y8   the nine taps, broadcast: tap (r, s) in Y<3r+s>
 //	Y9      accumulator (X9 in a halo column)
-//	Y10–Y12 inputs and products
+//	Y10–Y12 inputs
 //	SI      input plane (row setup); tap mask of a halo column
 //	DI      destination row          CX  oh
 //	R8–R10  input rows ihBase+0..2, each moved back pad columns so that
@@ -38,9 +38,9 @@
 
 // TAPS_S1 adds one input row's three taps to a stride-1 block.
 #define TAPS_S1(R, F0, F1, F2) \
-	VMULPS 0(R)(AX*4), F0, Y10; VADDPS Y10, Y9, Y9; \
-	VMULPS 4(R)(AX*4), F1, Y10; VADDPS Y10, Y9, Y9; \
-	VMULPS 8(R)(AX*4), F2, Y10; VADDPS Y10, Y9, Y9
+	VFMADD231PS 0(R)(AX*4), F0, Y9; \
+	VFMADD231PS 4(R)(AX*4), F1, Y9; \
+	VFMADD231PS 8(R)(AX*4), F2, Y9
 
 // TAPS_S2 adds one input row's three taps to a stride-2 block: inputs
 // 2·ow−pad .. +15 split into tap 0 (even) and tap 1 (odd), inputs one
@@ -49,11 +49,11 @@
 	VMOVUPS 0(R)(AX*8), Y10; \
 	VSHUFPS $0x88, 32(R)(AX*8), Y10, Y11; \
 	VSHUFPS $0xdd, 32(R)(AX*8), Y10, Y12; \
-	VMULPS F0, Y11, Y11; VADDPS Y11, Y9, Y9; \
-	VMULPS F1, Y12, Y12; VADDPS Y12, Y9, Y9; \
+	VFMADD231PS F0, Y11, Y9; \
+	VFMADD231PS F1, Y12, Y9; \
 	VMOVUPS 4(R)(AX*8), Y10; \
 	VSHUFPS $0xdd, 36(R)(AX*8), Y10, Y11; \
-	VMULPS F2, Y11, Y11; VADDPS Y11, Y9, Y9
+	VFMADD231PS F2, Y11, Y9
 
 #define ROWS_S1 TAPS_S1(R8, Y0, Y1, Y2); TAPS_S1(R9, Y3, Y4, Y5); TAPS_S1(R10, Y6, Y7, Y8)
 #define ROWS_S2 TAPS_S2(R8, Y0, Y1, Y2); TAPS_S2(R9, Y3, Y4, Y5); TAPS_S2(R10, Y6, Y7, Y8)
@@ -88,8 +88,7 @@ loop: \
 // HALO adds tap bit = 3r+s to a halo column when the tap mask (SI) has it.
 #define HALO(bit, off, R, F, skip) \
 	BTQ $bit, SI; JCC skip; \
-	VMULSS off(R)(BX*4), F, X10; \
-	VADDSS X10, X9, X9; \
+	VFMADD231SS off(R)(BX*4), F, X9; \
 skip:
 
 #define ROWS_S1_EDGE EDGE(TAPS_S1, e1a, e1b, e1c)

@@ -188,7 +188,7 @@ func applyChannelEpilogue(dst []float32, ep *epilogue, c int) {
 			v += bias
 		}
 		if hasAffine {
-			v = v*scale + shift
+			v = float32(v*scale) + shift
 		}
 		if relu && v < 0 {
 			v = 0

@@ -230,7 +230,7 @@ func (p *Plan) applyFallback(ref *tensor.Tensor, dst, res []float32, nchw bool) 
 				v += p.ep.bias[k]
 			}
 			if p.ep.scale != nil {
-				v = v*p.ep.scale[k] + p.ep.shift[k]
+				v = float32(v*p.ep.scale[k]) + p.ep.shift[k]
 			}
 			if p.ep.residual {
 				v += res[i]
@@ -245,7 +245,7 @@ func (p *Plan) applyFallback(ref *tensor.Tensor, dst, res []float32, nchw bool) 
 
 // workerScratch is the thread-private memory of one worker: the
 // transformed filter block, the packed input buffer, the accumulator
-// files of two K-blocks, and the per-stage timers.
+// files of four K-blocks, and the per-stage timers.
 type workerScratch struct {
 	// tf and buf are guarded allocations: canary words sit past each
 	// logical end and are checked when the run's grid joins
@@ -256,7 +256,7 @@ type workerScratch struct {
 	// acc lives in the scratch (not on the worker's stack) so passing
 	// &acc through a family body's indirect kernel call cannot make it
 	// escape — the steady-state path stays allocation-free.
-	acc   accPair
+	acc   accTile
 	stats *Stats // always non-nil; only accumulated when timed
 	timed bool
 }
@@ -373,8 +373,8 @@ func (r *planRun) unload() {
 // has the same Vk-innermost blocking and the same R·S·Vk channel
 // stride as the per-tile buffer, so block kt/Vk+kb at channel offset
 // ct is byte-for-byte the slab transformFilter would have produced.
-// The k-block loop steps through bodies.span, two blocks per body call
-// where a paired body is bound. An NCHW tile of a plan that reads in
+// The k-block loop steps through bodies.span, four or two blocks per
+// body call where the multi-block bodies are bound. An NCHW tile of a plan that reads in
 // place (Plan.inPlace) is handed to the body where it lies in the input,
 // its row pitch the plane stride H·W, and nothing is packed.
 // The fault sink's stop flag is polled at tile granularity so

@@ -268,59 +268,114 @@ func TestKernelFamilyQuarantineCycle(t *testing.T) {
 	}
 }
 
-// The sentinel's probe of a standard family reaches its paired body: a
-// paired body that silently miscomputes its second block — finite,
-// small, wrong, with the single-block body and the store intact — fails
-// the probe typed, so the sentinel quarantines the family.
-func TestSentinelProbesPairedBody(t *testing.T) {
+// The sentinel's probe of a standard family reaches every multi-block
+// body it binds: a paired or four-block body that silently miscomputes
+// its last block — finite, small, wrong, with the other bodies and the
+// store intact — fails the probe typed, so the sentinel quarantines the
+// family.
+func TestSentinelProbesMultiBlockBodies(t *testing.T) {
 	if !hasPairBody {
-		t.Skip("no AVX-512F on this host: no paired body to probe")
-	}
-	// The probe caches a copy of the family's bodies; rebuild it around
-	// each swap.
-	reprobe := func(f *kernelFamily) {
-		probeMu.Lock()
-		f.probe = nil
-		probeMu.Unlock()
+		t.Skip("no AVX-512F on this host: no multi-block body to probe")
 	}
 	for _, name := range KernelFamilyNames() {
 		f := familyByName(name)
 		if f.depthwise {
 			continue
 		}
-		real := f.pair
-		f.pair = func(acc *accPair, buf, tf []float32, tfOff, rows, vwEff, pitch int) {
-			real(acc, buf, tf, tfOff, rows, vwEff, pitch)
-			acc[1][0][0]++
+		for _, body := range []struct {
+			name   string
+			slot   *multiKernel
+			blocks int
+		}{{"paired", &f.pair, 2}, {"four-block", &f.quad, 4}} {
+			real := *body.slot
+			*body.slot = func(acc *accTile, buf, tf []float32, tfOff, rows, vwEff, pitch int) {
+				real(acc, buf, tf, tfOff, rows, vwEff, pitch)
+				acc[body.blocks-1][0][0]++
+			}
+			reprobe(f)
+			err := VerifyKernelFamily(name)
+			*body.slot = real
+			reprobe(f)
+			if !errors.Is(err, ErrIntegrity) {
+				t.Fatalf("family %s: probe over a miscomputing %s body = %v, want ErrIntegrity", name, body.name, err)
+			}
+			if err := VerifyKernelFamily(name); err != nil {
+				t.Fatalf("family %s: probe after restoring the %s body: %v", name, body.name, err)
+			}
 		}
+	}
+}
+
+// reprobe drops the family's cached probe, which holds a copy of its
+// bodies, so the next probe is built around whatever is bound now.
+func reprobe(f *kernelFamily) {
+	probeMu.Lock()
+	f.probe = nil
+	probeMu.Unlock()
+}
+
+// A wrong four-block body bound to a family — its third block's filter
+// read from the fourth's slot — fails the probe with ErrIntegrity, and
+// once the sentinel's quarantine lands, a plan with seven K-blocks runs
+// none of the family's bodies (single, paired or four-block) and stores
+// the oracle's bits.
+func TestWrongFourBlockBodyQuarantined(t *testing.T) {
+	if !hasPairBody {
+		t.Skip("no AVX-512F on this host: no four-block body to bind")
+	}
+	const name = "12x8.r3s3.s1"
+	f := familyByName(name)
+	real := f.quad
+	f.quad = func(acc *accTile, buf, tf []float32, tfOff, rows, vwEff, pitch int) {
+		real(acc, buf, tf, tfOff, rows, vwEff, pitch)
+		acc[2] = accFile8{}
+		vector12x8(&acc[2], buf, tf[3*tfOff:], rows, f.s, f.str, vwEff, pitch)
+	}
+	reprobe(f)
+	t.Cleanup(func() {
+		f.quad = real
 		reprobe(f)
-		err := VerifyKernelFamily(name)
-		f.pair = real
-		reprobe(f)
-		if !errors.Is(err, ErrIntegrity) {
-			t.Fatalf("family %s: probe over a miscomputing paired body = %v, want ErrIntegrity", name, err)
-		}
-		if err := VerifyKernelFamily(name); err != nil {
-			t.Fatalf("family %s: probe after restoring the paired body: %v", name, err)
-		}
+		RestoreKernelFamily(name)
+	})
+	err := VerifyKernelFamily(name)
+	if !errors.Is(err, ErrIntegrity) {
+		t.Fatalf("probe over a wrong four-block body = %v, want ErrIntegrity", err)
+	}
+	QuarantineKernelFamily(name)
+
+	s := conv.Shape{N: 1, C: 6, H: 9, W: 14, K: 56, R: 3, S: 3, Str: 1, Pad: 1}
+	in, filter := intOperands(s)
+	want := conv.Reference(s, in, filter)
+	p := NewPlan(s, Options{Threads: 1})
+	m := meterFamily(t, name)
+	out := s.NewOutput()
+	if err := p.TryExecute(in, filter, out); err != nil {
+		t.Fatal(err)
+	}
+	if *m != (bodyMeter{}) {
+		t.Fatalf("quarantined family ran its bodies: %+v", *m)
+	}
+	if d := tensor.MaxAbsDiff(out, want); d != 0 {
+		t.Fatalf("quarantined plan differs from the oracle by %g", d)
 	}
 }
 
 // bodyMeter is a counting double for one family's bodies and tile
 // store: body calls and the (cv, r) rows they covered, per K-block — a
-// paired-body call counts as one call per block it runs — the
-// paired-body calls among them, and vector-store calls.
-type bodyMeter struct{ calls, rows, pairs, stores int }
+// multi-block call counts as one call per block it runs — the paired
+// and four-block calls among them, and vector-store calls.
+type bodyMeter struct{ calls, rows, pairs, quads, stores int }
 
-// meterFamily swaps the named family's body, paired body and vector
-// store (each where the host binds one) for doubles that count into the
+// meterFamily swaps the named family's bodies (single, paired and
+// four-block) and vector store (each where the host binds one) for
+// doubles that count into the
 // returned meter and then run the real routine — the looped kernel on a
 // host that binds the family no body of its own; the swap is undone when
 // the test ends. Metered plans must run single-threaded.
 func meterFamily(t *testing.T, name string) *bodyMeter {
 	t.Helper()
 	f := familyByName(name)
-	body, pair, store, m := f.kern, f.pair, f.store, &bodyMeter{}
+	body, pair, quad, store, m := f.kern, f.pair, f.quad, f.store, &bodyMeter{}
 	run := body
 	if run == nil {
 		run = func(acc *accFile8, buf, tf []float32, rows, vwEff, pitch int) {
@@ -333,11 +388,19 @@ func meterFamily(t *testing.T, name string) *bodyMeter {
 		run(acc, buf, tf, rows, vwEff, pitch)
 	}
 	if pair != nil {
-		f.pair = func(acc *accPair, buf, tf []float32, tfOff, rows, vwEff, pitch int) {
+		f.pair = func(acc *accTile, buf, tf []float32, tfOff, rows, vwEff, pitch int) {
 			m.calls += 2
 			m.rows += 2 * rows
 			m.pairs++
 			pair(acc, buf, tf, tfOff, rows, vwEff, pitch)
+		}
+	}
+	if quad != nil {
+		f.quad = func(acc *accTile, buf, tf []float32, tfOff, rows, vwEff, pitch int) {
+			m.calls += 4
+			m.rows += 4 * rows
+			m.quads++
+			quad(acc, buf, tf, tfOff, rows, vwEff, pitch)
 		}
 	}
 	if store != nil {
@@ -346,7 +409,7 @@ func meterFamily(t *testing.T, name string) *bodyMeter {
 			store(acc, dst, res, ep, kBase, stride, vwEff, nchw, accumulate)
 		}
 	}
-	t.Cleanup(func() { f.kern, f.pair, f.store = body, pair, store })
+	t.Cleanup(func() { f.kern, f.pair, f.quad, f.store = body, pair, quad, store })
 	return m
 }
 

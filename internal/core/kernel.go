@@ -26,13 +26,16 @@ const maxVw = 12
 // column ow.
 type accFile8 = [2 * maxVw]simd.Vec4
 
-// accPair is the register tile of two adjacent V_k=8 K-blocks — the
-// paired body's 12×16 tile — one accFile8 per block.
-type accPair = [2]accFile8
+// accTile is the register tile of up to four adjacent V_k=8 K-blocks —
+// the four-block body's 12×32 tile — one accFile8 per block; the paired
+// body uses the first two, the single-block body the first.
+type accTile = [4]accFile8
 
 // kernel12x8 is the looped main micro-kernel for the V_k=8 register
 // file (any S, stride): the portable fallback every other body must
-// match bit for bit. rows = tc·R (cv, r) coordinates are walked in
+// match bit for bit. Each tap is one fma32 per lane (fmaLanes), the
+// single rounding the vector bodies' VFMADD231PS makes (fma.go); it is
+// exact and slow. rows = tc·R (cv, r) coordinates are walked in
 // order; row i of the input starts at buf[i*pitch] (the packed buffer's
 // [tc][R][wIn] rows, or the separable intermediate's channel planes) and
 // its S filter vectors at tf[i*s*8] (the transformed [tc][R][S][8]
@@ -64,8 +67,8 @@ func kernel12x8(acc *accFile8, buf, tf []float32, rows, s, str, vwEff, pitch int
 			x := (vwEff - 1) * str
 			for i := len(a) - 1; i > 0; i -= 2 {
 				v := r[x]
-				a[i-1] = a[i-1].FMAScalar(f0, v)
-				a[i] = a[i].FMAScalar(f1, v)
+				a[i-1] = fmaLanes(a[i-1], f0, v)
+				a[i] = fmaLanes(a[i], f1, v)
 				x -= str
 			}
 		}
@@ -79,7 +82,7 @@ func kernel12x8(acc *accFile8, buf, tf []float32, rows, s, str, vwEff, pitch int
 const fusedPackRows = 16
 
 // packCompute fuses the packing micro-kernel with the first body call
-// of a tile — nb K-blocks, one or a pair (bodies.span) — (§5.3): the
+// of a tile — nb K-blocks, one, two or four (bodies.span) — (§5.3): the
 // channel tile is packed a few channels at a time and each group is
 // consumed by the execution's body as soon as it is stored, hiding the
 // packing stores behind the compute — the analogue of placing st
@@ -87,7 +90,7 @@ const fusedPackRows = 16
 // outside the image are cleared in the buffer (later V_k blocks read
 // them) but never reach the body: a tile that has any runs the body once
 // per channel, over that channel's in-image rows.
-func (p *Plan) packCompute(b *bodies, acc *accPair, nb int, in, buf, tf []float32, tfOff int, g packGeometry,
+func (p *Plan) packCompute(b *bodies, acc *accTile, nb int, in, buf, tf []float32, tfOff int, g packGeometry,
 	n, ct, tc, vwEff int, nchw bool) {
 	s := p.Shape
 	r := s.R

@@ -6,44 +6,55 @@ import (
 	"ndirect/internal/conv"
 )
 
-// hasVectorBody reports whether this process can run the AVX2 body of
-// kernel_amd64.s: the CPU implements AVX2 and the OS saves the YMM
-// state across context switches.
-var hasVectorBody = detectAVX2()
+// hasVectorBody reports whether this process can run the AVX2 bodies of
+// kernel_amd64.s and dwkernel_amd64.s: the CPU implements AVX2 and FMA3
+// and the OS saves the YMM state across context switches.
+//
+// hasPairBody reports whether it can also run the AVX-512 paired and
+// four-block bodies: the AVX2 body's host plus AVX512F, with the OS
+// saving the opmask and ZMM state.
+var hasVectorBody, hasPairBody = detectVectorISA(readCPUID())
 
-// hasPairBody reports whether this process can also run the AVX-512
-// paired body of kernel_amd64.s: the AVX2 body's host plus AVX512F, with
-// the OS saving the opmask and ZMM state.
-var hasPairBody = hasVectorBody && detectAVX512F()
-
-func detectAVX2() bool {
-	maxLeaf, _, _, _ := cpuid(0, 0)
-	if maxLeaf < 7 {
-		return false
-	}
-	const osxsave, avx = 1 << 27, 1 << 28
-	if _, _, ecx, _ := cpuid(1, 0); ecx&(osxsave|avx) != osxsave|avx {
-		return false
-	}
-	const xmmYmmState = 0x6 // XCR0 bits 1 and 2
-	if eax, _ := xgetbv(); eax&xmmYmmState != xmmYmmState {
-		return false
-	}
-	const avx2 = 1 << 5
-	_, ebx, _, _ := cpuid(7, 0)
-	return ebx&avx2 != 0
+// cpuidWords are the CPUID and XGETBV words detectVectorISA decides on;
+// readCPUID reads them from this CPU.
+type cpuidWords struct {
+	maxLeaf  uint32 // CPUID.0:EAX
+	leaf1ECX uint32 // CPUID.1:ECX
+	leaf7EBX uint32 // CPUID.(7,0):EBX
+	xcr0     uint32 // XCR0 (low word), read only when OSXSAVE is set
 }
 
-// detectAVX512F is called only once detectAVX2 has vouched for leaf 7
-// and OSXSAVE.
-func detectAVX512F() bool {
-	const zmmState = 0xE6 // XCR0 bits 1, 2 and 5–7: XMM, YMM, opmask, ZMM0–15 high, ZMM16–31
-	if eax, _ := xgetbv(); eax&zmmState != zmmState {
-		return false
+func readCPUID() cpuidWords {
+	var w cpuidWords
+	w.maxLeaf, _, _, _ = cpuid(0, 0)
+	_, _, w.leaf1ECX, _ = cpuid(1, 0)
+	if w.maxLeaf >= 7 {
+		_, w.leaf7EBX, _, _ = cpuid(7, 0)
 	}
+	const osxsave = 1 << 27
+	if w.leaf1ECX&osxsave != 0 {
+		w.xcr0, _ = xgetbv()
+	}
+	return w
+}
+
+// detectVectorISA is the binding decision as a pure function of the
+// CPUID/XGETBV words: the AVX2 bodies need AVX, FMA3 (every accumulating
+// body issues VFMADD231PS/SS), OSXSAVE with the XMM and YMM state
+// enabled, and AVX2; the AVX-512 bodies need all of that plus AVX512F
+// with the opmask and ZMM state enabled. A host missing any of it runs
+// the looped Go kernel and the Go store.
+func detectVectorISA(w cpuidWords) (avx2, avx512 bool) {
+	const fma, osxsave, avx = 1 << 12, 1 << 27, 1 << 28
+	const xmmYmmState = 0x6 // XCR0 bits 1 and 2
+	const avx2Bit = 1 << 5
+	if w.maxLeaf < 7 || w.leaf1ECX&(fma|osxsave|avx) != fma|osxsave|avx ||
+		w.xcr0&xmmYmmState != xmmYmmState || w.leaf7EBX&avx2Bit == 0 {
+		return false, false
+	}
+	const zmmState = 0xE6 // XCR0 bits 1, 2 and 5–7: XMM, YMM, opmask, ZMM0–15 high, ZMM16–31
 	const avx512f = 1 << 16
-	_, ebx, _, _ := cpuid(7, 0)
-	return ebx&avx512f != 0
+	return true, w.xcr0&zmmState == zmmState && w.leaf7EBX&avx512f != 0
 }
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
@@ -67,20 +78,37 @@ func vector12x8(acc *accFile8, buf, tf []float32, rows, s, str, vwEff, pitch int
 }
 
 //go:noescape
-func kernel12x16AVX512(acc *accPair, buf, tf *float32, tfOff, rows, s, str, pitch, vwEff int)
+func kernel12x16AVX512(acc *accTile, buf, tf *float32, tfOff, rows, s, str, pitch, vwEff int)
 
 // vector12x16 is vector12x8 over two adjacent K-blocks in one pass, on
 // the AVX-512 paired body: block 0's filter at tf into acc[0], block 1's
 // at tf[tfOff:] into acc[1], over the same input rows. Each half stores
 // exactly the bits vector12x8 stores for its block. Like vector12x8 it
 // proves the extents before the body runs.
-func vector12x16(acc *accPair, buf, tf []float32, tfOff, rows, s, str, vwEff, pitch int) {
+func vector12x16(acc *accTile, buf, tf []float32, tfOff, rows, s, str, vwEff, pitch int) {
 	if rows <= 0 || s <= 0 || str <= 0 || pitch < 0 || tfOff < 0 || vwEff <= 0 || vwEff > maxVw {
 		return
 	}
 	_ = buf[(rows-1)*pitch+(vwEff-1)*str+s-1]
 	_ = tf[tfOff+rows*s*8-1]
 	kernel12x16AVX512(acc, &buf[0], &tf[0], tfOff, rows, s, str, pitch, vwEff)
+}
+
+//go:noescape
+func kernel12x32AVX512(acc *accTile, buf, tf *float32, tfOff, rows, s, str, pitch, vwEff int)
+
+// vector12x32 is vector12x8 over four adjacent K-blocks in one pass, on
+// the AVX-512 four-block body: block b's filter at tf[b·tfOff:] into
+// acc[b], over the same input rows. Each quarter stores exactly the bits
+// vector12x8 stores for its block. Like vector12x8 it proves the extents
+// before the body runs.
+func vector12x32(acc *accTile, buf, tf []float32, tfOff, rows, s, str, vwEff, pitch int) {
+	if rows <= 0 || s <= 0 || str <= 0 || pitch < 0 || tfOff < 0 || vwEff <= 0 || vwEff > maxVw {
+		return
+	}
+	_ = buf[(rows-1)*pitch+(vwEff-1)*str+s-1]
+	_ = tf[3*tfOff+rows*s*8-1]
+	kernel12x32AVX512(acc, &buf[0], &tf[0], tfOff, rows, s, str, pitch, vwEff)
 }
 
 //go:noescape

@@ -51,12 +51,12 @@ func kernel12x8S3(acc *accFile8, buf, tf []float32, tc, r, vwEff, wIn int) {
 				x2 := rw[2]
 				a0 := a[i-1]
 				a1 := a[i]
-				a0 = a0.FMAScalar(f0, x0)
-				a1 = a1.FMAScalar(f1, x0)
-				a0 = a0.FMAScalar(f2, x1)
-				a1 = a1.FMAScalar(f3, x1)
-				a0 = a0.FMAScalar(f4, x2)
-				a1 = a1.FMAScalar(f5, x2)
+				a0 = fmaLanes(a0, f0, x0)
+				a1 = fmaLanes(a1, f1, x0)
+				a0 = fmaLanes(a0, f2, x1)
+				a1 = fmaLanes(a1, f3, x1)
+				a0 = fmaLanes(a0, f4, x2)
+				a1 = fmaLanes(a1, f5, x2)
 				a[i-1] = a0
 				a[i] = a1
 				rw = rw[1:]
@@ -98,31 +98,33 @@ func TestUnrolledS3BitIdenticalToLooped(t *testing.T) {
 
 // Direct micro-kernel A/B: one (tc=32, R=3, S=3) register-tile update
 // per iteration, no loop-nest overhead — two K-blocks' worth for the
-// paired avx512 body, which does twice the flops per call.
+// paired avx512 body and four for avx512x4, which do twice and four
+// times the flops per call.
 func BenchmarkMicroKernelBodies(b *testing.B) {
 	const tc, r, s, vw, vk, str = 32, 3, 3, 12, 8, 1
 	buf, tf, wIn := microKernelOperands()
-	pairTF := append(append([]float32(nil), tf...), tf...)
+	blockTF := append(append(append(append([]float32(nil), tf...), tf...), tf...), tf...)
 	flops := float64(2 * tc * r * s * vw * vk)
 
 	for _, body := range []struct {
 		name   string
 		blocks int
-		run    func(acc *accPair)
+		run    func(acc *accTile)
 	}{
-		{"looped12x8", 1, func(acc *accPair) { kernel12x8(&acc[0], buf, tf, tc*r, s, str, vw, wIn) }},
-		{"vector", 1, func(acc *accPair) { vector12x8(&acc[0], buf, tf, tc*r, s, str, vw, wIn) }},
-		{"avx512", 2, func(acc *accPair) { vector12x16(acc, buf, pairTF, len(tf), tc*r, s, str, vw, wIn) }},
-		{"unrolledS3", 1, func(acc *accPair) { kernel12x8S3(&acc[0], buf, tf, tc, r, vw, wIn) }},
+		{"looped12x8", 1, func(acc *accTile) { kernel12x8(&acc[0], buf, tf, tc*r, s, str, vw, wIn) }},
+		{"vector", 1, func(acc *accTile) { vector12x8(&acc[0], buf, tf, tc*r, s, str, vw, wIn) }},
+		{"avx512", 2, func(acc *accTile) { vector12x16(acc, buf, blockTF, len(tf), tc*r, s, str, vw, wIn) }},
+		{"avx512x4", 4, func(acc *accTile) { vector12x32(acc, buf, blockTF, len(tf), tc*r, s, str, vw, wIn) }},
+		{"unrolledS3", 1, func(acc *accTile) { kernel12x8S3(&acc[0], buf, tf, tc, r, vw, wIn) }},
 	} {
 		b.Run(body.name, func(b *testing.B) {
 			if body.name == "vector" && !hasVectorBody {
 				b.Skip("no vector body on this host")
 			}
-			if body.name == "avx512" && !hasPairBody {
+			if body.blocks > 1 && !hasPairBody {
 				b.Skip("no AVX-512F on this host")
 			}
-			var acc accPair
+			var acc accTile
 			for i := 0; i < b.N; i++ {
 				body.run(&acc)
 			}

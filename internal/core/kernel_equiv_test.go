@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -28,7 +29,7 @@ func bodyImpls() []bodyImpl {
 // operandValues draws test operands: ordinary values in [-2, 2), or,
 // with special, a third of them denormals, signed zeros, infinities and
 // the largest finite value (plus any more given) — a vector routine must
-// round, flush and propagate exactly like the scalar MULSS+ADDSS pair
+// round, flush and propagate exactly like the oracle's fma32
 // (Inf·0 and Inf−Inf make NaNs).
 func operandValues(rng *rand.Rand, special bool, more ...float32) func() float32 {
 	if !special {
@@ -69,17 +70,19 @@ func bodyOperands(rng *rand.Rand, rows, s, str, vwEff, pitch int, special bool) 
 	return acc, buf, tf
 }
 
-// pairImpl is one implementation of the paired body, in vector12x16's
-// calling convention.
-type pairImpl struct {
-	name string
-	run  func(acc *accPair, buf, tf []float32, tfOff, rows, s, str, vwEff, pitch int)
+// multiImpl is one multi-block body in vector12x16's calling
+// convention, and how many K-blocks it runs per call.
+type multiImpl struct {
+	name   string
+	blocks int
+	run    func(acc *accTile, buf, tf []float32, tfOff, rows, s, str, vwEff, pitch int)
 }
 
-// pairImpls is every paired body: the AVX-512 one, where the host has it.
-func pairImpls() []pairImpl {
+// multiImpls is every multi-block body: the AVX-512 paired and
+// four-block ones, where the host has them.
+func multiImpls() []multiImpl {
 	if hasPairBody {
-		return []pairImpl{{name: "avx512", run: vector12x16}}
+		return []multiImpl{{name: "avx512x2", blocks: 2, run: vector12x16}, {name: "avx512x4", blocks: 4, run: vector12x32}}
 	}
 	return nil
 }
@@ -99,13 +102,31 @@ func sameAccBits(a, b *accFile8) (int, bool) {
 	return 0, true
 }
 
+// blockOperands builds nb K-blocks of filter vectors for one tile, block
+// b at tf[b*tfOff:] past a gap of whole filter vectors, as in a
+// pre-transformed filter's [⌈K/8⌉][C][R][S][8] layout (tf ends where the
+// last block does), and an initial accumulator file per block. Block 0
+// is tf0 and acc0.
+func blockOperands(rng *rand.Rand, nb, rows, s, str, vwEff, pitch int, special bool, acc0 accFile8, tf0 []float32) (tf []float32, tfOff int, init []accFile8) {
+	tfOff = len(tf0) + 8*rng.Intn(4)
+	tf = append([]float32(nil), tf0...)
+	init = []accFile8{acc0}
+	for b := 1; b < nb; b++ {
+		acc, _, tfb := bodyOperands(rng, rows, s, str, vwEff, pitch, special)
+		tf = append(append(tf, make([]float32, b*tfOff-len(tf))...), tfb...)
+		init = append(init, acc)
+	}
+	return tf, tfOff, init
+}
+
 // checkBodies runs every implementation written for (s, str) on the same
 // operands and requires the looped kernel's accumulator bits — including
-// the untouched columns past vwEff — and untouched operands. A paired
-// body runs the same operands as its block 0 and a second filter block
-// and accumulator file, tfOff floats on, as its block 1: each half must
-// store exactly the single-block body's bits for its block, NaN payloads
-// included.
+// the untouched columns past vwEff — and untouched operands. A
+// multi-block body runs the same operands as its block 0 and further
+// filter blocks and accumulator files, tfOff floats apart, as its other
+// blocks: each block must store exactly the single-block body's bits for
+// it, NaN payloads included, and the accumulator files past its blocks
+// stay untouched.
 func checkBodies(t testing.TB, rng *rand.Rand, rows, s, str, vwEff, pitch int, special bool) {
 	t.Helper()
 	acc0, buf, tf := bodyOperands(rng, rows, s, str, vwEff, pitch, special)
@@ -120,31 +141,30 @@ func checkBodies(t testing.TB, rng *rand.Rand, rows, s, str, vwEff, pitch int, s
 				math.Float32bits(got[lane/4][lane%4]), math.Float32bits(want[lane/4][lane%4]))
 		}
 	}
-	pairs := pairImpls()
-	if len(pairs) == 0 {
+	multis := multiImpls()
+	if len(multis) == 0 {
 		return
 	}
-	acc1, _, tf1 := bodyOperands(rng, rows, s, str, vwEff, pitch, special)
-	// Block 1 sits past block 0 and a gap of whole filter vectors, as in a
-	// pre-transformed filter's [⌈K/8⌉][C][R][S][8] layout; tf ends where
-	// block 1 does.
-	tfOff := len(tf) + 8*rng.Intn(4)
-	pairTF := append(append(append([]float32(nil), tf...), make([]float32, tfOff-len(tf))...), tf1...)
-	var wantPair accPair
-	wantPair[0], wantPair[1] = acc0, acc1
-	vector12x8(&wantPair[0], buf, pairTF, rows, s, str, vwEff, pitch)
-	vector12x8(&wantPair[1], buf, pairTF[tfOff:], rows, s, str, vwEff, pitch)
-	for _, impl := range pairs {
-		var got accPair
-		got[0], got[1] = acc0, acc1
-		impl.run(&got, buf, pairTF, tfOff, rows, s, str, vwEff, pitch)
-		for half := range got {
-			for i := range got[half] {
-				for l := range got[half][i] {
-					g, w := math.Float32bits(got[half][i][l]), math.Float32bits(wantPair[half][i][l])
-					if g != w {
-						t.Fatalf("%s: rows=%d S=%d str=%d vwEff=%d pitch=%d tfOff=%d special=%v: block %d lane %d = %x, vector12x8 stores %x",
-							impl.name, rows, s, str, vwEff, pitch, tfOff, special, half, i*4+l, g, w)
+	blockTF, tfOff, init := blockOperands(rng, len(accTile{}), rows, s, str, vwEff, pitch, special, acc0, tf)
+	var wantTile accTile
+	for b := range wantTile {
+		wantTile[b] = init[b]
+		vector12x8(&wantTile[b], buf, blockTF[b*tfOff:], rows, s, str, vwEff, pitch)
+	}
+	for _, impl := range multis {
+		var got accTile
+		copy(got[:], init)
+		impl.run(&got, buf, blockTF, tfOff, rows, s, str, vwEff, pitch)
+		for b := range got {
+			w := wantTile[b]
+			if b >= impl.blocks {
+				w = init[b]
+			}
+			for i := range got[b] {
+				for l := range got[b][i] {
+					if g, w := math.Float32bits(got[b][i][l]), math.Float32bits(w[i][l]); g != w {
+						t.Fatalf("%s: rows=%d S=%d str=%d vwEff=%d pitch=%d tfOff=%d special=%v: block %d lane %d = %x, want %x",
+							impl.name, rows, s, str, vwEff, pitch, tfOff, special, b, i*4+l, g, w)
 					}
 				}
 			}
@@ -152,15 +172,66 @@ func checkBodies(t testing.TB, rng *rand.Rand, rows, s, str, vwEff, pitch int, s
 	}
 }
 
+// hostBodies is what a family bound to (s, str) runs on this host: the
+// vector bodies where the host has them, the looped kernel12x8 otherwise.
+func hostBodies(s, str int) bodies {
+	b := bodies{kern: func(acc *accFile8, buf, tf []float32, rows, vwEff, pitch int) {
+		kernel12x8(acc, buf, tf, rows, s, str, vwEff, pitch)
+	}}
+	if hasVectorBody {
+		b.kern = vectorKernel(s, str)
+	}
+	if hasPairBody {
+		b.pair = multiBlockKernel(vector12x16, s, str)
+		b.quad = multiBlockKernel(vector12x32, s, str)
+	}
+	return b
+}
+
+// checkBlockRun runs nb K-blocks of one register tile the way every
+// V_k=8 consumer does — bodies.span and bodies.run over the host's
+// bodies, so seven blocks are one four-block, one paired and one
+// single-block call — and requires every block's accumulator bits to
+// equal the looped kernel12x8's for that block.
+func checkBlockRun(t testing.TB, rng *rand.Rand, nb, rows, s, str, vwEff, pitch int, special bool) {
+	t.Helper()
+	acc0, buf, tf0 := bodyOperands(rng, rows, s, str, vwEff, pitch, special)
+	tf, tfOff, init := blockOperands(rng, nb, rows, s, str, vwEff, pitch, special, acc0, tf0)
+	b := hostBodies(s, str)
+	var acc accTile
+	var spans []int
+	for kb := 0; kb < nb; {
+		n := b.span(kb, nb)
+		spans = append(spans, n)
+		copy(acc[:n], init[kb:kb+n])
+		b.run(&acc, n, buf, tf[kb*tfOff:], tfOff, rows, vwEff, pitch)
+		for j := 0; j < n; j++ {
+			want := init[kb+j]
+			kernel12x8(&want, buf, tf[(kb+j)*tfOff:], rows, s, str, vwEff, pitch)
+			if lane, ok := sameAccBits(&acc[j], &want); !ok {
+				t.Fatalf("%d blocks as %v: rows=%d S=%d str=%d vwEff=%d pitch=%d special=%v: block %d lane %d = %x, looped kernel12x8 stores %x",
+					nb, spans, rows, s, str, vwEff, pitch, special, kb+j, lane,
+					math.Float32bits(acc[j][lane/4][lane%4]), math.Float32bits(want[lane/4][lane%4]))
+			}
+		}
+		kb += n
+	}
+	if hasPairBody && nb == 7 && fmt.Sprint(spans) != "[4 2 1]" {
+		t.Fatalf("seven K-blocks ran as %v body calls, want [4 2 1]", spans)
+	}
+}
+
 // TestBodyEquivalence is the one battery every implementation of the
 // body answers to: the vector body and the looped kernel12x8 store the
-// same accumulator bits, and each half of the paired body the vector
-// body's, for every S, stride,
-// tile width, ragged row count and row pitch, from non-zero accumulators,
-// on ordinary and on denormal / signed-zero / infinite operands.
+// same accumulator bits, and each block of the paired and four-block
+// bodies the vector body's, for every S, stride, tile width, ragged row
+// count and row pitch, from non-zero accumulators, on ordinary and on
+// denormal / signed-zero / infinite operands; and a tile of one to seven
+// K-blocks, run through span and run as the consumers run it, stores
+// the looped kernel's bits in every block for every tile width.
 func TestBodyEquivalence(t *testing.T) {
 	if !hasPairBody {
-		t.Log("no AVX-512F on this host: the paired body is not checked")
+		t.Log("no AVX-512F on this host: the multi-block bodies are not checked")
 	}
 	rng := rand.New(rand.NewSource(16))
 	for _, s := range []int{1, 3, 7} {
@@ -177,6 +248,9 @@ func TestBodyEquivalence(t *testing.T) {
 							checkBodies(t, rng, rows, s, str, vwEff, pitch, special)
 						}
 					}
+				}
+				for nb := 1; nb <= 7; nb++ {
+					checkBlockRun(t, rng, nb, 3, s, str, vwEff, wIn+5, nb%2 == 0)
 				}
 			}
 		}
@@ -197,12 +271,12 @@ func TestBodyRejectsBadExtents(t *testing.T) {
 			}
 		}
 	}
-	pairTF := append(append([]float32(nil), tf...), tf...)
-	for _, impl := range pairImpls() {
+	blockTF := append(append(append(append([]float32(nil), tf...), tf...), tf...), tf...)
+	for _, impl := range multiImpls() {
 		for _, bad := range []struct{ rows, vwEff, tfOff int }{{3, 0, len(tf)}, {3, 13, len(tf)}, {0, 12, len(tf)}, {3, 12, -8}} {
-			got := accPair{acc0, acc0}
-			impl.run(&got, buf, pairTF, bad.tfOff, bad.rows, 3, 1, bad.vwEff, 14)
-			if got != (accPair{acc0, acc0}) {
+			got := accTile{acc0, acc0, acc0, acc0}
+			impl.run(&got, buf, blockTF, bad.tfOff, bad.rows, 3, 1, bad.vwEff, 14)
+			if got != (accTile{acc0, acc0, acc0, acc0}) {
 				t.Fatalf("%s: rows=%d vwEff=%d tfOff=%d modified the accumulators", impl.name, bad.rows, bad.vwEff, bad.tfOff)
 			}
 		}
@@ -221,14 +295,21 @@ func TestVectorBodyProvesExtents(t *testing.T) {
 	// The depthwise body: a 20×30 plane, output rows [2, 7) of 10×15.
 	dw := conv.Shape{N: 1, C: 1, H: 20, W: 30, K: 1, R: 3, S: 3, Str: 2, Pad: 1}
 	in, filter, dst := make([]float32, dw.H*dw.W), make([]float32, 9), make([]float32, 5*dw.Q())
+	tf4 := append(append(append(append([]float32(nil), tf...), tf...), tf...), tf...)
 	for name, call := range map[string]func(acc *accFile8){
 		"short buf": func(acc *accFile8) { vector12x8(acc, buf[:len(buf)-1], tf, 4, 3, 2, 12, 25) },
 		"short tf":  func(acc *accFile8) { vector12x8(acc, buf, tf[:len(tf)-1], 4, 3, 2, 12, 25) },
 		"paired short buf": func(*accFile8) {
-			vector12x16(&accPair{}, buf[:len(buf)-1], append(tf, tf...), len(tf), 4, 3, 2, 12, 25)
+			vector12x16(&accTile{}, buf[:len(buf)-1], append(tf, tf...), len(tf), 4, 3, 2, 12, 25)
 		},
 		"paired short block 1": func(*accFile8) {
-			vector12x16(&accPair{}, buf, append(tf, tf[1:]...), len(tf), 4, 3, 2, 12, 25)
+			vector12x16(&accTile{}, buf, append(tf, tf[1:]...), len(tf), 4, 3, 2, 12, 25)
+		},
+		"four-block short buf": func(*accFile8) {
+			vector12x32(&accTile{}, buf[:len(buf)-1], tf4, len(tf), 4, 3, 2, 12, 25)
+		},
+		"four-block short block 3": func(*accFile8) {
+			vector12x32(&accTile{}, buf, tf4[1:], len(tf), 4, 3, 2, 12, 25)
 		},
 		"depthwise in":   func(*accFile8) { vectorDepthwise3x3(dw, in[:len(in)-1], filter, dst, 2, 7) },
 		"depthwise taps": func(*accFile8) { vectorDepthwise3x3(dw, in, filter[:8], dst, 2, 7) },
@@ -249,8 +330,10 @@ func TestVectorBodyProvesExtents(t *testing.T) {
 	}
 }
 
-// FuzzVectorBody drives the same comparison — the paired body's halves
-// included — from fuzzed extents and operand seeds.
+// FuzzVectorBody drives the same comparison — every block of the
+// multi-block bodies included, and a tile of one to seven K-blocks
+// through span and run (the count drawn from the seed) — from fuzzed
+// extents and operand seeds.
 func FuzzVectorBody(f *testing.F) {
 	f.Add(uint8(2), uint8(0), uint8(11), uint8(8), uint8(0), false, int64(1)) // 3×3 s1, full tile
 	f.Add(uint8(6), uint8(1), uint8(6), uint8(20), uint8(3), true, int64(2))  // 7×7 s2 stem, ragged tile
@@ -261,6 +344,8 @@ func FuzzVectorBody(f *testing.F) {
 		vwEff := int(vwRaw)%maxVw + 1
 		rows := int(rowsRaw)%48 + 1
 		pitch := (maxVw-1)*str + s + int(extraPitch)
-		checkBodies(t, rand.New(rand.NewSource(seed)), rows, s, str, vwEff, pitch, special)
+		rng := rand.New(rand.NewSource(seed))
+		checkBodies(t, rng, rows, s, str, vwEff, pitch, special)
+		checkBlockRun(t, rng, int(uint64(seed)%7)+1, rows, s, str, vwEff, pitch, special)
 	})
 }

@@ -17,9 +17,18 @@ func vector12x8(acc *accFile8, buf, tf []float32, rows, s, str, vwEff, pitch int
 
 // vector12x16 is never bound when hasPairBody is false; it exists so the
 // binder in dispatch.go compiles everywhere.
-func vector12x16(acc *accPair, buf, tf []float32, tfOff, rows, s, str, vwEff, pitch int) {
-	kernel12x8(&acc[0], buf, tf, rows, s, str, vwEff, pitch)
-	kernel12x8(&acc[1], buf, tf[tfOff:], rows, s, str, vwEff, pitch)
+func vector12x16(acc *accTile, buf, tf []float32, tfOff, rows, s, str, vwEff, pitch int) {
+	for b := range 2 {
+		kernel12x8(&acc[b], buf, tf[b*tfOff:], rows, s, str, vwEff, pitch)
+	}
+}
+
+// vector12x32 is never bound when hasPairBody is false; it exists so the
+// binder in dispatch.go compiles everywhere.
+func vector12x32(acc *accTile, buf, tf []float32, tfOff, rows, s, str, vwEff, pitch int) {
+	for b := range 4 {
+		kernel12x8(&acc[b], buf, tf[b*tfOff:], rows, s, str, vwEff, pitch)
+	}
 }
 
 // vectorDepthwise3x3 is never bound when hasVectorBody is false; it

@@ -228,10 +228,10 @@ func (p *SeparablePlan) TransformDepthwiseFilter(dwFilter *tensor.Tensor) (*Pack
 
 // sepScratch is one worker's private state: the row-tile intermediate
 // (a guarded allocation, gridRun.guard) and the pointwise register files
-// of two K-blocks.
+// of four K-blocks.
 type sepScratch struct {
 	mid []float32
-	acc accPair
+	acc accTile
 }
 
 // sepRun is one execution's operands on top of the shared harness.

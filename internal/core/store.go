@@ -89,7 +89,7 @@ func storeLane(row, res []float32, step int, acc *accFile8, j, lane, vwEff, k in
 			v += bias
 		}
 		if hasAffine {
-			v = v*scale + shift
+			v = float32(v*scale) + shift
 		}
 		if hasRes {
 			v += res[x]

@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -24,12 +23,32 @@ func fcNet(in, out int, relu bool) (*Network, *FC) {
 	}}, fc
 }
 
-// On a Reuse+nDirect engine an FC layer is the 1×1 convolution it is:
-// same values as the GEMM route (the two sum in different orders, so
-// only to rounding), any batch, a flattened [N, C, H, W] input too, and
-// the GEMM's transpose is never built; the reference engine takes the
-// same route onto the float64 reference path.
-func TestFCRunsAsConvolutionOnReuse(t *testing.T) {
+// fcNaive is the layer's definition in float64: out[n][o] = relu(b[o] +
+// Σ_i x[n][i]·W[o][i]).
+func fcNaive(fc *FC, x *tensor.Tensor) *tensor.Tensor {
+	n := x.Dims[0]
+	out := tensor.New(n, fc.Out)
+	for b := 0; b < n; b++ {
+		for o := 0; o < fc.Out; o++ {
+			sum := float64(fc.B[o])
+			for i := 0; i < fc.In; i++ {
+				sum += float64(x.Data[b*fc.In+i]) * float64(fc.W.Data[o*fc.In+i])
+			}
+			if fc.ReLU && sum < 0 {
+				sum = 0
+			}
+			out.Data[b*fc.Out+o] = float32(sum)
+		}
+	}
+	return out
+}
+
+// An FC layer is the 1×1 convolution it is on every engine: any batch,
+// a flattened [N, C, H, W] input too. The seed nDirect engine and the
+// Reuse one run the same kernels under the same numeric contract, so
+// they store the same bits; the reference engine (the float64 reference
+// path) and the im2col engine agree with the definition to rounding.
+func TestFCRunsAsConvolutionOnEveryEngine(t *testing.T) {
 	for _, c := range []struct {
 		in, out int
 		relu    bool
@@ -42,14 +61,16 @@ func TestFCRunsAsConvolutionOnReuse(t *testing.T) {
 			_, fc := fcNet(c.in, c.out, c.relu)
 			x := tensor.New(append([]int{n}, c.dims...)...)
 			x.FillRandom(int64(c.in))
-			want := fc.Forward(&Engine{Algo: AlgoNDirect, Threads: 2}, x)
-			if fc.wt == nil || fc.conv != nil {
-				t.Fatal("the seed engine must take the GEMM route")
+			want := fcNaive(fc, x)
+			seed := fc.Forward(&Engine{Algo: AlgoNDirect, Threads: 2}, x)
+			if fc.conv == nil {
+				t.Fatal("the seed engine did not run the layer as a convolution")
 			}
-			fc.wt, fc.wtOnce = nil, sync.Once{}
 			for name, eng := range map[string]*Engine{
-				"fast":      {Algo: AlgoNDirect, Threads: 2, Reuse: true},
+				"seed":      {Algo: AlgoNDirect, Threads: 2},
+				"reuse":     {Algo: AlgoNDirect, Threads: 2, Reuse: true},
 				"reference": {Algo: AlgoNDirect, Threads: 1, Reuse: true, ForceReference: true},
+				"im2col":    {Algo: AlgoIm2col, Threads: 2},
 			} {
 				got, err := fc.tryForward(eng, x)
 				if err != nil {
@@ -59,11 +80,11 @@ func TestFCRunsAsConvolutionOnReuse(t *testing.T) {
 					t.Fatalf("%s: output dims %v, want [%d %d]", name, got.Dims, n, c.out)
 				}
 				if d := tensor.RelDiff(want, got); d > 1e-5 {
-					t.Fatalf("%s: in=%d N=%d: conv route differs from the GEMM route by %g", name, c.in, n, d)
+					t.Fatalf("%s: in=%d N=%d: differs from the definition by %g", name, c.in, n, d)
 				}
-			}
-			if fc.wt != nil {
-				t.Fatal("the conv route built the GEMM transpose")
+				if name == "reuse" {
+					requireSameBits(t, "Reuse engine vs seed engine", got, seed)
+				}
 			}
 		}
 	}

@@ -31,7 +31,6 @@ import (
 	"ndirect/internal/autotune"
 	"ndirect/internal/conv"
 	"ndirect/internal/core"
-	"ndirect/internal/gemm"
 	"ndirect/internal/im2col"
 	"ndirect/internal/parallel"
 	"ndirect/internal/tensor"
@@ -622,9 +621,6 @@ func (n *Network) retireReuse(eng *Engine, params bool) {
 				v.invalidateReuse(params)
 			case *FC:
 				v.asConv().invalidateReuse(eng, params)
-				if params {
-					v.wtOnce, v.wt = sync.Once{}, nil
-				}
 			}
 		}
 	}
@@ -1092,21 +1088,19 @@ func (GlobalAvgPool) Forward(eng *Engine, x *tensor.Tensor) *tensor.Tensor {
 	return out
 }
 
-// FC is a fully connected layer on flattened activations. On a Reuse
-// engine with the nDirect backend it runs as the 1×1 convolution it is —
-// C = In, K = Out over a 1×1 image, bias and ReLU in the fused store —
-// through asConv's unit, so it shares the convolution layers' plan memo,
-// packed weights and weight-residency accounting; every other engine
-// multiplies by the cached transpose through the GEMM.
+// FC is a fully connected layer on flattened activations. On every
+// engine it runs as the 1×1 convolution it is — C = In, K = Out over a
+// 1×1 image — through asConv's unit, on the engine's own convolution
+// backend: an nDirect engine sums it under the kernels' one numeric
+// contract, so a Reuse and a non-Reuse engine store the same bits, and a
+// Reuse engine shares the convolution layers' plan memo, packed weights,
+// weight-residency accounting and fused bias/ReLU store.
 type FC struct {
 	LayerName string
 	In, Out   int
 	W         *tensor.Tensor // [Out, In]
 	B         []float32
 	ReLU      bool
-
-	wtOnce sync.Once
-	wt     *tensor.Tensor // cached transpose for the GEMM orientation
 
 	convOnce sync.Once
 	conv     *ConvUnit // the layer as a convolution unit over W's own storage
@@ -1129,38 +1123,11 @@ func (f *FC) tryForward(eng *Engine, x *tensor.Tensor) (*tensor.Tensor, error) {
 	if x.Len() != n*f.In {
 		return nil, fmt.Errorf("%w: FC %s input %v does not flatten to %d", conv.ErrDimMismatch, f.LayerName, x.Dims, f.In)
 	}
-	if eng.Reuse && eng.Algo == AlgoNDirect {
-		out, err := f.asConv().tryForward(eng, tensor.FromSlice(x.Data, n, f.In, 1, 1))
-		if err != nil {
-			return nil, err
-		}
-		return tensor.FromSlice(out.Data, n, f.Out), nil
-	}
-	out := eng.newOutput(n, f.Out) // beta = 0: the GEMM assigns every element
-	// The GEMM and the sweeps may panic on a worker fault; this is a
-	// checked layer, so the panic is reported as the typed error.
-	err := parallel.Protect(func() {
-		// out[n][o] = x[n][i] · W[o][i], as out = X · Wᵀ on the transpose
-		// materialised once for the GEMM-friendly orientation.
-		wt := f.transposed()
-		gemm.Gemm(n, f.Out, f.In, 1, x.Data, f.In, wt.Data, f.Out, 0, out.Data, f.Out,
-			gemm.Config{Threads: eng.Threads})
-		if f.B != nil {
-			for i := 0; i < n; i++ {
-				row := out.Data[i*f.Out : (i+1)*f.Out]
-				for o := range row {
-					row[o] += f.B[o]
-				}
-			}
-		}
-	})
-	if err == nil && f.ReLU {
-		err = applyReLU(out, eng.Threads)
-	}
+	out, err := f.asConv().tryForward(eng, tensor.FromSlice(x.Data, n, f.In, 1, 1))
 	if err != nil {
 		return nil, err
 	}
-	return out, nil
+	return tensor.FromSlice(out.Data, n, f.Out), nil
 }
 
 // asConv returns the layer as a convolution unit, built once: the weight
@@ -1179,21 +1146,6 @@ func (f *FC) asConv() *ConvUnit {
 		}
 	})
 	return f.conv
-}
-
-// transposed materialises Wᵀ exactly once, even under concurrent
-// Forward calls on a shared network (same discipline as foldBN).
-func (f *FC) transposed() *tensor.Tensor {
-	f.wtOnce.Do(func() {
-		wt := tensor.New(f.In, f.Out)
-		for o := 0; o < f.Out; o++ {
-			for i := 0; i < f.In; i++ {
-				wt.Data[i*f.Out+o] = f.W.Data[o*f.In+i]
-			}
-		}
-		f.wt = wt
-	})
-	return f.wt
 }
 
 // Softmax converts logits to probabilities (numerically stabilised).

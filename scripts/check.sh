@@ -23,41 +23,78 @@ for arch in arm64 386; do
     GOARCH=$arch go vet ./...
 done
 
-# The numeric contract is == against the Go bodies and the oracle: one
-# multiply and one add, two roundings, nowhere a fused multiply-add — not
-# in the assembly and not from the compiler (GOAMD64=v3 would fuse the Go
-# bodies). `go tool objdump` does not decode VEX instructions, so the
-# check reads the bytes it prints: every FMA3 instruction is
-# C4 [RXB.00010] [W.vvvv.L.01] followed by an opcode in 96-9F, A6-AF or
-# B6-BF, and every EVEX-encoded one (the AVX-512 body's encoding) is
-# 62 [RXBR'.0.010] [W.vvvv.1.01] [P2] followed by the same opcodes. Each
-# pattern has its positive control: VFMADD231PS Y0,Y0,Y0 and
-# VFMADD231PS Z0,Z0,Z0.
-# The scan selects symbols by name, so every assembly routine of
-# internal/core but the two CPUID helpers must carry one of its prefixes:
-# a routine named outside them would never be scanned.
+# The numeric contract (DESIGN.md §11) has two halves, fenced apart.
+# Every accumulating body rounds once per tap — acc = fma(w, x, acc),
+# VFMADD231PS/SS, the chain the looped oracles compute with fma32 — so
+# the kernel* and vector* routines must hold no separate multiply: a
+# VMULPS/VMULSS there is the first half of a two-rounding VMULPS→VADDPS
+# (VMULSS→VADDSS) accumulation. The assembler's -S listing names every
+# instruction it encodes, so that fence reads the listing; its positive
+# control assembles a kernel routine with a mul+add pair and must flag
+# it, and the real listing must show the bodies' VFMADD231PS.
+# The store epilogue keeps its separate roundings (bias, then v·scale,
+# then + shift), so the store* symbols hold no fused multiply-add, in
+# the assembly or from the compiler. `go tool objdump` does not decode
+# VEX instructions, so that check reads the bytes it prints: every FMA3
+# instruction is C4 [RXB.00010] [W.vvvv.L.01] followed by an opcode in
+# 96-9F, A6-AF or B6-BF, and every EVEX-encoded one is 62 [RXBR'.0.010]
+# [W.vvvv.1.01] [P2] followed by the same opcodes. Each pattern has its
+# positive control: VFMADD231PS Y0,Y0,Y0 and VFMADD231PS Z0,Z0,Z0.
+# Both scans select symbols by name, so every assembly routine of
+# internal/core but the two CPUID helpers must carry one of their
+# prefixes: a routine named outside them would never be scanned.
 if [ "$(go env GOARCH)" = amd64 ]; then
-    echo "==> no fused multiply-add in the kernel and store symbols of internal/core"
+    for sym in $(sed -n 's/^TEXT ·\([A-Za-z0-9_]*\)(SB).*/\1/p' internal/core/*.s); do
+        case $sym in
+        cpuid | xgetbv | kernel* | vector* | store*) ;;
+        *) echo "FAIL: assembly routine $sym is outside the contract scans' kernel|vector|store names" >&2; exit 1 ;;
+        esac
+    done
+
+    echo "==> one rounding per tap: no separate multiply in the kernel and vector routines of internal/core"
+    ASMDIR=$(mktemp -d "${TMPDIR:-/tmp}/ndirect-asm.XXXXXX")
+    # bodyOps prints "symbol mnemonic" for every instruction of the
+    # kernel* and vector* routines the given assembly files encode.
+    bodyOps() {
+        for f in "$@"; do
+            go tool asm -I "$(go env GOROOT)/pkg/include" -p ndirect/internal/core \
+                -D "GOOS_$(go env GOOS)" -D GOARCH_amd64 -S -o "$ASMDIR/out.o" "$f"
+        done | awk '/ STEXT/ { sym = $1 } $1 ~ /^0x/ { print sym, $4 }' | grep -E '\.(kernel|vector)[^ ]* '
+    }
+    SEPMUL=' (VMULPS|VMULSS)$'
+    printf '#include "textflag.h"\nTEXT ·kernelControl(SB), NOSPLIT, $0\n\tVMULPS Y12, Y13, Y13\n\tVADDPS Y13, Y0, Y0\n\tRET\n' \
+        >"$ASMDIR/control_amd64.s"
+    bodyOps "$ASMDIR/control_amd64.s" | grep -Eq "$SEPMUL" ||
+        { rm -rf "$ASMDIR"; echo "FAIL: the separate-multiply scan misses a VMULPS→VADDPS accumulation" >&2; exit 1; }
+    OPS=$(bodyOps internal/core/*.s)
+    rm -rf "$ASMDIR"
+    echo "$OPS" | grep -q ' VFMADD231PS$' || { echo "FAIL: the listing shows no VFMADD231PS in the kernel routines" >&2; exit 1; }
+    if echo "$OPS" | grep -E "$SEPMUL"; then
+        echo "FAIL: a separate multiply in internal/core's kernel or vector routines (the contract is one fused multiply-add per tap)" >&2
+        exit 1
+    fi
+
+    echo "==> no fused multiply-add in the store symbols of internal/core"
     FMA3='c4 [02468ace]2 [0-9a-f][159d] (9[6-9a-f]|a[6-9a-f]|b[6-9a-f])'
     echo "c4 e2 7d b8 c0" | grep -Eq "$FMA3" || { echo "FAIL: the FMA3 pattern misses VFMADD231PS" >&2; exit 1; }
     EVEXFMA='62 [0-9a-f][2a] [0-9a-f][5d] [0-9a-f]{2} (9[6-9a-f]|a[6-9a-f]|b[6-9a-f])'
     echo "62 f2 7d 48 b8 c0" | grep -Eq "$EVEXFMA" || { echo "FAIL: the EVEX pattern misses VFMADD231PS Z0,Z0,Z0" >&2; exit 1; }
-    for sym in $(sed -n 's/^TEXT ·\([A-Za-z0-9_]*\)(SB).*/\1/p' internal/core/*.s); do
-        case $sym in
-        cpuid | xgetbv | kernel* | vector* | store*) ;;
-        *) echo "FAIL: assembly routine $sym is outside the no-FMA scan's kernel|vector|store names" >&2; exit 1 ;;
-        esac
-    done
     COREBIN=$(mktemp "${TMPDIR:-/tmp}/ndirect-core.XXXXXX.test")
     go test -c -o "$COREBIN" ./internal/core
-    CODE=$(go tool objdump -s 'internal/core\.(kernel|vector|store)' "$COREBIN" |
+    CODE=$(go tool objdump -s 'internal/core\.store' "$COREBIN" |
         awk '$2 ~ /^0x/ { print $3 }' | tr -d '\n' | sed 's/../& /g')
     rm -f "$COREBIN"
-    [ -n "$CODE" ] || { echo "FAIL: objdump found no kernel or store symbol" >&2; exit 1; }
+    [ -n "$CODE" ] || { echo "FAIL: objdump found no store symbol" >&2; exit 1; }
     if echo "$CODE" | grep -Eq "$FMA3|$EVEXFMA"; then
-        echo "FAIL: a fused multiply-add instruction in internal/core's kernel or store code" >&2
+        echo "FAIL: a fused multiply-add instruction in internal/core's store code" >&2
         exit 1
     fi
+
+    # A compiler that fuses (GOAMD64=v3 may contract x*y + z) must not
+    # change a stored bit: the Go store, the fma32 oracle and every
+    # bit-exact test of internal/core run once more built that way.
+    echo "==> GOAMD64=v3 go test ./internal/core"
+    GOAMD64=v3 go test -count=1 ./internal/core
 fi
 
 # The governance around the kernels — the fault/deadline ladder, the
