@@ -247,8 +247,9 @@ func BenchmarkFig9HyperThreadingModeled(b *testing.B) {
 
 // --- DESIGN.md §4 ablations ---
 
-// Ablation 2: the 3×3 stride-1 family's body against the looped Go
-// kernel12x8 it falls back to under quarantine, on the same plan. (The
+// Ablation 2: the standard family's body on a 3×3 stride-1 plan against
+// the looped Go kernel12x8 it falls back to under quarantine, on the
+// same plan. (The
 // fully S-unrolled Algorithm 3 transcription is measured body against
 // body in internal/core's BenchmarkMicroKernelBodies.)
 func BenchmarkAblationKernelSpecialisation(b *testing.B) {
@@ -329,10 +330,12 @@ func BenchmarkPublicConv2D(b *testing.B) {
 	reportGFLOPS(b, conv.Shape(s), b.N)
 }
 
-// BenchmarkLoopedAndGrouped times the shapes that run no kernel family
-// (5×5 and 7×7 at stride 1: the looped 12×8 kernel) and grouped
-// convolution with two groups and with one group per channel (each
-// (image, group) sub-problem one plan execution).
+// BenchmarkLoopedAndGrouped times the filters outside the model tables
+// (5×5 and 7×7 at stride 1, the "wide" rows: the standard family's body,
+// as for every standard shape, where the looped 12×8 kernel that names
+// the benchmark once ran them) and grouped convolution with two groups
+// and with one group per channel (each (image, group) sub-problem one
+// plan execution).
 func BenchmarkLoopedAndGrouped(b *testing.B) {
 	for _, tc := range []struct {
 		name string
@@ -341,7 +344,7 @@ func BenchmarkLoopedAndGrouped(b *testing.B) {
 		{"r5s5s1", conv.Shape{N: 1, C: 32, H: 28, W: 28, K: 32, R: 5, S: 5, Str: 1, Pad: 2}},
 		{"r7s7s1", conv.Shape{N: 1, C: 16, H: 28, W: 28, K: 32, R: 7, S: 7, Str: 1, Pad: 3}},
 	} {
-		b.Run("looped/"+tc.name, func(b *testing.B) {
+		b.Run("wide/"+tc.name, func(b *testing.B) {
 			in, filter, out := benchOperands(tc.s)
 			plan := core.NewPlan(tc.s, core.Options{Threads: 1})
 			b.ResetTimer()

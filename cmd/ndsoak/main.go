@@ -9,7 +9,7 @@
 // network (every other one with a depthwise-separable block) ending in
 // a pooling layer, and the five raw-convolution geometries the soak
 // covers (3×3 stride 1 including K=13 and N=2, 1×1, a 5×5 stride 2
-// with no kernel family) are one-unit models spread over the tenants.
+// outside the model tables) are one-unit models spread over the tenants.
 // It asserts the survival invariants the overload-safe design
 // promises:
 //
@@ -92,6 +92,8 @@ type model struct {
 }
 
 // rawShapes are the one-unit models: a convolution and nothing else.
+// Every one runs the standard kernel family, so the integrity drill's
+// quarantine of it reaches all five.
 var rawShapes = []conv.Shape{
 	{N: 1, C: 8, H: 16, W: 16, K: 16, R: 3, S: 3, Str: 1, Pad: 1},
 	{N: 1, C: 16, H: 14, W: 14, K: 32, R: 3, S: 3, Str: 1, Pad: 1},

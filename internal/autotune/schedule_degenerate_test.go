@@ -17,7 +17,7 @@ var degenerateShapes = []conv.Shape{
 	{N: 1, C: 4, H: 5, W: 3, K: 3, R: 3, S: 3, Str: 1, Pad: 1},   // Q=3 < every VecW
 	{N: 1, C: 8, H: 7, W: 7, K: 2, R: 3, S: 3, Str: 2, Pad: 1},   // K < Vk, strided
 	{N: 1, C: 3, H: 9, W: 5, K: 5, R: 1, S: 1, Str: 2, Pad: 0},   // ragged strided pointwise
-	{N: 1, C: 16, H: 8, W: 8, K: 64, R: 5, S: 5, Str: 1, Pad: 2}, // no 12×8 family
+	{N: 1, C: 16, H: 8, W: 8, K: 64, R: 5, S: 5, Str: 1, Pad: 2}, // 5×5, outside every model table
 }
 
 // tuneShapes is the full table-driven domain: every model-table row

@@ -149,10 +149,9 @@ type Plan struct {
 	opts     Options
 	platform hw.Platform
 	threads  int
-	family   *kernelFamily     // (R,S,Str) body bound at plan time; nil = looped kernel12x8 (dispatch.go)
-	looped   specializedKernel // kernel12x8 bound to the plan's (S, Str): the no-family / quarantine body
-	ep       epilogue          // normalised fused epilogue
-	inPlace  bool              // 1×1 unpadded: NCHW tiles are read where they lie, never packed
+	family   *kernelFamily // body bound at plan time: the standard family (dispatch.go)
+	ep       epilogue      // normalised fused epilogue
+	inPlace  bool          // 1×1 unpadded: NCHW tiles are read where they lie, never packed
 
 	// The static thread grid (§6) is a pure function of the plan, so
 	// the per-dimension worker ranges are solved once here instead of
@@ -246,14 +245,14 @@ func TryNewPlan(s conv.Shape, opt Options) (*Plan, error) {
 
 	// Register tile: every standard plan runs on the 12×8 file, whatever
 	// Equations 3–4 solve to for its (S, stride); Registers and FAI are
-	// the model's values for that tile, kept for reporting. Both bodies of
-	// the file take any (S, stride): a shape with a kernel family binds
-	// its body, every other runs the looped kernel12x8 (dispatch.go).
+	// the model's values for that tile, kept for reporting. Every body of
+	// the file takes any (R, S, stride), so every shape binds the standard
+	// family (dispatch.go).
 	p.RT = model.RegTile{Vw: maxVw, Vk: 8,
 		Registers: model.RegistersUsed(maxVw, 8, s.S),
 		FAI:       model.FAI(maxVw, 8, s.S, s.Str)}
-	p.family = familyFor(s, false)
-	countStandardBinding(p.family)
+	p.family = standardFamily
+	dispatchHits.Add(1)
 
 	p.CT = model.SolveCacheTiles(p.platform, s, p.RT)
 	if opt.ForceTc > 0 {
@@ -268,10 +267,6 @@ func TryNewPlan(s conv.Shape, opt Options) (*Plan, error) {
 
 	p.TM = model.SolveThreadMapping(s, p.platform.Alpha, p.threads, p.RT.Vk)
 
-	kw, str := s.S, s.Str
-	p.looped = func(acc *accFile8, buf, tf []float32, rows, vwEff, pitch int) {
-		kernel12x8(acc, buf, tf, rows, kw, str, vwEff, pitch)
-	}
 	p.ep = normalizeEpilogue(opt.FusedEpilogue)
 	// A 1×1 unpadded tile's rows are input rows as they lie: channel cv of
 	// the tile starts one plane (H·W) after channel cv-1, and its columns

@@ -304,9 +304,9 @@ func TestTable4LayersCorrectSmallBatch(t *testing.T) {
 }
 
 func TestSpecialisedKernelsBitIdenticalToGeneric(t *testing.T) {
-	// The 3x3/1x1 family bodies must produce bit-identical results to
-	// the looped kernel12x8 a quarantined family falls back to (same
-	// operation order per output).
+	// The standard family's bodies on 3×3 and 1×1 shapes must produce
+	// bit-identical results to the looped kernel12x8 a quarantined family
+	// falls back to (same operation order per output).
 	for _, s := range []conv.Shape{
 		{N: 1, C: 16, H: 14, W: 14, K: 16, R: 3, S: 3, Str: 1, Pad: 1},
 		{N: 1, C: 16, H: 14, W: 14, K: 16, R: 1, S: 1, Str: 1, Pad: 0},
@@ -331,39 +331,35 @@ func TestSpecialisedKernelsBitIdenticalToGeneric(t *testing.T) {
 }
 
 func TestKernelDispatchSelection(t *testing.T) {
-	// Every standard plan is on the 12×8 register file; its family
-	// follows from (R, S, stride) alone, and a shape without one runs the
-	// looped kernel — correctly.
-	for _, tc := range []struct {
-		s      conv.Shape
-		family string // "" = none bound
-	}{
-		{conv.Shape{N: 1, C: 4, H: 8, W: 8, K: 8, R: 3, S: 3, Str: 1, Pad: 1}, "12x8.r3s3.s1"},
-		{conv.Shape{N: 1, C: 4, H: 8, W: 8, K: 8, R: 3, S: 3, Str: 2, Pad: 1}, "12x8.r3s3.s2"},
-		{conv.Shape{N: 1, C: 4, H: 8, W: 8, K: 8, R: 1, S: 1, Str: 1, Pad: 0}, "12x8.r1s1.s1"},
-		{conv.Shape{N: 1, C: 4, H: 8, W: 8, K: 8, R: 1, S: 1, Str: 2, Pad: 0}, "12x8.r1s1.s2"},
-		// The stem, whose model tile is 20×4, runs its family's 12×8 tile.
-		{conv.Shape{N: 1, C: 3, H: 16, W: 16, K: 8, R: 7, S: 7, Str: 2, Pad: 3}, "12x8.r7s7.s2"},
-		{conv.Shape{N: 1, C: 4, H: 8, W: 8, K: 5, R: 3, S: 3, Str: 1, Pad: 1}, "12x8.r3s3.s1"},
-		// No family: the looped kernel12x8.
-		{conv.Shape{N: 1, C: 4, H: 12, W: 12, K: 8, R: 5, S: 5, Str: 1, Pad: 2}, ""},
-		{conv.Shape{N: 1, C: 3, H: 16, W: 16, K: 8, R: 7, S: 7, Str: 1, Pad: 3}, ""},
-		{conv.Shape{N: 1, C: 4, H: 12, W: 12, K: 8, R: 2, S: 2, Str: 2, Pad: 0}, ""},
-		{conv.Shape{N: 2, C: 5, H: 11, W: 13, K: 3, R: 5, S: 5, Str: 1, Pad: 2}, ""},
+	// Every standard plan is on the 12×8 register file and binds the
+	// standard family, whatever its (R, S, stride) — the shapes that once
+	// had a family of their own and those that ran the looped kernel
+	// alike — and computes correctly; quarantine hands it kernel12x8.
+	for _, s := range []conv.Shape{
+		{N: 1, C: 4, H: 8, W: 8, K: 8, R: 3, S: 3, Str: 1, Pad: 1},
+		{N: 1, C: 4, H: 8, W: 8, K: 8, R: 3, S: 3, Str: 2, Pad: 1},
+		{N: 1, C: 4, H: 8, W: 8, K: 8, R: 1, S: 1, Str: 1, Pad: 0},
+		{N: 1, C: 4, H: 8, W: 8, K: 8, R: 1, S: 1, Str: 2, Pad: 0},
+		// The stem, whose model tile is 20×4, runs the 12×8 tile.
+		{N: 1, C: 3, H: 16, W: 16, K: 8, R: 7, S: 7, Str: 2, Pad: 3},
+		{N: 1, C: 4, H: 8, W: 8, K: 5, R: 3, S: 3, Str: 1, Pad: 1},
+		{N: 1, C: 4, H: 12, W: 12, K: 8, R: 5, S: 5, Str: 1, Pad: 2},
+		{N: 1, C: 3, H: 16, W: 16, K: 8, R: 7, S: 7, Str: 1, Pad: 3},
+		{N: 1, C: 4, H: 12, W: 12, K: 8, R: 2, S: 2, Str: 2, Pad: 0},
+		{N: 2, C: 5, H: 11, W: 13, K: 3, R: 5, S: 5, Str: 1, Pad: 2},
 	} {
-		p := NewPlan(tc.s, Options{})
-		family, name := "", "12x8"
-		if p.family != nil {
-			family = p.family.name
+		p := NewPlan(s, Options{})
+		if p.RT.Vw != 12 || p.RT.Vk != 8 || p.KernelName() != standardFamily.name {
+			t.Fatalf("%v: RT %dx%d KernelName %q, want 12x8, %q",
+				s, p.RT.Vw, p.RT.Vk, p.KernelName(), standardFamily.name)
 		}
-		if tc.family != "" {
-			name = tc.family
+		QuarantineKernelFamily(standardFamily.name)
+		quarantined := p.KernelName()
+		RestoreKernelFamily(standardFamily.name)
+		if quarantined != "12x8" {
+			t.Fatalf("%v: quarantined KernelName %q, want 12x8", s, quarantined)
 		}
-		if p.RT.Vw != 12 || p.RT.Vk != 8 || family != tc.family || p.KernelName() != name {
-			t.Fatalf("%v: RT %dx%d family %q KernelName %q, want 12x8, %q, %q",
-				tc.s, p.RT.Vw, p.RT.Vk, family, p.KernelName(), tc.family, name)
-		}
-		checkAgainstReference(t, tc.s, Options{})
+		checkAgainstReference(t, s, Options{})
 	}
 }
 

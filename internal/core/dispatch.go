@@ -1,30 +1,29 @@
 package core
 
-// Kernel-family dispatch (DESIGN.md §11). The paper's micro-kernel is
-// specialised by kernel width and stride only (Algorithm 3, Eq. 3–4),
-// so the bodies are keyed the same way: one static table of (R, S,
-// stride) families, five for the standard 12×8 register file and two
-// for depthwise (dwkernel.go). A standard family's body is the AVX2
-// vector body (kernel_amd64.s) and its tile store the AVX2 store
-// epilogue (store_amd64.s) where the host has them — plus the AVX-512
-// four-block and paired bodies, which run four and two K-blocks per
-// call, where the host has those too (bodies.span) — and a depthwise
-// family's the AVX2 depthwise body
-// (dwkernel_amd64.s); everywhere else the family has no body of its own
-// and its plans run the looped Go kernel bound to their (S, stride) with
-// the portable Go store (store.go), or the depthwisePlaneRange oracle.
-// The choice is made once, at init, from what the CPU reports. A plan binds
-// its family once, at construction, from its own loop constants — no
-// registration, no per-shape table — and this file is the only place
-// that decides which body an execution runs: the family's, unless the
-// integrity sentinel has quarantined it (DESIGN.md §12), in which case
-// the bit-identical looped fallback (kernel12x8, depthwisePlaneRange)
+// Kernel-family dispatch (DESIGN.md §11). A kernel family is one body
+// the integrity sentinel probes and quarantines as a unit (DESIGN.md
+// §12). The standard family serves every standard plan, whatever its
+// (R, S, stride): the 12×8 vector body (kernel_amd64.s) takes S and the
+// stride as arguments and walks R as rows, so one body — with its
+// AVX-512 four-block and paired twins, which run four and two K-blocks
+// per call where the host has them (bodies.span), and the AVX2 store
+// epilogue (store_amd64.s) — is the whole standard micro-kernel. The two
+// depthwise families are the AVX2 depthwise body (dwkernel_amd64.s),
+// which runs a different block per stride, so each stride is its own
+// probe target. On a host without the vector bodies the standard family
+// runs the looped kernel12x8 with the portable Go store (store.go), and
+// the depthwise families the depthwisePlaneRange oracle. The choice is
+// made once, at init, from what the CPU reports. A plan binds its family
+// once, at construction — no registration, no per-shape table — and this
+// file is the only place that decides which body an execution runs: the
+// family's, unless the integrity sentinel has quarantined it, in which
+// case the bit-identical looped fallback (kernel12x8, depthwisePlaneRange)
 // runs instead, with the Go store. The quarantine flag is read once per
 // execution, so quarantine and restore reach every live plan — cached,
 // memoised or held by a caller — without re-planning. Every body keeps
 // kernel12x8's per-accumulator operation sequence (row ascending, s
-// ascending, one fused multiply-add per tap) and every store
-// storeTile's per-element one, so either choice stores the same bits.
+// ascending, one fused multiply-add per tap) and every store storeTile's
+// per-element one, so either choice stores the same bits.
 
 import (
 	"fmt"
@@ -36,19 +35,6 @@ import (
 	"ndirect/internal/tensor"
 )
 
-// specializedKernel is the calling convention of a V_k=8 main
-// micro-kernel body with S and stride bound into the function, so only
-// the runtime-variable extents cross the call: rows = tc·R (cv, r)
-// coordinates, row i read at buf[i*pitch:] against the S filter vectors
-// at tf[i*S*8:] (kernel12x8's operand layout).
-type specializedKernel func(acc *accFile8, buf, tf []float32, rows, vwEff, pitch int)
-
-// multiKernel is specializedKernel over several adjacent K-blocks in one
-// call (two for the paired body, four for the four-block body): block
-// b's filter vectors at tf[b*tfOff:] into acc[b], all against the same
-// input rows.
-type multiKernel func(acc *accTile, buf, tf []float32, tfOff, rows, vwEff, pitch int)
-
 // tileStore is the calling convention of a V_k=8 tile store: the
 // accumulator file goes to dst, which starts at the tile's first element
 // (channel kBase, column qt0) — channel k's row at dst[(k-kBase)*stride:]
@@ -59,20 +45,18 @@ type multiKernel func(acc *accTile, buf, tf []float32, tfOff, rows, vwEff, pitch
 // channels kBase..kBase+7 all exist.
 type tileStore func(acc *accFile8, dst, res []float32, ep *epilogue, kBase, stride, vwEff int, nchw, accumulate bool)
 
-// kernelFamily is one body and the (R, S, stride) it serves. A standard
-// 12×8 family's kern, pair, quad and store, and a depthwise family's
-// dwKern, are the vector routines, bound at init, or nil on a host
-// without them (the plan's looped kernel12x8 and the portable Go store
-// run, or depthwisePlaneRange; a nil quad or pair leaves its blocks to
-// the narrower bodies).
+// kernelFamily is one probe and quarantine target. The standard
+// family's body holds the V_k=8 bodies and tile store, bound at init
+// (kernel12x8 and no store on a host without the vector bodies; a nil
+// quad or pair leaves its blocks to the narrower bodies); its s and str
+// stay unset, since each plan supplies its own. A depthwise family
+// serves one (R, S, stride), and its dwKern is the vector depthwise body,
+// or the depthwisePlaneRange oracle on a host without it.
 type kernelFamily struct {
 	name      string
-	r, s, str int
 	depthwise bool
-	kern      specializedKernel
-	pair      multiKernel // two K-blocks per call
-	quad      multiKernel // four K-blocks per call
-	store     tileStore
+	r, s, str int // a depthwise family's filter and stride
+	body      bodies
 	dwKern    depthwiseKernel
 
 	// quarantined is set while the family's probe output diverges from
@@ -83,59 +67,42 @@ type kernelFamily struct {
 	probe *familyProbe // built by the first VerifyKernelFamily; guarded by probeMu
 }
 
+// standardFamily serves every standard plan: TryNewPlan puts each on
+// the V_w=12, V_k=8 register file, and the bodies take S and the stride
+// as arguments and R as rows.
+var standardFamily = &kernelFamily{name: "12x8.vec", body: bodies{kern: kernel12x8}}
+
 // kernelFamilies is the whole dispatch table, in the order the
-// integrity sentinel probes it. Every standard plan is on the V_w=12,
-// V_k=8 register file (TryNewPlan), so a standard family is keyed by
-// (R, S, stride) alone.
+// integrity sentinel probes it.
 var kernelFamilies = []*kernelFamily{
-	{name: "12x8.r3s3.s1", r: 3, s: 3, str: 1},
-	{name: "12x8.r3s3.s2", r: 3, s: 3, str: 2},
-	{name: "12x8.r1s1.s1", r: 1, s: 1, str: 1},
-	{name: "12x8.r1s1.s2", r: 1, s: 1, str: 2},
-	{name: "12x8.r7s7.s2", r: 7, s: 7, str: 2},
-	{name: "dw.r3s3.s1", r: 3, s: 3, str: 1, depthwise: true},
-	{name: "dw.r3s3.s2", r: 3, s: 3, str: 2, depthwise: true},
+	standardFamily,
+	{name: "dw.r3s3.s1", r: 3, s: 3, str: 1, depthwise: true, dwKern: depthwisePlaneRange},
+	{name: "dw.r3s3.s2", r: 3, s: 3, str: 2, depthwise: true, dwKern: depthwisePlaneRange},
 }
 
-// On a host with the vector body every standard family runs it, bound
-// to the family's (S, stride), and stores its tiles with the vector
-// store — running four or two K-blocks per call on the AVX-512 bodies
-// where the host has them; both depthwise families run the vector
-// depthwise body.
+// On a host with the vector body the standard family runs it and stores
+// its tiles with the vector store — running four or two K-blocks per
+// call on the AVX-512 bodies where the host has them; both depthwise
+// families run the vector depthwise body.
 func init() {
 	if !hasVectorBody {
 		return
 	}
+	standardFamily.body.kern = vector12x8
+	standardFamily.body.vst = vectorStore
+	if hasPairBody {
+		standardFamily.body.pair = vector12x16
+		standardFamily.body.quad = vector12x32
+	}
 	for _, f := range kernelFamilies {
 		if f.depthwise {
 			f.dwKern = vectorDepthwise3x3
-		} else {
-			f.kern = vectorKernel(f.s, f.str)
-			f.store = vectorStore
-			if hasPairBody {
-				f.pair = multiBlockKernel(vector12x16, f.s, f.str)
-				f.quad = multiBlockKernel(vector12x32, f.s, f.str)
-			}
 		}
 	}
 }
 
-// vectorKernel binds the vector body to one (S, stride).
-func vectorKernel(s, str int) specializedKernel {
-	return func(acc *accFile8, buf, tf []float32, rows, vwEff, pitch int) {
-		vector12x8(acc, buf, tf, rows, s, str, vwEff, pitch)
-	}
-}
-
-// multiBlockKernel binds an AVX-512 multi-block body to one (S, stride).
-func multiBlockKernel(body func(acc *accTile, buf, tf []float32, tfOff, rows, s, str, vwEff, pitch int), s, str int) multiKernel {
-	return func(acc *accTile, buf, tf []float32, tfOff, rows, vwEff, pitch int) {
-		body(acc, buf, tf, tfOff, rows, s, str, vwEff, pitch)
-	}
-}
-
 // KernelISA names the instruction set the kernel families run in this
-// process: "avx512" when the standard families run four or two K-blocks
+// process: "avx512" when the standard family runs four or two K-blocks
 // per call on the AVX-512 bodies (an odd last block, and the depthwise
 // families, stay on AVX2), "avx2" for the vector bodies, "go" for the
 // looped Go kernel and the depthwise oracle. Family names do not change
@@ -150,15 +117,16 @@ func KernelISA() string {
 	return "go"
 }
 
-// dispatchHits/dispatchMisses count standard plan constructions that
-// did / did not find a family.
-var dispatchHits, dispatchMisses atomic.Uint64
+// dispatchHits counts standard plan constructions, each of which binds
+// the standard family.
+var dispatchHits atomic.Uint64
 
-// familyFor returns the family for a shape's loop constants, nil when
-// none is written for them.
-func familyFor(s conv.Shape, depthwise bool) *kernelFamily {
+// dwFamilyFor returns the depthwise family written for a depthwise
+// shape's (R, S, stride), or nil when there is none. (Every standard
+// shape binds standardFamily.)
+func dwFamilyFor(s conv.Shape) *kernelFamily {
 	for _, f := range kernelFamilies {
-		if f.depthwise == depthwise && f.r == s.R && f.s == s.S && f.str == s.Str {
+		if f.depthwise && f.r == s.R && f.s == s.S && f.str == s.Str {
 			return f
 		}
 	}
@@ -174,44 +142,36 @@ func familyByName(name string) *kernelFamily {
 	return nil
 }
 
-// countStandardBinding records the outcome of TryNewPlan's family
-// lookup, so the hit ratio measures family coverage of the standard
-// traffic.
-func countStandardBinding(f *kernelFamily) {
-	if f != nil {
-		dispatchHits.Add(1)
-	} else {
-		dispatchMisses.Add(1)
-	}
-}
-
 // live reports whether a plan bound to f (nil = no family) runs f's
 // body right now: the one read of the quarantine flag.
 func (f *kernelFamily) live() bool { return f != nil && !f.quarantined.Load() }
 
 // bodies is one execution's V_k=8 micro-kernel: the single-block body,
-// the paired and four-block bodies (nil: none) and the tile store (nil:
-// the Go store).
+// the paired and four-block bodies (nil: none), the tile store (nil: the
+// Go store) and the plan's filter width and stride, which every body
+// call passes on.
 type bodies struct {
-	kern specializedKernel
-	pair multiKernel
-	quad multiKernel
-	vst  tileStore
+	kern   func(acc *accFile8, buf, tf []float32, rows, s, str, vwEff, pitch int)
+	pair   func(acc *accTile, buf, tf []float32, tfOff, rows, s, str, vwEff, pitch int) // two K-blocks per call
+	quad   func(acc *accTile, buf, tf []float32, tfOff, rows, s, str, vwEff, pitch int) // four K-blocks per call
+	vst    tileStore
+	s, str int
 }
 
 // body resolves the V_k=8 bodies and tile store for one execution: the
 // bound family's, or the looped kernel12x8, no multi-block body and the
-// Go store when the plan has no family, the family is quarantined, or
-// the host has no vector body for it — so a quarantine takes the
+// Go store when the family is quarantined — so a quarantine takes the
 // multi-block bodies out of service with the single-block one.
 // Every V_k=8 consumer — the k-block loop, the pack-fused first block,
 // the separable pointwise stage — runs what this returned, through
 // span and run, and nothing else.
 func (p *Plan) body() bodies {
-	if f := p.family; f.live() && f.kern != nil {
-		return bodies{kern: f.kern, pair: f.pair, quad: f.quad, vst: f.store}
+	b := bodies{kern: kernel12x8}
+	if f := p.family; f.live() {
+		b = f.body
 	}
-	return bodies{kern: p.looped}
+	b.s, b.str = p.Shape.S, p.Shape.Str
+	return b
 }
 
 // span is how many K-blocks, from block kb of n, the next body call
@@ -235,18 +195,18 @@ func (b *bodies) span(kb, n int) int {
 func (b *bodies) run(acc *accTile, nb int, buf, tf []float32, tfOff, rows, vwEff, pitch int) {
 	switch nb {
 	case 4:
-		b.quad(acc, buf, tf, tfOff, rows, vwEff, pitch)
+		b.quad(acc, buf, tf, tfOff, rows, b.s, b.str, vwEff, pitch)
 	case 2:
-		b.pair(acc, buf, tf, tfOff, rows, vwEff, pitch)
+		b.pair(acc, buf, tf, tfOff, rows, b.s, b.str, vwEff, pitch)
 	default:
-		b.kern(&acc[0], buf, tf, rows, vwEff, pitch)
+		b.kern(&acc[0], buf, tf, rows, b.s, b.str, vwEff, pitch)
 	}
 }
 
-// dwBody is body's depthwise twin; the fallback is the
-// depthwisePlaneRange oracle loop.
+// dwBody is body's depthwise twin; the fallback (no family, or family
+// quarantined) is the depthwisePlaneRange oracle loop.
 func dwBody(f *kernelFamily) depthwiseKernel {
-	if f.live() && f.dwKern != nil {
+	if f.live() {
 		return f.dwKern
 	}
 	return depthwisePlaneRange
@@ -261,8 +221,8 @@ func dwKernelName(f *kernelFamily) string {
 }
 
 // KernelName reports which main micro-kernel the plan's next execution
-// runs: its family's name, or "12x8" for the looped kernel (no family,
-// or family quarantined).
+// runs: its family's name, or "12x8" for the looped kernel (family
+// quarantined).
 func (p *Plan) KernelName() string {
 	if p.family.live() {
 		return p.family.name
@@ -274,13 +234,17 @@ func (p *Plan) KernelName() string {
 // counters.
 type DispatchStats struct {
 	Quarantined int    // kernel families under integrity quarantine
-	Hits        uint64 // eligible plan constructions that bound a family
-	Misses      uint64 // eligible constructions with no family
+	Hits        uint64 // standard plan constructions, each binding the standard family
+
+	// Deprecated: every standard shape binds the standard family, so
+	// Misses is always 0. It stays so existing readers of the hit ratio
+	// keep compiling.
+	Misses uint64
 }
 
 // KernelDispatchStats snapshots the dispatch counters.
 func KernelDispatchStats() DispatchStats {
-	st := DispatchStats{Hits: dispatchHits.Load(), Misses: dispatchMisses.Load()}
+	st := DispatchStats{Hits: dispatchHits.Load()}
 	for _, f := range kernelFamilies {
 		if f.quarantined.Load() {
 			st.Quarantined++
@@ -335,8 +299,8 @@ func RestoreKernelFamily(name string) bool {
 // whatever the live flag says, which is what makes the probe usable as
 // the restore check.
 func (f *kernelFamily) probeCopy() *kernelFamily {
-	return &kernelFamily{name: f.name, r: f.r, s: f.s, str: f.str, depthwise: f.depthwise,
-		kern: f.kern, pair: f.pair, quad: f.quad, store: f.store, dwKern: f.dwKern}
+	return &kernelFamily{name: f.name, depthwise: f.depthwise, r: f.r, s: f.s, str: f.str,
+		body: f.body, dwKern: f.dwKern}
 }
 
 // familyProbe is one family's golden-probe state — a plan bound to a
@@ -356,22 +320,19 @@ type familyProbe struct {
 // the sentinel runs one per tick).
 var probeMu sync.Mutex
 
-// newStandardProbe builds the golden probe for a 12×8 family: small
-// enough to cost microseconds, with ragged C and K edges (neither
+// newStandardProbe builds the golden probe for the standard family:
+// small enough to cost microseconds, with ragged C and K edges (neither
 // divides the tile sizes) so the body's edge handling is exercised,
-// padded so the boundary row/column paths run too. K=53 is seven
-// K-blocks, so every bound body runs — four-block, paired and single, as
-// 4+2+1 — and Q is 13 or 14: one full 12-column tile and a ragged one.
-// Integer-valued operands make conv.Reference exact.
+// padded so the boundary row/column paths run too. The filter is 3×5 at
+// stride 2, so the body's S and stride arguments both matter and R ≠ S.
+// K=53 is seven K-blocks, so every bound body runs — four-block, paired
+// and single, as 4+2+1 — and Q is 13: one full 12-column tile and a
+// ragged one. Integer-valued operands make conv.Reference exact.
 func newStandardProbe(f *kernelFamily) (*familyProbe, error) {
-	w := 12*f.str + f.s - 2 + 1 // Q = (W+2-S)/str + 1 ≥ 13 at Pad 1
-	s := conv.Shape{N: 1, C: 5, H: 11, W: w, K: 53, R: f.r, S: f.s, Str: f.str, Pad: 1}
+	s := conv.Shape{N: 1, C: 5, H: 11, W: 27, K: 53, R: 3, S: 5, Str: 2, Pad: 1}
 	p, err := TryNewPlan(s, Options{Threads: 1})
 	if err != nil {
 		return nil, err
-	}
-	if p.family != f {
-		return nil, fmt.Errorf("%w: kernel family %s does not bind its own probe shape %v", ErrBadOptions, f.name, s)
 	}
 	p.family = f.probeCopy()
 	in, filter := s.NewInput(), s.NewFilter()
@@ -388,11 +349,11 @@ func newStandardProbe(f *kernelFamily) (*familyProbe, error) {
 // depthwisePlaneRange loop for a depthwise family). A standard probe has
 // seven K-blocks, so on an AVX-512 host it runs the four-block, paired
 // and single-block bodies and checks each against the oracle's sums. A
-// divergence
-// returns an error wrapping ErrIntegrity; the caller (the serve-layer
-// integrity sentinel) then quarantines the family. The probe drives the
-// family's own body whether or not it is quarantined, so it also serves
-// as the restore probe. An unknown name fails typed with ErrBadOptions.
+// divergence returns an error wrapping ErrIntegrity; the caller (the
+// serve-layer integrity sentinel) then quarantines the family. The probe
+// drives the family's own body whether or not it is quarantined, so it
+// also serves as the restore probe. An unknown name fails typed with
+// ErrBadOptions.
 func VerifyKernelFamily(name string) error {
 	f := familyByName(name)
 	if f == nil {

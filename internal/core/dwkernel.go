@@ -17,10 +17,10 @@ import "ndirect/internal/conv"
 //	vectorDepthwise3x3 — the AVX2 body (dwkernel_amd64.s) of both
 //	                     3×3 families, dw.r3s3.s1 and dw.r3s3.s2,
 //	                     bound at init on a host with the vector body;
-//	depthwisePlaneRange — the oracle below: every other (R, S, stride),
-//	                     the 3×3 families on a host without AVX2, and a
-//	                     quarantined family, the way standard families
-//	                     fall back to kernel12x8.
+//	depthwisePlaneRange — the oracle below: every (R, S, stride) with no
+//	                     depthwise family, the 3×3 families on a host
+//	                     without AVX2, and a quarantined family, the way
+//	                     the standard family falls back to kernel12x8.
 //
 // Bit-exactness contract: both visit a given output element's taps in
 // the same order — r ascending, s ascending, acc = fma32(in, f, acc)

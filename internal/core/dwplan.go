@@ -72,7 +72,7 @@ func TryNewDepthwisePlan(s conv.Shape, opt Options) (*DepthwisePlan, error) {
 		return nil, err
 	}
 
-	p := &DepthwisePlan{Shape: s, ep: normalizeEpilogue(opt.FusedEpilogue), family: familyFor(s, true)}
+	p := &DepthwisePlan{Shape: s, ep: normalizeEpilogue(opt.FusedEpilogue), family: dwFamilyFor(s)}
 	p.threads = opt.Threads
 	if p.threads == 0 {
 		p.threads = parallel.DefaultThreads()

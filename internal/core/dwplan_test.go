@@ -415,13 +415,9 @@ func TestDepthwiseKernelMiscompute(t *testing.T) {
 			f.dwKern, f.probe = k, nil // the probe binds a copy of the body: rebuild it
 			probeMu.Unlock()
 		}
-		body := sound
-		if body == nil {
-			body = depthwisePlaneRange // no vector body on this host
-		}
 		t.Cleanup(func() { rebind(sound); RestoreKernelFamily(name) })
 		rebind(func(s conv.Shape, in, filter, dst []float32, h0, h1 int) {
-			body(s, in, filter, dst, h0, h1)
+			sound(s, in, filter, dst, h0, h1)
 			if lo, hi := dwVectorColumns(s); lo < hi {
 				for row := 0; row < h1-h0; row++ {
 					dst[row*s.Q()+hi-1]++

@@ -95,12 +95,14 @@ func FuzzTryConv2D(f *testing.F) {
 		var in, fl *tensor.Tensor
 		opt := Options{Threads: int(threads)}
 		if sane {
-			rs := []int{1, 3, 5}[mod(r, 3)]
+			// R and S drawn apart (non-square filters) and K up to five
+			// K-blocks, so every body — four-block, paired, single — runs
+			// on every filter shape the standard family serves.
 			s = conv.Shape{
 				N: mod(n, 2) + 1, C: mod(c, 8) + 1,
 				H: mod(h, 12) + 1, W: mod(w, 12) + 1,
-				K: mod(k, 8) + 1, R: rs, S: rs,
-				Str: mod(str, 2) + 1, Pad: mod(pad, 3),
+				K: mod(k, 40) + 1, R: mod(r, 7) + 1, S: mod(ss, 7) + 1,
+				Str: mod(str, 3) + 1, Pad: mod(pad, 3),
 			}
 			if !s.Valid() {
 				t.Skip()

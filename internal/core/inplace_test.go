@@ -11,7 +11,8 @@ import (
 
 // A 1×1 unpadded plan reads its NCHW tiles where they lie in the input:
 // no packing buffer exists, and the output is bit-exact against the
-// oracle at both family strides and at a stride no family serves, on a
+// oracle at both Table 4 strides and at stride 3 (the "s3/no-family"
+// case, named for the time before one family served every stride), on a
 // ragged Q, with a pair of K-blocks plus a single tail block, with a
 // ragged K, with several channel tiles, on a batch of two, raw and
 // packed weights, one and two workers — and never through the

@@ -179,7 +179,7 @@ func TestKernelFamilyQuarantineCycle(t *testing.T) {
 		t.Fatalf("unknown family = %v, want ErrBadOptions", err)
 	}
 
-	const fam = "12x8.r3s3.s1"
+	const fam = "12x8.vec"
 	faultinject.Arm(faultinject.KernelMiscompute, -1)
 	if err := VerifyKernelFamily(fam); !errors.Is(err, ErrIntegrity) {
 		t.Fatalf("miscompute probe = %v, want ErrIntegrity", err)
@@ -190,7 +190,7 @@ func TestKernelFamilyQuarantineCycle(t *testing.T) {
 	// bound its own copy of the body above, so it is not counted.)
 	meter := meterFamily(t, fam)
 
-	s := integrityShape() // 3x3 stride-1: the family under test
+	s := integrityShape() // 3x3 stride-1, on the family under test
 	in, filter := intOperands(s)
 	want := conv.Reference(s, in, filter)
 	cache := NewPlanCache(4)
@@ -277,31 +277,26 @@ func TestSentinelProbesMultiBlockBodies(t *testing.T) {
 	if !hasPairBody {
 		t.Skip("no AVX-512F on this host: no multi-block body to probe")
 	}
-	for _, name := range KernelFamilyNames() {
-		f := familyByName(name)
-		if f.depthwise {
-			continue
+	f := standardFamily
+	for _, body := range []struct {
+		name   string
+		slot   *func(acc *accTile, buf, tf []float32, tfOff, rows, s, str, vwEff, pitch int)
+		blocks int
+	}{{"paired", &f.body.pair, 2}, {"four-block", &f.body.quad, 4}} {
+		real := *body.slot
+		*body.slot = func(acc *accTile, buf, tf []float32, tfOff, rows, s, str, vwEff, pitch int) {
+			real(acc, buf, tf, tfOff, rows, s, str, vwEff, pitch)
+			acc[body.blocks-1][0][0]++
 		}
-		for _, body := range []struct {
-			name   string
-			slot   *multiKernel
-			blocks int
-		}{{"paired", &f.pair, 2}, {"four-block", &f.quad, 4}} {
-			real := *body.slot
-			*body.slot = func(acc *accTile, buf, tf []float32, tfOff, rows, vwEff, pitch int) {
-				real(acc, buf, tf, tfOff, rows, vwEff, pitch)
-				acc[body.blocks-1][0][0]++
-			}
-			reprobe(f)
-			err := VerifyKernelFamily(name)
-			*body.slot = real
-			reprobe(f)
-			if !errors.Is(err, ErrIntegrity) {
-				t.Fatalf("family %s: probe over a miscomputing %s body = %v, want ErrIntegrity", name, body.name, err)
-			}
-			if err := VerifyKernelFamily(name); err != nil {
-				t.Fatalf("family %s: probe after restoring the %s body: %v", name, body.name, err)
-			}
+		reprobe(f)
+		err := VerifyKernelFamily(f.name)
+		*body.slot = real
+		reprobe(f)
+		if !errors.Is(err, ErrIntegrity) {
+			t.Fatalf("probe over a miscomputing %s body = %v, want ErrIntegrity", body.name, err)
+		}
+		if err := VerifyKernelFamily(f.name); err != nil {
+			t.Fatalf("probe after restoring the %s body: %v", body.name, err)
 		}
 	}
 }
@@ -323,17 +318,17 @@ func TestWrongFourBlockBodyQuarantined(t *testing.T) {
 	if !hasPairBody {
 		t.Skip("no AVX-512F on this host: no four-block body to bind")
 	}
-	const name = "12x8.r3s3.s1"
-	f := familyByName(name)
-	real := f.quad
-	f.quad = func(acc *accTile, buf, tf []float32, tfOff, rows, vwEff, pitch int) {
-		real(acc, buf, tf, tfOff, rows, vwEff, pitch)
+	f := standardFamily
+	name := f.name
+	real := f.body.quad
+	f.body.quad = func(acc *accTile, buf, tf []float32, tfOff, rows, s, str, vwEff, pitch int) {
+		real(acc, buf, tf, tfOff, rows, s, str, vwEff, pitch)
 		acc[2] = accFile8{}
-		vector12x8(&acc[2], buf, tf[3*tfOff:], rows, f.s, f.str, vwEff, pitch)
+		vector12x8(&acc[2], buf, tf[3*tfOff:], rows, s, str, vwEff, pitch)
 	}
 	reprobe(f)
 	t.Cleanup(func() {
-		f.quad = real
+		f.body.quad = real
 		reprobe(f)
 		RestoreKernelFamily(name)
 	})
@@ -368,48 +363,42 @@ type bodyMeter struct{ calls, rows, pairs, quads, stores int }
 
 // meterFamily swaps the named family's bodies (single, paired and
 // four-block) and vector store (each where the host binds one) for
-// doubles that count into the
-// returned meter and then run the real routine — the looped kernel on a
-// host that binds the family no body of its own; the swap is undone when
-// the test ends. Metered plans must run single-threaded.
+// doubles that count into the returned meter and then run the real
+// routine — the looped kernel12x8 on a host without the vector body; the
+// swap is undone when the test ends. Metered plans must run
+// single-threaded.
 func meterFamily(t *testing.T, name string) *bodyMeter {
 	t.Helper()
 	f := familyByName(name)
-	body, pair, quad, store, m := f.kern, f.pair, f.quad, f.store, &bodyMeter{}
-	run := body
-	if run == nil {
-		run = func(acc *accFile8, buf, tf []float32, rows, vwEff, pitch int) {
-			kernel12x8(acc, buf, tf, rows, f.s, f.str, vwEff, pitch)
-		}
-	}
-	f.kern = func(acc *accFile8, buf, tf []float32, rows, vwEff, pitch int) {
+	real, m := f.body, &bodyMeter{}
+	f.body.kern = func(acc *accFile8, buf, tf []float32, rows, s, str, vwEff, pitch int) {
 		m.calls++
 		m.rows += rows
-		run(acc, buf, tf, rows, vwEff, pitch)
+		real.kern(acc, buf, tf, rows, s, str, vwEff, pitch)
 	}
-	if pair != nil {
-		f.pair = func(acc *accTile, buf, tf []float32, tfOff, rows, vwEff, pitch int) {
+	if real.pair != nil {
+		f.body.pair = func(acc *accTile, buf, tf []float32, tfOff, rows, s, str, vwEff, pitch int) {
 			m.calls += 2
 			m.rows += 2 * rows
 			m.pairs++
-			pair(acc, buf, tf, tfOff, rows, vwEff, pitch)
+			real.pair(acc, buf, tf, tfOff, rows, s, str, vwEff, pitch)
 		}
 	}
-	if quad != nil {
-		f.quad = func(acc *accTile, buf, tf []float32, tfOff, rows, vwEff, pitch int) {
+	if real.quad != nil {
+		f.body.quad = func(acc *accTile, buf, tf []float32, tfOff, rows, s, str, vwEff, pitch int) {
 			m.calls += 4
 			m.rows += 4 * rows
 			m.quads++
-			quad(acc, buf, tf, tfOff, rows, vwEff, pitch)
+			real.quad(acc, buf, tf, tfOff, rows, s, str, vwEff, pitch)
 		}
 	}
-	if store != nil {
-		f.store = func(acc *accFile8, dst, res []float32, ep *epilogue, kBase, stride, vwEff int, nchw, accumulate bool) {
+	if real.vst != nil {
+		f.body.vst = func(acc *accFile8, dst, res []float32, ep *epilogue, kBase, stride, vwEff int, nchw, accumulate bool) {
 			m.stores++
-			store(acc, dst, res, ep, kBase, stride, vwEff, nchw, accumulate)
+			real.vst(acc, dst, res, ep, kBase, stride, vwEff, nchw, accumulate)
 		}
 	}
-	t.Cleanup(func() { f.kern, f.pair, f.quad, f.store = body, pair, quad, store })
+	t.Cleanup(func() { f.body = real })
 	return m
 }
 
@@ -444,7 +433,7 @@ func TestQuarantinedBodyNeverRunsOnAnyConsumer(t *testing.T) {
 
 	for _, seq := range []bool{false, true} {
 		p := NewPlan(s, Options{Threads: 1, SequentialPack: seq})
-		c := consumer{name: "Plan", family: "12x8.r3s3.s1", tiles: tiles(1, s.P(), s.Q()), rows: s.C * s.R}
+		c := consumer{name: "Plan", family: "12x8.vec", tiles: tiles(1, s.P(), s.Q()), rows: s.C * s.R}
 		if seq {
 			// Whole-tile calls; the fused first block instead runs a few
 			// channels per call, so only its rows are pinned.
@@ -469,7 +458,7 @@ func TestQuarantinedBodyNeverRunsOnAnyConsumer(t *testing.T) {
 	pwWant := conv.Reference(pw, pwIn, pwFilter)
 	pwPlan := NewPlan(pw, Options{Threads: 1})
 	consumers = append(consumers, consumer{
-		name: "Plan/InPlace", family: "12x8.r1s1.s1", tiles: tiles(1, pw.P(), pw.Q()), rows: pw.C, calls: 1,
+		name: "Plan/InPlace", family: "12x8.vec", tiles: tiles(1, pw.P(), pw.Q()), rows: pw.C, calls: 1,
 		exec: func() {
 			out := pw.NewOutput()
 			if err := pwPlan.TryExecute(pwIn, pwFilter, out); err != nil {
@@ -497,7 +486,7 @@ func TestQuarantinedBodyNeverRunsOnAnyConsumer(t *testing.T) {
 	}
 	sepWant := conv.Reference(ss.PWShape(), mid, pwf)
 	consumers = append(consumers, consumer{
-		name: "SeparablePlan", family: "12x8.r1s1.s1", tiles: tiles(1, ss.P(), ss.Q()), rows: ss.C, calls: 1,
+		name: "SeparablePlan", family: "12x8.vec", tiles: tiles(1, ss.P(), ss.Q()), rows: ss.C, calls: 1,
 		exec: func() {
 			out := tensor.New(ss.N, ss.K, ss.P(), ss.Q())
 			if err := sp.TryExecute(sepIn, dwf, pwf, out); err != nil {

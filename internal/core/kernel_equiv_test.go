@@ -172,19 +172,12 @@ func checkBodies(t testing.TB, rng *rand.Rand, rows, s, str, vwEff, pitch int, s
 	}
 }
 
-// hostBodies is what a family bound to (s, str) runs on this host: the
-// vector bodies where the host has them, the looped kernel12x8 otherwise.
+// hostBodies is what a plan of filter width s at stride str runs on
+// this host: the standard family's bodies, the vector bodies where the
+// host has them and the looped kernel12x8 otherwise.
 func hostBodies(s, str int) bodies {
-	b := bodies{kern: func(acc *accFile8, buf, tf []float32, rows, vwEff, pitch int) {
-		kernel12x8(acc, buf, tf, rows, s, str, vwEff, pitch)
-	}}
-	if hasVectorBody {
-		b.kern = vectorKernel(s, str)
-	}
-	if hasPairBody {
-		b.pair = multiBlockKernel(vector12x16, s, str)
-		b.quad = multiBlockKernel(vector12x32, s, str)
-	}
+	b := standardFamily.body
+	b.s, b.str = s, str
 	return b
 }
 
@@ -333,14 +326,16 @@ func TestVectorBodyProvesExtents(t *testing.T) {
 // FuzzVectorBody drives the same comparison — every block of the
 // multi-block bodies included, and a tile of one to seven K-blocks
 // through span and run (the count drawn from the seed) — from fuzzed
-// extents and operand seeds.
+// extents and operand seeds: S 1–11 and stride 1–4, past every filter
+// width and stride in the model tables.
 func FuzzVectorBody(f *testing.F) {
-	f.Add(uint8(2), uint8(0), uint8(11), uint8(8), uint8(0), false, int64(1)) // 3×3 s1, full tile
-	f.Add(uint8(6), uint8(1), uint8(6), uint8(20), uint8(3), true, int64(2))  // 7×7 s2 stem, ragged tile
-	f.Add(uint8(0), uint8(0), uint8(0), uint8(0), uint8(200), true, int64(3)) // 1×1, one column, plane pitch
+	f.Add(uint8(2), uint8(0), uint8(11), uint8(8), uint8(0), false, int64(1))  // 3×3 s1, full tile
+	f.Add(uint8(6), uint8(1), uint8(6), uint8(20), uint8(3), true, int64(2))   // 7×7 s2 stem, ragged tile
+	f.Add(uint8(0), uint8(0), uint8(0), uint8(0), uint8(200), true, int64(3))  // 1×1, one column, plane pitch
+	f.Add(uint8(10), uint8(3), uint8(4), uint8(33), uint8(7), false, int64(4)) // 11×11 s4, ragged tile
 	f.Fuzz(func(t *testing.T, sRaw, strRaw, vwRaw, rowsRaw, extraPitch uint8, special bool, seed int64) {
-		s := int(sRaw)%7 + 1
-		str := int(strRaw)%3 + 1
+		s := int(sRaw)%11 + 1
+		str := int(strRaw)%4 + 1
 		vwEff := int(vwRaw)%maxVw + 1
 		rows := int(rowsRaw)%48 + 1
 		pitch := (maxVw-1)*str + s + int(extraPitch)

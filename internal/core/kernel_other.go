@@ -4,8 +4,8 @@ package core
 
 import "ndirect/internal/conv"
 
-// No vector body on this architecture: the standard kernel families run
-// the looped Go kernel (Plan.body), the depthwise families the
+// No vector body on this architecture: the standard family runs the
+// looped Go kernel (Plan.body), the depthwise families the
 // depthwisePlaneRange oracle (dwBody).
 const hasVectorBody, hasPairBody = false, false
 

@@ -134,7 +134,7 @@ func TryNewSeparablePlan(shape SeparableShape, opt Options) (*SeparablePlan, err
 	}
 	p.pwPlan = pwPlan
 	p.dwEp = normalizeEpilogue(opt.DepthwiseEpilogue)
-	p.dwFamily = familyFor(p.dw, true)
+	p.dwFamily = dwFamilyFor(p.dw)
 	p.threads = opt.Threads
 	if p.threads == 0 {
 		p.threads = parallel.DefaultThreads()

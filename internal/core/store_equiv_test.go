@@ -244,7 +244,7 @@ func TestVectorStoreProvesExtents(t *testing.T) {
 // A ragged K-block is the Go store's whatever the execution resolved:
 // the vector store takes eight channels or none.
 func TestRaggedKBlockUsesGoStore(t *testing.T) {
-	const fam = "12x8.r1s1.s1"
+	const fam = "12x8.vec"
 	m := meterFamily(t, fam)
 	s := conv.Shape{N: 2, C: 5, H: 6, W: 14, K: 13, R: 1, S: 1, Str: 1}
 	in, filter := s.NewInput(), s.NewFilter()
@@ -351,7 +351,7 @@ func TestResidualEpilogueMatchesSweeps(t *testing.T) {
 		}
 		for _, quarantine := range []bool{false, true} {
 			if quarantine {
-				QuarantineKernelFamily("12x8.r3s3.s1")
+				QuarantineKernelFamily("12x8.vec")
 			}
 			for _, packed := range []*PackedFilter{nil, pf} {
 				out := s.NewOutput()
@@ -366,7 +366,7 @@ func TestResidualEpilogueMatchesSweeps(t *testing.T) {
 					}
 				}
 			}
-			RestoreKernelFamily("12x8.r3s3.s1")
+			RestoreKernelFamily("12x8.vec")
 		}
 	}
 }

@@ -141,7 +141,7 @@ func TestQuarantineReachesWarmPlans(t *testing.T) {
 	}
 
 	wantU, wantB, got := forward() // warm
-	if want := (kernels{"12x8.r3s3.s1", "dw.r3s3.s1"}); got != want {
+	if want := (kernels{"12x8.vec", "dw.r3s3.s1"}); got != want {
 		t.Fatalf("warm forward ran %+v, want %+v", got, want)
 	}
 	convPlan, sepPlan := unit.planMemo.Load().plan, blk.sepMemo.Load().plan
@@ -167,14 +167,14 @@ func TestQuarantineReachesWarmPlans(t *testing.T) {
 		}
 	}
 
-	for _, fam := range []string{"12x8.r3s3.s1", "dw.r3s3.s1"} {
+	for _, fam := range []string{"12x8.vec", "dw.r3s3.s1"} {
 		if !core.QuarantineKernelFamily(fam) {
 			t.Fatalf("QuarantineKernelFamily(%s) = false", fam)
 		}
 		defer core.RestoreKernelFamily(fam)
 	}
 	check("quarantined", kernels{"12x8", "dw.generic"})
-	core.RestoreKernelFamily("12x8.r3s3.s1")
+	core.RestoreKernelFamily("12x8.vec")
 	core.RestoreKernelFamily("dw.r3s3.s1")
-	check("restored", kernels{"12x8.r3s3.s1", "dw.r3s3.s1"})
+	check("restored", kernels{"12x8.vec", "dw.r3s3.s1"})
 }
