@@ -22,7 +22,7 @@ import (
 // · filter[c][r][s] on NCHW input with a [C,R,S] filter. The Shape's K
 // is ignored (output channels equal input channels). Checked variant:
 // validation failures return errors; a faulting parallel worker is
-// logged and the result recomputed on the oracle path.
+// logged and the execution replayed on the depthwisePlaneRange oracle.
 func TryDepthwiseConv2D(s conv.Shape, in, filter *tensor.Tensor, opt Options) (*tensor.Tensor, error) {
 	return TryDepthwiseConv2DCtx(context.Background(), s, in, filter, opt)
 }

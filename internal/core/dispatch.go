@@ -159,19 +159,25 @@ type bodies struct {
 }
 
 // body resolves the V_k=8 bodies and tile store for one execution: the
-// bound family's, or the looped kernel12x8, no multi-block body and the
-// Go store when the family is quarantined — so a quarantine takes the
-// multi-block bodies out of service with the single-block one.
-// Every V_k=8 consumer — the k-block loop, the pack-fused first block,
-// the separable pointwise stage — runs what this returned, through
-// span and run, and nothing else.
+// bound family's, or oracleBody when the family is quarantined — so a
+// quarantine takes the multi-block bodies out of service with the
+// single-block one. Every V_k=8 consumer — the k-block loop, the
+// pack-fused first block, the separable pointwise stage — runs what this
+// (or, replaying a faulted execution, oracleBody) returned, through span
+// and run, and nothing else.
 func (p *Plan) body() bodies {
-	b := bodies{kern: kernel12x8}
 	if f := p.family; f.live() {
-		b = f.body
+		b := f.body
+		b.s, b.str = p.Shape.S, p.Shape.Str
+		return b
 	}
-	b.s, b.str = p.Shape.S, p.Shape.Str
-	return b
+	return p.oracleBody()
+}
+
+// oracleBody is the plan's oracle: the looped kernel12x8, no multi-block
+// body and the Go store. Every family body stores the same bits.
+func (p *Plan) oracleBody() bodies {
+	return bodies{kern: kernel12x8, s: p.Shape.S, str: p.Shape.Str}
 }
 
 // span is how many K-blocks, from block kb of n, the next body call
@@ -304,8 +310,8 @@ func (f *kernelFamily) probeCopy() *kernelFamily {
 }
 
 // familyProbe is one family's golden-probe state — a plan bound to a
-// probeCopy of the family, integer-valued operands and the oracle
-// output, built on the first probe — so a steady-state sentinel probe
+// probeCopy of the family, its operands and the oracle output, built on
+// the first probe — so a steady-state sentinel probe
 // costs one plan execution plus a compare, with zero heap allocations:
 // a background sentinel must not pollute the serving process's
 // allocation profile.
@@ -327,28 +333,35 @@ var probeMu sync.Mutex
 // stride 2, so the body's S and stride arguments both matter and R ≠ S.
 // K=53 is seven K-blocks, so every bound body runs — four-block, paired
 // and single, as 4+2+1 — and Q is 13: one full 12-column tile and a
-// ragged one. Integer-valued operands make conv.Reference exact.
+// ragged one. The operands carry full float32 mantissas, so products
+// round and a body that rounds twice per tap diverges; want is the same
+// plan run with no family, on its oracle body.
 func newStandardProbe(f *kernelFamily) (*familyProbe, error) {
 	s := conv.Shape{N: 1, C: 5, H: 11, W: 27, K: 53, R: 3, S: 5, Str: 2, Pad: 1}
 	p, err := TryNewPlan(s, Options{Threads: 1})
 	if err != nil {
 		return nil, err
 	}
-	p.family = f.probeCopy()
 	in, filter := s.NewInput(), s.NewFilter()
-	fillProbe(in.Data, 0xA11CE)
-	fillProbe(filter.Data, 0xB0B)
-	kp := &familyProbe{shape: s, out: s.NewOutput(), want: conv.Reference(s, in, filter)}
+	in.FillRandom(0xA11CE)
+	filter.FillRandom(0xB0B)
+	kp := &familyProbe{shape: s, out: s.NewOutput(), want: s.NewOutput()}
+	p.family = nil
+	if err := p.TryExecute(in, filter, kp.want); err != nil {
+		return nil, err
+	}
+	p.family = f.probeCopy()
 	kp.exec = func() error { return p.TryExecute(in, filter, kp.out) }
 	return kp, nil
 }
 
 // VerifyKernelFamily runs the named family's body and tile store over
-// a golden integer-valued probe shape and compares the output
-// bit-for-bit against the oracle (conv.Reference, or the
-// depthwisePlaneRange loop for a depthwise family). A standard probe has
-// seven K-blocks, so on an AVX-512 host it runs the four-block, paired
-// and single-block bodies and checks each against the oracle's sums. A
+// a golden probe shape with full-mantissa operands and compares the
+// output bit-for-bit against the probe plan's own run on its oracle (the
+// looped kernel12x8 with the Go store, or the depthwisePlaneRange loop
+// for a depthwise family). A standard probe has seven K-blocks, so on an
+// AVX-512 host it runs the four-block, paired and single-block bodies
+// and checks each against the oracle's fused multiply-add chain. A
 // divergence returns an error wrapping ErrIntegrity; the caller (the
 // serve-layer integrity sentinel) then quarantines the family. The probe
 // drives the family's own body whether or not it is quarantined, so it

@@ -40,11 +40,12 @@ type DepthwisePlan struct {
 // dwRun is one execution's operands on top of the shared harness.
 type dwRun struct {
 	gridRun
-	p          *DepthwisePlan
-	in, filter *tensor.Tensor // filter: the raw [C,R,S] weights (packed: the pack's source)
+	p *DepthwisePlan
 
-	inD, fdata, outD []float32       // fdata: the weights the grid reads
-	kern             depthwiseKernel // this execution's body (dwBody)
+	inD, outD []float32
+	filterD   []float32       // the raw [C,R,S] weights (packed: the pack's source)
+	fdata     []float32       // the weights the grid reads
+	kern      depthwiseKernel // this execution's body (dwBody)
 }
 
 // TryNewDepthwisePlan validates the geometry and options and builds a
@@ -216,18 +217,19 @@ func (r *dwRun) cells(w int) {
 }
 
 func (r *dwRun) unload() {
-	r.in, r.filter, r.inD, r.outD = nil, nil, nil, nil
+	r.inD, r.filterD, r.outD = nil, nil, nil
 }
 
-// recompute is the depthwise oracle path, from the raw weights.
-func (r *dwRun) recompute() {
-	r.p.oracle(r.in.Data, r.filter.Data, r.out.Data)
+// oracle points the run at the depthwisePlaneRange loop and the raw
+// weights.
+func (r *dwRun) oracle() {
+	r.kern, r.fdata = depthwisePlaneRange, r.filterD
 }
 
 // TryExecute runs the depthwise plan on an NCHW input with a [C,R,S]
 // filter, writing the [N,C,P,Q] output in place. A nil error always
-// means a correct output: execution faults are recomputed on the
-// oracle path.
+// means a correct output: a faulted execution is replayed on the
+// depthwisePlaneRange oracle.
 func (p *DepthwisePlan) TryExecute(in, filter, out *tensor.Tensor) error {
 	return p.exec(context.Background(), in, filter, nil, out)
 }
@@ -274,30 +276,13 @@ func (p *DepthwisePlan) exec(ctx context.Context, in, filter *tensor.Tensor, pc 
 	} else {
 		r = p.newRun()
 	}
-	r.in, r.filter, r.inD, r.fdata, r.outD = in, filter, in.Data, filter.Data, out.Data
+	r.inD, r.filterD, r.fdata, r.outD = in.Data, filter.Data, filter.Data, out.Data
 	if pc != nil {
 		r.packed[0].core, r.fdata = pc, pc.data
 	}
 	r.out = out
 	r.kern = dwBody(p.family)
 	return govern(ctx, &r.gridRun)
-}
-
-// oracle computes the full result sequentially on the generic oracle
-// body plus the epilogue sweep into out.
-func (p *DepthwisePlan) oracle(in, filter, out []float32) {
-	s := p.Shape
-	pp, q := s.P(), s.Q()
-	for plane := 0; plane < s.N*s.C; plane++ {
-		c := plane % s.C
-		inPlane := in[plane*s.H*s.W : (plane+1)*s.H*s.W]
-		fch := filter[c*s.R*s.S : (c+1)*s.R*s.S]
-		dst := out[plane*pp*q : (plane+1)*pp*q]
-		depthwisePlaneRange(s, inPlane, fch, dst, 0, pp)
-		if !p.ep.none {
-			applyChannelEpilogue(dst, &p.ep, c)
-		}
-	}
 }
 
 // PackedDepthwiseFilter is the persistent packed form of a depthwise
@@ -362,24 +347,28 @@ func depthwiseProbeShape(f *kernelFamily) conv.Shape {
 }
 
 // newDepthwiseProbe builds the golden probe for a depthwise family
-// (VerifyKernelFamily): the body over depthwiseProbeShape, compared
-// against the depthwisePlaneRange oracle.
+// (VerifyKernelFamily): the body over depthwiseProbeShape on
+// full-mantissa operands, compared against the same plan run with no
+// family, on the depthwisePlaneRange oracle.
 func newDepthwiseProbe(f *kernelFamily) (*familyProbe, error) {
 	s := depthwiseProbeShape(f)
 	p, err := TryNewDepthwisePlan(s, Options{Threads: 1})
 	if err != nil {
 		return nil, err
 	}
-	p.family = f.probeCopy()
 	in, filter := tensor.New(s.N, s.C, s.H, s.W), tensor.New(s.C, s.R, s.S)
-	fillProbe(in.Data, 0xD3A11CE)
-	fillProbe(filter.Data, 0xD3B0B)
+	in.FillRandom(0xD3A11CE)
+	filter.FillRandom(0xD3B0B)
 	kp := &familyProbe{
 		shape: s,
 		out:   tensor.New(s.N, s.C, s.P(), s.Q()),
 		want:  tensor.New(s.N, s.C, s.P(), s.Q()),
 	}
-	p.oracle(in.Data, filter.Data, kp.want.Data)
+	p.family = nil
+	if err := p.TryExecute(in, filter, kp.want); err != nil {
+		return nil, err
+	}
+	p.family = f.probeCopy()
 	kp.exec = func() error { return p.TryExecute(in, filter, kp.out) }
 	return kp, nil
 }

@@ -172,10 +172,10 @@ func TestFusedEpiloguePackedPath(t *testing.T) {
 }
 
 // TestFusedEpilogueDegradationLadder: every rung below the optimised
-// grid — the fault-recovery reference fallback and the budget ladder's
-// TryExecuteReferenceCtx bottom rung — must replay the plan's fused
-// epilogue, so a degraded serving call returns exactly what a healthy
-// fused call would have.
+// grid — the fault-recovery replay and the reference engine's
+// TryExecuteReferenceCtx — must replay the plan's fused epilogue, so a
+// degraded serving call returns exactly what a healthy fused call would
+// have: the healthy call's bits, on non-integer operands.
 func TestFusedEpilogueDegradationLadder(t *testing.T) {
 	defer faultinject.Reset()
 	s := conv.Shape{N: 1, C: 5, H: 9, W: 9, K: 13, R: 3, S: 3, Str: 1, Pad: 1}
@@ -188,26 +188,25 @@ func TestFusedEpilogueDegradationLadder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := s.NewOutput()
+	if err := plan.TryExecute(in, f, want); err != nil {
+		t.Fatal(err)
+	}
 
-	// The reference oracle with the epilogue replayed in float32.
-	ref := conv.Reference(s, in, f)
-	pq := s.P() * s.Q()
-	want := applySeparate(ref.Data, ep, func(i int) int { return (i / pq) % s.K })
-
-	// Bottom rung: the seven-loop in-place path.
+	// Bottom rung: the plan run serially on its oracle.
 	out := s.NewOutput()
 	if err := plan.TryExecuteReferenceCtx(context.Background(), in, f, out); err != nil {
 		t.Fatal(err)
 	}
-	for i := range want {
-		if out.Data[i] != want[i] {
+	for i := range want.Data {
+		if out.Data[i] != want.Data[i] {
 			t.Fatalf("TryExecuteReferenceCtx: epilogue not replayed at %d: %g vs %g",
-				i, out.Data[i], want[i])
+				i, out.Data[i], want.Data[i])
 		}
 	}
 
-	// Fault rung: a poisoned packed weight forces the reference
-	// recovery, which must also land on the fused result.
+	// Fault rung: a poisoned packed weight forces the oracle replay,
+	// which must also land on the fused result.
 	pf, err := plan.TransformFilter(f)
 	if err != nil {
 		t.Fatal(err)
@@ -218,10 +217,10 @@ func TestFusedEpilogueDegradationLadder(t *testing.T) {
 		t.Fatalf("TryExecutePacked under PackedCorrupt = %v, want recovered nil", err)
 	}
 	faultinject.Reset()
-	for i := range want {
-		if out2.Data[i] != want[i] {
+	for i := range want.Data {
+		if out2.Data[i] != want.Data[i] {
 			t.Fatalf("fault fallback: epilogue not replayed at %d: %g vs %g",
-				i, out2.Data[i], want[i])
+				i, out2.Data[i], want.Data[i])
 		}
 	}
 }

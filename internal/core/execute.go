@@ -14,9 +14,10 @@ import (
 // the NKPQ output in place (out is fully overwritten; it need not be
 // zeroed). Validation failures return errors wrapping
 // conv.ErrDimMismatch; execution faults (a recovered worker panic, an
-// injected numerical corruption) are logged via Logf and the result is
-// recomputed on the naive reference path — a nil error always means a
-// correct output.
+// injected numerical corruption) are logged via Logf and the execution
+// replayed serially on the plan's oracle (TryExecuteReferenceCtx) — a
+// nil error always means a correct output, bit-identical to a
+// fault-free run.
 func (p *Plan) TryExecute(in, filter, out *tensor.Tensor) error {
 	return p.exec(context.Background(), execReq{in: in, filter: filter, out: out})
 }
@@ -28,7 +29,7 @@ func (p *Plan) TryExecute(in, filter, out *tensor.Tensor) error {
 // parallel.LeakedWorkers until it terminates) and returns an error
 // wrapping conv.ErrDeadline plus the context's cause, so
 // errors.Is(err, context.DeadlineExceeded) classifies a blown budget.
-// No reference recompute runs after a deadline, and out.Data is never
+// No oracle replay runs after a deadline, and out.Data is never
 // replaced: an abandoned worker may still store tiles into it whenever
 // it resumes, so after a deadline error its contents are undefined. A
 // context without a deadline or cancellation behaves exactly like
@@ -49,8 +50,8 @@ func (p *Plan) TryExecutePacked(in *tensor.Tensor, pf *PackedFilter, out *tensor
 }
 
 // TryExecutePackedCtx is TryExecutePacked bounded by ctx; deadline
-// semantics follow TryExecuteCtx (a fault's reference recompute reads
-// the packed filter's source KCRS weights).
+// semantics follow TryExecuteCtx (a fault's oracle replay reads the
+// packed filter's source KCRS weights).
 func (p *Plan) TryExecutePackedCtx(ctx context.Context, in *tensor.Tensor, pf *PackedFilter, out *tensor.Tensor) error {
 	return p.exec(ctx, execReq{in: in, pf: pf, packed: true, out: out})
 }
@@ -107,30 +108,39 @@ type execReq struct {
 }
 
 // exec validates a request, loads it into a pooled run and hands it to
-// the ladder (govern). When the request is packed the workers read the
-// pre-transformed weights instead of running the per-tile filter
-// transform, and the reference fallback consumes the packed filter's
-// source KCRS tensor.
+// the ladder (govern).
 func (p *Plan) exec(ctx context.Context, q execReq) error {
+	r, err := p.load(q)
+	if err != nil {
+		return err
+	}
+	return govern(ctx, &r.gridRun)
+}
+
+// load validates a request and loads it into a pooled run. When the
+// request is packed the workers read the pre-transformed weights
+// instead of running the per-tile filter transform, and the oracle
+// consumes the packed filter's source KCRS tensor.
+func (p *Plan) load(q execReq) (*planRun, error) {
 	if q.packed {
 		if err := q.pf.validateFor(p); err != nil {
-			return err
+			return nil, err
 		}
 		q.filter = q.pf.src
 	}
 	if err := validateRequest(p.Shape, q.in, q.filter, q.out, !q.nhwc); err != nil {
-		return err
+		return nil, err
 	}
 	if err := p.checkResidual(q.res != nil); err != nil {
-		return err
+		return nil, err
 	}
 	if q.res != nil {
 		s := p.Shape
 		if err := conv.ValidateTensor("residual", q.res, s.N, s.K, s.P(), s.Q()); err != nil {
-			return err
+			return nil, err
 		}
 		if &q.res.Data[0] == &q.out.Data[0] {
-			return fmt.Errorf("%w: the residual operand must not alias the output", ErrBadOptions)
+			return nil, fmt.Errorf("%w: the residual operand must not alias the output", ErrBadOptions)
 		}
 	}
 
@@ -140,14 +150,14 @@ func (p *Plan) exec(ctx context.Context, q execReq) error {
 	} else {
 		r = p.newRun()
 	}
-	r.filter, r.filterD, r.nchw = q.filter, q.filter.Data, !q.nhwc
+	r.filterD, r.nchw = q.filter.Data, !q.nhwc
 	if q.packed {
 		r.packed[0].core, r.pre = &q.pf.packedCore, q.pf.data
 	}
 	if q.res != nil {
-		r.res, r.resD = q.res, q.res.Data
+		r.resD = q.res.Data
 	}
-	r.in, r.inD, r.outD, r.out = q.in, q.in.Data, q.out.Data, q.out
+	r.inD, r.outD, r.out = q.in.Data, q.out.Data, q.out
 	if q.nhwc && r.tasks[0].ws.buf == nil {
 		r.addPackBufs()
 	}
@@ -158,7 +168,7 @@ func (p *Plan) exec(ctx context.Context, q execReq) error {
 			*t.ws.stats = Stats{}
 		}
 	}
-	return govern(ctx, &r.gridRun)
+	return r, nil
 }
 
 // checkResidual matches an execution against the plan's residual step:
@@ -191,56 +201,11 @@ func validateRequest(s conv.Shape, in, filter, out *tensor.Tensor, nchw bool) er
 	return conv.ValidateTensor("output", out, s.N, s.P(), s.Q(), s.K)
 }
 
-// recompute is the standard plan's oracle path: conv.Reference, then
-// the plan's epilogue replayed — exactly what a fault-free optimised
-// run would have stored.
-func (r *planRun) recompute() {
-	p := r.p
-	ref := conv.Reference(p.Shape, p.refInput(r.in, r.nchw), r.filter)
-	p.applyFallback(ref, r.out.Data, r.resD, r.nchw)
-}
-
-// refInput converts the input to the oracle's NCHW layout if needed.
-func (p *Plan) refInput(in *tensor.Tensor, nchw bool) *tensor.Tensor {
-	if nchw {
-		return in
-	}
-	return tensor.NHWCToNCHW(in)
-}
-
-// applyFallback stores the oracle's NKPQ result into dst, replaying
-// the plan's fused epilogue (same per-element order as storeLane: bias,
-// affine, residual, ReLU; res is laid out like dst).
-func (p *Plan) applyFallback(ref *tensor.Tensor, dst, res []float32, nchw bool) {
-	s := p.Shape
-	if !nchw {
-		ref = tensor.NCHWToNHWC(ref) // NKPQ -> NPQK, the NHWC output layout
-	}
-	pp, q := s.P(), s.Q()
-	for i := range dst {
-		v := ref.Data[i]
-		if !p.ep.none {
-			var k int
-			if nchw {
-				k = (i / (pp * q)) % s.K
-			} else {
-				k = i % s.K
-			}
-			if p.ep.bias != nil {
-				v += p.ep.bias[k]
-			}
-			if p.ep.scale != nil {
-				v = float32(v*p.ep.scale[k]) + p.ep.shift[k]
-			}
-			if p.ep.residual {
-				v += res[i]
-			}
-			if p.ep.relu && v < 0 {
-				v = 0
-			}
-		}
-		dst[i] = v
-	}
+// oracle points the run at the plan's looped body and Go store
+// (oracleBody) and its raw weights: pre dropped, the workers transform
+// the KCRS filter (a packed execution's retained source) per tile.
+func (r *planRun) oracle() {
+	r.b, r.pre = r.p.oracleBody(), nil
 }
 
 // workerScratch is the thread-private memory of one worker: the
@@ -270,23 +235,20 @@ type runTask struct {
 }
 
 // planRun is one execution's operands on top of the shared harness
-// (gridRun): what the ladder's recompute reads (the tensors) and what
-// the workers read (their data slices, the resolved body and store).
-// Everything is cleared on unload so a parked run never pins a caller's
-// tensors.
+// (gridRun): what the workers read (their data slices, the resolved body
+// and store). Everything is cleared on unload so a parked run never pins
+// a caller's tensors.
 type planRun struct {
 	gridRun
 	p     *Plan
 	tasks []runTask
 
-	in     *tensor.Tensor
-	filter *tensor.Tensor // KCRS weights (packed: the packed filter's source)
-	res    *tensor.Tensor // residual operand; nil for none
-
-	inD, filterD, pre []float32
-	outD, resD        []float32 // resD is laid out like outD
-	nchw              bool      // activation layout
-	b                 bodies    // this execution's V_k=8 bodies and tile store (Plan.body)
+	inD        []float32
+	filterD    []float32 // KCRS weights (packed: the packed filter's source)
+	pre        []float32 // the packed weights the grid reads; nil: transform filterD per tile
+	outD, resD []float32 // resD is laid out like outD
+	nchw       bool      // activation layout
+	b          bodies    // this execution's V_k=8 bodies and tile store (Plan.body)
 
 	seq uint64 // runSeq stamp, orders LastStats publication
 }
@@ -359,7 +321,6 @@ func (r *planRun) unload() {
 		}
 		p.statsMu.Unlock()
 	}
-	r.in, r.filter, r.res = nil, nil, nil
 	r.inD, r.filterD, r.outD, r.resD = nil, nil, nil, nil
 }
 

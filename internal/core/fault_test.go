@@ -44,23 +44,35 @@ func faultOperands(s conv.Shape) (in, filter *tensor.Tensor) {
 	return in, filter
 }
 
+// cleanConv2D is the fault-free one-shot run a recovered execution must
+// reproduce bit for bit (non-integer operands: no other oracle stores
+// the same bits).
+func cleanConv2D(t *testing.T, s conv.Shape, in, filter *tensor.Tensor, opt Options) *tensor.Tensor {
+	t.Helper()
+	want, err := TryConv2D(s, in, filter, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return want
+}
+
 // An injected worker panic on the optimised path must not surface: the
-// result is recomputed on the reference path, the process stays alive,
-// and the output matches the Algorithm 1 oracle.
+// execution is replayed on the plan's oracle, the process stays alive,
+// and the output is the fault-free run's, bit for bit.
 func TestWorkerPanicFallsBackToReference(t *testing.T) {
 	logged := captureLog(t)
 	defer faultinject.Reset()
 	s := faultShape()
 	in, filter := faultOperands(s)
-	want := conv.Reference(s, in, filter)
+	want := cleanConv2D(t, s, in, filter, Options{Threads: 4})
 
 	faultinject.Arm(faultinject.WorkerPanic, -1)
 	got, err := TryConv2D(s, in, filter, Options{Threads: 4})
 	if err != nil {
 		t.Fatalf("TryConv2D must degrade, not fail: %v", err)
 	}
-	if d := tensor.RelDiff(want, got); d > 1e-7 {
-		t.Fatalf("fallback output diverges from reference: rel diff %g", d)
+	if d := tensor.MaxAbsDiff(want, got); d != 0 {
+		t.Fatalf("fallback output diverges from the fault-free run by %g", d)
 	}
 	if !strings.Contains(logged(), "recomputing on reference path") {
 		t.Fatal("degradation must be logged")
@@ -75,15 +87,19 @@ func TestWorkerPanicFallbackNHWC(t *testing.T) {
 	defer faultinject.Reset()
 	s := faultShape()
 	in, filter := faultOperands(s)
-	want := tensor.NCHWToNHWC(conv.Reference(s, in, filter))
-
-	faultinject.Arm(faultinject.WorkerPanic, -1)
-	got, err := TryConv2DNHWC(s, tensor.NCHWToNHWC(in), filter, Options{Threads: 4})
+	nhwc := tensor.NCHWToNHWC(in)
+	want, err := TryConv2DNHWC(s, nhwc, filter, Options{Threads: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := tensor.RelDiff(want, got); d > 1e-7 {
-		t.Fatalf("NHWC fallback diverges from reference: rel diff %g", d)
+
+	faultinject.Arm(faultinject.WorkerPanic, -1)
+	got, err := TryConv2DNHWC(s, nhwc, filter, Options{Threads: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := tensor.MaxAbsDiff(want, got); d != 0 {
+		t.Fatalf("NHWC fallback diverges from the fault-free run by %g", d)
 	}
 	if logged() == "" {
 		t.Fatal("degradation must be logged")
@@ -101,24 +117,16 @@ func TestWorkerPanicFallbackAppliesEpilogue(t *testing.T) {
 	for k := range bias {
 		bias[k] = float32(k)*0.25 - 1.5
 	}
-	ref := conv.Reference(s, in, filter)
-	want := tensor.New(s.N, s.K, s.P(), s.Q())
-	pq := s.P() * s.Q()
-	for i, v := range ref.Data {
-		v += bias[(i/pq)%s.K]
-		if v < 0 {
-			v = 0
-		}
-		want.Data[i] = v
-	}
+	opt := Options{Threads: 4, FusedEpilogue: &EpilogueParams{Bias: bias, ReLU: true}}
+	want := cleanConv2D(t, s, in, filter, opt)
 
 	faultinject.Arm(faultinject.WorkerPanic, -1)
-	got, err := TryConv2D(s, in, filter, Options{Threads: 4, FusedEpilogue: &EpilogueParams{Bias: bias, ReLU: true}})
+	got, err := TryConv2D(s, in, filter, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := tensor.RelDiff(want, got); d > 1e-7 {
-		t.Fatalf("fallback dropped the epilogue: rel diff %g", d)
+	if d := tensor.MaxAbsDiff(want, got); d != 0 {
+		t.Fatalf("fallback dropped the epilogue: differs from the fault-free run by %g", d)
 	}
 }
 
@@ -129,15 +137,15 @@ func TestNaNPoisonDetectedAndRepaired(t *testing.T) {
 	defer faultinject.Reset()
 	s := faultShape()
 	in, filter := faultOperands(s)
-	want := conv.Reference(s, in, filter)
+	want := cleanConv2D(t, s, in, filter, Options{Threads: 2})
 
 	faultinject.Arm(faultinject.NaNPoison, 7)
 	got, err := TryConv2D(s, in, filter, Options{Threads: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := tensor.RelDiff(want, got); d > 1e-7 {
-		t.Fatalf("poisoned output not repaired: rel diff %g", d)
+	if d := tensor.MaxAbsDiff(want, got); d != 0 {
+		t.Fatalf("poisoned output not repaired: differs from the fault-free run by %g", d)
 	}
 	if !strings.Contains(logged(), "recomputing on reference path") {
 		t.Fatal("the numerical fault must be logged")

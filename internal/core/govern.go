@@ -8,7 +8,7 @@ package core
 // the only place that knows how a grid is dispatched and joined, what a
 // fault or a blown deadline turns into, and where the faultinject
 // drills bite; a plan type supplies its cell loop and its oracle
-// recompute (gridOwner) and nothing else. The grouped and 3-D entry
+// (gridOwner) and nothing else. The grouped and 3-D entry
 // points are governed plan executions too; only the FP64 and INT16
 // entry points keep a loop of their own, classified by fallbackCtx
 // below.
@@ -34,9 +34,13 @@ type gridOwner interface {
 	// cells runs grid slot w's share of the iteration space on the
 	// loaded operands, polling the run's fault sink between work items.
 	cells(w int)
-	// recompute writes what a fault-free execution would have stored
-	// into the output tensor, on the plan type's oracle path.
-	recompute()
+	// oracle points the loaded run at the plan type's oracle: the plan
+	// itself with its kernel family quarantined — the looped bodies
+	// (kernel12x8 with the Go store, depthwisePlaneRange) reading the
+	// raw weights. Every body stores the bits its looped twin does
+	// (DESIGN.md §11), so a replay on it stores what a fault-free
+	// execution would have.
+	oracle()
 	// unload drops the operand references (and publishes whatever the
 	// run measured) once no worker can touch the run any more.
 	unload()
@@ -264,10 +268,11 @@ func (g *gridRun) dispatch(ctx context.Context) error {
 //     a deadline is not a fault — the caller asked for bounded time, so
 //     the conv.ErrDeadline-wrapped error returns and no oracle runs.
 //  6. Any other fault (a recovered worker panic, a non-finite output) is
-//     logged and recomputed in place; every worker has been joined.
+//     logged and the execution replayed on the owner's oracle; every
+//     worker has been joined.
 //
-// Every execution overwrites its output, so a recompute needs nothing
-// of what a faulted grid left behind.
+// Every execution overwrites its output, so a replay needs nothing of
+// what a faulted grid left behind.
 //
 // The three weight/output drills address the concatenation of the
 // packed operands (resp. the output) by element index; an index outside
@@ -306,8 +311,8 @@ func govern(ctx context.Context, g *gridRun) error {
 		if idx, ok := faultinject.Take(faultinject.PackedCorrupt); ok {
 			// Poison a run-private copy: other runs must keep reading
 			// clean weights. The NaN propagates into the output, where the
-			// scan below catches it and the oracle recomputes from the
-			// packed operand's retained source.
+			// scan below catches it and the replay reads the packed
+			// operand's retained source.
 			g.mutatePacked(idx, func(float32) float32 { return float32(math.NaN()) })
 		}
 	}
@@ -325,8 +330,20 @@ func govern(ctx context.Context, g *gridRun) error {
 		return err
 	}
 	Logf("core: optimised path faulted on %v; recomputing on reference path: %v", g.label, err)
-	g.owner.recompute()
+	g.owner.oracle()
+	g.replay()
 	return nil
+}
+
+// replay runs every grid slot's cells on the calling goroutine, in
+// slot order, with a clear fault sink: the loaded execution once more,
+// serially and outside the recovery shell and the drill points. The
+// slots keep their own scratch, so a replay allocates nothing.
+func (g *gridRun) replay() {
+	g.fs.Reset()
+	for w := range g.fns {
+		g.owner.cells(w)
+	}
 }
 
 // packedLen is the element count of the packed operands this execution

@@ -22,7 +22,7 @@ import (
 // filter in `groups` independent channel groups, returning the NKPQ
 // output. groups must divide both C and K. groups=1 degenerates to
 // Conv2D. Checked variant: validation failures return errors; a
-// faulted sub-problem is logged and recomputed on the reference path.
+// faulted sub-problem is logged and replayed on its plan's oracle.
 func TryGroupedConv2D(s conv.Shape, groups int, in, filter *tensor.Tensor, opt Options) (*tensor.Tensor, error) {
 	return TryGroupedConv2DCtx(context.Background(), s, groups, in, filter, opt)
 }

@@ -131,7 +131,7 @@ func IntegritySnapshot() IntegrityStats {
 // built on — PackedFilter and PackedDepthwiseFilter embed it and add
 // only their geometry check. It owns what the robustness layer needs of
 // a packed artifact whatever its layout: the immutable buffer, the
-// framework-layout source the oracle recomputes from (and re-packs
+// framework-layout source the oracle replay reads (and re-packs
 // read), the pack-time CRC32-C with its sampled verification schedule,
 // and the released flag a residency manager flips on eviction.
 //
@@ -216,20 +216,4 @@ func (pc *packedCore) usable() error {
 		return fmt.Errorf("%w: %s was evicted; re-pack before executing", ErrWeightsReleased, pc.what)
 	}
 	return nil
-}
-
-// FillProbe fills data with small integers in [-3, 3] from a
-// deterministic stream — the library-wide convention for bit-exact
-// oracles: integer-valued float32 operands make the optimised float32
-// paths and the float64 reference produce identical bits, so a probe
-// can demand MaxAbsDiff == 0. Exported for the serving layer's
-// integrity sentinel, which builds golden model inputs the same way.
-func FillProbe(data []float32, seed uint64) { fillProbe(data, seed) }
-
-func fillProbe(data []float32, seed uint64) {
-	x := seed*2654435761 + 12345
-	for i := range data {
-		x = x*6364136223846793005 + 1442695040888963407
-		data[i] = float32(int64(x>>33)%7 - 3)
-	}
 }

@@ -15,6 +15,18 @@ func integrityShape() conv.Shape {
 	return conv.Shape{N: 1, C: 8, H: 12, W: 12, K: 16, R: 3, S: 3, Str: 1, Pad: 1}
 }
 
+// fillProbe fills data with small integers in [-3, 3] from a
+// deterministic stream: integer-valued float32 operands keep every
+// partial sum exact, so the optimised float32 paths and a float64 oracle
+// (conv.Reference) produce identical bits and a test can demand ==.
+func fillProbe(data []float32, seed uint64) {
+	x := seed*2654435761 + 12345
+	for i := range data {
+		x = x*6364136223846793005 + 1442695040888963407
+		data[i] = float32(int64(x>>33)%7 - 3)
+	}
+}
+
 // intOperands builds integer-valued operands so every path is
 // bit-exact against the reference oracle.
 func intOperands(s conv.Shape) (in, filter *tensor.Tensor) {
@@ -297,6 +309,68 @@ func TestSentinelProbesMultiBlockBodies(t *testing.T) {
 		}
 		if err := VerifyKernelFamily(f.name); err != nil {
 			t.Fatalf("probe after restoring the %s body: %v", body.name, err)
+		}
+	}
+}
+
+// mulAddKernel12x8 is kernel12x8 rounding twice per tap — the product,
+// then the sum — the body a VMULPS→VADDPS accumulation computes.
+func mulAddKernel12x8(acc *accFile8, buf, tf []float32, rows, s, str, vwEff, pitch int) {
+	for row := 0; row < rows; row++ {
+		for ss := 0; ss < s; ss++ {
+			f := tf[(row*s+ss)*8:]
+			for j := 0; j < vwEff; j++ {
+				x := buf[row*pitch+ss+j*str]
+				for l := 0; l < 8; l++ {
+					a := &acc[2*j+l/4][l%4]
+					*a = float32(f[l]*x) + *a
+				}
+			}
+		}
+	}
+}
+
+// mulAddDepthwise is depthwisePlaneRange rounding twice per tap.
+func mulAddDepthwise(s conv.Shape, in, filter, dst []float32, h0, h1 int) {
+	q := s.Q()
+	for oh := h0; oh < h1; oh++ {
+		for ow := 0; ow < q; ow++ {
+			var acc float32
+			for r := 0; r < s.R; r++ {
+				for ss := 0; ss < s.S; ss++ {
+					ih, iw := oh*s.Str-s.Pad+r, ow*s.Str-s.Pad+ss
+					if ih >= 0 && ih < s.H && iw >= 0 && iw < s.W {
+						acc = float32(in[ih*s.W+iw]*filter[r*s.S+ss]) + acc
+					}
+				}
+			}
+			dst[(oh-h0)*q+ow] = acc
+		}
+	}
+}
+
+// A body that rounds twice per tap breaks the FMA contract, and every
+// family's golden probe must see it: its full-mantissa operands make
+// nearly every product round, so the two-rounding chain stores other
+// bits than the oracle's fma32 chain. (Integer operands, exact at every
+// step, cannot tell the two apart.)
+func TestDoubleRoundingBodyFailsProbe(t *testing.T) {
+	for _, f := range kernelFamilies {
+		body, dwKern := f.body, f.dwKern
+		if f.depthwise {
+			f.dwKern = mulAddDepthwise
+		} else {
+			f.body = bodies{kern: mulAddKernel12x8, vst: body.vst}
+		}
+		reprobe(f)
+		err := VerifyKernelFamily(f.name)
+		f.body, f.dwKern = body, dwKern
+		reprobe(f)
+		if !errors.Is(err, ErrIntegrity) {
+			t.Fatalf("probe over a two-rounding %s body = %v, want ErrIntegrity", f.name, err)
+		}
+		if err := VerifyKernelFamily(f.name); err != nil {
+			t.Fatalf("probe after restoring the %s body: %v", f.name, err)
 		}
 	}
 }

@@ -236,16 +236,21 @@ type sepScratch struct {
 
 // sepRun is one execution's operands on top of the shared harness.
 // packBuf lazily holds the per-run pointwise pack for the unpacked
-// path; it belongs to the run (not a shared pool) so a
+// path and the oracle; it belongs to the run (not a shared pool) so a
 // deadline-abandoned straggler can never race a recycled buffer.
 type sepRun struct {
 	gridRun
-	p                      *SeparablePlan
-	scratch                []*sepScratch  // per grid slot
-	in, dwFilter, pwFilter *tensor.Tensor // the filters raw (packed: the packs' sources)
+	p       *SeparablePlan
+	scratch []*sepScratch // per grid slot
 
-	inD, dwf, pre, outD []float32 // dwf, pre: the weights the grid reads
-	packBuf             []float32
+	inD, outD []float32
+	dwFilterD []float32 // the raw filters (packed: the packs' sources)
+	pwFilterD []float32
+	dwf, pre  []float32 // the weights the grid reads
+	packBuf   []float32
+
+	kern depthwiseKernel // this execution's depthwise body (dwBody)
+	b    bodies          // and pointwise bodies (Plan.body)
 }
 
 func (p *SeparablePlan) newRun() *sepRun {
@@ -263,75 +268,73 @@ func (r *sepRun) cells(w int) {
 		if r.fs.Stopped() {
 			return
 		}
-		r.p.cell(r.inD, r.dwf, r.pre, r.outD, cell, r.scratch[w])
+		r.cell(cell, r.scratch[w])
 	}
 }
 
 func (r *sepRun) unload() {
-	r.in, r.dwFilter, r.pwFilter, r.inD, r.outD = nil, nil, nil, nil, nil
+	r.inD, r.outD, r.dwFilterD, r.pwFilterD = nil, nil, nil, nil
 }
 
-// recompute replays the fused computation cell by cell on the caller's
-// goroutine with fresh scratch and the raw weights — bit-identical to
-// a clean parallel run (same kernels, same tile partition) and, like
-// the fast path, never materialising the full intermediate.
-func (r *sepRun) recompute() {
-	p := r.p
-	pre := make([]float32, p.preLen)
-	transformFilter(r.pwFilter.Data, pre, p.pw.K, p.pw.C, 1, 1, 0, p.pw.K, 0, p.pw.C, 8)
-	ws := &sepScratch{mid: make([]float32, p.midLen)}
-	for cell := 0; cell < p.cells; cell++ {
-		p.cell(r.in.Data, r.dwFilter.Data, pre, r.out.Data, cell, ws)
+// oracle points the run at the depthwisePlaneRange loop, the pointwise
+// plan's oracleBody and the raw weights (the pointwise filter packed
+// into the run's own buffer).
+func (r *sepRun) oracle() {
+	r.kern, r.b = depthwisePlaneRange, r.p.pwPlan.oracleBody()
+	r.dwf, r.pre = r.dwFilterD, r.packPointwise()
+}
+
+// packPointwise transforms the raw pointwise filter into the run's
+// packBuf, [⌈K/8⌉][C][8] like a PackedFilter, and returns it.
+func (r *sepRun) packPointwise() []float32 {
+	pw := r.p.pw
+	if r.packBuf == nil {
+		r.packBuf = make([]float32, r.p.preLen)
 	}
+	transformFilter(r.pwFilterD, r.packBuf, pw.K, pw.C, 1, 1, 0, pw.K, 0, pw.C, 8)
+	return r.packBuf
 }
-
-// dwKernel resolves the depthwise-stage body; cell calls it per grid
-// cell, so a quarantine lands mid-execution too.
-func (p *SeparablePlan) dwKernel() depthwiseKernel { return dwBody(p.dwFamily) }
 
 // cell computes one grid cell: depthwise rows [h0, h1) of image n for
 // all C channels into the worker's intermediate, the depthwise-stage
 // epilogue sweep, then the fused pointwise stage over the same rows.
-func (p *SeparablePlan) cell(in, dwf, pre, out []float32, cell int, ws *sepScratch) {
+func (r *sepRun) cell(cell int, ws *sepScratch) {
+	p := r.p
 	s := p.dw
 	pp, q := s.P(), s.Q()
 	n := cell / p.tiles
 	h0 := (cell % p.tiles) * p.rowTile
 	h1 := min(h0+p.rowTile, pp)
 	th := h1 - h0
-	kern := p.dwKernel()
 	chStride := p.rowTile * q
 	for c := 0; c < s.C; c++ {
-		inPlane := in[(n*s.C+c)*s.H*s.W : (n*s.C+c+1)*s.H*s.W]
-		fch := dwf[c*s.R*s.S : (c+1)*s.R*s.S]
+		inPlane := r.inD[(n*s.C+c)*s.H*s.W : (n*s.C+c+1)*s.H*s.W]
+		fch := r.dwf[c*s.R*s.S : (c+1)*s.R*s.S]
 		dst := ws.mid[c*chStride : c*chStride+th*q]
-		kern(s, inPlane, fch, dst, h0, h1)
+		r.kern(s, inPlane, fch, dst, h0, h1)
 		if !p.dwEp.none {
 			applyChannelEpilogue(dst, &p.dwEp, c)
 		}
 	}
-	p.pwStage(pre, out, n, h0, h1, ws)
+	p.pwStage(&r.b, r.pre, r.outD, n, h0, h1, ws)
 }
 
-// pwStage runs the pointwise plan's micro-kernel body and tile store
-// (Plan.body, resolved per cell like the depthwise stage's) over the row
-// tile just produced in ws.mid, in place: channel cv's row is
-// ws.mid[cv*chStride:],
-// so the body's row pitch is one channel plane instead of a packed
-// buffer's wIn. Loop order ct → kb → oh → qt with the pointwise plan's
+// pwStage runs the execution's pointwise bodies and tile store b over
+// the row tile just produced in ws.mid, in place: channel cv's row is
+// ws.mid[cv*chStride:], so the body's row pitch is one channel plane
+// instead of a packed buffer's wIn. Loop order ct → kb → oh → qt with the pointwise plan's
 // own Tc: per output element the channel-tile sequence, the in-tile FMA
 // chain, the between-tile spill-and-add and the final epilogue are
 // exactly the standard plan's — the bit-identity contract. pre is the
 // [⌈K/8⌉][C][8] packed pointwise filter; K-blocks step through
 // bodies.span like the standard plan's.
-func (p *SeparablePlan) pwStage(pre, out []float32, n, h0, h1 int, ws *sepScratch) {
+func (p *SeparablePlan) pwStage(b *bodies, pre, out []float32, n, h0, h1 int, ws *sepScratch) {
 	pw := p.pwPlan
 	C, K, q := p.pw.C, p.pw.K, p.pw.Q()
 	tc := pw.CT.Tc
 	kvBlocks := (K + 7) / 8
 	chStride := p.rowTile * q
 	acc := &ws.acc
-	b := pw.body()
 	for ct := 0; ct < C; ct += tc {
 		tcEff := min(tc, C-ct)
 		firstC := ct == 0
@@ -407,21 +410,17 @@ func (p *SeparablePlan) exec(ctx context.Context, in, dwFilter, pwFilter *tensor
 	} else {
 		r = p.newRun()
 	}
-	r.in, r.dwFilter, r.pwFilter = in, dwFilter, pwFilter
-	r.inD, r.dwf, r.outD = in.Data, dwFilter.Data, out.Data
+	r.inD, r.outD, r.out = in.Data, out.Data, out
+	r.dwFilterD, r.pwFilterD, r.dwf = dwFilter.Data, pwFilter.Data, dwFilter.Data
 	if pdw != nil {
 		r.packed[0].core, r.dwf = pdw, pdw.data
 	}
 	if ppw != nil {
 		r.packed[1].core, r.pre = ppw, ppw.data
 	} else {
-		if r.packBuf == nil {
-			r.packBuf = make([]float32, p.preLen)
-		}
-		transformFilter(pwFilter.Data, r.packBuf, p.pw.K, p.pw.C, 1, 1, 0, p.pw.K, 0, p.pw.C, 8)
-		r.pre = r.packBuf
+		r.pre = r.packPointwise()
 	}
-	r.out = out
+	r.kern, r.b = dwBody(p.dwFamily), p.pwPlan.body()
 	return govern(ctx, &r.gridRun)
 }
 

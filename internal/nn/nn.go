@@ -101,14 +101,19 @@ type Engine struct {
 	// Reuse; nil with Reuse on means a private cache is created on
 	// first use.
 	Plans *core.PlanCache
-	// ForceReference routes every convolution straight to the plan's
-	// naive reference path — no optimised kernels, no worker grid, no
-	// packed weights — while keeping results bit-identical for exactly
-	// representable inputs (float64 accumulation in conv.Reference
-	// order). It is the quarantine rung of the multi-tenant registry:
-	// a model whose traffic keeps faulting is degraded to this engine
-	// so its failures stop touching the shared fast-path machinery,
-	// without changing what a healthy request would have computed.
+	// ForceReference routes every standard convolution straight to the
+	// plan's oracle (core.Plan.TryExecuteReferenceCtx): the looped
+	// kernel on the calling goroutine — no vector body, no worker grid,
+	// no packed weights — bit-identical to the fast path for every
+	// input. Depthwise layers run core.TryDepthwiseConv2D — the AVX2
+	// depthwise body, where the host has it, on a grid of Threads
+	// workers (one, on the registry's quarantine engine) — and separable
+	// blocks run unfused: that depthwise stage, then the pointwise unit
+	// on the plan's oracle. It is the quarantine rung of the multi-tenant
+	// registry: a model whose traffic keeps faulting is degraded to this
+	// engine so its failures stop touching the shared fast-path
+	// machinery, without changing what a healthy request would have
+	// computed.
 	ForceReference bool
 	// OnPackAdmit, OnPackRetain and OnPackDrop are the weight-residency
 	// hooks of the serving registry (all optional; nil-hook engines
@@ -826,12 +831,11 @@ func (c *ConvUnit) recoverIntegrity(eng *Engine, pf *core.PackedFilter, err erro
 	c.discardPacked(eng, pf)
 }
 
-// tryReference runs the convolution on the plan's naive reference path
-// — the quarantine rung (Engine.ForceReference). Single-threaded, no
-// worker grid, no packed weights: a misbehaving model routed here
-// cannot fault the shared fast-path machinery, and for exactly
-// representable inputs the float64-accumulated reference is
-// bit-identical to what the optimised path would have produced. The
+// tryReference runs the convolution on the plan's oracle — the
+// quarantine rung (Engine.ForceReference). Single-threaded, no worker
+// grid, no packed weights: a misbehaving model routed here cannot fault
+// the shared fast-path machinery, and the looped kernel stores exactly
+// the bits the optimised path would have produced, for every input. The
 // plan is resolved only for its shape/epilogue bookkeeping (the cache
 // is consulted when available so quarantine does not re-solve the
 // tiling models per call, but the per-unit memo is bypassed to avoid

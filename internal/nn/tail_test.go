@@ -27,7 +27,7 @@ func residualBlocks(exact bool) []Layer {
 			u.BN.Beta[i], u.BN.Mean[i] = float32(i%3)-1, float32(i%2)
 		}
 		if exact {
-			core.FillProbe(u.Weights.Data, uint64(len(name))+uint64(c*k))
+			fillInts(u.Weights, uint64(len(name))+uint64(c*k))
 			u.BN.Eps = 0
 		}
 		return u
@@ -50,7 +50,7 @@ func blockInputC(n, c int, exact bool) *tensor.Tensor {
 	x := tensor.New(n, c, 12, 12)
 	x.FillRandom(31)
 	if exact {
-		core.FillProbe(x.Data, 31)
+		fillInts(x, 31)
 	}
 	return x
 }

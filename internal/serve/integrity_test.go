@@ -133,6 +133,55 @@ func TestSentinelModelQuarantineAndRestore(t *testing.T) {
 	}
 }
 
+// A model with non-integer weights is not a fault: its fast and
+// reference engines run one numeric contract, so on the sentinel's
+// full-mantissa probe they store the same bits and the model stays on
+// the fast path.
+func TestSentinelKeepsFloatModelOnFastPath(t *testing.T) {
+	rt := New(Config{SentinelInterval: time.Hour}) // on, but this test probes by hand
+	defer rt.Close()
+	reg := NewRegistry(RegistryConfig{Runtime: rt})
+
+	s := conv.Shape{N: 1, C: 8, H: 10, W: 10, K: 16, R: 3, S: 3, Str: 1, Pad: 1}
+	w := s.NewFilter()
+	w.FillRandom(9)
+	bn := &nn.BNParams{Gamma: make([]float32, s.K), Beta: make([]float32, s.K),
+		Mean: make([]float32, s.K), Var: make([]float32, s.K), Eps: 1e-5}
+	for k := range bn.Gamma {
+		bn.Gamma[k], bn.Beta[k] = 0.5+0.1*float32(k), 0.03*float32(k)-0.2
+		bn.Mean[k], bn.Var[k] = 0.01*float32(k), 1+0.05*float32(k)
+	}
+	net := &nn.Network{Name: "float", Layers: []nn.Layer{
+		&nn.ConvUnit{LayerName: "c1", Shape: s, Weights: w, BN: bn, ReLU: true},
+	}}
+	if err := reg.Register("acme", "f", net); err != nil {
+		t.Fatal(err)
+	}
+	defer reg.Unregister("acme", "f")
+	e, err := reg.lookup("acme", "f")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	reg.sentinelProbe(e)
+	if reg.Quarantined("acme", "f") || rt.Stats().IntegrityFailures != 0 {
+		t.Fatalf("float-weight model quarantined by a clean probe (integrity failures %d)", rt.Stats().IntegrityFailures)
+	}
+	x := tensor.New(1, s.C, s.H, s.W)
+	x.FillRandom(10)
+	fast, err := net.TryForward(e.eng, x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := net.TryForward(e.refEng, x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := tensor.MaxAbsDiff(fast, ref); d != 0 {
+		t.Fatalf("fast and reference engines differ by %g on a float input, want bit-identical", d)
+	}
+}
+
 // holdLayer parks the forward of one request's input until release
 // closes, so that request stays in flight for as long as a test needs.
 // Every other forward, a sentinel probe's included, passes straight

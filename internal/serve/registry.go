@@ -259,7 +259,7 @@ func (r *Registry) sentinelProbe(e *modelEntry) {
 	}
 	s := units[0].Shape
 	x := tensor.New(1, s.C, s.H, s.W)
-	core.FillProbe(x.Data, 0xC0FFEE)
+	x.FillRandom(0xC0FFEE) // full mantissas: every tap rounds, so the probe sees the FMA contract
 	fast, err := e.net.TryForward(e.eng, x)
 	if err != nil {
 		return

@@ -6,8 +6,9 @@ package serve
 // gate and the tenant gate of every registry with a model target are
 // fully idle (nothing in flight, nothing queued — the sentinel never
 // competes with a real request for a core), one round-robin target is
-// probed with a golden integer-valued input and compared bit-for-bit
-// against the single-threaded reference:
+// probed with a golden full-mantissa input — every tap rounds, so a body
+// that breaks the one-rounding-per-tap contract diverges — and compared
+// bit-for-bit against the plan's oracle, the looped body run serially:
 //
 //   - kernel-family targets: every registered dispatch family
 //     (core.KernelFamilyNames) through core.VerifyKernelFamily. A

@@ -78,7 +78,7 @@ var (
 	// ErrIntegrity: detected silent data corruption — a packed filter
 	// failing its pack-time CRC32-C before consumption, a scratch
 	// canary overwritten by an out-of-bounds store, or a
-	// kernel family diverging from the reference oracle on its golden
+	// kernel family diverging from its looped oracle on its golden
 	// probe. Never silently repaired at this level: the artifact may
 	// stay corrupt, so the owner must discard and rebuild it (the nn
 	// engine re-packs, the serving runtime quarantines).
@@ -219,8 +219,8 @@ func Conv2D(s Shape, in, filter *Tensor, opt Options) *Tensor {
 // TryConv2D is the checked form of Conv2D: invalid shapes, options or
 // operand tensors return an error (wrapping ErrBadShape,
 // ErrBadOptions or ErrDimMismatch) instead of panicking, and an
-// execution fault on the optimised path degrades to the reference
-// path — a nil error always comes with a correct output.
+// execution fault on the optimised path is replayed on the plan's
+// looped oracle — a nil error always comes with the fault-free output.
 func TryConv2D(s Shape, in, filter *Tensor, opt Options) (*Tensor, error) {
 	return core.TryConv2D(s, in, filter, opt)
 }
@@ -228,8 +228,8 @@ func TryConv2D(s Shape, in, filter *Tensor, opt Options) (*Tensor, error) {
 // TryConv2DCtx is TryConv2D bounded by ctx: when the context expires
 // before the thread grid finishes, the run is abandoned (cooperative
 // stop flag plus a detached join — see DESIGN.md §5) and the error
-// wraps both ErrDeadline and the context's cause; no reference
-// recompute follows. A context without a deadline costs nothing.
+// wraps both ErrDeadline and the context's cause; no oracle replay
+// follows. A context without a deadline costs nothing.
 func TryConv2DCtx(ctx context.Context, s Shape, in, filter *Tensor, opt Options) (*Tensor, error) {
 	return core.TryConv2DCtx(ctx, s, in, filter, opt)
 }

@@ -139,6 +139,18 @@ for pat in 'context.WithTimeout(' 'context.WithDeadline(' 'context.WithoutCancel
     fi
 done
 
+# One numeric contract: fault recovery, the reference engine and the
+# golden probes all replay a plan on its own looped fused-multiply-add
+# body (DESIGN.md §5, §11). conv.Reference accumulates in float64 and
+# matches that only on integer data, so a call of it in a non-test file
+# of these layers is a second oracle.
+echo "==> one numeric contract: no conv.Reference( in internal/core, internal/nn or internal/serve"
+files=$(ls internal/core/*.go internal/nn/*.go internal/serve/*.go | grep -v _test.go | xargs grep -lF -- 'conv.Reference(' || true)
+if [ -n "$files" ]; then
+    echo "FAIL: 'conv.Reference(' in a non-test file of internal/core, internal/nn or internal/serve: $(echo $files)" >&2
+    exit 1
+fi
+
 echo "==> go test -race ./..."
 go test -race ./...
 
