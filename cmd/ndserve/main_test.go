@@ -3,7 +3,9 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -14,6 +16,7 @@ import (
 	"ndirect/internal/conv"
 	"ndirect/internal/nn"
 	"ndirect/internal/serve"
+	"ndirect/internal/tensor"
 )
 
 // reply is what a test reads back from one request.
@@ -24,7 +27,9 @@ type reply struct {
 }
 
 // newTestServer serves a fresh registry over httptest and returns a
-// helper that POSTs a JSON body to a path on it.
+// helper that POSTs a body to a path on it: a []byte as it is, an
+// io.Reader as it reads (chunked, with no Content-Length), anything
+// else as json.Marshal writes it.
 func newTestServer(t *testing.T) func(t *testing.T, path string, body any) reply {
 	t.Helper()
 	s := &server{reg: serve.NewRegistry(serve.RegistryConfig{}), shapes: map[string]conv.Shape{}}
@@ -32,11 +37,20 @@ func newTestServer(t *testing.T) func(t *testing.T, path string, body any) reply
 	t.Cleanup(ts.Close)
 	return func(t *testing.T, path string, body any) reply {
 		t.Helper()
-		b, err := json.Marshal(body)
-		if err != nil {
-			t.Fatal(err)
+		var rd io.Reader
+		switch b := body.(type) {
+		case []byte:
+			rd = bytes.NewReader(b)
+		case io.Reader:
+			rd = b
+		default:
+			raw, err := json.Marshal(body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rd = bytes.NewReader(raw)
 		}
-		resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(b))
+		resp, err := http.Post(ts.URL+path, "application/json", rd)
 		if err != nil {
 			t.Fatalf("POST %s: %v", path, err)
 		}
@@ -194,6 +208,127 @@ func TestInferResponseOverHTTP(t *testing.T) {
 			}
 			if len(got.Data) != 8*8*8 || fmt.Sprint(got.Dims) != "[1 8 8 8]" {
 				t.Fatalf("dims %v with %d elements, want [1 8 8 8] with 512", got.Dims, len(got.Data))
+			}
+		})
+	}
+}
+
+// TestInferRequestOverHTTP: raw /v1/infer bodies — the canonical forms
+// the decoder takes and variants it hands to encoding/json — get the
+// status and the bytes of an oracle that decodes with encoding/json and
+// runs the forward in process: the answer body on 200, the error text
+// otherwise.
+func TestInferRequestOverHTTP(t *testing.T) {
+	post := newTestServer(t)
+	shape := shapeSpec{C: 8, H: 8, W: 8, K: 8, R: 3, S: 3, Stride: 1, Pad: 1}
+	spec := modelSpec{Seed: 5, ReLU: true, Shape: &shape}
+	if r := post(t, "/v1/models/acme/m", spec); r.code != http.StatusCreated {
+		t.Fatalf("register: %d %s", r.code, r.body)
+	}
+	net, s := buildNet("acme/m", spec)
+	// Integral input keeps every output exact, so the in-process forward
+	// is the served one bit for bit.
+	x := s.NewInput()
+	fillInts(x, 3)
+	elems := make([]string, len(x.Data))
+	for i, v := range x.Data {
+		elems[i] = strconv.Itoa(int(v))
+	}
+	data := func(first string) string { return "[" + first + "," + strings.Join(elems[1:], ",") + "]" }
+	const dims = "[1,8,8,8]"
+	canonical := `{"dims":` + dims + `,"data":` + data(elems[0]) + `}`
+	for _, tc := range []struct {
+		name string
+		body string
+		fast bool // the decoder takes it
+	}{
+		{"canonical", canonical, true},
+		{"encoder's trailing newline", canonical + "\n", true},
+		{"seed", `{"seed":7}`, true},
+		{"extra whitespace", " {\n\t\"dims\" : [ 1 , 8 ,8, 8 ] ,\r\n \"data\":\t" + strings.ReplaceAll(data(elems[0]), ",", " ,\n ") + " }\n ", true},
+		{"-0", `{"dims":` + dims + `,"data":` + data("-0") + `}`, true},
+		{"reordered keys", `{"data":` + data(elems[0]) + `,"dims":` + dims + `}`, false},
+		{"DIMS", `{"DIMS":` + dims + `,"data":` + data(elems[0]) + `}`, false},
+		{"duplicate key, the last wins", `{"dims":[2,2,2,2],"dims":` + dims + `,"data":` + data(elems[0]) + `}`, false},
+		{"trailing bytes", canonical + `garbage`, false},
+		{"1e39", `{"dims":` + dims + `,"data":` + data("1e39") + `}`, false},
+		{"negative seed", `{"seed":-7}`, false},
+		{"shape the model does not take", `{"dims":[1,8,4,16],"data":` + data(elems[0]) + `}`, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			body := []byte(tc.body)
+			if _, _, ok := decodeInferRequest(body); ok != tc.fast {
+				t.Fatalf("decoder accepted = %v, want %v: the case misses the path it names", ok, tc.fast)
+			}
+			wantCode, want := http.StatusOK, []byte(nil)
+			in, err := inferInputJSON(body, s)
+			if err == nil {
+				var y *tensor.Tensor
+				if y, err = net.TryForward(&nn.Engine{Algo: nn.AlgoNDirect, Threads: 1}, in); err != nil && !errors.Is(err, conv.ErrDimMismatch) {
+					t.Fatal(err)
+				}
+				if err == nil {
+					var buf bytes.Buffer
+					if err := json.NewEncoder(&buf).Encode(inferResponse{Dims: y.Dims, Data: y.Data}); err != nil {
+						t.Fatal(err)
+					}
+					want = buf.Bytes()
+				}
+			}
+			if err != nil {
+				// The answer to a refused body is its status and text;
+				// Registry.Infer words a shape mismatch its own way.
+				wantCode = http.StatusBadRequest
+				if !errors.Is(err, conv.ErrDimMismatch) {
+					want = []byte(err.Error() + "\n")
+				}
+			}
+			r := post(t, "/v1/infer/acme/m", body)
+			if r.code != wantCode {
+				t.Fatalf("status %d (%.200s), want %d", r.code, r.body, wantCode)
+			}
+			if want != nil && !bytes.Equal(r.body, want) {
+				t.Fatalf("body differs from the encoding/json oracle's:\n got %.200q\nwant %.200q", r.body, want)
+			}
+		})
+	}
+}
+
+// TestInferBodyCap: /v1/infer reads a body only for a registered model
+// (404 unread otherwise) and only up to maxInferBody of its input shape:
+// a canonical body padded with whitespace to the cap is served, one byte
+// more is 413, whether it declares its length or is sent chunked.
+func TestInferBodyCap(t *testing.T) {
+	post := newTestServer(t)
+	shape := shapeSpec{C: 8, H: 8, W: 8, K: 8, R: 3, S: 3, Stride: 1, Pad: 1}
+	spec := modelSpec{Seed: 5, Shape: &shape}
+	if r := post(t, "/v1/models/acme/m", spec); r.code != http.StatusCreated {
+		t.Fatalf("register: %d %s", r.code, r.body)
+	}
+	if r := post(t, "/v1/infer/acme/nosuch", []byte("not json")); r.code != http.StatusNotFound {
+		t.Fatalf("unknown model: status %d (%s), want 404", r.code, r.body)
+	}
+	limit := maxInferBody(shape.shape())
+	canonical, err := json.Marshal(inferRequest{Dims: []int{1, 8, 8, 8}, Data: make([]float32, 8*8*8)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	padded := func(n int64) []byte {
+		return append(canonical, bytes.Repeat([]byte(" "), int(n)-len(canonical))...)
+	}
+	for _, tc := range []struct {
+		name string
+		body any
+		want int
+	}{
+		{"at the cap", padded(limit), http.StatusOK},
+		{"at the cap, chunked", io.MultiReader(bytes.NewReader(padded(limit))), http.StatusOK},
+		{"past the cap", padded(limit + 1), http.StatusRequestEntityTooLarge},
+		{"past the cap, chunked", io.MultiReader(bytes.NewReader(padded(limit + 1))), http.StatusRequestEntityTooLarge},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if r := post(t, "/v1/infer/acme/m", tc.body); r.code != tc.want {
+				t.Fatalf("status %d (%.200s), want %d", r.code, r.body, tc.want)
 			}
 		})
 	}

@@ -152,6 +152,8 @@ type Plan struct {
 	family   *kernelFamily // body bound at plan time: the standard family (dispatch.go)
 	ep       epilogue      // normalised fused epilogue
 	inPlace  bool          // 1×1 unpadded: NCHW tiles are read where they lie, never packed
+	outP     int           // Shape.P(), solved once: the tile store and the worker read it per block
+	outQ     int           // Shape.Q()
 
 	// The static thread grid (§6) is a pure function of the plan, so
 	// the per-dimension worker ranges are solved once here instead of
@@ -233,7 +235,7 @@ func TryNewPlan(s conv.Shape, opt Options) (*Plan, error) {
 	if err := validateOptions(s, opt); err != nil {
 		return nil, err
 	}
-	p := &Plan{Shape: s, opts: opt}
+	p := &Plan{Shape: s, opts: opt, outP: s.P(), outQ: s.Q()}
 	p.platform = genericPlatform
 	if opt.Platform != nil {
 		p.platform = *opt.Platform
@@ -262,7 +264,7 @@ func TryNewPlan(s conv.Shape, opt Options) (*Plan, error) {
 		p.CT.Tk = max(p.RT.Vk, opt.ForceTk/p.RT.Vk*p.RT.Vk)
 	}
 	if opt.ForceTh > 0 {
-		p.CT.Th = min(opt.ForceTh, s.P())
+		p.CT.Th = min(opt.ForceTh, p.outP)
 	}
 
 	p.TM = model.SolveThreadMapping(s, p.platform.Alpha, p.threads, p.RT.Vk)
@@ -275,11 +277,11 @@ func TryNewPlan(s conv.Shape, opt Options) (*Plan, error) {
 	// et al. — at any stride.
 	p.inPlace = s.R == 1 && s.S == 1 && s.Pad == 0
 
-	qTiles := (s.Q() + p.RT.Vw - 1) / p.RT.Vw
+	qTiles := (p.outQ + p.RT.Vw - 1) / p.RT.Vw
 	kBlocks := (s.K + p.RT.Vk - 1) / p.RT.Vk
 	p.kRanges = parallel.Split(kBlocks, p.TM.PTk)
 	p.nRanges = parallel.Split(s.N, p.TM.PN)
-	p.hRanges = parallel.Split(s.P(), p.TM.PH)
+	p.hRanges = parallel.Split(p.outP, p.TM.PH)
 	p.wRanges = parallel.Split(qTiles, p.TM.PW)
 	return p, nil
 }

@@ -345,7 +345,7 @@ func (p *Plan) worker(in, filter, pre, out, res []float32, nchw bool,
 	s := p.Shape
 	vw, vk := p.RT.Vw, p.RT.Vk
 	tc, tk, th := p.CT.Tc, p.CT.Tk, p.CT.Th
-	q := s.Q()
+	q := p.outQ
 	wIn := (vw-1)*s.Str + s.S
 	rsv := s.R * s.S * vk // one channel's slab in a transformed block
 	acc := &ws.acc

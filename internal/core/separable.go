@@ -156,7 +156,7 @@ func TryNewSeparablePlan(shape SeparableShape, opt Options) (*SeparablePlan, err
 				th = byBal
 			}
 		}
-		p.rowTile = max(th, 1)
+		p.rowTile = balancedRowTile(pp, max(th, 1), shape.N, p.threads)
 	}
 	p.tiles = (pp + p.rowTile - 1) / p.rowTile
 	p.cells = shape.N * p.tiles
@@ -164,6 +164,23 @@ func TryNewSeparablePlan(shape SeparableShape, opt Options) (*SeparablePlan, err
 	p.midLen = shape.C * p.rowTile * q
 	p.preLen = (shape.K + 7) / 8 * shape.C * 8
 	return p, nil
+}
+
+// balancedRowTile is the tallest row tile of at most th rows (the cache
+// and balance bounds) whose N·⌈pp/tile⌉ cells are a multiple of the
+// worker count, so that no worker idles a cell while another finishes
+// its last: F29_30 (P = 112, th = 18) at two workers makes 7 cells, 4
+// and 3, where a 14-row tile makes 8, 4 and 4. A count no shorter tile
+// reaches within threads more tiles keeps th.
+func balancedRowTile(pp, th, n, threads int) int {
+	first := (pp + th - 1) / th
+	for tiles := first; tiles <= min(pp, first+threads); tiles++ {
+		t := (pp + tiles - 1) / tiles
+		if n*((pp+t-1)/t)%threads == 0 {
+			return t
+		}
+	}
+	return th
 }
 
 // KernelNames reports what each stage's next execution runs.

@@ -414,3 +414,30 @@ func TestSeparableNeverMaterializesIntermediate(t *testing.T) {
 		t.Fatalf("rowTile=%d covers the whole output height %d: fusion degenerates to materialization", p.rowTile, sh.P())
 	}
 }
+
+// TestSeparableCellsSplitEvenly: at two workers the fused MobileNet
+// blocks 29–30 and 31–32 give every worker the same number of grid
+// cells, within the cache bound on the row-tile intermediate.
+func TestSeparableCellsSplitEvenly(t *testing.T) {
+	for _, ids := range [][2]int{{29, 30}, {31, 32}} {
+		dw, ok1 := conv.LayerByID(ids[0])
+		pw, ok2 := conv.LayerByID(ids[1])
+		if !ok1 || !ok2 {
+			t.Fatalf("rows %v missing", ids)
+		}
+		d := dw.Shape
+		sh := SeparableShape{N: 1, C: d.C, H: d.H, W: d.W, K: pw.Shape.K, R: d.R, S: d.S, Str: d.Str, Pad: d.Pad}
+		p, err := TryNewSeparablePlan(sh, Options{Threads: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rg := range p.ranges {
+			if got, want := rg.Hi-rg.Lo, p.cells/len(p.ranges); got != want || p.cells%len(p.ranges) != 0 {
+				t.Fatalf("rows %v: %d cells of %d rows over %d workers split %v", ids, p.cells, p.rowTile, len(p.ranges), p.ranges)
+			}
+		}
+		if 4*p.midLen > sepMidBudget {
+			t.Fatalf("rows %v: %d-row tile needs %d bytes of intermediate, over the %d budget", ids, p.rowTile, 4*p.midLen, sepMidBudget)
+		}
+	}
+}

@@ -27,11 +27,10 @@ import "ndirect/internal/simd"
 // is nil.
 func (p *Plan) store(vst tileStore, acc *accFile8, out, res []float32, nchw bool,
 	n, kBase, kHi, oh, qt0, vwEff int, firstC, lastC bool) {
-	s := p.Shape
-	pp, q := s.P(), s.Q()
-	base, stride := ((n*pp+oh)*q+qt0)*s.K+kBase, s.K
+	pp, q, k := p.outP, p.outQ, p.Shape.K
+	base, stride := ((n*pp+oh)*q+qt0)*k+kBase, k
 	if nchw {
-		base, stride = ((n*s.K+kBase)*pp+oh)*q+qt0, pp*q
+		base, stride = ((n*k+kBase)*pp+oh)*q+qt0, pp*q
 	}
 	var ep *epilogue
 	var resT []float32

@@ -5,7 +5,8 @@
 # checksum verification running) and the small-shape steady path must
 # report exactly 0 allocs/op (the deterministic counterpart assertion
 # is core.TestSteadyStateZeroAllocs, run first), and so must ndserve's
-# /v1/infer response appender. A regression that
+# /v1/infer response appender; its request decoder may allocate the
+# input tensor and nothing else. A regression that
 # makes the hot loop allocate fails this script even when it is too
 # small to move wall-clock benchmarks.
 set -eu
@@ -54,4 +55,23 @@ for bench in packed-pooled packed-pooled-sentinel SmallConvServing/steady Separa
     esac
 done
 
-echo "OK: steady-state paths and the response appender allocation-free"
+# The /v1/infer request decoder allocates the input tensor it decodes
+# into, which is the Tensor, its Dims and its Data: 3 allocations, and
+# not one more, on an integral and a fractional body alike.
+echo "==> /v1/infer request decoder (100 measured iterations, allocs gate: the input tensor's 3)"
+req=$(go test -run '^$' -bench 'InferRequest$' -benchtime=100x ./cmd/ndserve)
+echo "$req"
+for bench in InferRequest/integral InferRequest/nonintegral; do
+    line=$(echo "$req" | grep -E "$bench(-[0-9]+)?[[:space:]]" || true)
+    if [ -z "$line" ]; then
+        echo "FAIL: benchmark $bench did not run" >&2
+        exit 1
+    fi
+    allocs=$(echo "$line" | sed -n 's/.* \([0-9][0-9]*\) allocs\/op.*/\1/p')
+    if [ -z "$allocs" ] || [ "$allocs" -gt 3 ]; then
+        echo "FAIL: $bench allocates more than the input tensor: $line" >&2
+        exit 1
+    fi
+done
+
+echo "OK: steady-state paths and the response appender allocation-free, the request decoder at the input tensor's 3 allocations"

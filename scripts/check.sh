@@ -174,6 +174,9 @@ go test -run='^$' -fuzz=FuzzDepthwiseBody -fuzztime=10s ./internal/core
 echo "==> fuzz smoke: FuzzInferResponse (10s, ndserve's /v1/infer response appender vs encoding/json)"
 go test -run='^$' -fuzz=FuzzInferResponse -fuzztime=10s ./cmd/ndserve
 
+echo "==> fuzz smoke: FuzzInferRequest (10s, ndserve's /v1/infer request decoder vs encoding/json)"
+go test -run='^$' -fuzz=FuzzInferRequest -fuzztime=10s ./cmd/ndserve
+
 echo "==> ndserve selftest (multi-tenant HTTP lifecycle + concurrent burst)"
 go run ./cmd/ndserve -selftest
 
