@@ -20,6 +20,7 @@ import (
 	"ndirect/internal/hw"
 	"ndirect/internal/im2col"
 	"ndirect/internal/nn"
+	"ndirect/internal/serve"
 	"ndirect/internal/tensor"
 	"ndirect/internal/xnn"
 	"ndirect/internal/xsmm"
@@ -481,11 +482,11 @@ func BenchmarkEngineSteadyState(b *testing.B) {
 	// silent-corruption defense active: packed-filter checksum
 	// verification sampled aggressively (every 64th consumption instead
 	// of the production default) and a serving runtime whose integrity
-	// sentinel probes kernel families in the background — its gate
-	// sees no traffic, so it probes at the full configured rate. The
-	// hot path must stay at 0 allocs/op (scripts/bench_smoke.sh gates
-	// on it) and within noise of packed-pooled; EXPERIMENTS.md records
-	// the measured delta.
+	// sentinel probes kernel families in the background — no registry
+	// serves a model on it, so no tenant gate holds a probe back and it
+	// probes at the full configured rate. The hot path must stay at 0
+	// allocs/op (scripts/bench_smoke.sh gates on it) and within noise of
+	// packed-pooled; EXPERIMENTS.md records the measured delta.
 	b.Run("packed-pooled-sentinel", func(b *testing.B) {
 		core.SetPackedVerifyInterval(64)
 		defer core.SetPackedVerifyInterval(core.DefaultPackedVerifyInterval)
@@ -497,11 +498,11 @@ func BenchmarkEngineSteadyState(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		srv := ndirect.NewServer(ndirect.ServeConfig{
+		rt := serve.New(serve.Config{
 			SentinelInterval: 2 * time.Millisecond,
 			Options:          core.Options{Threads: 1},
 		})
-		defer srv.Close()
+		defer rt.Close()
 		runPackedPooled(b)
 	})
 }

@@ -406,7 +406,7 @@ func main() {
 	quarCooldown := flag.Duration("quar-cooldown", 30*time.Second, "quarantine cooldown before a probe")
 	batchWindow := flag.Duration("batch-window", 0, "Deprecated: ignored; kept until benchmark/ stops setting it")
 	flag.Int("batch-max", 0, "Deprecated: ignored; kept until benchmark/ stops setting it")
-	sentinel := flag.Duration("sentinel", time.Second, "integrity sentinel probe interval (0 = disabled); probes run only while the admission gate is idle")
+	sentinel := flag.Duration("sentinel", time.Second, "integrity sentinel probe interval (0 = disabled); probes run only while the tenant admission gate is idle")
 	selftest := flag.Bool("selftest", false, "run the scripted multi-tenant exercise against a loopback server and exit")
 	flag.Parse()
 
@@ -419,8 +419,6 @@ func main() {
 		*sentinel = 2 * time.Millisecond
 	}
 	rt := serve.New(serve.Config{
-		MaxInFlight:      *inFlight,
-		MaxQueue:         *queue,
 		SentinelInterval: *sentinel,
 		Options:          core.Options{Threads: *threads},
 	})

@@ -131,15 +131,11 @@ func main() {
 		os.Exit(2)
 	}
 
-	cfg := serve.Config{
-		MaxInFlight: *inFlight,
-		MaxQueue:    2 * *inFlight,
-		Options:     core.Options{Threads: *threads},
-	}
+	cfg := serve.Config{Options: core.Options{Threads: *threads}}
 	if *integrity {
-		// The sentinel probes only while both the runtime gate and the
-		// tenant gate are idle, so a short interval turns every lull in
-		// the storm into a verification pass.
+		// The sentinel probes only while the tenant gate is idle, so a
+		// short interval turns every lull in the storm into a
+		// verification pass.
 		cfg.SentinelInterval = 2 * time.Millisecond
 		// Tighten checksum sampling from the production default so the
 		// sampled (not just injection-forced) verification path fires

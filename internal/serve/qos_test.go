@@ -206,3 +206,118 @@ func TestTenantGateDeadlineWhileQueued(t *testing.T) {
 		t.Fatal("slot not retired")
 	}
 }
+
+// TestTenantGateReleaseIdempotent: calling release twice must free the
+// slot once — a second call that handed the slot on again would admit
+// two waiters into one slot, and over-admit forever after.
+func TestTenantGateReleaseIdempotent(t *testing.T) {
+	g := NewTenantGate(1, 4)
+	hold, err := g.Acquire(context.Background(), "holder", ClassStandard, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	granted := make(chan func(), 2)
+	for i := 0; i < 2; i++ {
+		go func() {
+			rel, err := g.Acquire(context.Background(), "waiter", ClassPremium, 0)
+			if err != nil {
+				t.Errorf("waiter acquire: %v", err)
+				granted <- func() {}
+				return
+			}
+			granted <- rel
+		}()
+	}
+	waitQueued(t, g, 2)
+	hold()
+	hold() // second call must be a no-op
+	rel := <-granted
+	if st := g.Stats(); st.InFlight != 1 || st.Queued != 1 {
+		t.Fatalf("after a double release: InFlight %d Queued %d, want 1 and 1", st.InFlight, st.Queued)
+	}
+	rel()
+	rel()
+	(<-granted)()
+	if st := g.Stats(); st.InFlight != 0 || st.Queued != 0 || st.Tenants != 0 {
+		t.Fatalf("gate not drained: %+v", st)
+	}
+	// The single slot must still behave as a single slot.
+	rel2, err := g.Acquire(context.Background(), "t", ClassStandard, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.Stats().InFlight != 1 {
+		t.Fatalf("InFlight = %d with one holder, want 1", g.Stats().InFlight)
+	}
+	rel2()
+}
+
+// TestTenantGateClamps: NewTenantGate(0, -1) clamps to one slot and no
+// queue, so the first caller is admitted and a second, of any class,
+// fails fast instead of waiting.
+func TestTenantGateClamps(t *testing.T) {
+	g := NewTenantGate(0, -1)
+	rel, err := g.Acquire(context.Background(), "t", ClassBatch, 0)
+	if err != nil {
+		t.Fatalf("clamped gate refused first caller: %v", err)
+	}
+	if _, err := g.Acquire(context.Background(), "t", ClassPremium, 0); !errors.Is(err, core.ErrOverloaded) {
+		t.Fatalf("want immediate overload with zero queue, got %v", err)
+	}
+	if st := g.Stats(); st.Queued != 0 || st.ShedFull[ClassPremium] != 1 {
+		t.Fatalf("stats = %+v, want nothing queued and one premium shed-full", st)
+	}
+	rel()
+}
+
+// TestTenantGateInFlightCoherentUnderRace: the in-flight count stays
+// coherent under concurrent acquire/release/read — never above the
+// configured ceiling, never negative, and exactly zero once everything
+// has drained. Run with -race.
+func TestTenantGateInFlightCoherentUnderRace(t *testing.T) {
+	const maxInFlight = 4
+	g := NewTenantGate(maxInFlight, 64)
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	readers.Add(1)
+	go func() {
+		defer readers.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if n := g.Stats().InFlight; n < 0 || n > maxInFlight {
+				t.Errorf("InFlight = %d, want 0..%d", n, maxInFlight)
+				return
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for i := 0; i < 16; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			class := QoSClass(i % NumQoSClasses)
+			for j := 0; j < 200; j++ {
+				release, err := g.Acquire(context.Background(), "t", class, 0)
+				if err != nil {
+					if !errors.Is(err, core.ErrOverloaded) {
+						t.Errorf("rejection is %v, want ErrOverloaded", err)
+						return
+					}
+					continue
+				}
+				release()
+				release() // idempotent: must not double-decrement
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	readers.Wait()
+	if st := g.Stats(); st.InFlight != 0 || st.Queued != 0 || st.Tenants != 0 {
+		t.Fatalf("drained gate: %+v, want nothing in flight, queued or outstanding", st)
+	}
+}

@@ -41,6 +41,9 @@ type RegistryConfig struct {
 	// Runtime supplies the shared serving substrate: plan cache,
 	// integrity sentinel and engine thread count. Nil builds a
 	// default Runtime.
+	//
+	// Deprecated: kept until benchmark/ stops setting it; the runtime's
+	// state is to move into the Registry (ROADMAP item 10).
 	Runtime *Runtime
 	// MaxInFlight / MaxQueue size the tenant admission gate (see
 	// NewTenantGate; <= 0 selects one in-flight slot per core and an
@@ -156,9 +159,6 @@ func NewRegistry(cfg RegistryConfig) *Registry {
 	return r
 }
 
-// Runtime returns the shared serving substrate.
-func (r *Registry) Runtime() *Runtime { return r.rt }
-
 // WeightBudget returns the weight-residency accountant (for the soak
 // harness's drain-to-baseline checks).
 func (r *Registry) WeightBudget() *Budget { return r.weights }
@@ -203,7 +203,7 @@ func (r *Registry) Register(tenant, model string, net *nn.Network) error {
 	}
 	e.eng = &nn.Engine{
 		Algo:         nn.AlgoNDirect,
-		Threads:      r.rt.engine.Threads,
+		Threads:      r.rt.threads,
 		Reuse:        true,
 		Plans:        r.rt.plans,
 		OnPackAdmit:  func(bytes int64) bool { return r.admitWeights(e, bytes) },
@@ -604,6 +604,11 @@ type RegistryStats struct {
 	ReferenceInfers uint64
 	Restores        uint64
 
+	// Runtime snapshots the shared substrate (plan cache, sentinel,
+	// integrity and worker-pool counters).
+	//
+	// Deprecated: kept until benchmark/ stops reading it; the counters
+	// are to move up into RegistryStats (ROADMAP item 10).
 	Runtime Stats
 }
 

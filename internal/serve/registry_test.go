@@ -360,8 +360,9 @@ func TestRegistryQuarantineIsolatesFaultingModel(t *testing.T) {
 // finish bit-exact or fail with a typed sentinel, and after the drain
 // the weight budget must return to baseline (zero).
 func TestRegistryConcurrentChurnRace(t *testing.T) {
+	rt := New(Config{})
 	r := NewRegistry(RegistryConfig{
-		Runtime:          New(Config{MaxInFlight: 4}),
+		Runtime:          rt,
 		MaxInFlight:      4,
 		MaxQueue:         8,
 		WeightLimitBytes: 1 << 20,
@@ -425,7 +426,7 @@ func TestRegistryConcurrentChurnRace(t *testing.T) {
 		filter := testShape.NewFilter()
 		fillInts(filter, 88)
 		for i := 0; i < iters; i++ {
-			plan, err := r.Runtime().PlanCache().Get(testShape.WithBatch(1+i%3), core.Options{Threads: 2})
+			plan, err := rt.PlanCache().Get(testShape.WithBatch(1+i%3), core.Options{Threads: 2})
 			if err != nil {
 				t.Errorf("plan: %v", err)
 				return

@@ -2,13 +2,13 @@ package serve
 
 // The integrity sentinel (DESIGN.md §12): a background prober that
 // spends idle cycles re-proving the bit-exactness contract the fast
-// paths rest on. Each tick, if and only if the runtime's admission
-// gate and the tenant gate of every registry with a model target are
-// fully idle (nothing in flight, nothing queued — the sentinel never
-// competes with a real request for a core), one round-robin target is
-// probed with a golden full-mantissa input — every tap rounds, so a body
-// that breaks the one-rounding-per-tap contract diverges — and compared
-// bit-for-bit against the plan's oracle, the looped body run serially:
+// paths rest on. Each tick, if and only if the tenant gate of every
+// registry with a model target is fully idle (nothing in flight,
+// nothing queued — the sentinel never competes with a real request
+// for a core), one round-robin target is probed with a golden
+// full-mantissa input — every tap rounds, so a body that breaks the
+// one-rounding-per-tap contract diverges — and compared bit-for-bit
+// against the plan's oracle, the looped body run serially:
 //
 //   - kernel-family targets: every registered dispatch family
 //     (core.KernelFamilyNames) through core.VerifyKernelFamily. A
@@ -129,9 +129,6 @@ func (s *sentinel) loop() {
 // probe is skipped for load, so a busy runtime cycles fairly through
 // its targets during whatever idle windows it does get.
 func (s *sentinel) tick(fams []string) {
-	if s.rt.gate.InFlight() != 0 || s.rt.gate.Queued() != 0 {
-		return // a real request is (or is about to be) running: stay out of its way
-	}
 	s.mu.Lock()
 	total := len(fams) + len(s.models)
 	if total == 0 {
@@ -140,9 +137,9 @@ func (s *sentinel) tick(fams []string) {
 	}
 	i := s.cursor % total
 	s.cursor++
-	// Registry requests admit through their tenant gate, never the
-	// runtime gate: every probe, kernel family or model, waits until
-	// no registry that owns a model target has one in flight or queued.
+	// A real request is (or is about to be) running: stay out of its
+	// way. Every probe, kernel family or model, waits until no registry
+	// that owns a model target has one in flight or queued.
 	for _, t := range s.models {
 		if !t.idle() {
 			s.mu.Unlock()

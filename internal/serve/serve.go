@@ -5,8 +5,8 @@
 // ladder, packed weights, checksums). Around that path the package adds
 // the process-level protections a deployment needs:
 //
-//   - Admission control (Gate, TenantGate): a hard in-flight limit plus
-//     a bounded, deadline-aware wait queue, per-tenant QoS classes and
+//   - Admission control (TenantGate): a hard in-flight limit plus a
+//     bounded, deadline-aware wait queue, per-tenant QoS classes and
 //     outstanding caps. Offered load beyond the queue fails fast with
 //     core.ErrOverloaded instead of accumulating goroutines.
 //   - A weight-residency budget (Budget): packed filters are charged
@@ -24,28 +24,26 @@
 package serve
 
 import (
-	"context"
 	"sync/atomic"
 	"time"
 
 	"ndirect/internal/core"
-	"ndirect/internal/nn"
 	"ndirect/internal/parallel"
-	"ndirect/internal/tensor"
 )
 
-// Config configures a serving Runtime. The zero value yields a usable
-// runtime: one in-flight slot per core, an equally sized wait queue,
-// and a private plan cache of core.DefaultPlanCacheCap entries.
+// Config configures a serving Runtime: the substrate a Registry shares
+// across its models. The zero value yields a usable runtime: engines
+// on the default thread count, no sentinel, and a private plan cache of
+// core.DefaultPlanCacheCap entries. Admission is the Registry's
+// (RegistryConfig.MaxInFlight/MaxQueue size its TenantGate).
 type Config struct {
-	// MaxInFlight bounds concurrently executing requests. <= 0 selects
-	// one per available core (each request already spawns its own
-	// thread grid, so more in-flight convolutions than cores just
-	// multiplies scratch memory and context switches).
+	// MaxInFlight is not read.
+	//
+	// Deprecated: ignored; kept until benchmark/ stops setting it.
 	MaxInFlight int
-	// MaxQueue bounds requests waiting for a slot. 0 defaults to
-	// MaxInFlight; pass a negative value for "no queue, reject the
-	// moment all slots are taken".
+	// MaxQueue is not read.
+	//
+	// Deprecated: ignored; kept until benchmark/ stops setting it.
 	MaxQueue int
 	// BatchWindow is not read: every request runs as its own plan
 	// execution.
@@ -61,18 +59,17 @@ type Config struct {
 	// use through the runtime's own cache.
 	Options core.Options
 	// SentinelInterval enables the background integrity sentinel: every
-	// interval, while the admission gate and the tenant gate of every
-	// registry serving a model are fully idle (no request in flight or
-	// queued — the sentinel never takes a slot), one round-robin
-	// golden-shape probe runs: a registered kernel-dispatch family is
-	// re-verified bit-for-bit against the single-threaded reference
-	// (core.VerifyKernelFamily), or a registered model's fast engine is
-	// compared against its reference engine. A miscomparing
-	// kernel family is quarantined out of dispatch (every plan bound to
-	// it runs the bit-identical looped kernel from its next execution);
-	// a miscomparing model is quarantined to its reference path. Both
-	// are restored by the first clean probe. 0 (the default) disables
-	// the sentinel.
+	// interval, while the tenant gate of every registry serving a model
+	// is fully idle (no request in flight or queued — the sentinel never
+	// takes a slot), one round-robin golden-shape probe runs: a
+	// registered kernel-dispatch family is re-verified bit-for-bit
+	// against the single-threaded reference (core.VerifyKernelFamily),
+	// or a registered model's fast engine is compared against its
+	// reference engine. A miscomparing kernel family is quarantined out
+	// of dispatch (every plan bound to it runs the bit-identical looped
+	// kernel from its next execution); a miscomparing model is
+	// quarantined to its reference path. Both are restored by the first
+	// clean probe. 0 (the default) disables the sentinel.
 	SentinelInterval time.Duration
 }
 
@@ -81,12 +78,12 @@ type Config struct {
 // Deprecated: ignored; kept until benchmark/ stops using it.
 const DefaultBatchMax = 8
 
-// Runtime is the overload-safe serving runtime. All methods are safe
-// for concurrent use.
+// Runtime is the serving substrate a Registry shares across its models:
+// the plan cache, the engines' thread count, the integrity sentinel and
+// its counters. All methods are safe for concurrent use.
 type Runtime struct {
-	gate     *Gate
 	plans    *core.PlanCache
-	engine   *nn.Engine
+	threads  int       // every engine's grid size (Config.Options.Threads)
 	sentinel *sentinel // nil: sentinel disabled
 
 	// Silent-corruption defense (DESIGN.md §12).
@@ -97,20 +94,14 @@ type Runtime struct {
 }
 
 // New builds a Runtime from cfg (see Config for defaults).
+//
+// Deprecated: kept until benchmark/ stops calling it; the runtime's
+// state is to move into the Registry (ROADMAP item 10). Until then it
+// is the only way to give a Registry a sentinel or a thread count.
 func New(cfg Config) *Runtime {
-	inFlight := cfg.MaxInFlight
-	if inFlight <= 0 {
-		inFlight = parallel.DefaultThreads()
-	}
-	queue := cfg.MaxQueue
-	if queue == 0 {
-		queue = inFlight
-	}
-	plans := core.NewPlanCache(core.DefaultPlanCacheCap)
 	rt := &Runtime{
-		gate:   NewGate(inFlight, queue),
-		plans:  plans,
-		engine: &nn.Engine{Algo: nn.AlgoNDirect, Threads: cfg.Options.Threads, Reuse: true, Plans: plans},
+		plans:   core.NewPlanCache(core.DefaultPlanCacheCap),
+		threads: cfg.Options.Threads,
 	}
 	if cfg.SentinelInterval > 0 {
 		rt.sentinel = newSentinel(rt, cfg.SentinelInterval)
@@ -131,27 +122,22 @@ func (rt *Runtime) Close() {
 	}
 }
 
-// Gate returns the runtime's admission controller.
-func (rt *Runtime) Gate() *Gate { return rt.gate }
-
 // PlanCache returns the runtime's shared plan cache.
 func (rt *Runtime) PlanCache() *core.PlanCache { return rt.plans }
 
-// Forward runs a network forward pass under the runtime's admission
-// gate on its private Reuse nDirect engine (shared plan cache, packed
-// weights, governed plans). ctx also bounds the pass between layers
-// (nn.Network.TryForwardCtx).
-func (rt *Runtime) Forward(ctx context.Context, net *nn.Network, x *tensor.Tensor) (*tensor.Tensor, error) {
-	release, err := rt.gate.Acquire(ctx)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	return net.TryForwardCtx(ctx, rt.engine, x)
+// GateStats is always zero: the Registry's TenantGate is the only
+// admission gate, and its counters are RegistryStats.Gate.
+//
+// Deprecated: always 0; kept until benchmark/ stops reading it.
+type GateStats struct {
+	Admitted, Waited uint64
 }
 
 // Stats is a point-in-time snapshot of every serving counter.
 type Stats struct {
+	// Gate is always zero (see GateStats).
+	//
+	// Deprecated: always 0; kept until benchmark/ stops reading it.
 	Gate GateStats
 
 	// MemPeak, PoolHits, FreshAllocs, DegradedRuns and ReferenceRuns are
@@ -195,7 +181,6 @@ type Stats struct {
 func (rt *Runtime) Stats() Stats {
 	return Stats{
 		WorkerPool:        parallel.DefaultPool().Stats(),
-		Gate:              rt.gate.Stats(),
 		IntegrityFailures: rt.integrityFailures.Load(),
 		SentinelProbes:    rt.sentinelProbes.Load(),
 		KernelQuarantines: rt.kernelQuarantines.Load(),

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"ndirect/internal/conv"
-	"ndirect/internal/core"
 	"ndirect/internal/nn"
 	"ndirect/internal/tensor"
 )
@@ -35,59 +34,33 @@ func testOperands(s conv.Shape) (in, filter *tensor.Tensor, want *tensor.Tensor)
 	return in, filter, conv.Reference(s, in, filter)
 }
 
-// TestRuntimeDefaultsFullRunBitExact: a zero-Config runtime serves a
-// one-conv network through its gate on the governed nDirect plans,
-// bit-identical to the reference.
+// TestRuntimeDefaultsFullRunBitExact: a zero-config registry (its
+// default runtime and tenant gate) serves a one-conv network on the
+// governed nDirect plans through its shared plan cache, bit-identical
+// to the reference.
 func TestRuntimeDefaultsFullRunBitExact(t *testing.T) {
-	rt := New(Config{})
+	reg := NewRegistry(RegistryConfig{})
 	in, filter, want := testOperands(testShape)
 	net := &nn.Network{Name: "one", Layers: []nn.Layer{
 		&nn.ConvUnit{LayerName: "conv1", Shape: testShape, Weights: filter},
 	}}
-	got, err := rt.Forward(context.Background(), net, in)
+	if err := reg.Register("acme", "m", net); err != nil {
+		t.Fatal(err)
+	}
+	got, err := reg.Infer(context.Background(), "acme", "m", in)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d := tensor.MaxAbsDiff(want, got); d != 0 {
 		t.Fatalf("serve output differs from reference by %g, want bit-identical", d)
 	}
-	st := rt.Stats()
-	if st.Gate.Admitted != 1 || st.Gate.InFlight != 0 {
-		t.Fatalf("Gate.Admitted = %d InFlight = %d, want 1 and 0", st.Gate.Admitted, st.Gate.InFlight)
+	st := reg.Stats()
+	if st.Gate.Admitted[ClassBatch] != 1 || st.Gate.InFlight != 0 {
+		t.Fatalf("Gate.Admitted = %v InFlight = %d, want one batch-class admission and 0", st.Gate.Admitted, st.Gate.InFlight)
 	}
-	if st.PlanCache.Misses == 0 {
-		t.Fatalf("plan cache never consulted: %+v", st.PlanCache)
+	if st.Runtime.PlanCache.Misses == 0 {
+		t.Fatalf("plan cache never consulted: %+v", st.Runtime.PlanCache)
 	}
-}
-
-func TestForwardGatedAndOverload(t *testing.T) {
-	s := testShape
-	w := s.NewFilter()
-	fillInts(w, 3)
-	net := &nn.Network{Name: "tiny", Layers: []nn.Layer{
-		&nn.ConvUnit{LayerName: "conv1", Shape: s, Weights: w, ReLU: true},
-	}}
-	x := s.NewInput()
-	fillInts(x, 4)
-
-	rt := New(Config{MaxInFlight: 1, MaxQueue: -1})
-	out, err := rt.Forward(context.Background(), net, x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Dim(1) != s.K {
-		t.Fatalf("forward output K = %d, want %d", out.Dim(1), s.K)
-	}
-
-	// Hold the only slot: with no queue, Forward must overload fast.
-	rel, err := rt.Gate().Acquire(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := rt.Forward(context.Background(), net, x); !errors.Is(err, core.ErrOverloaded) {
-		t.Fatalf("Forward with gate held = %v, want ErrOverloaded", err)
-	}
-	rel()
 }
 
 // TestBadOperandsChargeNothing: on a warm model, an input of the wrong

@@ -35,7 +35,6 @@ import (
 	"ndirect/internal/core"
 	"ndirect/internal/hw"
 	"ndirect/internal/parallel"
-	"ndirect/internal/serve"
 	"ndirect/internal/tensor"
 )
 
@@ -123,28 +122,6 @@ func NewPlanCache(capacity int) *PlanCache { return core.NewPlanCache(capacity) 
 // PlanCacheStats is a point-in-time snapshot of a PlanCache's
 // hit/miss/eviction counters and population, via (*PlanCache).Stats.
 type PlanCacheStats = core.PlanCacheStats
-
-// Server is the serving runtime's single-model face: Forward runs a
-// network forward pass under admission control (a bounded in-flight
-// limit and a deadline-aware wait queue) on a Reuse nDirect engine that
-// shares the runtime's plan cache and executes governed plans. Requests
-// that cannot be admitted fail fast with errors wrapping ErrOverloaded.
-// Multi-tenant serving goes through serve.Registry on the same
-// runtime. See internal/serve and the README's "Serving hardening"
-// section.
-type Server = serve.Runtime
-
-// ServeConfig configures NewServer; the zero value gives one
-// in-flight request per core and an equal-size wait queue. Every
-// server has its own plan cache of core.DefaultPlanCacheCap entries.
-type ServeConfig = serve.Config
-
-// ServeStats is the Server's counter snapshot (admission, integrity
-// sentinel, worker-pool and plan-cache activity).
-type ServeStats = serve.Stats
-
-// NewServer builds an overload-safe serving runtime.
-func NewServer(cfg ServeConfig) *Server { return serve.New(cfg) }
 
 // PackedFilter is a whole-filter pre-transformation of KCRS weights
 // into the vector-blocked ⌈K/Vk⌉·C·R·S·Vk layout the micro-kernel

@@ -2,11 +2,9 @@ package ndirect
 
 import (
 	"bytes"
-	"context"
 	"math"
 	"testing"
 
-	"ndirect/internal/nn"
 	"ndirect/internal/tensor"
 )
 
@@ -142,31 +140,5 @@ func TestModelWeightsRoundTripPublic(t *testing.T) {
 	raw[0] = 'X'
 	if err := b.LoadWeights(bytes.NewReader(raw)); err == nil {
 		t.Fatal("corrupted header must be rejected")
-	}
-}
-
-func TestPublicServerSmoke(t *testing.T) {
-	s := Shape{N: 1, C: 8, H: 14, W: 14, K: 16, R: 3, S: 3, Str: 1, Pad: 1}
-	in := NewTensor(s.N, s.C, s.H, s.W)
-	in.FillRandom(1)
-	w := NewTensor(s.K, s.C, s.R, s.S)
-	w.FillRandom(2)
-	want := Conv2D(s, in, w, Options{})
-
-	srv := NewServer(ServeConfig{})
-	net := &nn.Network{Name: "one", Layers: []nn.Layer{&nn.ConvUnit{LayerName: "conv1", Shape: s, Weights: w}}}
-	got, err := srv.Forward(context.Background(), net, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := tensor.MaxAbsDiff(want, got); d != 0 {
-		t.Fatalf("served result differs from seed path by %g, want bit-identical", d)
-	}
-	st := srv.Stats()
-	if st.Gate.Admitted != 1 || st.Gate.InFlight != 0 {
-		t.Fatalf("unexpected serve stats: %+v", st)
-	}
-	if st.PlanCache.Misses == 0 {
-		t.Fatalf("plan cache never consulted: %+v", st.PlanCache)
 	}
 }

@@ -151,6 +151,31 @@ if [ -n "$files" ]; then
     exit 1
 fi
 
+# Names kept only because benchmark/ still reads or sets them (each
+# marked Deprecated: at its declaration) must not gain a caller outside
+# benchmark/: a new one would root an inert knob or an always-0 counter
+# in the program and block its deletion. Outside benchmark/ each may
+# appear only in a comment, in its declaration (a struct field, a type
+# or a const), or in ndserve's flag registration. The filter's positive
+# control must flag a use.
+echo "==> benchmark-only names: no use outside benchmark/ but their declaration"
+BENCHONLY='BatchWindow|BatchMax|DefaultBatchMax|DegradedRuns|ReferenceRuns|PoolHits|FreshAllocs|MemPeak|BatchesExecuted|BatchedRequests|BatchSoloFlushes|GateStats'
+# benchOnlyUses reads "file:line:text" grep lines and prints the uses.
+benchOnlyUses() {
+    grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' |
+        grep -vE '^[^:]+:[0-9]+:[[:space:]]*(type GateStats struct \{|const DefaultBatchMax = |Gate +GateStats$|[A-Z][A-Za-z]*(, [A-Z][A-Za-z]*)* +(int|int64|uint64|time\.Duration)$)' |
+        grep -vE '^cmd/ndserve/main\.go:[0-9]+:.*flag\.[A-Za-z]+\("batch-' || true
+}
+printf 'internal/serve/x.go:1:\tst.PoolHits = 1\n' | benchOnlyUses | grep -q . ||
+    { echo "FAIL: the benchmark-only names filter misses a use" >&2; exit 1; }
+uses=$(find . -name '*.go' -not -path './benchmark/*' | sed 's|^\./||' | sort |
+    xargs grep -nwE "$BENCHONLY" | benchOnlyUses)
+if [ -n "$uses" ]; then
+    echo "$uses" >&2
+    echo "FAIL: a name kept only for benchmark/ is used outside it (delete the use, not the guard)" >&2
+    exit 1
+fi
+
 echo "==> go test -race ./..."
 go test -race ./...
 
