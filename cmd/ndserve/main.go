@@ -100,7 +100,7 @@ type inferRequest struct {
 	Data []float32 `json:"data,omitempty"`
 }
 
-// inferResponse is the /v1/infer body; writeInferResponse writes it
+// inferResponse is the /v1/infer body; appendInferResponse writes it
 // without building one.
 type inferResponse struct {
 	Dims []int     `json:"dims"`
@@ -116,11 +116,43 @@ type tenantSpec struct {
 // stream, the same generator the soak harness uses: integer tensors
 // make every execution mode (packed, unpacked, reference) bit-exact,
 // so clients can verify responses against a local oracle.
+//
+// The stream is the 64-bit LCG x ← a·x + c, element i taken from its
+// (i+1)th state. One serial chain of multiplies would bound the fill by
+// their latency, so it runs as four interleaved chains, each stepping
+// four states at once (x ← a⁴·x + c·(a³+a²+a+1)) from the first four
+// states, which come serially: the values are the serial stream's.
+// x>>33 = y is below 2^31, so y/7 is (y·m)>>35 with m = ⌈2^35/7⌉: the
+// product fits 64 bits, and m overshoots 2^35/7 by 3/7, which adds less
+// than 2^31·(3/7)/2^35 < 1/7 to y/7, too little to reach the next
+// integer. That replaces the compiler's 32-bit division sequence, whose
+// 33-bit magic number costs a rotate through carry per element.
 func fillInts(t *tensor.Tensor, seed uint64) {
-	x := seed*2654435761 + 12345
-	for i := range t.Data {
-		x = x*6364136223846793005 + 1442695040888963407
-		t.Data[i] = float32(int64(x>>33)%7 - 3)
+	const (
+		a  = 6364136223846793005
+		c  = 1442695040888963407
+		a4 = a * a * a * a % (1 << 64) // constants are exact; the LCG is mod 2^64
+		c4 = c * (a*a*a + a*a + a + 1) % (1 << 64)
+	)
+	val := func(x uint64) float32 {
+		y := x >> 33
+		return float32(int32(y-(y*4908534053>>35)*7) - 3)
+	}
+	x0 := (seed*2654435761+12345)*a + c
+	x1 := x0*a + c
+	x2 := x1*a + c
+	x3 := x2*a + c
+	d := t.Data
+	i := 0
+	for ; i+4 <= len(d); i += 4 {
+		d[i], d[i+1], d[i+2], d[i+3] = val(x0), val(x1), val(x2), val(x3)
+		x0, x1, x2, x3 = x0*a4+c4, x1*a4+c4, x2*a4+c4, x3*a4+c4
+	}
+	for _, x := range [...]uint64{x0, x1, x2} {
+		if i < len(d) {
+			d[i] = val(x)
+			i++
+		}
 	}
 }
 
@@ -261,7 +293,9 @@ func (s *server) handleUnregister(w http.ResponseWriter, r *http.Request) {
 
 // handleInfer looks the model up, reads its body (at most
 // maxInferBody bytes, else 413) into a pooled buffer, takes the input
-// tensor from it and answers with the output from the same buffer.
+// tensor from it (from inputPools, to which it returns after a
+// successful inference) and answers with the output encoded into the
+// same buffer.
 func (s *server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	tenant, model := r.PathValue("tenant"), r.PathValue("model")
 	s.mu.Lock()
@@ -291,12 +325,18 @@ func (s *server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	out, err := s.reg.Infer(r.Context(), tenant, model, x)
+	// The output is encoded while the registry still holds it; the
+	// body is decoded, so its buffer takes the answer.
+	var encErr error
+	err = s.reg.InferFunc(r.Context(), tenant, model, x, func(out *tensor.Tensor) {
+		*bp, encErr = appendInferResponse((*bp)[:0], out.Dims, out.Data)
+	})
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
-	writeInferResponse(w, bp, out.Dims, out.Data)
+	putInput(x)
+	writeInferResponse(w, *bp, encErr)
 }
 
 // inferInput is the input tensor body asks for on a model whose input
@@ -308,10 +348,17 @@ func inferInput(body []byte, shape conv.Shape) (*tensor.Tensor, error) {
 		return inferInputJSON(body, shape)
 	}
 	if x == nil {
-		x = shape.NewInput()
-		fillInts(x, seed)
+		x = seededInput(shape, seed)
 	}
 	return x, nil
+}
+
+// seededInput is the input a {"seed":n} body asks for on a model whose
+// input has shape: a tensor from getInput filled by fillInts.
+func seededInput(shape conv.Shape, seed uint64) *tensor.Tensor {
+	x := getInput([4]int{shape.N, shape.C, shape.H, shape.W})
+	fillInts(x, seed)
+	return x
 }
 
 // inferInputJSON decodes body with encoding/json. Every error it returns
@@ -323,9 +370,7 @@ func inferInputJSON(body []byte, shape conv.Shape) (*tensor.Tensor, error) {
 	}
 	switch {
 	case req.Seed != nil:
-		x := shape.NewInput()
-		fillInts(x, *req.Seed)
-		return x, nil
+		return seededInput(shape, *req.Seed), nil
 	case len(req.Dims) == 4 && len(req.Data) > 0:
 		// Check every dim before multiplying, so a negative pair or an
 		// overflowing product can never match len(data) and reach

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -14,6 +15,7 @@ import (
 	"testing"
 
 	"ndirect/internal/conv"
+	"ndirect/internal/core"
 	"ndirect/internal/nn"
 	"ndirect/internal/serve"
 	"ndirect/internal/tensor"
@@ -332,4 +334,110 @@ func TestInferBodyCap(t *testing.T) {
 			}
 		})
 	}
+}
+
+// fillIntsSerial is fillInts' stream in its defining serial form, the
+// one cmd/ndsoak and the benchmark's oracle run.
+func fillIntsSerial(t *tensor.Tensor, seed uint64) {
+	x := seed*2654435761 + 12345
+	for i := range t.Data {
+		x = x*6364136223846793005 + 1442695040888963407
+		t.Data[i] = float32(int64(x>>33)%7 - 3)
+	}
+}
+
+// TestFillIntsMatchesSerial: the interleaved fillInts writes the serial
+// stream's values, for every length the four chains and their tail can
+// split into and for an http_mid input.
+func TestFillIntsMatchesSerial(t *testing.T) {
+	lengths := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 32 * 28 * 28}
+	for seed := uint64(0); seed < 50; seed++ {
+		for _, n := range lengths {
+			got, want := tensor.New(n), tensor.New(n)
+			fillInts(got, seed*0x9e3779b97f4a7c15)
+			fillIntsSerial(want, seed*0x9e3779b97f4a7c15)
+			for i := range want.Data {
+				if got.Data[i] != want.Data[i] {
+					t.Fatalf("seed %d, length %d: element %d = %g, serial stream %g", seed*0x9e3779b97f4a7c15, n, i, got.Data[i], want.Data[i])
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkFillInts is fillInts on an http_mid input, with the serial
+// form beside it.
+func BenchmarkFillInts(b *testing.B) {
+	for _, f := range []struct {
+		name string
+		fill func(*tensor.Tensor, uint64)
+	}{{"interleaved", fillInts}, {"serial", fillIntsSerial}} {
+		b.Run(f.name, func(b *testing.B) {
+			x := tensor.New(1, 32, 28, 28)
+			for i := 0; i < b.N; i++ {
+				f.fill(x, uint64(i))
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(x.Data)), "ns/elem")
+		})
+	}
+}
+
+// midSpec is http_mid's model: 32 channels of 28×28 through a 3×3
+// conv with ReLU.
+var midSpec = modelSpec{Seed: 13, ReLU: true, Shape: &shapeSpec{C: 32, H: 28, W: 28, K: 32, R: 3, S: 3, Stride: 1, Pad: 1}}
+
+// BenchmarkRegistryInferFunc is handleInfer's work for a {"seed":n}
+// request on http_mid's model, without the HTTP: the input drawn from
+// inputPools and filled by fillInts, the forward through
+// Registry.InferFunc with the output encoded inside use, and the input
+// put back. At steady state both tensors are recycled, so what is
+// allocated per request is small change (scripts/bench_smoke.sh gates
+// it at 1 KiB/op). BenchmarkRegistryInfer is the same request through
+// Registry.Infer, whose output is the caller's to keep.
+func BenchmarkRegistryInferFunc(b *testing.B) { benchmarkRegistry(b, true) }
+
+func BenchmarkRegistryInfer(b *testing.B) { benchmarkRegistry(b, false) }
+
+func benchmarkRegistry(b *testing.B, recycle bool) {
+	rt := serve.New(serve.Config{Options: core.Options{Threads: 2}})
+	defer rt.Close()
+	reg := serve.NewRegistry(serve.RegistryConfig{Runtime: rt})
+	net, shape := buildNet("bench/mid", midSpec)
+	if err := reg.Register("bench", "mid", net); err != nil {
+		b.Fatal(err)
+	}
+	var body []byte
+	var encErr error
+	request := func(seed uint64) error {
+		x := seededInput(shape, seed)
+		if !recycle {
+			out, err := reg.Infer(context.Background(), "bench", "mid", x)
+			if err != nil {
+				return err
+			}
+			body, err = appendInferResponse(body[:0], out.Dims, out.Data)
+			return err
+		}
+		err := reg.InferFunc(context.Background(), "bench", "mid", x, func(out *tensor.Tensor) {
+			body, encErr = appendInferResponse(body[:0], out.Dims, out.Data)
+		})
+		if err != nil {
+			return err
+		}
+		putInput(x)
+		return encErr
+	}
+	for i := 0; i < 3; i++ { // plans, packed weights, pools
+		if err := request(uint64(i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := request(uint64(i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	sinkBytes = body
 }

@@ -1,9 +1,11 @@
 package main
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -27,6 +29,39 @@ func putWireBuf(bp *[]byte) {
 	}
 }
 
+// inputPools recycles /v1/infer input tensors: element count → a
+// *sync.Pool of *tensor.Tensor with that many elements. Only the input
+// of a successful inference is put back, so the counts are those of
+// the registered models' inputs (and the batches of them the body cap
+// admits), never one a client picks: the map stays small. A body the
+// decoder declines leaves its tensor to the collector.
+var inputPools sync.Map
+
+// getInput returns a tensor of the given dims from inputPools, or a
+// fresh one when none is parked. A pooled tensor still holds a dead
+// request's values: the caller writes every element.
+func getInput(dims [4]int) *tensor.Tensor {
+	n := dims[0] * dims[1] * dims[2] * dims[3]
+	if p, ok := inputPools.Load(n); ok {
+		if x, _ := p.(*sync.Pool).Get().(*tensor.Tensor); x != nil {
+			x.Dims = append(x.Dims[:0], dims[:]...)
+			return x
+		}
+	}
+	return &tensor.Tensor{Dims: append(make([]int, 0, 4), dims[:]...), Data: make([]float32, n)}
+}
+
+// putInput parks x in inputPools for a later getInput. The caller must
+// hold the only reference: not after a failed inference, whose
+// abandoned workers may still read x.
+func putInput(x *tensor.Tensor) {
+	p, ok := inputPools.Load(len(x.Data))
+	if !ok {
+		p, _ = inputPools.LoadOrStore(len(x.Data), new(sync.Pool))
+	}
+	p.(*sync.Pool).Put(x)
+}
+
 // The /v1/infer body cap: bodyBytesPerElem bytes per element of the
 // model's input plus bodyAllowance for the dims, the keys and
 // whitespace. encoding/json writes no float32 in more than 22 bytes
@@ -44,27 +79,26 @@ func maxInferBody(s conv.Shape) int64 {
 	return bodyBytesPerElem*int64(s.N)*int64(s.C)*int64(s.H)*int64(s.W) + bodyAllowance
 }
 
-// writeInferResponse answers an inference with its output tensor,
-// written straight from dims and data into *bp in one Write with
-// Content-Length set. An output holding NaN or ±Inf has no JSON form:
-// the request is answered 422 with the index of the first such element.
-func writeInferResponse(w http.ResponseWriter, bp *[]byte, dims []int, data []float32) {
-	b, err := appendInferResponse((*bp)[:0], dims, data)
-	*bp = b
+// writeInferResponse answers an inference with body, the output
+// tensor as appendInferResponse wrote it, in one Write with
+// Content-Length set; or, when the appender failed with err (an output
+// holding NaN or ±Inf has no JSON form), 422 with err's text, which
+// names the first such element.
+func writeInferResponse(w http.ResponseWriter, body []byte, err error) {
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusUnprocessableEntity)
 		return
 	}
 	h := w.Header()
 	h.Set("Content-Type", "application/json")
-	h.Set("Content-Length", strconv.Itoa(len(b)))
-	_, _ = w.Write(b) // a failed write means the client is gone; there is no one to tell
+	h.Set("Content-Length", strconv.Itoa(len(body)))
+	_, _ = w.Write(body) // a failed write means the client is gone; there is no one to tell
 }
 
 // decodeInferRequest parses a /v1/infer body in one of its two
 // canonical forms, {"dims":[4 ints],"data":[numbers]} or {"seed":n},
-// with JSON whitespace anywhere: the first straight into a fresh input
-// tensor x, the second into seed (x nil). It accepts only bodies that
+// with JSON whitespace anywhere: the first straight into an input tensor
+// x from getInput, the second into seed (x nil). It accepts only bodies that
 // json.NewDecoder decodes into inferRequest with the same values: exact
 // lowercase unescaped keys, each once, dims before data, nothing but
 // whitespace after the object, numbers by the JSON grammar and read by
@@ -72,7 +106,7 @@ func writeInferResponse(w http.ResponseWriter, bp *[]byte, dims []int, data []fl
 // [1, conv.MaxDim] and as many data elements as their product. ok is
 // false for any other body, which the caller hands to encoding/json.
 //
-// Nothing is allocated before the dims' product is bounded by
+// No tensor is drawn before the dims' product is bounded by
 // len(body)/2: every element takes at least two bytes of body, a digit
 // and a separator.
 func decodeInferRequest(body []byte) (x *tensor.Tensor, seed uint64, ok bool) {
@@ -175,9 +209,9 @@ func (d *reqDecoder) uint() (uint64, bool) {
 }
 
 // tensor reads the dims array, the "data" key and the data array into a
-// fresh tensor. The dims must be four integers in [1, conv.MaxDim]
-// whose product is at most len(body)/2, checked before the tensor is
-// allocated.
+// tensor from getInput. The dims must be four integers in [1,
+// conv.MaxDim] whose product is at most len(body)/2, checked before the
+// tensor is drawn.
 func (d *reqDecoder) tensor() (*tensor.Tensor, bool) {
 	if !d.byte('[') {
 		return nil, false
@@ -199,7 +233,7 @@ func (d *reqDecoder) tensor() (*tensor.Tensor, bool) {
 	if !d.byte(']') || !d.byte(',') || !d.key(`"data"`) || !d.byte('[') {
 		return nil, false
 	}
-	x := &tensor.Tensor{Dims: append([]int(nil), dims[:]...), Data: make([]float32, n)}
+	x := getInput(dims)
 	for i := range x.Data {
 		if i > 0 && !d.byte(',') {
 			return nil, false
@@ -278,6 +312,14 @@ func (d *reqDecoder) float32() (float32, bool) {
 // an empty one, and each element by encoding/json's float32 rule. A NaN
 // or ±Inf element, which encoding/json refuses too, is an error naming
 // its index.
+//
+// Every element is written with a leading comma, and the first comma
+// then becomes the '['. An integer in [smallIntMin, smallIntMax] —
+// nearly every element of an integer-weight model's output, half of
+// them the ReLU's zeros — is one 8-byte store from smallInts and an
+// advance by its length, with no branch on its value; every other value
+// takes appendElem. The store may write past the new length, so room
+// for one more such store is kept behind the last element.
 func appendInferResponse(b []byte, dims []int, data []float32) ([]byte, error) {
 	b = append(b, `{"dims":`...)
 	if dims == nil {
@@ -293,32 +335,79 @@ func appendInferResponse(b []byte, dims []int, data []float32) ([]byte, error) {
 		b = append(b, ']')
 	}
 	b = append(b, `,"data":`...)
-	if data == nil {
+	switch {
+	case data == nil:
 		b = append(b, "null"...)
-	} else {
-		b = append(b, '[')
+	case len(data) == 0:
+		b = append(b, "[]"...)
+	default:
+		open := len(b)
+		b = slices.Grow(b, smallIntRoom*len(data)+8)
 		for i, v := range data {
-			if i > 0 {
-				b = append(b, ',')
+			// int32(v) is implementation-defined for NaN, ±Inf and
+			// out-of-range v, but whatever it yields, only an integral v
+			// converts back to its own bits; -0 does not (int32 0 is +0).
+			n := int32(v)
+			if math.Float32bits(float32(n)) == math.Float32bits(v) && uint32(n-smallIntMin) <= smallIntMax-smallIntMin {
+				e := smallInts[n-smallIntMin]
+				l := len(b)
+				binary.LittleEndian.PutUint64(b[l:l+8], e)
+				b = b[:l+int(e>>56)]
+				continue
 			}
-			// Integral fast path: every integer of magnitude up to 2^24
-			// is a float32, and its shortest decimal form is the integer
-			// itself. Above 2^24 it is not (987654336 is written
-			// 987654340), and -0 is written "-0".
-			if v >= -(1<<24) && v <= 1<<24 {
-				if n := int32(v); float32(n) == v && (n != 0 || math.Float32bits(v) == 0) {
-					b = strconv.AppendInt(b, int64(n), 10)
-					continue
-				}
+			var err error
+			if b, err = appendElem(b, i, v); err != nil {
+				return b, err
 			}
-			if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
-				return b, fmt.Errorf("output element %d is %v, which JSON cannot represent", i, v)
-			}
-			b = appendFloat32(b, v)
+			b = slices.Grow(b, smallIntRoom*(len(data)-1-i)+8)
 		}
+		b[open] = '['
 		b = append(b, ']')
 	}
 	return append(b, "}\n"...), nil
+}
+
+// The integers smallInts holds, and the most bytes one of them takes
+// with its comma (",-1000").
+const (
+	smallIntMin  = -1000
+	smallIntMax  = 999
+	smallIntRoom = 6
+)
+
+// smallInts holds, for each integer n in [smallIntMin, smallIntMax] at
+// index n-smallIntMin, ',' and n's decimal digits as little-endian bytes
+// with their count in the top byte: 16 KB, which stays in L1 while a
+// response is written.
+var smallInts = func() (t [smallIntMax - smallIntMin + 1]uint64) {
+	for i := range t {
+		s := strconv.AppendInt([]byte{','}, int64(i+smallIntMin), 10)
+		var buf [8]byte
+		copy(buf[:], s)
+		buf[7] = byte(len(s))
+		t[i] = binary.LittleEndian.Uint64(buf[:])
+	}
+	return t
+}()
+
+// appendElem appends ',' and element i of the data, v, outside the
+// smallInts range: any other integer, a fraction, -0, or a NaN or ±Inf,
+// which is an error naming i.
+func appendElem(b []byte, i int, v float32) ([]byte, error) {
+	// Integral fast path: every integer of magnitude up to 2^24 is a
+	// float32, and its shortest decimal form is the integer itself.
+	// Above 2^24 it is not (987654336 is written 987654340), and -0 is
+	// written "-0".
+	b = append(b, ',')
+	if v >= -(1<<24) && v <= 1<<24 {
+		if n := int32(v); float32(n) == v && (n != 0 || math.Float32bits(v) == 0) {
+			return strconv.AppendInt(b, int64(n), 10), nil
+		}
+	}
+	if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
+		return b, fmt.Errorf("output element %d is %v, which JSON cannot represent", i, v)
+	}
+	return appendFloat32(b, v), nil
 }
 
 // appendFloat32 appends finite v by encoding/json's float32 rule: the

@@ -150,6 +150,39 @@ func TestInferResponseMatchesEncodingJSON(t *testing.T) {
 	})
 }
 
+// TestInferResponseSmallInts: every integer around the smallInts table,
+// each on its own, all in one response and each after a value the
+// general path writes, with the values on either side of the table's
+// admission test (-0, the 2^24 edges, 1e21, a fraction), gives
+// encoding/json's bytes; a NaN or ±Inf after table values is still
+// refused with its own index.
+func TestInferResponseSmallInts(t *testing.T) {
+	const p24 = 1 << 24
+	var all []float32
+	for n := -1000; n <= 1000; n++ {
+		v := float32(n)
+		checkMatchesStdlib(t, []int{1}, []float32{v})
+		checkMatchesStdlib(t, []int{2}, []float32{0.5, v})
+		all = append(all, v)
+	}
+	others := []float32{math.Float32frombits(1 << 31), p24, -p24, p24 + 1, 1e21, -1e21, 0.25, -999.5, 1000.5}
+	for _, v := range others {
+		checkMatchesStdlib(t, []int{1}, []float32{v})
+		checkMatchesStdlib(t, []int{3}, []float32{7, v, -7})
+	}
+	checkMatchesStdlib(t, []int{len(all)}, all)
+	mixed := append(append([]float32(nil), others...), all...)
+	checkMatchesStdlib(t, []int{len(mixed)}, mixed)
+	for _, bad := range []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))} {
+		data := []float32{1, -999, 0, 999, bad, 2}
+		_, err := appendInferResponse(nil, nil, data)
+		if err == nil || !strings.Contains(err.Error(), "element 4 ") {
+			t.Fatalf("%v at element 4 after table values: error %v, want one naming element 4", bad, err)
+		}
+		checkMatchesStdlib(t, []int{len(data)}, data)
+	}
+}
+
 // FuzzInferResponse: any float32 bit pattern, on its own and next to
 // an integral neighbour, is written as encoding/json writes it or, when
 // non-finite, refused with its index.
@@ -164,16 +197,26 @@ func FuzzInferResponse(f *testing.F) {
 	})
 }
 
-// responseData is an http_mid-sized output (32 channels of 28×28):
-// integral values as the served integer-weight models give, or
-// fractional ones as float weights would.
-func responseData(integral bool) []float32 {
+// The kinds of http_mid-sized data the benchmarks run on: integral
+// values as the served integer-weight models give, relu as their ReLU
+// output does (half zeros, the rest in [1, 300], shuffled), and
+// nonintegral ones as float weights would give.
+var dataKinds = []string{"integral", "relu", "nonintegral"}
+
+// responseData is an http_mid-sized output (32 channels of 28×28) of
+// the given kind.
+func responseData(kind string) []float32 {
 	rng := rand.New(rand.NewSource(1))
 	data := make([]float32, 32*28*28)
 	for i := range data {
-		if integral {
+		switch kind {
+		case "integral":
 			data[i] = float32(rng.Intn(401) - 200)
-		} else {
+		case "relu":
+			if rng.Intn(2) == 1 {
+				data[i] = float32(1 + rng.Intn(300))
+			}
+		default:
 			data[i] = float32(rng.NormFloat64() * 50)
 		}
 	}
@@ -190,9 +233,9 @@ var raceBuild bool
 // encoding/json on the same data. check.sh's bench smoke gates the
 // appender at 0 allocs/op.
 func BenchmarkInferResponse(b *testing.B) {
-	for _, integral := range []bool{true, false} {
-		data := responseData(integral)
-		b.Run(dataName(integral), func(b *testing.B) {
+	for _, kind := range dataKinds {
+		data := responseData(kind)
+		b.Run(kind, func(b *testing.B) {
 			buf, err := appendInferResponse(nil, []int{1, 32, 28, 28}, data)
 			if err != nil {
 				b.Fatal(err)
@@ -209,9 +252,9 @@ func BenchmarkInferResponse(b *testing.B) {
 }
 
 func BenchmarkInferResponseEncodingJSON(b *testing.B) {
-	for _, integral := range []bool{true, false} {
-		resp := inferResponse{Dims: []int{1, 32, 28, 28}, Data: responseData(integral)}
-		b.Run(dataName(integral), func(b *testing.B) {
+	for _, kind := range dataKinds {
+		resp := inferResponse{Dims: []int{1, 32, 28, 28}, Data: responseData(kind)}
+		b.Run(kind, func(b *testing.B) {
 			var buf bytes.Buffer
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -224,13 +267,6 @@ func BenchmarkInferResponseEncodingJSON(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(resp.Data)), "ns/elem")
 		})
 	}
-}
-
-func dataName(integral bool) string {
-	if integral {
-		return "integral"
-	}
-	return "nonintegral"
 }
 
 // decodeShape is the model input the request tests decode against: the
@@ -416,8 +452,8 @@ func FuzzInferRequest(f *testing.F) {
 
 // requestBody is an http_mid-sized input in the canonical form, as
 // json.Marshal writes it.
-func requestBody(integral bool) []byte {
-	b, err := json.Marshal(inferRequest{Dims: []int{1, 32, 28, 28}, Data: responseData(integral)})
+func requestBody(kind string) []byte {
+	b, err := json.Marshal(inferRequest{Dims: []int{1, 32, 28, 28}, Data: responseData(kind)})
 	if err != nil {
 		panic(err)
 	}
@@ -428,20 +464,21 @@ var sinkTensor *tensor.Tensor
 
 // BenchmarkInferRequest is the decoder on an http_mid-sized canonical
 // body, per request and per element; BenchmarkInferRequestEncodingJSON
-// is the encoding/json path on the same body. The decoder allocates the
-// input tensor and nothing else: the Tensor, its Dims and its Data, the
-// three allocations scripts/bench_smoke.sh allows it.
+// is the encoding/json path on the same body. The decoder draws the
+// input tensor from inputPools, which gets it back as handleInfer gives
+// it back after a successful inference, and allocates nothing else:
+// scripts/bench_smoke.sh gates it at 0 allocations.
 func BenchmarkInferRequest(b *testing.B) {
-	for _, integral := range []bool{true, false} {
-		body := requestBody(integral)
-		b.Run(dataName(integral), func(b *testing.B) {
+	for _, kind := range []string{"integral", "nonintegral"} {
+		body := requestBody(kind)
+		b.Run(kind, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				x, _, ok := decodeInferRequest(body)
 				if !ok {
 					b.Fatal("decoder declined a canonical body")
 				}
-				sinkTensor = x
+				putInput(x) // as handleInfer does once the inference succeeds
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(32*28*28), "ns/elem")
 		})
@@ -449,9 +486,9 @@ func BenchmarkInferRequest(b *testing.B) {
 }
 
 func BenchmarkInferRequestEncodingJSON(b *testing.B) {
-	for _, integral := range []bool{true, false} {
-		body := requestBody(integral)
-		b.Run(dataName(integral), func(b *testing.B) {
+	for _, kind := range []string{"integral", "nonintegral"} {
+		body := requestBody(kind)
+		b.Run(kind, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				x, err := inferInputJSON(body, decodeShape)

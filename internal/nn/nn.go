@@ -290,6 +290,33 @@ func (n *Network) TryForwardCtx(ctx context.Context, eng *Engine, x *tensor.Tens
 	return cur, nil
 }
 
+// TryForwardFunc is TryForwardCtx for a caller that reads the output
+// only inside use: when the forward succeeds, use runs on its output,
+// and the output's buffer then goes back to eng's pool (on a Reuse
+// engine), to be drawn by a later forward. The output must not be read
+// after use returns. On an error use does not run and nothing is
+// released: the forward already returned its dead intermediates. An
+// output that shares x's storage is never released, since it is the
+// caller's (ReLULayer returns its input, and a network of no layers
+// returns x itself).
+func (n *Network) TryForwardFunc(ctx context.Context, eng *Engine, x *tensor.Tensor, use func(out *tensor.Tensor)) error {
+	out, err := n.TryForwardCtx(ctx, eng, x)
+	if err != nil {
+		return err
+	}
+	use(out)
+	if !sharesStorage(out, x) {
+		eng.release(out)
+	}
+	return nil
+}
+
+// sharesStorage reports whether a and b are the same tensor or start
+// at the same element.
+func sharesStorage(a, b *tensor.Tensor) bool {
+	return a == b || len(a.Data) > 0 && len(b.Data) > 0 && &a.Data[0] == &b.Data[0]
+}
+
 // ConvUnits returns every convolution unit in the network in
 // execution order (recursing into residual blocks).
 func (n *Network) ConvUnits() []*ConvUnit {

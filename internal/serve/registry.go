@@ -528,8 +528,29 @@ func (r *Registry) recordOutcome(e *modelEntry, probe bool, err error) {
 // and then the forward pass between layers. Failure modes:
 // ErrUnknownModel, core.ErrOverloaded (typed, fail-fast),
 // conv.ErrDeadline (ctx done before the pass finished), or the layer's
-// execution error when every rung fails.
+// execution error when every rung fails. The output is the caller's to
+// keep; InferFunc is the form that recycles it.
 func (r *Registry) Infer(ctx context.Context, tenant, model string, x *tensor.Tensor) (*tensor.Tensor, error) {
+	return r.infer(ctx, tenant, model, x, nil)
+}
+
+// InferFunc is Infer for a caller that reads the output only inside
+// use: use runs once the forward succeeds, and the output's buffer then
+// goes back to the engine that produced it for a later request
+// (nn.Network.TryForwardFunc holds the rule). The output must not be
+// read after use returns. On an error use does not run and nothing is
+// recycled. use runs inside the request's admission slot, so live
+// outputs never outnumber the slots; it must not wait on another
+// request to this registry.
+func (r *Registry) InferFunc(ctx context.Context, tenant, model string, x *tensor.Tensor, use func(out *tensor.Tensor)) error {
+	_, err := r.infer(ctx, tenant, model, x, use)
+	return err
+}
+
+// infer is Infer (use nil: the output is returned) and InferFunc's one
+// path: admission, lookup, the quarantine ladder's engine choice, the
+// forward on that engine, and its outcome fed back to the ladder.
+func (r *Registry) infer(ctx context.Context, tenant, model string, x *tensor.Tensor, use func(out *tensor.Tensor)) (out *tensor.Tensor, err error) {
 	if _, ok := faultinject.Take(faultinject.WeightEvict); ok {
 		if e, err := r.lookup(tenant, model); err == nil {
 			r.forcedEvictions.Add(1)
@@ -547,7 +568,11 @@ func (r *Registry) Infer(ctx context.Context, tenant, model string, x *tensor.Te
 		return nil, err
 	}
 	eng, probe := r.engineFor(e)
-	out, err := e.net.TryForwardCtx(ctx, eng, x)
+	if use == nil {
+		out, err = e.net.TryForwardCtx(ctx, eng, x)
+	} else {
+		err = e.net.TryForwardFunc(ctx, eng, x, use)
+	}
 	r.recordOutcome(e, probe, err)
 	return out, err
 }
