@@ -604,21 +604,34 @@ func BenchmarkSmallConvServing(b *testing.B) {
 			ndirect.Conv2D(ndirect.Shape(s), in, w, ndirect.Options{Threads: 1})
 		}
 	})
-	b.Run("steady", func(b *testing.B) {
-		p := core.NewPlan(s, core.Options{Threads: 1})
-		pf, err := p.TransformFilter(w)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := p.TryExecutePacked(in, pf, out); err != nil { // warm scratch
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := p.TryExecutePacked(in, pf, out); err != nil {
+	// steady is a packed execution of a warm plan for s; pointwise-steady
+	// is a 1×1 stride-1 one, which runs the pointwise body where the host
+	// has AVX-512.
+	pw := conv.Shape{N: 1, C: 32, H: 28, W: 28, K: 64, R: 1, S: 1, Str: 1}
+	pwIn, pwW, pwOut := pw.NewInput(), pw.NewFilter(), pw.NewOutput()
+	pwIn.FillRandom(3)
+	pwW.FillRandom(4)
+	for _, c := range []struct {
+		name       string
+		s          conv.Shape
+		in, w, out *tensor.Tensor
+	}{{"steady", s, in, w, out}, {"pointwise-steady", pw, pwIn, pwW, pwOut}} {
+		b.Run(c.name, func(b *testing.B) {
+			p := core.NewPlan(c.s, core.Options{Threads: 1})
+			pf, err := p.TransformFilter(c.w)
+			if err != nil {
 				b.Fatal(err)
 			}
-		}
-	})
+			if err := p.TryExecutePacked(c.in, pf, c.out); err != nil { // warm scratch
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := p.TryExecutePacked(c.in, pf, c.out); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

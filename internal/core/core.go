@@ -150,10 +150,13 @@ type Plan struct {
 	platform hw.Platform
 	threads  int
 	family   *kernelFamily // body bound at plan time: the standard family (dispatch.go)
+	px       *kernelFamily // the pointwise family, nil unless bound (pixelFamilyFor)
 	ep       epilogue      // normalised fused epilogue
 	inPlace  bool          // 1×1 unpadded: NCHW tiles are read where they lie, never packed
-	outP     int           // Shape.P(), solved once: the tile store and the worker read it per block
-	outQ     int           // Shape.Q()
+	grid     conv.Shape    // the shape the plan tiles: Shape, or its planes as one row (flatten)
+	outP     int           // grid.P(), solved once: the tile store and the worker read it per block
+	outQ     int           // grid.Q()
+	colTile  int           // output columns per wRanges unit: V_w, or pxTile with the pointwise family
 
 	// The static thread grid (§6) is a pure function of the plan, so
 	// the per-dimension worker ranges are solved once here instead of
@@ -161,7 +164,7 @@ type Plan struct {
 	kRanges []parallel.Range // K, in Vk blocks
 	nRanges []parallel.Range // batch
 	hRanges []parallel.Range // output rows
-	wRanges []parallel.Range // output-column tiles (Vw wide)
+	wRanges []parallel.Range // output columns, in colTile units
 
 	runs runPool // reusable run states (scratch + task closures)
 
@@ -235,7 +238,8 @@ func TryNewPlan(s conv.Shape, opt Options) (*Plan, error) {
 	if err := validateOptions(s, opt); err != nil {
 		return nil, err
 	}
-	p := &Plan{Shape: s, opts: opt, outP: s.P(), outQ: s.Q()}
+	g := flatten(s)
+	p := &Plan{Shape: s, grid: g, opts: opt, outP: g.P(), outQ: g.Q()}
 	p.platform = genericPlatform
 	if opt.Platform != nil {
 		p.platform = *opt.Platform
@@ -254,9 +258,12 @@ func TryNewPlan(s conv.Shape, opt Options) (*Plan, error) {
 		Registers: model.RegistersUsed(maxVw, 8, s.S),
 		FAI:       model.FAI(maxVw, 8, s.S, s.Str)}
 	p.family = standardFamily
+	p.px = pixelFamilyFor(s)
 	dispatchHits.Add(1)
 
-	p.CT = model.SolveCacheTiles(p.platform, s, p.RT)
+	// The tiles, the thread grid and the store offsets are solved on the
+	// grid shape; operands are checked against Shape.
+	p.CT = model.SolveCacheTiles(p.platform, g, p.RT)
 	if opt.ForceTc > 0 {
 		p.CT.Tc = min(opt.ForceTc, s.C)
 	}
@@ -267,7 +274,7 @@ func TryNewPlan(s conv.Shape, opt Options) (*Plan, error) {
 		p.CT.Th = min(opt.ForceTh, p.outP)
 	}
 
-	p.TM = model.SolveThreadMapping(s, p.platform.Alpha, p.threads, p.RT.Vk)
+	p.TM = model.SolveThreadMapping(g, p.platform.Alpha, p.threads, p.RT.Vk)
 
 	p.ep = normalizeEpilogue(opt.FusedEpilogue)
 	// A 1×1 unpadded tile's rows are input rows as they lie: channel cv of
@@ -277,13 +284,33 @@ func TryNewPlan(s conv.Shape, opt Options) (*Plan, error) {
 	// et al. — at any stride.
 	p.inPlace = s.R == 1 && s.S == 1 && s.Pad == 0
 
-	qTiles := (p.outQ + p.RT.Vw - 1) / p.RT.Vw
+	// A worker's columns are whole pointwise-body tiles where that body is
+	// bound, so only the plane's last tile is ragged; the 12×8 bodies walk
+	// them as four register tiles.
+	p.colTile = p.RT.Vw
+	if p.px != nil {
+		p.colTile = pxTile
+	}
+	qTiles := (p.outQ + p.colTile - 1) / p.colTile
 	kBlocks := (s.K + p.RT.Vk - 1) / p.RT.Vk
 	p.kRanges = parallel.Split(kBlocks, p.TM.PTk)
 	p.nRanges = parallel.Split(s.N, p.TM.PN)
 	p.hRanges = parallel.Split(p.outP, p.TM.PH)
 	p.wRanges = parallel.Split(qTiles, p.TM.PW)
 	return p, nil
+}
+
+// flatten is the shape a plan of s tiles. A 1×1, stride-1, unpadded
+// convolution maps input pixel i of a plane to output pixel i, in NCHW
+// and NHWC alike, so its planes tile as one row of P·Q pixels (H=1,
+// W=P·Q) and a register tile runs across row ends instead of stopping
+// short at each one (2 of 12 columns on a 14×14 plane, 7 on a 7×7).
+// Every other shape is tiled as it is.
+func flatten(s conv.Shape) conv.Shape {
+	if pointwiseShape(s) {
+		s.H, s.W = 1, s.H*s.W
+	}
+	return s
 }
 
 // NewPlan is the panicking wrapper over TryNewPlan, kept for callers

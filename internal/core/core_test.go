@@ -334,7 +334,9 @@ func TestKernelDispatchSelection(t *testing.T) {
 	// Every standard plan is on the 12×8 register file and binds the
 	// standard family, whatever its (R, S, stride) — the shapes that once
 	// had a family of their own and those that ran the looped kernel
-	// alike — and computes correctly; quarantine hands it kernel12x8.
+	// alike — and computes correctly; a 1×1 stride-1 one reports the
+	// pointwise family where the host binds it; quarantine hands every
+	// plan kernel12x8.
 	for _, s := range []conv.Shape{
 		{N: 1, C: 4, H: 8, W: 8, K: 8, R: 3, S: 3, Str: 1, Pad: 1},
 		{N: 1, C: 4, H: 8, W: 8, K: 8, R: 3, S: 3, Str: 2, Pad: 1},
@@ -349,13 +351,12 @@ func TestKernelDispatchSelection(t *testing.T) {
 		{N: 2, C: 5, H: 11, W: 13, K: 3, R: 5, S: 5, Str: 1, Pad: 2},
 	} {
 		p := NewPlan(s, Options{})
-		if p.RT.Vw != 12 || p.RT.Vk != 8 || p.KernelName() != standardFamily.name {
+		if p.RT.Vw != 12 || p.RT.Vk != 8 || p.KernelName() != wantFamily(s) {
 			t.Fatalf("%v: RT %dx%d KernelName %q, want 12x8, %q",
-				s, p.RT.Vw, p.RT.Vk, p.KernelName(), standardFamily.name)
+				s, p.RT.Vw, p.RT.Vk, p.KernelName(), wantFamily(s))
 		}
-		QuarantineKernelFamily(standardFamily.name)
-		quarantined := p.KernelName()
-		RestoreKernelFamily(standardFamily.name)
+		var quarantined string
+		withQuarantined(func() { quarantined = p.KernelName() }, standardFamily.name, pixelFamily.name)
 		if quarantined != "12x8" {
 			t.Fatalf("%v: quarantined KernelName %q, want 12x8", s, quarantined)
 		}

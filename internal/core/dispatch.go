@@ -7,7 +7,12 @@ package core
 // stride as arguments and walks R as rows, so one body — with its
 // AVX-512 four-block and paired twins, which run four and two K-blocks
 // per call where the host has them (bodies.span), and the AVX2 store
-// epilogue (store_amd64.s) — is the whole standard micro-kernel. The two
+// epilogue (store_amd64.s) — is the whole standard micro-kernel. The
+// pointwise family is the AVX-512 pixel-vectorised body (pixel_amd64.s),
+// which runs the NCHW executions of 1×1, stride-1, unpadded plans —
+// standalone and the separable plan's pointwise stage — where the host
+// has AVX-512; their NHWC executions, and every execution while it is
+// quarantined, run the standard family. The two
 // depthwise families are the AVX2 depthwise body (dwkernel_amd64.s),
 // which runs a different block per stride, so each stride is its own
 // probe target. On a host without the vector bodies the standard family
@@ -26,6 +31,7 @@ package core
 // per-element one, so either choice stores the same bits.
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -49,13 +55,16 @@ type tileStore func(acc *accFile8, dst, res []float32, ep *epilogue, kBase, stri
 // family's body holds the V_k=8 bodies and tile store, bound at init
 // (kernel12x8 and no store on a host without the vector bodies; a nil
 // quad or pair leaves its blocks to the narrower bodies); its s and str
-// stay unset, since each plan supplies its own. A depthwise family
+// stay unset, since each plan supplies its own. The pointwise family's
+// body holds only the pointwise body px (pixelTile, the 12×8 oracle, on
+// a host without AVX-512, where no plan binds it). A depthwise family
 // serves one (R, S, stride), and its dwKern is the vector depthwise body,
 // or the depthwisePlaneRange oracle on a host without it.
 type kernelFamily struct {
 	name      string
 	depthwise bool
-	r, s, str int // a depthwise family's filter and stride
+	pointwise bool // the pointwise family: 1×1, stride 1, unpadded, NCHW
+	r, s, str int  // a depthwise family's filter and stride
 	body      bodies
 	dwKern    depthwiseKernel
 
@@ -72,17 +81,23 @@ type kernelFamily struct {
 // as arguments and R as rows.
 var standardFamily = &kernelFamily{name: "12x8.vec", body: bodies{kern: kernel12x8}}
 
+// pixelFamily serves the NCHW executions of 1×1, stride-1, unpadded
+// plans on a host with AVX-512 (pixelFamilyFor).
+var pixelFamily = &kernelFamily{name: "1x1.px", pointwise: true, body: bodies{px: pixelTile}}
+
 // kernelFamilies is the whole dispatch table, in the order the
 // integrity sentinel probes it.
 var kernelFamilies = []*kernelFamily{
 	standardFamily,
+	pixelFamily,
 	{name: "dw.r3s3.s1", r: 3, s: 3, str: 1, depthwise: true, dwKern: depthwisePlaneRange},
 	{name: "dw.r3s3.s2", r: 3, s: 3, str: 2, depthwise: true, dwKern: depthwisePlaneRange},
 }
 
 // On a host with the vector body the standard family runs it and stores
 // its tiles with the vector store — running four or two K-blocks per
-// call on the AVX-512 bodies where the host has them; both depthwise
+// call on the AVX-512 bodies where the host has them, where the
+// pointwise family runs the AVX-512 pointwise body; both depthwise
 // families run the vector depthwise body.
 func init() {
 	if !hasVectorBody {
@@ -93,6 +108,7 @@ func init() {
 	if hasPairBody {
 		standardFamily.body.pair = vector12x16
 		standardFamily.body.quad = vector12x32
+		pixelFamily.body.px = vectorPixel
 	}
 	for _, f := range kernelFamilies {
 		if f.depthwise {
@@ -103,8 +119,9 @@ func init() {
 
 // KernelISA names the instruction set the kernel families run in this
 // process: "avx512" when the standard family runs four or two K-blocks
-// per call on the AVX-512 bodies (an odd last block, and the depthwise
-// families, stay on AVX2), "avx2" for the vector bodies, "go" for the
+// per call on the AVX-512 bodies and the pointwise family its AVX-512
+// body (an odd last block, and the depthwise families, stay on AVX2),
+// "avx2" for the vector bodies, "go" for the
 // looped Go kernel and the depthwise oracle. Family names do not change
 // with it.
 func KernelISA() string {
@@ -133,6 +150,36 @@ func dwFamilyFor(s conv.Shape) *kernelFamily {
 	return nil
 }
 
+// pixelFamilyFor returns the pointwise family for a plan of shape s: on
+// a host with the AVX-512 pointwise body, for a 1×1, stride-1, unpadded
+// shape whose planes it runs faster (pixelTilesPay); nil otherwise,
+// where the standard family runs everything.
+func pixelFamilyFor(s conv.Shape) *kernelFamily {
+	if hasPairBody && pointwiseShape(s) && pixelTilesPay(s.P()*s.Q()) {
+		return pixelFamily
+	}
+	return nil
+}
+
+// pixelTilesPay reports whether a plane of n pixels runs faster on the
+// pointwise body than on the 12×8 bodies. Both compute whole tiles, the
+// last one padded: ⌈n/48⌉ tiles of 48 pixels against ⌈n/12⌉ of 12. On
+// planes of whole tiles the pointwise body runs 1.3–2.6× the 12×8 rate
+// (the least on the deep ResNet-50 rows), so it pays while its padded
+// work is at most 5/4 of the 12×8 bodies': a 14×14 plane (196 pixels,
+// 240 lanes against 204; 1.0–1.16× the 12×8 rate at two threads) binds
+// it, a 7×7 one (49 pixels, 96 lanes against 60; 0.69–0.79×) does not.
+func pixelTilesPay(n int) bool {
+	return 4*pxTile*((n+pxTile-1)/pxTile) <= 5*maxVw*((n+maxVw-1)/maxVw)
+}
+
+// pointwiseShape reports whether output pixel i of every plane of s
+// reads exactly input pixel i of each channel: a 1×1, stride-1,
+// unpadded convolution.
+func pointwiseShape(s conv.Shape) bool {
+	return s.R == 1 && s.S == 1 && s.Str == 1 && s.Pad == 0
+}
+
 func familyByName(name string) *kernelFamily {
 	for _, f := range kernelFamilies {
 		if f.name == name {
@@ -148,34 +195,41 @@ func (f *kernelFamily) live() bool { return f != nil && !f.quarantined.Load() }
 
 // bodies is one execution's V_k=8 micro-kernel: the single-block body,
 // the paired and four-block bodies (nil: none), the tile store (nil: the
-// Go store) and the plan's filter width and stride, which every body
-// call passes on.
+// Go store), the plan's filter width and stride, which every body call
+// passes on, and the pointwise body (nil: none), which an NCHW execution
+// runs in place of all of them.
 type bodies struct {
 	kern   func(acc *accFile8, buf, tf []float32, rows, s, str, vwEff, pitch int)
 	pair   func(acc *accTile, buf, tf []float32, tfOff, rows, s, str, vwEff, pitch int) // two K-blocks per call
 	quad   func(acc *accTile, buf, tf []float32, tfOff, rows, s, str, vwEff, pitch int) // four K-blocks per call
 	vst    tileStore
 	s, str int
+	px     pixelBody
 }
 
-// body resolves the V_k=8 bodies and tile store for one execution: the
-// bound family's, or oracleBody when the family is quarantined — so a
+// body resolves the bodies and tile store for one execution: the bound
+// standard family's, or oracleBody's when it is quarantined — so a
 // quarantine takes the multi-block bodies out of service with the
-// single-block one. Every V_k=8 consumer — the k-block loop, the
-// pack-fused first block, the separable pointwise stage — runs what this
-// (or, replaying a faulted execution, oracleBody) returned, through span
-// and run, and nothing else.
+// single-block one — plus the bound pointwise family's body while it is
+// live. Every V_k=8 consumer — the k-block loop, the pack-fused first
+// block, the separable pointwise stage — runs what this (or, replaying a
+// faulted execution, oracleBody) returned, through px where it is set and
+// span and run otherwise, and nothing else.
 func (p *Plan) body() bodies {
+	b := p.oracleBody()
 	if f := p.family; f.live() {
-		b := f.body
+		b = f.body
 		b.s, b.str = p.Shape.S, p.Shape.Str
-		return b
 	}
-	return p.oracleBody()
+	if f := p.px; f.live() {
+		b.px = f.body.px
+	}
+	return b
 }
 
 // oracleBody is the plan's oracle: the looped kernel12x8, no multi-block
-// body and the Go store. Every family body stores the same bits.
+// or pointwise body and the Go store. Every family body stores the same
+// bits.
 func (p *Plan) oracleBody() bodies {
 	return bodies{kern: kernel12x8, s: p.Shape.S, str: p.Shape.Str}
 }
@@ -226,10 +280,14 @@ func dwKernelName(f *kernelFamily) string {
 	return "dw.generic"
 }
 
-// KernelName reports which main micro-kernel the plan's next execution
-// runs: its family's name, or "12x8" for the looped kernel (family
-// quarantined).
+// KernelName reports which main micro-kernel the plan's next NCHW
+// execution runs: the pointwise family's name while it is bound and
+// live, else the standard family's, or "12x8" for the looped kernel
+// (family quarantined).
 func (p *Plan) KernelName() string {
+	if p.px.live() {
+		return p.px.name
+	}
 	if p.family.live() {
 		return p.family.name
 	}
@@ -259,9 +317,9 @@ func KernelDispatchStats() DispatchStats {
 	return st
 }
 
-// KernelFamilyNames returns the family names — standard then depthwise
-// — in a fixed order: the probe target list the integrity sentinel
-// walks.
+// KernelFamilyNames returns the family names — standard, pointwise,
+// then depthwise — in a fixed order: the probe target list the
+// integrity sentinel walks.
 func KernelFamilyNames() []string {
 	names := make([]string, len(kernelFamilies))
 	for i, f := range kernelFamilies {
@@ -305,7 +363,7 @@ func RestoreKernelFamily(name string) bool {
 // whatever the live flag says, which is what makes the probe usable as
 // the restore check.
 func (f *kernelFamily) probeCopy() *kernelFamily {
-	return &kernelFamily{name: f.name, depthwise: f.depthwise, r: f.r, s: f.s, str: f.str,
+	return &kernelFamily{name: f.name, depthwise: f.depthwise, pointwise: f.pointwise, r: f.r, s: f.s, str: f.str,
 		body: f.body, dwKern: f.dwKern}
 }
 
@@ -355,6 +413,45 @@ func newStandardProbe(f *kernelFamily) (*familyProbe, error) {
 	return kp, nil
 }
 
+// newPixelProbe builds the golden probe for the pointwise family: a 1×1
+// plan whose 99-pixel plane is two full 48-pixel tiles and a ragged
+// 3-pixel one, whose K=21 ends in a ragged five-channel K-block, and
+// whose seven channels run as two channel tiles (Tc=4), so a later tile
+// adds what the first stored; the last one carries the whole epilogue —
+// bias, affine, a residual operand, ReLU. Operands carry full float32
+// mantissas (and the epilogue parameters and residual both signs, so
+// ReLU clamps), and want is the same plan run with no family, on its
+// oracle body. The probe binds no standard family, so it drives the
+// pointwise body alone, even on a host where no plan binds it.
+func newPixelProbe(f *kernelFamily) (*familyProbe, error) {
+	s := conv.Shape{N: 1, C: 7, H: 9, W: 11, K: 21, R: 1, S: 1, Str: 1, Pad: 0}
+	var params [3]*tensor.Tensor // bias, scale, shift
+	for i := range params {
+		params[i] = tensor.New(s.K)
+		params[i].FillRandom(int64(0x5CA1E + i))
+	}
+	ep := &EpilogueParams{Bias: params[0].Data, Scale: params[1].Data, Shift: params[2].Data, Residual: true, ReLU: true}
+	p, err := TryNewPlan(s, Options{Threads: 1, ForceTc: 4, FusedEpilogue: ep})
+	if err != nil {
+		return nil, err
+	}
+	in, filter, res := s.NewInput(), s.NewFilter(), s.NewOutput()
+	in.FillRandom(0x9E1)
+	filter.FillRandom(0xF11)
+	res.FillRandom(0x4E5)
+	kp := &familyProbe{shape: s, out: s.NewOutput(), want: s.NewOutput()}
+	run := func(out *tensor.Tensor) error {
+		return p.TryExecuteResidualCtx(context.Background(), in, filter, nil, res, out)
+	}
+	p.family, p.px = nil, nil
+	if err := run(kp.want); err != nil {
+		return nil, err
+	}
+	p.px = f.probeCopy()
+	kp.exec = func() error { return run(kp.out) }
+	return kp, nil
+}
+
 // VerifyKernelFamily runs the named family's body and tile store over
 // a golden probe shape with full-mantissa operands and compares the
 // output bit-for-bit against the probe plan's own run on its oracle (the
@@ -377,8 +474,11 @@ func VerifyKernelFamily(name string) error {
 	kp := f.probe
 	if kp == nil {
 		build := newStandardProbe
-		if f.depthwise {
+		switch {
+		case f.depthwise:
 			build = newDepthwiseProbe
+		case f.pointwise:
+			build = newPixelProbe
 		}
 		var err error
 		if kp, err = build(f); err != nil {

@@ -44,8 +44,8 @@ func TestDispatchBitExactVsGeneric(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := plan.KernelName(); got != fam.name {
-				t.Fatalf("shape %v: KernelName = %q, want %q", s, got, fam.name)
+			if got, want := plan.KernelName(), wantFamily(s); got != want {
+				t.Fatalf("shape %v: KernelName = %q, want %q", s, got, want)
 			}
 			in := s.NewInput()
 			in.FillRandom(int64(s.C + 7*s.K))
@@ -55,22 +55,32 @@ func TestDispatchBitExactVsGeneric(t *testing.T) {
 			if err := plan.TryExecute(in, f, got); err != nil {
 				t.Fatal(err)
 			}
-			// The same plan, family quarantined, runs the looped fallback.
-			func() {
-				QuarantineKernelFamily(fam.name)
-				defer RestoreKernelFamily(fam.name)
-				if name := plan.KernelName(); name != "12x8" {
-					t.Fatalf("shape %v: quarantined KernelName = %q, want 12x8", s, name)
-				}
-				fb := s.NewOutput()
-				if err := plan.TryExecute(in, f, fb); err != nil {
-					t.Fatal(err)
-				}
-				if d := tensor.MaxAbsDiff(fb, got); d != 0 {
-					t.Fatalf("shape %v seq=%v: quarantined fallback differs from the family body by %g, want bit-identical",
-						s, seq, d)
-				}
-			}()
+			// The same plan, every family quarantined, runs the looped
+			// fallback; a pointwise plan with only its pointwise family
+			// quarantined runs the standard family.
+			quarantines := [][]string{{fam.name, pixelFamily.name}}
+			if plan.px != nil {
+				quarantines = append(quarantines, []string{pixelFamily.name})
+			}
+			for _, names := range quarantines {
+				withQuarantined(func() {
+					want := "12x8"
+					if len(names) == 1 {
+						want = fam.name
+					}
+					if name := plan.KernelName(); name != want {
+						t.Fatalf("shape %v: %v quarantined: KernelName = %q, want %q", s, names, name, want)
+					}
+					fb := s.NewOutput()
+					if err := plan.TryExecute(in, f, fb); err != nil {
+						t.Fatal(err)
+					}
+					if d := tensor.MaxAbsDiff(fb, got); d != 0 {
+						t.Fatalf("shape %v seq=%v: %v quarantined differs from the family body by %g, want bit-identical",
+							s, seq, names, d)
+					}
+				}, names...)
+			}
 			// With the four-block body unbound the plan steps K-blocks two
 			// at a time, and with the paired body unbound too — the bodies
 			// of an AVX2 host without AVX-512F — one block per call; both
@@ -125,8 +135,8 @@ func TestDispatchOffByOneFallsBack(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := plan.KernelName(); got != standardFamily.name {
-				t.Fatalf("shape %v (from %v): KernelName = %q, want %q", s, base, got, standardFamily.name)
+			if got, want := plan.KernelName(), wantFamily(s); got != want {
+				t.Fatalf("shape %v (from %v): KernelName = %q, want %q", s, base, got, want)
 			}
 			checkAgainstReference(t, s, Options{Threads: 2})
 		}
@@ -221,10 +231,35 @@ var beyondTable4ShapeRows = []standardShapeRow{
 	{"r11s11s4", conv.Shape{N: 1, C: 3, H: 39, W: 63, K: 29, R: 11, S: 11, Str: 4, Pad: 2}},
 }
 
+// wantFamily is the family a plan of shape s reports on this host: the
+// pointwise one for a 1×1, stride-1, unpadded shape where the host has
+// the AVX-512 pointwise body, the standard one otherwise.
+func wantFamily(s conv.Shape) string {
+	if pixelFamilyFor(s) != nil {
+		return pixelFamily.name
+	}
+	return standardFamily.name
+}
+
+// withQuarantined runs f with the named families quarantined.
+func withQuarantined(f func(), names ...string) {
+	for _, n := range names {
+		QuarantineKernelFamily(n)
+	}
+	defer func() {
+		for _, n := range names {
+			RestoreKernelFamily(n)
+		}
+	}()
+	f()
+}
+
 // checkStandardRows asserts, for every row, that the plan binds the
-// standard family, counts one dispatch hit and no miss, and stores
-// exactly the bits the same plan stores with the family quarantined (the
-// looped kernel12x8 and the Go store).
+// standard family (and, for a 1×1 stride-1 row on an AVX-512 host, the
+// pointwise one), counts one dispatch hit and no miss, and stores
+// exactly the bits the same plan stores with every family quarantined
+// (the looped kernel12x8 and the Go store) — and, where the pointwise
+// family is bound, with it alone quarantined (the standard family).
 func checkStandardRows(t *testing.T, rows []standardShapeRow) {
 	t.Helper()
 	pre := KernelDispatchStats()
@@ -234,26 +269,31 @@ func checkStandardRows(t *testing.T, rows []standardShapeRow) {
 		if err != nil {
 			t.Fatalf("%s %v: %v", r.name, s, err)
 		}
-		if got := plan.KernelName(); got != standardFamily.name {
-			t.Fatalf("%s %v: KernelName = %q, want %q", r.name, s, got, standardFamily.name)
+		if got, want := plan.KernelName(), wantFamily(s); got != want {
+			t.Fatalf("%s %v: KernelName = %q, want %q", r.name, s, got, want)
 		}
 		in, filter := s.NewInput(), s.NewFilter()
 		in.FillRandom(int64(s.R*100 + s.S))
 		filter.FillRandom(int64(s.Str*100 + s.K))
-		got, looped := s.NewOutput(), s.NewOutput()
+		got := s.NewOutput()
 		if err := plan.TryExecute(in, filter, got); err != nil {
 			t.Fatal(err)
 		}
-		QuarantineKernelFamily(standardFamily.name)
-		err = plan.TryExecute(in, filter, looped)
-		RestoreKernelFamily(standardFamily.name)
-		if err != nil {
-			t.Fatal(err)
+		quarantines := [][]string{{standardFamily.name, pixelFamily.name}}
+		if plan.px != nil {
+			quarantines = append(quarantines, []string{pixelFamily.name})
 		}
-		for i := range got.Data {
-			if math.Float32bits(got.Data[i]) != math.Float32bits(looped.Data[i]) {
-				t.Fatalf("%s %v: element %d = %x, the quarantined plan stores %x",
-					r.name, s, i, math.Float32bits(got.Data[i]), math.Float32bits(looped.Data[i]))
+		for _, names := range quarantines {
+			fb := s.NewOutput()
+			withQuarantined(func() { err = plan.TryExecute(in, filter, fb) }, names...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range got.Data {
+				if math.Float32bits(got.Data[i]) != math.Float32bits(fb.Data[i]) {
+					t.Fatalf("%s %v: element %d = %x, the plan with %v quarantined stores %x",
+						r.name, s, i, math.Float32bits(got.Data[i]), names, math.Float32bits(fb.Data[i]))
+				}
 			}
 		}
 	}

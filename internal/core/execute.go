@@ -296,6 +296,10 @@ func (r *planRun) addPackBufs() {
 // skips the per-tile transform entirely.
 func (r *planRun) cells(w int) {
 	t := &r.tasks[w]
+	if r.nchw && r.b.px != nil {
+		r.p.pixelWorker(r.inD, r.filterD, r.pre, r.outD, r.resD, t.kLo, t.kHi, t.nr, t.wr, t.ws, &r.fs, r.b.px)
+		return
+	}
 	r.p.worker(r.inD, r.filterD, r.pre, r.outD, r.resD, r.nchw,
 		t.kLo, t.kHi, t.nr, t.hr, t.wr, t.ws, &r.fs, &r.b)
 }
@@ -337,15 +341,16 @@ func (r *planRun) unload() {
 // The k-block loop steps through bodies.span, four or two blocks per
 // body call where the multi-block bodies are bound. An NCHW tile of a plan that reads in
 // place (Plan.inPlace) is handed to the body where it lies in the input,
-// its row pitch the plane stride H·W, and nothing is packed.
+// its row pitch the plane stride H·W, and nothing is packed. The loops
+// run on the plan's grid shape, so a pointwise plan's plane is one row.
 // The fault sink's stop flag is polled at tile granularity so
 // surviving workers cancel promptly after a sibling faults.
 func (p *Plan) worker(in, filter, pre, out, res []float32, nchw bool,
 	kLo, kHi int, nr, hr, wr parallel.Range, ws *workerScratch, fs *parallel.FaultSink, b *bodies) {
-	s := p.Shape
+	s := p.grid
 	vw, vk := p.RT.Vw, p.RT.Vk
 	tc, tk, th := p.CT.Tc, p.CT.Tk, p.CT.Th
-	q := p.outQ
+	q0, q1 := wr.Lo*p.colTile, min(wr.Hi*p.colTile, p.outQ) // the worker's output columns
 	wIn := (vw-1)*s.Str + s.S
 	rsv := s.R * s.S * vk // one channel's slab in a transformed block
 	acc := &ws.acc
@@ -385,12 +390,11 @@ func (p *Plan) worker(in, filter, pre, out, res []float32, nchw bool,
 						if fs.Stopped() {
 							return
 						}
-						for qt := wr.Lo; qt < wr.Hi; qt++ { // L6
-							qt0 := qt * vw
-							vwEff := vw
-							if qt0+vwEff > q {
-								vwEff = q - qt0
+						for qt0 := q0; qt0 < q1; qt0 += vw { // L6
+							if fs.Stopped() {
+								return
 							}
+							vwEff := min(vw, q1-qt0)
 							g := p.geometry(oh, qt0)
 							g.wIn = wIn
 							src, pitch := ws.buf, wIn
@@ -431,6 +435,67 @@ func (p *Plan) worker(in, filter, pre, out, res []float32, nchw bool,
 							}
 						}
 					}
+				}
+			}
+		}
+	}
+}
+
+// pixelWorker is worker for an NCHW execution on the pointwise body px
+// (a 1×1, stride-1, unpadded plan, whose grid plane is one row of P·Q
+// pixels read in place): the same channel-tile and K-tile loops and
+// filter transform, then per image the worker's pixels in pxTile-wide
+// tiles, one body call per K-block of a tile. Each call stores its tile
+// from registers, first-tile or accumulating, with the epilogue on the
+// last channel tile, so there is no accumulator file, clear or tile
+// store here; its time counts as kernel time.
+func (p *Plan) pixelWorker(in, filter, pre, out, res []float32,
+	kLo, kHi int, nr, wr parallel.Range, ws *workerScratch, fs *parallel.FaultSink, px pixelBody) {
+	s := p.grid
+	vk := p.RT.Vk
+	tc, tk := p.CT.Tc, p.CT.Tk
+	pq := p.outQ
+	q0, q1 := wr.Lo*p.colTile, min(wr.Hi*p.colTile, pq)
+	for ct := 0; ct < s.C; ct += tc {
+		tcEff := min(tc, s.C-ct)
+		firstC := ct == 0
+		var ep *epilogue
+		if ct+tcEff >= s.C && !p.ep.none {
+			ep = &p.ep
+		}
+		for kt := kLo; kt < kHi; kt += tk {
+			if fs.Stopped() {
+				return
+			}
+			tkEff := min(tk, kHi-kt)
+			if pre == nil {
+				t0 := now(ws)
+				transformFilter(filter, ws.tf, s.K, s.C, 1, 1, kt, tkEff, ct, tcEff, vk)
+				addTime(ws, &ws.stats.TransformSec, t0)
+			}
+			kvBlocks := (tkEff + vk - 1) / vk
+			for n := nr.Lo; n < nr.Hi; n++ {
+				src := in[(n*s.C+ct)*pq:]
+				for x := q0; x < q1; x += pxTile {
+					if fs.Stopped() {
+						return
+					}
+					npx := min(pxTile, q1-x)
+					t0 := now(ws)
+					for kb := 0; kb < kvBlocks; kb++ {
+						kBase := kt + kb*vk
+						tf := ws.tf[kb*tcEff*vk:]
+						if pre != nil {
+							tf = pre[(kBase/vk*s.C+ct)*vk:]
+						}
+						o := (n*s.K+kBase)*pq + x
+						var resT []float32
+						if ep != nil && ep.residual {
+							resT = res[o:]
+						}
+						px(out[o:], resT, src[x:], tf, ep, kBase, min(kBase+vk, kHi), tcEff, pq, pq, npx, !firstC)
+					}
+					addTime(ws, &ws.stats.KernelSec, t0)
 				}
 			}
 		}

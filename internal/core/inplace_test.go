@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"testing"
 
 	"ndirect/internal/conv"
@@ -155,6 +156,99 @@ func TestInPlaceScratchQuote(t *testing.T) {
 		}
 		if got := p.ScratchBytes(); got != want {
 			t.Fatalf("pad=%d: ScratchBytes = %d, want %d", pad, got, want)
+		}
+	}
+}
+
+// Every 1×1 stride-1 row of Table 4 and the MobileNet extension, at full
+// size with full-mantissa operands, and both fused MobileNet blocks store
+// on the pointwise body exactly the bits the same plan stores with that
+// family quarantined (the 12×8 bodies) — a plan with the whole epilogue
+// and a residual operand over two channel tiles included — and a small
+// one exactly its oracle replay's (TryExecuteReferenceCtx). The rows on
+// 7×7 planes (L22, L23), whose last 48-pixel tile is nearly empty, bind
+// the standard family (pixelTilesPay) and every other row the pointwise
+// one.
+func TestPixelPlansMatchQuarantinedReplay(t *testing.T) {
+	if !hasPairBody {
+		t.Skip("no AVX-512F on this host: every 1×1 plan runs the standard family")
+	}
+	// same runs exec on the pointwise family and with it quarantined and
+	// compares every output bit.
+	same := func(name string, exec func(out *tensor.Tensor), newOut func() *tensor.Tensor) {
+		t.Helper()
+		got, fb := newOut(), newOut()
+		exec(got)
+		withQuarantined(func() { exec(fb) }, pixelFamily.name)
+		for i := range got.Data {
+			if math.Float32bits(got.Data[i]) != math.Float32bits(fb.Data[i]) {
+				t.Fatalf("%s: element %d = %x on %s, %x with it quarantined",
+					name, i, math.Float32bits(got.Data[i]), pixelFamily.name, math.Float32bits(fb.Data[i]))
+			}
+		}
+	}
+	for _, l := range append(append([]conv.Layer(nil), conv.Table4...), conv.MobileNetRows...) {
+		s := l.Shape
+		if l.Depthwise || !pointwiseShape(s) {
+			continue
+		}
+		want := pixelFamily.name
+		if s.P() == 7 {
+			want = standardFamily.name
+		}
+		for _, opt := range []Options{{Threads: 2}, {Threads: 2, ForceTc: s.C/2 + 1}} {
+			p, in, filter, res, _ := residualCase(t, s, opt, false)
+			if p.KernelName() != want {
+				t.Fatalf("L%02d: KernelName = %q, want %q", l.ID, p.KernelName(), want)
+			}
+			same(fmt.Sprintf("L%02d Tc=%d", l.ID, p.CT.Tc), func(out *tensor.Tensor) {
+				if err := p.TryExecuteResidualCtx(context.Background(), in, filter, nil, res, out); err != nil {
+					t.Fatal(err)
+				}
+			}, s.NewOutput)
+		}
+	}
+	for _, pair := range [][2]int{{29, 30}, {31, 32}} {
+		dw, _ := conv.LayerByID(pair[0])
+		pw, _ := conv.LayerByID(pair[1])
+		d := dw.Shape
+		ss := SeparableShape{N: 1, C: d.C, H: d.H, W: d.W, K: pw.Shape.K, R: d.R, S: d.S, Str: d.Str, Pad: d.Pad}
+		ep := &EpilogueParams{Bias: make([]float32, ss.K), ReLU: true}
+		for k := range ep.Bias {
+			ep.Bias[k] = float32(k%7) - 3
+		}
+		sp, err := TryNewSeparablePlan(ss, Options{Threads: 2, FusedEpilogue: ep})
+		if err != nil {
+			t.Fatal(err)
+		}
+		in, dwf, pwf := tensor.New(ss.N, ss.C, ss.H, ss.W), tensor.New(ss.C, ss.R, ss.S), tensor.New(ss.K, ss.C, 1, 1)
+		in.FillRandom(31)
+		dwf.FillRandom(32)
+		pwf.FillRandom(33)
+		same(fmt.Sprintf("F%d_%d", pair[0], pair[1]), func(out *tensor.Tensor) {
+			if err := sp.TryExecute(in, dwf, pwf, out); err != nil {
+				t.Fatal(err)
+			}
+		}, func() *tensor.Tensor { return tensor.New(ss.N, ss.K, ss.P(), ss.Q()) })
+	}
+
+	s := conv.Shape{N: 2, C: 11, H: 9, W: 15, K: 21, R: 1, S: 1, Str: 1}
+	p, in, filter, res, _ := residualCase(t, s, Options{Threads: 2, ForceTc: 4}, false)
+	got, ref := s.NewOutput(), s.NewOutput()
+	if err := p.TryExecuteResidualCtx(context.Background(), in, filter, nil, res, got); err != nil {
+		t.Fatal(err)
+	}
+	r, err := p.load(execReq{in: in, filter: filter, res: res, out: ref})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.oracle()
+	r.replay()
+	r.release()
+	for i := range got.Data {
+		if math.Float32bits(got.Data[i]) != math.Float32bits(ref.Data[i]) {
+			t.Fatalf("%v: element %d = %x on %s, the oracle replay stores %x",
+				s, i, math.Float32bits(got.Data[i]), pixelFamily.name, math.Float32bits(ref.Data[i]))
 		}
 	}
 }

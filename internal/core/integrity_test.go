@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math"
 	"sync"
@@ -330,6 +331,20 @@ func mulAddKernel12x8(acc *accFile8, buf, tf []float32, rows, s, str, vwEff, pit
 	}
 }
 
+// mulAddPixel is pixelTile rounding twice per tap.
+func mulAddPixel(dst, res, in, tf []float32, ep *epilogue, kBase, kEnd, rows, pitch, stride, npx int, accumulate bool) {
+	for x := 0; x < npx; x += maxVw {
+		vw := min(maxVw, npx-x)
+		var acc accFile8
+		mulAddKernel12x8(&acc, in[x:], tf, rows, 1, 1, vw, pitch)
+		var resT []float32
+		if res != nil {
+			resT = res[x:]
+		}
+		storeTile(&acc, dst[x:], resT, ep, kBase, kEnd, stride, vw, true, accumulate)
+	}
+}
+
 // mulAddDepthwise is depthwisePlaneRange rounding twice per tap.
 func mulAddDepthwise(s conv.Shape, in, filter, dst []float32, h0, h1 int) {
 	q := s.Q()
@@ -357,9 +372,12 @@ func mulAddDepthwise(s conv.Shape, in, filter, dst []float32, h0, h1 int) {
 func TestDoubleRoundingBodyFailsProbe(t *testing.T) {
 	for _, f := range kernelFamilies {
 		body, dwKern := f.body, f.dwKern
-		if f.depthwise {
+		switch {
+		case f.depthwise:
 			f.dwKern = mulAddDepthwise
-		} else {
+		case f.pointwise:
+			f.body = bodies{px: mulAddPixel}
+		default:
 			f.body = bodies{kern: mulAddKernel12x8, vst: body.vst}
 		}
 		reprobe(f)
@@ -429,26 +447,111 @@ func TestWrongFourBlockBodyQuarantined(t *testing.T) {
 	}
 }
 
+// A pointwise body with one wrong register — output channel 5 of every
+// K-block accumulating channel 4's broadcast weight — fails the 1x1.px
+// golden probe with ErrIntegrity. Once that family is quarantined, the
+// 1×1 plans and the separable plan that bound it run the live 12x8.vec
+// family — a plan with a residual epilogue over two channel tiles, and
+// the fused pointwise stage — and store every bit the correct pointwise
+// body stored before the break.
+func TestWrongPixelBodyQuarantined(t *testing.T) {
+	if !hasPairBody {
+		t.Skip("no AVX-512F on this host: no pointwise body to bind")
+	}
+	s := conv.Shape{N: 2, C: 13, H: 10, W: 11, K: 29, R: 1, S: 1, Str: 1}
+	// One thread each: the standard family is metered below.
+	p, in, filter, res, _ := residualCase(t, s, Options{Threads: 1, ForceTc: 6}, false)
+	ss := SeparableShape{N: 1, C: 16, H: 15, W: 15, K: 21, R: 3, S: 3, Str: 1, Pad: 1}
+	sp, err := TryNewSeparablePlan(ss, Options{Threads: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sepIn, dwf, pwf := tensor.New(ss.N, ss.C, ss.H, ss.W), tensor.New(ss.C, ss.R, ss.S), tensor.New(ss.K, ss.C, 1, 1)
+	sepIn.FillRandom(21)
+	dwf.FillRandom(22)
+	pwf.FillRandom(23)
+	// run executes both plans, reporting what they ran.
+	run := func() (out, sepOut *tensor.Tensor, kernel, sepKernel string) {
+		t.Helper()
+		out, sepOut = s.NewOutput(), tensor.New(ss.N, ss.K, ss.P(), ss.Q())
+		if err := p.TryExecuteResidualCtx(context.Background(), in, filter, nil, res, out); err != nil {
+			t.Fatal(err)
+		}
+		if err := sp.TryExecute(sepIn, dwf, pwf, sepOut); err != nil {
+			t.Fatal(err)
+		}
+		_, sepKernel = sp.KernelNames()
+		return out, sepOut, p.KernelName(), sepKernel
+	}
+	want, sepWant, kernel, sepKernel := run()
+	if kernel != pixelFamily.name || sepKernel != pixelFamily.name {
+		t.Fatalf("plans ran %s and %s, want %s", kernel, sepKernel, pixelFamily.name)
+	}
+
+	f := pixelFamily
+	real := f.body.px
+	f.body.px = func(dst, res, in, tf []float32, ep *epilogue, kBase, kEnd, rows, pitch, stride, npx int, accumulate bool) {
+		wrong := append([]float32(nil), tf[:rows*8]...)
+		for i := 0; i < rows; i++ {
+			wrong[i*8+5] = wrong[i*8+4]
+		}
+		real(dst, res, in, wrong, ep, kBase, kEnd, rows, pitch, stride, npx, accumulate)
+	}
+	reprobe(f)
+	t.Cleanup(func() {
+		f.body.px = real
+		reprobe(f)
+		RestoreKernelFamily(f.name)
+	})
+	if err := VerifyKernelFamily(f.name); !errors.Is(err, ErrIntegrity) {
+		t.Fatalf("probe over a pointwise body with a wrong register = %v, want ErrIntegrity", err)
+	}
+	QuarantineKernelFamily(f.name)
+
+	m := meterFamily(t, standardFamily.name)
+	got, sepGot, kernel, sepKernel := run()
+	if kernel != standardFamily.name || sepKernel != standardFamily.name {
+		t.Fatalf("with %s quarantined the plans ran %s and %s, want %s", f.name, kernel, sepKernel, standardFamily.name)
+	}
+	if m.calls == 0 {
+		t.Fatalf("with %s quarantined the standard family's body never ran", f.name)
+	}
+	for _, c := range []struct {
+		name      string
+		got, want *tensor.Tensor
+	}{{"Plan", got, want}, {"SeparablePlan", sepGot, sepWant}} {
+		for i := range c.got.Data {
+			if math.Float32bits(c.got.Data[i]) != math.Float32bits(c.want.Data[i]) {
+				t.Fatalf("%s: element %d = %x on %s, the pointwise body stored %x",
+					c.name, i, math.Float32bits(c.got.Data[i]), standardFamily.name, math.Float32bits(c.want.Data[i]))
+			}
+		}
+	}
+}
+
 // bodyMeter is a counting double for one family's bodies and tile
 // store: body calls and the (cv, r) rows they covered, per K-block — a
 // multi-block call counts as one call per block it runs — the paired
-// and four-block calls among them, and vector-store calls.
+// and four-block calls among them, and vector-store calls (a pointwise
+// body call stores its tile, so it counts as one of each).
 type bodyMeter struct{ calls, rows, pairs, quads, stores int }
 
-// meterFamily swaps the named family's bodies (single, paired and
-// four-block) and vector store (each where the host binds one) for
-// doubles that count into the returned meter and then run the real
-// routine — the looped kernel12x8 on a host without the vector body; the
-// swap is undone when the test ends. Metered plans must run
+// meterFamily swaps the named family's bodies (single, paired,
+// four-block and pointwise) and vector store (each where the family has
+// one) for doubles that count into the returned meter and then run the
+// real routine — the looped kernel12x8 on a host without the vector
+// body; the swap is undone when the test ends. Metered plans must run
 // single-threaded.
 func meterFamily(t *testing.T, name string) *bodyMeter {
 	t.Helper()
 	f := familyByName(name)
 	real, m := f.body, &bodyMeter{}
-	f.body.kern = func(acc *accFile8, buf, tf []float32, rows, s, str, vwEff, pitch int) {
-		m.calls++
-		m.rows += rows
-		real.kern(acc, buf, tf, rows, s, str, vwEff, pitch)
+	if real.kern != nil {
+		f.body.kern = func(acc *accFile8, buf, tf []float32, rows, s, str, vwEff, pitch int) {
+			m.calls++
+			m.rows += rows
+			real.kern(acc, buf, tf, rows, s, str, vwEff, pitch)
+		}
 	}
 	if real.pair != nil {
 		f.body.pair = func(acc *accTile, buf, tf []float32, tfOff, rows, s, str, vwEff, pitch int) {
@@ -472,6 +575,14 @@ func meterFamily(t *testing.T, name string) *bodyMeter {
 			real.vst(acc, dst, res, ep, kBase, stride, vwEff, nchw, accumulate)
 		}
 	}
+	if real.px != nil {
+		f.body.px = func(dst, res, in, tf []float32, ep *epilogue, kBase, kEnd, rows, pitch, stride, npx int, accumulate bool) {
+			m.calls++
+			m.rows += rows
+			m.stores++
+			real.px(dst, res, in, tf, ep, kBase, kEnd, rows, pitch, stride, npx, accumulate)
+		}
+	}
 	t.Cleanup(func() { f.body = real })
 	return m
 }
@@ -485,9 +596,12 @@ func meterFamily(t *testing.T, name string) *bodyMeter {
 // with the body: one call per (tile, k-block) while live (K=16: both
 // blocks are full), none quarantined. Where the host pairs K-blocks,
 // both blocks of every tile run in one paired-body call, which the
-// quarantine takes out of service with the single-block body. The shapes are unpadded, so no row
-// is out of image and the body sees all C·R rows of every (tile,
-// k-block).
+// quarantine takes out of service with the single-block body. The two
+// 1×1 stride-1 consumers run the pointwise family where the host binds
+// it — one call, storing its tile, per (48-pixel tile, k-block) — and the
+// standard family's 12×8 tiles with it quarantined. The shapes are
+// unpadded, so no row is out of image and the body sees all C·R rows of
+// every (tile, k-block).
 func TestQuarantinedBodyNeverRunsOnAnyConsumer(t *testing.T) {
 	s := conv.Shape{N: 1, C: 8, H: 12, W: 12, K: 16, R: 3, S: 3, Str: 1, Pad: 0}
 	in, filter := intOperands(s)
@@ -502,6 +616,7 @@ func TestQuarantinedBodyNeverRunsOnAnyConsumer(t *testing.T) {
 		tiles  int    // register tiles per execution
 		rows   int    // C·R
 		calls  int    // body calls per (tile, k-block); 0 = not pinned
+		pixel  bool   // runs the pointwise body
 	}
 	var consumers []consumer
 
@@ -525,23 +640,43 @@ func TestQuarantinedBodyNeverRunsOnAnyConsumer(t *testing.T) {
 		consumers = append(consumers, c)
 	}
 
+	// pointwise adds a 1×1 stride-1 consumer — on its pointwise family
+	// where the host binds one, and on the standard family's 12×8 tiles
+	// with that family quarantined — whose planes run as one row of
+	// pixels: tiles of w pixels over the given row tiles' pixel counts.
+	pointwise := func(name string, pixels []int, rows int, run func()) {
+		count := func(w int) int {
+			n := 0
+			for _, px := range pixels {
+				n += (px + w - 1) / w
+			}
+			return n
+		}
+		if hasPairBody { // the host binds the pointwise family
+			consumers = append(consumers, consumer{name: name, family: pixelFamily.name,
+				tiles: count(pxTile), rows: rows, calls: 1, pixel: true, exec: run})
+			name += "/12x8"
+			run12 := run
+			run = func() { withQuarantined(run12, pixelFamily.name) }
+		}
+		consumers = append(consumers, consumer{name: name, family: standardFamily.name,
+			tiles: count(maxVw), rows: rows, calls: 1, exec: run})
+	}
+
 	// The in-place source: a 1×1 unpadded plan hands the body its tiles
 	// where they lie, one whole-tile call per (tile, k-block).
 	pw := conv.Shape{N: 1, C: 8, H: 12, W: 12, K: 16, R: 1, S: 1, Str: 1, Pad: 0}
 	pwIn, pwFilter := intOperands(pw)
 	pwWant := conv.Reference(pw, pwIn, pwFilter)
 	pwPlan := NewPlan(pw, Options{Threads: 1})
-	consumers = append(consumers, consumer{
-		name: "Plan/InPlace", family: "12x8.vec", tiles: tiles(1, pw.P(), pw.Q()), rows: pw.C, calls: 1,
-		exec: func() {
-			out := pw.NewOutput()
-			if err := pwPlan.TryExecute(pwIn, pwFilter, out); err != nil {
-				t.Fatal(err)
-			}
-			if d := tensor.MaxAbsDiff(out, pwWant); d != 0 {
-				t.Fatalf("Plan/InPlace on %s: output differs from reference by %g", pwPlan.KernelName(), d)
-			}
-		},
+	pointwise("Plan/InPlace", []int{pw.P() * pw.Q()}, pw.C, func() {
+		out := pw.NewOutput()
+		if err := pwPlan.TryExecute(pwIn, pwFilter, out); err != nil {
+			t.Fatal(err)
+		}
+		if d := tensor.MaxAbsDiff(out, pwWant); d != 0 {
+			t.Fatalf("Plan/InPlace on %s: output differs from reference by %g", pwPlan.KernelName(), d)
+		}
 	})
 
 	ss := SeparableShape{N: 1, C: 8, H: 12, W: 12, K: 16, R: 3, S: 3, Str: 1, Pad: 1}
@@ -559,18 +694,19 @@ func TestQuarantinedBodyNeverRunsOnAnyConsumer(t *testing.T) {
 		t.Fatal(err)
 	}
 	sepWant := conv.Reference(ss.PWShape(), mid, pwf)
-	consumers = append(consumers, consumer{
-		name: "SeparablePlan", family: "12x8.vec", tiles: tiles(1, ss.P(), ss.Q()), rows: ss.C, calls: 1,
-		exec: func() {
-			out := tensor.New(ss.N, ss.K, ss.P(), ss.Q())
-			if err := sp.TryExecute(sepIn, dwf, pwf, out); err != nil {
-				t.Fatal(err)
-			}
-			if d := tensor.MaxAbsDiff(out, sepWant); d != 0 {
-				_, pw := sp.KernelNames()
-				t.Fatalf("SeparablePlan on %s: output differs from reference by %g", pw, d)
-			}
-		},
+	var cellPixels []int // each grid cell's row tile is one row of pixels
+	for h0 := 0; h0 < ss.P(); h0 += sp.rowTile {
+		cellPixels = append(cellPixels, min(sp.rowTile, ss.P()-h0)*ss.Q())
+	}
+	pointwise("SeparablePlan", cellPixels, ss.C, func() {
+		out := tensor.New(ss.N, ss.K, ss.P(), ss.Q())
+		if err := sp.TryExecute(sepIn, dwf, pwf, out); err != nil {
+			t.Fatal(err)
+		}
+		if d := tensor.MaxAbsDiff(out, sepWant); d != 0 {
+			_, pw := sp.KernelNames()
+			t.Fatalf("SeparablePlan on %s: output differs from reference by %g", pw, d)
+		}
 	})
 
 	for _, c := range consumers {
@@ -589,7 +725,7 @@ func TestQuarantinedBodyNeverRunsOnAnyConsumer(t *testing.T) {
 		if hasVectorBody && live.stores != c.tiles*kvBlocks {
 			t.Fatalf("%s, family live: %d vector stores, want one per (tile, k-block) = %d", c.name, live.stores, c.tiles*kvBlocks)
 		}
-		if hasPairBody && (c.calls != 0 && live.pairs != c.tiles || live.pairs == 0) {
+		if hasPairBody && !c.pixel && (c.calls != 0 && live.pairs != c.tiles || live.pairs == 0) {
 			t.Fatalf("%s, family live: %d paired-body calls, want one per tile (%d)", c.name, live.pairs, c.tiles)
 		}
 		QuarantineKernelFamily(c.family)

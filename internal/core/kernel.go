@@ -92,7 +92,7 @@ const fusedPackRows = 16
 // per channel, over that channel's in-image rows.
 func (p *Plan) packCompute(b *bodies, acc *accTile, nb int, in, buf, tf []float32, tfOff int, g packGeometry,
 	n, ct, tc, vwEff int, nchw bool) {
-	s := p.Shape
+	s := p.grid
 	r := s.R
 	rLo := min(max(-g.ihBase, 0), r) // in-image rows of every channel: [rLo, rHi)
 	rHi := max(min(s.H-g.ihBase, r), rLo)

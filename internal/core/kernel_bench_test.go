@@ -99,7 +99,8 @@ func TestUnrolledS3BitIdenticalToLooped(t *testing.T) {
 // Direct micro-kernel A/B: one (tc=32, R=3, S=3) register-tile update
 // per iteration, no loop-nest overhead — two K-blocks' worth for the
 // paired avx512 body and four for avx512x4, which do twice and four
-// times the flops per call.
+// times the flops per call — then the pointwise body against the
+// four-block body and its stores on two 1×1 shapes.
 func BenchmarkMicroKernelBodies(b *testing.B) {
 	const tc, r, s, vw, vk, str = 32, 3, 3, 12, 8, 1
 	buf, tf, wIn := microKernelOperands()
@@ -131,6 +132,56 @@ func BenchmarkMicroKernelBodies(b *testing.B) {
 			b.ReportMetric(float64(body.blocks)*flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
 			sinkV = acc[0][0]
 		})
+	}
+
+	// Pointwise A/B on the L06 (C=64, 56×56) and L30 (C=32, 112×112) 1×1
+	// shapes: one 32-channel × 48-pixel output block per iteration, read
+	// in place from the input planes and stored into the output planes,
+	// each way a 1×1 plan runs it — the pointwise body as four K-block
+	// calls that store from registers, or the four-block body as four
+	// 12-pixel register tiles, each cleared, run and stored by the vector
+	// store as four transposed 12×8 tiles.
+	for _, l := range []struct {
+		name string
+		c, p int
+	}{{"L06", 64, 56}, {"L30", 32, 112}} {
+		pq := l.p * l.p
+		in, out := make([]float32, l.c*pq), make([]float32, 32*pq)
+		tf := make([]float32, 4*l.c*8) // [4][C][8]
+		fillProbe(in, 1)
+		fillProbe(tf, 2)
+		flops := float64(2 * l.c * 32 * pxTile)
+		for _, body := range []struct {
+			name string
+			run  func(acc *accTile)
+		}{
+			{"pixel", func(*accTile) {
+				for kb := 0; kb < 4; kb++ {
+					vectorPixel(out[kb*8*pq:], nil, in, tf[kb*l.c*8:], nil, kb*8, kb*8+8, l.c, pq, pq, pxTile, false)
+				}
+			}},
+			{"avx512x4+store", func(acc *accTile) {
+				for x := 0; x < pxTile; x += maxVw {
+					clear(acc[:])
+					vector12x32(acc, in[x:], tf, l.c*8, l.c, 1, 1, maxVw, pq)
+					for j := range acc {
+						vectorStore(&acc[j], out[j*8*pq+x:], nil, nil, j*8, pq, maxVw, true, false)
+					}
+				}
+			}},
+		} {
+			b.Run(l.name+"/"+body.name, func(b *testing.B) {
+				if !hasPairBody {
+					b.Skip("no AVX-512F on this host")
+				}
+				var acc accTile
+				for i := 0; i < b.N; i++ {
+					body.run(&acc)
+				}
+				b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
+				sinkV[0] = out[0]
+			})
+		}
 	}
 }
 

@@ -214,6 +214,119 @@ func checkBlockRun(t testing.TB, rng *rand.Rand, nb, rows, s, str, vwEff, pitch 
 	}
 }
 
+// pixelCase is one pointwise-body call: its input (channels, pitch),
+// tile (pixels, output channels of the K-block, output row stride),
+// whether it adds to what the output holds, which epilogue steps run and
+// the operand mix.
+type pixelCase struct {
+	rows, pitch, npx, nk, stride int
+	accumulate                   bool
+	bias, affine, residual, relu bool
+	special                      bool
+}
+
+func (c pixelCase) String() string {
+	return fmt.Sprintf("rows=%d pitch=%d npx=%d nk=%d stride=%d accumulate=%v bias=%v affine=%v residual=%v relu=%v special=%v",
+		c.rows, c.pitch, c.npx, c.nk, c.stride, c.accumulate, c.bias, c.affine, c.residual, c.relu, c.special)
+}
+
+// checkPixel runs the pointwise body and pixelTile — kernel12x8 from
+// zeroed accumulators, then storeTile, per 12-pixel register tile — on
+// the same operands and requires the same bits in every tile element,
+// untouched sentinels everywhere else in the output (the pixels past npx
+// and the channels past nk included), and untouched operands. The input
+// ends at the last channel's last pixel and dst and res at the tile's
+// last element, so the wrapper's extent proof is exercised at its edge;
+// the K-block is channels 8..8+nk of 24.
+func checkPixel(t testing.TB, rng *rand.Rand, c pixelCase) {
+	t.Helper()
+	val := operandValues(rng, c.special, float32(math.NaN()), -math.MaxFloat32)
+	in := make([]float32, (c.rows-1)*c.pitch+c.npx)
+	tf := make([]float32, c.rows*8)
+	for i := range in {
+		in[i] = val()
+	}
+	for i := range tf {
+		tf[i] = val()
+	}
+	last := (c.nk-1)*c.stride + c.npx - 1
+	inTile := func(j int) bool { return j >= 0 && j <= last && j%c.stride < c.npx }
+	arena := func(fill bool) []float32 {
+		a := make([]float32, storePad+last+1+storePad)
+		for i := range a {
+			a[i] = storeSentinel(i)
+			if fill && inTile(i-storePad) {
+				a[i] = val()
+			}
+		}
+		return a
+	}
+	out0 := arena(c.accumulate)
+	var res0 []float32
+	var ep *epilogue
+	if c.bias || c.affine || c.residual || c.relu {
+		ep = &epilogue{residual: c.residual, relu: c.relu}
+		params := func() []float32 {
+			p := make([]float32, 24)
+			for i := range p {
+				p[i] = val()
+			}
+			return p
+		}
+		if c.bias {
+			ep.bias = params()
+		}
+		if c.affine {
+			ep.scale, ep.shift = params(), params()
+		}
+		if c.residual {
+			res0 = arena(true)
+		}
+	}
+	tile := func(a []float32) []float32 {
+		if a == nil {
+			return nil
+		}
+		return a[storePad : storePad+last+1 : storePad+last+1]
+	}
+	const kBase = storeKBase
+	want := append([]float32(nil), out0...)
+	pixelTile(tile(want), tile(res0), in, tf, ep, kBase, kBase+c.nk, c.rows, c.pitch, c.stride, c.npx, c.accumulate)
+	for i, v := range want {
+		if !inTile(i-storePad) && math.Float32bits(v) != math.Float32bits(out0[i]) {
+			t.Fatalf("%v: pixelTile wrote element %d outside the tile", c, i-storePad)
+		}
+	}
+	if !hasPairBody {
+		return
+	}
+	got := append([]float32(nil), out0...)
+	res := append([]float32(nil), res0...)
+	inCopy, tfCopy := append([]float32(nil), in...), append([]float32(nil), tf...)
+	vectorPixel(tile(got), tile(res), in, tf, ep, kBase, kBase+c.nk, c.rows, c.pitch, c.stride, c.npx, c.accumulate)
+	for i := range got {
+		j := i - storePad
+		if inTile(j) {
+			if !sameStoredBits(got[i], want[i]) {
+				t.Fatalf("%v: tile element %d (channel %d, pixel %d) = %x, pixelTile stores %x",
+					c, j, j/c.stride, j%c.stride, math.Float32bits(got[i]), math.Float32bits(want[i]))
+			}
+		} else if math.Float32bits(got[i]) != math.Float32bits(out0[i]) {
+			t.Fatalf("%v: the pointwise body wrote element %d outside the tile", c, j)
+		}
+	}
+	for _, op := range []struct {
+		name      string
+		got, want []float32
+	}{{"residual", res, res0}, {"input", in, inCopy}, {"filter", tf, tfCopy}} {
+		for i := range op.got {
+			if math.Float32bits(op.got[i]) != math.Float32bits(op.want[i]) {
+				t.Fatalf("%v: the pointwise body wrote %s element %d", c, op.name, i)
+			}
+		}
+	}
+}
+
 // TestBodyEquivalence is the one battery every implementation of the
 // body answers to: the vector body and the looped kernel12x8 store the
 // same accumulator bits, and each block of the paired and four-block
@@ -221,10 +334,13 @@ func checkBlockRun(t testing.TB, rng *rand.Rand, nb, rows, s, str, vwEff, pitch 
 // count and row pitch, from non-zero accumulators, on ordinary and on
 // denormal / signed-zero / infinite operands; and a tile of one to seven
 // K-blocks, run through span and run as the consumers run it, stores
-// the looped kernel's bits in every block for every tile width.
+// the looped kernel's bits in every block for every tile width. The
+// pointwise body stores pixelTile's bits for every pixel count of a tile
+// and K-block width, over one, three and 21 channels, at a tight and a
+// plane pitch and output stride, raw and accumulating.
 func TestBodyEquivalence(t *testing.T) {
 	if !hasPairBody {
-		t.Log("no AVX-512F on this host: the multi-block bodies are not checked")
+		t.Log("no AVX-512F on this host: the multi-block and pointwise bodies are not checked")
 	}
 	rng := rand.New(rand.NewSource(16))
 	for _, s := range []int{1, 3, 7} {
@@ -244,6 +360,16 @@ func TestBodyEquivalence(t *testing.T) {
 				}
 				for nb := 1; nb <= 7; nb++ {
 					checkBlockRun(t, rng, nb, 3, s, str, vwEff, wIn+5, nb%2 == 0)
+				}
+			}
+		}
+	}
+	for npx := 1; npx <= pxTile; npx++ {
+		for _, rows := range []int{1, 3, 21} {
+			for _, pitch := range []int{npx, 196} {
+				for _, special := range []bool{false, true} {
+					checkPixel(t, rng, pixelCase{rows: rows, pitch: pitch, npx: npx, nk: 1 + (npx+rows)%8,
+						stride: pitch + 3, accumulate: rows == 3, special: special})
 				}
 			}
 		}
@@ -327,7 +453,9 @@ func TestVectorBodyProvesExtents(t *testing.T) {
 // multi-block bodies included, and a tile of one to seven K-blocks
 // through span and run (the count drawn from the seed) — from fuzzed
 // extents and operand seeds: S 1–11 and stride 1–4, past every filter
-// width and stride in the model tables.
+// width and stride in the model tables; and the pointwise body over the
+// same channel count and operand mix, its pixel count, K-block width,
+// accumulate flag and epilogue steps drawn from the fuzzed values.
 func FuzzVectorBody(f *testing.F) {
 	f.Add(uint8(2), uint8(0), uint8(11), uint8(8), uint8(0), false, int64(1))  // 3×3 s1, full tile
 	f.Add(uint8(6), uint8(1), uint8(6), uint8(20), uint8(3), true, int64(2))   // 7×7 s2 stem, ragged tile
@@ -342,5 +470,10 @@ func FuzzVectorBody(f *testing.F) {
 		rng := rand.New(rand.NewSource(seed))
 		checkBodies(t, rng, rows, s, str, vwEff, pitch, special)
 		checkBlockRun(t, rng, int(uint64(seed)%7)+1, rows, s, str, vwEff, pitch, special)
+		npx := int(vwRaw)%pxTile + 1
+		flags := uint64(seed) >> 3
+		checkPixel(t, rng, pixelCase{rows: rows, pitch: npx + int(extraPitch), npx: npx, nk: int(uint64(seed)%8) + 1,
+			stride: npx + int(sRaw), accumulate: flags&1 != 0, bias: flags&2 != 0, affine: flags&4 != 0,
+			residual: flags&8 != 0, relu: flags&16 != 0, special: special})
 	})
 }

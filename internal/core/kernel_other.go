@@ -31,6 +31,12 @@ func vector12x32(acc *accTile, buf, tf []float32, tfOff, rows, s, str, vwEff, pi
 	}
 }
 
+// vectorPixel is never bound when hasPairBody is false; it exists so the
+// binder in dispatch.go compiles everywhere.
+func vectorPixel(dst, res, in, tf []float32, ep *epilogue, kBase, kEnd, rows, pitch, stride, npx int, accumulate bool) {
+	pixelTile(dst, res, in, tf, ep, kBase, kEnd, rows, pitch, stride, npx, accumulate)
+}
+
 // vectorDepthwise3x3 is never bound when hasVectorBody is false; it
 // exists so the binder in dispatch.go compiles everywhere.
 func vectorDepthwise3x3(s conv.Shape, in, filter, dst []float32, h0, h1 int) {

@@ -25,7 +25,8 @@ import (
 // channel-tile partition (the pointwise plan's CT.Tc), the same
 // register accumulation within a tile (the pointwise plan's own body,
 // reading the intermediate in place), the same spill-and-add between tiles
-// and the same store-side epilogue (Plan.store, called directly) — so
+// and the same store-side epilogue (the pointwise body's own store, or
+// Plan.store called directly) — so
 // TrySeparableConv2D is bit-identical to TryDepthwiseConv2D +
 // TryPointwiseConv2DShape with matching options.
 
@@ -337,37 +338,58 @@ func (r *sepRun) cell(cell int, ws *sepScratch) {
 }
 
 // pwStage runs the execution's pointwise bodies and tile store b over
-// the row tile just produced in ws.mid, in place: channel cv's row is
+// the row tile just produced in ws.mid, in place: channel cv's rows are
 // ws.mid[cv*chStride:], so the body's row pitch is one channel plane
-// instead of a packed buffer's wIn. Loop order ct → kb → oh → qt with the pointwise plan's
-// own Tc: per output element the channel-tile sequence, the in-tile FMA
-// chain, the between-tile spill-and-add and the final epilogue are
-// exactly the standard plan's — the bit-identity contract. pre is the
-// [⌈K/8⌉][C][8] packed pointwise filter; K-blocks step through
-// bodies.span like the standard plan's.
+// instead of a packed buffer's wIn, and a channel's th·Q pixels are
+// contiguous there as they are in each output plane, so the tile is one
+// row of pixels (the pointwise plan's own grid). With the pointwise body
+// bound, the loop order is ct → pixel tile → K-block, one body call per
+// tile and block storing from registers; with the 12×8 bodies it is
+// ct → kb → register tile, K-blocks stepping through bodies.span. Either
+// way the pointwise plan's own Tc partitions the channels: per output
+// element the channel-tile sequence, the in-tile FMA chain, the
+// between-tile spill-and-add and the final epilogue are exactly the
+// standard plan's — the bit-identity contract. pre is the [⌈K/8⌉][C][8]
+// packed pointwise filter.
 func (p *SeparablePlan) pwStage(b *bodies, pre, out []float32, n, h0, h1 int, ws *sepScratch) {
 	pw := p.pwPlan
 	C, K, q := p.pw.C, p.pw.K, p.pw.Q()
+	pq := p.pw.P() * q
 	tc := pw.CT.Tc
 	kvBlocks := (K + 7) / 8
 	chStride := p.rowTile * q
+	npx := (h1 - h0) * q
+	first := h0 * q // the tile's first pixel in an output plane
 	acc := &ws.acc
 	for ct := 0; ct < C; ct += tc {
 		tcEff := min(tc, C-ct)
 		firstC := ct == 0
 		lastC := ct+tcEff >= C
+		mid := ws.mid[ct*chStride:]
+		if b.px != nil {
+			var ep *epilogue
+			if lastC && !pw.ep.none {
+				ep = &pw.ep
+			}
+			for x := 0; x < npx; x += pxTile {
+				w := min(pxTile, npx-x)
+				for kb := 0; kb < kvBlocks; kb++ {
+					kBase := kb * 8
+					b.px(out[(n*K+kBase)*pq+first+x:], nil, mid[x:], pre[(kb*C+ct)*8:], ep,
+						kBase, min(kBase+8, K), tcEff, chStride, pq, w, !firstC)
+				}
+			}
+			continue
+		}
 		for kb := 0; kb < kvBlocks; {
 			nb := b.span(kb, kvBlocks)
 			tfBlock := pre[(kb*C+ct)*8:]
-			for oh := h0; oh < h1; oh++ {
-				rowBase := ct*chStride + (oh-h0)*q
-				for qt0 := 0; qt0 < q; qt0 += maxVw {
-					vwEff := min(maxVw, q-qt0)
-					clear(acc[:nb])
-					b.run(acc, nb, ws.mid[rowBase+qt0:], tfBlock, C*8, tcEff, vwEff, chStride)
-					for j := 0; j < nb; j++ {
-						pw.store(b.vst, &acc[j], out, nil, true, n, (kb+j)*8, K, oh, qt0, vwEff, firstC, lastC)
-					}
+			for x := 0; x < npx; x += maxVw {
+				vwEff := min(maxVw, npx-x)
+				clear(acc[:nb])
+				b.run(acc, nb, mid[x:], tfBlock, C*8, tcEff, vwEff, chStride)
+				for j := 0; j < nb; j++ {
+					pw.store(b.vst, &acc[j], out, nil, true, n, (kb+j)*8, K, 0, first+x, vwEff, firstC, lastC)
 				}
 			}
 			kb += nb

@@ -165,7 +165,11 @@ func storeStrides(nchw bool, vwEff int) []int {
 
 // TestStoreEquivalence is the battery both stores answer to: layout ×
 // tile width × {first tile, accumulate} × every epilogue subset × stride
-// × ordinary and special operands.
+// × ordinary and special operands. The pointwise body's store half, which
+// stores from registers, answers to the same epilogue subsets, accumulate
+// flag and operand mixes on every K-block width, at pixel counts on both
+// sides of each 16-lane register boundary and at a tight and a loose
+// output stride, against pixelTile's storeTile.
 func TestStoreEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	for _, nchw := range []bool{true, false} {
@@ -174,6 +178,19 @@ func TestStoreEquivalence(t *testing.T) {
 				for flags := 0; flags < 64; flags++ {
 					checkStores(t, rng, storeCase{
 						nchw: nchw, vwEff: vwEff, stride: stride,
+						accumulate: flags&1 != 0, bias: flags&2 != 0, affine: flags&4 != 0,
+						residual: flags&8 != 0, relu: flags&16 != 0, special: flags&32 != 0,
+					})
+				}
+			}
+		}
+	}
+	for _, npx := range []int{1, 15, 16, 17, 31, 32, 33, 47, 48} {
+		for nk := 1; nk <= 8; nk++ {
+			for _, stride := range []int{npx, npx + 37} {
+				for flags := 0; flags < 64; flags++ {
+					checkPixel(t, rng, pixelCase{
+						rows: 2, pitch: npx + 5, npx: npx, nk: nk, stride: stride,
 						accumulate: flags&1 != 0, bias: flags&2 != 0, affine: flags&4 != 0,
 						residual: flags&8 != 0, relu: flags&16 != 0, special: flags&32 != 0,
 					})
@@ -242,9 +259,13 @@ func TestVectorStoreProvesExtents(t *testing.T) {
 }
 
 // A ragged K-block is the Go store's whatever the execution resolved:
-// the vector store takes eight channels or none.
+// the vector store takes eight channels or none. The shape is 1×1 at
+// stride 1, so its planes tile as one row of pixels, and the pointwise
+// family, which stores its own tiles, stays quarantined throughout.
 func TestRaggedKBlockUsesGoStore(t *testing.T) {
 	const fam = "12x8.vec"
+	QuarantineKernelFamily(pixelFamily.name)
+	t.Cleanup(func() { RestoreKernelFamily(pixelFamily.name) })
 	m := meterFamily(t, fam)
 	s := conv.Shape{N: 2, C: 5, H: 6, W: 14, K: 13, R: 1, S: 1, Str: 1}
 	in, filter := s.NewInput(), s.NewFilter()
@@ -254,7 +275,7 @@ func TestRaggedKBlockUsesGoStore(t *testing.T) {
 	for k := 0; k < s.K; k++ {
 		ep.Bias[k], ep.Scale[k], ep.Shift[k] = float32(k)-6, 1+float32(k)/8, float32(k%3)-1
 	}
-	tiles := s.N * s.P() * ((s.Q() + maxVw - 1) / maxVw)
+	tiles := s.N * ((s.P()*s.Q() + maxVw - 1) / maxVw)
 	for _, nchw := range []bool{true, false} {
 		p := NewPlan(s, Options{Threads: 1, FusedEpilogue: ep})
 		run := func() *tensor.Tensor {

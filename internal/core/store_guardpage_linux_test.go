@@ -140,3 +140,60 @@ func TestVectorDepthwiseStaysInPlane(t *testing.T) {
 		}
 	}
 }
+
+// The pointwise body touches nothing past its operands even when each
+// ends at the last word of its mapping: the masked loads of a ragged
+// pixel tile, the masked rows of its stores and residual reads, and a
+// ragged K-block's missing rows, against a PROT_NONE page — every pixel
+// count of a tile, raw and with the whole epilogue.
+func TestVectorPixelStopsAtGuardPage(t *testing.T) {
+	if !hasPairBody {
+		t.Skip("no pointwise body on this host")
+	}
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	rng := rand.New(rand.NewSource(11))
+	full := &epilogue{bias: make([]float32, 8), scale: make([]float32, 8), shift: make([]float32, 8), residual: true, relu: true}
+	for i := range full.bias {
+		full.bias[i], full.scale[i], full.shift[i] = rng.Float32()-0.5, rng.Float32()+0.5, rng.Float32()-0.5
+	}
+	const rows = 3
+	for npx := 1; npx <= pxTile; npx++ {
+		for _, nk := range []int{8, 5} {
+			for _, ep := range []*epilogue{nil, full} {
+				// Rows back to back: the last channel's (row's) tail is the
+				// mapping's.
+				in, tf := guardedFloats(t, (rows-1)*npx+npx), guardedFloats(t, rows*8)
+				last := (nk-1)*npx + npx - 1
+				dst, res := guardedFloats(t, last+1), guardedFloats(t, last+1)
+				want, resCopy := make([]float32, last+1), make([]float32, last+1)
+				for _, op := range [][]float32{in, tf} {
+					for i := range op {
+						op[i] = rng.Float32() - 0.5
+					}
+				}
+				for i := range dst {
+					dst[i], res[i] = rng.Float32()-0.5, rng.Float32()-0.5
+					want[i], resCopy[i] = dst[i], res[i]
+				}
+				var resArg []float32
+				if ep != nil {
+					resArg = res
+				}
+				pixelTile(want, resCopy, in, tf, ep, 0, nk, rows, npx, npx, npx, ep != nil)
+				func() {
+					defer func() {
+						if r := recover(); r != nil {
+							t.Fatalf("npx=%d nk=%d epilogue=%v: the pointwise body faulted past its operands: %v", npx, nk, ep != nil, r)
+						}
+					}()
+					vectorPixel(dst, resArg, in, tf, ep, 0, nk, rows, npx, npx, npx, ep != nil)
+				}()
+				for i := range dst {
+					if math.Float32bits(dst[i]) != math.Float32bits(want[i]) {
+						t.Fatalf("npx=%d nk=%d epilogue=%v: element %d = %g, pixelTile stores %g", npx, nk, ep != nil, i, dst[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}

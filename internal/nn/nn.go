@@ -131,7 +131,7 @@ type Engine struct {
 
 	planOnce  sync.Once
 	planCache *core.PlanCache
-	pools     sync.Map // len([]float32) → *sync.Pool of buffers
+	pools     sync.Map // element count → *sync.Pool of *tensor.Tensor
 
 	// The rate limiter of repeated fallback log lines (logLimited).
 	// logInterval and logKeyCap are zero, selecting DefaultLogInterval and
@@ -158,22 +158,26 @@ func (eng *Engine) plans() *core.PlanCache {
 	return eng.planCache
 }
 
-// draw returns a tensor of the given dims: a buffer from the engine's
-// per-size pool when Reuse is on and one is parked (pooled: it still
-// holds a dead tensor's values), a fresh zeroed one otherwise.
+// draw returns a tensor of the given dims: a dead tensor of as many
+// elements from the engine's per-size pool, reshaped, when Reuse is on
+// and one is parked (pooled: it still holds the dead tensor's values),
+// a fresh zeroed one otherwise.
 func (eng *Engine) draw(dims ...int) (t *tensor.Tensor, pooled bool) {
+	n := 1
+	for _, d := range dims {
+		n *= d
+	}
 	if eng.Reuse {
-		n := 1
-		for _, d := range dims {
-			n *= d
-		}
 		if p, ok := eng.pools.Load(n); ok {
-			if buf, _ := p.(*sync.Pool).Get().([]float32); buf != nil {
-				return tensor.FromSlice(buf, dims...), true
+			if t, _ := p.(*sync.Pool).Get().(*tensor.Tensor); t != nil {
+				t.Dims = append(t.Dims[:0], dims...)
+				return t, true
 			}
 		}
 	}
-	return tensor.New(dims...), false
+	// Not tensor.New, whose panic message would make dims escape: every
+	// caller would then allocate its dims on each draw.
+	return &tensor.Tensor{Dims: append([]int(nil), dims...), Data: make([]float32, n)}, false
 }
 
 // newTensor returns a zeroed tensor: a pooled buffer is cleared before
@@ -196,17 +200,21 @@ func (eng *Engine) newOutput(dims ...int) *tensor.Tensor {
 	return t
 }
 
-// release returns a dead intermediate tensor's buffer to the pool.
-// Callers must only release tensors they own and that no other layer
-// (or abandoned worker) can still reference; the forward paths release
-// exactly the intermediates that are provably dead. No-op when Reuse
-// is off.
+// release returns a dead intermediate tensor — its header and its
+// buffer — to the pool. Callers must only release tensors they own and
+// that no other layer (or abandoned worker) can still reference; the
+// forward paths release exactly the intermediates that are provably
+// dead. No-op when Reuse is off.
 func (eng *Engine) release(t *tensor.Tensor) {
 	if !eng.Reuse || t == nil || len(t.Data) == 0 {
 		return
 	}
-	p, _ := eng.pools.LoadOrStore(len(t.Data), &sync.Pool{})
-	p.(*sync.Pool).Put(t.Data[:len(t.Data):len(t.Data)])
+	p, ok := eng.pools.Load(len(t.Data))
+	if !ok {
+		p, _ = eng.pools.LoadOrStore(len(t.Data), new(sync.Pool))
+	}
+	t.Data = t.Data[:len(t.Data):len(t.Data)]
+	p.(*sync.Pool).Put(t)
 }
 
 func shapeKey(s conv.Shape) string {
@@ -297,8 +305,7 @@ func (n *Network) TryForwardCtx(ctx context.Context, eng *Engine, x *tensor.Tens
 // after use returns. On an error use does not run and nothing is
 // released: the forward already returned its dead intermediates. An
 // output that shares x's storage is never released, since it is the
-// caller's (ReLULayer returns its input, and a network of no layers
-// returns x itself).
+// caller's (a network of no layers returns x itself).
 func (n *Network) TryForwardFunc(ctx context.Context, eng *Engine, x *tensor.Tensor, use func(out *tensor.Tensor)) error {
 	out, err := n.TryForwardCtx(ctx, eng, x)
 	if err != nil {
@@ -1041,17 +1048,6 @@ func addReLU(dst, src *tensor.Tensor, threads int) error {
 }
 
 // --- Supporting layers ---
-
-// ReLULayer is a standalone activation.
-type ReLULayer struct{}
-
-func (ReLULayer) Name() string { return "relu" }
-func (ReLULayer) Forward(eng *Engine, x *tensor.Tensor) *tensor.Tensor {
-	if err := applyReLU(x, eng.Threads); err != nil {
-		panic(fmt.Sprintf("nn: relu: %v", err)) // unchecked contract; TryForward recovers
-	}
-	return x
-}
 
 // MaxPool is a spatial max pooling layer.
 type MaxPool struct {

@@ -181,27 +181,28 @@ func TestResidualTailFaultSurfacesTyped(t *testing.T) {
 	}
 }
 
-// poisonPools replaces every parked buffer of the engine's pools with
-// NaNs, so any output element its producer fails to write shows.
+// poisonPools replaces every parked tensor's values in the engine's
+// pools with NaNs, so any output element its producer fails to write
+// shows.
 func poisonPools(eng *Engine) (poisoned int) {
 	nan := float32(math.NaN())
 	eng.pools.Range(func(_, p any) bool {
 		pool := p.(*sync.Pool)
-		var bufs [][]float32
+		var parked []*tensor.Tensor
 		for {
-			buf, _ := pool.Get().([]float32)
-			if buf == nil {
+			t, _ := pool.Get().(*tensor.Tensor)
+			if t == nil {
 				break
 			}
-			for i := range buf {
-				buf[i] = nan
+			for i := range t.Data {
+				t.Data[i] = nan
 			}
-			bufs = append(bufs, buf)
+			parked = append(parked, t)
 		}
-		for _, buf := range bufs {
-			pool.Put(buf)
+		for _, t := range parked {
+			pool.Put(t)
 		}
-		poisoned += len(bufs)
+		poisoned += len(parked)
 		return true
 	})
 	return poisoned

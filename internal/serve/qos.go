@@ -121,18 +121,29 @@ func (g *TenantGate) queueCap(c QoSClass) int {
 // exactly when the request finishes) or an error wrapping
 // core.ErrOverloaded. A nil ctx waits forever.
 func (g *TenantGate) Acquire(ctx context.Context, tenant string, class QoSClass, limit int) (release func(), err error) {
+	if err := g.admit(ctx, tenant, class, limit); err != nil {
+		return nil, err
+	}
+	return g.releaseFunc(tenant), nil
+}
+
+// admit is Acquire without the release function: on a nil error the
+// caller holds one slot and must hand it back with exactly one leave.
+// The registry's request path admits this way, so a request builds no
+// release closure.
+func (g *TenantGate) admit(ctx context.Context, tenant string, class QoSClass, limit int) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if !class.Valid() {
-		return nil, fmt.Errorf("%w: unknown QoS class %d", core.ErrBadOptions, int(class))
+		return fmt.Errorf("%w: unknown QoS class %d", core.ErrBadOptions, int(class))
 	}
 	g.mu.Lock()
 	if limit > 0 && g.outstanding[tenant] >= limit {
 		g.tenantRejs++
 		n := g.outstanding[tenant]
 		g.mu.Unlock()
-		return nil, fmt.Errorf("%w: tenant %q at outstanding cap (%d of %d)",
+		return fmt.Errorf("%w: tenant %q at outstanding cap (%d of %d)",
 			core.ErrOverloaded, tenant, n, limit)
 	}
 	if g.inFlight < g.maxInFlight {
@@ -140,13 +151,13 @@ func (g *TenantGate) Acquire(ctx context.Context, tenant string, class QoSClass,
 		g.outstanding[tenant]++
 		g.admitted[class]++
 		g.mu.Unlock()
-		return g.releaseFunc(tenant), nil
+		return nil
 	}
 	if g.queuedTotal >= g.queueCap(class) {
 		g.shedFull[class]++
 		waiting := g.queuedTotal
 		g.mu.Unlock()
-		return nil, fmt.Errorf("%w: %v queue share full (%d waiting, class cap %d)",
+		return fmt.Errorf("%w: %v queue share full (%d waiting, class cap %d)",
 			core.ErrOverloaded, class, waiting, g.queueCap(class))
 	}
 	w := &tgWaiter{tenant: tenant, class: class, grant: make(chan struct{}, 1)}
@@ -157,7 +168,7 @@ func (g *TenantGate) Acquire(ctx context.Context, tenant string, class QoSClass,
 
 	select {
 	case <-w.grant:
-		return g.releaseFunc(tenant), nil
+		return nil
 	case <-ctx.Done():
 		g.mu.Lock()
 		if w.granted {
@@ -165,37 +176,38 @@ func (g *TenantGate) Acquire(ctx context.Context, tenant string, class QoSClass,
 			// honour it — the caller sees success, exactly as if the
 			// grant had arrived a tick earlier.
 			g.mu.Unlock()
-			return g.releaseFunc(tenant), nil
+			return nil
 		}
 		g.removeWaiterLocked(w)
 		g.shedLate[class]++
 		g.decOutstandingLocked(tenant)
 		g.mu.Unlock()
-		return nil, fmt.Errorf("%w: no slot before deadline (%v class): %w",
+		return fmt.Errorf("%w: no slot before deadline (%v class): %w",
 			core.ErrOverloaded, class, context.Cause(ctx))
 	}
 }
 
-// releaseFunc returns the slot exactly once even if called repeatedly:
-// the slot is handed directly to the next waiter when one is queued
-// (the in-flight count never dips, so no late arriver can steal it),
-// or retired otherwise.
+// releaseFunc returns tenant's slot through leave exactly once even if
+// called repeatedly.
 func (g *TenantGate) releaseFunc(tenant string) func() {
 	var once sync.Once
-	return func() {
-		once.Do(func() {
-			g.mu.Lock()
-			g.decOutstandingLocked(tenant)
-			if w := g.pickNextLocked(); w != nil {
-				w.granted = true
-				g.admitted[w.class]++
-				w.grant <- struct{}{}
-			} else {
-				g.inFlight--
-			}
-			g.mu.Unlock()
-		})
+	return func() { once.Do(func() { g.leave(tenant) }) }
+}
+
+// leave returns one of tenant's admitted slots: the slot is handed
+// directly to the next waiter when one is queued (the in-flight count
+// never dips, so no late arriver can steal it), or retired otherwise.
+func (g *TenantGate) leave(tenant string) {
+	g.mu.Lock()
+	g.decOutstandingLocked(tenant)
+	if w := g.pickNextLocked(); w != nil {
+		w.granted = true
+		g.admitted[w.class]++
+		w.grant <- struct{}{}
+	} else {
+		g.inFlight--
 	}
+	g.mu.Unlock()
 }
 
 func (g *TenantGate) decOutstandingLocked(tenant string) {

@@ -558,11 +558,10 @@ func (r *Registry) infer(ctx context.Context, tenant, model string, x *tensor.Te
 		}
 	}
 	tc := r.tenantConfig(tenant)
-	release, err := r.gate.Acquire(ctx, tenant, tc.Class, tc.MaxOutstanding)
-	if err != nil {
+	if err := r.gate.admit(ctx, tenant, tc.Class, tc.MaxOutstanding); err != nil {
 		return nil, err
 	}
-	defer release()
+	defer r.gate.leave(tenant)
 	e, err := r.lookup(tenant, model)
 	if err != nil {
 		return nil, err
