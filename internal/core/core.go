@@ -156,7 +156,6 @@ type Plan struct {
 	grid     conv.Shape    // the shape the plan tiles: Shape, or its planes as one row (flatten)
 	outP     int           // grid.P(), solved once: the tile store and the worker read it per block
 	outQ     int           // grid.Q()
-	colTile  int           // output columns per wRanges unit: V_w, or pxTile with the pointwise family
 
 	// The static thread grid (§6) is a pure function of the plan, so
 	// the per-dimension worker ranges are solved once here instead of
@@ -164,7 +163,7 @@ type Plan struct {
 	kRanges []parallel.Range // K, in Vk blocks
 	nRanges []parallel.Range // batch
 	hRanges []parallel.Range // output rows
-	wRanges []parallel.Range // output columns, in colTile units
+	wRanges []parallel.Range // output columns in pixels: whole V_w tiles, or pxTile ones with the pointwise family
 
 	runs runPool // reusable run states (scratch + task closures)
 
@@ -287,16 +286,18 @@ func TryNewPlan(s conv.Shape, opt Options) (*Plan, error) {
 	// A worker's columns are whole pointwise-body tiles where that body is
 	// bound, so only the plane's last tile is ragged; the 12×8 bodies walk
 	// them as four register tiles.
-	p.colTile = p.RT.Vw
+	colTile := p.RT.Vw
 	if p.px != nil {
-		p.colTile = pxTile
+		colTile = pxTile
 	}
-	qTiles := (p.outQ + p.colTile - 1) / p.colTile
 	kBlocks := (s.K + p.RT.Vk - 1) / p.RT.Vk
 	p.kRanges = parallel.Split(kBlocks, p.TM.PTk)
 	p.nRanges = parallel.Split(s.N, p.TM.PN)
 	p.hRanges = parallel.Split(p.outP, p.TM.PH)
-	p.wRanges = parallel.Split(qTiles, p.TM.PW)
+	p.wRanges = parallel.Split((p.outQ+colTile-1)/colTile, p.TM.PW)
+	for i, wr := range p.wRanges {
+		p.wRanges[i] = parallel.Range{Lo: wr.Lo * colTile, Hi: min(wr.Hi*colTile, p.outQ)}
+	}
 	return p, nil
 }
 

@@ -148,22 +148,27 @@ func (p *DepthwisePlan) PackedBytes() int64 {
 }
 
 // cell computes one grid cell: the row tile [h0, h1) of plane
-// cell/tiles, kernel accumulation then the per-channel epilogue sweep
-// (bias → affine → ReLU, the storeLane order, applied in a second
-// pass over the still-cache-hot tile — float32 store+reload is
-// value-preserving, so the sweep is bit-identical to an in-register
-// epilogue and to the separate nn addBias/applyBN/applyReLU passes).
+// cell/tiles (rows).
 func (p *DepthwisePlan) cell(in, filter, out []float32, cell int, kern depthwiseKernel) {
-	s := p.Shape
-	pp, q := s.P(), s.Q()
+	pp, q := p.Shape.P(), p.Shape.Q()
 	plane := cell / p.tiles
 	h0 := (cell % p.tiles) * p.rowTile
 	h1 := min(h0+p.rowTile, pp)
+	p.rows(kern, in, filter, out[plane*pp*q+h0*q:plane*pp*q+h1*q], plane, h0, h1)
+}
+
+// rows computes output rows [h0, h1) of plane (image n, channel c of
+// N·C) into dst: kernel accumulation, then the per-channel epilogue
+// sweep (bias → affine → ReLU, the storeLane order, applied in a second
+// pass over the still-cache-hot rows — float32 store+reload is
+// value-preserving, so the sweep is bit-identical to an in-register
+// epilogue and to the separate nn addBias/applyBN/applyReLU passes). A
+// depthwise plan's cells and the separable plan's depthwise stage
+// (sepRun.cell) both run here.
+func (p *DepthwisePlan) rows(kern depthwiseKernel, in, filter, dst []float32, plane, h0, h1 int) {
+	s := p.Shape
 	c := plane % s.C
-	inPlane := in[plane*s.H*s.W : (plane+1)*s.H*s.W]
-	fch := filter[c*s.R*s.S : (c+1)*s.R*s.S]
-	dst := out[plane*pp*q+h0*q : plane*pp*q+h1*q]
-	kern(s, inPlane, fch, dst, h0, h1)
+	kern(s, in[plane*s.H*s.W:(plane+1)*s.H*s.W], filter[c*s.R*s.S:(c+1)*s.R*s.S], dst, h0, h1)
 	if !p.ep.none {
 		applyChannelEpilogue(dst, &p.ep, c)
 	}

@@ -157,7 +157,9 @@ func (p *Plan) load(q execReq) (*planRun, error) {
 	if q.res != nil {
 		r.resD = q.res.Data
 	}
-	r.inD, r.outD, r.out = q.in.Data, q.out.Data, q.out
+	s := p.Shape
+	r.in = inView{d: q.in.Data, img: s.C * s.H * s.W, ch: s.H * s.W}
+	r.outD, r.out = q.out.Data, q.out
 	if q.nhwc && r.tasks[0].ws.buf == nil {
 		r.addPackBufs()
 	}
@@ -227,11 +229,23 @@ type workerScratch struct {
 }
 
 // runTask is one grid cell's share of the run: its slice of the
-// iteration space and its private scratch.
+// iteration space — output channels [kLo, kHi), images nr, grid rows hr
+// and grid columns wr, in pixels — and its private scratch.
 type runTask struct {
 	kLo, kHi   int
 	nr, hr, wr parallel.Range
 	ws         *workerScratch
+}
+
+// inView is where a worker reads its input in place: channel c of image
+// n starts at d[n*img + c*ch - first], and in it the plan grid's rows lie
+// grid.W apart, so the channel's pixel x of grid row 0 is at offset
+// x - first. A plan's NCHW operand is the view {in, C·H·W, H·W, 0} (a
+// packing execution, and an NHWC one, read only d, in its own layout);
+// the separable plan's row-tile intermediate is {mid, 0, rowTile·Q, h0·Q}.
+type inView struct {
+	d              []float32
+	img, ch, first int
 }
 
 // planRun is one execution's operands on top of the shared harness
@@ -243,7 +257,7 @@ type planRun struct {
 	p     *Plan
 	tasks []runTask
 
-	inD        []float32
+	in         inView
 	filterD    []float32 // KCRS weights (packed: the packed filter's source)
 	pre        []float32 // the packed weights the grid reads; nil: transform filterD per tile
 	outD, resD []float32 // resD is laid out like outD
@@ -291,17 +305,9 @@ func (r *planRun) addPackBufs() {
 
 // cells runs grid slot w: one worker of the §6 thread grid — PT_k
 // workers along the output channels × (PN × PH × PW) along
-// batch/rows/column-tiles. A non-nil pre buffer holds the whole-filter
-// pre-transformed weights ([⌈K/Vk⌉][C][R][S][Vk]); the worker then
-// skips the per-tile transform entirely.
+// batch/rows/columns.
 func (r *planRun) cells(w int) {
-	t := &r.tasks[w]
-	if r.nchw && r.b.px != nil {
-		r.p.pixelWorker(r.inD, r.filterD, r.pre, r.outD, r.resD, t.kLo, t.kHi, t.nr, t.wr, t.ws, &r.fs, r.b.px)
-		return
-	}
-	r.p.worker(r.inD, r.filterD, r.pre, r.outD, r.resD, r.nchw,
-		t.kLo, t.kHi, t.nr, t.hr, t.wr, t.ws, &r.fs, &r.b)
+	r.p.worker(r.in, r.filterD, r.pre, r.outD, r.resD, r.nchw, &r.tasks[w], &r.fs, &r.b)
 }
 
 // unload publishes a dispatched run's stats and drops its operands.
@@ -325,10 +331,12 @@ func (r *planRun) unload() {
 		}
 		p.statsMu.Unlock()
 	}
-	r.inD, r.filterD, r.outD, r.resD = nil, nil, nil, nil
+	r.in, r.filterD, r.outD, r.resD = inView{}, nil, nil, nil
 }
 
-// worker executes Algorithm 2 over its slice of the iteration space.
+// worker executes Algorithm 2 over task t's slice of the iteration space:
+// every standard and pointwise tile of every plan runs here, the
+// separable plan's pointwise stage included (sepRun.cell).
 // Loop names follow the paper; the filter transform (line 5) is
 // hoisted above the batch/row loops so each worker converts a block
 // once per (ct, kt) pair — the natural amortisation of the paper's
@@ -338,23 +346,33 @@ func (r *planRun) unload() {
 // has the same Vk-innermost blocking and the same R·S·Vk channel
 // stride as the per-tile buffer, so block kt/Vk+kb at channel offset
 // ct is byte-for-byte the slab transformFilter would have produced.
-// The k-block loop steps through bodies.span, four or two blocks per
-// body call where the multi-block bodies are bound. An NCHW tile of a plan that reads in
-// place (Plan.inPlace) is handed to the body where it lies in the input,
-// its row pitch the plane stride H·W, and nothing is packed. The loops
-// run on the plan's grid shape, so a pointwise plan's plane is one row.
-// The fault sink's stop flag is polled at tile granularity so
-// surviving workers cancel promptly after a sibling faults.
-func (p *Plan) worker(in, filter, pre, out, res []float32, nchw bool,
-	kLo, kHi int, nr, hr, wr parallel.Range, ws *workerScratch, fs *parallel.FaultSink, b *bodies) {
+// An NCHW tile of a plan that reads in place (Plan.inPlace) is handed
+// to the body where it lies in the input view v, its row pitch the
+// view's channel pitch, and nothing is packed. The loops run on the
+// plan's grid shape, so a pointwise plan's plane is one row. Each tile
+// runs the pointwise body where the execution has it (bodies.px, NCHW
+// only): a pxTile-pixel tile, one call per K-block, stored from
+// registers, its time counted as kernel time. Otherwise it is a V_w
+// register tile whose k-block loop steps through bodies.span, four or
+// two blocks per body call where the multi-block bodies are bound, and
+// stores through Plan.store. The fault sink's stop flag is polled at
+// tile granularity so surviving workers cancel promptly after a
+// sibling faults.
+func (p *Plan) worker(v inView, filter, pre, out, res []float32, nchw bool,
+	t *runTask, fs *parallel.FaultSink, b *bodies) {
 	s := p.grid
 	vw, vk := p.RT.Vw, p.RT.Vk
 	tc, tk, th := p.CT.Tc, p.CT.Tk, p.CT.Th
-	q0, q1 := wr.Lo*p.colTile, min(wr.Hi*p.colTile, p.outQ) // the worker's output columns
+	kLo, kHi, nr, hr, wr, ws := t.kLo, t.kHi, t.nr, t.hr, t.wr, t.ws
 	wIn := (vw-1)*s.Str + s.S
 	rsv := s.R * s.S * vk // one channel's slab in a transformed block
 	acc := &ws.acc
 	inPlace := nchw && p.inPlace
+	px := nchw && b.px != nil
+	step := vw // output columns per tile
+	if px {
+		step = pxTile
+	}
 
 	for ct := 0; ct < s.C; ct += tc { // L3
 		tcEff := tc
@@ -379,6 +397,10 @@ func (p *Plan) worker(in, filter, pre, out, res []float32, nchw bool,
 				addTime(ws, &ws.stats.TransformSec, t0)
 			}
 			kvBlocks := (tkEff + vk - 1) / vk
+			tf, tfOff := ws.tf, tcEff*rsv // K-block kb's slab is tf[kb*tfOff:]
+			if pre != nil {
+				tf, tfOff = pre[(kt/vk*s.C+ct)*rsv:], s.C*rsv
+			}
 
 			for n := nr.Lo; n < nr.Hi; n++ { // L1 (worker slice)
 				for ht := hr.Lo; ht < hr.Hi; ht += th { // L2
@@ -390,38 +412,44 @@ func (p *Plan) worker(in, filter, pre, out, res []float32, nchw bool,
 						if fs.Stopped() {
 							return
 						}
-						for qt0 := q0; qt0 < q1; qt0 += vw { // L6
+						for qt0 := wr.Lo; qt0 < wr.Hi; qt0 += step { // L6
 							if fs.Stopped() {
 								return
 							}
-							vwEff := min(vw, q1-qt0)
+							vwEff := min(step, wr.Hi-qt0)
 							g := p.geometry(oh, qt0)
 							g.wIn = wIn
 							src, pitch := ws.buf, wIn
 							if inPlace {
-								src, pitch = in[((n*s.C+ct)*s.H+g.ihBase)*s.W+g.iwBase:], s.H*s.W
+								src, pitch = v.d[n*v.img+ct*v.ch+g.ihBase*s.W+g.iwBase-v.first:], v.ch
 							}
 
 							for kb := 0; kb < kvBlocks; { // L7
-								nb := b.span(kb, kvBlocks)
-								tfBlock, tfOff := ws.tf[kb*tcEff*rsv:], tcEff*rsv
-								if pre != nil {
-									tfBlock, tfOff = pre[((kt/vk+kb)*s.C+ct)*rsv:], s.C*rsv
+								tfBlock := tf[kb*tfOff:]
+								if px {
+									kBase := kt + kb*vk
+									o, stride, ep, resT := p.tileOut(res, true, n, kBase, oh, qt0, lastC)
+									t0 = now(ws)
+									b.px(out[o:], resT, src, tfBlock, ep, kBase, min(kBase+vk, kHi), tcEff, pitch, stride, vwEff, !firstC)
+									addTime(ws, &ws.stats.KernelSec, t0)
+									kb++
+									continue
 								}
+								nb := b.span(kb, kvBlocks)
 								clear(acc[:nb])
 								pack := kb == 0 && !inPlace
 								if pack && p.opts.SequentialPack {
 									t0 = now(ws)
 									if nchw {
-										packNCHW(in, ws.buf, g, n, s.C, s.H, s.W, ct, tcEff, s.R)
+										packNCHW(v.d, ws.buf, g, n, s.C, s.H, s.W, ct, tcEff, s.R)
 									} else {
-										packNHWC(in, ws.buf, g, n, s.C, s.H, s.W, ct, tcEff, s.R)
+										packNHWC(v.d, ws.buf, g, n, s.C, s.H, s.W, ct, tcEff, s.R)
 									}
 									addTime(ws, &ws.stats.PackSec, t0)
 								}
 								t0 = now(ws)
 								if pack && !p.opts.SequentialPack {
-									p.packCompute(b, acc, nb, in, ws.buf, tfBlock, tfOff, g, n, ct, tcEff, vwEff, nchw)
+									p.packCompute(b, acc, nb, v.d, ws.buf, tfBlock, tfOff, g, n, ct, tcEff, vwEff, nchw)
 								} else {
 									b.run(acc, nb, src, tfBlock, tfOff, tcEff*s.R, vwEff, pitch)
 								}
@@ -441,67 +469,6 @@ func (p *Plan) worker(in, filter, pre, out, res []float32, nchw bool,
 	}
 }
 
-// pixelWorker is worker for an NCHW execution on the pointwise body px
-// (a 1×1, stride-1, unpadded plan, whose grid plane is one row of P·Q
-// pixels read in place): the same channel-tile and K-tile loops and
-// filter transform, then per image the worker's pixels in pxTile-wide
-// tiles, one body call per K-block of a tile. Each call stores its tile
-// from registers, first-tile or accumulating, with the epilogue on the
-// last channel tile, so there is no accumulator file, clear or tile
-// store here; its time counts as kernel time.
-func (p *Plan) pixelWorker(in, filter, pre, out, res []float32,
-	kLo, kHi int, nr, wr parallel.Range, ws *workerScratch, fs *parallel.FaultSink, px pixelBody) {
-	s := p.grid
-	vk := p.RT.Vk
-	tc, tk := p.CT.Tc, p.CT.Tk
-	pq := p.outQ
-	q0, q1 := wr.Lo*p.colTile, min(wr.Hi*p.colTile, pq)
-	for ct := 0; ct < s.C; ct += tc {
-		tcEff := min(tc, s.C-ct)
-		firstC := ct == 0
-		var ep *epilogue
-		if ct+tcEff >= s.C && !p.ep.none {
-			ep = &p.ep
-		}
-		for kt := kLo; kt < kHi; kt += tk {
-			if fs.Stopped() {
-				return
-			}
-			tkEff := min(tk, kHi-kt)
-			if pre == nil {
-				t0 := now(ws)
-				transformFilter(filter, ws.tf, s.K, s.C, 1, 1, kt, tkEff, ct, tcEff, vk)
-				addTime(ws, &ws.stats.TransformSec, t0)
-			}
-			kvBlocks := (tkEff + vk - 1) / vk
-			for n := nr.Lo; n < nr.Hi; n++ {
-				src := in[(n*s.C+ct)*pq:]
-				for x := q0; x < q1; x += pxTile {
-					if fs.Stopped() {
-						return
-					}
-					npx := min(pxTile, q1-x)
-					t0 := now(ws)
-					for kb := 0; kb < kvBlocks; kb++ {
-						kBase := kt + kb*vk
-						tf := ws.tf[kb*tcEff*vk:]
-						if pre != nil {
-							tf = pre[(kBase/vk*s.C+ct)*vk:]
-						}
-						o := (n*s.K+kBase)*pq + x
-						var resT []float32
-						if ep != nil && ep.residual {
-							resT = res[o:]
-						}
-						px(out[o:], resT, src[x:], tf, ep, kBase, min(kBase+vk, kHi), tcEff, pq, pq, npx, !firstC)
-					}
-					addTime(ws, &ws.stats.KernelSec, t0)
-				}
-			}
-		}
-	}
-}
-
 // now/addTime are the near-zero-cost-when-disabled stage timers.
 func now(ws *workerScratch) time.Time {
 	if !ws.timed {
@@ -511,8 +478,11 @@ func now(ws *workerScratch) time.Time {
 }
 
 func addTime(ws *workerScratch, dst *float64, t0 time.Time) {
-	if !ws.timed {
-		return
+	if ws.timed {
+		*dst += elapsed(t0)
 	}
-	*dst += time.Since(t0).Seconds()
 }
+
+// elapsed is addTime's clock read, out of line so that a disabled timer
+// inlines to one branch.
+func elapsed(t0 time.Time) float64 { return time.Since(t0).Seconds() }

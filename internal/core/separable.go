@@ -16,19 +16,21 @@ import (
 // SeparablePlan fuses the stages at row-tile granularity instead: each
 // grid cell computes a tile of depthwise output rows for all C
 // channels into pooled scratch and immediately feeds it to the
-// pointwise micro-kernel while it is still cache-hot. The full
-// intermediate tensor is never allocated — the per-worker footprint is
+// pointwise stage while it is still cache-hot. The full intermediate
+// tensor is never allocated — the per-worker footprint is
 // C·rowTile·Q floats, bounded by the row-tile solve below.
 //
-// Bit-exactness: the fused pointwise stage reproduces the standard
-// plan's per-element float32 operation sequence exactly — the same
-// channel-tile partition (the pointwise plan's CT.Tc), the same
-// register accumulation within a tile (the pointwise plan's own body,
-// reading the intermediate in place), the same spill-and-add between tiles
-// and the same store-side epilogue (the pointwise body's own store, or
-// Plan.store called directly) — so
-// TrySeparableConv2D is bit-identical to TryDepthwiseConv2D +
-// TryPointwiseConv2DShape with matching options.
+// The plan runs the code of the two plans the block is built from
+// (§10.2): its depthwise plan's rows (kernel, then the depthwise-stage
+// epilogue) per channel, and its full-shape pointwise plan's worker
+// over the row tile, reading the intermediate in place as an input
+// view. So the fused pointwise stage is the standard plan's per-element
+// float32 operation sequence exactly — the same channel-tile partition
+// (the pointwise plan's CT.Tc), the same body and register
+// accumulation within a tile, the same spill-and-add between tiles and
+// the same store-side epilogue — and TrySeparableConv2D is
+// bit-identical to TryDepthwiseConv2D + TryPointwiseConv2DShape with
+// matching options.
 
 // SeparableShape describes a depthwise-separable block: the depthwise
 // stage's geometry (C input/intermediate channels, R×S filter, stride,
@@ -85,10 +87,9 @@ type SeparablePlan struct {
 	dw conv.Shape // depthwise stage (K normalised to C)
 	pw conv.Shape // pointwise stage
 
-	threads  int
-	dwFamily *kernelFamily // nil: generic depthwise body
-	dwEp     epilogue      // depthwise-stage epilogue (length C)
-	pwPlan   *Plan         // full-shape pointwise plan: Tc partition, packed layout, store epilogue
+	threads int
+	dwPlan  *DepthwisePlan // depthwise stage: kernel family and epilogue (length C)
+	pwPlan  *Plan          // full-shape pointwise plan: Tc partition, packed layout, store epilogue
 
 	rowTile int              // depthwise output rows per grid cell
 	tiles   int              // row tiles per image
@@ -116,9 +117,6 @@ func TryNewSeparablePlan(shape SeparableShape, opt Options) (*SeparablePlan, err
 	if err := shape.Validate(); err != nil {
 		return nil, err
 	}
-	if err := validateChannelEpilogue(opt.DepthwiseEpilogue, shape.C, "depthwise-stage", false); err != nil {
-		return nil, err
-	}
 	if err := validateChannelEpilogue(opt.FusedEpilogue, shape.K, "pointwise-stage", false); err != nil {
 		return nil, err
 	}
@@ -127,15 +125,15 @@ func TryNewSeparablePlan(shape SeparableShape, opt Options) (*SeparablePlan, err
 		dw:    shape.DWShape(),
 		pw:    shape.PWShape(),
 	}
-	pwOpt := opt
-	pwOpt.DepthwiseEpilogue = nil // consumed by the depthwise stage above
-	pwPlan, err := TryNewPlan(p.pw, pwOpt)
-	if err != nil {
+	var err error
+	if p.dwPlan, err = TryNewDepthwisePlan(p.dw, Options{FusedEpilogue: opt.DepthwiseEpilogue}); err != nil {
 		return nil, err
 	}
-	p.pwPlan = pwPlan
-	p.dwEp = normalizeEpilogue(opt.DepthwiseEpilogue)
-	p.dwFamily = dwFamilyFor(p.dw)
+	pwOpt := opt
+	pwOpt.DepthwiseEpilogue = nil // the depthwise plan's epilogue
+	if p.pwPlan, err = TryNewPlan(p.pw, pwOpt); err != nil {
+		return nil, err
+	}
 	p.threads = opt.Threads
 	if p.threads == 0 {
 		p.threads = parallel.DefaultThreads()
@@ -186,7 +184,7 @@ func balancedRowTile(pp, th, n, threads int) int {
 
 // KernelNames reports what each stage's next execution runs.
 func (p *SeparablePlan) KernelNames() (dw, pw string) {
-	return dwKernelName(p.dwFamily), p.pwPlan.KernelName()
+	return p.dwPlan.KernelName(), p.pwPlan.KernelName()
 }
 
 // PointwisePlan returns the full-shape pointwise plan the fused path
@@ -245,11 +243,13 @@ func (p *SeparablePlan) TransformDepthwiseFilter(dwFilter *tensor.Tensor) (*Pack
 }
 
 // sepScratch is one worker's private state: the row-tile intermediate
-// (a guarded allocation, gridRun.guard) and the pointwise register files
-// of four K-blocks.
+// (a guarded allocation, gridRun.guard) and the pointwise worker's
+// scratch, of which it uses the register files (the stage reads the
+// intermediate in place and the packed filter, so it packs and
+// transforms nothing).
 type sepScratch struct {
 	mid []float32
-	acc accTile
+	ws  workerScratch
 }
 
 // sepRun is one execution's operands on top of the shared harness.
@@ -275,7 +275,7 @@ func (p *SeparablePlan) newRun() *sepRun {
 	r := &sepRun{p: p}
 	r.init(r, &p.runs, fmt.Sprintf("separable %+v", p.Shape), len(p.ranges), &r.dwf, &r.pre)
 	for w := range p.ranges {
-		r.scratch = append(r.scratch, &sepScratch{mid: r.guard(w, p.midLen)})
+		r.scratch = append(r.scratch, &sepScratch{mid: r.guard(w, p.midLen), ws: workerScratch{stats: &Stats{}}})
 	}
 	return r
 }
@@ -314,87 +314,25 @@ func (r *sepRun) packPointwise() []float32 {
 }
 
 // cell computes one grid cell: depthwise rows [h0, h1) of image n for
-// all C channels into the worker's intermediate, the depthwise-stage
-// epilogue sweep, then the fused pointwise stage over the same rows.
-func (r *sepRun) cell(cell int, ws *sepScratch) {
+// all C channels into the worker's intermediate (the depthwise plan's
+// rows), then the fused pointwise stage over the same rows — the
+// pointwise plan's worker, over all K and the cell's pixels
+// [h0·Q, h1·Q) of the one-row grid, reading channel c's pixels at
+// mid[c·rowTile·Q:]. r.pre is the [⌈K/8⌉][C][8] packed pointwise filter.
+func (r *sepRun) cell(cell int, sc *sepScratch) {
 	p := r.p
 	s := p.dw
-	pp, q := s.P(), s.Q()
+	q := s.Q()
 	n := cell / p.tiles
 	h0 := (cell % p.tiles) * p.rowTile
-	h1 := min(h0+p.rowTile, pp)
-	th := h1 - h0
+	h1 := min(h0+p.rowTile, s.P())
 	chStride := p.rowTile * q
 	for c := 0; c < s.C; c++ {
-		inPlane := r.inD[(n*s.C+c)*s.H*s.W : (n*s.C+c+1)*s.H*s.W]
-		fch := r.dwf[c*s.R*s.S : (c+1)*s.R*s.S]
-		dst := ws.mid[c*chStride : c*chStride+th*q]
-		r.kern(s, inPlane, fch, dst, h0, h1)
-		if !p.dwEp.none {
-			applyChannelEpilogue(dst, &p.dwEp, c)
-		}
+		p.dwPlan.rows(r.kern, r.inD, r.dwf, sc.mid[c*chStride:c*chStride+(h1-h0)*q], n*s.C+c, h0, h1)
 	}
-	p.pwStage(&r.b, r.pre, r.outD, n, h0, h1, ws)
-}
-
-// pwStage runs the execution's pointwise bodies and tile store b over
-// the row tile just produced in ws.mid, in place: channel cv's rows are
-// ws.mid[cv*chStride:], so the body's row pitch is one channel plane
-// instead of a packed buffer's wIn, and a channel's th·Q pixels are
-// contiguous there as they are in each output plane, so the tile is one
-// row of pixels (the pointwise plan's own grid). With the pointwise body
-// bound, the loop order is ct → pixel tile → K-block, one body call per
-// tile and block storing from registers; with the 12×8 bodies it is
-// ct → kb → register tile, K-blocks stepping through bodies.span. Either
-// way the pointwise plan's own Tc partitions the channels: per output
-// element the channel-tile sequence, the in-tile FMA chain, the
-// between-tile spill-and-add and the final epilogue are exactly the
-// standard plan's — the bit-identity contract. pre is the [⌈K/8⌉][C][8]
-// packed pointwise filter.
-func (p *SeparablePlan) pwStage(b *bodies, pre, out []float32, n, h0, h1 int, ws *sepScratch) {
-	pw := p.pwPlan
-	C, K, q := p.pw.C, p.pw.K, p.pw.Q()
-	pq := p.pw.P() * q
-	tc := pw.CT.Tc
-	kvBlocks := (K + 7) / 8
-	chStride := p.rowTile * q
-	npx := (h1 - h0) * q
-	first := h0 * q // the tile's first pixel in an output plane
-	acc := &ws.acc
-	for ct := 0; ct < C; ct += tc {
-		tcEff := min(tc, C-ct)
-		firstC := ct == 0
-		lastC := ct+tcEff >= C
-		mid := ws.mid[ct*chStride:]
-		if b.px != nil {
-			var ep *epilogue
-			if lastC && !pw.ep.none {
-				ep = &pw.ep
-			}
-			for x := 0; x < npx; x += pxTile {
-				w := min(pxTile, npx-x)
-				for kb := 0; kb < kvBlocks; kb++ {
-					kBase := kb * 8
-					b.px(out[(n*K+kBase)*pq+first+x:], nil, mid[x:], pre[(kb*C+ct)*8:], ep,
-						kBase, min(kBase+8, K), tcEff, chStride, pq, w, !firstC)
-				}
-			}
-			continue
-		}
-		for kb := 0; kb < kvBlocks; {
-			nb := b.span(kb, kvBlocks)
-			tfBlock := pre[(kb*C+ct)*8:]
-			for x := 0; x < npx; x += maxVw {
-				vwEff := min(maxVw, npx-x)
-				clear(acc[:nb])
-				b.run(acc, nb, mid[x:], tfBlock, C*8, tcEff, vwEff, chStride)
-				for j := 0; j < nb; j++ {
-					pw.store(b.vst, &acc[j], out, nil, true, n, (kb+j)*8, K, 0, first+x, vwEff, firstC, lastC)
-				}
-			}
-			kb += nb
-		}
-	}
+	t := runTask{kHi: p.pw.K, nr: parallel.Range{Lo: n, Hi: n + 1}, hr: parallel.Range{Hi: 1},
+		wr: parallel.Range{Lo: h0 * q, Hi: h1 * q}, ws: &sc.ws}
+	p.pwPlan.worker(inView{d: sc.mid, ch: chStride, first: h0 * q}, nil, r.pre, r.outD, nil, true, &t, &r.fs, &r.b)
 }
 
 // TryExecute runs the fused block: NCHW input, [C,R,S] depthwise
@@ -459,7 +397,7 @@ func (p *SeparablePlan) exec(ctx context.Context, in, dwFilter, pwFilter *tensor
 	} else {
 		r.pre = r.packPointwise()
 	}
-	r.kern, r.b = dwBody(p.dwFamily), p.pwPlan.body()
+	r.kern, r.b = dwBody(p.dwPlan.family), p.pwPlan.body()
 	return govern(ctx, &r.gridRun)
 }
 

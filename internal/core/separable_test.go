@@ -13,8 +13,10 @@ import (
 
 // sepShapes is the separable battery: MobileNet-class stride-1 and
 // stride-2 blocks, ragged Q tails, ragged K (not a multiple of the
-// V_k=8 block), C not a multiple of the pointwise Tc, and a multi-
-// batch case.
+// V_k=8 block), C not a multiple of the pointwise Tc, a multi-batch
+// case, and row tiles after the first that start inside a 48-pixel
+// pointwise tile (h0·Q mod 48 ≠ 0 at one and at four threads) with a
+// ragged last K-block.
 var sepShapes = []SeparableShape{
 	{N: 1, C: 8, H: 14, W: 14, K: 16, R: 3, S: 3, Str: 1, Pad: 1},
 	{N: 2, C: 5, H: 11, W: 11, K: 7, R: 3, S: 3, Str: 1, Pad: 1},
@@ -23,6 +25,7 @@ var sepShapes = []SeparableShape{
 	{N: 1, C: 4, H: 10, W: 10, K: 9, R: 5, S: 5, Str: 1, Pad: 2},
 	{N: 1, C: 32, H: 28, W: 28, K: 64, R: 3, S: 3, Str: 1, Pad: 1},
 	{N: 1, C: 16, H: 28, W: 28, K: 32, R: 3, S: 3, Str: 2, Pad: 1},
+	{N: 1, C: 8, H: 20, W: 20, K: 13, R: 3, S: 3, Str: 1, Pad: 1},
 }
 
 func sepOperands(sh SeparableShape, seed int64) (in, dwF, pwF *tensor.Tensor) {
@@ -75,6 +78,14 @@ func TestSeparableMatchesComposition(t *testing.T) {
 				want := sepUnfused(t, sh, in, dwF, pwF, opt)
 				if d := tensor.MaxAbsDiff(got, want); d != 0 {
 					t.Fatalf("fused diverges from two-call composition by %g", d)
+				}
+				// Again on the 12×8 bodies: the pointwise stage's other path.
+				withQuarantined(func() { got, err = TrySeparableConv2D(sh, in, dwF, pwF, opt) }, pixelFamily.name)
+				if err != nil {
+					t.Fatalf("TrySeparableConv2D, %s quarantined: %v", pixelFamily.name, err)
+				}
+				if d := tensor.MaxAbsDiff(got, want); d != 0 {
+					t.Fatalf("fused with %s quarantined diverges from two-call composition by %g", pixelFamily.name, d)
 				}
 			})
 		}
@@ -134,6 +145,7 @@ func TestSeparableLadderOptions(t *testing.T) {
 	opts := []Options{
 		{Threads: 1, ForceTc: 4, ForceTk: 1, ForceTh: 1},
 		{Threads: 2, ForceTc: 3},
+		{Threads: 2, ForceTk: 8}, // two K tiles of one block each
 	}
 	for i, opt := range opts {
 		got, err := TrySeparableConv2D(sh, in, dwF, pwF, opt)

@@ -21,30 +21,37 @@ import "ndirect/internal/simd"
 
 // store writes the accumulator file of the tile that starts at channel
 // kBase, row oh, column qt0 of image n into the output tensor, with the
-// plan's epilogue on the last channel tile (its residual operand sliced
-// like the output): with vst, the execution's vector store (Plan.body),
-// for every full K-block, with the Go store for a ragged one or when vst
-// is nil.
+// plan's epilogue on the last channel tile (tileOut): with vst, the
+// execution's vector store (Plan.body), for every full K-block, with the
+// Go store for a ragged one or when vst is nil.
 func (p *Plan) store(vst tileStore, acc *accFile8, out, res []float32, nchw bool,
 	n, kBase, kHi, oh, qt0, vwEff int, firstC, lastC bool) {
+	base, stride, ep, resT := p.tileOut(res, nchw, n, kBase, oh, qt0, lastC)
+	if vst != nil && kBase+8 <= kHi {
+		vst(acc, out[base:], resT, ep, kBase, stride, vwEff, nchw, !firstC)
+		return
+	}
+	storeTile(acc, out[base:], resT, ep, kBase, min(kBase+8, kHi), stride, vwEff, nchw, !firstC)
+}
+
+// tileOut is where the tile that starts at channel kBase, row oh, column
+// qt0 of image n goes: its first output element and the stride between
+// its channels (NCHW) or columns (NHWC), and, on the last channel tile,
+// the plan's epilogue (nil otherwise) with its residual operand sliced
+// like the output.
+func (p *Plan) tileOut(res []float32, nchw bool, n, kBase, oh, qt0 int, lastC bool) (base, stride int, ep *epilogue, resT []float32) {
 	pp, q, k := p.outP, p.outQ, p.Shape.K
-	base, stride := ((n*pp+oh)*q+qt0)*k+kBase, k
+	base, stride = ((n*pp+oh)*q+qt0)*k+kBase, k
 	if nchw {
 		base, stride = ((n*k+kBase)*pp+oh)*q+qt0, pp*q
 	}
-	var ep *epilogue
-	var resT []float32
 	if lastC && !p.ep.none {
 		ep = &p.ep
 		if ep.residual {
 			resT = res[base:]
 		}
 	}
-	if vst != nil && kBase+8 <= kHi {
-		vst(acc, out[base:], resT, ep, kBase, stride, vwEff, nchw, !firstC)
-		return
-	}
-	storeTile(acc, out[base:], resT, ep, kBase, min(kBase+8, kHi), stride, vwEff, nchw, !firstC)
+	return base, stride, ep, resT
 }
 
 // storeTile is the portable tile store, tileStore's convention plus the

@@ -114,23 +114,13 @@ func (g *TenantGate) queueCap(c QoSClass) int {
 	return g.maxQueue * (int(c) + 1) / NumQoSClasses
 }
 
-// Acquire claims an execution slot for tenant's request at the given
+// admit claims an execution slot for tenant's request at the given
 // class, waiting in the class-graduated queue if none is free. limit
 // bounds the tenant's outstanding requests (in flight + queued); <= 0
-// means uncapped. It returns a release function (idempotent; call
-// exactly when the request finishes) or an error wrapping
-// core.ErrOverloaded. A nil ctx waits forever.
-func (g *TenantGate) Acquire(ctx context.Context, tenant string, class QoSClass, limit int) (release func(), err error) {
-	if err := g.admit(ctx, tenant, class, limit); err != nil {
-		return nil, err
-	}
-	return g.releaseFunc(tenant), nil
-}
-
-// admit is Acquire without the release function: on a nil error the
-// caller holds one slot and must hand it back with exactly one leave.
-// The registry's request path admits this way, so a request builds no
-// release closure.
+// means uncapped. On a nil error the caller holds one slot and must hand
+// it back with exactly one leave when the request finishes; otherwise
+// the error wraps core.ErrOverloaded (or ErrBadOptions for an unknown
+// class). A nil ctx waits forever.
 func (g *TenantGate) admit(ctx context.Context, tenant string, class QoSClass, limit int) error {
 	if ctx == nil {
 		ctx = context.Background()
@@ -185,13 +175,6 @@ func (g *TenantGate) admit(ctx context.Context, tenant string, class QoSClass, l
 		return fmt.Errorf("%w: no slot before deadline (%v class): %w",
 			core.ErrOverloaded, class, context.Cause(ctx))
 	}
-}
-
-// releaseFunc returns tenant's slot through leave exactly once even if
-// called repeatedly.
-func (g *TenantGate) releaseFunc(tenant string) func() {
-	var once sync.Once
-	return func() { once.Do(func() { g.leave(tenant) }) }
 }
 
 // leave returns one of tenant's admitted slots: the slot is handed

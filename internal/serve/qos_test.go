@@ -29,8 +29,7 @@ func waitQueued(t *testing.T, g *TenantGate, want int) {
 // when the whole queue is full.
 func TestTenantGateShedOrdering(t *testing.T) {
 	g := NewTenantGate(1, 6) // shares: batch 2, standard 4, premium 6
-	hold, err := g.Acquire(context.Background(), "holder", ClassStandard, 0)
-	if err != nil {
+	if err := g.admit(context.Background(), "holder", ClassStandard, 0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -40,12 +39,11 @@ func TestTenantGateShedOrdering(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				rel, err := g.Acquire(context.Background(), "filler", class, 0)
-				if err != nil {
-					t.Errorf("filler acquire: %v", err)
+				if err := g.admit(context.Background(), "filler", class, 0); err != nil {
+					t.Errorf("filler admit: %v", err)
 					return
 				}
-				rel() // chain the slot to the next waiter
+				g.leave("filler") // chain the slot to the next waiter
 			}()
 		}
 	}
@@ -53,12 +51,12 @@ func TestTenantGateShedOrdering(t *testing.T) {
 	park(2, ClassPremium)
 	waitQueued(t, g, 2)
 	// Occupancy 2 = batch's whole share: batch sheds, standard does not.
-	if _, err := g.Acquire(context.Background(), "t", ClassBatch, 0); !errors.Is(err, core.ErrOverloaded) {
+	if err := g.admit(context.Background(), "t", ClassBatch, 0); !errors.Is(err, core.ErrOverloaded) {
 		t.Fatalf("batch at occupancy 2: want ErrOverloaded, got %v", err)
 	}
 	expired, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := g.Acquire(expired, "t", ClassStandard, 0); !errors.Is(err, core.ErrOverloaded) {
+	if err := g.admit(expired, "t", ClassStandard, 0); !errors.Is(err, core.ErrOverloaded) {
 		t.Fatalf("standard should queue (then expire late), got %v", err)
 	}
 	st := g.Stats()
@@ -72,14 +70,14 @@ func TestTenantGateShedOrdering(t *testing.T) {
 	park(2, ClassPremium)
 	waitQueued(t, g, 4)
 	// Occupancy 4 = standard's share: standard sheds, premium does not.
-	if _, err := g.Acquire(context.Background(), "t", ClassStandard, 0); !errors.Is(err, core.ErrOverloaded) {
+	if err := g.admit(context.Background(), "t", ClassStandard, 0); !errors.Is(err, core.ErrOverloaded) {
 		t.Fatalf("standard at occupancy 4: want ErrOverloaded, got %v", err)
 	}
 	park(2, ClassPremium)
 	waitQueued(t, g, 6)
 	// Queue full: even premium sheds — and by construction every lower
 	// class was already shedding at this occupancy.
-	if _, err := g.Acquire(context.Background(), "t", ClassPremium, 0); !errors.Is(err, core.ErrOverloaded) {
+	if err := g.admit(context.Background(), "t", ClassPremium, 0); !errors.Is(err, core.ErrOverloaded) {
 		t.Fatalf("premium at full queue: want ErrOverloaded, got %v", err)
 	}
 	st = g.Stats()
@@ -89,7 +87,7 @@ func TestTenantGateShedOrdering(t *testing.T) {
 		}
 	}
 
-	hold() // drain: the chain releases every parked filler
+	g.leave("holder") // drain: the chain releases every parked filler
 	wg.Wait()
 	st = g.Stats()
 	if st.InFlight != 0 || st.Queued != 0 || st.Tenants != 0 {
@@ -103,8 +101,7 @@ func TestTenantGateShedOrdering(t *testing.T) {
 // premium, standard, premium, batch, premium, standard, premium.
 func TestTenantGateWRRInterleave(t *testing.T) {
 	g := NewTenantGate(1, 100)
-	hold, err := g.Acquire(context.Background(), "holder", ClassStandard, 0)
-	if err != nil {
+	if err := g.admit(context.Background(), "holder", ClassStandard, 0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -116,15 +113,14 @@ func TestTenantGateWRRInterleave(t *testing.T) {
 		ready := g.Stats().Queued + 1
 		go func() {
 			defer wg.Done()
-			rel, err := g.Acquire(context.Background(), "t", class, 0)
-			if err != nil {
-				t.Errorf("acquire %v: %v", class, err)
+			if err := g.admit(context.Background(), "t", class, 0); err != nil {
+				t.Errorf("admit %v: %v", class, err)
 				return
 			}
 			mu.Lock()
 			order = append(order, class)
 			mu.Unlock()
-			rel()
+			g.leave("t")
 		}()
 		waitQueued(t, g, ready)
 	}
@@ -135,7 +131,7 @@ func TestTenantGateWRRInterleave(t *testing.T) {
 		enqueue(ClassPremium)
 	}
 
-	hold()
+	g.leave("holder")
 	wg.Wait()
 	want := []QoSClass{ClassPremium, ClassStandard, ClassPremium, ClassBatch, ClassPremium, ClassStandard, ClassPremium}
 	if len(order) != len(want) {
@@ -153,24 +149,23 @@ func TestTenantGateWRRInterleave(t *testing.T) {
 // frees as the tenant's requests finish.
 func TestTenantGatePerTenantCap(t *testing.T) {
 	g := NewTenantGate(4, 4)
-	r1, err := g.Acquire(context.Background(), "a", ClassStandard, 2)
-	if err != nil {
+	if err := g.admit(context.Background(), "a", ClassStandard, 2); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := g.Acquire(context.Background(), "a", ClassStandard, 2); err != nil {
+	if err := g.admit(context.Background(), "a", ClassStandard, 2); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := g.Acquire(context.Background(), "a", ClassPremium, 2); !errors.Is(err, core.ErrOverloaded) {
+	if err := g.admit(context.Background(), "a", ClassPremium, 2); !errors.Is(err, core.ErrOverloaded) {
 		t.Fatalf("tenant a past cap: want ErrOverloaded, got %v", err)
 	}
-	if _, err := g.Acquire(context.Background(), "b", ClassStandard, 2); err != nil {
+	if err := g.admit(context.Background(), "b", ClassStandard, 2); err != nil {
 		t.Fatalf("tenant b must be unaffected by a's cap: %v", err)
 	}
 	if g.Outstanding("a") != 2 || g.Outstanding("b") != 1 {
 		t.Fatalf("outstanding a=%d b=%d, want 2/1", g.Outstanding("a"), g.Outstanding("b"))
 	}
-	r1()
-	if _, err := g.Acquire(context.Background(), "a", ClassStandard, 2); err != nil {
+	g.leave("a")
+	if err := g.admit(context.Background(), "a", ClassStandard, 2); err != nil {
 		t.Fatalf("tenant a after release: %v", err)
 	}
 	if g.Stats().TenantCapRejs != 1 {
@@ -184,13 +179,12 @@ func TestTenantGatePerTenantCap(t *testing.T) {
 // outstanding) is fully undone.
 func TestTenantGateDeadlineWhileQueued(t *testing.T) {
 	g := NewTenantGate(1, 4)
-	hold, err := g.Acquire(context.Background(), "holder", ClassStandard, 0)
-	if err != nil {
+	if err := g.admit(context.Background(), "holder", ClassStandard, 0); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	_, err = g.Acquire(ctx, "late", ClassPremium, 0)
+	err := g.admit(ctx, "late", ClassPremium, 0)
 	if !errors.Is(err, core.ErrOverloaded) || !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("want ErrOverloaded wrapping DeadlineExceeded, got %v", err)
 	}
@@ -201,55 +195,52 @@ func TestTenantGateDeadlineWhileQueued(t *testing.T) {
 	if st.ShedLate[ClassPremium] != 1 {
 		t.Fatalf("shed-late = %d, want 1", st.ShedLate[ClassPremium])
 	}
-	hold()
+	g.leave("holder")
 	if g.Stats().InFlight != 0 {
 		t.Fatal("slot not retired")
 	}
 }
 
-// TestTenantGateReleaseIdempotent: calling release twice must free the
-// slot once — a second call that handed the slot on again would admit
-// two waiters into one slot, and over-admit forever after.
-func TestTenantGateReleaseIdempotent(t *testing.T) {
+// TestTenantGateLeaveGrantsOneWaiter: one leave hands the freed slot
+// to exactly one of two queued waiters, and the single slot still
+// behaves as a single slot once both have left.
+func TestTenantGateLeaveGrantsOneWaiter(t *testing.T) {
 	g := NewTenantGate(1, 4)
-	hold, err := g.Acquire(context.Background(), "holder", ClassStandard, 0)
-	if err != nil {
+	if err := g.admit(context.Background(), "holder", ClassStandard, 0); err != nil {
 		t.Fatal(err)
 	}
-	granted := make(chan func(), 2)
+	granted := make(chan bool, 2)
 	for i := 0; i < 2; i++ {
 		go func() {
-			rel, err := g.Acquire(context.Background(), "waiter", ClassPremium, 0)
+			err := g.admit(context.Background(), "waiter", ClassPremium, 0)
 			if err != nil {
-				t.Errorf("waiter acquire: %v", err)
-				granted <- func() {}
-				return
+				t.Errorf("waiter admit: %v", err)
 			}
-			granted <- rel
+			granted <- err == nil
 		}()
 	}
 	waitQueued(t, g, 2)
-	hold()
-	hold() // second call must be a no-op
-	rel := <-granted
-	if st := g.Stats(); st.InFlight != 1 || st.Queued != 1 {
-		t.Fatalf("after a double release: InFlight %d Queued %d, want 1 and 1", st.InFlight, st.Queued)
+	g.leave("holder")
+	for i := 0; i < 2; i++ {
+		if !<-granted {
+			continue
+		}
+		if st := g.Stats(); st.InFlight != 1 || st.Queued != 1-i {
+			t.Fatalf("waiter %d admitted: InFlight %d Queued %d, want 1 and %d", i, st.InFlight, st.Queued, 1-i)
+		}
+		g.leave("waiter")
 	}
-	rel()
-	rel()
-	(<-granted)()
 	if st := g.Stats(); st.InFlight != 0 || st.Queued != 0 || st.Tenants != 0 {
 		t.Fatalf("gate not drained: %+v", st)
 	}
 	// The single slot must still behave as a single slot.
-	rel2, err := g.Acquire(context.Background(), "t", ClassStandard, 0)
-	if err != nil {
+	if err := g.admit(context.Background(), "t", ClassStandard, 0); err != nil {
 		t.Fatal(err)
 	}
 	if g.Stats().InFlight != 1 {
 		t.Fatalf("InFlight = %d with one holder, want 1", g.Stats().InFlight)
 	}
-	rel2()
+	g.leave("t")
 }
 
 // TestTenantGateClamps: NewTenantGate(0, -1) clamps to one slot and no
@@ -257,21 +248,20 @@ func TestTenantGateReleaseIdempotent(t *testing.T) {
 // fails fast instead of waiting.
 func TestTenantGateClamps(t *testing.T) {
 	g := NewTenantGate(0, -1)
-	rel, err := g.Acquire(context.Background(), "t", ClassBatch, 0)
-	if err != nil {
+	if err := g.admit(context.Background(), "t", ClassBatch, 0); err != nil {
 		t.Fatalf("clamped gate refused first caller: %v", err)
 	}
-	if _, err := g.Acquire(context.Background(), "t", ClassPremium, 0); !errors.Is(err, core.ErrOverloaded) {
+	if err := g.admit(context.Background(), "t", ClassPremium, 0); !errors.Is(err, core.ErrOverloaded) {
 		t.Fatalf("want immediate overload with zero queue, got %v", err)
 	}
 	if st := g.Stats(); st.Queued != 0 || st.ShedFull[ClassPremium] != 1 {
 		t.Fatalf("stats = %+v, want nothing queued and one premium shed-full", st)
 	}
-	rel()
+	g.leave("t")
 }
 
 // TestTenantGateInFlightCoherentUnderRace: the in-flight count stays
-// coherent under concurrent acquire/release/read — never above the
+// coherent under concurrent admit/leave/read — never above the
 // configured ceiling, never negative, and exactly zero once everything
 // has drained. Run with -race.
 func TestTenantGateInFlightCoherentUnderRace(t *testing.T) {
@@ -301,16 +291,14 @@ func TestTenantGateInFlightCoherentUnderRace(t *testing.T) {
 			defer wg.Done()
 			class := QoSClass(i % NumQoSClasses)
 			for j := 0; j < 200; j++ {
-				release, err := g.Acquire(context.Background(), "t", class, 0)
-				if err != nil {
+				if err := g.admit(context.Background(), "t", class, 0); err != nil {
 					if !errors.Is(err, core.ErrOverloaded) {
 						t.Errorf("rejection is %v, want ErrOverloaded", err)
 						return
 					}
 					continue
 				}
-				release()
-				release() // idempotent: must not double-decrement
+				g.leave("t")
 			}
 		}()
 	}

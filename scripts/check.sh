@@ -112,6 +112,21 @@ for pat in 'faultinject.Take(faultinject.WeightBitflip' 'faultinject.Take(faulti
     fi
 done
 
+# One tile loop per operator: Plan.worker is the only caller of the
+# pointwise body (the standalone 1×1 plans and the separable plan's
+# pointwise stage both run it), and DepthwisePlan.rows the only place
+# the depthwise epilogue sweep runs (depthwise cells and the separable
+# plan's depthwise stage). A second file holding either call is a
+# hand-copied stage loop.
+echo "==> written once: the pointwise body call and applyChannelEpilogue( in internal/core"
+for pat in '.px(' 'applyChannelEpilogue('; do
+    files=$(ls internal/core/*.go | grep -v _test.go | xargs grep -lF -- "$pat" || true)
+    if [ "$(echo "$files" | grep -c .)" -ne 1 ]; then
+        echo "FAIL: '$pat' must appear in exactly one non-test file of internal/core, found in: $(echo $files)" >&2
+        exit 1
+    fi
+done
+
 # Every entry point in internal/core — the grouped and 3-D ones
 # included — executes through that ladder. Only the two parked precision
 # paths (conv64.go, convint16.go) keep a loop of their own with a
